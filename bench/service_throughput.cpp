@@ -26,8 +26,9 @@
 //     samples are imported, so warm_best <= cold_best (costs negative)
 //     holds by construction and the JSON records it.
 //   * sharded — the same mixed stream as JSONL lines through the
-//     multi-process front door (service/shard_router + saim_serve
-//     children, 1 worker each) at 1/2/4 shards and over BOTH transports:
+//     multi-process front door (service/shard_router + service/Supervisor
+//     — the pump saim_shard ships — over saim_serve children, 1 worker
+//     each) at 1/2/4 shards and over BOTH transports:
 //     fork/exec pipes (transport "pipe") and loopback TCP against
 //     `saim_serve --listen` servers (transport "socket"), so pipe-vs-TCP
 //     overhead is tracked release over release. Throughput should scale
@@ -44,16 +45,17 @@
 //     a fixed Poisson schedule at several rates and latency is measured
 //     from each job's SCHEDULED send time, so queueing delay at
 //     saturation is measured, not coordinated-omitted away.
-//   * front_door — the same closed-loop sharded wave through ONE
-//     `saim_serve --listen` server, event loop vs --threaded: the
-//     event-driven default must not cost throughput against the
-//     thread-per-connection server it replaces.
 //   * hedge — the mixed stream through 2 shards with hedging on
 //     (R=2, window >= jobs so everything is in flight), then one shard is
 //     SIGSTOPped mid-wave: no EOF ever fires, so hedged re-dispatch to
 //     the replica is the ONLY thing that can finish the stopped shard's
 //     jobs. The phase records that the wave completed and how many hedge
 //     copies won.
+//
+// Every fleet phase runs the Supervisor with respawn, remote reconnects
+// and health pings off, and attaches its children before the timer
+// starts. Pings stay off because a SIGSTOPped shard would miss 5 pongs
+// and be killed, turning the hedge phase into a failover measurement.
 #include <unistd.h>
 
 #include <algorithm>
@@ -68,16 +70,15 @@
 #include <vector>
 
 #include "load_gen.hpp"
-#include "net/socket_child.hpp"
 #include "obs/metrics.hpp"
 #include "problems/mkp.hpp"
 #include "problems/qkp.hpp"
 #include "service/process_child.hpp"
 #include "service/service_stats.hpp"
 #include "service/request_builders.hpp"
-#include "service/shard_driver.hpp"
 #include "service/shard_router.hpp"
 #include "service/solve_service.hpp"
+#include "service/supervisor.hpp"
 #include "util/cli.hpp"
 #include "util/jsonl.hpp"
 #include "util/parallel.hpp"
@@ -196,39 +197,30 @@ std::vector<std::string> make_job_lines(std::size_t jobs,
   return lines;
 }
 
-/// Spawns `shards` pipe children (saim_serve --stream) as endpoints.
-std::vector<std::unique_ptr<net::ShardEndpoint>> spawn_pipe_fleet(
-    const std::string& serve, std::size_t shards) {
-  std::vector<std::unique_ptr<net::ShardEndpoint>> children;
-  for (std::size_t s = 0; s < shards; ++s) {
-    children.push_back(std::make_unique<service::ProcessChild>(
-        std::vector<std::string>{serve, "--stream", "--workers", "1",
-                                 "--cache", "0"}));
-  }
-  return children;
+/// A fixed fleet: local children are `saim_serve --stream`, 1 worker,
+/// cache off; nothing is respawned, redialed or pinged (see the header).
+service::SupervisorOptions fixed_fleet_options(const std::string& serve) {
+  service::SupervisorOptions options;
+  options.local_argv = {serve, "--stream", "--workers", "1", "--cache", "0"};
+  options.respawn = false;
+  options.reconnect_remotes = false;
+  options.ping_ms = 0;
+  return options;
 }
 
 /// Spawns one loopback `saim_serve --listen` server (streaming, cache
-/// off) with `extra_args` appended, parks the process in `servers`, and
-/// returns its bound port — 0 when it fails to come up in time.
+/// off), parks the process in `servers`, and returns its bound port — 0
+/// when it fails to come up in time.
 int spawn_listen_server(
     const std::string& serve, const std::string& tag, std::size_t workers,
-    const std::vector<std::string>& extra_args,
     std::vector<std::unique_ptr<service::ProcessChild>>* servers) {
   const std::string port_file = "bench_listen_port_" + tag + ".tmp";
   std::remove(port_file.c_str());
-  std::vector<std::string> argv{serve,
-                                "--listen",
-                                "127.0.0.1:0",
-                                "--port-file",
-                                port_file,
-                                "--stream",
-                                "--workers",
-                                std::to_string(workers),
-                                "--cache",
-                                "0"};
-  argv.insert(argv.end(), extra_args.begin(), extra_args.end());
-  servers->push_back(std::make_unique<service::ProcessChild>(argv));
+  servers->push_back(std::make_unique<service::ProcessChild>(
+      std::vector<std::string>{serve, "--listen", "127.0.0.1:0",
+                               "--port-file", port_file, "--stream",
+                               "--workers", std::to_string(workers),
+                               "--cache", "0"}));
   int port = 0;
   for (int spin = 0; spin < 5000 && port == 0; ++spin) {
     std::ifstream pf(port_file);
@@ -241,38 +233,31 @@ int spawn_listen_server(
   return port;
 }
 
-/// Spawns `shards` loopback `saim_serve --listen` servers and connects a
-/// SocketChild to each. The listener processes ride along in `servers`
-/// (torn down by the caller when the endpoints close). Returns an empty
-/// endpoint vector when a server fails to come up in time.
-std::vector<std::unique_ptr<net::ShardEndpoint>> spawn_socket_fleet(
-    const std::string& serve, std::size_t shards,
-    std::vector<std::unique_ptr<service::ProcessChild>>* servers,
-    const std::vector<std::string>& extra_args = {}) {
-  std::vector<std::unique_ptr<net::ShardEndpoint>> endpoints;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const int port = spawn_listen_server(serve, std::to_string(s),
-                                         /*workers=*/1, extra_args, servers);
-    if (port == 0) return {};
-    endpoints.push_back(
-        std::make_unique<net::SocketChild>("127.0.0.1", port));
-  }
-  return endpoints;
-}
-
-/// Routes `lines` through an already-spawned fleet of endpoints (1
-/// worker each); returns wall seconds, or a negative value when any job
-/// failed. `router_options` carries replication/hedging knobs (its shard
-/// count is overwritten); the router's final stats land in `stats_out`.
+/// Routes `lines` through a fixed fleet of `locals` forked children
+/// (slots 0..locals-1) plus one session per loopback listen server in
+/// `remote_ports`. Returns wall seconds, or a negative value when any
+/// job failed. `router_options` carries replication/hedging knobs (its
+/// shard count is overwritten); the router's final stats land in
+/// `stats_out`.
 double run_sharded_wave(
-    std::vector<std::unique_ptr<net::ShardEndpoint>> children,
+    const std::string& serve, std::size_t locals,
+    const std::vector<int>& remote_ports,
     const std::vector<std::string>& lines,
     obs::HistogramSnapshot* latency = nullptr,
     service::RouterOptions router_options = {},
     service::ShardRouter::Stats* stats_out = nullptr) {
-  if (children.empty()) return -1.0;
-  router_options.shards = children.size();
+  router_options.shards = locals + remote_ports.size();
+  if (router_options.shards == 0) return -1.0;
   service::ShardRouter router(router_options);
+  service::Supervisor fleet(router, fixed_fleet_options(serve));
+  try {
+    for (std::size_t s = 0; s < locals; ++s) fleet.attach_local(s);
+    for (std::size_t i = 0; i < remote_ports.size(); ++i) {
+      fleet.attach_remote(locals + i, "127.0.0.1", remote_ports[i]);
+    }
+  } catch (const std::exception&) {
+    return -1.0;
+  }
 
   util::WallTimer timer;
   std::size_t line_no = 0;
@@ -281,7 +266,7 @@ double run_sharded_wave(
     emitted += router.accept_line(line, ++line_no).size();
   }
   while (!router.idle()) {
-    emitted += service::pump_shards(router, children, 2).size();
+    emitted += fleet.pump(2).size();
     if (router.live_shards() == 0) break;
     if (timer.seconds() > 300.0) return -1.0;  // wedged child: fail loudly
   }
@@ -293,7 +278,6 @@ double run_sharded_wave(
     }
   }
   if (stats_out) *stats_out = router.stats();
-  for (auto& child : children) child->shutdown_input();
   if (router.any_error() || emitted != lines.size()) return -1.0;
   return seconds;
 }
@@ -543,8 +527,8 @@ int main(int argc, char** argv) {
     };
     for (std::size_t i = 0; i < 3; ++i) {
       obs::HistogramSnapshot latency;
-      const double seconds = run_sharded_wave(
-          spawn_pipe_fleet(serve, shard_counts[i]), lines, &latency);
+      const double seconds =
+          run_sharded_wave(serve, shard_counts[i], {}, lines, &latency);
       pipe_jps[i] = seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
       std::printf("  pipe   %zu shard%s: %6.2f jobs/sec (%.2fs, round-trip "
                   "p50/p95 %.0f/%.0f ms)\n",
@@ -557,9 +541,14 @@ int main(int argc, char** argv) {
     // without re-measuring the scaling curve twice.
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
       std::vector<std::unique_ptr<service::ProcessChild>> servers;
+      std::vector<int> ports;  // 0 = never came up; its attach then fails
+      for (std::size_t s = 0; s < shards; ++s) {
+        ports.push_back(spawn_listen_server(serve, std::to_string(s),
+                                            /*workers=*/1, &servers));
+      }
       obs::HistogramSnapshot latency;
-      const double seconds = run_sharded_wave(
-          spawn_socket_fleet(serve, shards, &servers), lines, &latency);
+      const double seconds =
+          run_sharded_wave(serve, 0, ports, lines, &latency);
       for (auto& server : servers) server->terminate();
       const double jps =
           seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
@@ -596,8 +585,8 @@ int main(int argc, char** argv) {
     open_loop_json.field("skipped", true);
   } else {
     std::vector<std::unique_ptr<service::ProcessChild>> servers;
-    const int port = spawn_listen_server(serve, "openloop", /*workers=*/4,
-                                         {}, &servers);
+    const int port =
+        spawn_listen_server(serve, "openloop", /*workers=*/4, &servers);
     if (port == 0) {
       std::printf("  open_loop: skipped (server failed to start)\n");
       open_loop_json.field("skipped", true);
@@ -640,38 +629,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ----------------------------------------------------- front-door phase
-  // Closed-loop control experiment for the event-driven default: the
-  // same wave through one --listen server, event loop vs --threaded.
-  // Identical protocol bytes by construction; this pins the throughput.
-  util::JsonWriter front_door_json;
-  if (::access(serve.c_str(), X_OK) != 0) {
-    front_door_json.field("skipped", true);
-  } else {
-    const auto lines = make_job_lines(jobs, instances, n, iterations, sweeps);
-    double flavour_jps[2] = {0.0, 0.0};
-    const char* flavour_names[] = {"event", "threaded"};
-    for (int f = 0; f < 2; ++f) {
-      std::vector<std::string> extra;
-      if (f == 1) extra.push_back("--threaded");
-      std::vector<std::unique_ptr<service::ProcessChild>> servers;
-      const double seconds = run_sharded_wave(
-          spawn_socket_fleet(serve, 1, &servers, extra), lines);
-      for (auto& server : servers) server->terminate();
-      flavour_jps[f] =
-          seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
-      std::printf("  front door (%s): %6.2f jobs/sec\n", flavour_names[f],
-                  flavour_jps[f]);
-    }
-    const double ratio =
-        flavour_jps[1] > 0 ? flavour_jps[0] / flavour_jps[1] : 0.0;
-    std::printf("  event loop vs threaded: %.2fx\n", ratio);
-    front_door_json.field("skipped", false)
-        .field("event_jobs_per_sec", flavour_jps[0])
-        .field("threaded_jobs_per_sec", flavour_jps[1])
-        .field("event_over_threaded", ratio);
-  }
-
   // ----------------------------------------------------- skewed-key phase
   // Every job is a twin of one hot instance. R=1: the owner serializes
   // the whole stream. R=2 + hot-key routing: twins overflow to the
@@ -699,8 +656,8 @@ int main(int argc, char** argv) {
       router_options.hot_key_depth = replicas == 2 ? 2 : 0;
       service::ShardRouter::Stats stats;
       const double seconds =
-          run_sharded_wave(spawn_pipe_fleet(serve, 2), hot_lines,
-                           /*latency=*/nullptr, router_options, &stats);
+          run_sharded_wave(serve, 2, {}, hot_lines, /*latency=*/nullptr,
+                           router_options, &stats);
       jps[replicas - 1] =
           seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
       if (replicas == 2) replica_hits = stats.replica_hits;
@@ -730,13 +687,15 @@ int main(int argc, char** argv) {
     hedge_json.field("skipped", true);
   } else {
     const auto lines = make_job_lines(jobs, instances, n, iterations, sweeps);
-    auto children = spawn_pipe_fleet(serve, 2);
     service::RouterOptions router_options;
     router_options.shards = 2;
     router_options.window = jobs;
     router_options.replicas = 2;
     router_options.hedge_min_ms = 25.0;
     service::ShardRouter router(router_options);
+    service::Supervisor fleet(router, fixed_fleet_options(serve));
+    fleet.attach_local(0);
+    fleet.attach_local(1);
 
     util::WallTimer timer;
     std::size_t line_no = 0;
@@ -746,7 +705,7 @@ int main(int argc, char** argv) {
     }
     // Mid-wave: a quarter of the results are out, both shards are busy.
     while (emitted < jobs / 4 && timer.seconds() < 300.0) {
-      emitted += service::pump_shards(router, children, 2).size();
+      emitted += fleet.pump(2).size();
     }
     const std::size_t victim =
         router.inflight(0) + router.pending(0) >=
@@ -754,15 +713,14 @@ int main(int argc, char** argv) {
             ? 0
             : 1;
     auto* victim_child =
-        dynamic_cast<service::ProcessChild*>(children[victim].get());
+        dynamic_cast<service::ProcessChild*>(fleet.endpoint(victim));
     if (victim_child) ::kill(victim_child->pid(), SIGSTOP);
     while (!router.idle() && timer.seconds() < 300.0) {
-      emitted += service::pump_shards(router, children, 2).size();
+      emitted += fleet.pump(2).size();
       if (router.live_shards() == 0) break;
     }
     const double seconds = timer.seconds();
     if (victim_child) ::kill(victim_child->pid(), SIGCONT);
-    for (auto& child : children) child->shutdown_input();
 
     const auto& stats = router.stats();
     const bool completed =
@@ -797,7 +755,6 @@ int main(int argc, char** argv) {
       .raw_field("warm", warm_json.str())
       .raw_field("sharded", sharded_json.str())
       .raw_field("open_loop", open_loop_json.str())
-      .raw_field("front_door", front_door_json.str())
       .raw_field("skewed", skewed_json.str())
       .raw_field("hedge", hedge_json.str());
 

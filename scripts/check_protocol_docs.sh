@@ -12,8 +12,15 @@
 #   * request-side: the kKnownKeys job whitelist and the kControlKeys
 #     control-line whitelist in src/service/job_parser.cpp —
 # and fails when any name is missing from the doc (backtick-quoted, so a
-# prose mention by accident does not count). Run from anywhere; CI runs it
-# on every build.
+# prose mention by accident does not count).
+#
+# CLI flags are gated in both directions: every flag the two tools
+# register (add_flag/add_bool/add_multi in tools/saim_serve.cpp and
+# tools/saim_shard.cpp) must appear in the doc as --name, and every
+# flag-table row (| `--name` | ...) must name a flag the tools still
+# register, so a deleted flag cannot linger in the table.
+#
+# Run from anywhere; ctest runs it as check_protocol_docs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +41,14 @@ accepted=$(awk '/kKnownKeys = \{/,/\};/' src/service/job_parser.cpp |
 control=$(awk '/kControlKeys = \{/,/\};/' src/service/job_parser.cpp |
           grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
 
-if [[ -z "$emitted" || -z "$accepted" || -z "$control" ]]; then
+flags=$(grep -hoE 'add_(flag|bool|multi)\("[a-z-]+"' \
+          tools/saim_serve.cpp tools/saim_shard.cpp |
+        grep -oE '"[a-z-]+"' | tr -d '"' | sort -u)
+table_flags=$(grep -oE '^\| `--[a-z-]+` \|' "$doc" |
+              grep -oE -- '--[a-z-]+' | sed 's/^--//' | sort -u)
+
+if [[ -z "$emitted" || -z "$accepted" || -z "$control" || -z "$flags" ||
+      -z "$table_flags" ]]; then
   echo "FAIL: could not extract field names (did the emitters move?)"
   exit 1
 fi
@@ -48,10 +62,26 @@ for f in $emitted $accepted $control; do
     fail=1
   fi
 done
+# shellcheck disable=SC2086
+for f in $flags; do
+  if ! grep -qE -- "--$f([^a-z-]|\$)" "$doc"; then
+    echo "PROTOCOL drift: --$f is a tool flag but not documented in $doc"
+    fail=1
+  fi
+done
+# shellcheck disable=SC2086
+for f in $table_flags; do
+  if ! grep -qx -- "$f" <<<"$flags"; then
+    echo "PROTOCOL drift: $doc has a table row for --$f, which no tool" \
+         "registers"
+    fail=1
+  fi
+done
 
 if [[ $fail -eq 0 ]]; then
   count=$(printf '%s\n%s\n%s\n' "$emitted" "$accepted" "$control" |
           sort -u | wc -l)
-  echo "protocol docs OK: all $count field names documented in $doc"
+  echo "protocol docs OK: all $count field names and" \
+       "$(wc -l <<<"$flags") flags documented in $doc"
 fi
 exit "$fail"

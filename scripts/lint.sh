@@ -74,7 +74,7 @@ if command -v shellcheck >/dev/null 2>&1; then
   scripts=()
   while IFS= read -r sh; do
     scripts+=("$sh")
-  done < <(find scripts -name '*.sh' | sort)
+  done < <(find scripts tests/e2e -name '*.sh' | sort)
   echo "lint: shellcheck over ${#scripts[@]} scripts"
   if ! shellcheck "${scripts[@]}"; then
     echo "lint: FAIL: shellcheck reported issues"

@@ -14,8 +14,8 @@ namespace saim::service {
 
 namespace {
 
-/// The auth handshake line cap, matching the threaded server: a peer
-/// that streams an endless first "line" is cut off, not buffered.
+/// The auth handshake line cap: a peer that streams an endless first
+/// "line" is cut off, not buffered.
 constexpr std::size_t kMaxAuthLineBytes = 4096;
 
 /// Exactly {"auth":"<token>"} — wrong token, no auth field, malformed
@@ -88,9 +88,9 @@ int EventServer::run() {
   loop_.add_fd(listener_.fd(), net::EventLoop::kRead,
                [this](std::uint32_t) { accept_pending(); });
   while (!done_) {
-    // 2 ms while completions may be pending (the same cadence as the
-    // threaded emitter thread, so emit latency matches), 100 ms when
-    // only timeouts need the clock.
+    // 2 ms while completions may be pending (the same cadence as
+    // run_stream_session's emitter thread, so emit latency matches),
+    // 100 ms when only timeouts need the clock.
     loop_.run_once(any_needs_sweep() ? 2 : 100);
     if (stop_requested_.exchange(false)) begin_shutdown();
     sweep_sessions();
@@ -179,8 +179,8 @@ void EventServer::process_pending_lines(Client& client) {
     if (client.awaiting_auth) {
       if (line.size() > kMaxAuthLineBytes ||
           !auth_line_ok(line, options_.auth_token)) {
-        // Same wording and fate as the threaded path: closed before any
-        // job line reaches the parser, the service, or the filesystem.
+        // Closed before any job line reaches the parser, the service, or
+        // the filesystem.
         util::log_warn() << "saim_serve: closed unauthenticated connection";
         client.kill = true;
         return;
@@ -308,7 +308,7 @@ void EventServer::housekeeping() {
   if (stopping_ && now >= grace_deadline_ && !clients_.empty()) {
     // Grace over: whatever is still here was blocked on a client that
     // stopped reading — its remaining output is forfeit (that client
-    // was not consuming it anyway), same policy as the threaded server.
+    // was not consuming it anyway).
     std::vector<int> fds;
     fds.reserve(clients_.size());
     for (const auto& [fd, client] : clients_) fds.push_back(fd);
@@ -327,9 +327,9 @@ void EventServer::begin_shutdown() {
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   loop_.remove_fd(listener_.fd());
   listener_.close();
-  // Stop intake everywhere (the event-loop twin of the threaded
-  // server's shutdown(SHUT_RD) on every parked session): accepted work
-  // still drains out over the intact write side.
+  // Stop intake everywhere (a parked idle client must not veto the
+  // shutdown): accepted work still drains out over the intact write
+  // side.
   for (const auto& [fd, client_ptr] : clients_) {
     Client& client = *client_ptr;
     if (client.input_closed) continue;

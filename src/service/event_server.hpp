@@ -1,16 +1,14 @@
-// service::EventServer — the event-driven front door for saim_serve
-// --listen (the default since this PR; --threaded keeps the old
-// thread-per-connection server for one release).
+// service::EventServer — the front door for saim_serve --listen.
 //
 // One reactor thread (net::EventLoop: epoll on Linux, poll elsewhere)
 // multiplexes the listener plus every accepted connection. Each
 // connection pairs a net::Connection (non-blocking line IO, writev
 // batching) with a StreamSessionCore (the protocol state machine shared
-// with the threaded path — identical bytes by construction). All
+// with the stdin/stdout session — identical bytes by construction). All
 // sessions share ONE SolveService, so concurrent connections share the
-// cache, batcher and warm pool, exactly like the threaded server.
+// cache, batcher and warm pool.
 //
-// What one thread buys over thread-per-connection:
+// What the reactor guarantees under hostile or slow peers:
 //   * backpressure instead of unbounded buffering — when a peer stops
 //     draining its socket and the connection's outbound queue passes
 //     outbound_limit_bytes, the server stops READING that session (jobs
@@ -27,7 +25,7 @@
 //
 // Observability (registered on the service's MetricsRegistry, so both
 // the Prometheus scrape and the {"cmd":"stats"} "connections" object see
-// them, and the --threaded server shares the same series):
+// them):
 //   saim_connections_open, saim_connections_accepted_total,
 //   saim_connections_rejected_total, saim_sessions_timed_out_total.
 //

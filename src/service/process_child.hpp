@@ -7,8 +7,8 @@
 // one thread can multiplex many children without ever deadlocking on a
 // full pipe (outbound lines buffer in user space until the child drains
 // them; inbound bytes accumulate until a full line is available). It is
-// the pipe implementation of net::ShardEndpoint — the Supervisor and the
-// shard pump drive it and net::SocketChild (TCP) through one interface.
+// the pipe implementation of net::ShardEndpoint — the Supervisor drives
+// it and net::SocketChild (TCP) through one interface.
 //
 // Lifecycle: the child is alive until running() observes its exit via
 // waitpid(WNOHANG). A clean shutdown is shutdown_input() (close stdin) —

@@ -1,8 +1,5 @@
 #include "service/stream_session.hpp"
 
-#include <errno.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -30,50 +27,6 @@ void IostreamSessionIO::write_line(const std::string& line) {
 }
 
 void IostreamSessionIO::flush() { out_.flush(); }
-
-FdSessionIO::~FdSessionIO() {
-  if (owns_fd_ && fd_ >= 0) ::close(fd_);
-}
-
-bool FdSessionIO::read_line(std::string& line) {
-  for (;;) {
-    if (!lines_.empty()) {
-      line = std::move(lines_.front());
-      lines_.pop_front();
-      return true;
-    }
-    if (eof_ || fd_ < 0) return false;
-    char buf[4096];
-    const ssize_t n = ::read(fd_, buf, sizeof buf);
-    if (n > 0) {
-      framer_.feed(buf, static_cast<std::size_t>(n));
-      for (auto& l : framer_.take_lines()) lines_.push_back(std::move(l));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    eof_ = true;  // orderly close, reset, or a hard error: input is over
-  }
-}
-
-void FdSessionIO::write_line(const std::string& line) {
-  if (broken_ || fd_ < 0) return;
-  // The scratch buffer is a member: a session writes one line per job,
-  // and reusing the allocation across lines keeps the per-job cost to a
-  // copy instead of a copy plus a heap round-trip.
-  write_buffer_.assign(line);
-  write_buffer_ += '\n';
-  for (;;) {
-    switch (net::write_some(fd_, write_buffer_)) {
-      case net::WriteStatus::kOk:
-        return;
-      case net::WriteStatus::kBlocked:
-        continue;  // cannot happen on a blocking fd; spin-safe anyway
-      case net::WriteStatus::kBroken:
-        broken_ = true;  // peer gone; the read side will surface EOF
-        return;
-    }
-  }
-}
 
 // ----------------------------------------------------------- warm payload
 

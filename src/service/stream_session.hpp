@@ -5,20 +5,17 @@
 // result lines (input order after EOF, or completion order with "seq"
 // under --stream), answer control lines. run_stream_session() is that
 // loop extracted behind a SessionIO seam, so the identical protocol —
-// byte for byte — now serves
+// byte for byte — serves
 //
-//   * stdin/stdout            (IostreamSessionIO; saim_serve's default),
-//   * one accepted TCP socket (FdSessionIO; saim_serve --listen
-//     --threaded spawns a session thread per connection),
-//   * many multiplexed TCP sockets on one reactor thread (the default
-//     --listen path: service/event_server.{hpp,cpp} drives one
-//     StreamSessionCore per connection from a net::EventLoop).
+//   * stdin/stdout  (IostreamSessionIO; saim_serve's default, driven by
+//     the blocking run_stream_session()),
+//   * TCP sockets   (saim_serve --listen: service/event_server.{hpp,cpp}
+//     drives one StreamSessionCore per connection from a net::EventLoop).
 //
 // The protocol state machine itself lives in StreamSessionCore: a
 // non-blocking, push/pull core (feed lines in, poll finished result
-// lines out) shared by BOTH transports, so the event-driven server and
-// the thread-per-connection server emit identical bytes by construction.
-// run_stream_session() is the blocking driver around it.
+// lines out) shared by both drivers, so stdin sessions and socket
+// sessions emit identical bytes by construction.
 //
 // Per-session state: job table, seq counter (stream mode numbers each
 // CONNECTION's accepted jobs 0..n-1), drain barriers. Shared state: the
@@ -35,14 +32,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "net/framing.hpp"
 #include "service/solve_service.hpp"
 #include "util/jsonl.hpp"
 
@@ -92,28 +87,6 @@ class IostreamSessionIO : public SessionIO {
   std::ostream& out_;
 };
 
-/// Blocking-fd adapter (an accepted socket). Owns the fd by default;
-/// pass owns_fd=false when the caller keeps the fd alive past the
-/// session (e.g. a server that must shutdown() parked sessions' fds —
-/// safe only while the fd cannot be closed and reused underneath it).
-class FdSessionIO : public SessionIO {
- public:
-  explicit FdSessionIO(int fd, bool owns_fd = true)
-      : fd_(fd), owns_fd_(owns_fd) {}
-  ~FdSessionIO() override;
-  bool read_line(std::string& line) override;
-  void write_line(const std::string& line) override;
-
- private:
-  int fd_ = -1;
-  bool owns_fd_ = true;
-  net::LineFramer framer_;
-  std::deque<std::string> lines_;
-  std::string write_buffer_;  ///< reused per line: no alloc on the hot path
-  bool eof_ = false;
-  bool broken_ = false;  ///< write side failed; drop further output
-};
-
 /// The protocol state machine of one session, decoupled from any
 /// transport or thread: feed input lines with on_line() (immediate
 /// replies — pong, stats, import acks — come back through `replies`),
@@ -153,7 +126,7 @@ class StreamSessionCore {
   /// drained: input finished and nothing left to emit.
   bool poll_emittable(std::vector<std::string>& out);
 
-  /// Blocking drain for the thread-per-session batch path: renders
+  /// Blocking drain for run_stream_session's batch path: renders
   /// everything still pending, waiting on unfinished jobs, in input
   /// order.
   void drain_blocking(std::vector<std::string>& out);

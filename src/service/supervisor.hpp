@@ -43,7 +43,11 @@
 //     the same death/respawn path.
 //
 // Single-threaded like the router: the owning loop calls pump()
-// repeatedly; every management action advances inside pump.
+// repeatedly; every management action advances inside pump. With
+// respawn, reconnect_remotes and ping_ms all off it is a plain
+// fixed-membership pump — a dead shard stays dead and its unanswered
+// jobs fail over to the survivors — which is how the failover tests and
+// bench/service_throughput drive it.
 #pragma once
 
 #include <chrono>

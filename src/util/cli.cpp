@@ -1,7 +1,9 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <system_error>
 
 namespace saim::util {
 
@@ -102,12 +104,32 @@ std::string ArgParser::get(const std::string& name) const {
   return it->second.value;
 }
 
+namespace {
+
+/// Parses the WHOLE of `text` as a T ("2x", "" and " 2" all fail, unlike
+/// std::stoll, which stops at the first bad byte or throws an error that
+/// does not name the flag).
+template <typename T>
+T parse_number(const std::string& name, const std::string& text,
+               const char* want) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("bad value for --" + name + ": '" + text +
+                                "' (want " + want + ")");
+  }
+  return value;
+}
+
+}  // namespace
+
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  return parse_number<std::int64_t>(name, get(name), "an integer");
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return parse_number<double>(name, get(name), "a number");
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

@@ -37,6 +37,8 @@ class ArgParser {
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// Numeric reads require the whole value to parse ("2x" and "" do
+  /// not); otherwise they throw std::invalid_argument naming the flag.
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;

@@ -107,6 +107,14 @@ class Parser {
     return true;
   }
 
+  /// Enters one array/object level; fails past kMaxJsonDepth.
+  void descend() {
+    if (++depth_ > kMaxJsonDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+           " levels");
+    }
+  }
+
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
@@ -128,10 +136,12 @@ class Parser {
 
   JsonValue parse_object() {
     expect('{');
+    descend();
     JsonValue::Object obj;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return JsonValue(std::move(obj));
     }
     for (;;) {
@@ -146,16 +156,19 @@ class Parser {
         continue;
       }
       expect('}');
+      --depth_;
       return JsonValue(std::move(obj));
     }
   }
 
   JsonValue parse_array() {
     expect('[');
+    descend();
     JsonValue::Array arr;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return JsonValue(std::move(arr));
     }
     for (;;) {
@@ -166,6 +179,7 @@ class Parser {
         continue;
       }
       expect(']');
+      --depth_;
       return JsonValue(std::move(arr));
     }
   }
@@ -268,6 +282,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -7,6 +7,7 @@
 // because job files are written by hand and deserve real error messages.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -68,8 +69,15 @@ class JsonValue {
       value_ = nullptr;
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses
+/// once per level, so an unbounded depth lets one line of '[' from any
+/// peer overflow the stack. The protocol's deepest line (a fleet stats
+/// snapshot) nests well under 10 levels.
+inline constexpr std::size_t kMaxJsonDepth = 128;
+
 /// Parses one complete JSON value (rejects trailing garbage). Throws
-/// std::runtime_error with a byte offset on malformed input.
+/// std::runtime_error with a byte offset on malformed input, including
+/// nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes not

@@ -1,9 +1,10 @@
 // In-process tests for service::EventServer (the event-driven --listen
-// front door): round-trip + graceful shutdown exit code, the global
-// connection cap's fail-fast reject, the fail-closed auth deadline, the
-// idle timeout, and slow-reader backpressure (bounded outbound queue
-// that pauses reading, then drains completely). Every case runs on both
-// reactor backends — epoll and the portable poll fallback.
+// front door): round-trip + graceful shutdown exit code, a hostile
+// deeply nested line, the global connection cap's fail-fast reject, the
+// fail-closed auth deadline, the idle timeout, and slow-reader
+// backpressure (bounded outbound queue that pauses reading, then drains
+// completely). Every case runs on both reactor backends — epoll and the
+// portable poll fallback.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -178,6 +179,26 @@ TEST_P(EventServerTest, RoundTripThenShutdownExitsZero) {
   EXPECT_NE(line.find("\"bye\":true"), std::string::npos) << line;
   EXPECT_TRUE(client.reads_eof_with_no_data());
   EXPECT_EQ(fixture.join(), 0);
+}
+
+TEST_P(EventServerTest, DeeplyNestedLineGetsAnErrorAndServingContinues) {
+  ServerFixture fixture(base_options());
+  BlockingClient client(fixture.port());
+
+  // A hostile line nested far past the JSON parser's cap: the session
+  // answers it with an error line instead of the process crashing, then
+  // serves the next job on the same connection.
+  client.send_line(std::string(100000, '['));
+  std::string line;
+  ASSERT_TRUE(client.read_line(line));
+  EXPECT_TRUE(util::parse_json(line).find("error")) << line;
+
+  client.send_line(job_line("after", 3));
+  ASSERT_TRUE(client.read_line(line));
+  const util::JsonValue result = util::parse_json(line);
+  ASSERT_TRUE(result.find("status")) << line;
+  EXPECT_EQ(result.find("status")->as_string(), "completed");
+  EXPECT_EQ(result.find("id")->as_string(), "after");
 }
 
 TEST_P(EventServerTest, ConnectionCapRejectsFailFast) {

@@ -60,6 +60,34 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(util::parse_json(R"("lone \ud800")"), std::runtime_error);
 }
 
+TEST(JsonParse, NestingCapAcceptsTheCapAndRejectsOneMore) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(util::parse_json(nested(util::kMaxJsonDepth)));
+  EXPECT_THROW(util::parse_json(nested(util::kMaxJsonDepth + 1)),
+               std::runtime_error);
+  std::string objects;
+  for (std::size_t d = 0; d <= util::kMaxJsonDepth; ++d) objects += "{\"a\":";
+  objects += "1" + std::string(util::kMaxJsonDepth + 1, '}');
+  EXPECT_THROW(util::parse_json(objects), std::runtime_error);
+}
+
+TEST(JsonParse, HostileNestingThrowsInsteadOfOverflowingTheStack) {
+  // One unterminated line of '[' — and the same inside a job field —
+  // used to recurse once per byte until the stack overflowed.
+  const std::string deep(100000, '[');
+  try {
+    util::parse_json(deep);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(util::parse_json(R"({"id":"x","gen":)" + deep),
+               std::runtime_error);
+}
+
 TEST(JsonParse, ErrorNamesByteOffset) {
   try {
     util::parse_json(R"({"a": nope})");

@@ -2,9 +2,11 @@
 // fds (partial lines, short reads, EOF mid-line), the non-blocking
 // Connection, host:port parsing, Listener/connect_to over loopback TCP,
 // and — when the build provides SAIM_SERVE_BIN — the transport-equality
-// contract of ISSUE 5: the same job stream routed through SocketChild
-// endpoints (against real `saim_serve --listen` servers) produces
-// solver output bit-identical to the pipe-transport fleet.
+// contract: the same job stream routed through SocketChild endpoints
+// (against real `saim_serve --listen` servers) produces solver output
+// bit-identical to the pipe-transport fleet. The sockets reach the
+// event-driven listen server, so this also pins that the reactor does
+// not perturb solver output.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -24,8 +26,8 @@
 #include "net/listener.hpp"
 #include "net/socket_child.hpp"
 #include "service/process_child.hpp"
-#include "service/shard_driver.hpp"
 #include "service/shard_router.hpp"
+#include "service/supervisor.hpp"
 #include "util/jsonl.hpp"
 
 namespace saim {
@@ -290,13 +292,27 @@ std::vector<std::string> job_stream() {
   return lines;
 }
 
-/// Drives `lines` through a fleet of endpoints; returns result lines.
-std::vector<std::string> route_through(
-    std::vector<std::unique_ptr<net::ShardEndpoint>> endpoints,
-    const std::vector<std::string>& lines) {
+/// Drives `lines` through a fixed fleet on the Supervisor's pump (no
+/// respawn, reconnect or pings): `locals` forked saim_serve children,
+/// then one session per listen server in `remote_ports`. Returns result
+/// lines.
+std::vector<std::string> route_through(std::size_t locals,
+                                       const std::vector<int>& remote_ports,
+                                       const std::vector<std::string>& lines) {
   service::RouterOptions options;
-  options.shards = endpoints.size();
+  options.shards = locals + remote_ports.size();
   service::ShardRouter router(options);
+  service::SupervisorOptions fleet_options;
+  fleet_options.local_argv = {serve_bin(), "--stream", "--workers", "1",
+                              "--cache", "0"};
+  fleet_options.respawn = false;
+  fleet_options.reconnect_remotes = false;
+  fleet_options.ping_ms = 0;
+  service::Supervisor fleet(router, fleet_options);
+  for (std::size_t s = 0; s < locals; ++s) fleet.attach_local(s);
+  for (std::size_t i = 0; i < remote_ports.size(); ++i) {
+    fleet.attach_remote(locals + i, "127.0.0.1", remote_ports[i]);
+  }
   std::vector<std::string> out;
   std::size_t line_no = 0;
   for (const auto& line : lines) {
@@ -305,13 +321,10 @@ std::vector<std::string> route_through(
     }
   }
   for (int spin = 0; spin < 20000 && !router.idle(); ++spin) {
-    for (auto& l : service::pump_shards(router, endpoints, 2)) {
-      out.push_back(std::move(l));
-    }
+    for (auto& l : fleet.pump(2)) out.push_back(std::move(l));
     if (router.live_shards() == 0) break;
   }
   EXPECT_TRUE(router.idle());
-  for (auto& e : endpoints) e->shutdown_input();
   return out;
 }
 
@@ -333,25 +346,15 @@ TEST(TransportEquality, SocketFleetMatchesPipeFleetBitForBit) {
   const auto lines = job_stream();
 
   // Pipe transport: 2 fork/exec children.
-  std::vector<std::unique_ptr<net::ShardEndpoint>> pipes;
-  for (int s = 0; s < 2; ++s) {
-    pipes.push_back(std::make_unique<service::ProcessChild>(
-        std::vector<std::string>{serve_bin(), "--stream", "--workers", "1",
-                                 "--cache", "0"}));
-  }
-  const auto pipe_out = route_through(std::move(pipes), lines);
+  const auto pipe_out = route_through(2, {}, lines);
 
   // Socket transport: 2 --listen servers over loopback TCP.
   auto remote_a = spawn_listen_serve("a");
   auto remote_b = spawn_listen_serve("b");
   ASSERT_GT(remote_a.port, 0) << "listen server never wrote its port";
   ASSERT_GT(remote_b.port, 0);
-  std::vector<std::unique_ptr<net::ShardEndpoint>> sockets;
-  sockets.push_back(
-      std::make_unique<net::SocketChild>("127.0.0.1", remote_a.port));
-  sockets.push_back(
-      std::make_unique<net::SocketChild>("127.0.0.1", remote_b.port));
-  const auto socket_out = route_through(std::move(sockets), lines);
+  const auto socket_out =
+      route_through(0, {remote_a.port, remote_b.port}, lines);
 
   ASSERT_EQ(pipe_out.size(), lines.size());
   ASSERT_EQ(socket_out.size(), lines.size());
@@ -381,40 +384,6 @@ TEST(TransportEquality, SocketFleetMatchesPipeFleetBitForBit) {
   }
   remote_a.server->terminate();
   remote_b.server->terminate();
-}
-
-TEST(TransportEquality, EventLoopMatchesThreadedServerBitForBit) {
-  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  const auto lines = job_stream();
-
-  // Same stream through one event-loop server (the --listen default)
-  // and one legacy --threaded server: every solver-produced field must
-  // match byte for byte — the two front doors share StreamSessionCore,
-  // and this pins that they stay interchangeable.
-  std::map<std::string, std::map<std::string, std::string>> by_id[2];
-  RemoteShard remotes[2] = {spawn_listen_serve("evt"),
-                            spawn_listen_serve("thr", {"--threaded"})};
-  for (int f = 0; f < 2; ++f) {
-    ASSERT_GT(remotes[f].port, 0) << "listen server never wrote its port";
-    std::vector<std::unique_ptr<net::ShardEndpoint>> sockets;
-    sockets.push_back(
-        std::make_unique<net::SocketChild>("127.0.0.1", remotes[f].port));
-    const auto out = route_through(std::move(sockets), lines);
-    ASSERT_EQ(out.size(), lines.size());
-    std::set<std::int64_t> seqs;
-    for (const auto& line : out) {
-      by_id[f][util::parse_json(line).find("id")->as_string()] =
-          solved_fields(line);
-      seqs.insert(util::parse_json(line).find("seq")->as_int());
-    }
-    EXPECT_EQ(seqs.size(), lines.size());
-    EXPECT_EQ(*seqs.begin(), 0);
-  }
-  ASSERT_EQ(by_id[0].size(), lines.size());
-  EXPECT_EQ(by_id[0], by_id[1])
-      << "event-loop server must not perturb any solver output";
-  remotes[0].server->terminate();
-  remotes[1].server->terminate();
 }
 
 // ------------------------------------------------------ shard-side auth

@@ -193,6 +193,41 @@ TEST(ArgParser, UsageMentionsFlags) {
   EXPECT_NE(u.find("problem size"), std::string::npos);
 }
 
+TEST(ArgParser, MalformedNumbersThrowNamingTheFlag) {
+  // The whole value must parse: a garbage value, a numeric prefix with
+  // trailing junk and an empty value are all errors, never a silent
+  // truncation.
+  for (const char* bad : {"abc", "2x", ""}) {
+    auto p = make_parser();
+    const std::string n = std::string("--n=") + bad;
+    const std::string eta = std::string("--eta=") + bad;
+    const std::array<const char*, 3> argv = {"prog", n.c_str(), eta.c_str()};
+    ASSERT_TRUE(p.parse(static_cast<int>(argv.size()), argv.data()));
+    try {
+      (void)p.get_int("n");
+      ADD_FAILURE() << "get_int accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
+          << e.what();
+    }
+    try {
+      (void)p.get_double("eta");
+      ADD_FAILURE() << "get_double accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--eta"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ArgParser, NegativeAndExponentNumbersStillParse) {
+  auto p = make_parser();
+  const std::array<const char*, 3> argv = {"prog", "--n=-5", "--eta=1e-3"};
+  ASSERT_TRUE(p.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(p.get_int("n"), -5);
+  EXPECT_DOUBLE_EQ(p.get_double("eta"), 1e-3);
+}
+
 TEST(ArgParser, GetUnregisteredThrows) {
   auto p = make_parser();
   EXPECT_THROW(p.get("nope"), std::invalid_argument);

@@ -62,6 +62,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -321,10 +322,37 @@ int main(int argc, char** argv) {
   }
   util::set_log_level(*log_level);
 
-  const auto nonneg = [&](const char* flag) {
-    return static_cast<std::size_t>(
-        std::max<std::int64_t>(0, args.get_int(flag)));
-  };
+  // Every numeric flag is read here — and the ones forwarded verbatim to
+  // the children are validated — so a malformed value is one diagnostic
+  // and exit 2, not an abort or a crash-looping fleet.
+  service::RouterOptions router_options;
+  service::SupervisorOptions supervisor_options;
+  std::size_t locals = 0;
+  try {
+    const auto nonneg = [&](const char* flag) {
+      return static_cast<std::size_t>(
+          std::max<std::int64_t>(0, args.get_int(flag)));
+    };
+    for (const char* forwarded : {"workers", "cache", "max-batch"}) {
+      (void)args.get_int(forwarded);
+    }
+    locals = nonneg("shards");
+    router_options.window = std::max<std::size_t>(1, nonneg("window"));
+    router_options.replicas = std::max<std::size_t>(1, nonneg("replicas"));
+    router_options.hedge_min_ms =
+        std::max(0.0, args.get_double("hedge-min-ms"));
+    router_options.max_queue_depth = nonneg("max-queue-depth");
+    supervisor_options.max_restarts = static_cast<int>(
+        std::max<std::size_t>(1, nonneg("max-restarts")));
+    supervisor_options.ping_ms = static_cast<int>(nonneg("ping-ms"));
+    supervisor_options.gossip_ms = static_cast<int>(nonneg("gossip-ms"));
+  } catch (const std::invalid_argument& e) {
+    util::log_error() << "saim_shard: " << e.what();
+    return 2;
+  }
+  // Hot-key routing bound: one full window queued on the owner means a
+  // twin would wait a whole batch behind it — a replica is cheaper.
+  router_options.hot_key_depth = router_options.window;
 
   // Fleet membership: locals first (slots 0..L-1), then remotes.
   std::vector<net::HostPort> remotes;
@@ -337,19 +365,8 @@ int main(int argc, char** argv) {
     }
     remotes.push_back(*hostport);
   }
-  std::size_t locals = nonneg("shards");
   if (locals == 0 && remotes.empty()) locals = 1;
-
-  service::RouterOptions router_options;
   router_options.shards = locals + remotes.size();
-  router_options.window = std::max<std::size_t>(1, nonneg("window"));
-  router_options.replicas = std::max<std::size_t>(1, nonneg("replicas"));
-  router_options.hedge_min_ms =
-      std::max(0.0, args.get_double("hedge-min-ms"));
-  router_options.max_queue_depth = nonneg("max-queue-depth");
-  // Hot-key routing bound: one full window queued on the owner means a
-  // twin would wait a whole batch behind it — a replica is cheaper.
-  router_options.hot_key_depth = router_options.window;
 
   std::string serve = args.get("serve");
   if (serve.empty()) serve = sibling_serve_path(argv[0]);
@@ -383,7 +400,6 @@ int main(int argc, char** argv) {
   // The fleet: router (routing state) + supervisor (endpoints, respawn,
   // resharding, warm handoff, health).
   service::ShardRouter router(router_options);
-  service::SupervisorOptions supervisor_options;
   supervisor_options.local_argv = {
       serve,
       "--stream",
@@ -395,10 +411,6 @@ int main(int argc, char** argv) {
     supervisor_options.local_argv.push_back("--warm-start");
   }
   supervisor_options.respawn = !args.get_bool("no-respawn");
-  supervisor_options.max_restarts = static_cast<int>(
-      std::max<std::size_t>(1, nonneg("max-restarts")));
-  supervisor_options.ping_ms = static_cast<int>(nonneg("ping-ms"));
-  supervisor_options.gossip_ms = static_cast<int>(nonneg("gossip-ms"));
   supervisor_options.remote_auth_token = args.get("auth-token");
   service::Supervisor supervisor(router, supervisor_options);
   for (std::size_t s = 0; s < locals; ++s) supervisor.attach_local(s);
