@@ -29,20 +29,25 @@ void set_cloexec(int fd) {
 
 }  // namespace
 
-Connection::Connection(int fd) : fd_(fd) {
+Connection::Connection(int in_fd, int out_fd)
+    : fd_(in_fd), out_fd_(out_fd) {
   ignore_sigpipe_once();
-  set_nonblocking(fd_);
-  set_cloexec(fd_);
+  for (const int fd : {fd_, out_fd_}) {
+    set_nonblocking(fd);
+    set_cloexec(fd);
+  }
   // Result lines are small and latency matters more than throughput on a
-  // serving path; losing Nagle is free on pipes-sized messages.
+  // serving path; losing Nagle is free on pipes-sized messages. (A no-op
+  // failure on a pipe or file.)
   const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  ::setsockopt(out_fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 Connection::~Connection() { close(); }
 
 Connection::Connection(Connection&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
+      out_fd_(std::exchange(other.out_fd_, -1)),
       outq_(std::move(other.outq_)),
       front_sent_(other.front_sent_),
       outbound_bytes_(other.outbound_bytes_),
@@ -54,6 +59,7 @@ Connection& Connection::operator=(Connection&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
+    out_fd_ = std::exchange(other.out_fd_, -1);
     outq_ = std::move(other.outq_);
     front_sent_ = other.front_sent_;
     outbound_bytes_ = other.outbound_bytes_;
@@ -69,14 +75,14 @@ void Connection::send_line(const std::string& line) {
 }
 
 void Connection::send_line(std::string&& line) {
-  if (write_broken_ || fd_ < 0) return;
+  if (write_broken_ || out_fd_ < 0) return;
   outbound_bytes_ += line.size() + 1;  // +1: the newline sent alongside
   outq_.push_back(std::move(line));
 }
 
 bool Connection::pump_writes() {
   if (write_broken_) return false;
-  if (fd_ < 0 || outq_.empty()) return fd_ >= 0;
+  if (out_fd_ < 0 || outq_.empty()) return out_fd_ >= 0;
   // One shared newline byte serves every line: the gather list
   // alternates line payloads and "\n", so a burst of result lines
   // leaves in one writev instead of one syscall (and one concatenation)
@@ -102,7 +108,7 @@ bool Connection::pump_writes() {
       ++iov_count;
       skip = 0;
     }
-    const ssize_t n = ::writev(fd_, iov, iov_count);
+    const ssize_t n = ::writev(out_fd_, iov, iov_count);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // blocked
@@ -130,12 +136,17 @@ bool Connection::pump_writes() {
   }
 }
 
-std::vector<std::string> Connection::read_lines() {
+std::vector<std::string> Connection::read_lines(bool final_line_at_eof) {
   if (fd_ >= 0 && !eof_) {
     switch (read_available(fd_, framer_)) {
       case ReadStatus::kOk:
         break;
       case ReadStatus::kEof:
+        eof_ = true;
+        if (final_line_at_eof && framer_.partial_bytes() > 0) {
+          framer_.feed("\n", 1);
+        }
+        break;
       case ReadStatus::kError:
         eof_ = true;
         break;
@@ -145,14 +156,14 @@ std::vector<std::string> Connection::read_lines() {
 }
 
 void Connection::shutdown_write() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
+  if (out_fd_ >= 0) ::shutdown(out_fd_, SHUT_WR);
 }
 
 void Connection::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (out_fd_ >= 0 && out_fd_ != fd_) ::close(out_fd_);
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  out_fd_ = -1;
 }
 
 std::optional<HostPort> parse_hostport(const std::string& spec) {

@@ -1,12 +1,15 @@
 // net::Connection — a non-blocking, line-framed stream socket.
 //
 // One Connection wraps one connected stream fd (TCP socket, socketpair
-// end, ...) and speaks newline-delimited lines over it with the same
-// buffering discipline as the pipe transport: outbound lines accumulate
-// in user space and flush as the kernel accepts them (pump_writes), so a
-// single thread can multiplex many connections without ever blocking on
-// a full send buffer; inbound bytes accumulate until complete lines are
-// available (read_lines). A half-line at EOF is dropped.
+// end, ...), or a pre-connected pair that it reads from one fd and
+// writes to the other (stdin/stdout), and speaks newline-delimited lines
+// over it with the same buffering discipline as the pipe transport:
+// outbound lines accumulate in user space and flush as the kernel
+// accepts them (pump_writes), so a single thread can multiplex many
+// connections without ever blocking on a full send buffer; inbound bytes
+// accumulate until complete lines are available (read_lines). A half-line
+// at EOF is dropped unless the caller asks for it (a request stream's
+// final line may lack its '\n').
 //
 // Lifecycle: eof() becomes true when the peer closed its write side (or
 // the connection reset); broken() when our writes started failing. The
@@ -27,7 +30,10 @@ class Connection {
  public:
   Connection() = default;  ///< empty (fd() < 0); assign from connect/accept
   /// Takes ownership of a connected stream fd and makes it non-blocking.
-  explicit Connection(int fd);
+  explicit Connection(int fd) : Connection(fd, fd) {}
+  /// Two-fd form: reads `in_fd`, writes `out_fd` (both owned, both made
+  /// non-blocking; equal fds behave exactly like the one-fd form).
+  Connection(int in_fd, int out_fd);
   ~Connection();
 
   Connection(Connection&& other) noexcept;
@@ -47,8 +53,10 @@ class Connection {
   bool pump_writes();
 
   /// Non-blocking read: drains what the peer has sent and returns the
-  /// complete lines. Sets eof() on an orderly close or a reset.
-  std::vector<std::string> read_lines();
+  /// complete lines. Sets eof() on an orderly close or a reset. With
+  /// `final_line_at_eof`, an unterminated last line at an orderly close
+  /// is returned too (a reset still drops it).
+  std::vector<std::string> read_lines(bool final_line_at_eof = false);
 
   /// Half-close: signals EOF to the peer (shutdown(SHUT_WR)) while the
   /// read side stays open — the graceful "no more requests" signal.
@@ -59,7 +67,9 @@ class Connection {
 
   [[nodiscard]] bool eof() const noexcept { return eof_; }
   [[nodiscard]] bool broken() const noexcept { return write_broken_; }
+  /// The read fd (the one fd of a socket).
   [[nodiscard]] int fd() const noexcept { return fd_; }
+  [[nodiscard]] int out_fd() const noexcept { return out_fd_; }
   /// Queued-but-unsent bytes (each line counts its trailing newline) —
   /// the event server's backpressure signal.
   [[nodiscard]] std::size_t outbound_bytes() const noexcept {
@@ -73,6 +83,7 @@ class Connection {
 
  private:
   int fd_ = -1;
+  int out_fd_ = -1;
   /// Outbound lines, newline NOT stored (pump_writes interleaves a
   /// shared one-byte "\n" iovec) — a queued line is exactly the string
   /// the caller rendered, moved, never concatenated.

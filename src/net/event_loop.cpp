@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
+#include <system_error>
 
 namespace saim::net {
 
@@ -102,31 +104,35 @@ EventLoop::~EventLoop() {
 void EventLoop::add_fd(int fd, std::uint32_t interest, FdCallback callback) {
   if (fd < 0) return;
   const bool existed = fds_.contains(fd);
+  epoll_update(fd, existed, interest);
   fds_[fd] = FdEntry{interest, std::move(callback)};
-#if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, existed ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev);
-  }
-#else
-  (void)existed;
-#endif
 }
 
 void EventLoop::set_interest(int fd, std::uint32_t interest) {
   const auto it = fds_.find(fd);
   if (it == fds_.end()) return;
   if (it->second.interest == interest) return;
+  epoll_update(fd, /*existed=*/true, interest);
   it->second.interest = interest;
+}
+
+void EventLoop::epoll_update(int fd, bool existed, std::uint32_t interest) {
 #if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+  if (epoll_fd_ < 0) return;
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  // epoll refuses some fds outright (a regular file: EPERM). Recording
+  // such an fd anyway would leave it registered but never dispatched.
+  if (::epoll_ctl(epoll_fd_, existed ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd,
+                  &ev) != 0) {
+    throw std::system_error(errno, std::generic_category(),
+                            "epoll_ctl on fd " + std::to_string(fd));
   }
+#else
+  (void)fd;
+  (void)existed;
+  (void)interest;
 #endif
 }
 

@@ -59,9 +59,12 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Registers `fd` with an interest mask (kRead/kWrite, possibly 0 for
-  /// a fully paused fd). Re-registering an fd replaces its entry.
+  /// a fully paused fd). Re-registering an fd replaces its entry. Throws
+  /// std::system_error naming the fd when the backend refuses it (epoll
+  /// rejects regular files; the poll backend takes any fd).
   void add_fd(int fd, std::uint32_t interest, FdCallback callback);
   /// Updates the interest mask of a registered fd; no-op when unknown.
+  /// Throws like add_fd.
   void set_interest(int fd, std::uint32_t interest);
   /// Deregisters `fd` (the loop never closes it; the owner does).
   void remove_fd(int fd);
@@ -113,6 +116,8 @@ class EventLoop {
   void fire_due_timers();
   void drain_wakeup() const;
   void dispatch(int fd, std::uint32_t ready);
+  /// Mirrors an interest change into the epoll set (no-op on poll).
+  void epoll_update(int fd, bool existed, std::uint32_t interest);
 
   int epoll_fd_ = -1;      ///< -1 on the poll backend
   int wake_read_fd_ = -1;  ///< eventfd (both roles) or pipe read end

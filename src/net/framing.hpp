@@ -5,9 +5,11 @@
 // The protocol is newline-delimited: a line is every byte up to (not
 // including) '\n'. Stream fds deliver arbitrary fragments — a read may
 // return half a line, three lines and a half, or one byte — so LineFramer
-// accumulates bytes and surfaces only complete lines; a trailing
-// half-line at EOF is dropped (the peer died mid-write; a partial JSON
-// object is garbage by definition).
+// accumulates bytes and surfaces only complete lines. For shard replies
+// (ProcessChild, SocketChild) a trailing half-line at EOF is dropped: the
+// child died mid-write, and a partial JSON object is garbage by
+// definition. A request stream's last line may lack its '\n', so
+// net::Connection can hand that one over at an orderly EOF instead.
 //
 // The fd helpers wrap the non-blocking read/write dance (EAGAIN, EINTR,
 // EPIPE/ECONNRESET) into small enums so the transports share one

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/connection.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 
@@ -17,6 +16,10 @@ namespace {
 /// The auth handshake line cap: a peer that streams an endless first
 /// "line" is cut off, not buffered.
 constexpr std::size_t kMaxAuthLineBytes = 4096;
+
+/// How long after shutdown begins a session may sit on output its peer
+/// is not reading before it is dropped.
+constexpr auto kShutdownGrace = std::chrono::seconds(5);
 
 /// Exactly {"auth":"<token>"} — wrong token, no auth field, malformed
 /// JSON all fail closed.
@@ -50,32 +53,44 @@ struct EventServer::Client {
   std::chrono::steady_clock::time_point last_activity;
 };
 
-EventServer::EventServer(SolveService& service, EventServerOptions options)
+EventServer::EventServer(SolveService& service, EventServerOptions options,
+                         bool listen)
     : service_(service),
       options_(std::move(options)),
-      listener_(options_.host, options_.port),
-      loop_(options_.force_poll),
-      accepted_metric_(service.metrics().counter(
-          "saim_connections_accepted_total",
-          "connections accepted by the listen server")),
-      rejected_metric_(service.metrics().counter(
-          "saim_connections_rejected_total",
-          "connections closed unserved: over the connection cap")),
-      timed_out_metric_(service.metrics().counter(
-          "saim_sessions_timed_out_total",
-          "connections dropped by the auth or idle deadline")),
-      open_metric_(service.metrics().gauge(
-          "saim_connections_open", "connections open right now")) {}
+      loop_(options_.force_poll || !listen) {
+  if (!listen) return;
+  listener_.emplace(options_.host, options_.port);
+  obs::MetricsRegistry& registry = service.metrics();
+  metrics_.emplace(ConnectionMetrics{
+      registry.counter("saim_connections_accepted_total",
+                       "connections accepted by the listen server"),
+      registry.counter("saim_connections_rejected_total",
+                       "connections closed unserved: over the connection cap"),
+      registry.counter("saim_sessions_timed_out_total",
+                       "connections dropped by the auth or idle deadline"),
+      registry.gauge("saim_connections_open", "connections open right now")});
+}
+
+EventServer::EventServer(SolveService& service, EventServerOptions options)
+    : EventServer(service, std::move(options), /*listen=*/true) {}
+
+EventServer::EventServer(SolveService& service, int in_fd, int out_fd,
+                         EventServerOptions options)
+    : EventServer(service, std::move(options), /*listen=*/false) {
+  add_client(net::Connection(in_fd, out_fd));
+}
 
 EventServer::~EventServer() = default;
 
 EventServer::Counters EventServer::counters() const {
   Counters c;
-  c.accepted = accepted_.load(std::memory_order_relaxed);
-  c.rejected = rejected_.load(std::memory_order_relaxed);
-  c.timed_out = timed_out_.load(std::memory_order_relaxed);
   c.backpressure_pauses = backpressure_pauses_.load(std::memory_order_relaxed);
-  c.open = static_cast<std::uint64_t>(open_metric_.value());
+  if (metrics_) {
+    c.accepted = metrics_->accepted.value();
+    c.rejected = metrics_->rejected.value();
+    c.timed_out = metrics_->timed_out.value();
+    c.open = static_cast<std::uint64_t>(metrics_->open.value());
+  }
   return c;
 }
 
@@ -85,12 +100,13 @@ void EventServer::stop() {
 }
 
 int EventServer::run() {
-  loop_.add_fd(listener_.fd(), net::EventLoop::kRead,
-               [this](std::uint32_t) { accept_pending(); });
+  if (listener_) {
+    loop_.add_fd(listener_->fd(), net::EventLoop::kRead,
+                 [this](std::uint32_t) { accept_pending(); });
+  }
   while (!done_) {
-    // 2 ms while completions may be pending (the same cadence as
-    // run_stream_session's emitter thread, so emit latency matches),
-    // 100 ms when only timeouts need the clock.
+    // 2 ms while completions may be pending, 100 ms when only timeouts
+    // need the clock.
     loop_.run_once(any_needs_sweep() ? 2 : 100);
     if (stop_requested_.exchange(false)) begin_shutdown();
     sweep_sessions();
@@ -107,52 +123,67 @@ bool EventServer::any_needs_sweep() const {
 }
 
 void EventServer::accept_pending() {
-  while (const auto fd = listener_.accept_fd()) {
+  while (const auto fd = listener_->accept_fd()) {
     if (clients_.size() >= options_.max_connections) {
       // Fail fast: nothing is written, the service never hears about
       // it, the peer reads EOF. A queue here would just convert the
       // overload into latency for everyone already connected.
       ::close(*fd);
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      rejected_metric_.add();
+      metrics_->rejected.add();
       util::log_warn() << "saim_serve: rejected connection (cap "
                        << options_.max_connections << " reached)";
       continue;
     }
-    auto client = std::make_unique<Client>();
-    client->conn = net::Connection(*fd);
-    client->awaiting_auth = !options_.auth_token.empty();
-    if (!client->awaiting_auth) {
-      client->core =
-          std::make_unique<StreamSessionCore>(service_, options_.session);
-    }
-    client->accepted_at = std::chrono::steady_clock::now();
-    client->last_activity = client->accepted_at;
-    const int cfd = client->conn.fd();
-    clients_.emplace(cfd, std::move(client));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    accepted_metric_.add();
-    open_metric_.set(static_cast<double>(clients_.size()));
-    loop_.add_fd(cfd, net::EventLoop::kRead,
-                 [this, cfd](std::uint32_t ready) {
-                   on_client_event(cfd, ready);
-                 });
+    add_client(net::Connection(*fd));
+    metrics_->accepted.add();
+    metrics_->open.set(static_cast<double>(clients_.size()));
   }
 }
 
-void EventServer::on_client_event(int fd, std::uint32_t ready) {
+// Clients are keyed by their read fd. A split connection (stdin/stdout)
+// also registers its write fd, whose events route to the same client.
+void EventServer::add_client(net::Connection conn) {
+  auto client = std::make_unique<Client>();
+  client->conn = std::move(conn);
+  client->awaiting_auth = !options_.auth_token.empty();
+  if (!client->awaiting_auth) {
+    client->core =
+        std::make_unique<StreamSessionCore>(service_, options_.session);
+  }
+  client->accepted_at = std::chrono::steady_clock::now();
+  client->last_activity = client->accepted_at;
+  const int key = client->conn.fd();
+  const int out = client->conn.out_fd();
+  clients_.emplace(key, std::move(client));
+  loop_.add_fd(key, net::EventLoop::kRead, [this, key](std::uint32_t ready) {
+    on_client_event(key, ready, /*output_side=*/false);
+  });
+  if (out != key) {
+    loop_.add_fd(out, 0, [this, key](std::uint32_t ready) {
+      on_client_event(key, ready, /*output_side=*/true);
+    });
+  }
+}
+
+void EventServer::on_client_event(int fd, std::uint32_t ready,
+                                  bool output_side) {
   const auto it = clients_.find(fd);
   if (it == clients_.end()) return;
   Client& client = *it->second;
   if (ready & net::EventLoop::kWrite) client.conn.pump_writes();
-  if (ready & (net::EventLoop::kRead | net::EventLoop::kError)) {
+  if (output_side) {
+    // A pipe's write end reports an error once its reader is gone (and
+    // keeps reporting it whatever the interest): nothing this session
+    // renders can be delivered any more.
+    if (ready & net::EventLoop::kError) client.kill = true;
+  } else if (ready & (net::EventLoop::kRead | net::EventLoop::kError)) {
     read_client(client);
   }
   update_client(client);
 }
 
 void EventServer::read_client(Client& client) {
-  auto lines = client.conn.read_lines();
+  auto lines = client.conn.read_lines(/*final_line_at_eof=*/true);
   if (client.input_closed) return;  // intake over; reads only detect EOF
   if (!lines.empty()) {
     client.last_activity = std::chrono::steady_clock::now();
@@ -193,6 +224,10 @@ void EventServer::process_pending_lines(Client& client) {
     std::vector<std::string> replies;
     const bool keep_reading = client.core->on_line(line, replies);
     for (auto& reply : replies) client.conn.send_line(std::move(reply));
+    // A line can cost a millisecond (a "gen" job builds its instance), so
+    // a burst of them must not hold back finished results: a shard
+    // router refills its window only as results arrive.
+    emit_ready(client);
     if (!keep_reading) {
       // {"cmd":"shutdown"}: this session's intake is over (its bye
       // barrier drains through the sweep), and the whole server begins
@@ -253,80 +288,85 @@ bool EventServer::update_client(Client& client) {
     interest |= net::EventLoop::kRead;
   }
   if (outbound > 0) interest |= net::EventLoop::kWrite;
-  loop_.set_interest(client.conn.fd(), interest);
+  set_interest(client, interest);
   return true;
 }
 
-void EventServer::sweep_sessions() {
-  std::vector<int> fds;
-  fds.reserve(clients_.size());
-  for (const auto& [fd, client] : clients_) fds.push_back(fd);
-  for (const int fd : fds) {
-    const auto it = clients_.find(fd);
-    if (it == clients_.end()) continue;
-    Client& client = *it->second;
-    if (client.core && client.core->needs_poll()) {
-      std::vector<std::string> lines;
-      client.core->poll_emittable(lines);
-      for (auto& line : lines) client.conn.send_line(std::move(line));
-    }
-    update_client(client);  // may destroy the client
+void EventServer::set_interest(const Client& client, std::uint32_t interest) {
+  const int in = client.conn.fd();
+  const int out = client.conn.out_fd();
+  if (in == out) {
+    loop_.set_interest(in, interest);
+    return;
   }
+  // A pipe or tty at EOF reports a hangup whatever the interest, so a
+  // finished input fd leaves the poll set instead of spinning the loop.
+  if (client.conn.eof()) {
+    loop_.remove_fd(in);
+  } else {
+    loop_.set_interest(in, interest & net::EventLoop::kRead);
+  }
+  loop_.set_interest(out, interest & net::EventLoop::kWrite);
+}
+
+void EventServer::sweep_sessions() {
+  for (auto it = clients_.begin(); it != clients_.end();) {
+    Client& client = *(it++)->second;
+    emit_ready(client);
+    update_client(client);  // may destroy the client, never another
+  }
+}
+
+void EventServer::emit_ready(Client& client) {
+  if (!client.core || !client.core->needs_poll()) return;
+  std::vector<std::string> lines;
+  client.core->poll_emittable(lines);
+  if (lines.empty()) return;
+  for (auto& line : lines) client.conn.send_line(std::move(line));
+  client.conn.pump_writes();
 }
 
 void EventServer::housekeeping() {
   const auto now = std::chrono::steady_clock::now();
-  std::vector<int> expired;
-  for (const auto& [fd, client_ptr] : clients_) {
-    const Client& client = *client_ptr;
+  // Grace over: a session whose peer stopped reading forfeits its queued
+  // output. One still waiting on the service keeps its work — accepted
+  // jobs always drain.
+  const bool grace_over = stopping_ && now >= grace_deadline_;
+  for (auto it = clients_.begin(); it != clients_.end();) {
+    Client& client = *(it++)->second;  // close_client erases only it
+    bool expired = false;
     if (client.awaiting_auth && options_.auth_timeout_ms > 0 &&
         now - client.accepted_at >
             std::chrono::milliseconds(options_.auth_timeout_ms)) {
       util::log_warn()
           << "saim_serve: dropped connection (no auth within "
           << options_.auth_timeout_ms << " ms)";
-      expired.push_back(fd);
-      continue;
-    }
-    if (options_.idle_timeout_ms > 0 && !client.input_closed &&
-        client.conn.outbound_bytes() == 0 &&
-        (!client.core || client.core->unemitted_count() == 0) &&
-        now - client.last_activity >
-            std::chrono::milliseconds(options_.idle_timeout_ms)) {
+      expired = true;
+    } else if (options_.idle_timeout_ms > 0 && !client.input_closed &&
+               client.conn.outbound_bytes() == 0 &&
+               (!client.core || client.core->unemitted_count() == 0) &&
+               now - client.last_activity >
+                   std::chrono::milliseconds(options_.idle_timeout_ms)) {
       util::log_warn() << "saim_serve: dropped idle connection ("
                        << options_.idle_timeout_ms << " ms)";
-      expired.push_back(fd);
+      expired = true;
+    }
+    if (expired && metrics_) metrics_->timed_out.add();
+    if (expired || (grace_over && client.conn.outbound_bytes() > 0)) {
+      close_client(client);
     }
   }
-  for (const int fd : expired) {
-    const auto it = clients_.find(fd);
-    if (it == clients_.end()) continue;
-    timed_out_.fetch_add(1, std::memory_order_relaxed);
-    timed_out_metric_.add();
-    close_client(*it->second);
-  }
-  if (stopping_ && now >= grace_deadline_ && !clients_.empty()) {
-    // Grace over: whatever is still here was blocked on a client that
-    // stopped reading — its remaining output is forfeit (that client
-    // was not consuming it anyway).
-    std::vector<int> fds;
-    fds.reserve(clients_.size());
-    for (const auto& [fd, client] : clients_) fds.push_back(fd);
-    for (const int fd : fds) {
-      const auto it = clients_.find(fd);
-      if (it != clients_.end()) close_client(*it->second);
-    }
-  }
-  if (stopping_ && clients_.empty()) done_ = true;
+  if ((stopping_ || !listener_) && clients_.empty()) done_ = true;
 }
 
 void EventServer::begin_shutdown() {
   if (stopping_) return;
   stopping_ = true;
-  grace_deadline_ =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  loop_.remove_fd(listener_.fd());
-  listener_.close();
+  grace_deadline_ = std::chrono::steady_clock::now() + kShutdownGrace;
+  if (listener_) {
+    loop_.remove_fd(listener_->fd());
+    listener_->close();
+  }
   // Stop intake everywhere (a parked idle client must not veto the
   // shutdown): accepted work still drains out over the intact write
   // side.
@@ -344,11 +384,12 @@ void EventServer::begin_shutdown() {
 }
 
 void EventServer::close_client(Client& client) {
-  if (client.core && client.core->result().any_error) any_error_ = true;
+  if (client.core && client.core->any_error()) any_error_ = true;
   const int fd = client.conn.fd();
   loop_.remove_fd(fd);
+  loop_.remove_fd(client.conn.out_fd());
   clients_.erase(fd);  // destroys `client`; do not touch it past here
-  open_metric_.set(static_cast<double>(clients_.size()));
+  if (metrics_) metrics_->open.set(static_cast<double>(clients_.size()));
 }
 
 }  // namespace saim::service

@@ -1,12 +1,18 @@
-// service::EventServer — the front door for saim_serve --listen.
+// service::EventServer — saim_serve's one session driver, for both
+// transports.
 //
-// One reactor thread (net::EventLoop: epoll on Linux, poll elsewhere)
-// multiplexes the listener plus every accepted connection. Each
-// connection pairs a net::Connection (non-blocking line IO, writev
-// batching) with a StreamSessionCore (the protocol state machine shared
-// with the stdin/stdout session — identical bytes by construction). All
-// sessions share ONE SolveService, so concurrent connections share the
-// cache, batcher and warm pool.
+// One reactor thread (net::EventLoop) multiplexes every session. Each
+// session pairs a net::Connection (non-blocking line IO, writev
+// batching) with a StreamSessionCore (the protocol state machine), so
+// every transport emits identical bytes by construction. A server is
+// built either
+//   * over a listener (saim_serve --listen): epoll on Linux, poll
+//     elsewhere; one session per accepted connection, all sharing ONE
+//     SolveService (cache, batcher and warm pool), or
+//   * over one pre-connected fd pair (stdin/stdout, --input/--output
+//     files): a single session, always on the poll backend — epoll buys
+//     nothing for one session and rejects regular files.
+// run() returns once no listener and no session is left.
 //
 // What the reactor guarantees under hostile or slow peers:
 //   * backpressure instead of unbounded buffering — when a peer stops
@@ -30,10 +36,11 @@
 //   saim_connections_rejected_total, saim_sessions_timed_out_total.
 //
 // Shutdown: a session's {"cmd":"shutdown"} (or stop() from another
-// thread) closes the listener, stops intake on every session, lets
-// accepted work drain for a 5 s grace period, then force-drops
-// stragglers. run() returns saim_serve's session exit code: 0, or 1 if
-// any session emitted an error line.
+// thread) closes the listener and stops intake on every session.
+// Accepted work always drains; only a session whose peer has stopped
+// reading its output is dropped, once a 5 s grace period has passed.
+// run() returns saim_serve's session exit code: 0, or 1 if any session
+// emitted an error line.
 #pragma once
 
 #include <atomic>
@@ -42,8 +49,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "net/connection.hpp"
 #include "net/event_loop.hpp"
 #include "net/listener.hpp"
 #include "obs/metrics.hpp"
@@ -73,7 +82,8 @@ struct EventServerOptions {
   /// disables (an idle-parked client is legal by default — the shard
   /// router keeps quiet health-check connections open).
   int idle_timeout_ms = 0;
-  /// Test hook: use the portable poll backend even where epoll exists.
+  /// Test hook: use the portable poll backend even where epoll exists
+  /// (an fd-pair server always does).
   bool force_poll = false;
 };
 
@@ -82,23 +92,35 @@ class EventServer {
   /// Binds the listener (throws std::runtime_error like net::Listener on
   /// failure) and registers the connection metrics on `service`.
   EventServer(SolveService& service, EventServerOptions options);
+  /// One session over a pre-connected fd pair, both owned (in_fd may
+  /// equal out_fd). No listener, no connection metrics; the host, port
+  /// and connection-cap options are unused.
+  EventServer(SolveService& service, int in_fd, int out_fd,
+              EventServerOptions options);
   ~EventServer();
 
   EventServer(const EventServer&) = delete;
   EventServer& operator=(const EventServer&) = delete;
 
-  /// The bound port (resolves port 0 to the kernel's pick).
-  [[nodiscard]] int port() const noexcept { return listener_.port(); }
+  /// The bound port (resolves port 0 to the kernel's pick); 0 without a
+  /// listener.
+  [[nodiscard]] int port() const noexcept {
+    return listener_ ? listener_->port() : 0;
+  }
 
-  /// Serves until a session's {"cmd":"shutdown"} or stop(). Returns the
-  /// saim_serve exit code: 1 when any session produced an error line,
-  /// else 0. Call from exactly one thread.
+  /// Serves until no listener and no session is left: a listen server
+  /// until a session's {"cmd":"shutdown"} or stop(), an fd-pair server
+  /// until its one session ends. Returns the saim_serve exit code: 1
+  /// when any session produced an error line, else 0. Call from exactly
+  /// one thread.
   int run();
 
   /// Thread-safe: asks run() to begin the graceful shutdown sequence.
   void stop();
 
   /// Test-visible counters (readable from any thread while run() spins).
+  /// All but backpressure_pauses are connection metrics: zero without a
+  /// listener.
   struct Counters {
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;   ///< over-cap fail-fast closes
@@ -110,9 +132,21 @@ class EventServer {
 
  private:
   struct Client;
+  /// Front-door metrics, registered by listen servers only: an fd-pair
+  /// session has no front door, so its stats line has no "connections".
+  struct ConnectionMetrics {
+    obs::Counter& accepted;
+    obs::Counter& rejected;
+    obs::Counter& timed_out;
+    obs::Gauge& open;
+  };
 
+  EventServer(SolveService& service, EventServerOptions options,
+              bool listen);
   void accept_pending();
-  void on_client_event(int fd, std::uint32_t ready);
+  void add_client(net::Connection conn);
+  /// `output_side`: the event is on a split connection's write fd.
+  void on_client_event(int fd, std::uint32_t ready, bool output_side);
   /// Feeds buffered-but-unprocessed lines to the session while the
   /// outbound queue is under the backpressure limit.
   void process_pending_lines(Client& client);
@@ -122,14 +156,17 @@ class EventServer {
   /// was destroyed.
   bool update_client(Client& client);
   void sweep_sessions();
+  /// Sends every result line the session can emit right now.
+  void emit_ready(Client& client);
   void housekeeping();
   void begin_shutdown();
   void close_client(Client& client);
+  void set_interest(const Client& client, std::uint32_t interest);
   [[nodiscard]] bool any_needs_sweep() const;
 
   SolveService& service_;
   const EventServerOptions options_;
-  net::Listener listener_;
+  std::optional<net::Listener> listener_;  ///< closed at shutdown
   net::EventLoop loop_;
 
   std::map<int, std::unique_ptr<Client>> clients_;
@@ -139,16 +176,8 @@ class EventServer {
   std::chrono::steady_clock::time_point grace_deadline_{};
   std::atomic<bool> stop_requested_{false};
 
-  // Counters are atomics (tests poll them from outside the loop thread)
-  // mirrored into the service registry for scrapes and stats lines.
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> timed_out_{0};
   std::atomic<std::uint64_t> backpressure_pauses_{0};
-  obs::Counter& accepted_metric_;
-  obs::Counter& rejected_metric_;
-  obs::Counter& timed_out_metric_;
-  obs::Gauge& open_metric_;
+  std::optional<ConnectionMetrics> metrics_;
 };
 
 }  // namespace saim::service

@@ -1,32 +1,15 @@
 #include "service/stream_session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <istream>
-#include <ostream>
-#include <thread>
 
 #include "core/report.hpp"
 #include "service/job_parser.hpp"
 #include "service/service_stats.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
+#include "util/thread_checker.hpp"
 
 namespace saim::service {
-
-// ------------------------------------------------------------ IO adapters
-
-bool IostreamSessionIO::read_line(std::string& line) {
-  return static_cast<bool>(std::getline(in_, line));
-}
-
-void IostreamSessionIO::write_line(const std::string& line) {
-  out_ << line << "\n";
-}
-
-void IostreamSessionIO::flush() { out_.flush(); }
 
 // ----------------------------------------------------------- warm payload
 
@@ -127,17 +110,12 @@ struct PendingJob {
   bool drain = false;  ///< {"cmd":"drain"} barrier, not a job
   bool bye = false;    ///< {"cmd":"shutdown"} farewell barrier
   bool export_warm = false;  ///< {"cmd":"export_warm"} snapshot barrier
-  bool emitted = false;  ///< result line already printed (--stream)
 
   [[nodiscard]] bool barrier() const { return drain || bye || export_warm; }
 };
 
 }  // namespace
 
-/// State shared between whoever feeds lines and whoever polls emissions
-/// — two threads in the blocking driver (reader + emitter), one thread
-/// in the event server (the lock is then uncontended). A named struct so
-/// the guarded members can carry thread-safety annotations.
 struct StreamSessionCore::Impl {
   SolveService& service;
   const SessionOptions options;
@@ -146,14 +124,12 @@ struct StreamSessionCore::Impl {
   /// histograms in stats snapshots and metrics scrapes.
   obs::Histogram& emit_hist;
 
-  mutable util::Mutex mutex;
-  std::vector<PendingJob> jobs SAIM_GUARDED_BY(mutex);
-  std::vector<std::size_t> unemitted SAIM_GUARDED_BY(mutex);  ///< in order
-  bool input_done SAIM_GUARDED_BY(mutex) = false;
-  std::int64_t next_seq SAIM_GUARDED_BY(mutex) = 0;
-  SessionResult session_result SAIM_GUARDED_BY(mutex);
-
-  /// Touched only by the single line feeder — never concurrently.
+  util::ThreadChecker thread_checker{"StreamSessionCore"};
+  std::vector<PendingJob> jobs;
+  std::vector<std::size_t> unemitted;  ///< in order
+  bool input_done = false;
+  std::int64_t next_seq = 0;
+  bool any_error = false;
   std::size_t line_no = 0;
   bool intake_stopped = false;
 
@@ -164,27 +140,26 @@ struct StreamSessionCore::Impl {
             "saim_emit_ms",
             "response ready to result line written, milliseconds")) {}
 
-  std::string render(PendingJob& job) SAIM_REQUIRES(mutex);
-  std::string render_barrier(PendingJob& job) SAIM_REQUIRES(mutex);
+  std::string render(PendingJob& job);
+  std::string render_barrier(PendingJob& job);
 };
 
-// Renders (and marks emitted) the result/error line for a FINISHED job.
+// Renders the result/error line for a FINISHED job.
 // In stream mode, lines for ACCEPTED jobs carry the emission sequence
 // number; lines rejected at submission never consume one (the global
 // completion order counts real jobs only). In batch mode results print
 // after EOF in input order, without seq.
 std::string StreamSessionCore::Impl::render(PendingJob& job) {
-  job.emitted = true;
   if (!job.handle.valid()) {
-    session_result.any_error = true;
+    any_error = true;
     util::JsonWriter err;
     err.field("id", job.id).field("error", job.error);
     return err.take();
   }
   const std::int64_t seq = options.stream ? next_seq++ : -1;
   const auto response = job.handle.wait();  // finished: returns at once
-  // Completion-to-emission delay, recorded for every rendered job (a
-  // responsive emitter is a property of the SESSION, not of traced
+  // Completion-to-emission delay, recorded for every rendered job
+  // (prompt emission is a property of the SESSION, not of traced
   // jobs). Epoch finished_at = response built outside the service.
   double emit_ms = 0.0;
   if (response->finished_at != std::chrono::steady_clock::time_point{}) {
@@ -194,7 +169,7 @@ std::string StreamSessionCore::Impl::render(PendingJob& job) {
     emit_hist.observe(emit_ms);
   }
   if (response->status == core::Status::kError) {
-    session_result.any_error = true;
+    any_error = true;
     util::JsonWriter err;
     err.field("id", job.id).field("error", response->error);
     if (seq >= 0) err.field("seq", seq);
@@ -226,7 +201,6 @@ std::string StreamSessionCore::Impl::render(PendingJob& job) {
 // export_warm snapshots the pool — at barrier time, so every feasible
 // job accepted before it has already deposited its samples.
 std::string StreamSessionCore::Impl::render_barrier(PendingJob& job) {
-  job.emitted = true;
   util::JsonWriter ack;
   ack.field("id", job.id);
   if (job.bye) {
@@ -248,6 +222,7 @@ StreamSessionCore::~StreamSessionCore() = default;
 bool StreamSessionCore::on_line(const std::string& line,
                                 std::vector<std::string>& replies) {
   Impl& im = *impl_;
+  im.thread_checker.assert_current_thread();
   if (im.intake_stopped) return false;
   ++im.line_no;
   if (line.find_first_not_of(" \t\r") == std::string::npos) return true;
@@ -268,11 +243,8 @@ bool StreamSessionCore::on_line(const std::string& line,
         // "inflight" counts THIS session's accepted-but-unemitted jobs
         // — rejected lines and barriers are not load.
         std::size_t inflight = 0;
-        {
-          util::MutexLock lock(im.mutex);
-          for (const std::size_t i : im.unemitted) {
-            if (im.jobs[i].handle.valid()) ++inflight;
-          }
+        for (const std::size_t i : im.unemitted) {
+          if (im.jobs[i].handle.valid()) ++inflight;
         }
         util::JsonWriter pong;
         pong.field("id", pending.id)
@@ -312,15 +284,13 @@ bool StreamSessionCore::on_line(const std::string& line,
         // before it drains, then {"bye":true} ends the session.
         pending.bye = true;
         stop_reading = true;
-        util::MutexLock lock(im.mutex);
-        im.session_result.shutdown = true;
       } else if (*cmd == "export_warm") {
         // Snapshot barrier: replied once every job accepted before it
         // has emitted — their feasible samples are then in the pool,
         // so a handoff export never under-reports in-flight work.
         pending.export_warm = true;
       } else {
-        pending.drain = true;  // barrier; acknowledged by the emitter
+        pending.drain = true;  // barrier; acknowledged once drained
       }
     } else {
       ParsedJob job = parse_job(parsed, im.options.warm_default);
@@ -333,13 +303,8 @@ bool StreamSessionCore::on_line(const std::string& line,
   } catch (const std::exception& e) {
     pending.error = e.what();
   }
-  {
-    // Uncontended without a concurrent emitter (batch mode / event
-    // server), so one always-locked push keeps the paths identical.
-    util::MutexLock lock(im.mutex);
-    im.jobs.push_back(std::move(pending));
-    im.unemitted.push_back(im.jobs.size() - 1);
-  }
+  im.jobs.push_back(std::move(pending));
+  im.unemitted.push_back(im.jobs.size() - 1);
   if (stop_reading) {
     im.intake_stopped = true;
     return false;
@@ -348,7 +313,7 @@ bool StreamSessionCore::on_line(const std::string& line,
 }
 
 void StreamSessionCore::finish_input() {
-  util::MutexLock lock(impl_->mutex);
+  impl_->thread_checker.assert_current_thread();
   impl_->input_done = true;
 }
 
@@ -356,14 +321,9 @@ void StreamSessionCore::finish_input() {
 // try_get. A drain/shutdown barrier emits only once every entry before
 // it has — jobs after it may still overtake it, matching the contract
 // that "drained" certifies the PAST, not the future.
-//
-// The sweep is a hand-written compaction loop rather than erase_if: the
-// analysis treats a lambda body as its own (lock-free) function, so a
-// predicate touching jobs/unemitted could not be checked against the
-// lock held out here.
 bool StreamSessionCore::poll_emittable(std::vector<std::string>& out) {
   Impl& im = *impl_;
-  util::MutexLock lock(im.mutex);
+  im.thread_checker.assert_current_thread();
   if (im.options.stream) {
     bool blocked = false;  // an earlier entry is still unfinished
     std::size_t kept = 0;
@@ -389,7 +349,7 @@ bool StreamSessionCore::poll_emittable(std::vector<std::string>& out) {
   } else if (im.input_done) {
     // Batch contract: nothing emits before EOF; afterwards, input order.
     // Render the maximal finished prefix; the rest waits for a later
-    // poll (or drain_blocking).
+    // poll.
     std::size_t taken = 0;
     while (taken < im.unemitted.size()) {
       PendingJob& job = im.jobs[im.unemitted[taken]];
@@ -409,97 +369,25 @@ bool StreamSessionCore::poll_emittable(std::vector<std::string>& out) {
   return im.input_done && im.unemitted.empty();
 }
 
-void StreamSessionCore::drain_blocking(std::vector<std::string>& out) {
-  Impl& im = *impl_;
-  // render() may block in handle.wait(); nothing else wants the lock at
-  // drain time (the feeder is done, no emitter thread runs in batch
-  // mode), so holding it across the waits is safe and keeps the guarded
-  // accesses annotated.
-  util::MutexLock lock(im.mutex);
-  for (auto& job : im.jobs) {
-    if (job.emitted) continue;
-    out.push_back(job.barrier() ? im.render_barrier(job) : im.render(job));
-  }
-  im.unemitted.clear();
-}
-
 bool StreamSessionCore::drained() const {
-  util::MutexLock lock(impl_->mutex);
+  impl_->thread_checker.assert_current_thread();
   return impl_->input_done && impl_->unemitted.empty();
 }
 
 bool StreamSessionCore::needs_poll() const {
-  util::MutexLock lock(impl_->mutex);
+  impl_->thread_checker.assert_current_thread();
   if (impl_->unemitted.empty()) return false;
   return impl_->options.stream || impl_->input_done;
 }
 
 std::size_t StreamSessionCore::unemitted_count() const {
-  util::MutexLock lock(impl_->mutex);
+  impl_->thread_checker.assert_current_thread();
   return impl_->unemitted.size();
 }
 
-SessionResult StreamSessionCore::result() const {
-  util::MutexLock lock(impl_->mutex);
-  return impl_->session_result;
-}
-
-// -------------------------------------------------------------- session
-
-SessionResult run_stream_session(SolveService& service, SessionIO& io,
-                                 const SessionOptions& options) {
-  StreamSessionCore core(service, options);
-  util::Mutex out_mutex;  ///< serializes the sink between emitter and pongs
-
-  // Stream mode emits from a dedicated thread so completions surface the
-  // moment they happen — even while the main thread is blocked in
-  // read_line waiting for a slow producer (a request-response coprocess
-  // can keep the pipe open and still read results). Renders happen under
-  // the core's lock but WRITES happen outside it (a slow result consumer
-  // never stalls submission); the pass exits once input is done and
-  // everything is emitted. poll_emittable computes "drained" inside the
-  // same critical section as its sweep, so a final job pushed before
-  // finish_input can never be skipped.
-  std::thread emitter;
-  if (options.stream) {
-    emitter = std::thread([&] {
-      for (;;) {
-        std::vector<std::string> lines;
-        const bool done = core.poll_emittable(lines);
-        if (!lines.empty()) {
-          util::MutexLock lock(out_mutex);
-          for (const auto& l : lines) io.write_line(l);
-          io.flush();  // a coprocess is waiting on these completions
-        }
-        if (done) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    });
-  }
-
-  std::string line;
-  std::vector<std::string> replies;
-  while (io.read_line(line)) {
-    replies.clear();
-    const bool keep_reading = core.on_line(line, replies);
-    if (!replies.empty()) {
-      util::MutexLock lock(out_mutex);
-      for (const auto& r : replies) io.write_line(r);
-      io.flush();  // a probe's whole point is promptness
-    }
-    if (!keep_reading) break;
-  }
-  core.finish_input();
-
-  if (options.stream) {
-    emitter.join();  // drains every remaining completion, then exits
-  } else {
-    std::vector<std::string> lines;
-    core.drain_blocking(lines);
-    for (const auto& l : lines) io.write_line(l);
-    io.flush();  // batch mode: one flush for the whole run
-  }
-  return core.result();
+bool StreamSessionCore::any_error() const {
+  impl_->thread_checker.assert_current_thread();
+  return impl_->any_error;
 }
 
 }  // namespace saim::service

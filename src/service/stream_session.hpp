@@ -1,27 +1,17 @@
-// StreamSession — one JSONL serving conversation over any line IO.
+// StreamSession — one JSONL serving conversation.
 //
-// PR 4's saim_serve had the whole wire protocol (docs/PROTOCOL.md) woven
-// into its main(): read job lines, submit to the SolveService, emit
-// result lines (input order after EOF, or completion order with "seq"
-// under --stream), answer control lines. run_stream_session() is that
-// loop extracted behind a SessionIO seam, so the identical protocol —
-// byte for byte — serves
-//
-//   * stdin/stdout  (IostreamSessionIO; saim_serve's default, driven by
-//     the blocking run_stream_session()),
-//   * TCP sockets   (saim_serve --listen: service/event_server.{hpp,cpp}
-//     drives one StreamSessionCore per connection from a net::EventLoop).
-//
-// The protocol state machine itself lives in StreamSessionCore: a
-// non-blocking, push/pull core (feed lines in, poll finished result
-// lines out) shared by both drivers, so stdin sessions and socket
-// sessions emit identical bytes by construction.
+// The whole wire protocol (docs/PROTOCOL.md) for one session: read job
+// lines, submit to the SolveService, emit result lines (input order
+// after EOF, or completion order with "seq" under --stream), answer
+// control lines. StreamSessionCore is that state machine as a
+// non-blocking push/pull core (feed lines in, poll finished result lines
+// out). service::EventServer drives one core per session from its
+// reactor thread — stdin/stdout and every TCP connection alike — so all
+// transports emit identical bytes by construction.
 //
 // Per-session state: job table, seq counter (stream mode numbers each
-// CONNECTION's accepted jobs 0..n-1), drain barriers. Shared state: the
-// SolveService. The emitter thread (stream mode, blocking driver) writes
-// results the moment they complete, even while the reader blocks on a
-// slow producer.
+// session's accepted jobs 0..n-1), drain barriers. Shared state: the
+// SolveService.
 //
 // Control lines handled here: ping, stats (immediate service snapshot:
 // counters, cache stats, latency quantiles — see service_stats.hpp),
@@ -32,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,50 +40,13 @@ struct SessionOptions {
   bool warm_default = false;
 };
 
-struct SessionResult {
-  bool any_error = false;  ///< some line produced an error line
-  bool shutdown = false;   ///< {"cmd":"shutdown"} ended the session
-};
-
-/// The line transport a session speaks through. read_line blocks; the
-/// session serializes write_line calls itself (implementations need no
-/// locking against the session, only against other sessions if they
-/// share a sink).
-class SessionIO {
- public:
-  virtual ~SessionIO() = default;
-  /// Blocks for the next input line; false on EOF / peer close.
-  virtual bool read_line(std::string& line) = 0;
-  /// Writes `line` plus a newline; may buffer until flush().
-  virtual void write_line(const std::string& line) = 0;
-  /// Pushes buffered output to the peer. The session flushes after
-  /// every burst of result lines in stream mode (a coprocess is
-  /// waiting) but only once at the end in batch mode — a big file run
-  /// must not pay one flush per line.
-  virtual void flush() {}
-};
-
-/// std::istream/std::ostream adapter (stdin/stdout or files).
-class IostreamSessionIO : public SessionIO {
- public:
-  IostreamSessionIO(std::istream& in, std::ostream& out) : in_(in), out_(out) {}
-  bool read_line(std::string& line) override;
-  void write_line(const std::string& line) override;
-  void flush() override;
-
- private:
-  std::istream& in_;
-  std::ostream& out_;
-};
-
 /// The protocol state machine of one session, decoupled from any
-/// transport or thread: feed input lines with on_line() (immediate
-/// replies — pong, stats, import acks — come back through `replies`),
-/// mark EOF with finish_input(), and pull finished result lines with
-/// poll_emittable(), which NEVER blocks. Internally synchronized: the
-/// blocking driver calls on_line and poll_emittable from two threads;
-/// the event server calls everything from its one reactor thread (the
-/// lock is then uncontended).
+/// transport: feed input lines with on_line() (immediate replies —
+/// pong, stats, import acks — come back through `replies`), mark EOF
+/// with finish_input(), and pull finished result lines with
+/// poll_emittable(), which NEVER blocks. Single-threaded: every call
+/// must come from the thread that made the first one (the event
+/// server's reactor); a util::ThreadChecker aborts on a second thread.
 ///
 /// Emission contract (identical to the historical in-line loop, pinned
 /// by the transport-equality tests):
@@ -103,7 +55,7 @@ class IostreamSessionIO : public SessionIO {
 ///     barrier waits until every entry before it has emitted;
 ///   * batch mode — nothing emits before finish_input(); afterwards
 ///     results render in input order (poll_emittable yields the maximal
-///     finished prefix per call; drain_blocking waits for everything).
+///     finished prefix per call).
 class StreamSessionCore {
  public:
   StreamSessionCore(SolveService& service, const SessionOptions& options);
@@ -126,11 +78,6 @@ class StreamSessionCore {
   /// drained: input finished and nothing left to emit.
   bool poll_emittable(std::vector<std::string>& out);
 
-  /// Blocking drain for run_stream_session's batch path: renders
-  /// everything still pending, waiting on unfinished jobs, in input
-  /// order.
-  void drain_blocking(std::vector<std::string>& out);
-
   /// True when input is finished and every accepted line has emitted.
   [[nodiscard]] bool drained() const;
   /// True when poll_emittable could make progress soon: unemitted
@@ -140,18 +87,13 @@ class StreamSessionCore {
   /// Accepted-but-unemitted lines (jobs and barriers) — nonzero while
   /// work is still in flight, whatever the mode.
   [[nodiscard]] std::size_t unemitted_count() const;
-  [[nodiscard]] SessionResult result() const;
+  /// Some line produced an error line.
+  [[nodiscard]] bool any_error() const;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Serves one complete conversation: reads until EOF or shutdown,
-/// answers every line per docs/PROTOCOL.md, returns once everything
-/// accepted has been emitted.
-SessionResult run_stream_session(SolveService& service, SessionIO& io,
-                                 const SessionOptions& options);
 
 // --------------------------------------------------------- warm payloads
 // The {"warm":{...}} wire object: problem fingerprints (16 hex digits,

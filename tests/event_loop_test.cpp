@@ -1,6 +1,7 @@
 // Tests for net::EventLoop (the epoll/poll reactor): fd readiness
 // dispatch, interest updates, removal from inside a callback, one-shot
-// timers with cancellation and re-arm, and the cross-thread wakeup.
+// timers with cancellation and re-arm, the cross-thread wakeup, and
+// regular files (refused by epoll, readable on poll).
 // Every case runs on both backends — epoll (Linux default) and the
 // portable poll fallback (force_poll) — so the fallback cannot rot.
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -198,6 +201,26 @@ TEST_P(EventLoopTest, WakeupUnblocksRunFromAnotherThread) {
                 .count(),
             900)
       << "wakeup() must end the wait early";
+}
+
+TEST_P(EventLoopTest, RegularFileThrowsOnEpollAndReadsOnPoll) {
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  const int fd = ::fileno(file);
+  std::uint32_t seen = 0;
+  const auto callback = [&](std::uint32_t ready) { seen |= ready; };
+  if (loop().using_epoll()) {
+    // epoll_ctl refuses a regular file (EPERM); recording it silently
+    // would leave an fd that is never dispatched.
+    EXPECT_THROW(loop().add_fd(fd, EventLoop::kRead, callback),
+                 std::system_error);
+    EXPECT_EQ(loop().fd_count(), 0u);
+  } else {
+    loop().add_fd(fd, EventLoop::kRead, callback);
+    loop().run_once(100);
+    EXPECT_TRUE(seen & EventLoop::kRead);
+  }
+  std::fclose(file);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest,

@@ -1,10 +1,11 @@
-// In-process tests for service::EventServer (the event-driven --listen
-// front door): round-trip + graceful shutdown exit code, a hostile
-// deeply nested line, the global connection cap's fail-fast reject, the
-// fail-closed auth deadline, the idle timeout, and slow-reader
-// backpressure (bounded outbound queue that pauses reading, then drains
-// completely). Every case runs on both reactor backends — epoll and the
-// portable poll fallback.
+// In-process tests for service::EventServer as the --listen front door:
+// round-trip + graceful shutdown exit code, an unterminated last line at
+// EOF, a hostile deeply nested line, the global connection cap's
+// fail-fast reject, the fail-closed auth deadline, the idle timeout, and
+// slow-reader backpressure (bounded outbound queue that pauses reading,
+// then drains completely). Every parameterised case runs on both reactor
+// backends — epoll and the portable poll fallback. One more case pins
+// that shutdown drains a job still solving past the 5 s grace.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -54,8 +55,9 @@ class BlockingClient {
     fd_ = -1;
   }
 
-  void send_line(const std::string& line) {
-    const std::string framed = line + "\n";
+  void send_line(const std::string& line) { send_raw(line + "\n"); }
+
+  void send_raw(const std::string& framed) {
     std::size_t sent = 0;
     while (sent < framed.size()) {
       const ssize_t n =
@@ -64,6 +66,8 @@ class BlockingClient {
       sent += static_cast<std::size_t>(n);
     }
   }
+
+  void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
   /// Next full line; false on EOF or receive timeout.
   bool read_line(std::string& line) {
@@ -179,6 +183,21 @@ TEST_P(EventServerTest, RoundTripThenShutdownExitsZero) {
   EXPECT_NE(line.find("\"bye\":true"), std::string::npos) << line;
   EXPECT_TRUE(client.reads_eof_with_no_data());
   EXPECT_EQ(fixture.join(), 0);
+}
+
+TEST_P(EventServerTest, UnterminatedLastLineAtEofIsServed) {
+  ServerFixture fixture(base_options());
+  BlockingClient client(fixture.port());
+  // No trailing newline, then an orderly half-close: the line is still a
+  // request, as it is on stdin.
+  client.send_raw(job_line("tail", 5));
+  client.shutdown_write();
+  std::string line;
+  ASSERT_TRUE(client.read_line(line));
+  const util::JsonValue result = util::parse_json(line);
+  ASSERT_TRUE(result.find("status")) << line;
+  EXPECT_EQ(result.find("id")->as_string(), "tail");
+  EXPECT_TRUE(client.reads_eof_with_no_data());
 }
 
 TEST_P(EventServerTest, DeeplyNestedLineGetsAnErrorAndServingContinues) {
@@ -305,6 +324,27 @@ TEST_P(EventServerTest, SlowReaderHitsBackpressureThenDrainsFully) {
   client.send_line(R"({"id":"end","cmd":"shutdown"})");
   ASSERT_TRUE(client.read_line(line));
   EXPECT_NE(line.find("\"bye\":true"), std::string::npos);
+  EXPECT_EQ(fixture.join(), 0);
+}
+
+// Not parameterised: it takes the whole ~6 s deadline.
+TEST(EventServerShutdown, WorkStillSolvingDrainsPastTheGrace) {
+  EventServerOptions options;
+  options.session.stream = true;
+  ServerFixture fixture(options);
+  BlockingClient client(fixture.port());
+  // The job outlives the 5 s shutdown grace. Its peer keeps reading, so
+  // the session waits on the service and must not be dropped.
+  client.send_line(
+      R"({"gen":"qkp:200-25-1","iterations":100000,"deadline_ms":6000})");
+  client.send_line(R"({"cmd":"shutdown"})");
+  std::string line;
+  ASSERT_TRUE(client.read_line(line)) << "the job's line was dropped";
+  const util::JsonValue result = util::parse_json(line);
+  ASSERT_TRUE(result.find("status")) << line;
+  EXPECT_EQ(result.find("status")->as_string(), "deadline");
+  ASSERT_TRUE(client.read_line(line));
+  EXPECT_NE(line.find("\"bye\":true"), std::string::npos) << line;
   EXPECT_EQ(fixture.join(), 0);
 }
 

@@ -3,14 +3,16 @@
 // timing echo, and the service_stats JSON/Prometheus renderers over a
 // live SolveService.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "service/event_server.hpp"
 #include "service/service_stats.hpp"
 #include "service/solve_service.hpp"
-#include "service/stream_session.hpp"
 #include "util/jsonl.hpp"
 
 namespace saim::service {
@@ -24,18 +26,31 @@ std::string job_line(const std::string& id, std::uint64_t seed,
          (trace ? ",\"trace\":true}" : "}");
 }
 
-/// Runs one whole session over string streams and returns output lines.
+/// Runs one whole session on the fd-pair EventServer (saim_serve's
+/// stdin/stdout driver) over two temp files and returns output lines.
 std::vector<std::string> run_session(SolveService& service,
                                      const std::string& input,
                                      bool stream = true) {
-  std::istringstream in(input);
-  std::ostringstream out;
-  IostreamSessionIO io(in, out);
-  SessionOptions options;
-  options.stream = stream;
-  run_stream_session(service, io, options);
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  EXPECT_TRUE(in && out);
+  std::fwrite(input.data(), 1, input.size(), in);
+  std::rewind(in);  // flushes; the server's dup shares this offset
+  EventServerOptions options;
+  options.session.stream = stream;
+  EventServer(service, ::dup(::fileno(in)), ::dup(::fileno(out)), options)
+      .run();
+  std::rewind(out);
+  std::string text;
+  char chunk[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof chunk, out)) > 0) {
+    text.append(chunk, n);
+  }
+  std::fclose(in);
+  std::fclose(out);
   std::vector<std::string> lines;
-  std::istringstream parse(out.str());
+  std::istringstream parse(text);
   std::string line;
   while (std::getline(parse, line)) lines.push_back(line);
   return lines;

@@ -7,13 +7,15 @@
 // response field, control lines, error lines, exit codes, worked
 // examples — is specified in docs/PROTOCOL.md; keep that file in
 // lockstep with this one (CI greps it for every emitted field name).
-// The protocol loop itself lives in service/stream_session.{hpp,cpp}
-// (shared between transports); the job-line parser in
-// service/job_parser.{hpp,cpp} (shared with tools/saim_shard).
+// The protocol state machine lives in service/stream_session.{hpp,cpp},
+// the session driver for both transports in service/event_server.
+// {hpp,cpp}, the job-line parser in service/job_parser.{hpp,cpp}
+// (shared with tools/saim_shard).
 //
-// Transports:
+// Transports (both run on service::EventServer):
 //   * default — one session over --input/--output (stdin/stdout or
-//     files): the classic filter invocation.
+//     files): the classic filter invocation, on the poll backend. An
+//     unterminated last line is still served.
 //   * --listen host:port — serve the same protocol over TCP through the
 //     event-driven front door (service/EventServer: one epoll/poll
 //     reactor thread multiplexing every connection, per-connection
@@ -48,10 +50,12 @@
 // rejected (malformed JSON, unknown backend, unreadable instance); bad
 // lines emit {"id":...,"error":...} and do not sink the rest of the
 // stream.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -107,6 +111,38 @@ int serve_listen(service::SolveService& svc, const std::string& spec,
   util::log_info() << "saim_serve: listening on " << hostport->host << ":"
                    << server->port();
   return server->run();
+}
+
+/// Default transport: one session over --input/--output (fds 0 and 1
+/// for "-"). The server owns and closes the fds it is given and sets
+/// O_NONBLOCK on their open file descriptions — which a terminal shares
+/// with the shell — so it gets duplicates of 0 and 1, whose original
+/// flags are restored before returning.
+int serve_stdio(service::SolveService& svc, const std::string& input,
+                const std::string& output,
+                const service::SessionOptions& session) {
+  const int in_fd = input == "-" ? ::dup(0) : ::open(input.c_str(), O_RDONLY);
+  if (in_fd < 0) {
+    util::log_error() << "saim_serve: cannot open '" << input << "'";
+    return 2;
+  }
+  const int out_fd = output == "-" ? ::dup(1)
+                                   : ::open(output.c_str(),
+                                            O_WRONLY | O_CREAT | O_TRUNC, 0666);
+  if (out_fd < 0) {
+    ::close(in_fd);
+    util::log_error() << "saim_serve: cannot open '" << output << "'";
+    return 2;
+  }
+  const int in_flags = ::fcntl(0, F_GETFL);
+  const int out_flags = ::fcntl(1, F_GETFL);
+  service::EventServerOptions options;
+  options.session = session;
+  const int exit_code =
+      service::EventServer(svc, in_fd, out_fd, std::move(options)).run();
+  if (in_flags >= 0) ::fcntl(0, F_SETFL, in_flags);
+  if (out_flags >= 0) ::fcntl(1, F_SETFL, out_flags);
+  return exit_code;
 }
 
 }  // namespace
@@ -236,33 +272,8 @@ int main(int argc, char** argv) {
     exit_code = serve_listen(svc, args.get("listen"), args.get("port-file"),
                              std::move(listen_options));
   } else {
-    std::ifstream file_in;
-    const std::string input = args.get("input");
-    if (input != "-") {
-      file_in.open(input);
-      if (!file_in) {
-        util::log_error() << "saim_serve: cannot open '" << input << "'";
-        return 2;
-      }
-    }
-    std::istream& in = input == "-" ? std::cin : file_in;
-
-    std::ofstream file_out;
-    const std::string output = args.get("output");
-    if (output != "-") {
-      file_out.open(output);
-      if (!file_out) {
-        util::log_error() << "saim_serve: cannot open '" << output << "'";
-        return 2;
-      }
-    }
-    std::ostream& out = output == "-" ? std::cout : file_out;
-
-    service::IostreamSessionIO io(in, out);
-    const auto result = service::run_stream_session(svc, io,
-                                                    session_options);
-    out.flush();
-    exit_code = result.any_error ? 1 : 0;
+    exit_code = serve_stdio(svc, args.get("input"), args.get("output"),
+                            session_options);
   }
 
   if (args.get_bool("stats")) {

@@ -486,8 +486,7 @@ int main(int argc, char** argv) {
   const std::size_t line_buffer_cap = std::max<std::size_t>(high_water * 4,
                                                             4096);
 
-  // Input on its own thread so a slow producer never stalls the pumps
-  // (same pattern as saim_serve's emitter, mirrored to the read side).
+  // Input on its own thread so a slow producer never stalls the pumps.
   LineIntake intake;
   std::thread reader([&] {
     std::string line;
