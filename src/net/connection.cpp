@@ -51,6 +51,7 @@ Connection::Connection(Connection&& other) noexcept
       outq_(std::move(other.outq_)),
       front_sent_(other.front_sent_),
       outbound_bytes_(other.outbound_bytes_),
+      bytes_written_(other.bytes_written_),
       framer_(std::move(other.framer_)),
       write_broken_(other.write_broken_),
       eof_(other.eof_) {}
@@ -63,6 +64,7 @@ Connection& Connection::operator=(Connection&& other) noexcept {
     outq_ = std::move(other.outq_);
     front_sent_ = other.front_sent_;
     outbound_bytes_ = other.outbound_bytes_;
+    bytes_written_ = other.bytes_written_;
     framer_ = std::move(other.framer_);
     write_broken_ = other.write_broken_;
     eof_ = other.eof_;
@@ -119,6 +121,7 @@ bool Connection::pump_writes() {
       return false;
     }
     outbound_bytes_ -= static_cast<std::size_t>(n);
+    bytes_written_ += static_cast<std::uint64_t>(n);
     std::size_t accepted = static_cast<std::size_t>(n);
     while (accepted > 0) {
       const std::size_t front_total = outq_.front().size() + 1;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <string>
@@ -75,6 +76,11 @@ class Connection {
   [[nodiscard]] std::size_t outbound_bytes() const noexcept {
     return outbound_bytes_;
   }
+  /// Bytes the kernel has accepted over the connection's life — lets the
+  /// event server tell a peer that reads slowly from one that stopped.
+  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
+    return bytes_written_;
+  }
   /// Bytes buffered past the last complete inbound line — the event
   /// server's flood guard for the pre-auth handshake.
   [[nodiscard]] std::size_t inbound_partial_bytes() const noexcept {
@@ -90,6 +96,7 @@ class Connection {
   std::deque<std::string> outq_;
   std::size_t front_sent_ = 0;  ///< bytes of outq_.front()+'\n' already sent
   std::size_t outbound_bytes_ = 0;
+  std::uint64_t bytes_written_ = 0;
   LineFramer framer_;
   bool write_broken_ = false;
   bool eof_ = false;

@@ -10,7 +10,6 @@
 #include <sys/eventfd.h>
 #endif
 
-#include <algorithm>
 #include <array>
 #include <string>
 #include <system_error>
@@ -145,47 +144,6 @@ void EventLoop::remove_fd(int fd) {
 #endif
 }
 
-std::uint64_t EventLoop::add_timer(std::chrono::milliseconds delay,
-                                   TimerCallback callback) {
-  const std::uint64_t id = next_timer_id_++;
-  timers_.emplace(id, std::move(callback));
-  timer_heap_.push(TimerEntry{Clock::now() + delay, id});
-  return id;
-}
-
-bool EventLoop::cancel_timer(std::uint64_t id) {
-  // Lazy: the heap entry stays and is skipped when popped.
-  return timers_.erase(id) > 0;
-}
-
-int EventLoop::effective_timeout_ms(int max_wait_ms) const {
-  int timeout = max_wait_ms;
-  if (!timer_heap_.empty()) {
-    // Round UP to whole milliseconds: rounding down would busy-spin the
-    // final sub-millisecond of every timer.
-    const auto until = timer_heap_.top().deadline - Clock::now();
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(until).count();
-    const long long ms = ns <= 0 ? 0 : (ns + 999'999) / 1'000'000;
-    const int clamped = static_cast<int>(std::min<long long>(ms, 60'000));
-    timeout = timeout < 0 ? clamped : std::min(timeout, clamped);
-  }
-  return timeout;
-}
-
-void EventLoop::fire_due_timers() {
-  const auto now = Clock::now();
-  while (!timer_heap_.empty() && timer_heap_.top().deadline <= now) {
-    const TimerEntry entry = timer_heap_.top();
-    timer_heap_.pop();
-    const auto it = timers_.find(entry.id);
-    if (it == timers_.end()) continue;  // cancelled
-    TimerCallback callback = std::move(it->second);
-    timers_.erase(it);
-    callback();  // may add_timer (re-arm) or mutate the fd set
-  }
-}
-
 void EventLoop::drain_wakeup() const {
   char buffer[64];
   while (::read(wake_read_fd_, buffer, sizeof buffer) > 0) {
@@ -201,13 +159,12 @@ void EventLoop::dispatch(int fd, std::uint32_t ready) {
 }
 
 void EventLoop::run_once(int max_wait_ms) {
-  const int timeout = effective_timeout_ms(max_wait_ms);
 #if defined(__linux__)
   if (epoll_fd_ >= 0) {
     std::array<epoll_event, 64> events;
     const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout);
-    fire_due_timers();
+                               static_cast<int>(events.size()),
+                               max_wait_ms);
     for (int i = 0; i < n; ++i) {
       const int fd = events[static_cast<std::size_t>(i)].data.fd;
       if (fd == wake_read_fd_) {
@@ -225,8 +182,7 @@ void EventLoop::run_once(int max_wait_ms) {
   for (const auto& [fd, entry] : fds_) {
     pfds.push_back(pollfd{fd, to_poll(entry.interest), 0});
   }
-  const int n = ::poll(pfds.data(), pfds.size(), timeout);
-  fire_due_timers();
+  const int n = ::poll(pfds.data(), pfds.size(), max_wait_ms);
   if (n <= 0) return;
   if (pfds[0].revents & POLLIN) drain_wakeup();
   // Collect first, dispatch second: a callback may mutate fds_, which
@@ -238,13 +194,6 @@ void EventLoop::run_once(int max_wait_ms) {
   }
   for (const auto& [fd, ev] : ready_) dispatch(fd, ev);
 }
-
-void EventLoop::run() {
-  stop_ = false;
-  while (!stop_) run_once(1000);
-}
-
-void EventLoop::stop() { stop_ = true; }
 
 void EventLoop::wakeup() {
   if (wake_write_fd_ < 0) return;

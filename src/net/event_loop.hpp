@@ -1,8 +1,7 @@
 // net::EventLoop — the single-threaded reactor under the serving stack.
 //
-// One loop multiplexes any number of stream fds (accepted connections, a
-// listener, a metrics socket) plus one-shot timers on ONE thread: the
-// owner registers an fd with an interest mask and a callback, the loop
+// One loop multiplexes any number of fds (accepted connections, a
+// listener, a stdin/stdout pair) on ONE thread: the owner registers an fd with an interest mask and a callback, the loop
 // polls the whole set at once, and dispatches ready fds back through
 // their callbacks. On Linux the backend is epoll (level-triggered; the
 // interest set lives in the kernel, so a 10k-connection sweep costs the
@@ -11,29 +10,21 @@
 // CI too — it is plain poll(2) over the registered set.
 //
 // Contracts, chosen for the event-server use case:
-//   * single-threaded: every method except wakeup() and stop() must be
-//     called from the loop thread (or before run() starts). wakeup()
-//     interrupts the current poll so the loop thread can notice
-//     externally-set state; stop()+wakeup() is the cross-thread way to
-//     end run().
-//   * callbacks may freely add_fd/remove_fd/set_interest/add_timer,
-//     including removing the fd being dispatched or any other ready fd:
-//     the dispatch pass re-checks registration before every callback.
-//   * timers are one-shot and fire in the loop thread after their delay
-//     elapses (never early, possibly late by one poll round). Re-arm by
-//     calling add_timer again from the callback. cancel_timer is lazy —
-//     O(1), the heap entry is simply orphaned.
+//   * single-threaded: every method except wakeup() must be called from
+//     the loop thread. wakeup() interrupts the current poll so the loop
+//     thread can notice externally-set state. The owner keeps its own
+//     clock: run_once's timeout bounds how late it looks.
+//   * callbacks may freely add_fd/remove_fd/set_interest, including
+//     removing the fd being dispatched or any other ready fd: the
+//     dispatch pass re-checks registration before every callback.
 //   * error/hangup conditions are delivered as kError | kRead even when
 //     read interest is off, so a paused-for-backpressure connection
 //     still learns that its peer vanished instead of leaking.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -48,8 +39,6 @@ class EventLoop {
   enum : std::uint32_t { kRead = 1u, kWrite = 2u, kError = 4u };
 
   using FdCallback = std::function<void(std::uint32_t ready)>;
-  using TimerCallback = std::function<void()>;
-  using Clock = std::chrono::steady_clock;
 
   /// force_poll skips the epoll backend even on Linux (tests pin both).
   explicit EventLoop(bool force_poll = false);
@@ -69,22 +58,9 @@ class EventLoop {
   /// Deregisters `fd` (the loop never closes it; the owner does).
   void remove_fd(int fd);
 
-  /// Arms a one-shot timer; returns its id (never 0).
-  std::uint64_t add_timer(std::chrono::milliseconds delay,
-                          TimerCallback callback);
-  /// Disarms a pending timer; false when it already fired or never was.
-  bool cancel_timer(std::uint64_t id);
-
-  /// One poll+dispatch pass: waits at most `max_wait_ms` (clamped down
-  /// to the next timer deadline; -1 = only timers bound the wait), then
-  /// fires due timers and dispatches every ready fd.
+  /// One poll+dispatch pass: waits at most `max_wait_ms` (-1: until an
+  /// fd is ready or wakeup()), then dispatches every ready fd.
   void run_once(int max_wait_ms);
-  /// run_once until stop(). Clears a previous stop request on entry.
-  void run();
-  /// Makes run() return after the current pass. Safe from any thread,
-  /// but a cross-thread stop must ALSO call wakeup() or run() only
-  /// notices at the end of the current (up to 1 s) poll.
-  void stop();
   /// Thread-safe: interrupts the poll in progress so the loop thread
   /// re-evaluates external state immediately.
   void wakeup();
@@ -92,28 +68,12 @@ class EventLoop {
   [[nodiscard]] bool using_epoll() const noexcept { return epoll_fd_ >= 0; }
   /// Registered fds (the internal wakeup fd is not counted).
   [[nodiscard]] std::size_t fd_count() const noexcept { return fds_.size(); }
-  [[nodiscard]] std::size_t pending_timers() const noexcept {
-    return timers_.size();
-  }
 
  private:
   struct FdEntry {
     std::uint32_t interest = 0;
     FdCallback callback;
   };
-  struct TimerEntry {
-    Clock::time_point deadline;
-    std::uint64_t id = 0;
-  };
-  struct TimerLater {
-    bool operator()(const TimerEntry& a, const TimerEntry& b) const {
-      return a.deadline > b.deadline;
-    }
-  };
-
-  /// The poll timeout honouring both the caller's cap and the timer heap.
-  [[nodiscard]] int effective_timeout_ms(int max_wait_ms) const;
-  void fire_due_timers();
   void drain_wakeup() const;
   void dispatch(int fd, std::uint32_t ready);
   /// Mirrors an interest change into the epoll set (no-op on poll).
@@ -122,13 +82,8 @@ class EventLoop {
   int epoll_fd_ = -1;      ///< -1 on the poll backend
   int wake_read_fd_ = -1;  ///< eventfd (both roles) or pipe read end
   int wake_write_fd_ = -1;
-  std::atomic<bool> stop_{false};
 
   std::unordered_map<int, FdEntry> fds_;
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>, TimerLater>
-      timer_heap_;
-  std::unordered_map<std::uint64_t, TimerCallback> timers_;
-  std::uint64_t next_timer_id_ = 1;
 
   /// Scratch for the dispatch pass (poll backend); a member so a busy
   /// loop does not reallocate it every round.

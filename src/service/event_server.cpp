@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -17,9 +18,13 @@ namespace {
 /// "line" is cut off, not buffered.
 constexpr std::size_t kMaxAuthLineBytes = 4096;
 
-/// How long after shutdown begins a session may sit on output its peer
-/// is not reading before it is dropped.
+/// How long after shutdown begins — and without its peer taking a byte —
+/// a session may sit on queued output before it is dropped.
 constexpr auto kShutdownGrace = std::chrono::seconds(5);
+
+/// The completion cadence: how often a session with work in flight is
+/// polled for finished results.
+constexpr auto kEmitCadence = std::chrono::milliseconds(2);
 
 /// Exactly {"auth":"<token>"} — wrong token, no auth field, malformed
 /// JSON all fail closed.
@@ -51,12 +56,18 @@ struct EventServer::Client {
   bool kill = false;  ///< condemned (auth failure, flood); close ASAP
   std::chrono::steady_clock::time_point accepted_at;
   std::chrono::steady_clock::time_point last_activity;
+  std::chrono::steady_clock::time_point last_emit;
+  /// Output progress: conn.bytes_written() when last seen, and when the
+  /// peer last took bytes (or had nothing queued).
+  std::uint64_t written_mark = 0;
+  std::chrono::steady_clock::time_point last_write_progress;
 };
 
 EventServer::EventServer(SolveService& service, EventServerOptions options,
                          bool listen)
     : service_(service),
       options_(std::move(options)),
+      intake_limit_(listen ? options_.outbound_limit_bytes : SIZE_MAX),
       loop_(options_.force_poll || !listen) {
   if (!listen) return;
   listener_.emplace(options_.host, options_.port);
@@ -107,7 +118,9 @@ int EventServer::run() {
   while (!done_) {
     // 2 ms while completions may be pending, 100 ms when only timeouts
     // need the clock.
-    loop_.run_once(any_needs_sweep() ? 2 : 100);
+    loop_.run_once(any_needs_sweep()
+                       ? static_cast<int>(kEmitCadence.count())
+                       : 100);
     if (stop_requested_.exchange(false)) begin_shutdown();
     sweep_sessions();
     housekeeping();
@@ -204,7 +217,7 @@ void EventServer::process_pending_lines(Client& client) {
     return;
   }
   while (!client.pending_lines.empty() && !client.kill &&
-         client.conn.outbound_bytes() <= options_.outbound_limit_bytes) {
+         client.conn.outbound_bytes() <= intake_limit_) {
     const std::string line = std::move(client.pending_lines.front());
     client.pending_lines.pop_front();
     if (client.awaiting_auth) {
@@ -225,9 +238,11 @@ void EventServer::process_pending_lines(Client& client) {
     const bool keep_reading = client.core->on_line(line, replies);
     for (auto& reply : replies) client.conn.send_line(std::move(reply));
     // A line can cost a millisecond (a "gen" job builds its instance), so
-    // a burst of them must not hold back finished results: a shard
-    // router refills its window only as results arrive.
-    emit_ready(client);
+    // a burst of them must not hold back finished results past the
+    // cadence: a shard router refills its window only as results arrive.
+    if (std::chrono::steady_clock::now() - client.last_emit >= kEmitCadence) {
+      emit_ready(client);
+    }
     if (!keep_reading) {
       // {"cmd":"shutdown"}: this session's intake is over (its bye
       // barrier drains through the sweep), and the whole server begins
@@ -256,7 +271,7 @@ bool EventServer::update_client(Client& client) {
   // was over the limit (this may push it back over — the loop in
   // process_pending_lines stops again, and reading stays paused).
   if (!client.pending_lines.empty() &&
-      client.conn.outbound_bytes() <= options_.outbound_limit_bytes / 2) {
+      client.conn.outbound_bytes() <= intake_limit_ / 2) {
     process_pending_lines(client);
     if (client.kill) {
       close_client(client);
@@ -265,8 +280,7 @@ bool EventServer::update_client(Client& client) {
   }
   const std::size_t outbound = client.conn.outbound_bytes();
   const bool want_pause =
-      outbound > options_.outbound_limit_bytes ||
-      !client.pending_lines.empty();
+      outbound > intake_limit_ || !client.pending_lines.empty();
   if (want_pause && !client.reading_paused) {
     client.reading_paused = true;
     backpressure_pauses_.fetch_add(1, std::memory_order_relaxed);
@@ -319,6 +333,7 @@ void EventServer::sweep_sessions() {
 
 void EventServer::emit_ready(Client& client) {
   if (!client.core || !client.core->needs_poll()) return;
+  client.last_emit = std::chrono::steady_clock::now();
   std::vector<std::string> lines;
   client.core->poll_emittable(lines);
   if (lines.empty()) return;
@@ -328,12 +343,25 @@ void EventServer::emit_ready(Client& client) {
 
 void EventServer::housekeeping() {
   const auto now = std::chrono::steady_clock::now();
-  // Grace over: a session whose peer stopped reading forfeits its queued
-  // output. One still waiting on the service keeps its work — accepted
-  // jobs always drain.
-  const bool grace_over = stopping_ && now >= grace_deadline_;
   for (auto it = clients_.begin(); it != clients_.end();) {
     Client& client = *(it++)->second;  // close_client erases only it
+    const std::size_t outbound = client.conn.outbound_bytes();
+    if (outbound == 0 || client.conn.bytes_written() != client.written_mark) {
+      client.written_mark = client.conn.bytes_written();
+      client.last_write_progress = now;
+    }
+    // Shutting down, a session whose peer has taken no byte of its queued
+    // output for the whole grace forfeits it. One still waiting on the
+    // service, or whose peer is reading, keeps its work — accepted jobs
+    // always drain.
+    if (stopping_ && now - client.last_write_progress >= kShutdownGrace) {
+      util::log_warn() << "saim_serve: dropped a session whose peer stopped "
+                          "reading ("
+                       << outbound << " bytes unsent)";
+      any_error_ = true;  // accepted work went undelivered
+      close_client(client);
+      continue;
+    }
     bool expired = false;
     if (client.awaiting_auth && options_.auth_timeout_ms > 0 &&
         now - client.accepted_at >
@@ -351,8 +379,8 @@ void EventServer::housekeeping() {
                        << options_.idle_timeout_ms << " ms)";
       expired = true;
     }
-    if (expired && metrics_) metrics_->timed_out.add();
-    if (expired || (grace_over && client.conn.outbound_bytes() > 0)) {
+    if (expired) {
+      if (metrics_) metrics_->timed_out.add();
       close_client(client);
     }
   }
@@ -362,7 +390,7 @@ void EventServer::housekeeping() {
 void EventServer::begin_shutdown() {
   if (stopping_) return;
   stopping_ = true;
-  grace_deadline_ = std::chrono::steady_clock::now() + kShutdownGrace;
+  const auto now = std::chrono::steady_clock::now();
   if (listener_) {
     loop_.remove_fd(listener_->fd());
     listener_->close();
@@ -372,6 +400,7 @@ void EventServer::begin_shutdown() {
   // side.
   for (const auto& [fd, client_ptr] : clients_) {
     Client& client = *client_ptr;
+    client.last_write_progress = now;  // the grace starts now
     if (client.input_closed) continue;
     client.input_closed = true;
     client.pending_lines.clear();

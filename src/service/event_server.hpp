@@ -20,7 +20,9 @@
 //     outbound_limit_bytes, the server stops READING that session (jobs
 //     stop entering the service) until the queue falls to half the
 //     limit. Other sessions are unaffected; server memory per slow
-//     reader is bounded by the limit plus one reply.
+//     reader is bounded by the limit plus one reply. An fd-pair session
+//     is a filter and keeps reading whatever its output queue holds: its
+//     producer may write every job before it reads a single result.
 //   * a global connection cap with fail-fast reject: connection number
 //     max_connections+1 is accepted and closed immediately — nothing is
 //     written, the peer sees EOF, the service never hears about it.
@@ -37,10 +39,10 @@
 //
 // Shutdown: a session's {"cmd":"shutdown"} (or stop() from another
 // thread) closes the listener and stops intake on every session.
-// Accepted work always drains; only a session whose peer has stopped
-// reading its output is dropped, once a 5 s grace period has passed.
-// run() returns saim_serve's session exit code: 0, or 1 if any session
-// emitted an error line.
+// Accepted work always drains; only a session whose peer has taken none
+// of its queued output for 5 s is dropped, and not before 5 s of grace
+// have passed. run() returns saim_serve's session exit code: 0, or 1 if
+// any session emitted an error line or was dropped with output unsent.
 #pragma once
 
 #include <atomic>
@@ -72,8 +74,9 @@ struct EventServerOptions {
   /// Open-connection cap; further accepts are closed immediately.
   std::size_t max_connections = 1024;
   /// Per-connection outbound-queue bound that pauses reading (see
-  /// header comment). Not a hard memory cap: results already accepted
-  /// still queue past it — it stops NEW work from entering.
+  /// header comment; unused by an fd-pair server). Not a hard memory
+  /// cap: results already accepted still queue past it — it stops NEW
+  /// work from entering.
   std::size_t outbound_limit_bytes = 256 * 1024;
   /// Deadline for the auth handshake (only enforced when auth_token is
   /// set); 0 disables.
@@ -111,8 +114,8 @@ class EventServer {
   /// Serves until no listener and no session is left: a listen server
   /// until a session's {"cmd":"shutdown"} or stop(), an fd-pair server
   /// until its one session ends. Returns the saim_serve exit code: 1
-  /// when any session produced an error line, else 0. Call from exactly
-  /// one thread.
+  /// when any session produced an error line or was dropped with output
+  /// unsent, else 0. Call from exactly one thread.
   int run();
 
   /// Thread-safe: asks run() to begin the graceful shutdown sequence.
@@ -166,6 +169,9 @@ class EventServer {
 
   SolveService& service_;
   const EventServerOptions options_;
+  /// options_.outbound_limit_bytes for connections; unbounded for an fd
+  /// pair (see the header comment).
+  const std::size_t intake_limit_;
   std::optional<net::Listener> listener_;  ///< closed at shutdown
   net::EventLoop loop_;
 
@@ -173,7 +179,6 @@ class EventServer {
   bool stopping_ = false;
   bool done_ = false;
   bool any_error_ = false;
-  std::chrono::steady_clock::time_point grace_deadline_{};
   std::atomic<bool> stop_requested_{false};
 
   std::atomic<std::uint64_t> backpressure_pauses_{0};

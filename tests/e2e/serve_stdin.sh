@@ -13,7 +13,8 @@
 #      path gives exit 2.
 #   7. fd flags: saim_serve runs with a pipe's read end as stdin and
 #      another pipe's write end as stdout; the O_NONBLOCK bit of those
-#      shared open file descriptions is as before the run once it exits.
+#      shared open file descriptions is as before the run once it exits,
+#      whether it ends at EOF or is killed by SIGTERM mid-session.
 #
 # Usage: tests/e2e/serve_stdin.sh SAIM_SERVE
 # (ctest passes the built binary.)
@@ -121,29 +122,47 @@ rc=0
 "$serve" --input "$work/no/such/file.jsonl" > /dev/null 2>&1 || rc=$?
 [[ $rc -eq 2 ]] || { echo "bad --input: exit $rc, want 2" >&2; exit 1; }
 
-# 7. fd flags survive the run.
+# 7. fd flags survive the run, ended by EOF or by SIGTERM.
 python3 - "$serve" <<'EOF'
 import fcntl
 import os
+import signal
 import subprocess
 import sys
 
-in_r, in_w = os.pipe()
-out_r, out_w = os.pipe()
-# These two descriptors share their open file descriptions with the
-# child's fds 0 and 1, so they see any O_NONBLOCK the child leaves set.
-before = {fd: fcntl.fcntl(fd, fcntl.F_GETFL) for fd in (in_r, out_w)}
-child = subprocess.Popen([sys.argv[1], '--stream'], stdin=in_r, stdout=out_w)
-os.write(in_w, b'{"id":"f","gen":"qkp:30-25-1","iterations":2,"sweeps":20}\n')
-os.close(in_w)
-assert child.wait(timeout=60) == 0
-for fd, flags in before.items():
-    after = fcntl.fcntl(fd, fcntl.F_GETFL)
-    assert after & os.O_NONBLOCK == flags & os.O_NONBLOCK, (fd, flags, after)
-os.close(out_w)
-with os.fdopen(out_r, 'rb') as out:
-    assert b'"id":"f"' in out.read()
-os.close(in_r)
+
+def check_flags_restored(kill):
+    in_r, in_w = os.pipe()
+    out_r, out_w = os.pipe()
+    # These two descriptors share their open file descriptions with the
+    # child's fds 0 and 1, so they see any O_NONBLOCK the child leaves set.
+    before = {fd: fcntl.fcntl(fd, fcntl.F_GETFL) for fd in (in_r, out_w)}
+    child = subprocess.Popen([sys.argv[1], '--stream'], stdin=in_r,
+                             stdout=out_w)
+    os.write(in_w, b'{"id":"f","cmd":"ping"}\n')
+    reply = b''
+    while b'\n' not in reply:
+        reply += os.read(out_r, 4096)
+    assert b'"pong":true' in reply, reply
+    if kill:
+        # Mid-session the child has the flag set; the signal must not
+        # leave it behind.
+        assert fcntl.fcntl(in_r, fcntl.F_GETFL) & os.O_NONBLOCK
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60) == -signal.SIGTERM
+    else:
+        os.close(in_w)
+        assert child.wait(timeout=60) == 0
+    for fd, flags in before.items():
+        after = fcntl.fcntl(fd, fcntl.F_GETFL)
+        assert after & os.O_NONBLOCK == flags & os.O_NONBLOCK, \
+            (kill, fd, flags, after)
+    for fd in (in_r, out_r, out_w) + ((in_w,) if kill else ()):
+        os.close(fd)
+
+
+check_flags_restored(kill=False)
+check_flags_restored(kill=True)
 EOF
 
 echo 'serve stdin OK: smokes, transports, last line, shutdown, exit codes, fd flags'

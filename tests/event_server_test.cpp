@@ -4,12 +4,17 @@
 // fail-fast reject, the fail-closed auth deadline, the idle timeout, and
 // slow-reader backpressure (bounded outbound queue that pauses reading,
 // then drains completely). Every parameterised case runs on both reactor
-// backends — epoll and the portable poll fallback. One more case pins
-// that shutdown drains a job still solving past the 5 s grace.
+// backends — epoll and the portable poll fallback. Two more cases pin
+// that shutdown drains a job still solving past the 5 s grace, and that a
+// burst released after the grace reaches a peer that keeps reading. The
+// fd-pair (stdin/stdout) server is pinned to keep reading while its
+// output sits unread.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -152,6 +157,97 @@ class EventServerTest : public ::testing::TestWithParam<bool> {
     options.force_poll = GetParam();
     return options;
   }
+};
+
+/// An fd-pair EventServer over two pipes, run on its own thread — the
+/// stdin/stdout session. The test writes job lines to the input pipe
+/// and reads results from the output pipe, never blocking for more than
+/// 10 s at a time.
+class PipeServer {
+ public:
+  explicit PipeServer(SessionOptions session) {
+    int in[2];
+    int out[2];
+    EXPECT_EQ(::pipe(in), 0);
+    EXPECT_EQ(::pipe(out), 0);
+    in_w_ = in[1];
+    out_r_ = out[0];
+    ::fcntl(in_w_, F_SETFL, O_NONBLOCK);  // writes must not hang the test
+    ServiceOptions service_options;
+    service_options.workers = 2;
+    service_ = std::make_unique<SolveService>(service_options);
+    EventServerOptions options;
+    options.session = session;
+    server_ = std::make_unique<EventServer>(*service_, in[0], out[1], options);
+    thread_ = std::thread([this] { exit_code_ = server_->run(); });
+  }
+  ~PipeServer() {
+    // EOF on the input and a broken output end any session.
+    close_input();
+    if (out_r_ >= 0) ::close(out_r_);
+    if (thread_.joinable()) thread_.join();
+  }
+  PipeServer(const PipeServer&) = delete;
+  PipeServer& operator=(const PipeServer&) = delete;
+
+  /// False when the server stopped taking input for 10 s.
+  bool write(const std::string& data) {
+    std::size_t sent = 0;
+    while (sent < data.size()) {
+      const ssize_t n = ::write(in_w_, data.data() + sent, data.size() - sent);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno != EAGAIN) return false;
+      pollfd pfd{in_w_, POLLOUT, 0};
+      if (::poll(&pfd, 1, 10'000) != 1) return false;
+    }
+    return true;
+  }
+
+  void close_input() {
+    if (in_w_ >= 0) ::close(in_w_);
+    in_w_ = -1;
+  }
+
+  /// Reads to EOF in chunks of at most `chunk` bytes, pausing `pause`
+  /// between reads (a slow but steady peer). Stops early when nothing
+  /// arrives for 10 s.
+  std::vector<std::string> read_lines_to_eof(std::size_t chunk,
+                                             std::chrono::milliseconds pause) {
+    std::string text;
+    std::vector<char> buffer(chunk);
+    for (;;) {
+      pollfd pfd{out_r_, POLLIN, 0};
+      if (::poll(&pfd, 1, 10'000) != 1) break;
+      const ssize_t n = ::read(out_r_, buffer.data(), buffer.size());
+      if (n <= 0) break;
+      text.append(buffer.data(), static_cast<std::size_t>(n));
+      std::this_thread::sleep_for(pause);
+    }
+    std::vector<std::string> lines;
+    for (std::size_t start = 0; start < text.size();) {
+      const auto end = text.find('\n', start);
+      if (end == std::string::npos) break;
+      lines.push_back(text.substr(start, end - start));
+      start = end + 1;
+    }
+    return lines;
+  }
+
+  int join() {
+    thread_.join();
+    return exit_code_;
+  }
+
+ private:
+  std::unique_ptr<SolveService> service_;
+  std::unique_ptr<EventServer> server_;
+  std::thread thread_;
+  int in_w_ = -1;
+  int out_r_ = -1;
+  int exit_code_ = -1;
 };
 
 std::string job_line(const std::string& id, std::uint64_t seed) {
@@ -346,6 +442,77 @@ TEST(EventServerShutdown, WorkStillSolvingDrainsPastTheGrace) {
   ASSERT_TRUE(client.read_line(line));
   EXPECT_NE(line.find("\"bye\":true"), std::string::npos) << line;
   EXPECT_EQ(fixture.join(), 0);
+}
+
+// Not parameterised: it takes the whole ~6 s deadline. In batch mode the
+// slow first job holds back every later result, so they all leave in one
+// burst after the grace — more than a pipe buffer holds. The peer reads
+// slowly but steadily, so none of it may be dropped.
+TEST(EventServerShutdown, BurstAfterTheGraceReachesAPeerThatKeepsReading) {
+  SessionOptions session;
+  session.stream = false;
+  PipeServer server(session);
+  constexpr int kQuick = 100;
+  const std::string padding(1024, 'x');  // > 100 KiB of output in all
+  std::string input =
+      R"({"id":"slow","gen":"qkp:200-25-1","iterations":100000,)"
+      R"("deadline_ms":6000})"
+      "\n";
+  for (int i = 0; i < kQuick; ++i) {
+    input += "{\"id\":\"q" + std::to_string(i) + "-" + padding +
+             R"(","gen":"qkp:30-25-1","iterations":1,"sweeps":10})" + "\n";
+  }
+  input += R"({"id":"end","cmd":"shutdown"})" "\n";
+  ASSERT_TRUE(server.write(input));
+
+  const auto lines = server.read_lines_to_eof(4096, 1ms);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kQuick + 2));
+  const util::JsonValue slow = util::parse_json(lines.front());
+  EXPECT_EQ(slow.find("id")->as_string(), "slow");
+  EXPECT_EQ(slow.find("status")->as_string(), "deadline");
+  for (int i = 0; i < kQuick; ++i) {
+    const util::JsonValue quick = util::parse_json(lines[1 + i]);
+    EXPECT_EQ(quick.find("id")->as_string(),
+              "q" + std::to_string(i) + "-" + padding);
+  }
+  EXPECT_NE(lines.back().find("\"bye\":true"), std::string::npos)
+      << lines.back();
+  EXPECT_EQ(server.join(), 0);
+}
+
+// A filter's producer may write every job before it reads any result:
+// the fd-pair session must keep reading however much output waits.
+TEST(EventServerFdPair, KeepsReadingWhileItsOutputIsUnread) {
+  SessionOptions session;
+  session.stream = true;
+  PipeServer server(session);
+  constexpr int kPings = 1000;
+  const std::string padding(1024, 'x');
+  auto pings = [&padding](int from, int to) {
+    std::string input;
+    for (int i = from; i < to; ++i) {
+      input += "{\"cmd\":\"ping\",\"id\":\"p" + std::to_string(i) + "-" +
+               padding + "\"}\n";
+    }
+    return input;
+  };
+  // ~420 KB of replies: past the listen servers' 256 KiB intake bound
+  // plus the output pipe. The pause lets them all reach the server
+  // before the rest of the input has to get in too.
+  ASSERT_TRUE(server.write(pings(0, kPings / 2 - 100)));
+  std::this_thread::sleep_for(100ms);
+  ASSERT_TRUE(server.write(pings(kPings / 2 - 100, kPings)))
+      << "the server stopped reading while its output was unread";
+  server.close_input();
+
+  const auto lines = server.read_lines_to_eof(64 * 1024, 0ms);
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kPings));
+  for (int i = 0; i < kPings; ++i) {
+    EXPECT_NE(lines[i].find("\"p" + std::to_string(i) + "-"),
+              std::string::npos)
+        << "out of order at " << i;
+  }
+  EXPECT_EQ(server.join(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventServerTest,

@@ -51,6 +51,7 @@
 // lines emit {"id":...,"error":...} and do not sink the rest of the
 // stream.
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -113,11 +114,25 @@ int serve_listen(service::SolveService& svc, const std::string& spec,
   return server->run();
 }
 
+/// fds 0 and 1's file-status flags as found (-1: unknown). The stdio
+/// session sets O_NONBLOCK on their open file descriptions, which a
+/// terminal shares with the shell, so the flags go back on every exit.
+int g_stdio_flags[2] = {-1, -1};
+
+void restore_stdio_flags() {
+  for (int fd = 0; fd < 2; ++fd) {
+    if (g_stdio_flags[fd] >= 0) ::fcntl(fd, F_SETFL, g_stdio_flags[fd]);
+  }
+}
+
+extern "C" void restore_stdio_flags_and_reraise(int sig) {
+  restore_stdio_flags();  // fcntl is async-signal-safe
+  ::raise(sig);           // SA_RESETHAND: the default action runs next
+}
+
 /// Default transport: one session over --input/--output (fds 0 and 1
-/// for "-"). The server owns and closes the fds it is given and sets
-/// O_NONBLOCK on their open file descriptions — which a terminal shares
-/// with the shell — so it gets duplicates of 0 and 1, whose original
-/// flags are restored before returning.
+/// for "-"). The server owns and closes the fds it is given, so it gets
+/// duplicates of 0 and 1.
 int serve_stdio(service::SolveService& svc, const std::string& input,
                 const std::string& output,
                 const service::SessionOptions& session) {
@@ -134,14 +149,23 @@ int serve_stdio(service::SolveService& svc, const std::string& input,
     util::log_error() << "saim_serve: cannot open '" << output << "'";
     return 2;
   }
-  const int in_flags = ::fcntl(0, F_GETFL);
-  const int out_flags = ::fcntl(1, F_GETFL);
+  // Ctrl-C, Ctrl-\, SIGTERM, SIGHUP and the SIGABRT an uncaught
+  // exception ends in restore the flags too; ignored signals stay so.
+  for (int fd = 0; fd < 2; ++fd) g_stdio_flags[fd] = ::fcntl(fd, F_GETFL);
+  struct sigaction action {};
+  action.sa_handler = restore_stdio_flags_and_reraise;
+  action.sa_flags = SA_RESETHAND;
+  for (const int sig : {SIGHUP, SIGINT, SIGQUIT, SIGTERM, SIGABRT}) {
+    struct sigaction old {};
+    if (::sigaction(sig, nullptr, &old) == 0 && old.sa_handler == SIG_DFL) {
+      ::sigaction(sig, &action, nullptr);
+    }
+  }
   service::EventServerOptions options;
   options.session = session;
   const int exit_code =
       service::EventServer(svc, in_fd, out_fd, std::move(options)).run();
-  if (in_flags >= 0) ::fcntl(0, F_SETFL, in_flags);
-  if (out_flags >= 0) ::fcntl(1, F_SETFL, out_flags);
+  restore_stdio_flags();
   return exit_code;
 }
 
