@@ -105,7 +105,8 @@ std::string result_to_jsonl(const SolveResult& result,
         .field("setup_ms", context.setup_ms)
         .field("solve_ms", context.solve_ms)
         .field("emit_ms", context.emit_ms)
-        .field("total_ms", context.total_ms);
+        .field("total_ms", context.total_ms)
+        .field("e2e_ms", context.e2e_ms);
     json.raw_field("timing", timing.str());
   }
   if (context.seq >= 0) json.field("seq", context.seq);

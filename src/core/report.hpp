@@ -47,8 +47,9 @@ struct JsonlContext {
   double queue_ms = 0.0;  ///< accept/submit -> worker claim
   double setup_ms = 0.0;  ///< claim -> solve start (batch form + build)
   double solve_ms = 0.0;  ///< solve start -> solve end
-  double emit_ms = 0.0;   ///< response ready -> line written
+  double emit_ms = 0.0;   ///< response ready -> line rendered
   double total_ms = 0.0;  ///< submit -> response ready
+  double e2e_ms = 0.0;    ///< submit -> line rendered (total + emit)
   /// Emission sequence number; emitted only when >= 0 (saim_serve
   /// --stream tags lines in completion order).
   std::int64_t seq = -1;

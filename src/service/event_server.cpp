@@ -22,9 +22,10 @@ constexpr std::size_t kMaxAuthLineBytes = 4096;
 /// a session may sit on queued output before it is dropped.
 constexpr auto kShutdownGrace = std::chrono::seconds(5);
 
-/// The completion cadence: how often a session with work in flight is
-/// polled for finished results.
-constexpr auto kEmitCadence = std::chrono::milliseconds(2);
+/// The loop's longest wait: deadlines (auth, idle, shutdown grace) are
+/// checked at least this often. Completions and fd readiness wake it at
+/// once.
+constexpr int kHousekeepingMs = 100;
 
 /// Exactly {"auth":"<token>"} — wrong token, no auth field, malformed
 /// JSON all fail closed.
@@ -56,7 +57,6 @@ struct EventServer::Client {
   bool kill = false;  ///< condemned (auth failure, flood); close ASAP
   std::chrono::steady_clock::time_point accepted_at;
   std::chrono::steady_clock::time_point last_activity;
-  std::chrono::steady_clock::time_point last_emit;
   /// Output progress: conn.bytes_written() when last seen, and when the
   /// peer last took bytes (or had nothing queued).
   std::uint64_t written_mark = 0;
@@ -116,23 +116,43 @@ int EventServer::run() {
                  [this](std::uint32_t) { accept_pending(); });
   }
   while (!done_) {
-    // 2 ms while completions may be pending, 100 ms when only timeouts
-    // need the clock.
-    loop_.run_once(any_needs_sweep()
-                       ? static_cast<int>(kEmitCadence.count())
-                       : 100);
+    loop_.run_once(kHousekeepingMs);
     if (stop_requested_.exchange(false)) begin_shutdown();
-    sweep_sessions();
+    emit_signalled();
     housekeeping();
   }
   return any_error_ ? 1 : 0;
 }
 
-bool EventServer::any_needs_sweep() const {
-  for (const auto& [fd, client] : clients_) {
-    if (client->core && client->core->needs_poll()) return true;
+std::unique_ptr<StreamSessionCore> EventServer::make_session(int key) {
+  return std::make_unique<StreamSessionCore>(
+      service_, options_.session, [this, key] { signal_ready(key); });
+}
+
+void EventServer::signal_ready(int key) {
+  {
+    util::MutexLock lock(ready_mutex_);
+    ready_keys_.push_back(key);
   }
-  return false;
+  completions_signalled_.store(true);
+  loop_.wakeup();
+}
+
+// A key may be stale (its session closed since) or repeated; both cost
+// one lookup.
+void EventServer::emit_signalled() {
+  if (!completions_signalled_.exchange(false)) return;
+  std::vector<int> keys;
+  {
+    util::MutexLock lock(ready_mutex_);
+    keys.swap(ready_keys_);
+  }
+  for (const int key : keys) {
+    const auto it = clients_.find(key);
+    if (it == clients_.end()) continue;
+    emit_ready(*it->second);
+    update_client(*it->second);  // may destroy the client, never another
+  }
 }
 
 void EventServer::accept_pending() {
@@ -159,14 +179,11 @@ void EventServer::add_client(net::Connection conn) {
   auto client = std::make_unique<Client>();
   client->conn = std::move(conn);
   client->awaiting_auth = !options_.auth_token.empty();
-  if (!client->awaiting_auth) {
-    client->core =
-        std::make_unique<StreamSessionCore>(service_, options_.session);
-  }
-  client->accepted_at = std::chrono::steady_clock::now();
-  client->last_activity = client->accepted_at;
   const int key = client->conn.fd();
   const int out = client->conn.out_fd();
+  if (!client->awaiting_auth) client->core = make_session(key);
+  client->accepted_at = std::chrono::steady_clock::now();
+  client->last_activity = client->accepted_at;
   clients_.emplace(key, std::move(client));
   loop_.add_fd(key, net::EventLoop::kRead, [this, key](std::uint32_t ready) {
     on_client_event(key, ready, /*output_side=*/false);
@@ -230,23 +247,20 @@ void EventServer::process_pending_lines(Client& client) {
         return;
       }
       client.awaiting_auth = false;
-      client.core =
-          std::make_unique<StreamSessionCore>(service_, options_.session);
+      client.core = make_session(client.conn.fd());
       continue;
     }
     std::vector<std::string> replies;
     const bool keep_reading = client.core->on_line(line, replies);
     for (auto& reply : replies) client.conn.send_line(std::move(reply));
     // A line can cost a millisecond (a "gen" job builds its instance), so
-    // a burst of them must not hold back finished results past the
-    // cadence: a shard router refills its window only as results arrive.
-    if (std::chrono::steady_clock::now() - client.last_emit >= kEmitCadence) {
-      emit_ready(client);
-    }
+    // a burst of them must not hold back results that finished meanwhile:
+    // a shard router refills its window only as results arrive.
+    if (completions_signalled_.load()) emit_ready(client);
     if (!keep_reading) {
       // {"cmd":"shutdown"}: this session's intake is over (its bye
-      // barrier drains through the sweep), and the whole server begins
-      // the graceful stop.
+      // barrier emits once everything before it has), and the whole
+      // server begins the graceful stop.
       client.input_closed = true;
       client.pending_lines.clear();
       client.core->finish_input();
@@ -323,17 +337,8 @@ void EventServer::set_interest(const Client& client, std::uint32_t interest) {
   loop_.set_interest(out, interest & net::EventLoop::kWrite);
 }
 
-void EventServer::sweep_sessions() {
-  for (auto it = clients_.begin(); it != clients_.end();) {
-    Client& client = *(it++)->second;
-    emit_ready(client);
-    update_client(client);  // may destroy the client, never another
-  }
-}
-
 void EventServer::emit_ready(Client& client) {
-  if (!client.core || !client.core->needs_poll()) return;
-  client.last_emit = std::chrono::steady_clock::now();
+  if (!client.core) return;
   std::vector<std::string> lines;
   client.core->poll_emittable(lines);
   if (lines.empty()) return;
@@ -397,7 +402,13 @@ void EventServer::begin_shutdown() {
   }
   // Stop intake everywhere (a parked idle client must not veto the
   // shutdown): accepted work still drains out over the intact write
-  // side.
+  // side. Every session changed, so the run loop updates each one next
+  // (not here: this may run inside one client's callback).
+  {
+    util::MutexLock lock(ready_mutex_);
+    for (const auto& [fd, client_ptr] : clients_) ready_keys_.push_back(fd);
+  }
+  completions_signalled_.store(true);
   for (const auto& [fd, client_ptr] : clients_) {
     Client& client = *client_ptr;
     client.last_write_progress = now;  // the grace starts now

@@ -14,6 +14,22 @@
 //     nothing for one session and rejects regular files.
 // run() returns once no listener and no session is left.
 //
+// Completions are pushed, never polled. A solver worker that finishes a
+// job runs the job's JobHandle::on_ready hook, which appends the job to
+// its session's ready list (StreamSessionCore) and signals the session:
+// its key goes on the server's ready_keys_ and EventLoop::wakeup()
+// interrupts the poll. The reactor then renders only the signalled
+// sessions' ready lines and writes them:
+//
+//   worker finish() -> hook -> core ready list -> signal_ready(key)
+//     -> wakeup() -> run_once returns -> emit_signalled() -> render
+//     -> Connection::send_line -> writev
+//
+// While it feeds a burst of input lines, the reactor checks the atomic
+// completions_signalled_ flag after every line and sends what finished
+// meanwhile. Otherwise the loop waits up to 100 ms, the housekeeping
+// interval for the auth, idle and shutdown deadlines.
+//
 // What the reactor guarantees under hostile or slow peers:
 //   * backpressure instead of unbounded buffering — when a peer stops
 //     draining its socket and the connection's outbound queue passes
@@ -53,6 +69,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
@@ -60,6 +77,8 @@
 #include "obs/metrics.hpp"
 #include "service/solve_service.hpp"
 #include "service/stream_session.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace saim::service {
 
@@ -158,14 +177,19 @@ class EventServer {
   /// closes the client when it is finished. Returns false if the client
   /// was destroyed.
   bool update_client(Client& client);
-  void sweep_sessions();
+  /// A session core whose notify callback signals `key`.
+  std::unique_ptr<StreamSessionCore> make_session(int key);
+  /// Any thread: queues session `key` for emit_signalled() and wakes
+  /// the loop.
+  void signal_ready(int key) SAIM_EXCLUDES(ready_mutex_);
+  /// Emits and updates every session signalled since the last call.
+  void emit_signalled() SAIM_EXCLUDES(ready_mutex_);
   /// Sends every result line the session can emit right now.
   void emit_ready(Client& client);
   void housekeeping();
-  void begin_shutdown();
+  void begin_shutdown() SAIM_EXCLUDES(ready_mutex_);
   void close_client(Client& client);
   void set_interest(const Client& client, std::uint32_t interest);
-  [[nodiscard]] bool any_needs_sweep() const;
 
   SolveService& service_;
   const EventServerOptions options_;
@@ -174,6 +198,13 @@ class EventServer {
   const std::size_t intake_limit_;
   std::optional<net::Listener> listener_;  ///< closed at shutdown
   net::EventLoop loop_;
+
+  /// Sessions signalled by their cores (from solver workers or the
+  /// reactor), and whether any are waiting. Declared before clients_:
+  /// the sessions, and with them every completion hook, die first.
+  util::Mutex ready_mutex_;
+  std::vector<int> ready_keys_ SAIM_GUARDED_BY(ready_mutex_);
+  std::atomic<bool> completions_signalled_{false};
 
   std::map<int, std::unique_ptr<Client>> clients_;
   bool stopping_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
@@ -56,6 +57,22 @@ struct JobState {
   std::size_t subscribers SAIM_GUARDED_BY(mutex) = 1;
   std::size_t cancel_votes SAIM_GUARDED_BY(mutex) = 0;
 
+  /// JobHandle::on_ready hooks, keyed by registration id. finish() fires
+  /// and clears them under `mutex`, the same lock a handle's release
+  /// takes to remove its own — a released handle's hook never runs.
+  std::vector<std::pair<std::uint64_t, std::function<void()>>> hooks
+      SAIM_GUARDED_BY(mutex);
+  std::uint64_t last_hook_id SAIM_GUARDED_BY(mutex) = 0;
+
+  void remove_hook_locked(std::uint64_t id) SAIM_REQUIRES(mutex) {
+    for (auto it = hooks.begin(); it != hooks.end(); ++it) {
+      if (it->first == id) {
+        hooks.erase(it);
+        return;
+      }
+    }
+  }
+
   /// With `mutex` held: trips the stop iff no live subscriber still wants
   /// the result and the job has not already finished.
   void maybe_stop_locked() SAIM_REQUIRES(mutex) {
@@ -98,6 +115,20 @@ std::shared_ptr<const SolveResponse> JobHandle::try_get() const {
   return state_->response;
 }
 
+void JobHandle::on_ready(std::function<void()> hook) {
+  if (!state_) return;
+  {
+    util::MutexLock lock(state_->mutex);
+    if (state_->response == nullptr) {
+      if (hook_id_ != 0) state_->remove_hook_locked(hook_id_);
+      hook_id_ = ++state_->last_hook_id;
+      state_->hooks.emplace_back(hook_id_, std::move(hook));
+      return;
+    }
+  }
+  hook();  // already finished: nobody else will call it
+}
+
 bool JobHandle::cancel() {
   if (!state_ || cancel_voted_) return false;
   cancel_voted_ = true;
@@ -115,6 +146,7 @@ void JobHandle::release() noexcept {
   if (!state_) return;
   {
     util::MutexLock lock(state_->mutex);
+    if (hook_id_ != 0) state_->remove_hook_locked(hook_id_);
     if (!cancel_voted_) {
       // A handle dropped without voting no longer counts toward the
       // cancellation quorum — otherwise one discarded twin handle would
@@ -126,21 +158,22 @@ void JobHandle::release() noexcept {
   }
   state_.reset();
   cancel_voted_ = false;
+  hook_id_ = 0;
 }
 
 JobHandle::~JobHandle() { release(); }
 
 JobHandle::JobHandle(JobHandle&& other) noexcept
-    : state_(std::move(other.state_)), cancel_voted_(other.cancel_voted_) {
-  other.cancel_voted_ = false;
-}
+    : state_(std::move(other.state_)),
+      cancel_voted_(std::exchange(other.cancel_voted_, false)),
+      hook_id_(std::exchange(other.hook_id_, 0)) {}
 
 JobHandle& JobHandle::operator=(JobHandle&& other) noexcept {
   if (this != &other) {
     release();
     state_ = std::move(other.state_);
-    cancel_voted_ = other.cancel_voted_;
-    other.cancel_voted_ = false;
+    cancel_voted_ = std::exchange(other.cancel_voted_, false);
+    hook_id_ = std::exchange(other.hook_id_, 0);
   }
   return *this;
 }
@@ -629,6 +662,8 @@ void SolveService::finish(const std::shared_ptr<JobState>& job,
   {
     util::MutexLock lock(job->mutex);
     job->response = std::move(response);
+    for (const auto& [id, hook] : job->hooks) hook();
+    job->hooks.clear();
   }
   job->cv.notify_all();
 }

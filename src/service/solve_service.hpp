@@ -29,11 +29,17 @@
 // result comes back with Status::kCancelled / kDeadline within one inner
 // run. shutdown() drains queued-but-unstarted jobs as kCancelled, lets
 // running jobs finish, and joins the workers; the destructor does the same.
+//
+// Completion is pushed, not polled: JobHandle::on_ready registers a hook
+// that finish() fires on the worker right after it publishes the response
+// (at once when the job already finished, e.g. a cache hit). The serving
+// layer's sessions use it to wake their reactor.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -179,6 +185,17 @@ class JobHandle {
   /// Non-blocking; nullptr while the job is still running.
   [[nodiscard]] std::shared_ptr<const SolveResponse> try_get() const;
 
+  /// Registers `hook` to run once when the job finishes: on the thread
+  /// that finishes it, under the job's lock, right after the response is
+  /// published (so a thread the hook wakes finds it via try_get()) — or
+  /// at once, on this thread, when the job has already finished (a cache
+  /// hit). One hook per handle; a second call replaces the first. Moves
+  /// carry the registration, and release (destruction, move-assignment)
+  /// removes it under the same lock, so once the handle is gone no call
+  /// is running or can start. The hook must be short, must not throw and
+  /// must not call into any handle of this job. No-op on an invalid handle.
+  void on_ready(std::function<void()> hook);
+
   /// Requests cooperative cancellation. When several handles share one
   /// coalesced computation, the underlying solve is only stopped once
   /// every handle has cancelled — one impatient caller cannot kill a twin
@@ -192,11 +209,13 @@ class JobHandle {
   explicit JobHandle(std::shared_ptr<detail::JobState> state) noexcept
       : state_(std::move(state)) {}
 
-  /// Withdraws this handle's subscription (see class comment) and resets.
+  /// Withdraws this handle's subscription (see class comment) and its
+  /// on_ready hook, and resets.
   void release() noexcept;
 
   std::shared_ptr<detail::JobState> state_;
   bool cancel_voted_ = false;
+  std::uint64_t hook_id_ = 0;  ///< this handle's on_ready entry; 0 = none
 };
 
 class SolveService {
@@ -281,7 +300,8 @@ class SolveService {
   void execute_batch(
       const std::vector<std::shared_ptr<detail::JobState>>& members);
   /// Stamps the response's timing/finished_at from the job's stage
-  /// timestamps, records the latency histograms, then publishes it.
+  /// timestamps, records the latency histograms, then publishes it and
+  /// fires the job's on_ready hooks.
   void finish(const std::shared_ptr<detail::JobState>& job,
               std::shared_ptr<SolveResponse> response)
       SAIM_EXCLUDES(inflight_mutex_);

@@ -3,10 +3,14 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 #include "core/report.hpp"
 #include "service/job_parser.hpp"
 #include "service/service_stats.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/thread_checker.hpp"
 
 namespace saim::service {
@@ -104,12 +108,13 @@ struct PendingJob {
   std::string id;
   std::string instance;
   std::string backend;
-  JobHandle handle;
+  JobHandle handle;    ///< released once the line has emitted
   std::string error;   ///< submission-time failure; handle invalid
   bool trace = false;  ///< echo the "timing" object on the result line
   bool drain = false;  ///< {"cmd":"drain"} barrier, not a job
   bool bye = false;    ///< {"cmd":"shutdown"} farewell barrier
   bool export_warm = false;  ///< {"cmd":"export_warm"} snapshot barrier
+  bool emitted = false;
 
   [[nodiscard]] bool barrier() const { return drain || bye || export_warm; }
 };
@@ -123,23 +128,60 @@ struct StreamSessionCore::Impl {
   /// one series) so emit delay rolls up with the solver-side stage
   /// histograms in stats snapshots and metrics scrapes.
   obs::Histogram& emit_hist;
+  const std::function<void()> notify;
+
+  /// The one piece of state other threads touch: indices of entries
+  /// that finished, pushed by the jobs' on_ready hooks on solver
+  /// workers (and by on_line for submission errors). Declared before
+  /// `jobs`, so the handles — and with them every registered hook — are
+  /// gone before the list is.
+  util::Mutex ready_mutex;
+  std::vector<std::size_t> ready SAIM_GUARDED_BY(ready_mutex);
 
   util::ThreadChecker thread_checker{"StreamSessionCore"};
   std::vector<PendingJob> jobs;
-  std::vector<std::size_t> unemitted;  ///< in order
+  /// Lowest entry not yet emitted; every entry below it has emitted.
+  std::size_t low = 0;
+  std::size_t emitted_count = 0;
+  std::size_t inflight = 0;  ///< accepted jobs (valid handle) not emitted
   bool input_done = false;
   std::int64_t next_seq = 0;
   bool any_error = false;
   std::size_t line_no = 0;
   bool intake_stopped = false;
 
-  Impl(SolveService& svc, const SessionOptions& opts)
+  Impl(SolveService& svc, const SessionOptions& opts,
+       std::function<void()> notify_fn)
       : service(svc),
         options(opts),
         emit_hist(svc.metrics().histogram(
             "saim_emit_ms",
-            "response ready to result line written, milliseconds")) {}
+            "response ready to result line rendered, milliseconds")),
+        notify(std::move(notify_fn)) {}
 
+  /// Queues entry `index` as finished and, when the list was empty (the
+  /// driver has taken everything before), tells the driver. Any thread.
+  void push_ready(std::size_t index) SAIM_EXCLUDES(ready_mutex) {
+    bool was_empty = false;
+    {
+      util::MutexLock lock(ready_mutex);
+      was_empty = ready.empty();
+      ready.push_back(index);
+    }
+    if (was_empty) notify();
+  }
+
+  std::vector<std::size_t> take_ready() SAIM_EXCLUDES(ready_mutex) {
+    std::vector<std::size_t> taken;
+    util::MutexLock lock(ready_mutex);
+    taken.swap(ready);
+    return taken;
+  }
+
+  /// Renders entry `index` (finished job, error or barrier) and retires
+  /// it: the handle is released, so the result is not held for the rest
+  /// of the session.
+  void emit(std::size_t index, std::vector<std::string>& out);
   std::string render(PendingJob& job);
   std::string render_barrier(PendingJob& job);
 };
@@ -191,6 +233,7 @@ std::string StreamSessionCore::Impl::render(PendingJob& job) {
     context.solve_ms = response->timing.solve_ms;
     context.emit_ms = emit_ms;
     context.total_ms = response->timing.total_ms;
+    context.e2e_ms = response->timing.total_ms + emit_ms;
   }
   context.seq = seq;
   return core::result_to_jsonl(*response->result, context);
@@ -213,9 +256,20 @@ std::string StreamSessionCore::Impl::render_barrier(PendingJob& job) {
   return ack.take();
 }
 
+void StreamSessionCore::Impl::emit(std::size_t index,
+                                   std::vector<std::string>& out) {
+  PendingJob& job = jobs[index];
+  out.push_back(job.barrier() ? render_barrier(job) : render(job));
+  if (job.handle.valid()) --inflight;
+  job.handle = JobHandle{};
+  job.emitted = true;
+  ++emitted_count;
+}
+
 StreamSessionCore::StreamSessionCore(SolveService& service,
-                                     const SessionOptions& options)
-    : impl_(std::make_unique<Impl>(service, options)) {}
+                                     const SessionOptions& options,
+                                     std::function<void()> notify)
+    : impl_(std::make_unique<Impl>(service, options, std::move(notify))) {}
 
 StreamSessionCore::~StreamSessionCore() = default;
 
@@ -242,14 +296,10 @@ bool StreamSessionCore::on_line(const std::string& line,
         // even while every worker is busy (submission never blocks).
         // "inflight" counts THIS session's accepted-but-unemitted jobs
         // — rejected lines and barriers are not load.
-        std::size_t inflight = 0;
-        for (const std::size_t i : im.unemitted) {
-          if (im.jobs[i].handle.valid()) ++inflight;
-        }
         util::JsonWriter pong;
         pong.field("id", pending.id)
             .field("pong", true)
-            .field("inflight", static_cast<std::uint64_t>(inflight));
+            .field("inflight", static_cast<std::uint64_t>(im.inflight));
         replies.push_back(pong.take());
         return true;
       }
@@ -303,8 +353,21 @@ bool StreamSessionCore::on_line(const std::string& line,
   } catch (const std::exception& e) {
     pending.error = e.what();
   }
+  const std::size_t index = im.jobs.size();
+  const bool barrier = pending.barrier();
+  const bool accepted = pending.handle.valid();
+  if (accepted) {
+    ++im.inflight;
+    pending.handle.on_ready(
+        [impl = impl_.get(), index] { impl->push_ready(index); });
+  }
   im.jobs.push_back(std::move(pending));
-  im.unemitted.push_back(im.jobs.size() - 1);
+  if (barrier) {
+    // Emittable at once when nothing before it is outstanding.
+    if (im.options.stream) im.notify();
+  } else if (!accepted) {
+    im.push_ready(index);  // the error line is ready now
+  }
   if (stop_reading) {
     im.intake_stopped = true;
     return false;
@@ -315,74 +378,44 @@ bool StreamSessionCore::on_line(const std::string& line,
 void StreamSessionCore::finish_input() {
   impl_->thread_checker.assert_current_thread();
   impl_->input_done = true;
+  impl_->notify();  // batch mode may emit now; the session may be drained
 }
 
-// Each pass sweeps only the still-unemitted indices with non-blocking
-// try_get. A drain/shutdown barrier emits only once every entry before
-// it has — jobs after it may still overtake it, matching the contract
-// that "drained" certifies the PAST, not the future.
+// Stream mode renders only what the hooks reported finished, in the order
+// they finished, then advances the lowest-unemitted watermark past
+// emitted entries: a barrier there has nothing unemitted before it and
+// emits. Jobs after a barrier may still overtake it — "drained"
+// certifies the PAST, not the future. Batch mode walks the same watermark
+// in input order, rendering the finished prefix (nothing before EOF).
 bool StreamSessionCore::poll_emittable(std::vector<std::string>& out) {
   Impl& im = *impl_;
   im.thread_checker.assert_current_thread();
+  if (!im.options.stream && !im.input_done) return false;
+  const std::vector<std::size_t> ready = im.take_ready();
   if (im.options.stream) {
-    bool blocked = false;  // an earlier entry is still unfinished
-    std::size_t kept = 0;
-    for (std::size_t n = 0; n < im.unemitted.size(); ++n) {
-      const std::size_t i = im.unemitted[n];
-      PendingJob& job = im.jobs[i];
-      if (job.barrier()) {
-        if (blocked) {
-          im.unemitted[kept++] = i;
-        } else {
-          out.push_back(im.render_barrier(job));
-        }
-        continue;
-      }
-      if (job.handle.valid() && !job.handle.try_get()) {
-        blocked = true;
-        im.unemitted[kept++] = i;
-        continue;
-      }
-      out.push_back(im.render(job));
-    }
-    im.unemitted.resize(kept);
-  } else if (im.input_done) {
-    // Batch contract: nothing emits before EOF; afterwards, input order.
-    // Render the maximal finished prefix; the rest waits for a later
-    // poll.
-    std::size_t taken = 0;
-    while (taken < im.unemitted.size()) {
-      PendingJob& job = im.jobs[im.unemitted[taken]];
-      if (job.barrier()) {
-        out.push_back(im.render_barrier(job));
-      } else if (job.handle.valid() && !job.handle.try_get()) {
-        break;
-      } else {
-        out.push_back(im.render(job));
-      }
-      ++taken;
-    }
-    im.unemitted.erase(im.unemitted.begin(),
-                       im.unemitted.begin() +
-                           static_cast<std::ptrdiff_t>(taken));
+    for (const std::size_t index : ready) im.emit(index, out);
   }
-  return im.input_done && im.unemitted.empty();
+  for (; im.low < im.jobs.size(); ++im.low) {
+    PendingJob& job = im.jobs[im.low];
+    if (job.emitted) continue;
+    if (!job.barrier() &&
+        (im.options.stream ||
+         (job.handle.valid() && !job.handle.try_get()))) {
+      break;  // unfinished (stream mode: its hook reports it)
+    }
+    im.emit(im.low, out);
+  }
+  return drained();
 }
 
 bool StreamSessionCore::drained() const {
   impl_->thread_checker.assert_current_thread();
-  return impl_->input_done && impl_->unemitted.empty();
-}
-
-bool StreamSessionCore::needs_poll() const {
-  impl_->thread_checker.assert_current_thread();
-  if (impl_->unemitted.empty()) return false;
-  return impl_->options.stream || impl_->input_done;
+  return impl_->input_done && impl_->emitted_count == impl_->jobs.size();
 }
 
 std::size_t StreamSessionCore::unemitted_count() const {
   impl_->thread_checker.assert_current_thread();
-  return impl_->unemitted.size();
+  return impl_->jobs.size() - impl_->emitted_count;
 }
 
 bool StreamSessionCore::any_error() const {

@@ -4,14 +4,20 @@
 // lines, submit to the SolveService, emit result lines (input order
 // after EOF, or completion order with "seq" under --stream), answer
 // control lines. StreamSessionCore is that state machine as a
-// non-blocking push/pull core (feed lines in, poll finished result lines
+// non-blocking push/pull core (feed lines in, pull finished result lines
 // out). service::EventServer drives one core per session from its
 // reactor thread — stdin/stdout and every TCP connection alike — so all
 // transports emit identical bytes by construction.
 //
-// Per-session state: job table, seq counter (stream mode numbers each
-// session's accepted jobs 0..n-1), drain barriers. Shared state: the
-// SolveService.
+// Completions are pushed: each accepted job's JobHandle::on_ready hook
+// runs on the solver worker that finishes it, appends the job's index to
+// the core's ready list and calls the driver's notify callback, which
+// wakes the reactor; the reactor then renders only what is on the list.
+// Nothing ever scans the outstanding jobs.
+//
+// Per-session state: job table, ready list, seq counter (stream mode
+// numbers each session's accepted jobs 0..n-1), lowest-unemitted
+// watermark for barriers. Shared state: the SolveService.
 //
 // Control lines handled here: ping, stats (immediate service snapshot:
 // counters, cache stats, latency quantiles — see service_stats.hpp),
@@ -22,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,18 +54,27 @@ struct SessionOptions {
 /// poll_emittable(), which NEVER blocks. Single-threaded: every call
 /// must come from the thread that made the first one (the event
 /// server's reactor); a util::ThreadChecker aborts on a second thread.
+/// The one exception is the ready list, which the jobs' completion hooks
+/// fill from solver workers under its own mutex.
 ///
-/// Emission contract (identical to the historical in-line loop, pinned
-/// by the transport-equality tests):
+/// Emission contract (pinned by the transport-equality tests):
 ///   * stream mode — completion order; every rendered line of an
-///     accepted job carries the next "seq"; a drain/shutdown/export
-///     barrier waits until every entry before it has emitted;
+///     accepted job carries the next "seq" (contiguous from 0). Lines
+///     that became ready before one poll_emittable call render in the
+///     order their jobs finished, not in input order. A drain/shutdown/
+///     export barrier waits until every entry before it has emitted;
 ///   * batch mode — nothing emits before finish_input(); afterwards
 ///     results render in input order (poll_emittable yields the maximal
 ///     finished prefix per call).
 class StreamSessionCore {
  public:
-  StreamSessionCore(SolveService& service, const SessionOptions& options);
+  /// `notify` tells the driver that poll_emittable() may have lines (or
+  /// the session may have drained). It runs on a solver worker inside a
+  /// job's completion hook, or on the driver's own thread from on_line()
+  /// and finish_input(), so it must be thread-safe, short and must not
+  /// call back into this core.
+  StreamSessionCore(SolveService& service, const SessionOptions& options,
+                    std::function<void()> notify);
   ~StreamSessionCore();
 
   StreamSessionCore(const StreamSessionCore&) = delete;
@@ -80,10 +96,6 @@ class StreamSessionCore {
 
   /// True when input is finished and every accepted line has emitted.
   [[nodiscard]] bool drained() const;
-  /// True when poll_emittable could make progress soon: unemitted
-  /// entries exist (stream mode) or exist after EOF (batch mode). The
-  /// event server's completion-sweep cadence keys off this.
-  [[nodiscard]] bool needs_poll() const;
   /// Accepted-but-unemitted lines (jobs and barriers) — nonzero while
   /// work is still in flight, whatever the mode.
   [[nodiscard]] std::size_t unemitted_count() const;

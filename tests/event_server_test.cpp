@@ -3,7 +3,9 @@
 // EOF, a hostile deeply nested line, the global connection cap's
 // fail-fast reject, the fail-closed auth deadline, the idle timeout, and
 // slow-reader backpressure (bounded outbound queue that pauses reading,
-// then drains completely). Every parameterised case runs on both reactor
+// then drains completely), and the pushed completion path (200 prompt
+// round trips, a drain with nothing outstanding, a cache hit that no
+// worker completes). Every parameterised case runs on both reactor
 // backends — epoll and the portable poll fallback. Two more cases pin
 // that shutdown drains a job still solving past the 5 s grace, and that a
 // burst released after the grace reaches a peer that keeps reading. The
@@ -421,6 +423,51 @@ TEST_P(EventServerTest, SlowReaderHitsBackpressureThenDrainsFully) {
   ASSERT_TRUE(client.read_line(line));
   EXPECT_NE(line.find("\"bye\":true"), std::string::npos);
   EXPECT_EQ(fixture.join(), 0);
+}
+
+// Completions are pushed: a lost wakeup would leave each reply to the
+// 100 ms housekeeping wait, about 20 s for the whole run.
+TEST_P(EventServerTest, SequentialRoundTripsAreWokenByCompletions) {
+  ServerFixture fixture(base_options(), /*workers=*/2);
+  BlockingClient client(fixture.port());
+  constexpr int kRounds = 200;
+  const auto start = std::chrono::steady_clock::now();
+  std::string line;
+  for (int i = 0; i < kRounds; ++i) {
+    client.send_line(job_line("r" + std::to_string(i), 100 + i));
+    ASSERT_TRUE(client.read_line(line)) << "no reply to round " << i;
+    ASSERT_NE(line.find("\"id\":\"r" + std::to_string(i) + "\""),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 5s);
+}
+
+TEST_P(EventServerTest, DrainWithNothingOutstandingIsAcknowledged) {
+  ServerFixture fixture(base_options());
+  BlockingClient client(fixture.port());
+  client.send_line(R"({"cmd":"drain","id":"d0"})");
+  std::string line;
+  ASSERT_TRUE(client.read_line(line)) << "the drain was never acknowledged";
+  const util::JsonValue ack = util::parse_json(line);
+  EXPECT_EQ(ack.find("id")->as_string(), "d0");
+  ASSERT_TRUE(ack.find("drained")) << line;
+}
+
+TEST_P(EventServerTest, CacheHitIsEmittedWithoutAWorkerCompletion) {
+  ServerFixture fixture(base_options());
+  BlockingClient client(fixture.port());
+  std::string line;
+  client.send_line(job_line("cold", 9));
+  ASSERT_TRUE(client.read_line(line));
+  // The same job again is served by submit() from the cache: no worker
+  // finishes it, so nothing but the session itself can wake the loop.
+  client.send_line(job_line("hot", 9));
+  ASSERT_TRUE(client.read_line(line)) << "the cache hit was never emitted";
+  const util::JsonValue hot = util::parse_json(line);
+  EXPECT_EQ(hot.find("id")->as_string(), "hot");
+  ASSERT_TRUE(hot.find("cache_hit")) << line;
+  EXPECT_TRUE(hot.find("cache_hit")->as_bool()) << line;
 }
 
 // Not parameterised: it takes the whole ~6 s deadline.

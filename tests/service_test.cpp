@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -256,6 +257,116 @@ TEST(JobHandle, InvalidHandleIsInertEverywhere) {
   EXPECT_EQ(handle.try_get(), nullptr);
   EXPECT_FALSE(handle.cancel());
   EXPECT_EQ(handle.fingerprint(), 0u);
+}
+
+// ------------------------------------------------------ completion hooks
+
+TEST(JobHandleHook, CacheHitFiresOnTheCallersThread) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 8});
+  const auto t = make_test_problem();
+  svc.submit(make_request(t)).wait();
+
+  auto hit = svc.submit(make_request(t));
+  ASSERT_TRUE(hit.try_get()->cache_hit);
+  int calls = 0;
+  std::thread::id caller;
+  hit.on_ready([&] {
+    ++calls;
+    caller = std::this_thread::get_id();
+  });
+  // Fired inside on_ready: no worker ever finishes a cache hit.
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(caller, std::this_thread::get_id());
+}
+
+TEST(JobHandleHook, CoalescedTwinsAreEachNotifiedOnce) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 8});
+  const auto blocker = make_test_problem(30, 7);
+  const auto t = make_test_problem();
+  auto head = svc.submit(make_request(blocker, 200));
+  auto first = svc.submit(make_request(t, 50));
+  auto twin = svc.submit(make_request(t, 50));
+  std::atomic<int> first_calls{0};
+  std::atomic<int> twin_calls{0};
+  first.on_ready([&] { first_calls.fetch_add(1); });
+  twin.on_ready([&] { twin_calls.fetch_add(1); });
+
+  // Hooks run before the response becomes visible to waiters.
+  EXPECT_EQ(first.wait().get(), twin.wait().get());
+  EXPECT_EQ(svc.stats().coalesced, 1u);
+  EXPECT_EQ(first_calls.load(), 1);
+  EXPECT_EQ(twin_calls.load(), 1);
+  head.wait();
+}
+
+TEST(JobHandleHook, HandleReleasedBeforeTheFinishIsNeverCalled) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 8});
+  const auto blocker = make_test_problem(30, 7);
+  const auto t = make_test_problem();
+  auto head = svc.submit(make_request(blocker, 200));
+  auto keeper = svc.submit(make_request(t, 50));  // keeps the job alive
+  std::atomic<int> calls{0};
+  {
+    auto dropped = svc.submit(make_request(t, 50));
+    ASSERT_EQ(svc.stats().coalesced, 1u);
+    dropped.on_ready([&] { calls.fetch_add(1); });
+  }
+  EXPECT_EQ(keeper.wait()->status, core::Status::kCompleted);
+  EXPECT_EQ(calls.load(), 0);
+  head.wait();
+}
+
+TEST(JobHandleHook, ReleaseRacingTheFinishNeverCallsLate) {
+  // Each handle is released at a varying point around its worker's
+  // finish(): the hook may run before the release, never after it.
+  const auto late = std::make_shared<std::atomic<int>>(0);
+  service::SolveService svc({.workers = 2, .cache_capacity = 0});
+  const auto t = make_test_problem(20);
+  for (int i = 0; i < 200; ++i) {
+    const auto released = std::make_shared<std::atomic<bool>>(false);
+    auto handle = svc.submit(make_request(t, 1, 1000 + i));
+    handle.on_ready([late, released] {
+      if (released->load()) late->fetch_add(1);
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(10 * (i % 20)));
+    handle = service::JobHandle{};
+    released->store(true);
+  }
+  svc.shutdown();  // every job has finished
+  EXPECT_EQ(late->load(), 0);
+}
+
+TEST(JobHandleHook, MovesCarryTheRegistration) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 8});
+  const auto blocker = make_test_problem(30, 7);
+  const auto t = make_test_problem();
+  auto head = svc.submit(make_request(blocker, 200));
+  auto keeper = svc.submit(make_request(t, 50));  // keeps the job alive
+  std::atomic<int> moved_to_calls{0};
+  std::atomic<int> moved_from_calls{0};
+  std::atomic<int> released_calls{0};
+  service::JobHandle moved_to;
+  {
+    auto moved_from = svc.submit(make_request(t, 50));
+    moved_from.on_ready([&] { moved_to_calls.fetch_add(1); });
+    moved_to = std::move(moved_from);
+    // NOLINTNEXTLINE(bugprone-use-after-move): moved-from must be inert
+    moved_from.on_ready([&] { moved_from_calls.fetch_add(1); });
+  }  // destroying the moved-from handle must not remove the registration
+  {
+    auto first = svc.submit(make_request(t, 50));
+    first.on_ready([&] { released_calls.fetch_add(1); });
+    service::JobHandle second(std::move(first));
+    service::JobHandle third;
+    third = std::move(second);
+  }  // the last handle the registration moved to is released: it goes too
+  EXPECT_EQ(svc.stats().coalesced, 2u);
+  EXPECT_EQ(keeper.wait()->status, core::Status::kCompleted);
+  EXPECT_EQ(moved_to.wait()->status, core::Status::kCompleted);
+  EXPECT_EQ(moved_to_calls.load(), 1);
+  EXPECT_EQ(moved_from_calls.load(), 0);
+  EXPECT_EQ(released_calls.load(), 0);
+  head.wait();
 }
 
 TEST(SolveService, PriorityOrdersQueuedJobs) {

@@ -128,6 +128,7 @@ TEST(StreamSessionStats, TraceEchoesATimingObjectOnlyWhenAsked) {
       const double solve = timing->find("solve_ms")->as_double();
       const double emit = timing->find("emit_ms")->as_double();
       const double total = timing->find("total_ms")->as_double();
+      const double e2e = timing->find("e2e_ms")->as_double();
       EXPECT_GE(queue, 0.0);
       EXPECT_GE(setup, 0.0);
       EXPECT_GT(solve, 0.0);
@@ -135,6 +136,8 @@ TEST(StreamSessionStats, TraceEchoesATimingObjectOnlyWhenAsked) {
       // Stages nest inside the submit->response total.
       EXPECT_LE(solve, total + 1e-6);
       EXPECT_LE(queue + setup + solve, total + 1.0);
+      // e2e_ms is the whole of it: submit -> line rendered.
+      EXPECT_NEAR(e2e, total + emit, 1e-3);
       // "timing" must precede "seq": the shard router remaps seq by
       // rewriting the line's ,"seq":N} tail.
       EXPECT_LT(line.find("\"timing\""), line.find("\"seq\"")) << line;
