@@ -140,26 +140,34 @@ bool Connection::pump_writes() {
 }
 
 std::vector<std::string> Connection::read_lines(bool final_line_at_eof) {
-  if (fd_ >= 0 && !eof_) {
-    switch (read_available(fd_, framer_)) {
-      case ReadStatus::kOk:
-        break;
-      case ReadStatus::kEof:
-        eof_ = true;
-        if (final_line_at_eof && framer_.partial_bytes() > 0) {
-          framer_.feed("\n", 1);
-        }
-        break;
-      case ReadStatus::kError:
-        eof_ = true;
-        break;
+  char buf[4096];
+  while (fd_ >= 0 && !eof_) {
+    const ssize_t n = ::read(fd_, buf, sizeof buf);
+    if (n > 0) {
+      framer_.feed(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // 0 is an orderly close; an error (ECONNRESET) a peer that vanished.
+    eof_ = true;
+    if (n == 0 && final_line_at_eof && framer_.partial_bytes() > 0) {
+      framer_.feed("\n", 1);
     }
   }
   return framer_.take_lines();
 }
 
 void Connection::shutdown_write() {
-  if (out_fd_ >= 0) ::shutdown(out_fd_, SHUT_WR);
+  if (out_fd_ < 0) return;
+  if (out_fd_ == fd_) {
+    ::shutdown(out_fd_, SHUT_WR);
+    return;
+  }
+  // A split pair's write fd is its own file (a pipe, stdout): closing it
+  // is the only way its reader sees EOF — shutdown() wants a socket.
+  ::close(out_fd_);
+  out_fd_ = -1;
 }
 
 void Connection::close() {

@@ -2,18 +2,19 @@
 //
 // One Connection wraps one connected stream fd (TCP socket, socketpair
 // end, ...), or a pre-connected pair that it reads from one fd and
-// writes to the other (stdin/stdout), and speaks newline-delimited lines
-// over it with the same buffering discipline as the pipe transport:
-// outbound lines accumulate in user space and flush as the kernel
-// accepts them (pump_writes), so a single thread can multiplex many
-// connections without ever blocking on a full send buffer; inbound bytes
-// accumulate until complete lines are available (read_lines). A half-line
-// at EOF is dropped unless the caller asks for it (a request stream's
-// final line may lack its '\n').
+// writes to the other (stdin/stdout, a child process's pipes), and
+// speaks newline-delimited lines over it: every transport in the tree
+// shares this one buffering discipline. Outbound lines accumulate in
+// user space and flush as the kernel accepts them (pump_writes), so a
+// single thread can multiplex many connections without ever blocking on
+// a full send buffer; inbound bytes accumulate until complete lines are
+// available (read_lines). A half-line at EOF is dropped unless the
+// caller asks for it (a request stream's final line may lack its '\n').
 //
 // Lifecycle: eof() becomes true when the peer closed its write side (or
 // the connection reset); broken() when our writes started failing. The
-// owner polls fd() for readability. Move-only; the destructor closes.
+// owner polls fd() for readability (and out_fd() for writability while
+// bytes are queued). Move-only; the destructor closes.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +60,10 @@ class Connection {
   /// is returned too (a reset still drops it).
   std::vector<std::string> read_lines(bool final_line_at_eof = false);
 
-  /// Half-close: signals EOF to the peer (shutdown(SHUT_WR)) while the
-  /// read side stays open — the graceful "no more requests" signal.
+  /// Half-close: signals EOF to the peer while the read side stays open
+  /// — the graceful "no more requests" signal. A socket gets
+  /// shutdown(SHUT_WR); a split pair closes its write fd (out_fd() is -1
+  /// afterwards).
   void shutdown_write();
 
   /// Closes the fd outright (both directions).

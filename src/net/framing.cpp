@@ -1,8 +1,6 @@
 #include "net/framing.hpp"
 
-#include <errno.h>
 #include <signal.h>
-#include <unistd.h>
 
 #include <mutex>
 
@@ -28,38 +26,6 @@ std::vector<std::string> LineFramer::take_lines() {
   }
   buffer_.erase(0, start);
   return lines;
-}
-
-ReadStatus read_available(int fd, LineFramer& framer) {
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n > 0) {
-      framer.feed(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) return ReadStatus::kEof;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadStatus::kOk;
-    // ECONNRESET and friends: the peer vanished without an orderly close.
-    return ReadStatus::kError;
-  }
-}
-
-WriteStatus write_some(int fd, std::string& buffer) {
-  while (!buffer.empty()) {
-    const ssize_t n = ::write(fd, buffer.data(), buffer.size());
-    if (n > 0) {
-      buffer.erase(0, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return WriteStatus::kBlocked;
-    }
-    return WriteStatus::kBroken;  // EPIPE / ECONNRESET / hard error
-  }
-  return WriteStatus::kOk;
 }
 
 }  // namespace saim::net

@@ -1,52 +1,20 @@
 #include "net/socket_child.hpp"
 
-#include <utility>
-
 #include "util/jsonl.hpp"
 
 namespace saim::net {
 
-SocketChild::SocketChild(std::string host, int port, std::string auth_token)
-    : host_(std::move(host)),
-      port_(port),
-      connection_(connect_to(host_, port_)) {
+SocketChild::SocketChild(const std::string& host, int port,
+                         const std::string& auth_token)
+    : ShardEndpoint(connect_to(host, port)) {
   if (!auth_token.empty()) {
     // The handshake must be the first line on the wire, ahead of any job
     // the caller queues; the server reads it before creating a session.
     util::JsonWriter hello;
     hello.field("auth", auth_token);
-    connection_.send_line(hello.str());
-    connection_.pump_writes();
+    conn_.send_line(hello.str());
+    conn_.pump_writes();
   }
-}
-
-void SocketChild::send_line(const std::string& line) {
-  connection_.send_line(line);
-}
-
-bool SocketChild::pump_writes() { return connection_.pump_writes(); }
-
-std::vector<std::string> SocketChild::read_lines() {
-  return connection_.read_lines();
-}
-
-void SocketChild::shutdown_input() { connection_.shutdown_write(); }
-
-void SocketChild::terminate() { connection_.close(); }
-
-bool SocketChild::eof() const {
-  // A closed fd means terminate() ran: nothing more will ever arrive.
-  return connection_.eof() || connection_.fd() < 0;
-}
-
-int SocketChild::read_fd() const { return connection_.fd(); }
-
-std::size_t SocketChild::outbound_bytes() const {
-  return connection_.outbound_bytes();
-}
-
-std::string SocketChild::describe() const {
-  return "tcp " + host_ + ":" + std::to_string(port_);
 }
 
 }  // namespace saim::net

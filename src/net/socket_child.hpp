@@ -1,12 +1,12 @@
 // net::SocketChild — a shard reached over TCP.
 //
 // The socket twin of service::ProcessChild: where ProcessChild fork/execs
-// a local `saim_serve --stream` and speaks through pipes, SocketChild
+// a local `saim_serve --stream` and speaks through its pipes, SocketChild
 // connects to a remote `saim_serve --listen <host:port>` (started by an
-// operator on any machine) and speaks the identical line protocol through
-// a net::Connection. The ShardRouter cannot tell them apart — that is the
-// point: `saim_shard --connect host:port` joins remote shards into the
-// same consistent-hash ring as local forks.
+// operator on any machine) and speaks the identical line protocol
+// through the same ShardEndpoint Connection. The ShardRouter cannot tell
+// them apart — that is the point: `saim_shard --connect host:port` joins
+// remote shards into the same consistent-hash ring as local forks.
 //
 // Death model: a closed/reset connection surfaces as eof(), feeding the
 // same EOF-before-down failover path as a crashed local child. The
@@ -15,9 +15,7 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "net/connection.hpp"
 #include "net/shard_endpoint.hpp"
 
 namespace saim::net {
@@ -29,25 +27,11 @@ class SocketChild : public ShardEndpoint {
   /// non-empty `auth_token` is presented as the session's first line
   /// ({"auth":"..."}) — required by servers started with --auth-token,
   /// which close unauthenticated sessions before reading any job.
-  SocketChild(std::string host, int port, std::string auth_token = "");
+  SocketChild(const std::string& host, int port,
+              const std::string& auth_token = "");
 
-  void send_line(const std::string& line) override;
-  bool pump_writes() override;
-  std::vector<std::string> read_lines() override;
-  void shutdown_input() override;
-  void terminate() override;
-  [[nodiscard]] bool eof() const override;
-  [[nodiscard]] int read_fd() const override;
-  [[nodiscard]] std::size_t outbound_bytes() const override;
-  [[nodiscard]] std::string describe() const override;
-
-  [[nodiscard]] const std::string& host() const noexcept { return host_; }
-  [[nodiscard]] int port() const noexcept { return port_; }
-
- private:
-  std::string host_;
-  int port_ = 0;
-  Connection connection_;
+  /// Closes the socket: eof() from here on.
+  void terminate() override { conn_.close(); }
 };
 
 }  // namespace saim::net

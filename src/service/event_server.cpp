@@ -278,6 +278,14 @@ void EventServer::process_pending_lines(Client& client) {
 bool EventServer::update_client(Client& client) {
   client.conn.pump_writes();
   if (client.kill || client.conn.broken()) {
+    if (!listener_) {
+      // The fd-pair session IS the process's output: once it breaks,
+      // results are lost, and the exit status must say so. (A --listen
+      // client that vanishes is its own business.)
+      util::log_warn() << "saim_serve: output closed before every result "
+                          "was written";
+      any_error_ = true;
+    }
     close_client(client);
     return false;
   }

@@ -59,6 +59,9 @@
 // of its queued output for 5 s is dropped, and not before 5 s of grace
 // have passed. run() returns saim_serve's session exit code: 0, or 1 if
 // any session emitted an error line or was dropped with output unsent.
+// An fd-pair session whose output breaks (a `| head -1` reader that
+// left) is dropped at once — nothing it renders can be delivered — and
+// also makes the exit code 1.
 #pragma once
 
 #include <atomic>
@@ -134,7 +137,8 @@ class EventServer {
   /// until a session's {"cmd":"shutdown"} or stop(), an fd-pair server
   /// until its one session ends. Returns the saim_serve exit code: 1
   /// when any session produced an error line or was dropped with output
-  /// unsent, else 0. Call from exactly one thread.
+  /// unsent, or the fd-pair session's output broke; else 0. Call from
+  /// exactly one thread.
   int run();
 
   /// Thread-safe: asks run() to begin the graceful shutdown sequence.

@@ -1,34 +1,15 @@
 #include "service/process_child.hpp"
 
-#include <errno.h>
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstring>
-#include <mutex>
 #include <stdexcept>
 
 namespace saim::service {
 
-namespace {
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void set_cloexec(int fd) {
-  const int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
-
-}  // namespace
-
 ProcessChild::ProcessChild(std::vector<std::string> argv) {
   if (argv.empty()) throw std::runtime_error("ProcessChild: empty argv");
-  net::ignore_sigpipe_once();
 
   int to_child[2];   // parent writes [1] -> child reads [0]
   int from_child[2]; // child writes [1] -> parent reads [0]
@@ -81,68 +62,17 @@ ProcessChild::ProcessChild(std::vector<std::string> argv) {
   }
 
   pid_ = pid;
-  in_fd_ = to_child[1];
-  out_fd_ = from_child[0];
   ::close(to_child[0]);
   ::close(from_child[1]);
-  set_nonblocking(in_fd_);
-  set_nonblocking(out_fd_);
-  set_cloexec(in_fd_);
-  set_cloexec(out_fd_);
+  conn_ = net::Connection(from_child[0], to_child[1]);
 }
 
 ProcessChild::~ProcessChild() {
-  close_stdin();
-  if (out_fd_ >= 0) {
-    ::close(out_fd_);
-    out_fd_ = -1;
-  }
+  conn_.close();
   if (!reaped_ && pid_ > 0) {
     ::kill(pid_, SIGKILL);
     ::waitpid(pid_, &status_, 0);
     reaped_ = true;
-  }
-}
-
-void ProcessChild::send_line(const std::string& line) {
-  if (write_broken_ || in_fd_ < 0) return;
-  outbuf_ += line;
-  outbuf_ += '\n';
-}
-
-bool ProcessChild::pump_writes() {
-  if (write_broken_) return false;
-  if (in_fd_ < 0 || outbuf_.empty()) return true;
-  switch (net::write_some(in_fd_, outbuf_)) {
-    case net::WriteStatus::kOk:
-    case net::WriteStatus::kBlocked:
-      return true;
-    case net::WriteStatus::kBroken:
-      write_broken_ = true;  // EPIPE or a real error: the child is gone
-      outbuf_.clear();
-      return false;
-  }
-  return false;  // unreachable
-}
-
-std::vector<std::string> ProcessChild::read_lines() {
-  if (out_fd_ >= 0 && !eof_) {
-    switch (net::read_available(out_fd_, framer_)) {
-      case net::ReadStatus::kOk:
-        break;
-      case net::ReadStatus::kEof:
-      case net::ReadStatus::kError:
-        eof_ = true;
-        break;
-    }
-  }
-  return framer_.take_lines();
-}
-
-void ProcessChild::close_stdin() {
-  if (in_fd_ >= 0) {
-    ::close(in_fd_);
-    in_fd_ = -1;
   }
 }
 

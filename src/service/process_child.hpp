@@ -3,20 +3,21 @@
 // The sharding front door (tools/saim_shard, service/shard_router) runs
 // each local shard as a `saim_serve --stream` child process and speaks
 // the JSONL protocol to it through this wrapper: fork/exec with
-// stdin/stdout piped back to the parent, both parent ends non-blocking so
-// one thread can multiplex many children without ever deadlocking on a
-// full pipe (outbound lines buffer in user space until the child drains
-// them; inbound bytes accumulate until a full line is available). It is
-// the pipe implementation of net::ShardEndpoint — the Supervisor drives
-// it and net::SocketChild (TCP) through one interface.
+// stdin/stdout piped back to the parent. It is the pipe implementation
+// of net::ShardEndpoint, whose Connection holds both parent ends as one
+// split pair (reads the child's stdout, writes its stdin) and does all
+// the line work; ProcessChild adds only the process: fork/exec, kill,
+// reap and the exit status. The Supervisor drives it and
+// net::SocketChild (TCP) through that one base.
 //
 // Lifecycle: the child is alive until running() observes its exit via
-// waitpid(WNOHANG). A clean shutdown is shutdown_input() (close stdin) —
-// saim_serve answers EOF by emitting every remaining result and exiting —
-// followed by reading until eof(). The destructor is the crash path: it
-// SIGKILLs and reaps whatever is still alive, so a throwing caller never
-// leaks a process. SIGPIPE is ignored process-wide on first use (writes
-// to a dead child report EPIPE instead of killing the router).
+// waitpid(WNOHANG). A clean shutdown is shutdown_input() (close the
+// child's stdin) — saim_serve answers EOF by emitting every remaining
+// result and exiting — followed by reading until eof(). The destructor
+// is the crash path: it SIGKILLs and reaps whatever is still alive, so a
+// throwing caller never leaks a process. SIGPIPE is ignored process-wide
+// on first use (writes to a dead child report EPIPE instead of killing
+// the router).
 //
 // The child starts in its own process group with SIGINT/SIGTERM/SIGPIPE
 // restored to their defaults: a Ctrl-C aimed at the front door must not
@@ -31,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "net/framing.hpp"
 #include "net/shard_endpoint.hpp"
 
 namespace saim::service {
@@ -45,26 +45,6 @@ class ProcessChild : public net::ShardEndpoint {
   explicit ProcessChild(std::vector<std::string> argv);
   ~ProcessChild() override;
 
-  ProcessChild(const ProcessChild&) = delete;
-  ProcessChild& operator=(const ProcessChild&) = delete;
-
-  /// Queues `line` (plus the trailing newline) for the child's stdin.
-  void send_line(const std::string& line) override;
-
-  /// Flushes as much queued output as the pipe accepts right now.
-  /// Returns false once the pipe is broken (child gone); queued bytes
-  /// are then discarded.
-  bool pump_writes() override;
-
-  /// Non-blocking read: drains whatever the child has written and returns
-  /// the complete lines (without newlines). Sets eof() when the child
-  /// closed its end; a trailing half-line at EOF is dropped.
-  std::vector<std::string> read_lines() override;
-
-  /// Closes the child's stdin — the graceful drain signal.
-  void shutdown_input() override { close_stdin(); }
-  void close_stdin();
-
   /// Sends `signal` (e.g. SIGKILL) if the child has not been reaped yet.
   void kill(int signal);
   void terminate() override { kill(SIGKILL); }
@@ -76,31 +56,13 @@ class ProcessChild : public net::ShardEndpoint {
   /// Polls waitpid(WNOHANG); false once the child exited and was reaped.
   [[nodiscard]] bool running();
 
-  /// True once the child closed its stdout (all output received).
-  [[nodiscard]] bool eof() const noexcept override { return eof_; }
-
   /// Raw waitpid status; meaningful once running() returned false.
   [[nodiscard]] int exit_status() const noexcept { return status_; }
 
   [[nodiscard]] pid_t pid() const noexcept { return pid_; }
-  /// The fd to poll() for readability.
-  [[nodiscard]] int read_fd() const noexcept override { return out_fd_; }
-  /// Bytes queued but not yet accepted by the pipe.
-  [[nodiscard]] std::size_t outbound_bytes() const noexcept override {
-    return outbuf_.size();
-  }
-  [[nodiscard]] std::string describe() const override {
-    return "pid " + std::to_string(pid_);
-  }
 
  private:
   pid_t pid_ = -1;
-  int in_fd_ = -1;   ///< parent write end -> child stdin
-  int out_fd_ = -1;  ///< parent read end  <- child stdout
-  std::string outbuf_;
-  net::LineFramer framer_;
-  bool write_broken_ = false;
-  bool eof_ = false;
   bool reaped_ = false;
   int status_ = 0;
 };

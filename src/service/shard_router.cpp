@@ -507,7 +507,8 @@ void ShardRouter::requeue_inflight(std::size_t shard) {
   }
 }
 
-std::size_t ShardRouter::dispatch_hedges() {
+std::size_t ShardRouter::dispatch_hedges(
+    std::chrono::steady_clock::time_point* next_due) {
   thread_checker_.assert_current_thread();
   if (options_.hedge_min_ms <= 0.0 || options_.replicas < 2 ||
       ring_.shard_count() < 2) {
@@ -516,18 +517,26 @@ std::size_t ShardRouter::dispatch_hedges() {
   const auto now = std::chrono::steady_clock::now();
   std::size_t dispatched = 0;
   for (auto& [token, job] : jobs_) {
-    if (!job.inflight || job.hedge_shard) continue;
+    if (job.hedge_shard) continue;
     // Adaptive threshold: this shard's observed round-trip p95, floored
     // by hedge_min_ms so an empty histogram (or a pathologically fast
-    // one) cannot trigger a hedge storm.
+    // one) cannot trigger a hedge storm. A job not yet written is due no
+    // sooner than hedge_min_ms from now.
     double threshold_ms = options_.hedge_min_ms;
-    const obs::HistogramSnapshot snap = latency_snapshot(job.shard);
-    if (snap.count > 0) {
-      threshold_ms = std::max(threshold_ms, snap.quantile(0.95));
+    if (job.inflight) {
+      const obs::HistogramSnapshot snap = latency_snapshot(job.shard);
+      if (snap.count > 0) {
+        threshold_ms = std::max(threshold_ms, snap.quantile(0.95));
+      }
     }
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(now - job.sent_at).count();
-    if (elapsed_ms < threshold_ms) continue;
+    const auto due = (job.inflight ? job.sent_at : now) +
+                     std::chrono::ceil<std::chrono::steady_clock::duration>(
+                         std::chrono::duration<double, std::milli>(
+                             threshold_ms));
+    if (!job.inflight || now < due) {
+      if (next_due) *next_due = std::min(*next_due, due);
+      continue;
+    }
     // The hedge target: the first replica that is not the job's own
     // shard. replicas() only walks live shards, so the target can take
     // the copy right now.

@@ -189,8 +189,12 @@ class ShardRouter {
   /// replica. The first result to come back wins (on_child_line dedupes
   /// by token); the loser's line is swallowed as a late duplicate and
   /// both copies' window slots are released. Call once per pump cycle.
-  /// Returns the number of hedges dispatched.
-  std::size_t dispatch_hedges();
+  /// Returns the number of hedges dispatched; with `next_due`, also
+  /// lowers it to the earliest moment a job not yet hedged can fall due
+  /// (a job still waiting to be written counts as written now), so the
+  /// caller may sleep until then.
+  std::size_t dispatch_hedges(
+      std::chrono::steady_clock::time_point* next_due = nullptr);
 
   /// Moves `shard`'s written-but-unanswered jobs back to the head of its
   /// pending queue (original accept order): the sole-shard respawn path,

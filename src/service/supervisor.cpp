@@ -1,12 +1,11 @@
 #include "service/supervisor.hpp"
 
-#include <poll.h>
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "net/socket_child.hpp"
@@ -92,7 +91,7 @@ std::size_t Supervisor::desired_locals() const {
   return count;
 }
 
-std::vector<std::string> Supervisor::pump(int poll_ms) {
+std::vector<std::string> Supervisor::pump(int max_wait_ms) {
   thread_checker_.assert_current_thread();
   std::vector<std::string> out;
   std::swap(out, deferred_out_);
@@ -108,7 +107,8 @@ std::vector<std::string> Supervisor::pump(int poll_ms) {
   // Hedge pass: queue replica copies of jobs stuck in flight past their
   // shard's adaptive threshold, so the send loop below writes them in
   // this same cycle.
-  router_.dispatch_hedges();
+  auto next_hedge = Clock::time_point::max();
+  router_.dispatch_hedges(&next_hedge);
 
   // Send: fill each live shard's window; keep flushing retiring shards
   // so their farewell control lines leave the user-space buffer, then
@@ -123,8 +123,10 @@ std::vector<std::string> Supervisor::pump(int poll_ms) {
       }
       if (now >= slot.retire_deadline) {
         // Wedged retiree (not reading, not exiting): it already left the
-        // ring and its jobs were requeued, so cut it loose.
+        // ring and its jobs were requeued, so cut it loose — once; its
+        // EOF is what wakes the loop next.
         slot.endpoint->terminate();
+        slot.retire_deadline = Clock::time_point::max();
       }
       continue;
     }
@@ -133,23 +135,10 @@ std::vector<std::string> Supervisor::pump(int poll_ms) {
     slot.endpoint->pump_writes();
   }
 
-  // Wait for output anywhere (live or retiring).
-  std::vector<pollfd> fds;
-  fds.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    if (slot.endpoint && !slot.endpoint->eof() &&
-        slot.endpoint->read_fd() >= 0) {
-      fds.push_back(pollfd{slot.endpoint->read_fd(), POLLIN, 0});
-    }
-  }
-  if (!fds.empty() && poll_ms >= 0) {
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), poll_ms);
-  } else if (poll_ms > 0) {
-    // Nothing pollable (every endpoint dead, respawns on backoff):
-    // honor the wait anyway so the caller's loop does not spin hot
-    // through the backoff window.
-    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-  }
+  // Wait for output anywhere (live or retiring), room on a full pipe,
+  // a caller's fd or the next deadline — not at all with lines to return.
+  watch_endpoints();
+  loop_.run_once(out.empty() ? wait_ms(max_wait_ms, next_hedge) : 0);
 
   // Read everyone — retiring shards included, so results they computed
   // before departure are harvested, not recomputed. Deaths are declared
@@ -184,16 +173,21 @@ std::vector<std::string> Supervisor::pump(int poll_ms) {
   }
 
   send_health_pings();
+  const auto after_wait = Clock::now();
   if (options_.gossip_ms > 0 &&
-      now - last_gossip_ >= std::chrono::milliseconds(options_.gossip_ms)) {
+      after_wait - last_gossip_ >=
+          std::chrono::milliseconds(options_.gossip_ms)) {
     // Periodic warm-pool gossip: the same export_warm probe the
     // membership-change handoff uses, on a timer — replies route through
     // forward_warm above on later pumps, warming replicas that joined
     // (or respawned) after the pool entries were found.
-    last_gossip_ = now;
+    last_gossip_ = after_wait;
     request_warm_rebalance();
   }
   advance_stats_probes(&out);
+  // Endpoints that died or retired above closed their fds: deregister
+  // them now, before the caller can open an fd that reuses a number.
+  watch_endpoints();
   return out;
 }
 
@@ -616,8 +610,11 @@ void Supervisor::shutdown_fleet(int grace_ms) {
       slot.endpoint->reap();
       slot.endpoint.reset();
     }
-    if (!open || Clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (!open || left.count() <= 0) break;
+    watch_endpoints();
+    loop_.run_once(static_cast<int>(left.count()));
   }
   for (Slot& slot : slots_) {
     if (slot.endpoint) {
@@ -625,6 +622,62 @@ void Supervisor::shutdown_fleet(int grace_ms) {
       slot.endpoint.reset();       // dtor reaps
     }
   }
+  watch_endpoints();
+}
+
+void Supervisor::watch_endpoints() {
+  std::map<int, std::uint32_t> want;
+  for (const Slot& slot : slots_) {
+    const net::ShardEndpoint* endpoint = slot.endpoint.get();
+    if (!endpoint) continue;
+    if (!endpoint->eof() && endpoint->read_fd() >= 0) {
+      want[endpoint->read_fd()] |= net::EventLoop::kRead;
+    }
+    if (endpoint->outbound_bytes() > 0 && endpoint->write_fd() >= 0) {
+      want[endpoint->write_fd()] |= net::EventLoop::kWrite;
+    }
+  }
+  for (const auto& [fd, interest] : watched_) {
+    if (!want.contains(fd)) loop_.remove_fd(fd);
+  }
+  for (const auto& [fd, interest] : want) {
+    const auto it = watched_.find(fd);
+    if (it == watched_.end() || it->second != interest) {
+      loop_.add_fd(fd, interest, [](std::uint32_t) {});
+    }
+  }
+  watched_ = std::move(want);
+}
+
+int Supervisor::wait_ms(int max_wait_ms, Clock::time_point next_hedge) const {
+  const auto now = Clock::now();
+  Clock::time_point next = next_hedge;
+  for (const Slot& slot : slots_) {
+    // A socket endpoint terminated since the last read pass has closed
+    // its fd: nothing will wake the loop for it, so go observe its EOF.
+    if (slot.endpoint && slot.endpoint->eof()) return 0;
+    if (slot.respawn_pending) next = std::min(next, slot.respawn_at);
+    if (slot.retiring && slot.endpoint) {
+      next = std::min(next, slot.retire_deadline);
+    }
+  }
+  for (const StatsProbe& probe : stats_probes_) {
+    next = std::min(next, probe.deadline);
+  }
+  for (const auto& [last, every_ms] :
+       {std::pair{last_ping_, options_.ping_ms},
+        std::pair{last_gossip_, options_.gossip_ms}}) {
+    if (every_ms > 0) {
+      next = std::min(next, last + std::chrono::milliseconds(every_ms));
+    }
+  }
+  if (next == Clock::time_point::max()) return max_wait_ms;
+  // Rounded up: waking a fraction of a millisecond early would find the
+  // deadline not yet due and spin through zero-length waits.
+  const auto until = std::max<std::int64_t>(
+      0, std::chrono::ceil<std::chrono::milliseconds>(next - now).count());
+  if (max_wait_ms >= 0 && max_wait_ms < until) return max_wait_ms;
+  return static_cast<int>(std::min<std::int64_t>(until, INT32_MAX));
 }
 
 }  // namespace saim::service

@@ -43,8 +43,15 @@
 //     the same death/respawn path.
 //
 // Single-threaded like the router: the owning loop calls pump()
-// repeatedly; every management action advances inside pump. With
-// respawn, reconnect_remotes and ping_ms all off it is a plain
+// repeatedly; every management action advances inside pump. The
+// Supervisor owns that thread's one reactor, a net::EventLoop on the
+// poll backend (a fleet has a handful of fds, and a caller's --input may
+// be a regular file, which epoll rejects). pump() waits there until an
+// endpoint has output (or room for queued input), a caller's fd fires
+// (saim_shard's stdin/stdout), loop().wakeup() is called, or the
+// earliest deadline the fleet already keeps falls due.
+//
+// With respawn, reconnect_remotes and ping_ms all off it is a plain
 // fixed-membership pump — a dead shard stays dead and its unanswered
 // jobs fail over to the survivors — which is how the failover tests and
 // bench/service_throughput drive it.
@@ -60,6 +67,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "net/shard_endpoint.hpp"
 #include "service/shard_router.hpp"
 #include "util/thread_checker.hpp"
@@ -129,10 +137,16 @@ class Supervisor {
   /// Throws std::runtime_error when the connection fails.
   void attach_remote(std::size_t slot, const std::string& host, int port);
 
-  /// One cycle: flush windows, poll, route lines, advance deaths /
-  /// respawns / retirements / warm handoffs / health probes. Returns
-  /// result lines to emit downstream, in order.
-  std::vector<std::string> pump(int poll_ms);
+  /// One cycle: flush windows, wait on loop() (at most `max_wait_ms`,
+  /// negative = unbounded, and never past the fleet's next deadline),
+  /// route lines, advance deaths / respawns / retirements / warm
+  /// handoffs / health probes. Returns result lines to emit downstream,
+  /// in order.
+  std::vector<std::string> pump(int max_wait_ms);
+
+  /// The reactor pump() waits on. A caller's fds registered here end the
+  /// wait; their callbacks run inside pump.
+  [[nodiscard]] net::EventLoop& loop() noexcept { return loop_; }
 
   /// Fleet stats: broadcasts a {"cmd":"stats"} probe to every live shard
   /// and registers an aggregation keyed by `reply_id`. Once every probed
@@ -209,6 +223,17 @@ class Supervisor {
   /// owner plus the next R-1 shards), skipping the donor itself.
   void forward_warm(std::size_t donor, const std::string& warm_json);
   void send_health_pings();
+  /// Registers on loop_ each endpoint's read fd until EOF and its write
+  /// fd while bytes are queued. Keyed by the fds recorded at the last
+  /// call, so one an endpoint already closed (terminate()) is dropped
+  /// without asking the endpoint.
+  void watch_endpoints();
+  /// `max_wait_ms` clamped to the earliest deadline the fleet keeps: a
+  /// respawn backoff, a retiree's grace, a stats probe, the next ping or
+  /// gossip round, the router's `next_hedge`.
+  [[nodiscard]] int wait_ms(int max_wait_ms,
+                            std::chrono::steady_clock::time_point next_hedge)
+      const;
   /// Emits every complete (or expired) fleet-stats aggregation.
   void advance_stats_probes(std::vector<std::string>* out);
   [[nodiscard]] std::string fleet_stats_line(const StatsProbe& probe) const;
@@ -219,6 +244,9 @@ class Supervisor {
 
   ShardRouter& router_;
   SupervisorOptions options_;
+  net::EventLoop loop_{/*force_poll=*/true};
+  /// fd -> interest registered by watch_endpoints().
+  std::map<int, std::uint32_t> watched_;
   std::vector<Slot> slots_;
   std::vector<std::string> deferred_out_;
   std::vector<StatsProbe> stats_probes_;

@@ -15,6 +15,8 @@
 #      another pipe's write end as stdout; the O_NONBLOCK bit of those
 #      shared open file descriptions is as before the run once it exits,
 #      whether it ends at EOF or is killed by SIGTERM mid-session.
+#   8. A reader that leaves early (`| head -1`) makes saim_serve exit 1:
+#      results were lost.
 #
 # Usage: tests/e2e/serve_stdin.sh SAIM_SERVE
 # (ctest passes the built binary.)
@@ -165,4 +167,14 @@ check_flags_restored(kill=False)
 check_flags_restored(kill=True)
 EOF
 
-echo 'serve stdin OK: smokes, transports, last line, shutdown, exit codes, fd flags'
+# 8. Lost output is a failure.
+for k in $(seq 1 400); do
+  echo "{\"id\":\"h${k}\",\"gen\":\"qkp:30-25-$((k % 8 + 1))\",\"iterations\":2,\"sweeps\":20,\"seed\":${k}}"
+done > many_jobs.jsonl
+set +o pipefail
+"$serve" --stream < many_jobs.jsonl 2> /dev/null | head -1 > head_out.jsonl
+rc=${PIPESTATUS[0]}
+set -o pipefail
+[[ $rc -eq 1 ]] || { echo "| head -1: exit $rc, want 1" >&2; exit 1; }
+
+echo 'serve stdin OK: smokes, transports, last line, shutdown, exit codes, fd flags, lost output'

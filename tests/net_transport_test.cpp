@@ -9,6 +9,7 @@
 // not perturb solver output.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -155,11 +156,50 @@ TEST(Connection, WriteToClosedPeerBreaksInsteadOfKilling) {
   pair.a.send_line("into the void");
   // One pump may succeed into the kernel buffer; repeated pumps must
   // surface the break without raising SIGPIPE (process-wide ignore is
-  // installed by ProcessChild; sockets use send-side error returns).
+  // installed by every Connection).
   for (int i = 0; i < 10 && pair.a.pump_writes(); ++i) {
     pair.a.send_line("more");
   }
   EXPECT_TRUE(pair.a.broken() || pair.a.outbound_bytes() == 0);
+}
+
+TEST(Connection, ShutdownWriteOnASplitPipePairSignalsEofAndKeepsReading) {
+  // The ProcessChild shape: read one pipe, write another. shutdown()
+  // would fail with ENOTSOCK here; the write pipe must be closed instead.
+  int inbound[2];
+  int outbound[2];
+  ASSERT_EQ(::pipe(inbound), 0);
+  ASSERT_EQ(::pipe(outbound), 0);
+  Connection conn(inbound[0], outbound[1]);
+  conn.send_line("last request");
+  ASSERT_TRUE(conn.pump_writes());
+  conn.shutdown_write();
+  EXPECT_EQ(conn.out_fd(), -1);
+
+  // The far end reads the queued line, then EOF.
+  std::string received;
+  char buf[256];
+  for (;;) {
+    pollfd ready{outbound[0], POLLIN, 0};
+    ASSERT_EQ(::poll(&ready, 1, 5000), 1) << "no EOF: the write pipe is open";
+    const ssize_t n = ::read(outbound[0], buf, sizeof buf);
+    ASSERT_GE(n, 0);
+    if (n == 0) break;
+    received.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(received, "last request\n");
+
+  // The read side is untouched: replies still arrive, then EOF.
+  ASSERT_EQ(::write(inbound[1], "reply\n", 6), 6);
+  ::close(inbound[1]);
+  std::vector<std::string> lines;
+  for (int spin = 0; spin < 2000 && !conn.eof(); ++spin) {
+    for (auto& l : conn.read_lines()) lines.push_back(std::move(l));
+  }
+  EXPECT_TRUE(conn.eof());
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "reply");
+  ::close(outbound[0]);
 }
 
 TEST(ParseHostPort, AcceptsAndRejects) {

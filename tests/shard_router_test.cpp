@@ -558,7 +558,7 @@ TEST(ProcessChild, EchoesLinesAndDrainsOnStdinClose) {
   EXPECT_EQ(lines[0], "hello");
   EXPECT_EQ(lines[1], "world");
 
-  cat.close_stdin();
+  cat.shutdown_input();
   for (int spin = 0; spin < 2000 && !cat.eof(); ++spin) {
     cat.read_lines();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -741,7 +741,7 @@ TEST(ShardFleet, ServeAnswersPingMidStreamAndSkipsSeqForRejects) {
   serve.send_line(R"({"id":"good2","gen":"qkp:30-25-2","iterations":2,"sweeps":20})");
   serve.send_line(R"({"cmd":"drain","id":"barrier"})");
   ASSERT_TRUE(serve.pump_writes());
-  serve.close_stdin();
+  serve.shutdown_input();
 
   std::vector<std::string> lines;
   for (int spin = 0; spin < 10000 && !serve.eof(); ++spin) {

@@ -3,13 +3,15 @@
 // with ring rejoin (SIGKILL mid-stream -> exactly-once, contiguous
 // global seq), live resharding under load (2 -> 4 -> 1 with zero lost
 // jobs), warm-pool handoff across membership changes, the export_warm /
-// import_warm protocol itself against real saim_serve children, and
-// graceful fleet teardown without zombie processes.
+// import_warm protocol itself against real saim_serve children,
+// graceful fleet teardown without zombie processes, and pump's wait,
+// which sleeps until a registered fd or the fleet's next deadline.
 #include <gtest/gtest.h>
 
 #include <errno.h>
 #include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -673,7 +675,7 @@ std::vector<std::string> converse(
     serve.pump_writes();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  serve.close_stdin();
+  serve.shutdown_input();
   std::vector<std::string> out;
   for (int spin = 0; spin < 20000 && !serve.eof(); ++spin) {
     for (auto& l : serve.read_lines()) out.push_back(std::move(l));
@@ -810,6 +812,71 @@ TEST(SupervisorFleet, FleetStatsAggregatesEveryShardSnapshot) {
   EXPECT_EQ(latency_total, 12u)
       << "every answered job must land in some shard's latency histogram";
 
+  supervisor.shutdown_fleet();
+}
+
+// ------------------------------------------------ the deadline-bounded wait
+
+TEST(SupervisorLoop, ARegisteredFdEndsALongPump) {
+  RouterOptions router_options;
+  router_options.shards = 1;
+  ShardRouter router(router_options);
+  SupervisorOptions options;
+  options.ping_ms = 0;  // no endpoint, no deadline: only the fd can wake it
+  Supervisor supervisor(router, options);
+
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  bool fired = false;
+  supervisor.loop().add_fd(fds[0], net::EventLoop::kRead,
+                           [&](std::uint32_t) { fired = true; });
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  (void)supervisor.pump(10000);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  writer.join();
+  EXPECT_TRUE(fired) << "the callback runs inside pump";
+  EXPECT_LT(waited, std::chrono::seconds(1));
+  supervisor.loop().remove_fd(fds[0]);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(SupervisorLoop, ALongPumpEndsWhenARespawnFallsDue) {
+  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
+  RouterOptions router_options;
+  router_options.shards = 1;
+  ShardRouter router(router_options);
+  SupervisorOptions options = fast_supervisor_options();  // ping_ms = 0
+  options.backoff_initial_ms = 100;
+  Supervisor supervisor(router, options);
+  supervisor.attach_local(0);
+
+  supervisor.endpoint(0)->terminate();  // SIGKILL the only child
+  // Its pipe's EOF ends the wait that observes the death.
+  for (int spin = 0; spin < 100 && supervisor.endpoint(0); ++spin) {
+    (void)supervisor.pump(10000);
+  }
+  ASSERT_EQ(supervisor.endpoint(0), nullptr);
+  const auto died = std::chrono::steady_clock::now();
+
+  // Nothing but the respawn deadline (~100 ms out) can end this wait.
+  (void)supervisor.pump(10000);
+  EXPECT_LT(std::chrono::steady_clock::now() - died,
+            std::chrono::milliseconds(100) + std::chrono::seconds(1));
+
+  // The replacement answers a job.
+  ASSERT_TRUE(router.accept_line(job_line("after", 1, 1), 1).empty());
+  const auto out = pump_to_idle(router, supervisor);
+  ASSERT_EQ(out.size(), 1u);
+  const auto result = util::parse_json(out[0]);
+  EXPECT_EQ(result.find("id")->as_string(), "after");
+  EXPECT_EQ(result.find("status")->as_string(), "completed") << out[0];
+  EXPECT_EQ(supervisor.stats().respawns, 1u);
+  EXPECT_TRUE(router.alive(0));
   supervisor.shutdown_fleet();
 }
 

@@ -50,10 +50,6 @@
 // rejected (malformed JSON, unknown backend, unreadable instance); bad
 // lines emit {"id":...,"error":...} and do not sink the rest of the
 // stream.
-#include <fcntl.h>
-#include <signal.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -63,6 +59,7 @@
 #include <utility>
 
 #include "net/connection.hpp"
+#include "net/stdio.hpp"
 #include "obs/metrics_server.hpp"
 #include "service/event_server.hpp"
 #include "service/service_stats.hpp"
@@ -114,59 +111,25 @@ int serve_listen(service::SolveService& svc, const std::string& spec,
   return server->run();
 }
 
-/// fds 0 and 1's file-status flags as found (-1: unknown). The stdio
-/// session sets O_NONBLOCK on their open file descriptions, which a
-/// terminal shares with the shell, so the flags go back on every exit.
-int g_stdio_flags[2] = {-1, -1};
-
-void restore_stdio_flags() {
-  for (int fd = 0; fd < 2; ++fd) {
-    if (g_stdio_flags[fd] >= 0) ::fcntl(fd, F_SETFL, g_stdio_flags[fd]);
-  }
-}
-
-extern "C" void restore_stdio_flags_and_reraise(int sig) {
-  restore_stdio_flags();  // fcntl is async-signal-safe
-  ::raise(sig);           // SA_RESETHAND: the default action runs next
-}
-
 /// Default transport: one session over --input/--output (fds 0 and 1
 /// for "-"). The server owns and closes the fds it is given, so it gets
 /// duplicates of 0 and 1.
 int serve_stdio(service::SolveService& svc, const std::string& input,
                 const std::string& output,
                 const service::SessionOptions& session) {
-  const int in_fd = input == "-" ? ::dup(0) : ::open(input.c_str(), O_RDONLY);
-  if (in_fd < 0) {
-    util::log_error() << "saim_serve: cannot open '" << input << "'";
+  int in_fd = -1;
+  int out_fd = -1;
+  std::string bad_path;
+  if (!net::open_stdio(input, output, &in_fd, &out_fd, &bad_path)) {
+    util::log_error() << "saim_serve: cannot open '" << bad_path << "'";
     return 2;
   }
-  const int out_fd = output == "-" ? ::dup(1)
-                                   : ::open(output.c_str(),
-                                            O_WRONLY | O_CREAT | O_TRUNC, 0666);
-  if (out_fd < 0) {
-    ::close(in_fd);
-    util::log_error() << "saim_serve: cannot open '" << output << "'";
-    return 2;
-  }
-  // Ctrl-C, Ctrl-\, SIGTERM, SIGHUP and the SIGABRT an uncaught
-  // exception ends in restore the flags too; ignored signals stay so.
-  for (int fd = 0; fd < 2; ++fd) g_stdio_flags[fd] = ::fcntl(fd, F_GETFL);
-  struct sigaction action {};
-  action.sa_handler = restore_stdio_flags_and_reraise;
-  action.sa_flags = SA_RESETHAND;
-  for (const int sig : {SIGHUP, SIGINT, SIGQUIT, SIGTERM, SIGABRT}) {
-    struct sigaction old {};
-    if (::sigaction(sig, nullptr, &old) == 0 && old.sa_handler == SIG_DFL) {
-      ::sigaction(sig, &action, nullptr);
-    }
-  }
+  // The session sets O_NONBLOCK on fds 0 and 1's open file descriptions;
+  // the guard puts the flags back on every exit, signals included.
+  const net::StdioFlagsGuard stdio_flags;
   service::EventServerOptions options;
   options.session = session;
-  const int exit_code =
-      service::EventServer(svc, in_fd, out_fd, std::move(options)).run();
-  restore_stdio_flags();
-  return exit_code;
+  return service::EventServer(svc, in_fd, out_fd, std::move(options)).run();
 }
 
 }  // namespace

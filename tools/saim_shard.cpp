@@ -14,6 +14,14 @@
 // crash respawn with backoff, ring rejoin, live resharding, warm-pool
 // handoff, health probes — is service/supervisor.
 //
+// One thread runs it all (plus the --metrics scrape thread when asked):
+// stdin and stdout are one net::Connection registered on the
+// supervisor's net::EventLoop next to every shard endpoint, so the tool
+// sleeps in Supervisor::pump until input, a shard, room on the output,
+// a signal or a fleet deadline wakes it. The fd callbacks only buffer
+// lines and flush output; routing and control lines are handled between
+// pumps.
+//
 // Semantics (inherited from router + supervisor):
 //   * results stream in global completion order, each accepted job tagged
 //     with a global "seq" (per-shard seqs are remapped; rejected lines
@@ -48,28 +56,29 @@
 // Example — 4 local shards plus one remote box:
 //   saim_shard --shards 4 --connect 10.0.0.7:7777 < jobs.jsonl
 //
-// Exit status mirrors saim_serve: 0 all jobs ok, 1 any error line, 2 bad
-// invocation.
-#include <sys/wait.h>
+// Exit status mirrors saim_serve: 0 all jobs ok, 1 any error line or
+// output that closed before every result was written (`| head -1`: intake
+// stops and the fleet drains), 2 bad invocation.
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "net/connection.hpp"
+#include "net/event_loop.hpp"
+#include "net/stdio.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_server.hpp"
 #include "service/job_parser.hpp"
@@ -86,8 +95,13 @@ namespace {
 using namespace saim;
 
 volatile std::sig_atomic_t g_signal = 0;
+/// The loop to wake on a signal; set before the handlers go in.
+std::atomic<net::EventLoop*> g_loop{nullptr};
 
-void on_signal(int) { g_signal = 1; }
+void on_signal(int) {
+  g_signal = 1;
+  if (net::EventLoop* loop = g_loop.load()) loop->wakeup();  // one write()
+}
 
 /// The latest pre-rendered Prometheus payload, published by the main loop
 /// every ~250 ms and served by the MetricsServer scrape thread. A named
@@ -96,15 +110,6 @@ void on_signal(int) { g_signal = 1; }
 struct MetricsPublisher {
   util::Mutex mutex;
   std::string payload SAIM_GUARDED_BY(mutex);
-};
-
-/// Raw input lines, moved from the reader thread to the main pump loop
-/// with a bounded buffer (the reader blocks on `cv` when full).
-struct LineIntake {
-  util::Mutex mutex;
-  std::condition_variable cv;  ///< reader waits here for buffer room
-  std::deque<std::string> lines SAIM_GUARDED_BY(mutex);
-  bool input_done SAIM_GUARDED_BY(mutex) = false;
 };
 
 /// saim_serve is expected to sit next to saim_shard unless --serve says
@@ -375,30 +380,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream file_in;
-  const std::string input = args.get("input");
-  if (input != "-") {
-    file_in.open(input);
-    if (!file_in) {
-      util::log_error() << "saim_shard: cannot open '" << input << "'";
-      return 2;
-    }
-  }
-  std::istream& in = input == "-" ? std::cin : file_in;
-
-  std::ofstream file_out;
-  const std::string output = args.get("output");
-  if (output != "-") {
-    file_out.open(output);
-    if (!file_out) {
-      util::log_error() << "saim_shard: cannot open '" << output << "'";
-      return 2;
-    }
-  }
-  std::ostream& out = output == "-" ? std::cout : file_out;
-
   // The fleet: router (routing state) + supervisor (endpoints, respawn,
-  // resharding, warm handoff, health).
+  // resharding, warm handoff, health — and the one event loop this whole
+  // tool runs on).
   service::ShardRouter router(router_options);
   supervisor_options.local_argv = {
       serve,
@@ -413,6 +397,29 @@ int main(int argc, char** argv) {
   supervisor_options.respawn = !args.get_bool("no-respawn");
   supervisor_options.remote_auth_token = args.get("auth-token");
   service::Supervisor supervisor(router, supervisor_options);
+  net::EventLoop& loop = supervisor.loop();
+
+  // Ctrl-C / SIGTERM turn into a graceful shutdown: stop intake, drain
+  // every accepted job, tear the fleet down, then exit. (Children sit in
+  // their own process groups, so the terminal's SIGINT does not reach
+  // them directly — the front door stays in charge of the drain.) They
+  // go in before the stdio guard, so it leaves them alone.
+  g_loop.store(&loop);
+  std::signal(SIGINT, on_signal);
+  std::signal(SIGTERM, on_signal);
+  const net::StdioFlagsGuard stdio_flags;
+
+  // Input and output are one non-blocking Connection on the loop.
+  int in_fd = -1;
+  int out_fd = -1;
+  std::string bad_path;
+  if (!net::open_stdio(args.get("input"), args.get("output"), &in_fd, &out_fd,
+                       &bad_path)) {
+    util::log_error() << "saim_shard: cannot open '" << bad_path << "'";
+    return 2;
+  }
+  net::Connection io(in_fd, out_fd);
+
   for (std::size_t s = 0; s < locals; ++s) supervisor.attach_local(s);
   for (std::size_t i = 0; i < remotes.size(); ++i) {
     try {
@@ -465,17 +472,8 @@ int main(int argc, char** argv) {
                      << metrics_server->port();
   }
 
-  // Ctrl-C / SIGTERM turn into a graceful shutdown: stop intake, drain
-  // every accepted job, tear the fleet down, then exit. (Children sit in
-  // their own process groups, so the terminal's SIGINT does not reach
-  // them directly — the front door stays in charge of the drain.)
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-
-  // Memory backstops. The routed-jobs side: stop parsing/routing when
-  // this many jobs wait for a window slot. The raw-lines side: the reader
-  // thread blocks once this many unconsumed lines are buffered, so a fast
-  // producer cannot balloon RSS with the whole stream.
+  // Intake backpressure: stop routing when this many jobs wait for a
+  // window slot; input stays unread in the kernel meanwhile.
   // With admission control on, the router's shed bound must engage before
   // the intake gate stalls parsing, or no job would ever be shed.
   std::size_t high_water = router_options.shards *
@@ -483,43 +481,45 @@ int main(int argc, char** argv) {
   if (router_options.max_queue_depth > 0) {
     high_water = std::max(high_water, router_options.max_queue_depth + 1);
   }
-  const std::size_t line_buffer_cap = std::max<std::size_t>(high_water * 4,
-                                                            4096);
-
-  // Input on its own thread so a slow producer never stalls the pumps.
-  LineIntake intake;
-  std::thread reader([&] {
-    std::string line;
-    while (std::getline(in, line)) {
-      util::MutexLock lock(intake.mutex);
-      while (intake.lines.size() >= line_buffer_cap) {
-        intake.cv.wait(lock.native());
-      }
-      intake.lines.push_back(std::move(line));
-    }
-    util::MutexLock lock(intake.mutex);
-    intake.input_done = true;
-  });
-
-  // One write + one flush per pump round, not per line: a round that
-  // completes a burst of shard replies leaves as a single syscall (the
-  // stream-mode reader on the other side splits on newlines anyway).
-  std::string emit_buffer;
-  const auto emit = [&](const std::vector<std::string>& emitted) {
-    if (emitted.empty()) return;
-    emit_buffer.clear();
-    for (const auto& l : emitted) {
-      emit_buffer += l;
-      emit_buffer += '\n';
-    }
-    out << emit_buffer;
-    out.flush();
-  };
 
   bool intake_open = true;   ///< false after {"cmd":"shutdown"} or a signal
   bool front_error = false;  ///< error lines the front door produced itself
   std::string bye_id;        ///< shutdown ack id; emitted after the drain
   bool saw_shutdown_cmd = false;
+
+  // The fd callbacks only move bytes: input lines land in `backlog`, and
+  // queued output flushes. Routing happens between pumps, below, so a
+  // control line (reshard) never re-enters a pump that is running.
+  std::deque<std::string> backlog;  ///< read but not yet routed
+  const net::EventLoop::FdCallback read_input = [&](std::uint32_t) {
+    for (auto& line : io.read_lines(/*final_line_at_eof=*/true)) {
+      backlog.push_back(std::move(line));
+    }
+  };
+  const net::EventLoop::FdCallback flush_output = [&](std::uint32_t) {
+    io.pump_writes();
+  };
+  // Input is on the loop while intake is open and no backlog waits (the
+  // EventServer pattern: a backlog pauses reading instead of buffering
+  // the stream); output while bytes are queued. Off means off the loop:
+  // a finished input or a vanished reader reports hangup or error
+  // whatever the interest.
+  const auto watch_io = [&] {
+    if (intake_open && backlog.empty() && !io.eof()) {
+      loop.add_fd(io.fd(), net::EventLoop::kRead, read_input);
+    } else {
+      loop.remove_fd(io.fd());
+    }
+    if (io.outbound_bytes() > 0) {
+      loop.add_fd(io.out_fd(), net::EventLoop::kWrite, flush_output);
+    } else {
+      loop.remove_fd(io.out_fd());
+    }
+  };
+  const auto emit = [&](std::vector<std::string> lines) {
+    for (auto& line : lines) io.send_line(std::move(line));
+    io.pump_writes();
+  };
 
   std::size_t line_no = 0;
   auto next_metrics_refresh = std::chrono::steady_clock::now();
@@ -527,6 +527,13 @@ int main(int argc, char** argv) {
     if (g_signal && intake_open) {
       intake_open = false;  // drain what was accepted, then leave
       util::log_info() << "signal received, draining";
+    }
+    if (io.broken()) {
+      // Whoever read our output is gone (`| head -1`) with results still
+      // owed: nothing more can be delivered, so stop here and tear down.
+      util::log_error()
+          << "saim_shard: output closed before every result was written";
+      break;
     }
 
     if (metrics_server &&
@@ -540,22 +547,12 @@ int main(int argc, char** argv) {
           std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
     }
 
-    // Ingest as much input as backpressure allows, intercepting the
-    // fleet-management control lines the router must not see.
-    bool done;
-    for (;;) {
-      std::string line;
-      {
-        util::MutexLock lock(intake.mutex);
-        done = (intake.input_done && intake.lines.empty()) || !intake_open;
-        if (!intake_open || intake.lines.empty() ||
-            router.total_pending() >= high_water) {
-          break;
-        }
-        line = std::move(intake.lines.front());
-        intake.lines.pop_front();
-      }
-      intake.cv.notify_one();
+    // Route buffered input as far as backpressure allows, intercepting
+    // the fleet-management control lines the router must not see.
+    while (intake_open && !backlog.empty() &&
+           router.total_pending() < high_water) {
+      const std::string line = std::move(backlog.front());
+      backlog.pop_front();
       ++line_no;
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
@@ -585,6 +582,10 @@ int main(int argc, char** argv) {
             const double want = shards->as_double();
             if (!(want >= 0.0) || want > 1024.0) {
               throw std::runtime_error("reshard \"shards\" must be 0..1024");
+            }
+            if (want != std::floor(want)) {
+              throw std::runtime_error(
+                  "reshard \"shards\" must be a whole number");
             }
             const std::size_t applied =
                 supervisor.reshard(static_cast<std::size_t>(want));
@@ -618,16 +619,15 @@ int main(int argc, char** argv) {
       }
       emit(router.accept_line(line, line_no));
     }
+    if (!intake_open) backlog.clear();
 
-    emit(supervisor.pump(2));
+    const bool input_done = !intake_open || (io.eof() && backlog.empty());
+    if (input_done && router.idle()) break;
 
-    // With no live shard and none respawning there is no pollable fd, so
-    // pump returns immediately; sleep instead of spinning.
-    if (router.live_shards() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-
-    if (done && router.idle()) break;
+    // Sleep until input, a shard, room on the output, a signal or a
+    // fleet deadline — or, with --metrics, at most one refresh interval.
+    watch_io();
+    emit(supervisor.pump(metrics_server ? 250 : -1));
   }
 
   if (saw_shutdown_cmd) {
@@ -637,11 +637,19 @@ int main(int argc, char** argv) {
   }
 
   // Graceful fleet teardown: shutdown control lines + stdin EOF, wait for
-  // the children's own exits, reap — SIGKILL only on an overstay.
+  // the children's own exits, reap — SIGKILL only on an overstay. The
+  // input leaves the loop first; the output stays on it and keeps
+  // flushing while the fleet drains.
+  intake_open = false;
+  watch_io();
   metrics_server.reset();  // last scrape before the fleet state goes away
   supervisor.shutdown_fleet();
   emit(supervisor.drain_deferred());
-  out.flush();
+  while (io.outbound_bytes() > 0) {
+    watch_io();
+    loop.run_once(-1);
+  }
+  watch_io();
 
   // Shutdown summary, always (Info level): the supervisor's respawn /
   // reconnect / abandonment counts are the operator's only post-mortem
@@ -670,17 +678,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int code = (router.any_error() || front_error) ? 1 : 0;
-  // The reader thread may still be parked in getline on an open stdin
-  // (signal/shutdown path). Joining would hang; exiting without static
-  // teardown is safe — everything worth flushing was flushed above.
-  {
-    util::MutexLock lock(intake.mutex);
-    if (!intake.input_done) {
-      std::fflush(nullptr);
-      std::_Exit(code);
-    }
-  }
-  reader.join();
-  return code;
+  return (router.any_error() || front_error || io.broken()) ? 1 : 0;
 }
