@@ -16,10 +16,10 @@
 //     service: the second wave is pure cache hits, and the measured
 //     hit-rate and hit-serving throughput quantify what the cache buys.
 //   * batch — a duplicated-instance stream (one hot problem, distinct
-//     seeds) through one worker with batching off vs on: batching
-//     amortizes the model build + backend bind across members, so
-//     batched jobs/sec should be >= unbatched. One worker isolates the
-//     amortization from scheduling effects.
+//     seeds) through one worker with batching off vs on. Both services
+//     build the model and bind the backend once and reuse them, so the
+//     phase measures what lockstep batching adds on top of that reuse.
+//     One worker isolates it from scheduling effects.
 //   * warm — a hot-instance workload: a cold wave populates the
 //     warm-start pool, then a warm wave (distinct seeds, warm_start on)
 //     must reach at least the cold wave's best objective — pooled best
@@ -396,10 +396,10 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------------------- batch phase
   // One hot instance, distinct seeds, one worker: batching off vs on.
-  // Its own job shape (batch-n / batch-iterations / batch-sweeps): the
-  // amortized cost is the per-job model build + bind, so the win shows on
-  // online-serving traffic — many cheap solves of one big hot instance —
-  // and would drown under the long-iteration jobs of the scaling phase.
+  // Its own job shape (batch-n / batch-iterations / batch-sweeps): many
+  // cheap solves of one big hot instance, the online-serving shape where
+  // per-job overhead shows; the long-iteration jobs of the scaling phase
+  // would drown it.
   const service::SolveRequest hot_batch =
       service::request_for(std::make_shared<problems::QkpInstance>(
           problems::make_paper_qkp(batch_n, 25, 1)));

@@ -4,14 +4,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "lagrange/lagrangian_model.hpp"
-
 namespace saim::core {
 
 namespace {
 /// Restores the backend's idle (never-stopping) token even when a member
-/// callback or the model build throws — a stale deadline-armed token left
-/// installed would spuriously truncate the caller's next runs.
+/// callback throws — a stale deadline-armed token left installed would
+/// spuriously truncate the caller's next runs.
 struct BackendStopGuard {
   anneal::IsingSolverBackend* backend;
   ~BackendStopGuard() { backend->set_stop_token(util::StopToken{}); }
@@ -19,9 +17,8 @@ struct BackendStopGuard {
 }  // namespace
 
 std::vector<BatchOutcome> solve_batch(
-    const problems::ConstrainedProblem& problem,
-    anneal::IsingSolverBackend& backend, std::vector<BatchJob> jobs,
-    const BatchMemberDone& on_member_done) {
+    lagrange::LagrangianModel& model, anneal::IsingSolverBackend& backend,
+    std::vector<BatchJob> jobs, const BatchMemberDone& on_member_done) {
   if (jobs.empty()) {
     throw std::invalid_argument("solve_batch: no jobs");
   }
@@ -34,12 +31,7 @@ std::vector<BatchOutcome> solve_batch(
     }
   }
 
-  lagrange::LagrangianModel model(
-      problem, shaping.penalty >= 0.0
-                   ? shaping.penalty
-                   : lagrange::heuristic_penalty(problem,
-                                                 shaping.penalty_alpha));
-  backend.bind(model.ising());
+  const problems::ConstrainedProblem& problem = model.problem();
   BackendStopGuard stop_guard{&backend};
 
   std::vector<BatchOutcome> outcomes(jobs.size());

@@ -3,9 +3,10 @@
 // The service's queue regularly holds several jobs over ONE problem
 // instance (hot instances in a traffic stream). Run one at a time, each
 // job pays the full setup tax: normalize -> LagrangianModel (couplings,
-// O(nnz)) -> backend bind (adjacency CSR, O(edges)). BatchSaimSolver pays
-// it once: a single LagrangianModel and a single bound backend are shared
-// by all members, whose DualAscents advance in lockstep rounds. Because a
+// O(nnz)) -> backend bind (adjacency CSR, O(edges)). solve_batch pays
+// none of it: the caller hands in a model already built and a backend
+// already bound to it (the service keeps both across batches), shared by
+// all members, whose DualAscents advance in lockstep rounds. Because a
 // lambda update only rewrites the Ising *fields* (see lagrangian_model.hpp)
 // and set_lambda is a pure rebuild, re-applying member j's multipliers
 // before each of its inner runs reproduces exactly the landscape a solo
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/saim_solver.hpp"
+#include "lagrange/lagrangian_model.hpp"
 
 namespace saim::core {
 
@@ -53,13 +55,17 @@ struct BatchOutcome {
 /// the outcome; the entry returned by solve_batch is then moved-from.
 using BatchMemberDone = std::function<void(std::size_t job, BatchOutcome&)>;
 
-/// Runs every job against `problem` on ONE model + ONE bound backend.
-/// All jobs must agree on penalty / penalty_alpha (the model is shaped
-/// from jobs.front()); violating that throws std::invalid_argument, as
-/// does an empty job list. Returns outcomes in job order.
+/// Runs every job against model.problem() on ONE model + ONE backend,
+/// which the caller must already have bound to model.ising(). The model
+/// may have served earlier batches: every member step re-applies its own
+/// lambda first, so what the model held before does not matter. All jobs
+/// must agree on penalty / penalty_alpha, and the model must have been
+/// shaped from them; members that disagree with each other throw
+/// std::invalid_argument, as does an empty job list. Returns outcomes in
+/// job order.
 std::vector<BatchOutcome> solve_batch(
-    const problems::ConstrainedProblem& problem,
-    anneal::IsingSolverBackend& backend, std::vector<BatchJob> jobs,
+    lagrange::LagrangianModel& model, anneal::IsingSolverBackend& backend,
+    std::vector<BatchJob> jobs,
     const BatchMemberDone& on_member_done = nullptr);
 
 }  // namespace saim::core

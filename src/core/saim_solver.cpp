@@ -9,6 +9,13 @@
 
 namespace saim::core {
 
+double effective_penalty(const problems::ConstrainedProblem& problem,
+                         const SaimOptions& options) {
+  return options.penalty >= 0.0
+             ? options.penalty
+             : lagrange::heuristic_penalty(problem, options.penalty_alpha);
+}
+
 // ------------------------------------------------------------- DualAscent
 
 DualAscent::DualAscent(const problems::ConstrainedProblem& problem,
@@ -244,10 +251,7 @@ SaimSolver::SaimSolver(const problems::ConstrainedProblem& problem,
     : problem_(&problem),
       backend_(&backend),
       options_(options),
-      model_(problem, options.penalty >= 0.0
-                          ? options.penalty
-                          : lagrange::heuristic_penalty(
-                                problem, options.penalty_alpha)) {
+      model_(problem, effective_penalty(problem, options)) {
   if (options_.iterations == 0) {
     throw std::invalid_argument("SaimSolver: iterations must be positive");
   }

@@ -77,6 +77,11 @@ struct SaimOptions {
   double convergence_tol = 1e-3;
 };
 
+/// The penalty P a solve with `options` shapes its landscape with: the
+/// explicit options.penalty when set, else the alpha d N heuristic.
+double effective_penalty(const problems::ConstrainedProblem& problem,
+                         const SaimOptions& options);
+
 /// One job's dual-ascent state, advanced one outer iteration at a time.
 ///
 /// This is Algorithm 1 with the loop inverted: SaimSolver::solve drives a

@@ -2,10 +2,11 @@
 //
 // A SolveRequest travels as data (over the job queue, or parsed from a
 // JSONL line by tools/saim_serve), so the backend it wants must be named,
-// not held as a live object: each worker builds a fresh backend per job
-// from this spec. That also keeps jobs isolated — backends are stateful
-// (bound model, warm-restart state) and must never be shared between
-// concurrent solves.
+// not held as a live object: a worker builds a backend from this spec the
+// first time it meets a (problem, spec, penalty) key, binds it, and keeps
+// it for that key. Backends are stateful (bound model, pending fused
+// runs), so each one belongs to one worker and never serves two solves
+// at once.
 #pragma once
 
 #include <memory>

@@ -18,10 +18,6 @@ namespace {
 /// "line" is cut off, not buffered.
 constexpr std::size_t kMaxAuthLineBytes = 4096;
 
-/// How long after shutdown begins — and without its peer taking a byte —
-/// a session may sit on queued output before it is dropped.
-constexpr auto kShutdownGrace = std::chrono::seconds(5);
-
 /// The loop's longest wait: deadlines (auth, idle, shutdown grace) are
 /// checked at least this often. Completions and fd readiness wake it at
 /// once.
@@ -367,7 +363,8 @@ void EventServer::housekeeping() {
     // output for the whole grace forfeits it. One still waiting on the
     // service, or whose peer is reading, keeps its work — accepted jobs
     // always drain.
-    if (stopping_ && now - client.last_write_progress >= kShutdownGrace) {
+    if (stopping_ &&
+        now - client.last_write_progress >= options_.shutdown_grace) {
       util::log_warn() << "saim_serve: dropped a session whose peer stopped "
                           "reading ("
                        << outbound << " bytes unsent)";

@@ -56,9 +56,10 @@
 // Shutdown: a session's {"cmd":"shutdown"} (or stop() from another
 // thread) closes the listener and stops intake on every session.
 // Accepted work always drains; only a session whose peer has taken none
-// of its queued output for 5 s is dropped, and not before 5 s of grace
-// have passed. run() returns saim_serve's session exit code: 0, or 1 if
-// any session emitted an error line or was dropped with output unsent.
+// of its queued output for the shutdown grace (5 s by default) is
+// dropped, and not before the grace has passed. run() returns
+// saim_serve's session exit code: 0, or 1 if any session emitted an error
+// line or was dropped with output unsent.
 // An fd-pair session whose output breaks (a `| head -1` reader that
 // left) is dropped at once — nothing it renders can be delivered — and
 // also makes the exit code 1.
@@ -107,6 +108,9 @@ struct EventServerOptions {
   /// disables (an idle-parked client is legal by default — the shard
   /// router keeps quiet health-check connections open).
   int idle_timeout_ms = 0;
+  /// How long after shutdown begins — and without its peer taking a
+  /// byte — a session may sit on queued output before it is dropped.
+  std::chrono::milliseconds shutdown_grace{5'000};
   /// Test hook: use the portable poll backend even where epoll exists
   /// (an fd-pair server always does).
   bool force_poll = false;

@@ -5,10 +5,14 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "problems/mkp.hpp"
 #include "problems/qkp.hpp"
 #include "service/request_builders.hpp"
+#include "util/mutex.hpp"
+#include "util/small_lru.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace saim::service {
 
@@ -48,8 +52,7 @@ const std::set<std::string>& control_extra_keys(const std::string& cmd) {
 }
 
 /// "qkp:100-25-1" -> generated paper instance. Throws on a malformed spec.
-SolveRequest request_from_gen(const std::string& spec,
-                              std::string* instance_name) {
+SolveRequest build_gen_request(const std::string& spec) {
   const auto colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
   std::size_t a = 0, b = 0, c = 0;
@@ -70,6 +73,46 @@ SolveRequest request_from_gen(const std::string& spec,
     throw std::runtime_error("bad gen spec '" + spec + "': unknown type '" +
                              kind + "'");
   }
+  return request;
+}
+
+/// Lowered gen requests by spec, most recently used first. Generators are
+/// deterministic, so a hit is the very instance a rebuild would produce,
+/// and every line of a spec shares one ConstrainedProblem and evaluator
+/// (so the service's per-handle fingerprint memo hits too). File sources
+/// are never memoized: a file can change between jobs.
+class GenMemo {
+ public:
+  GenMemo() : entries_(kCapacity) {}
+
+  SolveRequest get(const std::string& spec) SAIM_EXCLUDES(mutex_) {
+    {
+      util::MutexLock lock(mutex_);
+      if (const SolveRequest* hit = entries_.find(spec)) return *hit;
+    }
+    // Built unlocked, so one slow spec does not stall the others. Racing
+    // builders of one spec keep whichever entry landed first, so every
+    // caller still shares one problem.
+    SolveRequest built = build_gen_request(spec);
+    util::MutexLock lock(mutex_);
+    if (const SolveRequest* hit = entries_.find(spec)) return *hit;
+    return entries_.insert(spec, std::move(built));
+  }
+
+ private:
+  /// A handful of hot specs is the serving shape (four in each bench
+  /// workload). A QKP-200 entry holds 0.7 MB, so a full memo stays near
+  /// 11 MB at paper scale.
+  static constexpr std::size_t kCapacity = 16;
+
+  util::Mutex mutex_;
+  util::SmallLru<std::string, SolveRequest> entries_ SAIM_GUARDED_BY(mutex_);
+};
+
+SolveRequest request_from_gen(const std::string& spec,
+                              std::string* instance_name) {
+  static GenMemo memo;
+  SolveRequest request = memo.get(spec);
   *instance_name = request.tag;
   return request;
 }

@@ -34,9 +34,11 @@ struct ParsedJob {
 void validate_job(const util::JsonValue& job);
 
 /// Parses one JSONL job object into a ready-to-submit request
-/// (validate_job + instance build + extraction). `warm_default` is the
-/// --warm-start flag; a per-job "warm_start" field overrides it either
-/// way. Throws std::runtime_error on unknown fields, bad values, or a
+/// (validate_job + instance build + extraction). A "gen" instance is
+/// built once per process and spec: every line naming that spec shares
+/// one problem and evaluator. A "path" instance is loaded per line.
+/// `warm_default` is the --warm-start flag; a per-job "warm_start" field
+/// overrides it either way. Throws std::runtime_error on unknown fields, bad values, or a
 /// missing/unloadable instance source.
 ParsedJob parse_job(const util::JsonValue& job, bool warm_default);
 

@@ -65,6 +65,8 @@ std::string service_stats_json(const SolveService& service) {
       .field("batches", s.batches)
       .field("batched_jobs", s.batched_jobs)
       .field("warm_seeded", s.warm_seeded)
+      .field("model_builds", s.model_builds)
+      .field("model_reuses", s.model_reuses)
       .field("workers", static_cast<std::uint64_t>(service.worker_count()))
       .raw_field("cache", cache.str())
       .raw_field("latency", latency.str());
@@ -123,6 +125,10 @@ std::string service_metrics_prometheus(const SolveService& service) {
           "jobs executed as members of those batches");
   counter("saim_warm_seeded_total", s.warm_seeded,
           "jobs seeded from the warm-start pool");
+  counter("saim_model_builds_total", s.model_builds,
+          "batches that built a model and bound a backend");
+  counter("saim_model_reuses_total", s.model_reuses,
+          "batches that reused a worker's built model and backend");
   counter("saim_cache_hits_total", s.cache.hits, "result cache hits");
   counter("saim_cache_misses_total", s.cache.misses, "result cache misses");
   counter("saim_cache_insertions_total", s.cache.insertions,

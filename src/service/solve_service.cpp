@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/batch_solver.hpp"
+#include "lagrange/lagrangian_model.hpp"
 #include "problems/fingerprint.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -24,7 +25,7 @@ struct JobState {
   /// Content hash of the problem alone — the warm-start pool's key.
   std::uint64_t problem_fp = 0;
   /// Batchability key: problem_fp + backend spec + penalty shaping. Jobs
-  /// sharing it can run on one model build + one backend bind; seeds,
+  /// sharing it can run on one model + one bound backend; seeds,
   /// iteration budgets, deadlines etc. stay per-member.
   std::uint64_t batch_key = 0;
   SolveRequest request;
@@ -82,9 +83,32 @@ struct JobState {
   }
 };
 
+/// A LagrangianModel and the backend bound to it, kept by a worker for
+/// one batch key.
+struct BoundModel {
+  /// Keeps the instance alive: the model points into it.
+  std::shared_ptr<const problems::ConstrainedProblem> problem;
+  /// Heap-held so the bound IsingModel keeps its address as entries move.
+  std::unique_ptr<lagrange::LagrangianModel> model;
+  std::unique_ptr<anneal::IsingSolverBackend> backend;
+};
+
 }  // namespace detail
 
+using detail::BoundModel;
 using detail::JobState;
+using detail::ModelCache;
+
+namespace {
+
+/// Built models each worker keeps. Twice the instances one fleet shard
+/// serves at most (3 of 4 hot ones), so a second backend spec or penalty
+/// per instance still fits. A QKP-200 entry holds 1.25 MB (0.72 MB
+/// model, 0.53 MB bound p-bit backend), so a full cache stays near 10 MB
+/// per worker. Past the working set every batch builds.
+constexpr std::size_t kModelCacheCapacity = 8;
+
+}  // namespace
 
 // ---------------------------------------------------------------- JobHandle
 
@@ -190,7 +214,8 @@ SolveService::SolveService(ServiceOptions options)
           "saim_job_queue_ms", "submit to worker claim, milliseconds")),
       hist_setup_ms_(registry_.histogram(
           "saim_job_setup_ms",
-          "worker claim to solve start (batch drain + model build), ms")),
+          "worker claim to solve start (batch drain + model lookup, or "
+          "build and bind on a miss), ms")),
       hist_solve_ms_(registry_.histogram(
           "saim_job_solve_ms", "solve start to job completion, ms")),
       hist_total_ms_(registry_.histogram(
@@ -428,6 +453,7 @@ JobHandle SolveService::submit(SolveRequest request) {
 }
 
 void SolveService::worker_loop() {
+  ModelCache models(kModelCacheCapacity);
   while (true) {
     idle_workers_.fetch_add(1, std::memory_order_relaxed);
     auto popped = queue_.pop();
@@ -474,11 +500,7 @@ void SolveService::worker_loop() {
         members.push_back(std::move(twin));
       }
     }
-    if (members.size() == 1 && !job->request.warm_start) {
-      execute(job);  // the proven solo path; nothing to amortize or seed
-    } else {
-      execute_batch(members);
-    }
+    execute_batch(members, models);
   }
 }
 
@@ -514,44 +536,9 @@ void SolveService::record_outcome(
   }
 }
 
-void SolveService::execute(const std::shared_ptr<JobState>& job) {
-  const SolveRequest& request = job->request;
-  const util::StopToken stop = job->stop.token();
-
-  auto response = std::make_shared<SolveResponse>();
-  response->fingerprint = job->fingerprint;
-  response->tag = request.tag;
-
-  util::WallTimer timer;
-  std::shared_ptr<core::SolveResult> result;
-  try {
-    auto backend = make_backend(request.backend);
-    backend->set_batch_threads(options_.backend_batch_threads);
-    core::SaimSolver solver(*request.problem, *backend, request.options);
-    job->solve_started_at = std::chrono::steady_clock::now();
-    result = std::make_shared<core::SolveResult>(
-        solver.solve(request.evaluator, stop));
-  } catch (const std::exception& e) {
-    result = std::make_shared<core::SolveResult>();
-    result->status = core::Status::kError;
-    response->error = e.what();
-  } catch (...) {
-    // User-supplied evaluators can throw anything; letting it escape the
-    // worker thread would terminate the whole service.
-    result = std::make_shared<core::SolveResult>();
-    result->status = core::Status::kError;
-    response->error = "unknown exception in solve job";
-  }
-  response->wall_ms = timer.milliseconds();
-  response->status = result->status;
-
-  record_outcome(job, result);
-  response->result = std::move(result);
-  finish(job, std::move(response));
-}
-
 void SolveService::execute_batch(
-    const std::vector<std::shared_ptr<JobState>>& members) {
+    const std::vector<std::shared_ptr<JobState>>& members,
+    ModelCache& models) {
   util::WallTimer timer;
   if (members.size() > 1) {
     batches_.fetch_add(1, std::memory_order_relaxed);
@@ -563,6 +550,7 @@ void SolveService::execute_batch(
   // Finishes one member the moment its DualAscent settles — waiters on a
   // short or deadline-stopped member wake while its batch-mates run on.
   std::vector<bool> finished(members.size(), false);
+  bool failed = false;
   const auto finish_member = [&](std::size_t i, core::BatchOutcome& outcome) {
     const auto& member = members[i];
     auto response = std::make_shared<SolveResponse>();
@@ -575,6 +563,7 @@ void SolveService::execute_batch(
     auto result =
         std::make_shared<core::SolveResult>(std::move(outcome.result));
     response->status = result->status;
+    failed = failed || result->status == core::Status::kError;
     record_outcome(member, result);
     response->result = std::move(result);
     finished[i] = true;
@@ -594,10 +583,11 @@ void SolveService::execute_batch(
     }
   };
 
+  const std::uint64_t key = members.front()->batch_key;
   try {
     // Inside the try: evaluator copies are user code and may throw, like
-    // everything else user-supplied on this path (mirrors execute()'s
-    // "letting it escape the worker thread would terminate the service").
+    // everything else user-supplied on this path — letting it escape the
+    // worker thread would terminate the whole service.
     std::vector<core::BatchJob> jobs;
     jobs.reserve(members.size());
     for (std::size_t i = 0; i < members.size(); ++i) {
@@ -613,17 +603,34 @@ void SolveService::execute_batch(
       }
       jobs.push_back(std::move(batch_job));
     }
-    auto backend = make_backend(members.front()->request.backend);
-    backend->set_batch_threads(options_.backend_batch_threads);
+    BoundModel* bound = models.find(key);
+    if (bound != nullptr) {
+      model_reuses_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      const SolveRequest& lead = members.front()->request;
+      BoundModel built;
+      built.problem = lead.problem;
+      built.backend = make_backend(lead.backend);
+      built.backend->set_batch_threads(options_.backend_batch_threads);
+      built.model = std::make_unique<lagrange::LagrangianModel>(
+          *built.problem,
+          core::effective_penalty(*built.problem, lead.options));
+      built.backend->bind(built.model->ising());
+      bound = &models.insert(key, std::move(built));
+      model_builds_.fetch_add(1, std::memory_order_relaxed);
+    }
     const auto solve_start = std::chrono::steady_clock::now();
     for (const auto& member : members) member->solve_started_at = solve_start;
-    core::solve_batch(*members.front()->request.problem, *backend,
-                      std::move(jobs), finish_member);
+    core::solve_batch(*bound->model, *bound->backend, std::move(jobs),
+                      finish_member);
   } catch (const std::exception& e) {
     fail_rest(e.what());
   } catch (...) {
     fail_rest("unknown exception in solve batch");
   }
+  // A failure may leave state behind in the backend (pending fused plans,
+  // unconsumed initial states): the next batch on this key starts fresh.
+  if (failed) models.erase(key);
 }
 
 void SolveService::finish(const std::shared_ptr<JobState>& job,
@@ -707,6 +714,8 @@ SolveService::Stats SolveService::stats() const {
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batched_jobs = batched_jobs_.load(std::memory_order_relaxed);
   s.warm_seeded = warm_seeded_.load(std::memory_order_relaxed);
+  s.model_builds = model_builds_.load(std::memory_order_relaxed);
+  s.model_reuses = model_reuses_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();
   return s;
 }

@@ -12,8 +12,15 @@
 //   * a same-instance batch scheduler: a worker that pops a job drains its
 //     queued batch-key twins (same problem fingerprint, backend spec and
 //     penalty shaping, up to ServiceOptions::max_batch) and executes them
-//     as ONE model build + ONE backend bind via core::solve_batch,
-//     demultiplexing per-job results, statuses and deadlines.
+//     on ONE model + ONE bound backend via core::solve_batch,
+//     demultiplexing per-job results, statuses and deadlines. Every job
+//     runs this way; a lone job is a batch of one, and
+//   * per worker, a small LRU of built models keyed by that batch key:
+//     each holds a LagrangianModel and a backend bound to it. Lambda
+//     enters the landscape linearly, so the couplings and the bound CSR
+//     never change, and every DualAscent step re-applies its own lambda
+//     before it runs — a later batch on the same key reuses both exactly.
+//     A batch that ends any member in kError evicts its entry.
 //
 // Requests share problem instances by shared_ptr (the shared-handle idiom:
 // many jobs over one instance, no copies), carry a priority, an optional
@@ -55,6 +62,7 @@
 #include "service/result_cache.hpp"
 #include "util/mutex.hpp"
 #include "util/parallel.hpp"
+#include "util/small_lru.hpp"
 #include "util/stop_token.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -72,7 +80,7 @@ struct ServiceOptions {
   /// Same-instance batching: a worker that pops a job also drains up to
   /// max_batch - 1 queued jobs sharing its batch key (problem fingerprint
   /// + backend spec + penalty shaping) and its priority band, and runs
-  /// them as ONE model build + ONE backend bind via core::solve_batch,
+  /// them on ONE model + ONE bound backend via core::solve_batch,
   /// demultiplexing per-job results, statuses and deadlines. Draining is
   /// idle-aware — it never starves an idle worker of queued work, since
   /// parallel solo execution beats lockstep sharing of one thread — and a
@@ -117,12 +125,14 @@ struct SolveRequest {
 };
 
 /// Per-job stage timing (milliseconds), measured along accept ->
-/// queue-pop -> batch-form/model-build -> solve-start -> solve-end ->
-/// response. All zero for jobs served from the cache (nothing ran) and
-/// for jobs cancelled before a worker claimed them.
+/// queue-pop -> batch-form + model lookup or build/bind -> solve-start ->
+/// solve-end -> response. All zero for jobs served from the cache
+/// (nothing ran) and for jobs cancelled before a worker claimed them.
 struct JobTiming {
   double queue_ms = 0.0;  ///< submit -> claimed by a worker
-  double setup_ms = 0.0;  ///< claim -> solve start (batch drain + build)
+  /// claim -> solve start: batch drain plus the worker's model lookup,
+  /// or the LagrangianModel build and backend bind on a miss
+  double setup_ms = 0.0;
   double solve_ms = 0.0;  ///< solve start -> this job's completion
   double total_ms = 0.0;  ///< submit -> response ready
 };
@@ -155,6 +165,9 @@ struct SolveResponse {
 
 namespace detail {
 struct JobState;
+struct BoundModel;
+/// One worker's built models by batch key (solve_service.cpp).
+using ModelCache = util::SmallLru<std::uint64_t, BoundModel>;
 }
 
 /// Future-like handle to a submitted job. Move-only: each handle holds one
@@ -248,6 +261,10 @@ class SolveService {
     std::uint64_t batches = 0;       ///< batch executions with >= 2 members
     std::uint64_t batched_jobs = 0;  ///< jobs executed as members of those
     std::uint64_t warm_seeded = 0;   ///< jobs seeded from the warm pool
+    /// Batches that built a LagrangianModel and bound a backend, and
+    /// batches that reused a worker's built pair instead.
+    std::uint64_t model_builds = 0;
+    std::uint64_t model_reuses = 0;
     ResultCache::Stats cache;
   };
   [[nodiscard]] Stats stats() const;
@@ -294,11 +311,12 @@ class SolveService {
 
  private:
   void worker_loop();
-  void execute(const std::shared_ptr<detail::JobState>& job);
-  /// Runs claimed same-batch-key jobs as one core::solve_batch (one model
-  /// build + one bind), finishing each member the moment it completes.
+  /// Runs claimed same-batch-key jobs as one core::solve_batch on the
+  /// worker's cached model for their key (built and bound on a miss),
+  /// finishing each member the moment it completes.
   void execute_batch(
-      const std::vector<std::shared_ptr<detail::JobState>>& members);
+      const std::vector<std::shared_ptr<detail::JobState>>& members,
+      detail::ModelCache& models);
   /// Stamps the response's timing/finished_at from the job's stage
   /// timestamps, records the latency histograms, then publishes it and
   /// fires the job's on_ready hooks.
@@ -347,6 +365,8 @@ class SolveService {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_jobs_{0};
   std::atomic<std::uint64_t> warm_seeded_{0};
+  std::atomic<std::uint64_t> model_builds_{0};
+  std::atomic<std::uint64_t> model_reuses_{0};
   /// Workers currently blocked in queue_.pop(); the batch drain leaves at
   /// least this many queued jobs behind (see ServiceOptions::max_batch).
   std::atomic<std::size_t> idle_workers_{0};

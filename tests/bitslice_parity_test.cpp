@@ -18,6 +18,7 @@
 #include "core/saim_solver.hpp"
 #include "ising/bitslice.hpp"
 #include "ising/ising_model.hpp"
+#include "lagrange/lagrangian_model.hpp"
 #include "pbit/pbit_machine.hpp"
 #include "pbit/schedule.hpp"
 #include "problems/qkp.hpp"
@@ -350,8 +351,11 @@ TEST(BitsliceParity, FusedBatchMembersMatchSoloSolves) {
   anneal::PBitBackend batch_backend(pbit::Schedule::linear(4.0), 50,
                                     pbit::SweepOrder::kSequential, true);
   ASSERT_FALSE(batch_backend.supports_fused_batch());  // not bound yet
+  lagrange::LagrangianModel model(
+      problem, core::effective_penalty(problem, base_options));
+  batch_backend.bind(model.ising());
   const auto outcomes =
-      core::solve_batch(problem, batch_backend, std::move(jobs));
+      core::solve_batch(model, batch_backend, std::move(jobs));
 
   for (std::size_t j = 0; j < member_options.size(); ++j) {
     anneal::PBitBackend solo_backend(pbit::Schedule::linear(4.0), 50,

@@ -3,6 +3,9 @@
 // component from several threads at once and then checks a conservation
 // invariant (nothing lost, nothing duplicated, counters coherent).
 //
+// The gen-instance memo (job_parser) gets the same treatment: racing
+// parses of one spec must all come back sharing one problem.
+//
 // These tests earn their keep under ThreadSanitizer: CI's tsan tier runs
 // them with -fsanitize=thread, where any unsynchronized access the static
 // annotations (util/thread_annotations.hpp) could not see becomes a hard
@@ -19,8 +22,12 @@
 
 #include "core/result.hpp"
 #include "obs/metrics.hpp"
+#include "problems/fingerprint.hpp"
+#include "problems/qkp.hpp"
+#include "service/job_parser.hpp"
 #include "service/job_queue.hpp"
 #include "service/result_cache.hpp"
+#include "util/jsonl.hpp"
 
 namespace saim {
 namespace {
@@ -212,6 +219,37 @@ TEST(ConcurrencyStress, MetricsRegistryConcurrentRegisterRecordScrape) {
   EXPECT_EQ(snap->count, kThreads * kAddsPerThread);
   // kThreads distinct late-registered counters + the three shared ones.
   EXPECT_EQ(registry.names().size(), kThreads + 3);
+}
+
+// --------------------------------------------------------- gen memo
+
+TEST(ConcurrencyStress, ParseJobSharesOneProblemPerGenSpec) {
+  // A spec no other test in this binary parses, so the memo starts cold
+  // and the threads race to build it.
+  const util::JsonValue line =
+      util::parse_json(R"({"id":"j","gen":"qkp:40-25-3","iterations":5})");
+  std::vector<service::ParsedJob> parsed(kThreads * 4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < parsed.size(); i += kThreads) {
+        parsed[i] = service::parse_job(line, /*warm_default=*/false);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const auto instance = problems::make_paper_qkp(40, 25, 3);
+  const auto want = problems::qkp_to_problem(instance).problem;
+  for (const auto& job : parsed) {
+    ASSERT_EQ(job.request.problem, parsed.front().request.problem);
+    EXPECT_EQ(job.instance, instance.name());
+    EXPECT_EQ(job.request.tag, "j");
+  }
+  const auto& got = *parsed.front().request.problem;
+  EXPECT_EQ(problems::fingerprint(got), problems::fingerprint(want));
+  EXPECT_EQ(got.n(), want.n());
+  EXPECT_EQ(got.num_constraints(), want.num_constraints());
 }
 
 }  // namespace

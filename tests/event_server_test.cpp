@@ -7,8 +7,9 @@
 // round trips, a drain with nothing outstanding, a cache hit that no
 // worker completes). Every parameterised case runs on both reactor
 // backends — epoll and the portable poll fallback. Two more cases pin
-// that shutdown drains a job still solving past the 5 s grace, and that a
-// burst released after the grace reaches a peer that keeps reading. The
+// that shutdown drains a job still solving past the shutdown grace, and
+// that a burst released after the grace reaches a peer that keeps
+// reading; they shorten the grace to kGrace so they take ~1.5 s, not 6. The
 // fd-pair (stdin/stdout) server is pinned to keep reading while its
 // output sits unread.
 #include <gtest/gtest.h>
@@ -36,6 +37,11 @@ namespace saim::service {
 namespace {
 
 using namespace std::chrono_literals;
+
+/// The shutdown grace of the two EventServerShutdown cases, and a job
+/// deadline that outlives it several times over.
+constexpr auto kGrace = 300ms;
+constexpr int kPastTheGraceMs = 1500;
 
 /// Blocking TCP client with a receive timeout — the test-side peer.
 class BlockingClient {
@@ -167,7 +173,8 @@ class EventServerTest : public ::testing::TestWithParam<bool> {
 /// 10 s at a time.
 class PipeServer {
  public:
-  explicit PipeServer(SessionOptions session) {
+  explicit PipeServer(SessionOptions session,
+                      std::chrono::milliseconds shutdown_grace = 5s) {
     int in[2];
     int out[2];
     EXPECT_EQ(::pipe(in), 0);
@@ -180,6 +187,7 @@ class PipeServer {
     service_ = std::make_unique<SolveService>(service_options);
     EventServerOptions options;
     options.session = session;
+    options.shutdown_grace = shutdown_grace;
     server_ = std::make_unique<EventServer>(*service_, in[0], out[1], options);
     thread_ = std::thread([this] { exit_code_ = server_->run(); });
   }
@@ -470,16 +478,18 @@ TEST_P(EventServerTest, CacheHitIsEmittedWithoutAWorkerCompletion) {
   EXPECT_TRUE(hot.find("cache_hit")->as_bool()) << line;
 }
 
-// Not parameterised: it takes the whole ~6 s deadline.
+// Not parameterised: it takes the whole job deadline.
 TEST(EventServerShutdown, WorkStillSolvingDrainsPastTheGrace) {
   EventServerOptions options;
   options.session.stream = true;
+  options.shutdown_grace = kGrace;
   ServerFixture fixture(options);
   BlockingClient client(fixture.port());
-  // The job outlives the 5 s shutdown grace. Its peer keeps reading, so
-  // the session waits on the service and must not be dropped.
+  // The job outlives the shutdown grace. Its peer keeps reading, so the
+  // session waits on the service and must not be dropped.
   client.send_line(
-      R"({"gen":"qkp:200-25-1","iterations":100000,"deadline_ms":6000})");
+      R"({"gen":"qkp:200-25-1","iterations":100000,"deadline_ms":)" +
+      std::to_string(kPastTheGraceMs) + "}");
   client.send_line(R"({"cmd":"shutdown"})");
   std::string line;
   ASSERT_TRUE(client.read_line(line)) << "the job's line was dropped";
@@ -491,20 +501,20 @@ TEST(EventServerShutdown, WorkStillSolvingDrainsPastTheGrace) {
   EXPECT_EQ(fixture.join(), 0);
 }
 
-// Not parameterised: it takes the whole ~6 s deadline. In batch mode the
+// Not parameterised: it takes the whole job deadline. In batch mode the
 // slow first job holds back every later result, so they all leave in one
 // burst after the grace — more than a pipe buffer holds. The peer reads
 // slowly but steadily, so none of it may be dropped.
 TEST(EventServerShutdown, BurstAfterTheGraceReachesAPeerThatKeepsReading) {
   SessionOptions session;
   session.stream = false;
-  PipeServer server(session);
+  PipeServer server(session, kGrace);
   constexpr int kQuick = 100;
   const std::string padding(1024, 'x');  // > 100 KiB of output in all
   std::string input =
       R"({"id":"slow","gen":"qkp:200-25-1","iterations":100000,)"
-      R"("deadline_ms":6000})"
-      "\n";
+      R"("deadline_ms":)" +
+      std::to_string(kPastTheGraceMs) + "}\n";
   for (int i = 0; i < kQuick; ++i) {
     input += "{\"id\":\"q" + std::to_string(i) + "-" + padding +
              R"(","gen":"qkp:30-25-1","iterations":1,"sweeps":10})" + "\n";

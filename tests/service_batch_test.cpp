@@ -6,6 +6,8 @@
 
 #include <chrono>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -249,6 +251,65 @@ TEST(ServiceBatch, DifferentBackendsNeverShareABatch) {
   EXPECT_EQ(ra->batch_size, 1u);
   EXPECT_EQ(rb->batch_size, 1u);
   head.wait();
+}
+
+TEST(ServiceModelCache, SameInstanceJobsBuildOnceThenReuse) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 0});
+  const auto t = make_test_problem();
+  constexpr std::uint64_t kJobs = 5;
+  for (std::uint64_t seed = 1; seed <= kJobs; ++seed) {
+    const auto response = svc.submit(make_request(t, 5, seed)).wait();
+    ASSERT_EQ(response->status, core::Status::kCompleted) << response->error;
+    EXPECT_EQ(response->batch_size, 1u);
+  }
+  EXPECT_EQ(svc.stats().model_builds, 1u);
+  EXPECT_EQ(svc.stats().model_reuses, kJobs - 1);
+
+  // The backend spec and the penalty shaping are part of the key.
+  auto other_backend = make_request(t, 5, 1);
+  other_backend.backend.sweeps = 50;
+  svc.submit(std::move(other_backend)).wait();
+  EXPECT_EQ(svc.stats().model_builds, 2u);
+  auto other_penalty = make_request(t, 5, 1);
+  other_penalty.options.penalty_alpha = 3.0;
+  svc.submit(std::move(other_penalty)).wait();
+  EXPECT_EQ(svc.stats().model_builds, 3u);
+  EXPECT_EQ(svc.stats().model_reuses, kJobs - 1);
+}
+
+TEST(ServiceModelCache, FailedBatchDropsItsModel) {
+  const auto t = make_test_problem();
+  service::SolveService svc({.workers = 1, .cache_capacity = 0});
+  ASSERT_EQ(svc.submit(make_request(t, 5, 1)).wait()->status,
+            core::Status::kCompleted);
+
+  // Same batch key, an evaluator that throws mid-solve: the error
+  // surfaces, and the model it ran on is not kept.
+  auto throwing = make_request(t, 5, 2);
+  throwing.options.replicas = 40;  // the fused bit-sliced path
+  throwing.evaluator =
+      [](std::span<const std::uint8_t>) -> core::SampleVerdict {
+    throw std::runtime_error("evaluator exploded");
+  };
+  const auto failed = svc.submit(std::move(throwing)).wait();
+  EXPECT_EQ(failed->status, core::Status::kError);
+  EXPECT_EQ(failed->error, "evaluator exploded");
+  EXPECT_EQ(svc.stats().model_reuses, 1u);
+
+  // The next clean job on that key rebuilds, and matches a fresh service.
+  const auto after = svc.submit(make_request(t, 12, 3)).wait();
+  EXPECT_EQ(svc.stats().model_builds, 2u);
+  EXPECT_EQ(svc.stats().model_reuses, 1u);
+  service::SolveService fresh({.workers = 1, .cache_capacity = 0});
+  const auto want = fresh.submit(make_request(t, 12, 3)).wait();
+  ASSERT_EQ(after->status, core::Status::kCompleted);
+  EXPECT_EQ(after->fingerprint, want->fingerprint);
+  EXPECT_EQ(after->result->best_cost, want->result->best_cost);
+  EXPECT_EQ(after->result->best_config, want->result->best_config);
+  EXPECT_EQ(after->result->feasible_count, want->result->feasible_count);
+  EXPECT_EQ(after->result->total_sweeps, want->result->total_sweeps);
+  EXPECT_EQ(after->result->feasible_cost_stats.mean(),
+            want->result->feasible_cost_stats.mean());
 }
 
 }  // namespace

@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
       .add_flag("workers", "solver worker threads (0 = hardware)", "0")
       .add_flag("cache", "result-cache capacity (0 disables)", "256")
       .add_flag("max-batch",
-                "same-instance jobs executed per model build (1 disables)",
+                "same-instance jobs executed per batch (1 disables)",
                 "8")
       .add_bool("warm-start",
                 "seed jobs from the per-problem pool by default "
@@ -268,13 +268,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "saim_serve: %llu submitted, %llu executed, %llu coalesced, "
                  "%llu batched in %llu batches, %llu warm-seeded, "
-                 "cache hit-rate %.2f\n",
+                 "%llu model builds, %llu reuses, cache hit-rate %.2f\n",
                  static_cast<unsigned long long>(s.submitted),
                  static_cast<unsigned long long>(s.executed),
                  static_cast<unsigned long long>(s.coalesced),
                  static_cast<unsigned long long>(s.batched_jobs),
                  static_cast<unsigned long long>(s.batches),
                  static_cast<unsigned long long>(s.warm_seeded),
+                 static_cast<unsigned long long>(s.model_builds),
+                 static_cast<unsigned long long>(s.model_reuses),
                  s.cache.hit_rate());
   }
   return exit_code;

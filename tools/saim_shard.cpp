@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
       .add_flag("cache", "result-cache capacity per shard (0 disables)",
                 "256")
       .add_flag("max-batch",
-                "same-instance jobs fused per model build per shard", "8")
+                "same-instance jobs fused per batch per shard", "8")
       .add_bool("warm-start",
                 "make \"warm_start\": true the per-job default on every "
                 "shard")
