@@ -1,19 +1,41 @@
 // Standalone sweep-throughput report: times the recompute / incremental /
-// SIMD-vectorized / bit-sliced sweep engines on the paper's density-0.25
-// QKP-200 Ising model and on a sparse ±1 spin glass, and writes
-// BENCH_sweep.json. Deliberately free of the google-benchmark dependency
-// so CI can always build it and gate on the numbers; the exploratory
-// micro benchmarks live in bench/micro_ops.cpp.
+// SIMD-vectorized / bit-sliced sweep engines and the production p-bit
+// machine on the Lagrangian Ising model of the paper's QKP-200 instance
+// 200-25-1 and on a sparse ±1 spin glass, and writes BENCH_sweep.json.
+// The 25% is the density of the QKP profit matrix; the Lagrangian's
+// penalty P*|g|^2 couples every pair of spins, so every row of the Ising
+// model has n-1 neighbours. Deliberately free of the google-benchmark
+// dependency so CI can always build it and gate on the numbers; the
+// exploratory micro benchmarks live in bench/micro_ops.cpp.
 //
 // Usage: bench_sweep_rates [output.json]
 #include <cstdio>
 
+#include "pbit/pbit_machine.hpp"
 #include "sweep_common.hpp"
 
 namespace {
 
 using namespace saim;
 using namespace saim::benchfix;
+
+/// PBitMachine's sequential sweeps per second at fixed beta: the blocked
+/// p-bit decision and the flip apply the paper's default job runs. Times
+/// the `timed` sweeps after a `burn_in` at the same beta.
+double measure_pbit_rate(const ising::IsingModel& model, double beta,
+                         std::size_t burn_in, std::size_t timed) {
+  const pbit::PBitMachine machine(model);
+  return best_rate(kBenchRepeats, [&] {
+    util::Xoshiro256pp rng(7);
+    util::WallTimer timer;
+    std::size_t seen = 0;
+    machine.sample(beta, burn_in, timed, rng, [&](const ising::Spins& m) {
+      if (seen++ == 0) timer.reset();
+      keep(m.data());
+    });
+    return static_cast<double>(timed - 1) / timer.seconds();
+  });
+}
 
 int write_bench_sweep_json(const char* path) {
   const auto inst = bench_instance(200, 25);
@@ -31,6 +53,9 @@ int write_bench_sweep_json(const char* path) {
       measure_sweep_rates(ising, adj, beta_early, burn_in, timed);
   const SweepRates late =
       measure_sweep_rates(ising, adj, beta_late, burn_in, timed);
+  const double pbit_early =
+      measure_pbit_rate(ising, beta_early, burn_in, timed);
+  const double pbit_late = measure_pbit_rate(ising, beta_late, burn_in, timed);
 
   // Bit-sliced engine: aggregate per-replica rates at 1 lane (pure SIMD
   // kernels, no word parallelism), 32 lanes (the run_batch dispatch
@@ -152,6 +177,12 @@ int write_bench_sweep_json(const char* path) {
                glass_aggregate.scalar_replica_sweeps_per_sec,
                glass_aggregate.bitsliced_replica_sweeps_per_sec,
                glass_aggregate.speedup());
+  std::fprintf(f,
+               "  \"pbit_sequential\": {\"dense_rows\": %s, "
+               "\"beta_early\": %.3f, \"sweeps_per_sec_early\": %.1f, "
+               "\"beta_late\": %.3f, \"sweeps_per_sec_late\": %.1f},\n",
+               ising::LocalFieldState::uses_dense_rows(adj) ? "true" : "false",
+               beta_early, pbit_early, beta_late, pbit_late);
   std::fprintf(f, "  \"speedup_early\": %.3f,\n", early.speedup());
   std::fprintf(f, "  \"speedup_late\": %.3f,\n", late.speedup());
   std::fprintf(f, "  \"bitsliced_speedup_early\": %.3f,\n",
@@ -169,10 +200,11 @@ int write_bench_sweep_json(const char* path) {
   std::printf(
       "%s: incremental early %.2fx late %.2fx | "
       "bit-sliced x64 dense early %.2fx late %.2fx aggregate %.2fx | "
-      "sparse late x32 %.2fx x64 %.2fx aggregate %.2fx\n",
+      "sparse late x32 %.2fx x64 %.2fx aggregate %.2fx | "
+      "p-bit sweeps/s early %.0f late %.0f\n",
       path, early.speedup(), late.speedup(), bitsliced_speedup_early,
       bitsliced_speedup_late, aggregate.speedup(), glass_speedup_late32,
-      glass_speedup_late, glass_aggregate.speedup());
+      glass_speedup_late, glass_aggregate.speedup(), pbit_early, pbit_late);
   return 0;
 }
 

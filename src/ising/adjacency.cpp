@@ -3,28 +3,30 @@
 namespace saim::ising {
 
 Adjacency::Adjacency(const IsingModel& model) : n_(model.n()) {
-  std::vector<std::size_t> degree(n_, 0);
-  model.for_each_coupling([&](std::size_t i, std::size_t j, double) {
-    ++degree[i];
-    ++degree[j];
-  });
-
+  // Row i of the CSR is the nonzeros of dense row i in ascending j. The
+  // dense matrix is symmetric bit for bit (add_coupling applies the same
+  // additions to J_ij and J_ji), so both directions of an edge carry the
+  // same weight.
   offsets_.assign(n_ + 1, 0);
   for (std::size_t i = 0; i < n_; ++i) {
-    offsets_[i + 1] = offsets_[i] + degree[i];
+    const auto row = model.row(i);
+    std::size_t degree = 0;
+    for (const double v : row) degree += v != 0.0 ? 1 : 0;
+    offsets_[i + 1] = offsets_[i] + degree;
   }
   indices_.resize(offsets_[n_]);
   weights_.resize(offsets_[n_]);
-
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  model.for_each_coupling([&](std::size_t i, std::size_t j, double v) {
-    indices_[cursor[i]] = static_cast<std::uint32_t>(j);
-    weights_[cursor[i]] = v;
-    ++cursor[i];
-    indices_[cursor[j]] = static_cast<std::uint32_t>(i);
-    weights_[cursor[j]] = v;
-    ++cursor[j];
-  });
+  for (std::size_t i = 0; i < n_; ++i) {
+    const auto row = model.row(i);
+    std::size_t e = offsets_[i];
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (row[j] != 0.0) {
+        indices_[e] = static_cast<std::uint32_t>(j);
+        weights_[e] = row[j];
+        ++e;
+      }
+    }
+  }
 }
 
 }  // namespace saim::ising

@@ -1,9 +1,13 @@
 // Compressed-sparse-row view of an Ising coupling matrix.
 //
 // The dense IsingModel rows make model construction simple, but Monte-Carlo
-// sweeps only need each spin's nonzero neighbours. For the paper's QKP
-// instances with density 0.25-0.5 a CSR scan does 2-4x less memory traffic
-// per sweep. The CSR is built once per SAIM run: lambda updates change only
+// sweeps only need each spin's nonzero neighbours, and on sparse models
+// (spin glasses, max-cut graphs) a CSR scan touches a small fraction of a
+// dense row. The paper's Lagrangian models are not sparse: the penalty
+// P*|g|^2 couples every pair of items, so every row has n-1 neighbours
+// whatever the QKP density (209-212 on the eight QKP-200 instances), and
+// LocalFieldState applies flips on such models through the dense rows
+// instead. The CSR is built once per SAIM run: lambda updates change only
 // the fields h (see ising/convert.hpp), never the couplings, so the
 // adjacency stays valid across all K outer iterations.
 #pragma once

@@ -88,18 +88,14 @@ inline F64x4 biased_exponent(F64x4 u01) noexcept {
 //     fall through to the exp_bounds tier, and only its ambiguous band
 //     reaches libm. A u == 0 draw (biased exponent 0) carries no
 //     exponent information and always falls through.
-//   * pbit: for |x| >= kTanhSaturated, |tanh(x)| lies in [1 - 2^-48, 1],
-//     so sign(tanh(x) + u) is sign(x) for every |u| < 1 - 2^-48; only
-//     draws in the 2^-48-wide ambiguous band consult libm.
-// Shared with the scalar engines' exp_accept/tanh_sign_nonneg (see
-// util/accept_bounds.hpp): one set of tier constants means MetropolisSa,
-// PBitMachine and these word-parallel sweeps all decide via the same
-// tiered bound path.
+//   * pbit: util::tanh_sign_neg4 — the saturation and bounds tiers with a
+//     libm fallback, shared with PBitMachine's blocked sweep.
+// Shared with the scalar engines' exp_accept (see util/accept_bounds.hpp):
+// one set of tier constants means MetropolisSa, PBitMachine and these
+// word-parallel sweeps all decide via the same tiered bound path.
 constexpr double kLog2e = util::accept_detail::kLog2e;
 constexpr double kTier1Accept = util::accept_detail::kTier1Accept;
 constexpr double kTier1Reject = util::accept_detail::kTier1Reject;
-constexpr double kTanhSaturated = util::accept_detail::kTanhSat;
-constexpr double kTanhSatMargin = util::accept_detail::kTanhSatLo;
 
 /// Pushes ±2*J_ij onto the flipped lanes of chunk plane `cplane` for every
 /// neighbor of spin i. `sgn` carries the sign bit of each lane's NEW spin
@@ -121,12 +117,9 @@ inline void apply_flips_plane(const Adjacency& adj, std::size_t i,
 
 void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
   const F64x4 betav = F64x4::broadcast(beta);
-  const F64x4 zero = F64x4::zero();
   const F64x4 one = F64x4::broadcast(1.0);
   const F64x4 scale53 = F64x4::broadcast(0x1.0p-53);
   const F64x4 signbit = F64x4::broadcast(-0.0);
-  const F64x4 satv = F64x4::broadcast(kTanhSaturated);
-  const F64x4 satmargin = F64x4::broadcast(kTanhSatMargin);
 
   const double* hsh = g.shared_fields;
   for (std::size_t c = 0; c < g.chunks; ++c) {
@@ -147,60 +140,17 @@ void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
       const F64x4 in = F64x4::load(cplane + i * 4) + hv;
       const F64x4 x = betav * in;
 
-      // Unconditional per-visit draw, as update_one's uniform_sym.
+      // Unconditional per-visit draw, as the scalar sweep's uniform_sym.
       const U64x4 bits = util::xoshiro4_next(s0, s1, s2, s3);
       const F64x4 u01 =
           util::u64_to_f64_exact53(util::shr<11>(bits)) * scale53;
       const F64x4 u = (u01 + u01) - one;
 
-      int neg_bits;
-      const F64x4 absx = util::mask_andnot(signbit, x);
-      const unsigned sat =
-          static_cast<unsigned>(util::movemask(util::cmp_ge(absx, satv)));
-      if ((sat & active) == active) {
-        // Saturated fast path: sign(tanh(x) + u) = sign(x) unless the
-        // draw lands in the 2^-48-wide band next to ±1.
-        neg_bits = util::movemask(util::cmp_lt(x, zero));
-        const F64x4 absu = util::mask_andnot(signbit, u);
-        int amb = util::movemask(util::cmp_ge(absu, satmargin)) &
-                  static_cast<int>(active);
-        if (amb != 0) {
-          double xs[4], us[4];
-          x.store(xs);
-          u.store(us);
-          for (int l = 0; l < 4; ++l) {
-            if (((amb >> l) & 1) != 0) {
-              const bool neg = std::tanh(xs[l]) + us[l] < 0.0;
-              neg_bits =
-                  (neg_bits & ~(1 << l)) | (static_cast<int>(neg) << l);
-            }
-          }
-        }
-      } else {
-        // Bounds decide sign(tanh(x) + u) without libm for ~all lanes.
-        const BoundsF64x4 tb = util::tanh_bounds(x);
-        const F64x4 lo = tb.lo + u;
-        const F64x4 hi = tb.hi + u;
-        neg_bits = util::movemask(util::cmp_lt(hi, zero));
-        const int sure = util::movemask(util::cmp_ge(lo, zero)) | neg_bits;
-        int amb = ~sure & static_cast<int>(active);
-        if (amb != 0) {
-          double xs[4], us[4];
-          x.store(xs);
-          u.store(us);
-          for (int l = 0; l < 4; ++l) {
-            if (((amb >> l) & 1) != 0 &&
-                std::tanh(xs[l]) + us[l] < 0.0) {
-              neg_bits |= 1 << l;
-            }
-          }
-        }
-      }
+      const unsigned neg_bits = util::tanh_sign_neg4(x, u, active);
 
       const unsigned cur =
           static_cast<unsigned>((g.spins[i] >> off) & 0xFULL);
-      const unsigned flip4 =
-          (static_cast<unsigned>(neg_bits) ^ cur) & active;
+      const unsigned flip4 = (neg_bits ^ cur) & active;
       if (flip4 != 0) {
         const F64x4 delta = flip_delta4(in, nibble_mask_f64(cur));
         const F64x4 fmask = nibble_mask_f64(flip4);

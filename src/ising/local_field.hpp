@@ -14,6 +14,15 @@
 //     C_j in O(deg(i)) — so a sweep costs O(n + flips * deg) instead of
 //     O(sum deg).
 //
+// Dense rows. Every row of the Lagrangian Ising model has n-1 neighbours
+// (the penalty P*|g|^2 couples every pair of items), where a CSR scatter
+// does an index load and a dependent store per entry. When the adjacency
+// fills at least 30% of the n*n matrix, flip() instead walks the
+// model's contiguous dense row J[i][*] as a 4-lane axpy over all of C[].
+// The choice is made once per engine from the adjacency's edge count; it
+// needs no storage beyond the model's dense rows, and it does not change
+// one bit of C[] (see flip()).
+//
 // The field part h_i is read live from the bound IsingModel on every
 // field() call: SAIM's lambda updates rewrite only h between runs
 // (see ising/adjacency.hpp), so the incremental state never goes stale
@@ -28,6 +37,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "ising/adjacency.hpp"
@@ -45,7 +55,16 @@ class LocalFieldState {
   LocalFieldState(const IsingModel& model, const Adjacency& adjacency)
       : model_(&model),
         adjacency_(&adjacency),
-        coupling_in_(model.n(), 0.0) {}
+        coupling_in_(model.n(), 0.0),
+        dense_rows_(uses_dense_rows(adjacency)) {}
+
+  /// True when flip() applies flips as dense-row axpys for this adjacency:
+  /// its entries (both directions of every edge) fill at least 3/10 of the
+  /// n*n coupling matrix. Below that a CSR scatter touches less memory.
+  [[nodiscard]] static bool uses_dense_rows(const Adjacency& adjacency) {
+    const std::size_t n = adjacency.n();
+    return n != 0 && 10 * (2 * adjacency.edge_count()) >= 3 * n * n;
+  }
 
   [[nodiscard]] std::size_t n() const noexcept { return coupling_in_.size(); }
 
@@ -58,7 +77,13 @@ class LocalFieldState {
   /// p-bit input I_i = C_i + h_i for the state last synced via
   /// reset()/flip(). O(1).
   [[nodiscard]] double field(std::size_t i) const noexcept {
-    return coupling_in_[i] + model_->field(i);
+    return coupling_in_[i] + model_->fields()[i];
+  }
+
+  /// The coupling inputs C[] of the synced state — with the model's
+  /// fields() span, what a blocked sweep reads to form four inputs at once.
+  [[nodiscard]] std::span<const double> coupling_inputs() const noexcept {
+    return coupling_in_;
   }
 
   /// Energy change of flipping spin i in the synced state: dH = 2 m_i I_i.
@@ -67,7 +92,8 @@ class LocalFieldState {
     return 2.0 * static_cast<double>(m[i]) * field(i);
   }
 
-  /// Flips m[i], updates the neighbours' coupling inputs in O(deg(i)) and
+  /// Flips m[i], updates the neighbours' coupling inputs in O(deg(i)) (a
+  /// CSR scatter, or an O(n) dense-row axpy when the model is dense) and
   /// the tracked energy. Returns the energy change dH.
   double flip(Spins& m, std::size_t i);
 
@@ -81,6 +107,7 @@ class LocalFieldState {
     std::swap(a.adjacency_, b.adjacency_);
     a.coupling_in_.swap(b.coupling_in_);
     std::swap(a.energy_, b.energy_);
+    std::swap(a.dense_rows_, b.dense_rows_);
   }
 
  private:
@@ -88,6 +115,7 @@ class LocalFieldState {
   const Adjacency* adjacency_ = nullptr;
   std::vector<double> coupling_in_;  ///< C_i = sum_j J_ij m_j
   double energy_ = 0.0;              ///< H(m) for the synced state
+  bool dense_rows_ = false;          ///< flip() walks dense model rows
 };
 
 }  // namespace saim::ising

@@ -1,6 +1,7 @@
 #include "pbit/pbit_machine.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <bit>
 #include <numeric>
 #include <utility>
 
@@ -24,41 +25,58 @@ void PBitMachine::sweep(ising::Spins& m, ising::LocalFieldState& lfs,
                         util::Xoshiro256pp& rng,
                         std::vector<std::uint32_t>& scratch) const {
   const std::size_t size = n();
-
-  auto update_one = [&](std::size_t i) {
-    const double in = lfs.field(i);
-    // m_i = sign(tanh(beta*I_i) + U(-1,1)): +1 with prob (1+tanh)/2. The
-    // tiered sign test is bit-identical to calling std::tanh every visit
-    // but saturation/bounds decide ~all draws without libm (the
-    // bit-sliced engine's test, scalar lane); one uniform_sym draw per
-    // visit, as before.
-    const std::int8_t next =
-        util::tanh_sign_nonneg(beta * in, rng.uniform_sym())
-            ? std::int8_t{1}
-            : std::int8_t{-1};
-    if (next != m[i]) {
-      lfs.flip(m, i);
-    }
-  };
-
-  switch (order) {
-    case SweepOrder::kSequential:
-      for (std::size_t i = 0; i < size; ++i) update_one(i);
-      break;
-    case SweepOrder::kRandomPermutation: {
-      scratch.resize(size);
-      std::iota(scratch.begin(), scratch.end(), 0u);
+  const bool uniform = order == SweepOrder::kRandomUniform;
+  if (!uniform) {
+    scratch.resize(size);
+    std::iota(scratch.begin(), scratch.end(), 0u);
+    if (order == SweepOrder::kRandomPermutation) {
       // Fisher-Yates with the solver's own RNG for determinism.
       for (std::size_t i = size; i > 1; --i) {
         const std::size_t j = rng.below(i);
         std::swap(scratch[i - 1], scratch[j]);
       }
-      for (const auto i : scratch) update_one(i);
-      break;
     }
-    case SweepOrder::kRandomUniform:
-      for (std::size_t k = 0; k < size; ++k) update_one(rng.below(size));
-      break;
+  }
+
+  const double* c = lfs.coupling_inputs().data();
+  const double* h = model_->fields().data();
+  const util::F64x4 betav = util::F64x4::broadcast(beta);
+  for (std::size_t k = 0; k < size; k += 4) {
+    // Draw the block's visits first, in the order a one-spin-at-a-time
+    // loop consumes them: one uniform_sym per visit, each after its
+    // below() pick in kRandomUniform order.
+    const std::size_t count = std::min<std::size_t>(4, size - k);
+    std::uint32_t idx[4] = {0, 0, 0, 0};
+    double u[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t l = 0; l < count; ++l) {
+      idx[l] = uniform ? static_cast<std::uint32_t>(rng.below(size))
+                       : scratch[k + l];
+      u[l] = rng.uniform_sym();
+    }
+    const util::F64x4 uv = util::F64x4::load(u);
+
+    // m_i = sign(tanh(beta*I_i) + U(-1,1)) for the block's 4 visits in one
+    // masked test. The first lane whose decision disagrees with its spin
+    // flips; only the later lanes are then re-decided, against the updated
+    // C[] and spins and with their already-drawn u, so each visit sees the
+    // field and the draw the sequential loop would. The tiers decide
+    // exactly as libm, so trajectories are bit-identical to it.
+    unsigned pending = (1u << count) - 1u;
+    while (pending != 0) {
+      const util::F64x4 in =
+          util::F64x4::set(c[idx[0]], c[idx[1]], c[idx[2]], c[idx[3]]) +
+          util::F64x4::set(h[idx[0]], h[idx[1]], h[idx[2]], h[idx[3]]);
+      const unsigned neg = util::tanh_sign_neg4(betav * in, uv, pending);
+      const unsigned cur = static_cast<unsigned>(m[idx[0]] < 0) |
+                           static_cast<unsigned>(m[idx[1]] < 0) << 1 |
+                           static_cast<unsigned>(m[idx[2]] < 0) << 2 |
+                           static_cast<unsigned>(m[idx[3]] < 0) << 3;
+      const unsigned flips = (neg ^ cur) & pending;
+      if (flips == 0) break;
+      const int lane = std::countr_zero(flips);
+      lfs.flip(m, idx[lane]);
+      pending &= ~0u << (lane + 1);
+    }
   }
 }
 

@@ -9,6 +9,15 @@
 // distribution P{m} ∝ exp(-beta * H{m}) (eq. 11) — verified by the
 // chi-square tests in tests/pbit_boltzmann_test.cpp.
 //
+// A sweep visits the spins in blocks of 4. It draws the block's 4 uniforms
+// first, in the order a one-spin-at-a-time loop would, then decides all 4
+// visits with one masked tanh test (util::tanh_sign_neg4). The first visit
+// whose decision disagrees with its spin flips, through LocalFieldState
+// (a dense-row axpy on the paper's fully coupled Lagrangian models), and
+// only the later visits are re-decided against the updated inputs. Every
+// visit thus sees the field and the draw of the sequential loop, and every
+// decision equals the libm one, so trajectories are bit-identical to it.
+//
 // The machine keeps a reference to its IsingModel: SAIM's lambda updates
 // rewrite only the model's fields h between runs, which the machine reads
 // live, while the coupling CSR (built once) stays valid.
@@ -95,9 +104,10 @@ class PBitMachine {
   }
 
  private:
-  /// One Monte-Carlo sweep at inverse temperature beta. Reads each p-bit's
-  /// input from the incremental engine (O(1) per visit) and pushes accepted
-  /// flips back through it; `lfs` tracks the running energy.
+  /// One Monte-Carlo sweep at inverse temperature beta, 4 visits per
+  /// block, for every SweepOrder. Reads the p-bit inputs from the
+  /// incremental engine (O(1) per visit) and pushes flips back through it;
+  /// `lfs` tracks the running energy.
   void sweep(ising::Spins& m, ising::LocalFieldState& lfs, double beta,
              SweepOrder order, util::Xoshiro256pp& rng,
              std::vector<std::uint32_t>& scratch) const;

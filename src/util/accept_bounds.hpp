@@ -27,7 +27,7 @@
 //   saturated branches. The bounds hold for BOTH the true value and the
 //   libm double, so they compose: tanh bounds map exp(2x) bounds through
 //   the monotone (e-1)/(e+1), widened by an absolute pad for the division
-//   rounding and libm tanh's ~2 ulp, with |x| >= 20 saturated.
+//   rounding and libm tanh's ~2 ulp, with |x| >= 8 saturated.
 #pragma once
 
 #include <bit>
@@ -52,8 +52,13 @@ inline constexpr double kRangeLimit = 970.0;
 inline constexpr double kTinyHi = 0x1.0p-900;
 inline constexpr double kBigLo = 0x1.0p900;
 inline constexpr double kTanhPad = 1e-12;
-inline constexpr double kTanhSat = 20.0;            // tanh within 2^-56 of 1
-inline constexpr double kTanhSatLo = 1.0 - 0x1.0p-48;
+// Saturation: for |x| >= 8, 1 - |tanh(x)| < 2 e^-16 = 2.26e-7, and libm
+// adds at most a few 1e-16; the band 2^-21 = 4.77e-7 covers both twice
+// over. So |tanh(x)| >= kTanhSatLo there, and sign(tanh(x) + u) is
+// sign(x) for every |u| < kTanhSatLo. On the annealed QKP-200 Lagrangians
+// this tier decides ~90-99% of visits past the first fifth of the ramp.
+inline constexpr double kTanhSat = 8.0;
+inline constexpr double kTanhSatLo = 1.0 - 0x1.0p-21;
 // Tier-1 exponent trick (see exp_accept): with r = arg*log2(e), log2(u)
 // lies in [e, e+1) for biased exponent be = e + 1023, so be < r + 1022
 // accepts and be >= r + 1023 rejects; the 1e-9 margin dwarfs the rounding
@@ -149,10 +154,57 @@ inline BoundsF64x4 tanh_bounds(F64x4 x) noexcept {
   return {lo, hi};
 }
 
+/// 4-lane tiered p-bit test: bit l of the result is set iff
+/// std::tanh(x_l) + u_l < 0 (the p-bit settles at -1), for the lanes in
+/// `active`; inactive lanes read 0 and never reach libm. One masked
+/// evaluation serves both the bit-sliced engine (ising/bitslice.cpp) and
+/// the scalar p-bit sweep (pbit/pbit_machine.cpp), four visits at a time.
+///   * Saturation tier, when every active lane has |x| >= 8: |tanh(x)| is
+///     within 2^-21 of 1, so the sign of x decides unless |u| >= 1 - 2^-21.
+///   * Bounds tier otherwise: tanh_bounds decides ~all lanes.
+/// Lanes left ambiguous by either tier call std::tanh, so every decision
+/// equals the libm one. `u` lanes are uniform_sym draws in [-1, 1).
+inline unsigned tanh_sign_neg4(F64x4 x, F64x4 u, unsigned active) noexcept {
+  using namespace accept_detail;
+  const F64x4 zero = F64x4::zero();
+  const F64x4 signbit = F64x4::broadcast(-0.0);
+  const F64x4 absx = mask_andnot(signbit, x);
+  const auto sat = static_cast<unsigned>(
+      movemask(cmp_ge(absx, F64x4::broadcast(kTanhSat))));
+  unsigned neg;
+  unsigned amb;
+  if ((sat & active) == active) {
+    neg = static_cast<unsigned>(movemask(cmp_lt(x, zero)));
+    const F64x4 absu = mask_andnot(signbit, u);
+    amb = static_cast<unsigned>(
+        movemask(cmp_ge(absu, F64x4::broadcast(kTanhSatLo))));
+  } else {
+    const BoundsF64x4 tb = tanh_bounds(x);
+    neg = static_cast<unsigned>(movemask(cmp_lt(tb.hi + u, zero)));
+    const unsigned pos =
+        static_cast<unsigned>(movemask(cmp_ge(tb.lo + u, zero)));
+    amb = ~(neg | pos);
+  }
+  neg &= active;
+  amb &= active;
+  if (amb != 0) {
+    double xs[4], us[4];
+    x.store(xs);
+    u.store(us);
+    for (unsigned l = 0; l < 4; ++l) {
+      if (((amb >> l) & 1u) != 0) {
+        const bool lane_neg = std::tanh(xs[l]) + us[l] < 0.0;
+        neg = (neg & ~(1u << l)) | (static_cast<unsigned>(lane_neg) << l);
+      }
+    }
+  }
+  return neg;
+}
+
 /// Scalar tiered p-bit sign test: decides tanh(x) + u >= 0 bit-identically
-/// to calling std::tanh on every draw — the bit-sliced engine's test
-/// (ising/bitslice.cpp), one lane. Saturation tier for |x| >= 20 (the
-/// draw decides only inside the 2^-48 band next to ±1), tanh_bounds tier
+/// to calling std::tanh on every draw — one lane of the tiers above, kept
+/// as an independent scalar reference. Saturation tier for |x| >= 8 (the
+/// draw decides only inside the 2^-21 band next to ±1), tanh_bounds tier
 /// otherwise; ambiguous draws reach libm. `u` is a uniform_sym draw in
 /// [-1, 1).
 inline bool tanh_sign_nonneg(double x, double u) noexcept {

@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "anneal/parallel_tempering.hpp"
+#include "anneal/simulated_annealing.hpp"
 #include "core/params.hpp"
 #include "core/penalty_method.hpp"
 #include "exact/exhaustive.hpp"
+#include "ising/adjacency.hpp"
+#include "ising/local_field.hpp"
+#include "problems/mkp.hpp"
 #include "problems/qkp.hpp"
 
 namespace saim::core {
@@ -251,6 +262,119 @@ TEST(Params, TableOneValues) {
   EXPECT_EQ(mkp.runs, 5000u);
   EXPECT_DOUBLE_EQ(mkp.beta_max, 50.0);
   EXPECT_DOUBLE_EQ(mkp.eta, 0.05);
+}
+
+// Golden trajectories. The parity suites compare engine against engine, so
+// a change that moved every engine the same way would pass them; these
+// pins compare against recorded numbers instead. They were recorded with
+// the one-spin-at-a-time p-bit sweep and CSR-scatter flips that preceded
+// the blocked sweep and the dense-row flips, and must not move.
+struct Pin {
+  double best_cost;
+  std::size_t feasible_count;
+  std::size_t total_sweeps;
+  std::vector<std::uint64_t> lambda_bits;  ///< lambda of the last iteration
+  std::uint64_t last_sample_hash;          ///< FNV-1a of the last sample
+};
+
+void expect_pinned(const problems::ConstrainedProblem& problem,
+                   anneal::IsingSolverBackend& backend, SaimOptions opts,
+                   const SampleEvaluator& eval, const Pin& pin) {
+  std::vector<std::uint8_t> last;
+  const SampleEvaluator judge = [&](std::span<const std::uint8_t> x) {
+    last.assign(x.begin(), x.end());
+    return eval(x);
+  };
+  opts.iterations = 20;
+  opts.seed = 5;
+  opts.record_history = true;
+  SaimSolver solver(problem, backend, opts);
+  // The Lagrangian couples every pair of items: flips take the dense rows.
+  EXPECT_TRUE(ising::LocalFieldState::uses_dense_rows(
+      ising::Adjacency(solver.model().ising())));
+  const auto result = solver.solve(judge);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto b : last) {
+    hash = (hash ^ b) * 0x100000001b3ULL;
+  }
+  std::vector<std::uint64_t> lambda_bits;
+  for (const double l : result.history.back().lambda) {
+    lambda_bits.push_back(std::bit_cast<std::uint64_t>(l));
+  }
+  EXPECT_EQ(result.best_cost, pin.best_cost);
+  EXPECT_EQ(result.feasible_count, pin.feasible_count);
+  EXPECT_EQ(result.total_sweeps, pin.total_sweeps);
+  EXPECT_EQ(lambda_bits, pin.lambda_bits);
+  EXPECT_EQ(hash, pin.last_sample_hash);
+}
+
+SaimOptions qkp_pin_options() {
+  SaimOptions opts;
+  opts.eta = 200.0;
+  opts.penalty_alpha = 2.0;
+  return opts;
+}
+
+TEST(GoldenTrajectory, PbitOnQkp60) {
+  const auto inst = problems::make_paper_qkp(60, 50, 1);
+  const auto mapping = problems::qkp_to_problem(inst);
+  const auto eval = make_qkp_evaluator(inst);
+  for (const auto& [order, pin] :
+       {std::pair{pbit::SweepOrder::kSequential,
+                  Pin{-35104.0, 8, 4000, {0x4075730cf30cf317ULL},
+                      0xa04a5dfd44262055ULL}},
+        std::pair{pbit::SweepOrder::kRandomPermutation,
+                  Pin{-35104.0, 8, 4000, {0x407761fe01fe0204ULL},
+                      0x2f2226f249d1dc8bULL}},
+        std::pair{pbit::SweepOrder::kRandomUniform,
+                  Pin{-32431.0, 8, 4000, {0x407819a659a659acULL},
+                      0xc86d4f4825888412ULL}}}) {
+    SCOPED_TRACE(static_cast<int>(order));
+    anneal::PBitBackend backend(pbit::Schedule::linear(10.0), 200, order);
+    expect_pinned(mapping.problem, backend, qkp_pin_options(), eval, pin);
+  }
+}
+
+TEST(GoldenTrajectory, PbitOnMkp30) {
+  const auto inst = problems::make_paper_mkp(30, 3, 1);
+  const auto mapping = problems::mkp_to_problem(inst);
+  anneal::PBitBackend backend(pbit::Schedule::linear(50.0), 200);
+  SaimOptions opts;
+  opts.eta = 20.0;
+  opts.penalty_alpha = 5.0;
+  expect_pinned(mapping.problem, backend, opts, make_mkp_evaluator(inst),
+                Pin{-12320.0,
+                    5,
+                    4000,
+                    {0x4004ce5807b825aeULL, 0x3ffde015606ae20fULL,
+                     0x4007086329efd1dfULL},
+                    0xa6aa397a6c8c81d7ULL});
+}
+
+TEST(GoldenTrajectory, MetropolisSaOnQkp60) {
+  const auto inst = problems::make_paper_qkp(60, 50, 1);
+  const auto mapping = problems::qkp_to_problem(inst);
+  anneal::MetropolisSaBackend backend(pbit::Schedule::linear(10.0), 200);
+  expect_pinned(mapping.problem, backend, qkp_pin_options(),
+                make_qkp_evaluator(inst),
+                Pin{-36161.0, 6, 4000, {0x4076b9e619e619edULL},
+                    0xc0be175a9b2e9537ULL});
+}
+
+TEST(GoldenTrajectory, ParallelTemperingOnQkp60) {
+  const auto inst = problems::make_paper_qkp(60, 50, 1);
+  const auto mapping = problems::qkp_to_problem(inst);
+  anneal::PtOptions pt;
+  pt.replicas = 4;
+  pt.beta_min = 0.5;
+  pt.beta_max = 10.0;
+  pt.sweeps = 50;
+  pt.swap_interval = 5;
+  anneal::ParallelTemperingBackend backend(pt);
+  expect_pinned(mapping.problem, backend, qkp_pin_options(),
+                make_qkp_evaluator(inst),
+                Pin{-35104.0, 8, 4000, {0x40782936c936c93cULL},
+                    0xb76642a271f8a895ULL});
 }
 
 }  // namespace

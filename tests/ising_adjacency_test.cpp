@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -74,6 +76,34 @@ TEST_P(AdjacencyProperty, DegreesSumToTwiceEdges) {
     degree_sum += adj.neighbors(i).size();
   }
   EXPECT_EQ(degree_sum, 2 * adj.edge_count());
+}
+
+// coupling_input's summation order, and so every engine's bits, follows
+// the CSR order: row i lists the nonzeros of dense row i by ascending j.
+TEST_P(AdjacencyProperty, RowsListDenseNonzerosInAscendingOrder) {
+  util::Xoshiro256pp rng(GetParam() + 777);
+  const std::size_t n = 1 + rng.below(24);
+  IsingModel ising(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (rng.bernoulli(0.5)) ising.add_coupling(i, j, rng.uniform_sym());
+    }
+  }
+  Adjacency adj(ising);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::uint32_t> want_nbr;
+    std::vector<double> want_w;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (ising.coupling(i, j) != 0.0) {
+        want_nbr.push_back(static_cast<std::uint32_t>(j));
+        want_w.push_back(ising.coupling(i, j));
+      }
+    }
+    const auto nbr = adj.neighbors(i);
+    const auto w = adj.weights(i);
+    EXPECT_EQ(std::vector<std::uint32_t>(nbr.begin(), nbr.end()), want_nbr);
+    EXPECT_EQ(std::vector<double>(w.begin(), w.end()), want_w);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, AdjacencyProperty,

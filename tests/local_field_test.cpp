@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "ising/adjacency.hpp"
 #include "ising/ising_model.hpp"
@@ -121,6 +124,118 @@ TEST(LocalFieldState, FlipIsAnInvolutionOnEnergy) {
   const double d2 = lfs.flip(m, 5);
   EXPECT_NEAR(d1, -d2, 1e-12);
   EXPECT_NEAR(lfs.energy(), e0, 1e-12);
+}
+
+/// Test-local copy of the CSR scatter flip: the reference the dense-row
+/// path must match bit for bit.
+struct CsrReference {
+  const IsingModel* model;
+  const Adjacency* adj;
+  std::vector<double> c;
+  double energy = 0.0;
+
+  void reset(const Spins& m) {
+    c.resize(model->n());
+    for (std::size_t i = 0; i < model->n(); ++i) {
+      c[i] = adj->coupling_input(m, i);
+    }
+    energy = model->energy(m);
+  }
+  void flip(Spins& m, std::size_t i) {
+    const double delta =
+        2.0 * static_cast<double>(m[i]) * (c[i] + model->fields()[i]);
+    m[i] = static_cast<std::int8_t>(-m[i]);
+    const auto mi = static_cast<double>(m[i]);
+    const auto nbr = adj->neighbors(i);
+    const auto w = adj->weights(i);
+    for (std::size_t k = 0; k < nbr.size(); ++k) {
+      c[nbr[k]] += 2.0 * w[k] * mi;
+    }
+    energy += delta;
+  }
+};
+
+/// Flips `flips` random spins through the engine and the CSR reference
+/// side by side; C[] and the energy must stay bit-equal throughout.
+void expect_flips_match_csr(const IsingModel& model, std::uint64_t seed,
+                            std::size_t flips) {
+  const Adjacency adj(model);
+  util::Xoshiro256pp rng(seed);
+  Spins m = random_spins(model.n(), rng);
+  Spins ref_m = m;
+  LocalFieldState lfs(model, adj);
+  lfs.reset(m);
+  CsrReference ref{&model, &adj, {}, 0.0};
+  ref.reset(ref_m);
+  for (std::size_t step = 0; step < flips; ++step) {
+    const auto i = static_cast<std::size_t>(rng.below(model.n()));
+    lfs.flip(m, i);
+    ref.flip(ref_m, i);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(lfs.energy()),
+              std::bit_cast<std::uint64_t>(ref.energy))
+        << "n=" << model.n() << " step " << step;
+    const auto c = lfs.coupling_inputs();
+    for (std::size_t j = 0; j < model.n(); ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(c[j]),
+                std::bit_cast<std::uint64_t>(ref.c[j]))
+          << "n=" << model.n() << " step " << step << " C_" << j;
+    }
+  }
+  EXPECT_EQ(m, ref_m);
+}
+
+TEST(LocalFieldState, DenseRowFlipsMatchCsrScatterBitForBit) {
+  // Non-dyadic dense models, including n = 1, 2, 3, 5 and sizes that leave
+  // every remainder of the 4-lane axpy.
+  std::size_t total = 0;
+  std::uint64_t seed = 20;
+  for (const std::size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 42u, 67u}) {
+    for (const double density : {1.0, 0.6}) {
+      const auto model = random_model(n, density, seed++);
+      if (n > 1 && density == 1.0) {
+        EXPECT_TRUE(LocalFieldState::uses_dense_rows(Adjacency(model)));
+      }
+      expect_flips_match_csr(model, seed++, 2000);
+      total += 2000;
+    }
+  }
+  EXPECT_GE(total, 10000u);
+}
+
+TEST(LocalFieldState, DenseRowFlipsKeepExactZeroCouplingInputs) {
+  // ±1 couplings make C_j hit exactly 0.0, where an added -0.0 from a
+  // non-neighbour would show if C_j could ever be -0.0.
+  IsingModel model(9);
+  util::Xoshiro256pp rng(31);
+  for (std::size_t i = 0; i < 9; ++i) {
+    for (std::size_t j = i + 1; j < 9; ++j) {
+      if (rng.uniform01() < 0.7) {
+        model.add_coupling(i, j, rng.bernoulli(0.5) ? 1.0 : -1.0);
+      }
+    }
+  }
+  ASSERT_TRUE(LocalFieldState::uses_dense_rows(Adjacency(model)));
+  expect_flips_match_csr(model, 32, 5000);
+}
+
+TEST(LocalFieldState, DenseRowThresholdIsThreeTenthsFill) {
+  // n = 10: 15 edges fill exactly 30/100 of the matrix (dense path), 14
+  // edges fall just below it (CSR path). Both must match the reference.
+  for (const std::size_t edges : {15u, 14u}) {
+    IsingModel model(10);
+    util::Xoshiro256pp rng(40 + edges);
+    std::size_t added = 0;
+    for (std::size_t i = 0; i < 10 && added < edges; ++i) {
+      for (std::size_t j = i + 1; j < 10 && added < edges; ++j, ++added) {
+        model.add_coupling(i, j, rng.uniform_sym());
+      }
+      model.add_field(i, rng.uniform_sym());
+    }
+    const Adjacency adj(model);
+    ASSERT_EQ(adj.edge_count(), edges);
+    EXPECT_EQ(LocalFieldState::uses_dense_rows(adj), edges == 15u);
+    expect_flips_match_csr(model, 50 + edges, 2000);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "ising/adjacency.hpp"
+#include "ising/local_field.hpp"
+#include "util/accept_bounds.hpp"
+#include "util/rng.hpp"
 
 namespace saim::pbit {
 namespace {
@@ -158,6 +169,140 @@ TEST(PBitMachine, DeterministicGivenSeed) {
   const auto rb = machine.anneal(Schedule::linear(2.0), opts, b);
   EXPECT_EQ(ra.last, rb.last);
   EXPECT_DOUBLE_EQ(ra.last_energy, rb.last_energy);
+}
+
+/// Random non-dyadic model: couplings at `density`, every field set.
+ising::IsingModel random_model(std::size_t n, double density,
+                               std::uint64_t seed) {
+  ising::IsingModel model(n);
+  util::Xoshiro256pp rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (rng.uniform01() < density) {
+        model.add_coupling(i, j, 2.0 * rng.uniform_sym());
+      }
+    }
+    model.add_field(i, 3.0 * rng.uniform_sym());
+  }
+  return model;
+}
+
+/// Test-local copy of the one-spin-at-a-time p-bit sweep that the blocked
+/// kernel replaced: per visit one uniform_sym draw (after the below() pick
+/// in kRandomUniform order), the scalar tiered decision, and the flip
+/// applied before the next visit.
+void reference_sweep(ising::Spins& m, ising::LocalFieldState& lfs,
+                     double beta, SweepOrder order,
+                     util::Xoshiro256pp& rng) {
+  const std::size_t size = m.size();
+  auto update_one = [&](std::size_t i) {
+    const std::int8_t next =
+        util::tanh_sign_nonneg(beta * lfs.field(i), rng.uniform_sym())
+            ? std::int8_t{1}
+            : std::int8_t{-1};
+    if (next != m[i]) lfs.flip(m, i);
+  };
+  switch (order) {
+    case SweepOrder::kSequential:
+      for (std::size_t i = 0; i < size; ++i) update_one(i);
+      break;
+    case SweepOrder::kRandomPermutation: {
+      std::vector<std::uint32_t> perm(size);
+      std::iota(perm.begin(), perm.end(), 0u);
+      for (std::size_t i = size; i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.below(i)]);
+      }
+      for (const auto i : perm) update_one(i);
+      break;
+    }
+    case SweepOrder::kRandomUniform:
+      for (std::size_t k = 0; k < size; ++k) update_one(rng.below(size));
+      break;
+  }
+}
+
+/// The reference sweep inside PBitMachine::anneal_from's run loop.
+AnnealResult reference_anneal(const ising::IsingModel& model,
+                              ising::Spins start, const Schedule& schedule,
+                              const AnnealOptions& options,
+                              util::Xoshiro256pp& rng) {
+  const ising::Adjacency adj(model);
+  ising::LocalFieldState lfs(model, adj);
+  AnnealResult r;
+  r.last = std::move(start);
+  lfs.reset(r.last);
+  r.best = r.last;
+  r.best_energy = lfs.energy();
+  for (std::size_t t = 0; t < options.sweeps; ++t) {
+    reference_sweep(r.last, lfs, schedule.beta(t, options.sweeps),
+                    options.order, rng);
+    if (lfs.energy() < r.best_energy) {
+      r.best_energy = lfs.energy();
+      r.best = r.last;
+    }
+  }
+  r.last_energy = lfs.energy();
+  return r;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(PBitMachine, BlockedSweepMatchesOneSpinAtATimeLoop) {
+  std::uint64_t seed = 100;
+  for (const double density : {1.0, 0.15}) {  // dense rows and CSR rows
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 12u, 13u, 14u,
+                                15u, 37u, 64u}) {
+      const auto model = random_model(n, density, seed++);
+      const PBitMachine machine(model);
+      for (const auto order :
+           {SweepOrder::kSequential, SweepOrder::kRandomPermutation,
+            SweepOrder::kRandomUniform}) {
+        AnnealOptions opts;
+        opts.sweeps = 80;
+        opts.order = order;
+        opts.track_best = true;
+        const Schedule schedule = Schedule::linear(4.0);
+        util::Xoshiro256pp rng(seed);
+        util::Xoshiro256pp ref_rng(seed);
+        const ising::Spins start = machine.random_state(rng);
+        ASSERT_EQ(start, machine.random_state(ref_rng));
+        const auto got = machine.anneal_from(start, schedule, opts, rng);
+        const auto want =
+            reference_anneal(model, start, schedule, opts, ref_rng);
+        const std::string where = "n=" + std::to_string(n) + " density=" +
+                                  std::to_string(density) + " order=" +
+                                  std::to_string(static_cast<int>(order));
+        EXPECT_EQ(got.last, want.last) << where;
+        EXPECT_EQ(bits(got.last_energy), bits(want.last_energy)) << where;
+        EXPECT_EQ(got.best, want.best) << where;
+        EXPECT_EQ(bits(got.best_energy), bits(want.best_energy)) << where;
+        EXPECT_EQ(rng(), ref_rng()) << where;  // same draws consumed
+        ++seed;
+      }
+    }
+  }
+}
+
+TEST(PBitMachine, BlockedSampleMatchesOneSpinAtATimeLoop) {
+  const auto model = random_model(23, 1.0, 7);
+  const PBitMachine machine(model);
+  util::Xoshiro256pp rng(8);
+  std::vector<ising::Spins> got;
+  machine.sample(0.7, 5, 30, rng,
+                 [&](const ising::Spins& m) { got.push_back(m); });
+
+  util::Xoshiro256pp ref_rng(8);
+  ising::Spins m = machine.random_state(ref_rng);
+  const ising::Adjacency adj(model);
+  ising::LocalFieldState lfs(model, adj);
+  lfs.reset(m);
+  for (std::size_t t = 0; t < 35; ++t) {
+    reference_sweep(m, lfs, 0.7, SweepOrder::kSequential, ref_rng);
+    if (t >= 5) {
+      ASSERT_EQ(got[t - 5], m) << "sample " << t - 5;
+    }
+  }
+  EXPECT_EQ(rng(), ref_rng());
 }
 
 }  // namespace

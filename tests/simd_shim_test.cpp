@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/accept_bounds.hpp"
 #include "util/rng.hpp"
@@ -247,6 +249,94 @@ TEST(AcceptBounds, AmbiguousBandIsNarrow) {
   // Interval width is ~4e-5 relative; on uniform u the hit rate is well
   // under 0.1%. Allow 10x slack for distributional effects.
   EXPECT_LT(ambiguous, trials / 100);
+}
+
+// The shared 4-lane p-bit test (the bit-sliced engine's and the blocked
+// scalar sweep's) must decide every lane exactly as the scalar tiered test
+// and libm do, whichever tier the block takes, and leave inactive lanes 0.
+TEST(AcceptBounds, TanhSignNeg4MatchesScalarTest) {
+  std::vector<double> xs = {0.0,     -0.0,    5e-324,   -5e-324, 1e-300,
+                            -1e-300, 1e-12,   -1e-12,   0.3,     -0.7,
+                            1.5,     -3.0,    19.999999, -19.999999,
+                            20.0,    -20.0,   25.0,     -25.0,   1e300,
+                            -1e300};
+  // The saturation edge (|x| = 8) and the old one (|x| = 20).
+  for (const double edge : {8.0, -8.0, 20.0, -20.0}) {
+    xs.push_back(edge);
+    xs.push_back(std::nextafter(edge, 0.0));
+    xs.push_back(std::nextafter(edge, 2.0 * edge));
+  }
+  std::vector<std::pair<double, double>> points;
+  std::vector<double> us = {-1.0, -0.5, -0.0, 0.0, 0.5,
+                            0x1.fffffffffffffp-1};
+  // Draws at and next to the saturation band 1 - 2^-21, and at 1 - 2^-48.
+  for (const double band : {0x1.0p-21, 0x1.0p-48}) {
+    const double sat_u = 1.0 - band;
+    for (const double u : {sat_u, std::nextafter(sat_u, 0.0),
+                           std::nextafter(sat_u, 2.0)}) {
+      us.push_back(u);
+      us.push_back(-u);
+    }
+  }
+  for (const double x : xs) {
+    for (const double u : us) points.emplace_back(x, u);
+  }
+  // Draws right at -tanh(x) sit inside the bounds' ambiguous band, so the
+  // libm fallback decides them.
+  std::size_t ambiguous = 0;
+  for (const double x : {5e-3, -5e-3, 0.3, -0.7, 1.5, -3.0, 5.5, -7.25}) {
+    const double t = std::tanh(x);
+    for (const double u :
+         {-t, std::nextafter(-t, 2.0), std::nextafter(-t, -2.0)}) {
+      points.emplace_back(x, u);
+      const util::BoundsF64x4 b = util::tanh_bounds(F64x4::broadcast(x));
+      double lo[4], hi[4];
+      b.lo.store(lo);
+      b.hi.store(hi);
+      if (lo[0] + u < 0.0 && hi[0] + u >= 0.0) ++ambiguous;
+    }
+  }
+  EXPECT_GE(ambiguous, 16u);
+
+  auto check_block = [](const std::pair<double, double>* p, unsigned active) {
+    const F64x4 x = F64x4::set(p[0].first, p[1].first, p[2].first, p[3].first);
+    const F64x4 u =
+        F64x4::set(p[0].second, p[1].second, p[2].second, p[3].second);
+    const unsigned neg = util::tanh_sign_neg4(x, u, active);
+    for (unsigned l = 0; l < 4; ++l) {
+      const auto [xl, ul] = p[l];
+      const bool want = ((active >> l) & 1u) != 0 &&
+                        !util::tanh_sign_nonneg(xl, ul);
+      ASSERT_EQ(((neg >> l) & 1u) != 0, want)
+          << "lane " << l << " x=" << xl << " u=" << ul << " active="
+          << active;
+      if (((active >> l) & 1u) != 0) {
+        ASSERT_EQ(want, std::tanh(xl) + ul < 0.0);
+      }
+    }
+  };
+  // Every point in every lane, next to saturated and unsaturated company,
+  // under every active mask.
+  const std::size_t count = points.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const std::size_t stride : {1u, 7u, 61u}) {
+      const std::pair<double, double> block[4] = {
+          points[i], points[(i + stride) % count],
+          points[(i + 2 * stride) % count], points[(i + 3 * stride) % count]};
+      for (unsigned active = 1; active < 16; ++active) {
+        check_block(block, active);
+      }
+    }
+  }
+  util::Xoshiro256pp rng(7);
+  for (int it = 0; it < 100000; ++it) {
+    std::pair<double, double> block[4];
+    for (auto& [x, u] : block) {
+      x = ((it & 3) == 0 ? 40.0 : 4.0) * rng.uniform_sym();
+      u = rng.uniform_sym();
+    }
+    check_block(block, 15u);
+  }
 }
 
 }  // namespace
