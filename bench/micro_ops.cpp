@@ -170,7 +170,6 @@ void BM_SweepBitsliced(benchmark::State& state) {
   for (std::size_t r = 0; r < replicas; ++r) {
     lanes[r].spins = m;
     lanes[r].energy = energy;
-    lanes[r].fields = model.ising().fields().data();
     lanes[r].rng = util::Xoshiro256pp(util::derive_seed(5, r)).state();
   }
   constexpr std::size_t kSweeps = 16;
@@ -178,6 +177,7 @@ void BM_SweepBitsliced(benchmark::State& state) {
   ising::SliceOptions so;
   so.dynamics = ising::SliceDynamics::kMetropolis;
   so.betas = betas;
+  so.fields = model.ising().fields();
   so.track_best = false;
   const ising::BitSliceEngine engine(adj);
   for (auto _ : state) {

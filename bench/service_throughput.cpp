@@ -1,13 +1,13 @@
 // Service-layer throughput bench: jobs/sec of SolveService on a mixed
 // QKP/MKP job stream at 1/4/8 workers, plus the cache hit-rate when the
-// stream repeats itself, plus the same-instance batching and warm-start
-// wins. Every phase records per-job end-to-end latency into an
-// obs::Histogram and reports count/mean/p50/p95/p99; most phases are
+// stream repeats itself, plus the warm-start win. Every phase records
+// per-job end-to-end latency into an obs::Histogram and reports
+// count/mean/p50/p95/p99; most phases are
 // closed-loop (each wave submits everything then waits), and the
 // open_loop phase (bench/load_gen) measures the TCP front door at fixed
 // arrival rates free of coordinated omission. Writes BENCH_service.json.
 //
-// Four phases:
+// Phases:
 //   * scaling — a stream of unique jobs (distinct seeds, cache off) timed
 //     at each worker count. Jobs are independent single-threaded solves,
 //     so throughput should scale with workers up to the machine's cores;
@@ -15,11 +15,6 @@
 //   * cache — the same mixed stream submitted twice through a caching
 //     service: the second wave is pure cache hits, and the measured
 //     hit-rate and hit-serving throughput quantify what the cache buys.
-//   * batch — a duplicated-instance stream (one hot problem, distinct
-//     seeds) through one worker with batching off vs on. Both services
-//     build the model and bind the backend once and reuse them, so the
-//     phase measures what lockstep batching adds on top of that reuse.
-//     One worker isolates it from scheduling effects.
 //   * warm — a hot-instance workload: a cold wave populates the
 //     warm-start pool, then a warm wave (distinct seeds, warm_start on)
 //     must reach at least the cold wave's best objective — pooled best
@@ -292,12 +287,6 @@ int main(int argc, char** argv) {
       .add_flag("n", "instance size (QKP items / MKP items)", "50")
       .add_flag("iterations", "SAIM outer iterations per job", "30")
       .add_flag("sweeps", "MCS per inner run", "200")
-      .add_flag("batch-n", "hot-instance size for the batch phase", "200")
-      .add_flag("batch-iterations",
-                "outer iterations per batch-phase job (the online-serving "
-                "shape: many cheap solves of one hot instance)",
-                "2")
-      .add_flag("batch-sweeps", "MCS per inner run in the batch phase", "30")
       .add_flag("serve",
                 "saim_serve binary for the sharded phase (skipped when "
                 "missing)",
@@ -319,9 +308,6 @@ int main(int argc, char** argv) {
   const auto n = positive("n");
   const auto iterations = positive("iterations");
   const auto sweeps = positive("sweeps");
-  const auto batch_n = positive("batch-n");
-  const auto batch_iterations = positive("batch-iterations");
-  const auto batch_sweeps = positive("batch-sweeps");
 
   const auto templates = make_mixed_stream(instances, n);
   std::printf("service_throughput: %zu jobs over %zu instances (n=%zu, "
@@ -337,7 +323,6 @@ int main(int argc, char** argv) {
     service::ServiceOptions options;
     options.workers = worker_counts[w];
     options.cache_capacity = 0;  // measure compute, not replay
-    options.max_batch = 1;       // and worker scaling, not batching
     service::SolveService svc(options);
     obs::Histogram latency;
     const double seconds =
@@ -393,74 +378,6 @@ int main(int argc, char** argv) {
       .field("misses", stats.cache.misses)
       .raw_field("latency",
                  service::latency_quantiles_json(cache_latency.snapshot()));
-
-  // ---------------------------------------------------------- batch phase
-  // One hot instance, distinct seeds, one worker: batching off vs on.
-  // Its own job shape (batch-n / batch-iterations / batch-sweeps): many
-  // cheap solves of one big hot instance, the online-serving shape where
-  // per-job overhead shows; the long-iteration jobs of the scaling phase
-  // would drown it.
-  const service::SolveRequest hot_batch =
-      service::request_for(std::make_shared<problems::QkpInstance>(
-          problems::make_paper_qkp(batch_n, 25, 1)));
-  const std::size_t max_batch = 8;
-  double unbatched_seconds = 0.0;
-  double batched_seconds = 0.0;
-  std::uint64_t batched_jobs_stat = 0;
-  obs::Histogram unbatched_latency;
-  obs::Histogram batched_latency;
-  {
-    service::ServiceOptions options;
-    options.workers = 1;
-    options.cache_capacity = 0;
-    options.warm_pool_capacity = 0;
-    options.max_batch = 1;  // off
-    service::SolveService unbatched(options);
-    unbatched_seconds =
-        run_hot_wave(unbatched, hot_batch, jobs, batch_iterations,
-                     batch_sweeps, /*seed0=*/1, /*warm_start=*/false,
-                     /*best_cost=*/nullptr, &unbatched_latency);
-  }
-  {
-    service::ServiceOptions options;
-    options.workers = 1;
-    options.cache_capacity = 0;
-    options.warm_pool_capacity = 0;
-    options.max_batch = max_batch;
-    service::SolveService batched(options);
-    batched_seconds =
-        run_hot_wave(batched, hot_batch, jobs, batch_iterations,
-                     batch_sweeps, /*seed0=*/1, /*warm_start=*/false,
-                     /*best_cost=*/nullptr, &batched_latency);
-    batched_jobs_stat = batched.stats().batched_jobs;
-  }
-  const double unbatched_jps =
-      unbatched_seconds > 0 ? static_cast<double>(jobs) / unbatched_seconds
-                            : 0.0;
-  const double batched_jps =
-      batched_seconds > 0 ? static_cast<double>(jobs) / batched_seconds : 0.0;
-  std::printf("  hot instance x%zu (n=%zu, %zu iter x %zu MCS), 1 worker: "
-              "unbatched %6.2f jobs/sec, batched %6.2f jobs/sec "
-              "(%.2fx, %llu jobs in batches)\n",
-              jobs, batch_n, batch_iterations, batch_sweeps, unbatched_jps,
-              batched_jps,
-              unbatched_jps > 0 ? batched_jps / unbatched_jps : 0.0,
-              static_cast<unsigned long long>(batched_jobs_stat));
-
-  util::JsonWriter batch_json;
-  batch_json.field("max_batch", static_cast<std::uint64_t>(max_batch))
-      .field("n", static_cast<std::uint64_t>(batch_n))
-      .field("iterations", static_cast<std::uint64_t>(batch_iterations))
-      .field("sweeps", static_cast<std::uint64_t>(batch_sweeps))
-      .field("unbatched_jobs_per_sec", unbatched_jps)
-      .field("batched_jobs_per_sec", batched_jps)
-      .field("speedup",
-             unbatched_jps > 0 ? batched_jps / unbatched_jps : 0.0)
-      .field("batched_jobs", batched_jobs_stat)
-      .raw_field("unbatched_latency",
-                 service::latency_quantiles_json(unbatched_latency.snapshot()))
-      .raw_field("batched_latency",
-                 service::latency_quantiles_json(batched_latency.snapshot()));
 
   // ----------------------------------------------------------- warm phase
   // Cold wave fills the pool; warm wave must reach >= its best objective.
@@ -630,8 +547,9 @@ int main(int argc, char** argv) {
   }
 
   // ----------------------------------------------------- skewed-key phase
-  // Every job is a twin of one hot instance. R=1: the owner serializes
-  // the whole stream. R=2 + hot-key routing: twins overflow to the
+  // Every job is a twin of one hot instance, in the online-serving shape
+  // (many cheap solves of one QKP-200). R=1: the owner serializes the
+  // whole stream. R=2 + hot-key routing: twins overflow to the
   // least-loaded replica, so both shards work.
   util::JsonWriter skewed_json;
   if (::access(serve.c_str(), X_OK) != 0) {
@@ -641,9 +559,9 @@ int main(int argc, char** argv) {
     for (std::size_t j = 0; j < jobs; ++j) {
       util::JsonWriter line;
       line.field("id", "hot" + std::to_string(j))
-          .field("gen", "qkp:" + std::to_string(batch_n) + "-25-1")
-          .field("iterations", static_cast<std::uint64_t>(batch_iterations))
-          .field("sweeps", static_cast<std::uint64_t>(batch_sweeps))
+          .field("gen", "qkp:200-25-1")
+          .field("iterations", std::uint64_t{2})
+          .field("sweeps", std::uint64_t{30})
           .field("seed", static_cast<std::uint64_t>(j + 1))
           .field("cache", false);
       hot_lines.push_back(line.str());
@@ -751,7 +669,6 @@ int main(int argc, char** argv) {
       .raw_field("workers", workers_json)
       .field("scaling_1_to_4", scaling_1_to_4)
       .raw_field("cache", cache_json.str())
-      .raw_field("batch", batch_json.str())
       .raw_field("warm", warm_json.str())
       .raw_field("sharded", sharded_json.str())
       .raw_field("open_loop", open_loop_json.str())

@@ -157,13 +157,13 @@ inline double measure_bitsliced_rate(const ising::IsingModel& model,
   for (std::size_t r = 0; r < replicas; ++r) {
     lanes[r].spins = m;
     lanes[r].energy = energy;
-    lanes[r].fields = model.fields().data();
     lanes[r].rng = util::Xoshiro256pp(util::derive_seed(7, r)).state();
   }
   const std::vector<double> betas(timed, beta);
   ising::SliceOptions so;
   so.dynamics = ising::SliceDynamics::kMetropolis;
   so.betas = betas;
+  so.fields = model.fields();
   so.track_best = false;
 
   const ising::BitSliceEngine engine(adj);
@@ -221,15 +221,16 @@ inline AggregateRates measure_anneal_aggregate(
   ising::SliceOptions so;
   so.dynamics = ising::SliceDynamics::kMetropolis;
   so.betas = betas;
+  so.fields = model.fields();
   so.track_best = true;
   rates.bitsliced_replica_sweeps_per_sec = best_rate(kBenchRepeats, [&] {
-    anneal::SlicePlan plan =
-        anneal::make_slice_plan(model, base, replicas, {});
+    std::vector<ising::SliceLane> lanes =
+        anneal::make_slice_lanes(model, base, replicas, {});
     util::WallTimer timer;
-    auto results = anneal::run_slice_plans(adj, {&plan, 1}, so);
+    auto results = anneal::run_slice_lanes(adj, lanes, so);
     const double rate =
         static_cast<double>(replicas * sweeps) / timer.seconds();
-    keep(results.front().data());
+    keep(results.data());
     return rate;
   });
   return rates;

@@ -20,15 +20,6 @@ std::vector<RunResult> IsingSolverBackend::run_batch(util::Xoshiro256pp& rng,
   return results;
 }
 
-void IsingSolverBackend::enqueue_fused(util::Xoshiro256pp& /*rng*/,
-                                       std::size_t /*replicas*/) {
-  throw std::logic_error("backend does not support fused batches");
-}
-
-std::vector<std::vector<RunResult>> IsingSolverBackend::run_fused() {
-  throw std::logic_error("backend does not support fused batches");
-}
-
 std::vector<RunResult> run_replicas_parallel(
     const std::function<RunResult(util::Xoshiro256pp&, std::size_t)>& run_one,
     util::Xoshiro256pp& rng, std::size_t replicas, std::size_t threads,
@@ -95,6 +86,7 @@ ising::SliceOptions PBitBackend::slice_options(
   ising::SliceOptions so;
   so.dynamics = ising::SliceDynamics::kPbit;
   so.betas = betas;
+  so.fields = machine_->model().fields();
   so.track_best = options_.track_best;
   so.stop = &stop_token();
   so.stop_interval = options_.stop_interval;
@@ -118,12 +110,11 @@ std::vector<RunResult> PBitBackend::run_batch(util::Xoshiro256pp& rng,
     const std::vector<ising::Spins> seeds = take_initial_states();
     const std::uint64_t base = rng();
     if (stop_token().stop_requested()) return {};
-    SlicePlan plan = make_slice_plan(machine_->model(), base, replicas, seeds);
+    std::vector<ising::SliceLane> lanes =
+        make_slice_lanes(machine_->model(), base, replicas, seeds);
     const std::vector<double> betas =
         make_beta_table(schedule_, options_.sweeps);
-    auto split =
-        run_slice_plans(machine_->adjacency(), {&plan, 1}, slice_options(betas));
-    return std::move(split.front());
+    return run_slice_lanes(machine_->adjacency(), lanes, slice_options(betas));
   }
   pbit::AnnealOptions opts = options_;
   opts.stop = &stop_token();
@@ -141,37 +132,6 @@ std::vector<RunResult> PBitBackend::run_batch(util::Xoshiro256pp& rng,
                          std::move(res.best), res.best_energy, res.sweeps};
       },
       rng, replicas, batch_threads(), stop_token());
-}
-
-bool PBitBackend::supports_fused_batch() const noexcept {
-  return machine_ != nullptr && !warm_restart_ &&
-         options_.order == pbit::SweepOrder::kSequential;
-}
-
-void PBitBackend::enqueue_fused(util::Xoshiro256pp& rng,
-                                std::size_t replicas) {
-  if (!machine_) {
-    throw std::logic_error("PBitBackend::enqueue_fused called before bind()");
-  }
-  // Consumes exactly what run_batch would: the pending seeds and one base
-  // draw. The model's current fields are snapshotted into the plan, so the
-  // caller may rewrite them for the next member immediately after.
-  const std::vector<ising::Spins> seeds = take_initial_states();
-  const std::uint64_t base = rng();
-  fused_plans_.push_back(
-      make_slice_plan(machine_->model(), base, replicas, seeds));
-}
-
-std::vector<std::vector<RunResult>> PBitBackend::run_fused() {
-  std::vector<SlicePlan> plans = std::exchange(fused_plans_, {});
-  if (stop_token().stop_requested()) {
-    // Mirror run_batch's entry check: every pending member gets the empty
-    // batch a stopped run_batch would have returned.
-    return std::vector<std::vector<RunResult>>(plans.size());
-  }
-  const std::vector<double> betas =
-      make_beta_table(schedule_, options_.sweeps);
-  return run_slice_plans(machine_->adjacency(), plans, slice_options(betas));
 }
 
 }  // namespace saim::anneal

@@ -97,25 +97,6 @@ class IsingSolverBackend {
     return stop_token_;
   }
 
-  /// Fused batches — batch-aware replica fusion for core::solve_batch.
-  /// The lockstep batch loop runs many SAIM members against the SAME
-  /// backend in one round; when each member's replicas would dispatch to
-  /// the bit-sliced engine anyway, their lanes can be packed into ONE
-  /// engine dispatch per round instead of one per member. Protocol:
-  /// enqueue_fused(rng, replicas) once per member — it consumes exactly
-  /// what run_batch would from `rng` and the pending initial states, and
-  /// snapshots the bound model's current fields (the caller rewrites them
-  /// between enqueues) — then one run_fused() returns per-member results
-  /// in enqueue order, each vector bit-identical to the run_batch the
-  /// member would have made on its own. Backends without a bit-sliced
-  /// path keep the default supports_fused_batch() == false; calling the
-  /// other two then is a logic error.
-  [[nodiscard]] virtual bool supports_fused_batch() const noexcept {
-    return false;
-  }
-  virtual void enqueue_fused(util::Xoshiro256pp& rng, std::size_t replicas);
-  virtual std::vector<std::vector<RunResult>> run_fused();
-
   /// MCS consumed per run() call — used for sample-budget accounting
   /// (Fig. 4b compares methods at equal MCS).
   [[nodiscard]] virtual std::size_t sweeps_per_run() const = 0;
@@ -177,9 +158,6 @@ class PBitBackend final : public IsingSolverBackend {
   /// to the bit-sliced engine — same results, one word-parallel pass.
   std::vector<RunResult> run_batch(util::Xoshiro256pp& rng,
                                    std::size_t replicas) override;
-  [[nodiscard]] bool supports_fused_batch() const noexcept override;
-  void enqueue_fused(util::Xoshiro256pp& rng, std::size_t replicas) override;
-  std::vector<std::vector<RunResult>> run_fused() override;
   [[nodiscard]] std::size_t sweeps_per_run() const override {
     return options_.sweeps;
   }
@@ -205,7 +183,6 @@ class PBitBackend final : public IsingSolverBackend {
   std::unique_ptr<pbit::PBitMachine> machine_;
   bool warm_restart_ = false;
   ising::Spins previous_state_;
-  std::vector<SlicePlan> fused_plans_;
 };
 
 }  // namespace saim::anneal

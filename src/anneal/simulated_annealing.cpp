@@ -91,6 +91,7 @@ ising::SliceOptions MetropolisSaBackend::slice_options(
   ising::SliceOptions so;
   so.dynamics = ising::SliceDynamics::kMetropolis;
   so.betas = betas;
+  so.fields = sa_->model().fields();
   so.track_best = options_.track_best;
   // The scalar Metropolis loop has no mid-run stop checks; the engine's
   // between-sweep polls are a strict improvement (completed batches are
@@ -112,12 +113,11 @@ std::vector<RunResult> MetropolisSaBackend::run_batch(
     const std::vector<ising::Spins> seeds = take_initial_states();
     const std::uint64_t base = rng();
     if (stop_token().stop_requested()) return {};
-    SlicePlan plan = make_slice_plan(sa_->model(), base, replicas, seeds);
+    std::vector<ising::SliceLane> lanes =
+        make_slice_lanes(sa_->model(), base, replicas, seeds);
     const std::vector<double> betas =
         make_beta_table(schedule_, options_.sweeps);
-    auto split =
-        run_slice_plans(sa_->adjacency(), {&plan, 1}, slice_options(betas));
-    return std::move(split.front());
+    return run_slice_lanes(sa_->adjacency(), lanes, slice_options(betas));
   }
   // Replica r warm-starts from seeds[r]; the rest cold-start.
   const std::vector<ising::Spins> seeds = take_initial_states();
@@ -129,31 +129,6 @@ std::vector<RunResult> MetropolisSaBackend::run_batch(
         return sa_->run(schedule_, options_, replica_rng);
       },
       rng, replicas, batch_threads(), stop_token());
-}
-
-bool MetropolisSaBackend::supports_fused_batch() const noexcept {
-  return sa_ != nullptr;
-}
-
-void MetropolisSaBackend::enqueue_fused(util::Xoshiro256pp& rng,
-                                        std::size_t replicas) {
-  if (!sa_) {
-    throw std::logic_error(
-        "MetropolisSaBackend::enqueue_fused called before bind()");
-  }
-  const std::vector<ising::Spins> seeds = take_initial_states();
-  const std::uint64_t base = rng();
-  fused_plans_.push_back(make_slice_plan(sa_->model(), base, replicas, seeds));
-}
-
-std::vector<std::vector<RunResult>> MetropolisSaBackend::run_fused() {
-  std::vector<SlicePlan> plans = std::exchange(fused_plans_, {});
-  if (stop_token().stop_requested()) {
-    return std::vector<std::vector<RunResult>>(plans.size());
-  }
-  const std::vector<double> betas =
-      make_beta_table(schedule_, options_.sweeps);
-  return run_slice_plans(sa_->adjacency(), plans, slice_options(betas));
 }
 
 }  // namespace saim::anneal

@@ -58,9 +58,6 @@ class MetropolisSaBackend final : public IsingSolverBackend {
   /// engine — same per-replica results, one word-parallel pass.
   std::vector<RunResult> run_batch(util::Xoshiro256pp& rng,
                                    std::size_t replicas) override;
-  [[nodiscard]] bool supports_fused_batch() const noexcept override;
-  void enqueue_fused(util::Xoshiro256pp& rng, std::size_t replicas) override;
-  std::vector<std::vector<RunResult>> run_fused() override;
   [[nodiscard]] std::size_t sweeps_per_run() const override {
     return options_.sweeps;
   }
@@ -78,7 +75,6 @@ class MetropolisSaBackend final : public IsingSolverBackend {
   SaOptions options_;
   std::unique_ptr<MetropolisSa> sa_;
   std::size_t model_n_ = 0;  ///< spin count of the bound model (seed checks)
-  std::vector<SlicePlan> fused_plans_;
 };
 
 }  // namespace saim::anneal

@@ -6,16 +6,14 @@
 
 namespace saim::anneal {
 
-SlicePlan make_slice_plan(const ising::IsingModel& model, std::uint64_t base,
-                          std::size_t replicas,
-                          const std::vector<ising::Spins>& seeds) {
-  SlicePlan plan;
+std::vector<ising::SliceLane> make_slice_lanes(
+    const ising::IsingModel& model, std::uint64_t base, std::size_t replicas,
+    const std::vector<ising::Spins>& seeds) {
   const std::size_t n = model.n();
-  plan.fields.assign(model.fields().begin(), model.fields().end());
-  plan.lanes.resize(replicas);
+  std::vector<ising::SliceLane> lanes(replicas);
   for (std::size_t r = 0; r < replicas; ++r) {
     util::Xoshiro256pp lane_rng(util::derive_seed(base, r));
-    ising::SliceLane& lane = plan.lanes[r];
+    ising::SliceLane& lane = lanes[r];
     if (r < seeds.size() && seeds[r].size() == n) {
       lane.spins = seeds[r];  // warm lane: stream stays at its start
     } else {
@@ -27,7 +25,7 @@ SlicePlan make_slice_plan(const ising::IsingModel& model, std::uint64_t base,
     lane.energy = model.energy(lane.spins);
     lane.rng = lane_rng.state();
   }
-  return plan;
+  return lanes;
 }
 
 std::vector<double> make_beta_table(const pbit::Schedule& schedule,
@@ -39,36 +37,18 @@ std::vector<double> make_beta_table(const pbit::Schedule& schedule,
   return betas;
 }
 
-std::vector<std::vector<RunResult>> run_slice_plans(
-    const ising::Adjacency& adjacency, std::span<SlicePlan> plans,
-    ising::SliceOptions options) {
-  std::vector<ising::SliceLane> all;
-  std::size_t total = 0;
-  for (const SlicePlan& plan : plans) total += plan.lanes.size();
-  all.reserve(total);
-  for (SlicePlan& plan : plans) {
-    for (ising::SliceLane& lane : plan.lanes) {
-      lane.fields = plan.fields.data();
-      all.push_back(std::move(lane));
-    }
-  }
-
+std::vector<RunResult> run_slice_lanes(const ising::Adjacency& adjacency,
+                                       std::span<ising::SliceLane> lanes,
+                                       const ising::SliceOptions& options) {
   const ising::BitSliceEngine engine(adjacency);
-  std::vector<ising::SliceResult> res = engine.run(all, options);
-
-  std::vector<std::vector<RunResult>> out;
-  out.reserve(plans.size());
-  std::size_t pos = 0;
-  for (const SlicePlan& plan : plans) {
-    std::vector<RunResult>& runs = out.emplace_back();
-    runs.reserve(plan.lanes.size());
-    for (std::size_t r = 0; r < plan.lanes.size(); ++r, ++pos) {
-      ising::SliceResult& s = res[pos];
-      runs.push_back(RunResult{std::move(s.last), s.last_energy,
-                               std::move(s.best), s.best_energy, s.sweeps});
-    }
+  std::vector<ising::SliceResult> res = engine.run(lanes, options);
+  std::vector<RunResult> runs;
+  runs.reserve(res.size());
+  for (ising::SliceResult& s : res) {
+    runs.push_back(RunResult{std::move(s.last), s.last_energy,
+                             std::move(s.best), s.best_energy, s.sweeps});
   }
-  return out;
+  return runs;
 }
 
 }  // namespace saim::anneal

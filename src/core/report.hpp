@@ -37,15 +37,14 @@ struct JsonlContext {
   double wall_ms = 0.0;
   bool cache_hit = false;
   std::uint64_t fingerprint = 0;
-  std::size_t batch_size = 1;  ///< same-instance batch the job ran in
-  bool warm_started = false;   ///< seeded from the warm-start pool
+  bool warm_started = false;  ///< seeded from the warm-start pool
   /// Per-stage latency echo, emitted as a nested "timing" object only
   /// when the job line set "trace": true. Kept BEFORE seq in the output:
   /// the shard router's seq remap expects `,"seq":N}` to be the line's
   /// tail. Milliseconds throughout.
   bool trace = false;
   double queue_ms = 0.0;  ///< accept/submit -> worker claim
-  double setup_ms = 0.0;  ///< claim -> solve start (batch form + build)
+  double setup_ms = 0.0;  ///< claim -> solve start (model lookup or build)
   double solve_ms = 0.0;  ///< solve start -> solve end
   double emit_ms = 0.0;   ///< response ready -> line rendered
   double total_ms = 0.0;  ///< submit -> response ready
@@ -59,8 +58,9 @@ struct JsonlContext {
 /// and bench/service_throughput aggregates: id, instance, backend, status,
 /// found_feasible, best_cost (null when no feasible sample), feasible
 /// count, iterations (outer runs), total MCS, wall time, cache_hit, the
-/// request fingerprint (hex), batch_size, warm_started, and (stream mode
-/// only) seq. The full schema lives in docs/PROTOCOL.md — keep the two in
+/// request fingerprint (hex), batch_size (always 1: every job runs alone;
+/// kept for clients that read it), warm_started, and (stream mode only)
+/// seq. The full schema lives in docs/PROTOCOL.md — keep the two in
 /// lockstep, CI greps the doc for every field emitted here. No trailing
 /// newline.
 std::string result_to_jsonl(const SolveResult& result,

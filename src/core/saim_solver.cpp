@@ -60,42 +60,7 @@ void DualAscent::finalize(Status status) {
 
 bool DualAscent::step(lagrange::LagrangianModel& model,
                       anneal::IsingSolverBackend& backend) {
-  if (!begin_iteration(model, backend)) return true;
-
-  // Minimize L_k with the Ising machine; read the measured sample(s).
-  // replicas == 1 keeps the paper's single run() call (and its exact RNG
-  // stream); replicas > 1 fans out through the backend's run_batch.
-  std::vector<anneal::RunResult> runs;
-  if (options_.replicas > 1) {
-    runs = backend.run_batch(rng_, options_.replicas);
-  } else {
-    runs.push_back(backend.run(rng_));
-  }
-  return consume_iteration(model, std::move(runs));
-}
-
-bool DualAscent::begin_fused_round(lagrange::LagrangianModel& model,
-                                   anneal::IsingSolverBackend& backend) {
-  if (!begin_iteration(model, backend)) return false;
-  // Consumes exactly what run_batch would from this job's RNG (one base
-  // draw) and snapshots the model's current fields, so later members'
-  // set_lambda cannot disturb this member's enqueued landscape.
-  backend.enqueue_fused(rng_, options_.replicas);
-  return true;
-}
-
-bool DualAscent::consume_fused_round(lagrange::LagrangianModel& model,
-                                     std::vector<anneal::RunResult> runs) {
-  // Other members' begin_fused_round calls re-shaped the shared model
-  // since ours; the history record evaluates model.lagrangian(x) and must
-  // see THIS job's (pre-update) multipliers again.
-  if (options_.record_history) model.set_lambda(lambda_);
-  return consume_iteration(model, std::move(runs));
-}
-
-bool DualAscent::begin_iteration(lagrange::LagrangianModel& model,
-                                 anneal::IsingSolverBackend& backend) {
-  if (finished_) return false;
+  if (finished_) return true;
 
   if (k_ == 0 && !warm_starts_.empty()) {
     // Import the pooled samples: re-judged (never trusted) against THIS
@@ -123,16 +88,16 @@ bool DualAscent::begin_iteration(lagrange::LagrangianModel& model,
   // the (partial) result.
   if (stop_.stop_requested()) {
     finalize(stop_.cancelled() ? Status::kCancelled : Status::kDeadline);
-    return false;
+    return true;
   }
   if (k_ >= options_.iterations) {
     finalize(Status::kCompleted);
-    return false;
+    return true;
   }
 
   // (Re-)shape the landscape for THIS job's multipliers. set_lambda is a
-  // pure rebuild from base coefficients, so interleaving other jobs'
-  // lambdas on the same model between our steps is invisible here.
+  // pure rebuild from base coefficients, so the lambda an earlier job left
+  // on a reused model is invisible here.
   model.set_lambda(lambda_);
   backend.fields_updated();
   backend.set_stop_token(stop_);
@@ -147,11 +112,16 @@ bool DualAscent::begin_iteration(lagrange::LagrangianModel& model,
     }
     if (!seeds.empty()) backend.set_initial_states(std::move(seeds));
   }
-  return true;
-}
 
-bool DualAscent::consume_iteration(lagrange::LagrangianModel& model,
-                                   std::vector<anneal::RunResult> runs) {
+  // Minimize L_k with the Ising machine; read the measured sample(s).
+  // replicas == 1 keeps the paper's single run() call (and its exact RNG
+  // stream); replicas > 1 fans out through the backend's run_batch.
+  std::vector<anneal::RunResult> runs;
+  if (options_.replicas > 1) {
+    runs = backend.run_batch(rng_, options_.replicas);
+  } else {
+    runs.push_back(backend.run(rng_));
+  }
   if (runs.empty()) {
     // The batch refused to start because the stop fired in between.
     finalize(stop_.cancelled() ? Status::kCancelled : Status::kDeadline);

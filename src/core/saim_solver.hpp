@@ -85,13 +85,12 @@ double effective_penalty(const problems::ConstrainedProblem& problem,
 /// One job's dual-ascent state, advanced one outer iteration at a time.
 ///
 /// This is Algorithm 1 with the loop inverted: SaimSolver::solve drives a
-/// single DualAscent to completion, while core::BatchSaimSolver round-robins
-/// many DualAscents over ONE LagrangianModel + ONE bound backend (the
-/// same-instance batching the service layer uses to amortize model builds).
-/// Each step re-applies this job's multipliers via model.set_lambda — a pure
-/// rebuild from base coefficients — so interleaved jobs are bit-identical to
-/// running each alone: the landscape a run sees depends only on its own
-/// lambda trajectory, and each job owns its RNG stream.
+/// DualAscent over the model it built, and the service drives one over a
+/// LagrangianModel + bound backend that its worker keeps across jobs.
+/// Each step re-applies this job's multipliers via model.set_lambda — a
+/// pure rebuild from base coefficients — so whatever lambda the model held
+/// before does not matter: the landscape a run sees depends only on this
+/// job's own lambda trajectory, and the job owns its RNG stream.
 ///
 /// Warm starts (both opt-in, service-fed): `warm_starts` holds full
 /// slack-extended configurations of known-feasible samples. On the first
@@ -116,39 +115,12 @@ class DualAscent {
   bool step(lagrange::LagrangianModel& model,
             anneal::IsingSolverBackend& backend);
 
-  /// Fused batch rounds — step() split at the inner run so
-  /// core::solve_batch can pack many members' replicas into ONE
-  /// bit-sliced engine dispatch per lockstep round (see
-  /// IsingSolverBackend::enqueue_fused). begin_fused_round performs the
-  /// pre-run half of step() (warm import, stop/iteration checks, lambda
-  /// application, seed injection) and enqueues this member's replicas;
-  /// it returns true when a run was enqueued — the caller MUST then hand
-  /// this member's slice of backend.run_fused() to consume_fused_round —
-  /// and false when the job finished without needing a run. Only valid
-  /// for options.replicas > 1 (the single-run path consumes the job RNG
-  /// through backend.run, which cannot fuse). The member's trajectory is
-  /// bit-identical to step()'s run_batch path.
-  bool begin_fused_round(lagrange::LagrangianModel& model,
-                         anneal::IsingSolverBackend& backend);
-  /// Post-run half: judges the fused results and updates lambda. Returns
-  /// true once the job is finished.
-  bool consume_fused_round(lagrange::LagrangianModel& model,
-                           std::vector<anneal::RunResult> runs);
-
   [[nodiscard]] bool finished() const noexcept { return finished_; }
 
   /// The final (or partial, when stopped) result; valid once finished().
   [[nodiscard]] SolveResult& result() noexcept { return result_; }
 
  private:
-  /// Pre-run half of step(): returns true when the caller should run the
-  /// inner solver, false when the job finished (finalize already called).
-  bool begin_iteration(lagrange::LagrangianModel& model,
-                       anneal::IsingSolverBackend& backend);
-  /// Post-run half of step(): judge samples, update lambda, check
-  /// convergence. Returns finished().
-  bool consume_iteration(lagrange::LagrangianModel& model,
-                         std::vector<anneal::RunResult> runs);
   void finalize(Status status);
   [[nodiscard]] double step_size(std::size_t k) const noexcept;
 

@@ -49,11 +49,9 @@ struct Group {
   std::size_t chunks = 0;  ///< ceil(lanes / 4)
   std::vector<std::uint64_t> spins;  ///< n words; bit b set <=> lane b is -1
   std::vector<double> coupling;      ///< C planes, chunks*n*4
-  /// Set when every lane reads the same per-spin field vector (the
-  /// run_batch case): the sweep broadcasts an 8-byte scalar instead of
-  /// streaming a 32-byte H-plane row, halving sweep read traffic.
-  const double* shared_fields = nullptr;
-  std::vector<double> fields;  ///< H planes, chunks*n*4; empty when shared
+  /// h_i, shared by every lane: the sweep broadcasts an 8-byte scalar
+  /// per visit.
+  const double* fields = nullptr;
   std::array<std::uint64_t, 4 * kW> rng{};  ///< xoshiro SoA: [word][lane]
   std::array<double, kW> energy{};
   std::array<double, kW> best_energy{};
@@ -121,13 +119,11 @@ void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
   const F64x4 scale53 = F64x4::broadcast(0x1.0p-53);
   const F64x4 signbit = F64x4::broadcast(-0.0);
 
-  const double* hsh = g.shared_fields;
+  const double* h = g.fields;
   for (std::size_t c = 0; c < g.chunks; ++c) {
     const unsigned active = g.active[c];
     const std::size_t off = 4 * c;
     double* cplane = g.coupling.data() + c * g.n * 4;
-    const double* hplane =
-        hsh != nullptr ? nullptr : g.fields.data() + c * g.n * 4;
     U64x4 s0 = U64x4::load(g.rng.data() + 0 * kW + off);
     U64x4 s1 = U64x4::load(g.rng.data() + 1 * kW + off);
     U64x4 s2 = U64x4::load(g.rng.data() + 2 * kW + off);
@@ -135,9 +131,8 @@ void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
     F64x4 energy = F64x4::load(g.energy.data() + off);
 
     for (std::size_t i = 0; i < g.n; ++i) {
-      const F64x4 hv = hsh != nullptr ? F64x4::broadcast(hsh[i])
-                                      : F64x4::load(hplane + i * 4);
-      const F64x4 in = F64x4::load(cplane + i * 4) + hv;
+      const F64x4 in =
+          F64x4::load(cplane + i * 4) + F64x4::broadcast(h[i]);
       const F64x4 x = betav * in;
 
       // Unconditional per-visit draw, as the scalar sweep's uniform_sym.
@@ -180,13 +175,11 @@ void sweep_metropolis(const Adjacency& adj, Group& g, double beta) {
   const F64x4 tier1_rej = F64x4::broadcast(kTier1Reject);
   const F64x4 signbit = F64x4::broadcast(-0.0);
 
-  const double* hsh = g.shared_fields;
+  const double* h = g.fields;
   for (std::size_t c = 0; c < g.chunks; ++c) {
     const unsigned active = g.active[c];
     const std::size_t off = 4 * c;
     double* cplane = g.coupling.data() + c * g.n * 4;
-    const double* hplane =
-        hsh != nullptr ? nullptr : g.fields.data() + c * g.n * 4;
     U64x4 s0 = U64x4::load(g.rng.data() + 0 * kW + off);
     U64x4 s1 = U64x4::load(g.rng.data() + 1 * kW + off);
     U64x4 s2 = U64x4::load(g.rng.data() + 2 * kW + off);
@@ -194,9 +187,8 @@ void sweep_metropolis(const Adjacency& adj, Group& g, double beta) {
     F64x4 energy = F64x4::load(g.energy.data() + off);
 
     for (std::size_t i = 0; i < g.n; ++i) {
-      const F64x4 hv = hsh != nullptr ? F64x4::broadcast(hsh[i])
-                                      : F64x4::load(hplane + i * 4);
-      const F64x4 in = F64x4::load(cplane + i * 4) + hv;
+      const F64x4 in =
+          F64x4::load(cplane + i * 4) + F64x4::broadcast(h[i]);
       const unsigned cur =
           static_cast<unsigned>((g.spins[i] >> off) & 0xFULL);
       const F64x4 delta = flip_delta4(in, nibble_mask_f64(cur));
@@ -326,10 +318,14 @@ std::vector<SliceResult> BitSliceEngine::run(std::span<SliceLane> lanes,
   std::vector<SliceResult> out(total);
   if (total == 0) return out;
 
+  if (options.fields.size() != n) {
+    throw std::invalid_argument(
+        "BitSliceEngine::run: fields do not match the model");
+  }
   for (const SliceLane& lane : lanes) {
-    if (lane.spins.size() != n || lane.fields == nullptr) {
+    if (lane.spins.size() != n) {
       throw std::invalid_argument(
-          "BitSliceEngine::run: lane spins/fields do not match the model");
+          "BitSliceEngine::run: lane spins do not match the model");
     }
   }
 
@@ -344,15 +340,7 @@ std::vector<SliceResult> BitSliceEngine::run(std::span<SliceLane> lanes,
     g.chunks = (count + 3) / 4;
     g.spins.assign(n, 0);
     g.coupling.assign(g.chunks * n * 4, 0.0);
-    bool shared = true;
-    for (std::size_t b = 1; b < count; ++b) {
-      shared = shared && lanes[lane0 + b].fields == lanes[lane0].fields;
-    }
-    if (shared) {
-      g.shared_fields = lanes[lane0].fields;
-    } else {
-      g.fields.assign(g.chunks * n * 4, 0.0);
-    }
+    g.fields = options.fields.data();
     for (std::size_t c = 0; c < g.chunks; ++c) {
       const std::size_t live = std::min<std::size_t>(4, count - 4 * c);
       g.active[c] = (1u << live) - 1u;
@@ -363,7 +351,6 @@ std::vector<SliceResult> BitSliceEngine::run(std::span<SliceLane> lanes,
       const std::size_t plane = (b / 4) * n * 4 + (b % 4);
       for (std::size_t i = 0; i < n; ++i) {
         if (lane.spins[i] < 0) g.spins[i] |= std::uint64_t{1} << b;
-        if (!shared) g.fields[plane + i * 4] = lane.fields[i];
         g.coupling[plane + i * 4] = adj.coupling_input(lane.spins, i);
       }
       g.energy[b] = lane.energy;

@@ -21,12 +21,11 @@
 //     bounds (util/accept_bounds.hpp) that bracket the libm result; the
 //     rare ambiguous lane falls back to the identical libm call.
 //
-// Lanes are independent: each carries its own initial state, energy, RNG
-// state and fields pointer, so one dispatch can fuse the replicas of many
-// batch members (different lambda = different h) — core::solve_batch's
-// fused rounds — without any cross-talk. Groups of 64 lanes run
-// independently and may be spread over a thread pool; results do not
-// depend on the grouping or thread count.
+// Lanes are independent replicas of one model: each carries its own
+// initial state, energy and RNG state, and every lane reads the same
+// fields h (SliceOptions::fields). Groups of 64 lanes run independently
+// and may be spread over a thread pool; results do not depend on the
+// grouping or thread count.
 #pragma once
 
 #include <array>
@@ -51,12 +50,11 @@ enum class SliceDynamics {
 /// exactly where the scalar engine's stream would be after the initial
 /// state draws (cold lanes) or immediately after seeding (warm lanes).
 /// `energy` must equal the scalar run-start energy, i.e. what
-/// LocalFieldState::reset computes for `spins` under `fields`.
+/// LocalFieldState::reset computes for `spins` under the run's fields.
 struct SliceLane {
   Spins spins;
   double energy = 0.0;
   std::array<std::uint64_t, 4> rng{};
-  const double* fields = nullptr;  ///< h_i, n doubles, caller-owned
 };
 
 struct SliceResult {
@@ -72,6 +70,8 @@ struct SliceOptions {
   /// betas[t] for sweep t; size() is the sweep count. Callers precompute
   /// schedule.beta(t, sweeps) so the values match the scalar loop exactly.
   std::span<const double> betas;
+  /// h_i of the model every lane runs on, n doubles, caller-owned.
+  std::span<const double> fields;
   bool track_best = true;
   /// Polled between sweeps every `stop_interval` (pbit's chunked-check
   /// pattern); a stopped group returns valid partial results with
@@ -85,8 +85,7 @@ class BitSliceEngine {
  public:
   static constexpr std::size_t kWord = 64;  ///< lanes per group word
 
-  /// Borrows the adjacency (must outlive the engine). Fields are per-lane,
-  /// so one engine serves any mix of batch members over the same couplings.
+  /// Borrows the adjacency (must outlive the engine).
   explicit BitSliceEngine(const Adjacency& adjacency) noexcept
       : adjacency_(&adjacency) {}
 

@@ -4,9 +4,9 @@
 // JSONL line by tools/saim_serve), so the backend it wants must be named,
 // not held as a live object: a worker builds a backend from this spec the
 // first time it meets a (problem, spec, penalty) key, binds it, and keeps
-// it for that key. Backends are stateful (bound model, pending fused
-// runs), so each one belongs to one worker and never serves two solves
-// at once.
+// it for that key. Backends are stateful (bound model, pending initial
+// states), so each one belongs to one worker and never serves two
+// solves at once.
 #pragma once
 
 #include <memory>

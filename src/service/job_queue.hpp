@@ -78,32 +78,6 @@ class JobQueue {
     cv_.notify_all();
   }
 
-  /// Atomically removes and returns up to `max` pending items satisfying
-  /// `pred`, highest priority first (FIFO within priority). Non-matching
-  /// items keep their positions. This is the batch scheduler's
-  /// drain-by-key: a worker that popped a job pulls its queued
-  /// same-instance twins into one shared execution (the service's
-  /// predicate restricts matches to the popped job's own priority band —
-  /// see ServiceOptions::max_batch — this method itself scans all bands).
-  template <typename Pred>
-  std::vector<T> drain_matching(std::size_t max, Pred&& pred)
-      SAIM_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    std::vector<T> out;
-    for (std::size_t b = kBands; b-- > 0 && out.size() < max;) {
-      for (auto it = bands_[b].begin();
-           it != bands_[b].end() && out.size() < max;) {
-        if (pred(std::as_const(*it))) {
-          out.push_back(std::move(*it));
-          it = bands_[b].erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    return out;
-  }
-
   /// Atomically removes and returns every pending item, highest priority
   /// first (FIFO within priority).
   std::vector<T> drain() SAIM_EXCLUDES(mutex_) {

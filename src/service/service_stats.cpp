@@ -62,8 +62,6 @@ std::string service_stats_json(const SolveService& service) {
       .field("deadline_expired", s.deadline_expired)
       .field("errors", s.errors)
       .field("coalesced", s.coalesced)
-      .field("batches", s.batches)
-      .field("batched_jobs", s.batched_jobs)
       .field("warm_seeded", s.warm_seeded)
       .field("model_builds", s.model_builds)
       .field("model_reuses", s.model_reuses)
@@ -119,16 +117,12 @@ std::string service_metrics_prometheus(const SolveService& service) {
   counter("saim_jobs_errors_total", s.errors, "jobs failing with an error");
   counter("saim_jobs_coalesced_total", s.coalesced,
           "submits joined onto an in-flight twin");
-  counter("saim_batches_total", s.batches,
-          "same-instance batch executions with >= 2 members");
-  counter("saim_batched_jobs_total", s.batched_jobs,
-          "jobs executed as members of those batches");
   counter("saim_warm_seeded_total", s.warm_seeded,
           "jobs seeded from the warm-start pool");
   counter("saim_model_builds_total", s.model_builds,
-          "batches that built a model and bound a backend");
+          "jobs that built a model and bound a backend");
   counter("saim_model_reuses_total", s.model_reuses,
-          "batches that reused a worker's built model and backend");
+          "jobs that reused a worker's built model and backend");
   counter("saim_cache_hits_total", s.cache.hits, "result cache hits");
   counter("saim_cache_misses_total", s.cache.misses, "result cache misses");
   counter("saim_cache_insertions_total", s.cache.insertions,

@@ -7,9 +7,9 @@
 //   * a consistent-hash ring (HashRing) over the shards, keyed by the
 //     canonical PROBLEM fingerprint (problems/fingerprint) of each job's
 //     instance — all jobs over one instance land on one shard, so that
-//     shard's ResultCache, coalescer, batcher and warm-start pool stay
-//     hot for its keyslice, and removing a shard only remaps the keys it
-//     owned (cache locality survives resharding);
+//     shard's ResultCache, coalescer, cached models and warm-start pool
+//     stay hot for its keyslice, and removing a shard only remaps the
+//     keys it owned (cache locality survives resharding);
 //   * per-shard outstanding-job tables: a pending queue (routed, not yet
 //     written) and an in-flight set (written, awaiting a result), with a
 //     bounded in-flight window per shard for backpressure — the pump

@@ -5,11 +5,11 @@
 #include <exception>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/batch_solver.hpp"
 #include "lagrange/lagrangian_model.hpp"
 #include "problems/fingerprint.hpp"
 #include "util/mutex.hpp"
@@ -24,10 +24,10 @@ struct JobState {
   std::uint64_t fingerprint = 0;
   /// Content hash of the problem alone — the warm-start pool's key.
   std::uint64_t problem_fp = 0;
-  /// Batchability key: problem_fp + backend spec + penalty shaping. Jobs
-  /// sharing it can run on one model + one bound backend; seeds,
-  /// iteration budgets, deadlines etc. stay per-member.
-  std::uint64_t batch_key = 0;
+  /// Model key: problem_fp + backend spec + penalty shaping. Jobs sharing
+  /// it can run on one model + one bound backend; seeds, iteration
+  /// budgets, deadlines etc. stay per job.
+  std::uint64_t model_key = 0;
   SolveRequest request;
   util::StopSource stop;
 
@@ -84,7 +84,7 @@ struct JobState {
 };
 
 /// A LagrangianModel and the backend bound to it, kept by a worker for
-/// one batch key.
+/// one model key.
 struct BoundModel {
   /// Keeps the instance alive: the model points into it.
   std::shared_ptr<const problems::ConstrainedProblem> problem;
@@ -105,7 +105,7 @@ namespace {
 /// serves at most (3 of 4 hot ones), so a second backend spec or penalty
 /// per instance still fits. A QKP-200 entry holds 1.25 MB (0.72 MB
 /// model, 0.53 MB bound p-bit backend), so a full cache stays near 10 MB
-/// per worker. Past the working set every batch builds.
+/// per worker. Past the working set every job builds.
 constexpr std::size_t kModelCacheCapacity = 8;
 
 }  // namespace
@@ -214,8 +214,8 @@ SolveService::SolveService(ServiceOptions options)
           "saim_job_queue_ms", "submit to worker claim, milliseconds")),
       hist_setup_ms_(registry_.histogram(
           "saim_job_setup_ms",
-          "worker claim to solve start (batch drain + model lookup, or "
-          "build and bind on a miss), ms")),
+          "worker claim to solve start (model lookup, or build and bind "
+          "on a miss), ms")),
       hist_solve_ms_(registry_.histogram(
           "saim_job_solve_ms", "solve start to job completion, ms")),
       hist_total_ms_(registry_.histogram(
@@ -266,10 +266,10 @@ std::uint64_t request_fingerprint_with(std::uint64_t problem_fp,
   return fp.digest();
 }
 
-/// Batchability: everything that shapes the shared model/backend — and
-/// nothing that is legitimately per-member (seed, eta, iterations,
-/// replicas, deadline, warm_start).
-std::uint64_t batch_key_with(std::uint64_t problem_fp,
+/// Everything that shapes a worker's cached model/backend — and nothing
+/// that is legitimately per job (seed, eta, iterations, replicas,
+/// deadline, warm_start).
+std::uint64_t model_key_with(std::uint64_t problem_fp,
                              const SolveRequest& request) {
   problems::Fingerprint fp;
   fp.mix(problem_fp);
@@ -335,7 +335,7 @@ JobHandle SolveService::submit(SolveRequest request) {
   auto job = std::make_shared<JobState>();
   job->fingerprint = fp;
   job->problem_fp = problem_fp;
-  job->batch_key = batch_key_with(problem_fp, request);
+  job->model_key = model_key_with(problem_fp, request);
   job->submitted_at = std::chrono::steady_clock::now();
 
   {
@@ -454,53 +454,13 @@ JobHandle SolveService::submit(SolveRequest request) {
 
 void SolveService::worker_loop() {
   ModelCache models(kModelCacheCapacity);
-  while (true) {
-    idle_workers_.fetch_add(1, std::memory_order_relaxed);
-    auto popped = queue_.pop();
-    idle_workers_.fetch_sub(1, std::memory_order_relaxed);
-    if (!popped) break;
-    const std::shared_ptr<JobState> job = *popped;
+  while (auto popped = queue_.pop()) {
+    const std::shared_ptr<JobState> job = std::move(*popped);
     // A job can appear in the queue more than once (priority re-push on
     // coalesce); whoever flips `started` first owns it.
     if (job->started.exchange(true, std::memory_order_acq_rel)) continue;
     job->claimed_at = std::chrono::steady_clock::now();
-
-    // Same-instance batching: pull this job's queued batch-key twins from
-    // its own priority band into one shared execution. Budget rules (see
-    // ServiceOptions::max_batch): a deadline-carrying job batches nothing
-    // extra, and idle workers are left enough queued jobs to stay busy —
-    // batching amortizes setup, but parallel solo execution beats
-    // lockstep sharing of one thread whenever threads are free. The idle
-    // read is racy-by-design: a stale value costs one suboptimal batch,
-    // never correctness.
-    std::size_t budget =
-        options_.max_batch > 1 && job->request.timeout.count() == 0
-            ? options_.max_batch - 1
-            : 0;
-    if (budget > 0) {
-      const std::size_t idle = idle_workers_.load(std::memory_order_relaxed);
-      const std::size_t backlog = queue_.size();
-      budget = std::min(budget, backlog > idle ? backlog - idle : 0);
-    }
-    std::vector<std::shared_ptr<JobState>> members{job};
-    if (budget > 0) {
-      auto twins = queue_.drain_matching(
-          budget, [&](const std::shared_ptr<JobState>& t) {
-            return t->batch_key == job->batch_key &&
-                   t->request.priority == job->request.priority &&
-                   !t->started.load(std::memory_order_acquire);
-          });
-      for (auto& twin : twins) {
-        // A drained entry can be a duplicate of an already-claimed job
-        // (priority re-push); the exchange makes claiming it idempotent.
-        if (twin->started.exchange(true, std::memory_order_acq_rel)) {
-          continue;
-        }
-        twin->claimed_at = std::chrono::steady_clock::now();
-        members.push_back(std::move(twin));
-      }
-    }
-    execute_batch(members, models);
+    execute(job, models);
   }
 }
 
@@ -536,108 +496,82 @@ void SolveService::record_outcome(
   }
 }
 
-void SolveService::execute_batch(
-    const std::vector<std::shared_ptr<JobState>>& members,
-    ModelCache& models) {
+void SolveService::execute(const std::shared_ptr<JobState>& job,
+                           ModelCache& models) {
   util::WallTimer timer;
-  if (members.size() > 1) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_jobs_.fetch_add(members.size(), std::memory_order_relaxed);
-  }
+  const SolveRequest& request = job->request;
+  auto response = std::make_shared<SolveResponse>();
+  response->fingerprint = job->fingerprint;
+  response->tag = request.tag;
+  auto result = std::make_shared<core::SolveResult>();
 
-  std::vector<bool> seeded(members.size(), false);
-
-  // Finishes one member the moment its DualAscent settles — waiters on a
-  // short or deadline-stopped member wake while its batch-mates run on.
-  std::vector<bool> finished(members.size(), false);
-  bool failed = false;
-  const auto finish_member = [&](std::size_t i, core::BatchOutcome& outcome) {
-    const auto& member = members[i];
-    auto response = std::make_shared<SolveResponse>();
-    response->fingerprint = member->fingerprint;
-    response->tag = member->request.tag;
-    response->batch_size = members.size();
-    response->warm_started = seeded[i];
-    response->wall_ms = timer.milliseconds();
-    response->error = std::move(outcome.error);
-    auto result =
-        std::make_shared<core::SolveResult>(std::move(outcome.result));
-    response->status = result->status;
-    failed = failed || result->status == core::Status::kError;
-    record_outcome(member, result);
-    response->result = std::move(result);
-    finished[i] = true;
-    finish(member, std::move(response));
+  // Everything user-supplied on this path (the evaluator copy, the
+  // evaluator itself, the backend spec) may throw; letting it escape the
+  // worker thread would terminate the whole service. A failure keeps the
+  // partial result gathered so far and reports kError.
+  std::optional<core::DualAscent> ascent;
+  const auto fail = [&](const char* what) {
+    if (ascent) *result = std::move(ascent->result());
+    result->status = core::Status::kError;
+    response->error = what;
   };
-
-  // Every member that had not yet settled when a batch-level failure
-  // lands (unknown backend, model build, a throwing evaluator copy) fails
-  // with the same diagnosis instead of leaving its waiters hanging.
-  const auto fail_rest = [&](const char* what) {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (finished[i]) continue;
-      core::BatchOutcome outcome;
-      outcome.result.status = core::Status::kError;
-      outcome.error = what;
-      finish_member(i, outcome);
-    }
-  };
-
-  const std::uint64_t key = members.front()->batch_key;
   try {
-    // Inside the try: evaluator copies are user code and may throw, like
-    // everything else user-supplied on this path — letting it escape the
-    // worker thread would terminate the whole service.
-    std::vector<core::BatchJob> jobs;
-    jobs.reserve(members.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const SolveRequest& request = members[i]->request;
-      core::BatchJob batch_job;
-      batch_job.options = request.options;
-      batch_job.evaluator = request.evaluator;
-      batch_job.stop = members[i]->stop.token();
-      if (request.warm_start) {
-        batch_job.warm_starts = cache_.warm_samples(members[i]->problem_fp);
-        seeded[i] = !batch_job.warm_starts.empty();
-        if (seeded[i]) warm_seeded_.fetch_add(1, std::memory_order_relaxed);
+    std::vector<ising::Bits> warm_starts;
+    if (request.warm_start) {
+      warm_starts = cache_.warm_samples(job->problem_fp);
+      response->warm_started = !warm_starts.empty();
+      if (response->warm_started) {
+        warm_seeded_.fetch_add(1, std::memory_order_relaxed);
       }
-      jobs.push_back(std::move(batch_job));
     }
-    BoundModel* bound = models.find(key);
+    BoundModel* bound = models.find(job->model_key);
     if (bound != nullptr) {
       model_reuses_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      const SolveRequest& lead = members.front()->request;
       BoundModel built;
-      built.problem = lead.problem;
-      built.backend = make_backend(lead.backend);
+      built.problem = request.problem;
+      built.backend = make_backend(request.backend);
       built.backend->set_batch_threads(options_.backend_batch_threads);
       built.model = std::make_unique<lagrange::LagrangianModel>(
           *built.problem,
-          core::effective_penalty(*built.problem, lead.options));
+          core::effective_penalty(*built.problem, request.options));
       built.backend->bind(built.model->ising());
-      bound = &models.insert(key, std::move(built));
+      bound = &models.insert(job->model_key, std::move(built));
       model_builds_.fetch_add(1, std::memory_order_relaxed);
     }
-    const auto solve_start = std::chrono::steady_clock::now();
-    for (const auto& member : members) member->solve_started_at = solve_start;
-    core::solve_batch(*bound->model, *bound->backend, std::move(jobs),
-                      finish_member);
+    if (request.options.iterations == 0) {
+      // SaimSolver's constructor contract, as a per-job failure.
+      throw std::invalid_argument("SaimSolver: iterations must be positive");
+    }
+    ascent.emplace(*bound->problem, request.options, request.evaluator,
+                   job->stop.token(), std::move(warm_starts));
+    job->solve_started_at = std::chrono::steady_clock::now();
+    while (!ascent->step(*bound->model, *bound->backend)) {
+    }
+    // Back to the idle token: a kept backend must not hold this job's.
+    bound->backend->set_stop_token(util::StopToken{});
+    *result = std::move(ascent->result());
   } catch (const std::exception& e) {
-    fail_rest(e.what());
+    fail(e.what());
   } catch (...) {
-    fail_rest("unknown exception in solve batch");
+    fail("unknown exception in solve job");
   }
-  // A failure may leave state behind in the backend (pending fused plans,
-  // unconsumed initial states): the next batch on this key starts fresh.
-  if (failed) models.erase(key);
+  // A failure may leave state behind in the backend (unconsumed initial
+  // states): the next job on this key starts fresh.
+  if (result->status == core::Status::kError) models.erase(job->model_key);
+
+  response->wall_ms = timer.milliseconds();
+  response->status = result->status;
+  record_outcome(job, result);
+  response->result = std::move(result);
+  finish(job, std::move(response));
 }
 
 void SolveService::finish(const std::shared_ptr<JobState>& job,
                           std::shared_ptr<SolveResponse> response) {
   // Stamp the stage timings before the response goes const-visible. Epoch
   // timestamps mean the stage never happened (queued job failed at
-  // shutdown, batch build threw before the solve) — those stages read 0.
+  // shutdown, model build threw before the solve) — those stages read 0.
   using float_ms = std::chrono::duration<double, std::milli>;
   constexpr std::chrono::steady_clock::time_point kEpoch{};
   const auto now = std::chrono::steady_clock::now();
@@ -711,8 +645,6 @@ SolveService::Stats SolveService::stats() const {
   s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
   s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_jobs = batched_jobs_.load(std::memory_order_relaxed);
   s.warm_seeded = warm_seeded_.load(std::memory_order_relaxed);
   s.model_builds = model_builds_.load(std::memory_order_relaxed);
   s.model_reuses = model_reuses_.load(std::memory_order_relaxed);

@@ -9,18 +9,15 @@
 //     per-problem warm-start pool riding along),
 //   * an in-flight table that coalesces duplicate requests onto one
 //     computation, and
-//   * a same-instance batch scheduler: a worker that pops a job drains its
-//     queued batch-key twins (same problem fingerprint, backend spec and
-//     penalty shaping, up to ServiceOptions::max_batch) and executes them
-//     on ONE model + ONE bound backend via core::solve_batch,
-//     demultiplexing per-job results, statuses and deadlines. Every job
-//     runs this way; a lone job is a batch of one, and
-//   * per worker, a small LRU of built models keyed by that batch key:
-//     each holds a LagrangianModel and a backend bound to it. Lambda
+//   * per worker, a small LRU of built models keyed by the job's model
+//     key (problem fingerprint + backend spec + penalty shaping): each
+//     holds a LagrangianModel and a backend bound to it. A worker runs
+//     exactly the job it pops, stepping one core::DualAscent to
+//     completion on that job's entry (built and bound on a miss). Lambda
 //     enters the landscape linearly, so the couplings and the bound CSR
 //     never change, and every DualAscent step re-applies its own lambda
-//     before it runs — a later batch on the same key reuses both exactly.
-//     A batch that ends any member in kError evicts its entry.
+//     before it runs — a later job on the same key reuses both exactly.
+//     A job that ends in kError evicts its entry.
 //
 // Requests share problem instances by shared_ptr (the shared-handle idiom:
 // many jobs over one instance, no copies), carry a priority, an optional
@@ -77,18 +74,6 @@ struct ServiceOptions {
   /// Defaults to 1: with several workers running whole jobs in parallel,
   /// per-job fan-out would only oversubscribe.
   std::size_t backend_batch_threads = 1;
-  /// Same-instance batching: a worker that pops a job also drains up to
-  /// max_batch - 1 queued jobs sharing its batch key (problem fingerprint
-  /// + backend spec + penalty shaping) and its priority band, and runs
-  /// them on ONE model + ONE bound backend via core::solve_batch,
-  /// demultiplexing per-job results, statuses and deadlines. Draining is
-  /// idle-aware — it never starves an idle worker of queued work, since
-  /// parallel solo execution beats lockstep sharing of one thread — and a
-  /// deadline-carrying popped job batches nothing extra (lockstep mates
-  /// would dilute the compute rate its time budget was sized for; it can
-  /// still ride along in a deadline-free job's batch, where it loses no
-  /// queue wait). 0 or 1 disables batching.
-  std::size_t max_batch = 8;
   /// Problem fingerprints the warm-start pool may track (each keeping the
   /// ResultCache::kWarmSamplesPerProblem best feasible configurations).
   /// 0 disables the pool — warm_start requests then run cold.
@@ -125,13 +110,13 @@ struct SolveRequest {
 };
 
 /// Per-job stage timing (milliseconds), measured along accept ->
-/// queue-pop -> batch-form + model lookup or build/bind -> solve-start ->
-/// solve-end -> response. All zero for jobs served from the cache
-/// (nothing ran) and for jobs cancelled before a worker claimed them.
+/// queue-pop -> model lookup or build/bind -> solve-start -> solve-end ->
+/// response. All zero for jobs served from the cache (nothing ran) and
+/// for jobs cancelled before a worker claimed them.
 struct JobTiming {
   double queue_ms = 0.0;  ///< submit -> claimed by a worker
-  /// claim -> solve start: batch drain plus the worker's model lookup,
-  /// or the LagrangianModel build and backend bind on a miss
+  /// claim -> solve start: the worker's model lookup, or the
+  /// LagrangianModel build and backend bind on a miss
   double setup_ms = 0.0;
   double solve_ms = 0.0;  ///< solve start -> this job's completion
   double total_ms = 0.0;  ///< submit -> response ready
@@ -143,11 +128,6 @@ struct SolveResponse {
   bool cache_hit = false;
   double wall_ms = 0.0;  ///< solve time; 0 for cache hits
   std::uint64_t fingerprint = 0;
-  /// Members of the same-instance batch this job executed in (1 = solo).
-  /// For batch members, wall_ms measures from batch start to THIS member's
-  /// completion — members share the worker, so per-member compute time is
-  /// not separable.
-  std::size_t batch_size = 1;
   /// True when the job was seeded from the warm-start pool (requested
   /// warm_start AND the pool had samples for its problem).
   bool warm_started = false;
@@ -166,7 +146,7 @@ struct SolveResponse {
 namespace detail {
 struct JobState;
 struct BoundModel;
-/// One worker's built models by batch key (solve_service.cpp).
+/// One worker's built models by model key (solve_service.cpp).
 using ModelCache = util::SmallLru<std::uint64_t, BoundModel>;
 }
 
@@ -258,11 +238,9 @@ class SolveService {
     std::uint64_t deadline_expired = 0;
     std::uint64_t errors = 0;
     std::uint64_t coalesced = 0;  ///< submits joined onto an in-flight twin
-    std::uint64_t batches = 0;       ///< batch executions with >= 2 members
-    std::uint64_t batched_jobs = 0;  ///< jobs executed as members of those
-    std::uint64_t warm_seeded = 0;   ///< jobs seeded from the warm pool
-    /// Batches that built a LagrangianModel and bound a backend, and
-    /// batches that reused a worker's built pair instead.
+    std::uint64_t warm_seeded = 0;  ///< jobs seeded from the warm pool
+    /// Jobs that built a LagrangianModel and bound a backend, and jobs
+    /// that reused a worker's built pair instead.
     std::uint64_t model_builds = 0;
     std::uint64_t model_reuses = 0;
     ResultCache::Stats cache;
@@ -311,12 +289,10 @@ class SolveService {
 
  private:
   void worker_loop();
-  /// Runs claimed same-batch-key jobs as one core::solve_batch on the
-  /// worker's cached model for their key (built and bound on a miss),
-  /// finishing each member the moment it completes.
-  void execute_batch(
-      const std::vector<std::shared_ptr<detail::JobState>>& members,
-      detail::ModelCache& models);
+  /// Runs a claimed job to completion on the worker's cached model for
+  /// its model key (built and bound on a miss), then finishes it.
+  void execute(const std::shared_ptr<detail::JobState>& job,
+               detail::ModelCache& models);
   /// Stamps the response's timing/finished_at from the job's stage
   /// timestamps, records the latency histograms, then publishes it and
   /// fires the job's on_ready hooks.
@@ -362,14 +338,9 @@ class SolveService {
   std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_jobs_{0};
   std::atomic<std::uint64_t> warm_seeded_{0};
   std::atomic<std::uint64_t> model_builds_{0};
   std::atomic<std::uint64_t> model_reuses_{0};
-  /// Workers currently blocked in queue_.pop(); the batch drain leaves at
-  /// least this many queued jobs behind (see ServiceOptions::max_batch).
-  std::atomic<std::size_t> idle_workers_{0};
 
   std::once_flag shutdown_once_;
   util::ThreadPool pool_;  ///< last member: workers die before the queues

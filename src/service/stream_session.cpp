@@ -224,7 +224,6 @@ std::string StreamSessionCore::Impl::render(PendingJob& job) {
   context.wall_ms = response->wall_ms;
   context.cache_hit = response->cache_hit;
   context.fingerprint = response->fingerprint;
-  context.batch_size = response->batch_size;
   context.warm_started = response->warm_started;
   if (job.trace) {
     context.trace = true;

@@ -1,6 +1,6 @@
 // Bit-exactness of the bit-sliced multi-replica engine against the scalar
-// sweep engines — the contract that makes the run_batch dispatch and the
-// fused solve_batch rounds pure performance policy. Parity is pinned on
+// sweep engines — the contract that makes the run_batch dispatch pure
+// performance policy. Parity is pinned on
 // arbitrary (non-dyadic) random models, not just the dyadic ones the
 // incremental-engine tests use: the engine mirrors every scalar fp
 // expression operation for operation, so EQ on doubles is exact.
@@ -13,15 +13,10 @@
 #include "anneal/backend.hpp"
 #include "anneal/simulated_annealing.hpp"
 #include "anneal/slice_driver.hpp"
-#include "core/batch_solver.hpp"
-#include "core/penalty_method.hpp"
-#include "core/saim_solver.hpp"
 #include "ising/bitslice.hpp"
 #include "ising/ising_model.hpp"
-#include "lagrange/lagrangian_model.hpp"
 #include "pbit/pbit_machine.hpp"
 #include "pbit/schedule.hpp"
-#include "problems/qkp.hpp"
 #include "util/accept_bounds.hpp"
 #include "util/rng.hpp"
 #include "util/stop_token.hpp"
@@ -116,15 +111,15 @@ std::vector<anneal::RunResult> sliced(const ising::IsingModel& model,
                                       std::uint64_t base, std::size_t replicas,
                                       std::size_t sweeps, bool track_best,
                                       const std::vector<ising::Spins>& seeds) {
-  anneal::SlicePlan plan =
-      anneal::make_slice_plan(model, base, replicas, seeds);
+  std::vector<ising::SliceLane> lanes =
+      anneal::make_slice_lanes(model, base, replicas, seeds);
   const std::vector<double> betas = anneal::make_beta_table(schedule, sweeps);
   ising::SliceOptions so;
   so.dynamics = dynamics;
   so.betas = betas;
+  so.fields = model.fields();
   so.track_best = track_best;
-  auto split = anneal::run_slice_plans(adjacency, {&plan, 1}, so);
-  return std::move(split.front());
+  return anneal::run_slice_lanes(adjacency, lanes, so);
 }
 
 void expect_lane_eq(const ScalarRun& s, const anneal::RunResult& e,
@@ -281,17 +276,18 @@ TEST(BitsliceParity, StopTokenSemantics) {
   mid.request_stop();
   const auto plan_model = model;
   const pbit::PBitMachine machine(plan_model);
-  anneal::SlicePlan plan = anneal::make_slice_plan(plan_model, 9, 40, {});
+  std::vector<ising::SliceLane> lanes =
+      anneal::make_slice_lanes(plan_model, 9, 40, {});
   const auto betas = anneal::make_beta_table(schedule, 200);
   ising::SliceOptions so;
   so.dynamics = ising::SliceDynamics::kPbit;
   so.betas = betas;
+  so.fields = plan_model.fields();
   so.track_best = true;
   const auto token = mid.token();
   so.stop = &token;
   so.stop_interval = 16;
-  auto split = anneal::run_slice_plans(machine.adjacency(), {&plan, 1}, so);
-  const auto& runs = split.front();
+  const auto runs = anneal::run_slice_lanes(machine.adjacency(), lanes, so);
   ASSERT_EQ(runs.size(), 40u);
   for (const auto& r : runs) {
     EXPECT_EQ(r.sweeps, 16u);  // truncated at the first poll
@@ -317,69 +313,6 @@ TEST(BitsliceParity, StopTokenSemantics) {
   EXPECT_EQ(sres.last_energy, runs[0].last_energy);
   EXPECT_EQ(sres.best, runs[0].best);
   EXPECT_EQ(sres.best_energy, runs[0].best_energy);
-}
-
-// Fused solve_batch rounds (one bit-sliced dispatch carrying every
-// member's replicas) must be bit-identical to solo SaimSolver runs.
-TEST(BitsliceParity, FusedBatchMembersMatchSoloSolves) {
-  const auto instance = problems::make_paper_qkp(24, 50, 3);
-  const auto converted = problems::qkp_to_problem(instance);
-  const auto& problem = converted.problem;
-  const auto evaluator = core::make_qkp_evaluator(instance);
-
-  core::SaimOptions base_options;
-  base_options.iterations = 8;
-  base_options.replicas = 40;  // >= kBitsliceMinReplicas: fused + sliced
-  base_options.eta = 10.0;
-
-  std::vector<core::SaimOptions> member_options;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    core::SaimOptions o = base_options;
-    o.seed = seed;
-    o.iterations = 6 + static_cast<std::size_t>(seed);  // staggered drain
-    o.record_history = (seed == 2);  // exercises the lambda re-apply path
-    member_options.push_back(o);
-  }
-
-  std::vector<core::BatchJob> jobs;
-  for (const auto& o : member_options) {
-    core::BatchJob job;
-    job.options = o;
-    job.evaluator = evaluator;
-    jobs.push_back(std::move(job));
-  }
-  anneal::PBitBackend batch_backend(pbit::Schedule::linear(4.0), 50,
-                                    pbit::SweepOrder::kSequential, true);
-  ASSERT_FALSE(batch_backend.supports_fused_batch());  // not bound yet
-  lagrange::LagrangianModel model(
-      problem, core::effective_penalty(problem, base_options));
-  batch_backend.bind(model.ising());
-  const auto outcomes =
-      core::solve_batch(model, batch_backend, std::move(jobs));
-
-  for (std::size_t j = 0; j < member_options.size(); ++j) {
-    anneal::PBitBackend solo_backend(pbit::Schedule::linear(4.0), 50,
-                                     pbit::SweepOrder::kSequential, true);
-    core::SaimSolver solver(problem, solo_backend, member_options[j]);
-    const auto solo = solver.solve(evaluator);
-
-    const auto& fused = outcomes[j].result;
-    EXPECT_TRUE(outcomes[j].error.empty()) << outcomes[j].error;
-    EXPECT_EQ(fused.status, solo.status) << "member " << j;
-    EXPECT_EQ(fused.best_cost, solo.best_cost) << "member " << j;
-    EXPECT_EQ(fused.best_config, solo.best_config) << "member " << j;
-    EXPECT_EQ(fused.feasible_count, solo.feasible_count) << "member " << j;
-    EXPECT_EQ(fused.total_runs, solo.total_runs) << "member " << j;
-    EXPECT_EQ(fused.total_sweeps, solo.total_sweeps) << "member " << j;
-    ASSERT_EQ(fused.history.size(), solo.history.size()) << "member " << j;
-    for (std::size_t k = 0; k < fused.history.size(); ++k) {
-      EXPECT_EQ(fused.history[k].lagrangian_energy,
-                solo.history[k].lagrangian_energy)
-          << "member " << j << " iteration " << k;
-      EXPECT_EQ(fused.history[k].lambda, solo.history[k].lambda)
-          << "member " << j << " iteration " << k;
-    }
-  }
 }
 
 // The scalar engines now run the same tiered acceptance tests the
@@ -448,20 +381,22 @@ TEST(BitsliceParity, ThreadCountInvariance) {
   const auto betas = anneal::make_beta_table(schedule, 30);
 
   auto run_with_threads = [&](std::size_t threads) {
-    anneal::SlicePlan plan = anneal::make_slice_plan(model, 17, 130, {});
+    std::vector<ising::SliceLane> lanes =
+        anneal::make_slice_lanes(model, 17, 130, {});
     ising::SliceOptions so;
     so.dynamics = ising::SliceDynamics::kMetropolis;
     so.betas = betas;
+    so.fields = model.fields();
     so.track_best = true;
     so.threads = threads;
-    return anneal::run_slice_plans(sa.adjacency(), {&plan, 1}, so);
+    return anneal::run_slice_lanes(sa.adjacency(), lanes, so);
   };
   const auto serial = run_with_threads(1);
   const auto parallel = run_with_threads(4);
-  ASSERT_EQ(serial.front().size(), parallel.front().size());
-  for (std::size_t r = 0; r < serial.front().size(); ++r) {
-    EXPECT_EQ(serial.front()[r].last, parallel.front()[r].last);
-    EXPECT_EQ(serial.front()[r].best_energy, parallel.front()[r].best_energy);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t r = 0; r < serial.size(); ++r) {
+    EXPECT_EQ(serial[r].last, parallel[r].last);
+    EXPECT_EQ(serial[r].best_energy, parallel[r].best_energy);
   }
 }
 

@@ -67,12 +67,11 @@ TEST(ConcurrencyStress, JobQueuePushPopDrainConservesItems) {
     });
   }
 
-  // A scavenger racing the consumers: batch-drains even values the way
-  // the service's batch scheduler pulls same-key twins mid-stream.
+  // A scavenger racing the consumers: drains the whole backlog the way
+  // SolveService::shutdown does while its workers are still popping.
   std::thread scavenger([&] {
     for (int round = 0; round < 300; ++round) {
-      for (const int v :
-           queue.drain_matching(8, [](const int& x) { return x % 2 == 0; })) {
+      for (const int v : queue.drain()) {
         drained.fetch_add(1, std::memory_order_relaxed);
         drained_sum.fetch_add(static_cast<std::uint64_t>(v),
                               std::memory_order_relaxed);

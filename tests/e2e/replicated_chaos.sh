@@ -1,0 +1,96 @@
+#!/usr/bin/env bash
+# Replicated-fleet chaos smoke: saim_shard at R=2 loses a shard mid-stream.
+#
+#   1. A mid-stream scrape of the fleet's --metrics endpoint exposes the
+#      hedge, shed and replica-hit counters and the hedge-win histogram,
+#      well-formed, before any chaos.
+#   2. SIGKILL one saim_serve child once the first result is out: the
+#      supervisor reports it "down, respawning".
+#   3. All 12 jobs are delivered exactly once, with no error lines and
+#      contiguous seq 0..11.
+#   4. No "WARNING: ThreadSanitizer" line reaches stderr (the tsan CI job
+#      runs this script against a -DSAIM_SANITIZE=thread build).
+#
+# Usage: tests/e2e/replicated_chaos.sh SAIM_SHARD
+# (ctest passes the built binary; saim_serve must sit next to it.)
+set -euo pipefail
+
+if [[ $# -ne 1 ]]; then
+  echo "usage: $0 SAIM_SHARD" >&2
+  exit 2
+fi
+shard=$(realpath "$1")
+
+work=$(mktemp -d)
+shard_pid=
+cleanup() {
+  if [[ -n $shard_pid ]]; then kill "$shard_pid" 2> /dev/null || true; fi
+  rm -rf "$work"
+}
+trap cleanup EXIT
+cd "$work"
+
+for k in 1 2 3 4 5 6; do for j in 1 2; do
+  echo "{\"id\":\"k${k}j${j}\",\"gen\":\"qkp:80-25-${k}\",\"iterations\":150,\"sweeps\":600,\"seed\":${j}}"
+done; done > slow_jobs.jsonl
+"$shard" --shards 2 --workers 1 --replicas 2 \
+  --hedge-min-ms 50 --gossip-ms 50 \
+  --metrics 127.0.0.1:0 --metrics-port-file metrics_port.tmp \
+  --stats < slow_jobs.jsonl > chaos_out.jsonl 2> chaos_err.txt &
+shard_pid=$!
+
+# 1. Mid-stream metrics scrape.
+for _ in $(seq 1 3000); do
+  [[ -s metrics_port.tmp ]] && break
+  sleep 0.01
+done
+[[ -s metrics_port.tmp ]] || { echo "no metrics port published" >&2; exit 1; }
+python3 - "$(cat metrics_port.tmp)" <<'EOF'
+import re
+import sys
+import urllib.request
+
+text = urllib.request.urlopen(
+    'http://127.0.0.1:%s/metrics' % sys.argv[1], timeout=10).read().decode()
+for name in ['saim_router_hedges_total',
+             'saim_router_hedge_wins_total',
+             'saim_router_sheds_total',
+             'saim_router_replica_hits_total']:
+    assert f'# TYPE {name} counter' in text, name
+    assert re.search(rf'^{name} \d+$', text, re.MULTILINE), name
+assert '# TYPE saim_hedge_win_ms histogram' in text
+assert re.search(r'^saim_hedge_win_ms_count \d+$', text, re.MULTILINE)
+EOF
+
+# 2. SIGKILL a shard once the first result is out.
+for _ in $(seq 1 6000); do
+  [[ -s chaos_out.jsonl ]] && break
+  sleep 0.01
+done
+# -P pins the victim to THIS fleet: under `ctest -j` another case's
+# saim_serve may be running too.
+victim=$(pgrep -P "$shard_pid" -x saim_serve | head -1)
+[[ -n $victim ]] || { echo "no saim_serve child of $shard_pid" >&2; exit 1; }
+kill -9 "$victim"
+wait "$shard_pid"
+shard_pid=
+grep -q "down, respawning" chaos_err.txt \
+  || { cat chaos_err.txt >&2; echo "no respawn reported" >&2; exit 1; }
+
+# 3. Exactly once, contiguous seq.
+python3 - <<'EOF'
+import json
+lines = [json.loads(l) for l in open('chaos_out.jsonl')]
+assert len(lines) == 12 and len({l['id'] for l in lines}) == 12, lines
+assert not any('error' in l for l in lines), lines
+assert sorted(l['seq'] for l in lines) == list(range(12)), lines
+EOF
+
+# 4. No sanitizer report.
+if grep -q "WARNING: ThreadSanitizer" chaos_err.txt; then
+  cat chaos_err.txt >&2
+  echo "TSan report during the chaos smoke" >&2
+  exit 1
+fi
+
+echo 'replicated chaos OK: metrics scrape, SIGKILL + respawn, 12 jobs exactly once'

@@ -3,7 +3,8 @@
 #
 #   1. JSONL smoke: three batch-mode jobs complete in input order; the
 #      duplicate instance reports the same fingerprint.
-#   2. Stream + batching + warm start: seq 0..2, some batch_size > 1.
+#   2. Stream + warm start on one instance: seq 0..2, every batch_size
+#      is 1 (each job runs alone on its worker).
 #   3. Transports: the same jobs from a pipe, from a regular file on
 #      stdin and through --input/--output paths give identical solver
 #      fields.
@@ -47,7 +48,7 @@ assert lines[0]['fingerprint'] == lines[2]['fingerprint'], lines
 assert all('batch_size' in l and 'warm_started' in l for l in lines), lines
 EOF
 
-# 2. Stream + batching + warm start.
+# 2. Stream + warm start on one instance.
 printf '%s\n' \
   '{"id":"c1","gen":"qkp:40-25-1","iterations":30,"sweeps":200,"seed":1}' \
   '{"id":"c2","gen":"qkp:40-25-1","iterations":30,"sweeps":200,"seed":2}' \
@@ -59,7 +60,7 @@ lines = [json.loads(l) for l in open('stream_out.jsonl')]
 assert len(lines) == 3, lines
 assert all(l['status'] == 'completed' for l in lines), lines
 assert sorted(l['seq'] for l in lines) == [0, 1, 2], lines
-assert any(l['batch_size'] > 1 for l in lines), lines
+assert all(l['batch_size'] == 1 for l in lines), lines
 EOF
 
 # 3. Pipe vs regular file vs --input/--output paths.

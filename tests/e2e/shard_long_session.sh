@@ -8,7 +8,7 @@
 #   * seq runs contiguously over 0..n-1;
 #   * each shard built one model per instance routed to it: with one
 #     worker per shard, its model_builds equals the distinct instances it
-#     served (routed / 1250), and every other batch was a reuse.
+#     served (routed / 1250), and every other job was a reuse.
 #
 # Usage: tests/e2e/shard_long_session.sh SAIM_SHARD
 # (ctest passes the built binary; saim_serve must sit next to it.)
@@ -82,14 +82,10 @@ for shard in fleet["shards"]:
     assert routed % PER_INSTANCE == 0, shard
     instances = routed // PER_INSTANCE
     assert service["model_builds"] == instances, (instances, service)
-    batches = service["model_builds"] + service["model_reuses"]
     assert service["executed"] == routed, service
-    assert batches <= routed, service
+    assert service["model_builds"] + service["model_reuses"] == routed, \
+        service
     builds += instances
 assert builds == len(INSTANCES), fleet
-print("long session OK: %d jobs, %d model builds, %s" % (
-    n, builds, ", ".join("shard %d batch mean %.2f" % (
-        s["shard"], s["routed"] / max(1, s["service"]["model_builds"] +
-                                      s["service"]["model_reuses"]))
-        for s in fleet["shards"])))
+print("long session OK: %d jobs, %d model builds" % (n, builds))
 EOF

@@ -369,13 +369,12 @@ std::vector<std::string> route_through(std::size_t locals,
 }
 
 /// Solver-produced fields: everything except scheduling artifacts
-/// (seq = arrival order, wall_ms = timing, batch_size = whether twins
-/// happened to be queued together when a worker popped).
+/// (seq = arrival order, wall_ms = timing).
 std::map<std::string, std::string> solved_fields(const std::string& line) {
   const auto v = util::parse_json(line);
   std::map<std::string, std::string> fields;
   for (const auto& [key, value] : v.object()) {
-    if (key == "seq" || key == "wall_ms" || key == "batch_size") continue;
+    if (key == "seq" || key == "wall_ms") continue;
     fields[key] = util::to_json(value);
   }
   return fields;

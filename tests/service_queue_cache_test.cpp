@@ -63,39 +63,6 @@ TEST(JobQueue, PushAfterCloseIsRejected) {
   EXPECT_TRUE(q.closed());
 }
 
-TEST(JobQueue, DrainMatchingTakesOnlyMatchesUpToMax) {
-  JobQueue<int> q;
-  q.push(1, Priority::kLow);
-  q.push(2, Priority::kNormal);
-  q.push(4, Priority::kNormal);
-  q.push(6, Priority::kNormal);
-  q.push(3, Priority::kHigh);
-  q.push(8, Priority::kHigh);
-
-  // Even numbers only, capped at 3: high band first (8), then the normal
-  // band in FIFO order (2, 4); 6 stays because the cap was hit.
-  const auto drained =
-      q.drain_matching(3, [](const int& v) { return v % 2 == 0; });
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_EQ(drained[0], 8);
-  EXPECT_EQ(drained[1], 2);
-  EXPECT_EQ(drained[2], 4);
-
-  // Non-matching items keep their order; the capped-out 6 is still there.
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), 6);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(JobQueue, DrainMatchingOnEmptyOrNoMatchReturnsNothing) {
-  JobQueue<int> q;
-  EXPECT_TRUE(q.drain_matching(4, [](const int&) { return true; }).empty());
-  q.push(1);
-  EXPECT_TRUE(q.drain_matching(4, [](const int&) { return false; }).empty());
-  EXPECT_EQ(q.size(), 1u);
-}
-
 TEST(JobQueue, DrainRemovesEverythingInPriorityOrder) {
   JobQueue<int> q;
   q.push(1, Priority::kLow);

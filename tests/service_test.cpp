@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -57,22 +58,76 @@ TEST(SolveService, SolvesOneJobEndToEnd) {
   EXPECT_TRUE(response->result->found_feasible);
 }
 
+/// Every SolveResult field, compared exactly.
+void expect_same_result(const core::SolveResult& got,
+                        const core::SolveResult& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.status, want.status) << label;
+  EXPECT_EQ(got.found_feasible, want.found_feasible) << label;
+  EXPECT_EQ(got.best_x, want.best_x) << label;
+  EXPECT_EQ(got.best_config, want.best_config) << label;
+  EXPECT_EQ(got.best_cost, want.best_cost) << label;
+  EXPECT_EQ(got.total_runs, want.total_runs) << label;
+  EXPECT_EQ(got.total_sweeps, want.total_sweeps) << label;
+  EXPECT_EQ(got.feasible_count, want.feasible_count) << label;
+  EXPECT_EQ(got.feasible_cost_stats.count(), want.feasible_cost_stats.count())
+      << label;
+  EXPECT_EQ(got.feasible_cost_stats.mean(), want.feasible_cost_stats.mean())
+      << label;
+  EXPECT_EQ(got.feasible_cost_stats.variance(),
+            want.feasible_cost_stats.variance())
+      << label;
+  EXPECT_EQ(got.feasible_cost_stats.min(), want.feasible_cost_stats.min())
+      << label;
+  EXPECT_EQ(got.feasible_cost_stats.max(), want.feasible_cost_stats.max())
+      << label;
+  EXPECT_EQ(got.feasible_costs, want.feasible_costs) << label;
+  ASSERT_EQ(got.history.size(), want.history.size()) << label;
+  for (std::size_t k = 0; k < got.history.size(); ++k) {
+    const auto& g = got.history[k];
+    const auto& w = want.history[k];
+    EXPECT_EQ(g.iteration, w.iteration) << label << " iteration " << k;
+    EXPECT_EQ(g.sample_cost, w.sample_cost) << label << " iteration " << k;
+    EXPECT_EQ(g.feasible, w.feasible) << label << " iteration " << k;
+    EXPECT_EQ(g.lagrangian_energy, w.lagrangian_energy)
+        << label << " iteration " << k;
+    EXPECT_EQ(g.max_violation, w.max_violation)
+        << label << " iteration " << k;
+    EXPECT_EQ(g.lambda, w.lambda) << label << " iteration " << k;
+  }
+}
+
 TEST(SolveService, MatchesDirectSolverBitForBit) {
   // The service must be a pure scheduling layer: same problem, options and
-  // seed give exactly the blocking-call result.
+  // seed give exactly the blocking-call result — through run (1 replica),
+  // the scalar run_batch (4) and the bit-sliced run_batch (40). One
+  // worker, so every job after the first runs on the model and bound
+  // backend an earlier job left behind, multipliers included.
   const auto t = make_test_problem();
-  service::SolveService svc({.workers = 3});
-  const auto via_service = svc.submit(make_request(t)).wait();
-  ASSERT_EQ(via_service->status, core::Status::kCompleted);
+  service::SolveService svc({.workers = 1, .cache_capacity = 0});
+  const struct {
+    std::size_t replicas;
+    std::uint64_t seed;
+  } cases[] = {{1, 1}, {4, 1}, {40, 1}, {1, 2}};
+  for (const auto& c : cases) {
+    auto request = make_request(t, 20, c.seed);
+    request.options.replicas = c.replicas;
+    request.options.record_history = true;
+    request.options.collect_feasible_costs = true;
+    const std::string label = "replicas " + std::to_string(c.replicas) +
+                              " seed " + std::to_string(c.seed);
 
-  auto backend = service::make_backend(make_request(t).backend);
-  core::SaimSolver solver(*t.problem, *backend, make_request(t).options);
-  const auto direct = solver.solve(core::make_qkp_evaluator(*t.instance));
+    auto backend = service::make_backend(request.backend);
+    core::SaimSolver solver(*t.problem, *backend, request.options);
+    const auto direct = solver.solve(core::make_qkp_evaluator(*t.instance));
 
-  EXPECT_EQ(via_service->result->best_cost, direct.best_cost);
-  EXPECT_EQ(via_service->result->best_x, direct.best_x);
-  EXPECT_EQ(via_service->result->feasible_count, direct.feasible_count);
-  EXPECT_EQ(via_service->result->total_sweeps, direct.total_sweeps);
+    const auto via_service = svc.submit(std::move(request)).wait();
+    ASSERT_EQ(via_service->status, core::Status::kCompleted)
+        << label << ": " << via_service->error;
+    expect_same_result(*via_service->result, direct, label);
+  }
+  EXPECT_EQ(svc.stats().model_builds, 1u);
+  EXPECT_EQ(svc.stats().model_reuses, 3u);
 }
 
 TEST(SolveService, CacheHitReturnsIdenticalResultWithoutRecompute) {

@@ -1,11 +1,11 @@
 // saim_serve — JSONL front-end to the asynchronous solve service.
 //
 // Reads one job per line, runs every job through one SolveService
-// (priority queue, worker pool, content-keyed result cache, duplicate
-// coalescing, same-instance batching, warm-start pool), and emits one
-// JSON result line per job. The full wire protocol — every request and
-// response field, control lines, error lines, exit codes, worked
-// examples — is specified in docs/PROTOCOL.md; keep that file in
+// (priority queue, worker pool with per-worker cached models,
+// content-keyed result cache, duplicate coalescing, warm-start pool), and
+// emits one JSON result line per job. The full wire protocol — every
+// request and response field, control lines, error lines, exit codes,
+// worked examples — is specified in docs/PROTOCOL.md; keep that file in
 // lockstep with this one (CI greps it for every emitted field name).
 // The protocol state machine lives in service/stream_session.{hpp,cpp},
 // the session driver for both transports in service/event_server.
@@ -22,7 +22,7 @@
 //     write backpressure, a --max-connections fail-fast cap,
 //     --auth-timeout-ms / --idle-timeout-ms deadlines). Every
 //     connection speaks its own session over ONE shared SolveService
-//     (cache, batcher and warm-start pool are shared). Port 0 picks
+//     (cache and warm-start pool are shared). Port 0 picks
 //     an ephemeral port; --port-file writes the bound port for
 //     race-free rendezvous. This is how a remote shard joins a
 //     `saim_shard --connect host:port` fleet — start it with --stream,
@@ -165,9 +165,6 @@ int main(int argc, char** argv) {
                 "0")
       .add_flag("workers", "solver worker threads (0 = hardware)", "0")
       .add_flag("cache", "result-cache capacity (0 disables)", "256")
-      .add_flag("max-batch",
-                "same-instance jobs executed per batch (1 disables)",
-                "8")
       .add_bool("warm-start",
                 "seed jobs from the per-problem pool by default "
                 "(per-job \"warm_start\" field overrides)")
@@ -206,8 +203,6 @@ int main(int argc, char** argv) {
         std::max<std::int64_t>(0, args.get_int("workers")));
     service_options.cache_capacity = static_cast<std::size_t>(
         std::max<std::int64_t>(0, args.get_int("cache")));
-    service_options.max_batch = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.get_int("max-batch")));
     listen_options.max_connections = static_cast<std::size_t>(
         std::max<std::int64_t>(1, args.get_int("max-connections")));
     listen_options.auth_timeout_ms = static_cast<int>(
@@ -267,13 +262,11 @@ int main(int argc, char** argv) {
     const auto s = svc.stats();
     std::fprintf(stderr,
                  "saim_serve: %llu submitted, %llu executed, %llu coalesced, "
-                 "%llu batched in %llu batches, %llu warm-seeded, "
-                 "%llu model builds, %llu reuses, cache hit-rate %.2f\n",
+                 "%llu warm-seeded, %llu model builds, %llu reuses, "
+                 "cache hit-rate %.2f\n",
                  static_cast<unsigned long long>(s.submitted),
                  static_cast<unsigned long long>(s.executed),
                  static_cast<unsigned long long>(s.coalesced),
-                 static_cast<unsigned long long>(s.batched_jobs),
-                 static_cast<unsigned long long>(s.batches),
                  static_cast<unsigned long long>(s.warm_seeded),
                  static_cast<unsigned long long>(s.model_builds),
                  static_cast<unsigned long long>(s.model_reuses),

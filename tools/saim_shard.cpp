@@ -7,7 +7,7 @@
 // `saim_serve --listen` servers over TCP — routing each job by
 // consistent hashing on its canonical problem fingerprint. All jobs over
 // one instance land on one shard, so that shard's result cache,
-// coalescer, same-instance batcher and warm-start pool stay hot for its
+// coalescer, cached models and warm-start pool stay hot for its
 // keyslice. The routing/remapping brain is service/shard_router; the
 // transports are service/process_child (pipes) and net/socket_child
 // (TCP) behind net::ShardEndpoint; the self-healing layer —
@@ -263,8 +263,6 @@ int main(int argc, char** argv) {
                 "1")
       .add_flag("cache", "result-cache capacity per shard (0 disables)",
                 "256")
-      .add_flag("max-batch",
-                "same-instance jobs fused per batch per shard", "8")
       .add_bool("warm-start",
                 "make \"warm_start\": true the per-job default on every "
                 "shard")
@@ -338,7 +336,7 @@ int main(int argc, char** argv) {
       return static_cast<std::size_t>(
           std::max<std::int64_t>(0, args.get_int(flag)));
     };
-    for (const char* forwarded : {"workers", "cache", "max-batch"}) {
+    for (const char* forwarded : {"workers", "cache"}) {
       (void)args.get_int(forwarded);
     }
     locals = nonneg("shards");
@@ -356,7 +354,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   // Hot-key routing bound: one full window queued on the owner means a
-  // twin would wait a whole batch behind it — a replica is cheaper.
+  // twin would wait a whole window behind it — a replica is cheaper.
   router_options.hot_key_depth = router_options.window;
 
   // Fleet membership: locals first (slots 0..L-1), then remotes.
@@ -389,7 +387,6 @@ int main(int argc, char** argv) {
       "--stream",
       "--workers", args.get("workers"),
       "--cache", args.get("cache"),
-      "--max-batch", args.get("max-batch"),
   };
   if (args.get_bool("warm-start")) {
     supervisor_options.local_argv.push_back("--warm-start");
