@@ -5,7 +5,9 @@
 //     model rebuild — the optimization that makes the SAIM outer loop
 //     essentially free,
 //   * energy evaluations and QUBO->Ising conversion,
-//   * recompute-every-visit vs incremental vs bit-sliced sweeps.
+//   * recompute-every-visit vs incremental vs bit-sliced sweeps,
+//   * the start of every inner run: LocalFieldState::reset (all coupling
+//     inputs plus the start energy) and the energy on its own.
 //
 // The BENCH_sweep.json report (sweep-engine throughput comparison, CI
 // floor) lives in bench/sweep_rates.cpp, which does not need
@@ -193,6 +195,47 @@ BENCHMARK(BM_SweepBitsliced)
     ->Args({32, 50})
     ->Args({64, 1})
     ->Args({64, 50});
+
+/// Random start states for the run-start benches, cycled so that no one
+/// state sits in the caches.
+std::vector<ising::Spins> start_states(std::size_t n) {
+  util::Xoshiro256pp rng(7);
+  std::vector<ising::Spins> states(16, ising::Spins(n));
+  for (auto& m : states) {
+    for (auto& s : m) s = rng.bernoulli(0.5) ? 1 : -1;
+  }
+  return states;
+}
+
+void BM_RunStart(benchmark::State& state) {
+  const auto inst = bench_instance(200, 25);
+  const auto mapping = problems::qkp_to_problem(inst);
+  lagrange::LagrangianModel model(mapping.problem, 2.0);
+  const ising::Adjacency adj(model.ising());
+  const auto states = start_states(model.n());
+  ising::LocalFieldState lfs(model.ising(), adj);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    lfs.reset(states[k++ % states.size()]);
+    benchmark::DoNotOptimize(lfs.coupling_inputs().data());
+    benchmark::DoNotOptimize(lfs.energy());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RunStart);
+
+void BM_RunStartEnergy(benchmark::State& state) {
+  const auto inst = bench_instance(200, 25);
+  const auto mapping = problems::qkp_to_problem(inst);
+  lagrange::LagrangianModel model(mapping.problem, 2.0);
+  const auto states = start_states(model.n());
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        model.ising().energy(states[k++ % states.size()]));
+  }
+}
+BENCHMARK(BM_RunStartEnergy);
 
 }  // namespace
 

@@ -48,9 +48,10 @@ class Adjacency {
   /// Vectorized with the portable SIMD shim: four independent accumulators
   /// over the CSR row, folded as (a0+a1)+(a2+a3), then a sequential scalar
   /// tail. The summation order is fixed by this definition — identical for
-  /// the AVX2/NEON and scalar-emulation builds — and shared by every
-  /// consumer (LocalFieldState::reset, the parity-test references, the
-  /// bit-sliced engine's lane init), so all engines agree bit for bit.
+  /// the AVX2/NEON and scalar-emulation builds. It is the reference every
+  /// engine's coupling inputs follow: PBitMachine::input and the recompute
+  /// engines call it per visit, and coupling_inputs() (run start) computes
+  /// the same sums for all rows at once, pinned against it bit for bit.
   [[nodiscard]] double coupling_input(std::span<const std::int8_t> m,
                                       std::size_t i) const noexcept {
     const auto nbr = neighbors(i);
@@ -79,6 +80,20 @@ class Adjacency {
     }
     return acc;
   }
+
+  /// All n coupling inputs at once, as LocalFieldState::reset and the
+  /// bit-sliced lane init need them: out[i] = coupling_input(m, i), bit
+  /// for bit. O(sum deg). The spins are converted to doubles once; on a
+  /// row of degree n-1 (every row of a Lagrangian model) the k-th CSR
+  /// entry is column k + (k >= i), so the 4-lane blocks read the spin
+  /// doubles as contiguous slices, shifted by one past the diagonal,
+  /// instead of gathering int8 spins one entry at a time, four such rows
+  /// side by side. Lanes, their order, the fold and the scalar tail are
+  /// coupling_input's. Rows outside a run of four complete rows call
+  /// coupling_input. Keeps no state: concurrent calls on one adjacency
+  /// are safe.
+  void coupling_inputs(std::span<const std::int8_t> m,
+                       std::span<double> out) const;
 
  private:
   std::size_t n_ = 0;

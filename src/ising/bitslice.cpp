@@ -346,12 +346,14 @@ std::vector<SliceResult> BitSliceEngine::run(std::span<SliceLane> lanes,
       g.active[c] = (1u << live) - 1u;
     }
 
+    std::vector<double> inputs(n);
     for (std::size_t b = 0; b < count; ++b) {
       const SliceLane& lane = lanes[lane0 + b];
       const std::size_t plane = (b / 4) * n * 4 + (b % 4);
+      adj.coupling_inputs(lane.spins, inputs);
       for (std::size_t i = 0; i < n; ++i) {
         if (lane.spins[i] < 0) g.spins[i] |= std::uint64_t{1} << b;
-        g.coupling[plane + i * 4] = adj.coupling_input(lane.spins, i);
+        g.coupling[plane + i * 4] = inputs[i];
       }
       g.energy[b] = lane.energy;
       for (std::size_t j = 0; j < 4; ++j) g.rng[j * kW + b] = lane.rng[j];

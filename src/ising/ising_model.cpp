@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/simd.hpp"
+
 namespace saim::ising {
 
 IsingModel::IsingModel(std::size_t n)
@@ -55,8 +57,39 @@ std::span<const double> IsingModel::row(std::size_t i) const {
 }
 
 double IsingModel::energy(std::span<const std::int8_t> m) const {
+  // Row i contributes acc_i = sum_{j>i} J_ij m_j, summed in ascending j.
+  // Eight rows at a time, the acc_i are built from row j at columns
+  // i0..i0+7 instead (J_ij == J_ji bit for bit, see add_coupling): each
+  // lane still adds its own terms in ascending j, so every acc_i, and the
+  // in-order fold into e, match the row-by-row loop below bit for bit.
   double e = offset_;
-  for (std::size_t i = 0; i < n_; ++i) {
+  std::size_t i0 = 0;
+  for (; i0 + 8 <= n_; i0 += 8) {
+    // The triangle j < i0 + 8 first, per lane, in ascending j.
+    double acc[8] = {};
+    for (std::size_t l = 0; l < 8; ++l) {
+      const double* r = coupling_.data() + (i0 + l) * n_;
+      for (std::size_t j = i0 + l + 1; j < i0 + 8; ++j) {
+        acc[l] += r[j] * static_cast<double>(m[j]);
+      }
+    }
+    util::F64x4 lo = util::F64x4::load(acc);
+    util::F64x4 hi = util::F64x4::load(acc + 4);
+    for (std::size_t j = i0 + 8; j < n_; ++j) {
+      const double* c = coupling_.data() + j * n_ + i0;
+      const auto mj = util::F64x4::broadcast(static_cast<double>(m[j]));
+      lo = lo + util::F64x4::load(c) * mj;
+      hi = hi + util::F64x4::load(c + 4) * mj;
+    }
+    lo.store(acc);
+    hi.store(acc + 4);
+    for (std::size_t l = 0; l < 8; ++l) {
+      const auto mi = static_cast<double>(m[i0 + l]);
+      e -= field_[i0 + l] * mi;
+      e -= mi * acc[l];
+    }
+  }
+  for (std::size_t i = i0; i < n_; ++i) {
     const auto mi = static_cast<double>(m[i]);
     e -= field_[i] * mi;
     const double* r = coupling_.data() + i * n_;

@@ -41,7 +41,11 @@ class IsingModel {
   /// Contiguous row i of J (length n, zero diagonal).
   [[nodiscard]] std::span<const double> row(std::size_t i) const;
 
-  /// Full Hamiltonian H(m). O(n^2).
+  /// Full Hamiltonian H(m). O(n^2), the start energy of every inner run.
+  /// Sums acc_i = sum_{j>i} J_ij m_j in ascending j and folds
+  /// e -= h_i m_i; e -= m_i acc_i in ascending i — the row-by-row order,
+  /// bit for bit — but builds eight acc_i at once from the symmetric
+  /// rows, as contiguous 4-lane loads.
   [[nodiscard]] double energy(std::span<const std::int8_t> m) const;
 
   /// p-bit input I_i = sum_j J_ij m_j + h_i  (paper eq. 9). O(n).

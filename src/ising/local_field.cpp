@@ -5,10 +5,7 @@
 namespace saim::ising {
 
 void LocalFieldState::reset(const Spins& m) {
-  const std::size_t size = n();
-  for (std::size_t i = 0; i < size; ++i) {
-    coupling_in_[i] = adjacency_->coupling_input(m, i);
-  }
+  adjacency_->coupling_inputs(m, coupling_in_);
   // The dense evaluation reproduces, bit for bit, the energy every
   // pre-engine backend computed at run start, so trajectories stay
   // identical to the recompute era on arbitrary (non-dyadic) models too.

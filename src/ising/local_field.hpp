@@ -8,8 +8,12 @@
 // exactly the regime late-anneal betas live in. LocalFieldState instead
 // keeps the coupling inputs  C_i = sum_j J_ij m_j  as persistent state:
 //
-//   * reset(m)  rebuilds C[] in O(sum deg) (plus one dense energy
-//     evaluation) — once per run, not once per visit;
+//   * reset(m)  rebuilds C[] (Adjacency::coupling_inputs) and the start
+//     energy (IsingModel::energy) — once per run, not once per visit.
+//     Both are O(n^2) on the dense Lagrangian, so each reads contiguous
+//     4-lane slices: C[] from the CSR weights against the spins converted
+//     to doubles once, the energy 8 rows at a time. On a short serving
+//     run (30 MCS) this start-up is a large share of the run;
 //   * flip(m,i) flips spin i and pushes the change to its neighbours'
 //     C_j in O(deg(i)) — so a sweep costs O(n + flips * deg) instead of
 //     O(sum deg).
@@ -68,10 +72,13 @@ class LocalFieldState {
 
   [[nodiscard]] std::size_t n() const noexcept { return coupling_in_.size(); }
 
-  /// Rebuilds the coupling inputs (O(sum deg)) and the tracked energy
-  /// (one dense O(n^2) evaluation, kept bit-compatible with the
-  /// pre-engine backends). Call once per run (or after externally
-  /// replacing the state, e.g. a restart).
+  /// Rebuilds the coupling inputs with Adjacency::coupling_inputs (bit for
+  /// bit the per-row coupling_input sums) and the tracked energy with
+  /// IsingModel::energy (the row-by-row sum of the pre-engine backends,
+  /// bit for bit). Both are vectorized O(sum deg) / O(n^2) passes and keep
+  /// no scratch outside this engine, so replicas sharing one model and
+  /// adjacency may reset concurrently. Call once per run (or after
+  /// externally replacing the state, e.g. a restart).
   void reset(const Spins& m);
 
   /// p-bit input I_i = C_i + h_i for the state last synced via

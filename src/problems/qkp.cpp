@@ -50,6 +50,9 @@ std::int64_t QkpInstance::pair_value(std::size_t i, std::size_t j) const {
 }
 
 std::int64_t QkpInstance::profit(std::span<const std::uint8_t> x) const {
+  // Exact int64 sums, so any order gives the same profit: the pair loop
+  // masks each term instead of branching on x_j, which a sampled x
+  // mispredicts about half the time, and vectorizes.
   const std::size_t n = values_.size();
   std::int64_t p = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -57,7 +60,7 @@ std::int64_t QkpInstance::profit(std::span<const std::uint8_t> x) const {
     p += values_[i];
     const std::int64_t* row = pair_values_.data() + i * n;
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (x[j]) p += row[j];
+      p += row[j] & -static_cast<std::int64_t>(x[j] != 0);
     }
   }
   return p;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "nondyadic_models.hpp"
 #include "util/rng.hpp"
 
 namespace saim::ising {
@@ -106,6 +110,61 @@ TEST_P(IsingFlipDelta, MatchesFullRecomputation) {
 
 INSTANTIATE_TEST_SUITE_P(RandomModels, IsingFlipDelta,
                          ::testing::Range<std::uint64_t>(100, 120));
+
+/// The row-by-row energy loop: acc_i = sum_{j>i} J_ij m_j in ascending j,
+/// folded into e in ascending i. IsingModel::energy must match it bit for
+/// bit.
+double row_sequential_energy(const IsingModel& model, const Spins& m) {
+  double e = model.offset();
+  for (std::size_t i = 0; i < model.n(); ++i) {
+    const auto mi = static_cast<double>(m[i]);
+    e -= model.fields()[i] * mi;
+    const auto r = model.row(i);
+    double acc = 0.0;
+    for (std::size_t j = i + 1; j < model.n(); ++j) {
+      acc += r[j] * static_cast<double>(m[j]);
+    }
+    e -= mi * acc;
+  }
+  return e;
+}
+
+void expect_energy_matches_row_sequential(const IsingModel& model,
+                                          std::uint64_t seed) {
+  util::Xoshiro256pp rng(seed);
+  for (int state = 0; state < 12; ++state) {
+    Spins m = testing_models::random_spins(model.n(), rng);
+    if (state < 2) m.assign(model.n(), state == 0 ? 1 : -1);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(model.energy(m)),
+              std::bit_cast<std::uint64_t>(row_sequential_energy(model, m)))
+        << "n=" << model.n() << " state " << state;
+  }
+}
+
+TEST(IsingModel, EnergyMatchesRowSequentialLoopOnRealModels) {
+  std::uint64_t seed = 200;
+  for (const std::size_t n : testing_models::pin_sizes()) {
+    for (const double fill : {0.2, 0.5, 1.0}) {
+      SCOPED_TRACE(fill);
+      expect_energy_matches_row_sequential(
+          testing_models::random_real_model(n, fill, seed), seed + 1);
+      seed += 2;
+    }
+    expect_energy_matches_row_sequential(
+        testing_models::mixed_rows_model(n, seed), seed + 1);
+    seed += 2;
+  }
+}
+
+TEST(IsingModel, EnergyMatchesRowSequentialLoopOnQkpLagrangians) {
+  for (const auto& [items, density] :
+       {std::pair{22, 50}, std::pair{50, 25}, std::pair{200, 25}}) {
+    expect_energy_matches_row_sequential(
+        testing_models::qkp_lagrangian(static_cast<std::size_t>(items),
+                                       density, 1),
+        300 + static_cast<std::uint64_t>(items));
+  }
+}
 
 }  // namespace
 }  // namespace saim::ising

@@ -10,6 +10,7 @@
 
 #include "ising/adjacency.hpp"
 #include "ising/ising_model.hpp"
+#include "nondyadic_models.hpp"
 #include "util/rng.hpp"
 
 namespace saim::ising {
@@ -235,6 +236,77 @@ TEST(LocalFieldState, DenseRowThresholdIsThreeTenthsFill) {
     ASSERT_EQ(adj.edge_count(), edges);
     EXPECT_EQ(LocalFieldState::uses_dense_rows(adj), edges == 15u);
     expect_flips_match_csr(model, 50 + edges, 2000);
+  }
+}
+
+/// coupling_inputs (and so reset) against the per-row coupling_input, bit
+/// for bit, over random states and the two uniform ones.
+void expect_batch_inputs_match_per_row(const IsingModel& model,
+                                       std::uint64_t seed) {
+  const Adjacency adj(model);
+  const std::size_t n = model.n();
+  util::Xoshiro256pp rng(seed);
+  std::vector<double> out(n);
+  LocalFieldState lfs(model, adj);
+  for (int state = 0; state < 12; ++state) {
+    Spins m = testing_models::random_spins(n, rng);
+    if (state < 2) m.assign(n, state == 0 ? 1 : -1);
+    adj.coupling_inputs(m, out);
+    lfs.reset(m);
+    const auto c = lfs.coupling_inputs();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto want = std::bit_cast<std::uint64_t>(adj.coupling_input(m, i));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]), want)
+          << "n=" << n << " state " << state << " C_" << i
+          << " degree " << adj.neighbors(i).size();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(c[i]), want)
+          << "n=" << n << " state " << state << " reset C_" << i;
+    }
+  }
+}
+
+TEST(LocalFieldState, BatchCouplingInputsMatchPerRowOnRealModels) {
+  std::uint64_t seed = 60;
+  for (const std::size_t n : testing_models::pin_sizes()) {
+    for (const double fill : {0.2, 0.5, 1.0}) {
+      SCOPED_TRACE(fill);
+      expect_batch_inputs_match_per_row(
+          testing_models::random_real_model(n, fill, seed), seed + 1);
+      seed += 2;
+    }
+  }
+}
+
+TEST(LocalFieldState, BatchCouplingInputsMatchPerRowOnMixedRows) {
+  std::uint64_t seed = 70;
+  for (const std::size_t n : testing_models::pin_sizes()) {
+    const auto model = testing_models::mixed_rows_model(n, seed);
+    if (n >= 7) {
+      // Both kinds of row are present: row 0 is complete, and some row is
+      // not.
+      const Adjacency adj(model);
+      EXPECT_EQ(adj.neighbors(0).size(), n - 1);
+      std::size_t sparse = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        sparse += adj.neighbors(i).size() + 1 < n ? 1 : 0;
+      }
+      EXPECT_GT(sparse, 0u) << "n=" << n;
+    }
+    expect_batch_inputs_match_per_row(model, seed + 1);
+    seed += 2;
+  }
+}
+
+TEST(LocalFieldState, BatchCouplingInputsMatchPerRowOnQkpLagrangians) {
+  struct Case {
+    std::size_t items;
+    int density;
+    std::size_t n;
+  };
+  for (const Case c : {Case{22, 50, 30}, Case{50, 25, 60}, Case{200, 25, 212}}) {
+    const auto model = testing_models::qkp_lagrangian(c.items, c.density, 1);
+    ASSERT_EQ(model.n(), c.n);
+    expect_batch_inputs_match_per_row(model, 80 + c.n);
   }
 }
 
