@@ -5,7 +5,7 @@
 //     model rebuild — the optimization that makes the SAIM outer loop
 //     essentially free,
 //   * energy evaluations and QUBO->Ising conversion,
-//   * recompute-every-visit vs incremental vs bit-sliced sweeps,
+//   * recompute-every-visit vs incremental sweeps,
 //   * the start of every inner run: LocalFieldState::reset (all coupling
 //     inputs plus the start energy) and the energy on its own.
 //
@@ -155,46 +155,6 @@ void BM_SweepIncremental(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SweepIncremental)->Arg(1)->Arg(50);
-
-void BM_SweepBitsliced(benchmark::State& state) {
-  const auto inst = bench_instance(200, 25);
-  const auto mapping = problems::qkp_to_problem(inst);
-  lagrange::LagrangianModel model(mapping.problem, 2.0);
-  const ising::Adjacency adj(model.ising());
-  const auto replicas = static_cast<std::size_t>(state.range(0));
-  const double beta = static_cast<double>(state.range(1)) / 10.0;
-
-  util::Xoshiro256pp rng(5);
-  ising::Spins m(model.n());
-  for (auto& s : m) s = rng.bernoulli(0.5) ? 1 : -1;
-  std::vector<ising::SliceLane> lanes(replicas);
-  const double energy = model.ising().energy(m);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    lanes[r].spins = m;
-    lanes[r].energy = energy;
-    lanes[r].rng = util::Xoshiro256pp(util::derive_seed(5, r)).state();
-  }
-  constexpr std::size_t kSweeps = 16;
-  const std::vector<double> betas(kSweeps, beta);
-  ising::SliceOptions so;
-  so.dynamics = ising::SliceDynamics::kMetropolis;
-  so.betas = betas;
-  so.fields = model.ising().fields();
-  so.track_best = false;
-  const ising::BitSliceEngine engine(adj);
-  for (auto _ : state) {
-    auto results = engine.run(lanes, so);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.counters["replica_sweeps/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * kSweeps * replicas),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SweepBitsliced)
-    ->Args({1, 50})
-    ->Args({32, 50})
-    ->Args({64, 1})
-    ->Args({64, 50});
 
 /// Random start states for the run-start benches, cycled so that no one
 /// state sits in the caches.

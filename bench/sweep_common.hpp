@@ -10,13 +10,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
-#include "anneal/backend.hpp"
 #include "anneal/simulated_annealing.hpp"
-#include "anneal/slice_driver.hpp"
 #include "ising/adjacency.hpp"
-#include "ising/bitslice.hpp"
 #include "ising/ising_model.hpp"
 #include "ising/local_field.hpp"
 #include "lagrange/lagrangian_model.hpp"
@@ -132,80 +128,18 @@ inline SweepRates measure_sweep_rates(const ising::IsingModel& model,
   return rates;
 }
 
-// Aggregate per-replica sweep rate of the bit-sliced engine: `replicas`
-// lanes advance together, so the per-replica rate is replicas * sweeps /
-// wall time. Lanes start from the same equilibrated configuration (their
-// trajectories diverge immediately through per-lane RNG streams), matching
-// the flip-rate regime the scalar measurement sees. replicas == 1 times
-// the SIMD-vectorized sweep kernels without any word-level parallelism.
-inline double measure_bitsliced_rate(const ising::IsingModel& model,
-                                     const ising::Adjacency& adj,
-                                     double beta, std::size_t burn_in,
-                                     std::size_t timed,
-                                     std::size_t replicas) {
-  util::Xoshiro256pp rng(42);
-  ising::Spins m(model.n());
-  for (auto& s : m) s = rng.bernoulli(0.5) ? 1 : -1;
-  ising::LocalFieldState lfs(model, adj);
-  lfs.reset(m);
-  for (std::size_t t = 0; t < burn_in; ++t) {
-    incremental_sweep(lfs, m, beta, rng);
-  }
-
-  std::vector<ising::SliceLane> lanes(replicas);
-  const double energy = model.energy(m);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    lanes[r].spins = m;
-    lanes[r].energy = energy;
-    lanes[r].rng = util::Xoshiro256pp(util::derive_seed(7, r)).state();
-  }
-  const std::vector<double> betas(timed, beta);
-  ising::SliceOptions so;
-  so.dynamics = ising::SliceDynamics::kMetropolis;
-  so.betas = betas;
-  so.fields = model.fields();
-  so.track_best = false;
-
-  const ising::BitSliceEngine engine(adj);
-  return best_rate(kBenchRepeats, [&] {
-    util::WallTimer timer;
-    auto results = engine.run(lanes, so);
-    const double rate =
-        static_cast<double>(replicas * timed) / timer.seconds();
-    keep(results.data());
-    return rate;
-  });
-}
-
-// Production-engine aggregate: MetropolisSa::run_from (the scalar
-// incremental engine, best-tracking on) vs the bit-sliced engine running
-// the same replicas word-parallel — both over the paper's linear anneal
-// ramp, both through the run_batch seeding contract
-// (Xoshiro256pp(derive_seed(base, r)) per replica). This is the number
-// the run_batch dispatch at >= kBitsliceMinReplicas actually buys.
-struct AggregateRates {
-  double scalar_replica_sweeps_per_sec = 0.0;
-  double bitsliced_replica_sweeps_per_sec = 0.0;
-  [[nodiscard]] double speedup() const {
-    return bitsliced_replica_sweeps_per_sec / scalar_replica_sweeps_per_sec;
-  }
-};
-
-inline AggregateRates measure_anneal_aggregate(
-    const ising::IsingModel& model, const ising::Adjacency& adj,
-    double beta_end, std::size_t sweeps, std::size_t replicas) {
+// Production Metropolis engine over a whole anneal: MetropolisSa::run_from
+// (the incremental engine, best-tracking on) on the paper's linear ramp to
+// `beta_end`, from the random start replica 0 of a run_batch would draw.
+inline double measure_anneal_rate(const ising::IsingModel& model,
+                                  double beta_end, std::size_t sweeps) {
   const pbit::Schedule schedule = pbit::Schedule::linear(beta_end);
   const std::uint64_t base = 99;
-
   anneal::SaOptions sa_opts;
   sa_opts.sweeps = sweeps;
   sa_opts.track_best = true;
   const anneal::MetropolisSa sa(model);
-  // One full scalar replica per repeat is enough to estimate the
-  // per-replica rate; running all 64 scalar replicas would just burn CI
-  // minutes re-measuring the same loop.
-  AggregateRates rates;
-  rates.scalar_replica_sweeps_per_sec = best_rate(kBenchRepeats, [&] {
+  return best_rate(kBenchRepeats, [&] {
     util::Xoshiro256pp replica_rng(util::derive_seed(base, 0));
     ising::Spins start(model.n());
     for (auto& s : start) s = replica_rng.bernoulli(0.5) ? 1 : -1;
@@ -216,46 +150,6 @@ inline AggregateRates measure_anneal_aggregate(
     keep(result.best_energy);
     return rate;
   });
-
-  const std::vector<double> betas = anneal::make_beta_table(schedule, sweeps);
-  ising::SliceOptions so;
-  so.dynamics = ising::SliceDynamics::kMetropolis;
-  so.betas = betas;
-  so.fields = model.fields();
-  so.track_best = true;
-  rates.bitsliced_replica_sweeps_per_sec = best_rate(kBenchRepeats, [&] {
-    std::vector<ising::SliceLane> lanes =
-        anneal::make_slice_lanes(model, base, replicas, {});
-    util::WallTimer timer;
-    auto results = anneal::run_slice_lanes(adj, lanes, so);
-    const double rate =
-        static_cast<double>(replicas * sweeps) / timer.seconds();
-    keep(results.data());
-    return rate;
-  });
-  return rates;
-}
-
-// Sparse ±1 spin glass, ~deg-6, with half-integer fields so no spin ever
-// sees an exactly-zero local field (no delta == 0 plateau oscillation).
-// Dense Lagrangian models keep the bit-sliced engine memory-bound in
-// apply-flips; sparse couplings are where the word-level parallelism pays
-// in full, and they are the standard Ising-machine sweep benchmark.
-inline ising::IsingModel sparse_glass(std::size_t n, std::uint64_t seed) {
-  ising::IsingModel model(n);
-  util::Xoshiro256pp rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Ring edge + two random chords: average degree ~6.
-    model.add_coupling(i, (i + 1) % n, rng.bernoulli(0.5) ? 1.0 : -1.0);
-    for (int c = 0; c < 2; ++c) {
-      const std::size_t j = rng.below(n);
-      if (j != i) {
-        model.add_coupling(i, j, rng.bernoulli(0.5) ? 1.0 : -1.0);
-      }
-    }
-    model.add_field(i, rng.bernoulli(0.5) ? 0.5 : -0.5);
-  }
-  return model;
 }
 
 }  // namespace saim::benchfix

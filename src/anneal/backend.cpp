@@ -81,19 +81,6 @@ RunResult PBitBackend::run(util::Xoshiro256pp& rng) {
                    r.best_energy, r.sweeps};
 }
 
-ising::SliceOptions PBitBackend::slice_options(
-    std::span<const double> betas) const noexcept {
-  ising::SliceOptions so;
-  so.dynamics = ising::SliceDynamics::kPbit;
-  so.betas = betas;
-  so.fields = machine_->model().fields();
-  so.track_best = options_.track_best;
-  so.stop = &stop_token();
-  so.stop_interval = options_.stop_interval;
-  so.threads = batch_threads();
-  return so;
-}
-
 std::vector<RunResult> PBitBackend::run_batch(util::Xoshiro256pp& rng,
                                               std::size_t replicas) {
   if (!machine_) {
@@ -101,20 +88,6 @@ std::vector<RunResult> PBitBackend::run_batch(util::Xoshiro256pp& rng,
   }
   if (warm_restart_) {
     return IsingSolverBackend::run_batch(rng, replicas);
-  }
-  if (replicas >= kBitsliceMinReplicas &&
-      options_.order == pbit::SweepOrder::kSequential) {
-    // Bit-sliced path: same derive_seed(base, r) streams, word-parallel
-    // sweeps. The base draw / entry stop check mirror
-    // run_replicas_parallel, so the caller-visible contract is unchanged.
-    const std::vector<ising::Spins> seeds = take_initial_states();
-    const std::uint64_t base = rng();
-    if (stop_token().stop_requested()) return {};
-    std::vector<ising::SliceLane> lanes =
-        make_slice_lanes(machine_->model(), base, replicas, seeds);
-    const std::vector<double> betas =
-        make_beta_table(schedule_, options_.sweeps);
-    return run_slice_lanes(machine_->adjacency(), lanes, slice_options(betas));
   }
   pbit::AnnealOptions opts = options_;
   opts.stop = &stop_token();

@@ -15,13 +15,10 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "anneal/run_result.hpp"
-#include "anneal/slice_driver.hpp"
 #include "ising/ising_model.hpp"
 #include "pbit/pbit_machine.hpp"
 #include "pbit/schedule.hpp"
@@ -29,6 +26,15 @@
 #include "util/stop_token.hpp"
 
 namespace saim::anneal {
+
+/// The result every inner-solver run hands back to SAIM's outer loop.
+struct RunResult {
+  ising::Spins last;         ///< state read at the end of the run
+  double last_energy = 0.0;  ///< H(last)
+  ising::Spins best;         ///< lowest-energy state visited during the run
+  double best_energy = 0.0;
+  std::size_t sweeps = 0;  ///< Monte-Carlo sweeps consumed by this run
+};
 
 class IsingSolverBackend {
  public:
@@ -85,11 +91,12 @@ class IsingSolverBackend {
   /// here before the outer loop and clears it afterwards. Backends poll it
   /// at coarse points only — between the runs of a sequential batch, at
   /// batch entry for the parallel path, and between sweep chunks inside
-  /// the p-bit anneal — so a default (never-stopping) token adds nothing
-  /// to the hot loop. Bit-reproducibility holds for any batch that
-  /// finishes without observing a stop; once a stop fires, replicas may
-  /// truncate at timing-dependent sweep counts, which is why stopped
-  /// solves are tagged with a non-kCompleted Status and never cached.
+  /// the p-bit and Metropolis anneals — so a default (never-stopping)
+  /// token adds nothing to the hot loop. Bit-reproducibility holds for any
+  /// batch that finishes without observing a stop; once a stop fires,
+  /// replicas may truncate at timing-dependent sweep counts, which is why
+  /// stopped solves are tagged with a non-kCompleted Status and never
+  /// cached.
   void set_stop_token(util::StopToken token) noexcept {
     stop_token_ = std::move(token);
   }
@@ -154,8 +161,6 @@ class PBitBackend final : public IsingSolverBackend {
   RunResult run(util::Xoshiro256pp& rng) override;
   /// Parallel cold-start replicas; falls back to the sequential base loop
   /// when warm restarts are enabled (those are inherently order-dependent).
-  /// Sequential-order batches of kBitsliceMinReplicas+ replicas dispatch
-  /// to the bit-sliced engine — same results, one word-parallel pass.
   std::vector<RunResult> run_batch(util::Xoshiro256pp& rng,
                                    std::size_t replicas) override;
   [[nodiscard]] std::size_t sweeps_per_run() const override {
@@ -175,9 +180,6 @@ class PBitBackend final : public IsingSolverBackend {
   void set_warm_restart(bool enabled) noexcept { warm_restart_ = enabled; }
 
  private:
-  [[nodiscard]] ising::SliceOptions slice_options(
-      std::span<const double> betas) const noexcept;
-
   pbit::Schedule schedule_;
   pbit::AnnealOptions options_;
   std::unique_ptr<pbit::PBitMachine> machine_;

@@ -37,14 +37,18 @@ RunResult MetropolisSa::run_from(ising::Spins start,
   result.best_energy = lfs.energy();
 
   for (std::size_t t = 0; t < options.sweeps; ++t) {
+    if (options.stop && t != 0 && t % util::kStopPollInterval == 0 &&
+        options.stop->stop_requested()) {
+      result.sweeps = t;  // partial run: sweeps actually performed
+      break;
+    }
     const double beta = schedule.beta(t, options.sweeps);
     for (std::size_t i = 0; i < n; ++i) {
       const double delta = lfs.flip_delta(result.last, i);
       // Tiered acceptance: bit-identical to u < std::exp(-beta*delta) but
       // ~all visits decide from u's exponent / the exp bounds without a
-      // libm call (the bit-sliced engine's test, scalar lane). The
-      // short-circuit keeps the RNG stream unchanged: a draw happens only
-      // when delta > 0.
+      // libm call. The short-circuit keeps the RNG stream unchanged: a
+      // draw happens only when delta > 0.
       if (delta <= 0.0 ||
           util::exp_accept(rng.uniform01(), -beta * delta)) {
         lfs.flip(result.last, i);
@@ -79,26 +83,13 @@ RunResult MetropolisSaBackend::run(util::Xoshiro256pp& rng) {
   if (!sa_) {
     throw std::logic_error("MetropolisSaBackend::run called before bind()");
   }
+  SaOptions opts = options_;
+  opts.stop = &stop_token();  // between-sweep stop polls
   const std::vector<ising::Spins> seeds = take_initial_states();
   if (!seeds.empty() && seeds.front().size() == model_n_) {
-    return sa_->run_from(seeds.front(), schedule_, options_, rng);
+    return sa_->run_from(seeds.front(), schedule_, opts, rng);
   }
-  return sa_->run(schedule_, options_, rng);
-}
-
-ising::SliceOptions MetropolisSaBackend::slice_options(
-    std::span<const double> betas) const noexcept {
-  ising::SliceOptions so;
-  so.dynamics = ising::SliceDynamics::kMetropolis;
-  so.betas = betas;
-  so.fields = sa_->model().fields();
-  so.track_best = options_.track_best;
-  // The scalar Metropolis loop has no mid-run stop checks; the engine's
-  // between-sweep polls are a strict improvement (completed batches are
-  // still bit-identical — stops only ever truncate).
-  so.stop = &stop_token();
-  so.threads = batch_threads();
-  return so;
+  return sa_->run(schedule_, opts, rng);
 }
 
 std::vector<RunResult> MetropolisSaBackend::run_batch(
@@ -107,26 +98,16 @@ std::vector<RunResult> MetropolisSaBackend::run_batch(
     throw std::logic_error(
         "MetropolisSaBackend::run_batch called before bind()");
   }
-  if (replicas >= kBitsliceMinReplicas) {
-    // Bit-sliced path: same derive_seed(base, r) streams, word-parallel
-    // sweeps. Base draw / entry stop check mirror run_replicas_parallel.
-    const std::vector<ising::Spins> seeds = take_initial_states();
-    const std::uint64_t base = rng();
-    if (stop_token().stop_requested()) return {};
-    std::vector<ising::SliceLane> lanes =
-        make_slice_lanes(sa_->model(), base, replicas, seeds);
-    const std::vector<double> betas =
-        make_beta_table(schedule_, options_.sweeps);
-    return run_slice_lanes(sa_->adjacency(), lanes, slice_options(betas));
-  }
+  SaOptions opts = options_;
+  opts.stop = &stop_token();
   // Replica r warm-starts from seeds[r]; the rest cold-start.
   const std::vector<ising::Spins> seeds = take_initial_states();
   return run_replicas_parallel(
-      [this, &seeds](util::Xoshiro256pp& replica_rng, std::size_t r) {
+      [this, &opts, &seeds](util::Xoshiro256pp& replica_rng, std::size_t r) {
         if (r < seeds.size() && seeds[r].size() == model_n_) {
-          return sa_->run_from(seeds[r], schedule_, options_, replica_rng);
+          return sa_->run_from(seeds[r], schedule_, opts, replica_rng);
         }
-        return sa_->run(schedule_, options_, replica_rng);
+        return sa_->run(schedule_, opts, replica_rng);
       },
       rng, replicas, batch_threads(), stop_token());
 }

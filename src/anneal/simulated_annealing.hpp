@@ -11,12 +11,20 @@
 #include "anneal/backend.hpp"
 #include "ising/adjacency.hpp"
 #include "pbit/schedule.hpp"
+#include "util/stop_token.hpp"
 
 namespace saim::anneal {
 
 struct SaOptions {
   std::size_t sweeps = 1000;
   bool track_best = true;
+
+  /// Cooperative stop, polled every util::kStopPollInterval sweeps (never
+  /// inside a sweep), as in pbit::AnnealOptions. On stop the run returns
+  /// its current state as a valid partial sample with `sweeps` reflecting
+  /// the MCS actually performed. The poll draws no random numbers, so a
+  /// run that completes is bit-identical with or without a token.
+  const util::StopToken* stop = nullptr;
 };
 
 class MetropolisSa {
@@ -32,15 +40,6 @@ class MetropolisSa {
   RunResult run_from(ising::Spins start, const pbit::Schedule& schedule,
                      const SaOptions& options, util::Xoshiro256pp& rng) const;
 
-  /// Bound model / CSR — shared with the bit-sliced batch path so it runs
-  /// over the exact same couplings and live fields as the scalar sweeps.
-  [[nodiscard]] const ising::IsingModel& model() const noexcept {
-    return *model_;
-  }
-  [[nodiscard]] const ising::Adjacency& adjacency() const noexcept {
-    return adjacency_;
-  }
-
  private:
   const ising::IsingModel* model_;
   ising::Adjacency adjacency_;
@@ -54,8 +53,8 @@ class MetropolisSaBackend final : public IsingSolverBackend {
 
   void bind(const ising::IsingModel& model) override;
   RunResult run(util::Xoshiro256pp& rng) override;
-  /// Batches of kBitsliceMinReplicas+ replicas dispatch to the bit-sliced
-  /// engine — same per-replica results, one word-parallel pass.
+  /// Parallel replicas over run_replicas_parallel; replica r warm-starts
+  /// from the r-th pending initial state, if any.
   std::vector<RunResult> run_batch(util::Xoshiro256pp& rng,
                                    std::size_t replicas) override;
   [[nodiscard]] std::size_t sweeps_per_run() const override {
@@ -68,9 +67,6 @@ class MetropolisSaBackend final : public IsingSolverBackend {
   }
 
  private:
-  [[nodiscard]] ising::SliceOptions slice_options(
-      std::span<const double> betas) const noexcept;
-
   pbit::Schedule schedule_;
   SaOptions options_;
   std::unique_ptr<MetropolisSa> sa_;

@@ -81,17 +81,16 @@ class Adjacency {
     return acc;
   }
 
-  /// All n coupling inputs at once, as LocalFieldState::reset and the
-  /// bit-sliced lane init need them: out[i] = coupling_input(m, i), bit
-  /// for bit. O(sum deg). The spins are converted to doubles once; on a
-  /// row of degree n-1 (every row of a Lagrangian model) the k-th CSR
-  /// entry is column k + (k >= i), so the 4-lane blocks read the spin
-  /// doubles as contiguous slices, shifted by one past the diagonal,
-  /// instead of gathering int8 spins one entry at a time, four such rows
-  /// side by side. Lanes, their order, the fold and the scalar tail are
-  /// coupling_input's. Rows outside a run of four complete rows call
-  /// coupling_input. Keeps no state: concurrent calls on one adjacency
-  /// are safe.
+  /// All n coupling inputs at once, as LocalFieldState::reset needs
+  /// them: out[i] = coupling_input(m, i), bit for bit. O(sum deg). The
+  /// spins are converted to doubles once; on a row of degree n-1 (every
+  /// row of a Lagrangian model) the k-th CSR entry is column k + (k >= i),
+  /// so the 4-lane blocks read the spin doubles as contiguous slices,
+  /// shifted by one past the diagonal, instead of gathering int8 spins one
+  /// entry at a time, four such rows side by side. Lanes, their order,
+  /// the fold and the scalar tail are coupling_input's. Rows outside a
+  /// run of four complete rows call coupling_input. Keeps no state:
+  /// concurrent calls on one adjacency are safe.
   void coupling_inputs(std::span<const std::int8_t> m,
                        std::span<double> out) const;
 

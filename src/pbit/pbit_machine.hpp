@@ -52,7 +52,7 @@ struct AnnealOptions {
   /// sample with `sweeps` reflecting the MCS actually performed. Null (the
   /// default) keeps the anneal loop check-free.
   const util::StopToken* stop = nullptr;
-  std::size_t stop_interval = 64;
+  std::size_t stop_interval = util::kStopPollInterval;
 };
 
 struct AnnealResult {
@@ -92,15 +92,6 @@ class PBitMachine {
   /// p-bit input I_i for the current state (eq. 9), via the CSR.
   [[nodiscard]] double input(const ising::Spins& m, std::size_t i) const {
     return adjacency_.coupling_input(m, i) + model_->field(i);
-  }
-
-  /// Bound model / CSR — shared with the bit-sliced batch path so it runs
-  /// over the exact same couplings and live fields as the scalar sweeps.
-  [[nodiscard]] const ising::IsingModel& model() const noexcept {
-    return *model_;
-  }
-  [[nodiscard]] const ising::Adjacency& adjacency() const noexcept {
-    return adjacency_;
   }
 
  private:

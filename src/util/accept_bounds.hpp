@@ -13,8 +13,9 @@
 //                order of 0.001% of visits)
 //
 // Decisions are therefore bit-identical to calling libm on every visit —
-// the property the bit-sliced engine's parity tests pin — while the hot
-// path runs ~10 cheap fp ops instead of an exp/tanh call per 4 lanes.
+// the property tests/simd_shim_test.cpp and the golden trajectories pin —
+// while the hot path runs ~10 cheap fp ops instead of an exp/tanh call per
+// 4 lanes.
 //
 // Construction (all margins deliberately loose; verified empirically over
 // millions of points by tests/simd_shim_test.cpp):
@@ -62,8 +63,7 @@ inline constexpr double kTanhSatLo = 1.0 - 0x1.0p-21;
 // Tier-1 exponent trick (see exp_accept): with r = arg*log2(e), log2(u)
 // lies in [e, e+1) for biased exponent be = e + 1023, so be < r + 1022
 // accepts and be >= r + 1023 rejects; the 1e-9 margin dwarfs the rounding
-// error in r (< 1e-12 for |arg| < 750). Shared with the bit-sliced sweep
-// engine (ising/bitslice.cpp) so both paths decide identically.
+// error in r (< 1e-12 for |arg| < 750).
 inline constexpr double kTier1Accept = 1022.0 - 1e-9;
 inline constexpr double kTier1Reject = 1023.0 + 1e-9;
 }  // namespace accept_detail
@@ -111,10 +111,9 @@ inline BoundsF64x4 exp_bounds(F64x4 a) noexcept {
 }
 
 /// Scalar tiered Metropolis acceptance: decides u < std::exp(arg)
-/// bit-identically to calling libm on every draw — the bit-sliced
-/// engine's three-tier test (ising/bitslice.cpp), one lane. Tier 1 reads
-/// u's binary exponent against r = arg*log2(e) and decides ~all draws;
-/// tier 2 consults exp_bounds; only the ambiguous band reaches std::exp.
+/// bit-identically to calling libm on every draw. Tier 1 reads u's binary
+/// exponent against r = arg*log2(e) and decides ~all draws; tier 2
+/// consults exp_bounds; only the ambiguous band reaches std::exp.
 /// `u` must be a uniform01 draw (0 or a normal in [2^-53, 1)).
 inline bool exp_accept(double u, double arg) noexcept {
   using namespace accept_detail;
@@ -156,9 +155,8 @@ inline BoundsF64x4 tanh_bounds(F64x4 x) noexcept {
 
 /// 4-lane tiered p-bit test: bit l of the result is set iff
 /// std::tanh(x_l) + u_l < 0 (the p-bit settles at -1), for the lanes in
-/// `active`; inactive lanes read 0 and never reach libm. One masked
-/// evaluation serves both the bit-sliced engine (ising/bitslice.cpp) and
-/// the scalar p-bit sweep (pbit/pbit_machine.cpp), four visits at a time.
+/// `active`; inactive lanes read 0 and never reach libm. The p-bit sweep
+/// (pbit/pbit_machine.cpp) decides four visits at a time with it.
 ///   * Saturation tier, when every active lane has |x| >= 8: |tanh(x)| is
 ///     within 2^-21 of 1, so the sign of x decides unless |u| >= 1 - 2^-21.
 ///   * Bounds tier otherwise: tanh_bounds decides ~all lanes.

@@ -81,13 +81,6 @@ class Xoshiro256pp {
   /// from one seed when explicit reseeding is not desired.
   void jump() noexcept;
 
-  /// Raw 256-bit state snapshot. The bit-sliced sweep engine copies a
-  /// lane's scalar stream into its SoA state (after any initial-state
-  /// draws) and continues it bit-for-bit.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
-    return state_;
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -5,8 +5,10 @@
 // per-lane semantics — same operations, same rounding, no FMA contraction
 // — so a binary built with SAIM_SIMD=OFF (or on a host without AVX2/NEON)
 // produces bit-identical results to the intrinsic paths. That invariant is
-// what lets ising::BitSliceEngine and the vectorized Adjacency reductions
-// claim bit-exact parity with the scalar engines on every platform.
+// what lets the blocked p-bit sweep, the tiered acceptance tests
+// (util/accept_bounds.hpp) and the vectorized Adjacency reductions claim
+// bit-exact parity with their scalar references on every platform. U64x4
+// carries only what the exp bounds need: bit casts and a left shift.
 //
 // Feature selection is compile-time: AVX2 when the compiler was given
 // -mavx2 (CMake's SAIM_SIMD=ON does this on x86-64), NEON on aarch64, the
@@ -55,23 +57,6 @@ struct F64x4 {
 
 struct U64x4 {
   __m256i v;
-
-  static U64x4 broadcast(std::uint64_t x) noexcept {
-    return {_mm256_set1_epi64x(static_cast<long long>(x))};
-  }
-  static U64x4 set(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                   std::uint64_t d) noexcept {
-    return {_mm256_set_epi64x(static_cast<long long>(d),
-                              static_cast<long long>(c),
-                              static_cast<long long>(b),
-                              static_cast<long long>(a))};
-  }
-  static U64x4 load(const std::uint64_t* p) noexcept {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  void store(std::uint64_t* p) const noexcept {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
 };
 
 inline F64x4 operator+(F64x4 a, F64x4 b) noexcept {
@@ -106,17 +91,8 @@ inline F64x4 cmp_ge(F64x4 a, F64x4 b) noexcept {
 }
 
 // Bitwise mask algebra on F64x4-carried masks.
-inline F64x4 mask_and(F64x4 a, F64x4 b) noexcept {
-  return {_mm256_and_pd(a.v, b.v)};
-}
-inline F64x4 mask_or(F64x4 a, F64x4 b) noexcept {
-  return {_mm256_or_pd(a.v, b.v)};
-}
 inline F64x4 mask_andnot(F64x4 a, F64x4 b) noexcept {  // ~a & b
   return {_mm256_andnot_pd(a.v, b.v)};
-}
-inline F64x4 mask_xor(F64x4 a, F64x4 b) noexcept {
-  return {_mm256_xor_pd(a.v, b.v)};
 }
 
 /// Per-lane `mask ? a : b` (mask canonical).
@@ -133,29 +109,9 @@ inline U64x4 bitcast_u64(F64x4 a) noexcept {
   return {_mm256_castpd_si256(a.v)};
 }
 
-inline U64x4 operator^(U64x4 a, U64x4 b) noexcept {
-  return {_mm256_xor_si256(a.v, b.v)};
-}
-inline U64x4 operator&(U64x4 a, U64x4 b) noexcept {
-  return {_mm256_and_si256(a.v, b.v)};
-}
-inline U64x4 operator|(U64x4 a, U64x4 b) noexcept {
-  return {_mm256_or_si256(a.v, b.v)};
-}
-inline U64x4 operator+(U64x4 a, U64x4 b) noexcept {
-  return {_mm256_add_epi64(a.v, b.v)};
-}
 template <int K>
 inline U64x4 shl(U64x4 a) noexcept {
   return {_mm256_slli_epi64(a.v, K)};
-}
-template <int K>
-inline U64x4 shr(U64x4 a) noexcept {
-  return {_mm256_srli_epi64(a.v, K)};
-}
-/// Per-lane `mask ? a : b` on integers (mask canonical).
-inline U64x4 select(U64x4 mask, U64x4 a, U64x4 b) noexcept {
-  return {_mm256_blendv_epi8(b.v, a.v, mask.v)};
 }
 
 #elif defined(SAIM_SIMD_NEON)
@@ -184,22 +140,6 @@ struct F64x4 {
 
 struct U64x4 {
   uint64x2_t lo, hi;
-
-  static U64x4 broadcast(std::uint64_t x) noexcept {
-    return {vdupq_n_u64(x), vdupq_n_u64(x)};
-  }
-  static U64x4 set(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                   std::uint64_t d) noexcept {
-    const std::uint64_t lo[2] = {a, b}, hi[2] = {c, d};
-    return {vld1q_u64(lo), vld1q_u64(hi)};
-  }
-  static U64x4 load(const std::uint64_t* p) noexcept {
-    return {vld1q_u64(p), vld1q_u64(p + 2)};
-  }
-  void store(std::uint64_t* p) const noexcept {
-    vst1q_u64(p, lo);
-    vst1q_u64(p + 2, hi);
-  }
 };
 
 inline F64x4 operator+(F64x4 a, F64x4 b) noexcept {
@@ -237,29 +177,11 @@ inline F64x4 cmp_ge(F64x4 a, F64x4 b) noexcept {
           vreinterpretq_f64_u64(vcgeq_f64(a.hi, b.hi))};
 }
 
-inline F64x4 mask_and(F64x4 a, F64x4 b) noexcept {
-  return {vreinterpretq_f64_u64(vandq_u64(vreinterpretq_u64_f64(a.lo),
-                                          vreinterpretq_u64_f64(b.lo))),
-          vreinterpretq_f64_u64(vandq_u64(vreinterpretq_u64_f64(a.hi),
-                                          vreinterpretq_u64_f64(b.hi)))};
-}
-inline F64x4 mask_or(F64x4 a, F64x4 b) noexcept {
-  return {vreinterpretq_f64_u64(vorrq_u64(vreinterpretq_u64_f64(a.lo),
-                                          vreinterpretq_u64_f64(b.lo))),
-          vreinterpretq_f64_u64(vorrq_u64(vreinterpretq_u64_f64(a.hi),
-                                          vreinterpretq_u64_f64(b.hi)))};
-}
 inline F64x4 mask_andnot(F64x4 a, F64x4 b) noexcept {  // ~a & b
   return {vreinterpretq_f64_u64(vbicq_u64(vreinterpretq_u64_f64(b.lo),
                                           vreinterpretq_u64_f64(a.lo))),
           vreinterpretq_f64_u64(vbicq_u64(vreinterpretq_u64_f64(b.hi),
                                           vreinterpretq_u64_f64(a.hi)))};
-}
-inline F64x4 mask_xor(F64x4 a, F64x4 b) noexcept {
-  return {vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(a.lo),
-                                          vreinterpretq_u64_f64(b.lo))),
-          vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(a.hi),
-                                          vreinterpretq_u64_f64(b.hi)))};
 }
 
 inline F64x4 select(F64x4 mask, F64x4 a, F64x4 b) noexcept {
@@ -282,28 +204,9 @@ inline U64x4 bitcast_u64(F64x4 a) noexcept {
   return {vreinterpretq_u64_f64(a.lo), vreinterpretq_u64_f64(a.hi)};
 }
 
-inline U64x4 operator^(U64x4 a, U64x4 b) noexcept {
-  return {veorq_u64(a.lo, b.lo), veorq_u64(a.hi, b.hi)};
-}
-inline U64x4 operator&(U64x4 a, U64x4 b) noexcept {
-  return {vandq_u64(a.lo, b.lo), vandq_u64(a.hi, b.hi)};
-}
-inline U64x4 operator|(U64x4 a, U64x4 b) noexcept {
-  return {vorrq_u64(a.lo, b.lo), vorrq_u64(a.hi, b.hi)};
-}
-inline U64x4 operator+(U64x4 a, U64x4 b) noexcept {
-  return {vaddq_u64(a.lo, b.lo), vaddq_u64(a.hi, b.hi)};
-}
 template <int K>
 inline U64x4 shl(U64x4 a) noexcept {
   return {vshlq_n_u64(a.lo, K), vshlq_n_u64(a.hi, K)};
-}
-template <int K>
-inline U64x4 shr(U64x4 a) noexcept {
-  return {vshrq_n_u64(a.lo, K), vshrq_n_u64(a.hi, K)};
-}
-inline U64x4 select(U64x4 mask, U64x4 a, U64x4 b) noexcept {
-  return {vbslq_u64(mask.lo, a.lo, b.lo), vbslq_u64(mask.hi, a.hi, b.hi)};
 }
 
 #else  // scalar emulation — identical 4-lane semantics, no intrinsics
@@ -331,21 +234,6 @@ struct F64x4 {
 
 struct U64x4 {
   std::uint64_t v[4];
-
-  static U64x4 broadcast(std::uint64_t x) noexcept { return {{x, x, x, x}}; }
-  static U64x4 set(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                   std::uint64_t d) noexcept {
-    return {{a, b, c, d}};
-  }
-  static U64x4 load(const std::uint64_t* p) noexcept {
-    return {{p[0], p[1], p[2], p[3]}};
-  }
-  void store(std::uint64_t* p) const noexcept {
-    p[0] = v[0];
-    p[1] = v[1];
-    p[2] = v[2];
-    p[3] = v[3];
-  }
 };
 
 namespace simd_detail {
@@ -355,16 +243,16 @@ inline double mask_bits(bool b) noexcept {
 }
 }  // namespace simd_detail
 
-#define SAIM_SIMD_LANEWISE(name, expr)                        \
-  inline F64x4 name(F64x4 a, F64x4 b) noexcept {              \
-    F64x4 r;                                                  \
-    for (int l = 0; l < 4; ++l) {                             \
-      const double x = a.v[l], y = b.v[l];                    \
-      (void)x;                                                \
-      (void)y;                                                \
-      r.v[l] = (expr);                                        \
-    }                                                         \
-    return r;                                                 \
+#define SAIM_SIMD_LANEWISE(name, expr)           \
+  inline F64x4 name(F64x4 a, F64x4 b) noexcept { \
+    F64x4 r;                                     \
+    for (int l = 0; l < 4; ++l) {                \
+      const double x = a.v[l], y = b.v[l];       \
+      (void)x;                                   \
+      (void)y;                                   \
+      r.v[l] = (expr);                           \
+    }                                            \
+    return r;                                    \
   }
 
 SAIM_SIMD_LANEWISE(operator+, x + y)
@@ -383,22 +271,14 @@ inline F64x4 floor4(F64x4 a) noexcept {
            std::floor(a.v[3])}};
 }
 
-#define SAIM_SIMD_MASKWISE(name, expr)                        \
-  inline F64x4 name(F64x4 a, F64x4 b) noexcept {              \
-    F64x4 r;                                                  \
-    for (int l = 0; l < 4; ++l) {                             \
-      const std::uint64_t x = std::bit_cast<std::uint64_t>(a.v[l]); \
-      const std::uint64_t y = std::bit_cast<std::uint64_t>(b.v[l]); \
-      r.v[l] = std::bit_cast<double>(expr);                   \
-    }                                                         \
-    return r;                                                 \
+inline F64x4 mask_andnot(F64x4 a, F64x4 b) noexcept {  // ~a & b
+  F64x4 r;
+  for (int l = 0; l < 4; ++l) {
+    r.v[l] = std::bit_cast<double>(~std::bit_cast<std::uint64_t>(a.v[l]) &
+                                   std::bit_cast<std::uint64_t>(b.v[l]));
   }
-
-SAIM_SIMD_MASKWISE(mask_and, x& y)
-SAIM_SIMD_MASKWISE(mask_or, x | y)
-SAIM_SIMD_MASKWISE(mask_andnot, ~x& y)
-SAIM_SIMD_MASKWISE(mask_xor, x ^ y)
-#undef SAIM_SIMD_MASKWISE
+  return r;
+}
 
 inline F64x4 select(F64x4 mask, F64x4 a, F64x4 b) noexcept {
   F64x4 r;
@@ -426,93 +306,17 @@ inline U64x4 bitcast_u64(F64x4 a) noexcept {
            std::bit_cast<std::uint64_t>(a.v[3])}};
 }
 
-inline U64x4 operator^(U64x4 a, U64x4 b) noexcept {
-  return {{a.v[0] ^ b.v[0], a.v[1] ^ b.v[1], a.v[2] ^ b.v[2],
-           a.v[3] ^ b.v[3]}};
-}
-inline U64x4 operator&(U64x4 a, U64x4 b) noexcept {
-  return {{a.v[0] & b.v[0], a.v[1] & b.v[1], a.v[2] & b.v[2],
-           a.v[3] & b.v[3]}};
-}
-inline U64x4 operator|(U64x4 a, U64x4 b) noexcept {
-  return {{a.v[0] | b.v[0], a.v[1] | b.v[1], a.v[2] | b.v[2],
-           a.v[3] | b.v[3]}};
-}
-inline U64x4 operator+(U64x4 a, U64x4 b) noexcept {
-  return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
-           a.v[3] + b.v[3]}};
-}
 template <int K>
 inline U64x4 shl(U64x4 a) noexcept {
   return {{a.v[0] << K, a.v[1] << K, a.v[2] << K, a.v[3] << K}};
-}
-template <int K>
-inline U64x4 shr(U64x4 a) noexcept {
-  return {{a.v[0] >> K, a.v[1] >> K, a.v[2] >> K, a.v[3] >> K}};
-}
-inline U64x4 select(U64x4 mask, U64x4 a, U64x4 b) noexcept {
-  U64x4 r;
-  for (int l = 0; l < 4; ++l) {
-    r.v[l] = (a.v[l] & mask.v[l]) | (b.v[l] & ~mask.v[l]);
-  }
-  return r;
 }
 
 #endif
 
 // ------------------------------------------------------- shared helpers
 
-template <int K>
-inline U64x4 rotl4(U64x4 a) noexcept {
-  return shl<K>(a) | shr<64 - K>(a);
-}
-
 /// Extracts the 4 lanes into an array (for deterministic horizontal
 /// reductions: callers sum as (a0+a1)+(a2+a3) so every backend agrees).
 inline void store4(F64x4 a, double out[4]) noexcept { a.store(out); }
-
-/// Exact u64 -> f64 conversion for values < 2^53 (e.g. xoshiro >> 11).
-/// AVX2 has no packed u64->f64 convert, so all backends use the same
-/// magic-number construction — exact, hence identical to a scalar
-/// static_cast<double> of the 53-bit value.
-inline F64x4 u64_to_f64_exact53(U64x4 x) noexcept {
-  const U64x4 magic = U64x4::broadcast(0x4330000000000000ULL);  // 2^52
-  const F64x4 two52 = F64x4::broadcast(0x1.0p52);
-  const F64x4 hi = bitcast_f64(shr<1>(x) | magic) - two52;  // x >> 1, exact
-  const F64x4 lo =
-      bitcast_f64((x & U64x4::broadcast(1)) | magic) - two52;  // x & 1
-  // 2*hi is exact (power-of-two scale); the add is exact because the sum
-  // is an integer < 2^53.
-  return hi + hi + lo;
-}
-
-/// One xoshiro256++ step for 4 independent lanes held in SoA state
-/// vectors. Matches util::Xoshiro256pp::operator() bit for bit per lane.
-inline U64x4 xoshiro4_next(U64x4& s0, U64x4& s1, U64x4& s2,
-                           U64x4& s3) noexcept {
-  const U64x4 result = rotl4<23>(s0 + s3) + s0;
-  const U64x4 t = shl<17>(s1);
-  s2 = s2 ^ s0;
-  s3 = s3 ^ s1;
-  s1 = s1 ^ s2;
-  s0 = s0 ^ s3;
-  s2 = s2 ^ t;
-  s3 = rotl4<45>(s3);
-  return result;
-}
-
-/// Masked variant: lanes where `mask` (canonical) is clear keep their
-/// state; set lanes advance exactly one step. Used by Metropolis dynamics,
-/// whose scalar loop draws a uniform only when delta > 0.
-inline U64x4 xoshiro4_next_masked(U64x4 mask, U64x4& s0, U64x4& s1, U64x4& s2,
-                                  U64x4& s3) noexcept {
-  U64x4 n0 = s0, n1 = s1, n2 = s2, n3 = s3;
-  const U64x4 result = xoshiro4_next(n0, n1, n2, n3);
-  s0 = select(mask, n0, s0);
-  s1 = select(mask, n1, s1);
-  s2 = select(mask, n2, s2);
-  s3 = select(mask, n3, s3);
-  return result;
-}
 
 }  // namespace saim::util

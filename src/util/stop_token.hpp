@@ -15,9 +15,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <memory>
 
 namespace saim::util {
+
+/// Sweeps between two stop polls in the Monte-Carlo anneal loops: coarse
+/// enough that the poll costs nothing measurable, fine enough that a
+/// deadline overshoots by at most 64 sweeps.
+inline constexpr std::size_t kStopPollInterval = 64;
 
 namespace detail {
 struct StopState {

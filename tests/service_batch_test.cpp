@@ -143,7 +143,7 @@ TEST(ServiceModelCache, FailedJobDropsItsModel) {
   // Same model key, an evaluator that throws mid-solve: the error
   // surfaces, and the model it ran on is not kept.
   auto throwing = make_request(t, 5, 2);
-  throwing.options.replicas = 40;  // the bit-sliced run_batch path
+  throwing.options.replicas = 40;  // a parallel run_batch
   throwing.evaluator =
       [](std::span<const std::uint8_t>) -> core::SampleVerdict {
     throw std::runtime_error("evaluator exploded");

@@ -99,10 +99,10 @@ void expect_same_result(const core::SolveResult& got,
 
 TEST(SolveService, MatchesDirectSolverBitForBit) {
   // The service must be a pure scheduling layer: same problem, options and
-  // seed give exactly the blocking-call result — through run (1 replica),
-  // the scalar run_batch (4) and the bit-sliced run_batch (40). One
-  // worker, so every job after the first runs on the model and bound
-  // backend an earlier job left behind, multipliers included.
+  // seed give exactly the blocking-call result — through run (1 replica)
+  // and run_batch (4 and 40 replicas). One worker, so every job after the
+  // first runs on the model and bound backend an earlier job left behind,
+  // multipliers included.
   const auto t = make_test_problem();
   service::SolveService svc({.workers = 1, .cache_capacity = 0});
   const struct {

@@ -6,6 +6,7 @@
 // scan over the argument ranges the sweep engines produce.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -72,20 +73,32 @@ TEST(SimdShim, ComparisonsSelectAndMovemask) {
                sel);
 }
 
-TEST(SimdShim, MaskAlgebraIsBitwise) {
-  const F64x4 t = F64x4::broadcast(std::bit_cast<double>(~std::uint64_t{0}));
+TEST(SimdShim, MaskAndNotIsBitwise) {
+  const double ones = std::bit_cast<double>(~std::uint64_t{0});
+  const F64x4 t = F64x4::broadcast(ones);
   const F64x4 f = F64x4::zero();
-  EXPECT_EQ(util::movemask(util::mask_and(t, f)), 0);
-  EXPECT_EQ(util::movemask(util::mask_or(t, f)), 0b1111);
   EXPECT_EQ(util::movemask(util::mask_andnot(t, t)), 0);
   EXPECT_EQ(util::movemask(util::mask_andnot(f, t)), 0b1111);
-  EXPECT_EQ(util::movemask(util::mask_xor(t, f)), 0b1111);
-  EXPECT_EQ(util::movemask(util::mask_xor(t, t)), 0);
-  // Sign-flip via xor with -0.0 — the engines' exact negation idiom.
-  const double neg[4] = {-1.5, 2.5, -0.0, 0.0};
-  expect_lanes(util::mask_xor(F64x4::set(1.5, -2.5, 0.0, -0.0),
-                              F64x4::broadcast(-0.0)),
-               neg);
+  EXPECT_EQ(util::movemask(util::mask_andnot(t, f)), 0);
+  // ~mask & x clears exactly the masked lanes, bit for bit.
+  const double kept[4] = {0.0, -2.5, 0.0, -0.0};
+  expect_lanes(util::mask_andnot(F64x4::set(ones, 0.0, ones, 0.0),
+                                 F64x4::set(1.5, -2.5, 3.0, -0.0)),
+               kept);
+}
+
+// U64x4 has no loads or stores of its own: lanes enter and leave through
+// the F64x4 bit casts, exactly as the exp bounds use them.
+U64x4 load_bits(const std::uint64_t (&a)[4]) {
+  double d[4];
+  for (int l = 0; l < 4; ++l) d[l] = std::bit_cast<double>(a[l]);
+  return util::bitcast_u64(F64x4::load(d));
+}
+
+void store_bits(U64x4 v, std::uint64_t (&out)[4]) {
+  double d[4];
+  util::bitcast_f64(v).store(d);
+  for (int l = 0; l < 4; ++l) out[l] = std::bit_cast<std::uint64_t>(d[l]);
 }
 
 TEST(SimdShim, IntegerOpsMatchScalarPerLane) {
@@ -96,82 +109,15 @@ TEST(SimdShim, IntegerOpsMatchScalarPerLane) {
       a[l] = rng();
       b[l] = rng();
     }
-    const U64x4 va = U64x4::load(a);
-    const U64x4 vb = U64x4::load(b);
     std::uint64_t got[4];
-    (va ^ vb).store(got);
-    for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], a[l] ^ b[l]);
-    (va & vb).store(got);
-    for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], a[l] & b[l]);
-    (va | vb).store(got);
-    for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], a[l] | b[l]);
-    (va + vb).store(got);
-    for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], a[l] + b[l]);
-    util::shl<17>(va).store(got);
+    store_bits(load_bits(a), got);
+    for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], a[l]);
+    store_bits(util::shl<17>(load_bits(a)), got);
     for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], a[l] << 17);
-    util::shr<11>(va).store(got);
-    for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], a[l] >> 11);
-    util::rotl4<23>(va).store(got);
-    for (int l = 0; l < 4; ++l) {
-      EXPECT_EQ(got[l], (a[l] << 23) | (a[l] >> 41));
-    }
+    // The shift the exp bounds use to place 2^k in the exponent field.
+    store_bits(util::shl<52>(load_bits(b)), got);
+    for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], b[l] << 52);
   }
-}
-
-TEST(SimdShim, XoshiroSoAStepMatchesScalarStreams) {
-  // 4 scalar generators vs one SoA step, several steps deep.
-  util::Xoshiro256pp scalar[4] = {
-      util::Xoshiro256pp(util::derive_seed(9, 0)),
-      util::Xoshiro256pp(util::derive_seed(9, 1)),
-      util::Xoshiro256pp(util::derive_seed(9, 2)),
-      util::Xoshiro256pp(util::derive_seed(9, 3))};
-  std::uint64_t s[4][4];
-  for (int l = 0; l < 4; ++l) {
-    const auto st = scalar[l].state();
-    for (int j = 0; j < 4; ++j) s[j][l] = st[j];
-  }
-  U64x4 s0 = U64x4::load(s[0]), s1 = U64x4::load(s[1]),
-        s2 = U64x4::load(s[2]), s3 = U64x4::load(s[3]);
-  for (int step = 0; step < 100; ++step) {
-    const U64x4 bits = util::xoshiro4_next(s0, s1, s2, s3);
-    std::uint64_t got[4];
-    bits.store(got);
-    for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], scalar[l]());
-  }
-  // Masked step: only lanes 1 and 3 advance.
-  const U64x4 mask = U64x4::set(0, ~std::uint64_t{0}, 0, ~std::uint64_t{0});
-  const U64x4 bits = util::xoshiro4_next_masked(mask, s0, s1, s2, s3);
-  std::uint64_t got[4];
-  bits.store(got);
-  EXPECT_EQ(got[1], scalar[1]());
-  EXPECT_EQ(got[3], scalar[3]());
-  // Unmasked lanes kept their state: the NEXT full step matches a scalar
-  // stream that never advanced for lanes 0/2 and advanced once for 1/3.
-  const U64x4 bits2 = util::xoshiro4_next(s0, s1, s2, s3);
-  bits2.store(got);
-  for (int l = 0; l < 4; ++l) EXPECT_EQ(got[l], scalar[l]());
-}
-
-TEST(SimdShim, ExactU64ToF64Conversion) {
-  util::Xoshiro256pp rng(3);
-  for (int it = 0; it < 20000; ++it) {
-    std::uint64_t x[4];
-    for (int l = 0; l < 4; ++l) x[l] = rng() >> 11;  // < 2^53
-    double got[4];
-    util::u64_to_f64_exact53(U64x4::load(x)).store(got);
-    for (int l = 0; l < 4; ++l) {
-      EXPECT_EQ(got[l], static_cast<double>(x[l]));
-    }
-  }
-  // Edges.
-  double got[4];
-  util::u64_to_f64_exact53(
-      U64x4::set(0, 1, (std::uint64_t{1} << 53) - 1, 0x123456789abULL))
-      .store(got);
-  EXPECT_EQ(got[0], 0.0);
-  EXPECT_EQ(got[1], 1.0);
-  EXPECT_EQ(got[2], static_cast<double>((std::uint64_t{1} << 53) - 1));
-  EXPECT_EQ(got[3], static_cast<double>(0x123456789abULL));
 }
 
 // The engines' correctness rests on containment: lo <= libm <= hi. Scan
@@ -251,9 +197,9 @@ TEST(AcceptBounds, AmbiguousBandIsNarrow) {
   EXPECT_LT(ambiguous, trials / 100);
 }
 
-// The shared 4-lane p-bit test (the bit-sliced engine's and the blocked
-// scalar sweep's) must decide every lane exactly as the scalar tiered test
-// and libm do, whichever tier the block takes, and leave inactive lanes 0.
+// The blocked p-bit sweep's 4-lane test must decide every lane exactly as
+// the scalar tiered test and libm do, whichever tier the block takes, and
+// leave inactive lanes 0.
 TEST(AcceptBounds, TanhSignNeg4MatchesScalarTest) {
   std::vector<double> xs = {0.0,     -0.0,    5e-324,   -5e-324, 1e-300,
                             -1e-300, 1e-12,   -1e-12,   0.3,     -0.7,
@@ -336,6 +282,77 @@ TEST(AcceptBounds, TanhSignNeg4MatchesScalarTest) {
       u = rng.uniform_sym();
     }
     check_block(block, 15u);
+  }
+}
+
+// The scalar engines' tiered acceptance tests must decide every draw
+// bit-identically to libm. Dense random sweeps plus the edges where tiers
+// hand over: u = 0 (libm exp can underflow to exactly 0), u just
+// above/below 2^-53, args in the tier-1-ambiguous band, deep-negative
+// args, |x| straddling the tanh saturation threshold.
+TEST(ScalarTieredAcceptance, ExpAcceptMatchesLibmEverywhere) {
+  util::Xoshiro256pp rng(2024);
+  for (int i = 0; i < 200000; ++i) {
+    const double u = rng.uniform01();
+    // Mix of typical Metropolis args (small negative) and extreme ones.
+    const double scale = (i % 3 == 0) ? 800.0 : 8.0;
+    const double arg = -scale * rng.uniform01();
+    ASSERT_EQ(util::exp_accept(u, arg), u < std::exp(arg))
+        << "u=" << u << " arg=" << arg;
+  }
+  // Edge draws: u carries no (or minimal) exponent information.
+  for (const double u : {0.0, 0x1.0p-53, 0x1.0p-52, 0x1.fffffffffffffp-1}) {
+    for (const double arg : {0.0, -1e-9, -0.5, -36.8, -700.0, -746.0,
+                             -1000.0}) {
+      ASSERT_EQ(util::exp_accept(u, arg), u < std::exp(arg))
+          << "u=" << u << " arg=" << arg;
+    }
+  }
+  // Args placed so u's biased exponent lands in the tier-1 ambiguous
+  // band [r+1022, r+1023): the bounds/libm tiers must take over.
+  for (int e = 1; e <= 60; ++e) {
+    const double u = std::ldexp(1.0 + 1e-9, -e);  // exponent 1023 - e
+    for (const double nudge : {-0.4, 0.0, 0.4}) {
+      const double arg = (-e + nudge) * 0.6931471805599453094;
+      ASSERT_EQ(util::exp_accept(u, arg), u < std::exp(arg))
+          << "u=" << u << " arg=" << arg;
+    }
+  }
+}
+
+TEST(ScalarTieredAcceptance, TanhSignMatchesLibmEverywhere) {
+  util::Xoshiro256pp rng(4048);
+  for (int i = 0; i < 200000; ++i) {
+    const double u = rng.uniform_sym();
+    const double scale = (i % 3 == 0) ? 40.0 : 4.0;
+    const double x = scale * rng.uniform_sym();
+    ASSERT_EQ(util::tanh_sign_nonneg(x, u), std::tanh(x) + u >= 0.0)
+        << "x=" << x << " u=" << u;
+  }
+  // The saturation handover (|x| = kTanhSat = 8, band 1 - 2^-21) and the
+  // one before it (|x| = 20, band 2^-48), with the ulps next to each, and
+  // the ambiguous band next to ±1.
+  std::vector<double> xs = {-25.0, -19.999999, -1.0, -1e-12, 0.0,
+                            1e-12, 1.0,        19.999999, 25.0};
+  for (const double edge : {8.0, -8.0, 20.0, -20.0}) {
+    xs.push_back(edge);
+    xs.push_back(std::nextafter(edge, 0.0));
+    xs.push_back(std::nextafter(edge, 2.0 * edge));
+  }
+  std::vector<double> us = {-1.0, -0.5, 0.0, 0.5, 0x1.fffffffffffffp-1};
+  for (const double band : {0x1.0p-21, 0x1.0p-48, 0x1.0p-49}) {
+    const double sat_u = 1.0 - band;
+    for (const double u : {sat_u, std::nextafter(sat_u, 0.0),
+                           std::nextafter(sat_u, 2.0)}) {
+      us.push_back(u);
+      us.push_back(-u);
+    }
+  }
+  for (const double x : xs) {
+    for (const double u : us) {
+      ASSERT_EQ(util::tanh_sign_nonneg(x, u), std::tanh(x) + u >= 0.0)
+          << "x=" << x << " u=" << u;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "anneal/backend.hpp"
+#include "anneal/simulated_annealing.hpp"
 #include "core/penalty_method.hpp"
 #include "core/saim_solver.hpp"
 #include "lagrange/lagrangian_model.hpp"
@@ -189,6 +190,11 @@ TEST(BackendStop, ParallelBatchRefusesToStartWhenStopped) {
   backend.set_stop_token(source.token());
   util::Xoshiro256pp rng(1);
   EXPECT_TRUE(backend.run_batch(rng, 8).empty());
+  // The base draw happens regardless of the stop: the next caller sees
+  // the same stream position as after a batch that ran.
+  util::Xoshiro256pp ref_rng(1);
+  (void)ref_rng();
+  EXPECT_EQ(rng(), ref_rng());
 }
 
 TEST(BackendStop, AnnealHonoursChunkedStopChecks) {
@@ -211,6 +217,60 @@ TEST(BackendStop, AnnealHonoursChunkedStopChecks) {
   // true sweep count.
   EXPECT_EQ(result.sweeps, 16u);
   EXPECT_EQ(result.last.size(), machine.n());
+}
+
+TEST(BackendStop, MetropolisHonoursBetweenSweepStopChecks) {
+  const auto inst = problems::make_paper_qkp(20, 50, 1);
+  const auto mapping = problems::qkp_to_problem(inst);
+  lagrange::LagrangianModel model(mapping.problem, 10.0);
+  const ising::IsingModel& ising = model.ising();
+
+  util::StopSource source;
+  source.request_stop();
+  const util::StopToken token = source.token();
+  anneal::SaOptions options;
+  options.sweeps = 10000;
+  options.stop = &token;
+  const anneal::MetropolisSa sa(ising);
+  util::Xoshiro256pp rng(7);
+  const auto result = sa.run(pbit::Schedule::linear(5.0), options, rng);
+  // Stopped at the first poll, never inside a sweep: a valid partial
+  // sample whose incrementally tracked energy matches a fresh sum.
+  EXPECT_EQ(result.sweeps, util::kStopPollInterval);
+  ASSERT_EQ(result.last.size(), ising.n());
+  EXPECT_NEAR(result.last_energy, ising.energy(result.last), 1e-9);
+  EXPECT_LE(result.best_energy, result.last_energy);
+  EXPECT_NEAR(result.best_energy, ising.energy(result.best), 1e-9);
+
+  // The backend passes its own token down to the same poll.
+  anneal::MetropolisSaBackend backend(pbit::Schedule::linear(5.0), 10000);
+  backend.bind(ising);
+  backend.set_stop_token(token);
+  const auto run = backend.run(rng);
+  EXPECT_EQ(run.sweeps, util::kStopPollInterval);
+  EXPECT_NEAR(run.last_energy, ising.energy(run.last), 1e-9);
+}
+
+TEST(BackendStop, MetropolisBatchHonoursDeadline) {
+  // A batch that started before its deadline still stops mid-run: every
+  // replica truncates at a between-sweep poll instead of running its
+  // (here absurd) sweep budget to the end.
+  const auto inst = problems::make_paper_qkp(20, 50, 1);
+  const auto mapping = problems::qkp_to_problem(inst);
+  lagrange::LagrangianModel model(mapping.problem, 10.0);
+  anneal::MetropolisSaBackend backend(pbit::Schedule::linear(5.0), 50000000);
+  backend.bind(model.ising());
+  // Long enough that the batch's entry check always sees a live token.
+  auto source = util::StopSource::after(std::chrono::milliseconds(100));
+  backend.set_stop_token(source.token());
+  util::Xoshiro256pp rng(3);
+  const auto runs = backend.run_batch(rng, 2);
+  ASSERT_EQ(runs.size(), 2u);
+  for (const auto& r : runs) {
+    EXPECT_LT(r.sweeps, 50000000u);
+    EXPECT_EQ(r.sweeps % util::kStopPollInterval, 0u);
+    EXPECT_EQ(r.last.size(), model.ising().n());
+  }
 }
 
 }  // namespace
