@@ -29,33 +29,19 @@
 //     overhead is tracked release over release. Throughput should scale
 //     with shard count on multicore boxes. Skipped (and marked so in the
 //     JSON) when the saim_serve binary is not next to the bench.
-//   * skewed — a single-hot-key stream (every job a twin of one instance)
-//     through 2 shards at replication R=1 vs R=2 with hot-key routing:
-//     under R=1 the whole stream serializes on the key's owner while the
-//     other shard idles; under R=2 twins spread over the replica set, so
-//     R=2 should beat R=1 on multicore boxes and the JSON records the
-//     speedup plus how many twins were replica-routed.
 //   * open_loop — the event-driven `saim_serve --listen` front door
 //     under an open-loop generator (bench/load_gen.hpp): jobs arrive on
 //     a fixed Poisson schedule at several rates and latency is measured
 //     from each job's SCHEDULED send time, so queueing delay at
 //     saturation is measured, not coordinated-omitted away.
-//   * hedge — the mixed stream through 2 shards with hedging on
-//     (R=2, window >= jobs so everything is in flight), then one shard is
-//     SIGSTOPped mid-wave: no EOF ever fires, so hedged re-dispatch to
-//     the replica is the ONLY thing that can finish the stopped shard's
-//     jobs. The phase records that the wave completed and how many hedge
-//     copies won.
 //
-// Every fleet phase runs the Supervisor with respawn, remote reconnects
+// The sharded phase runs the Supervisor with respawn, remote reconnects
 // and health pings off, and attaches its children before the timer
-// starts. Pings stay off because a SIGSTOPped shard would miss 5 pongs
-// and be killed, turning the hedge phase into a failover measurement.
+// starts.
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -231,16 +217,12 @@ int spawn_listen_server(
 /// Routes `lines` through a fixed fleet of `locals` forked children
 /// (slots 0..locals-1) plus one session per loopback listen server in
 /// `remote_ports`. Returns wall seconds, or a negative value when any
-/// job failed. `router_options` carries replication/hedging knobs (its
-/// shard count is overwritten); the router's final stats land in
-/// `stats_out`.
-double run_sharded_wave(
-    const std::string& serve, std::size_t locals,
-    const std::vector<int>& remote_ports,
-    const std::vector<std::string>& lines,
-    obs::HistogramSnapshot* latency = nullptr,
-    service::RouterOptions router_options = {},
-    service::ShardRouter::Stats* stats_out = nullptr) {
+/// job failed.
+double run_sharded_wave(const std::string& serve, std::size_t locals,
+                        const std::vector<int>& remote_ports,
+                        const std::vector<std::string>& lines,
+                        obs::HistogramSnapshot* latency) {
+  service::RouterOptions router_options;
   router_options.shards = locals + remote_ports.size();
   if (router_options.shards == 0) return -1.0;
   service::ShardRouter router(router_options);
@@ -266,13 +248,10 @@ double run_sharded_wave(
     if (timer.seconds() > 300.0) return -1.0;  // wedged child: fail loudly
   }
   const double seconds = timer.seconds();
-  if (latency) {
-    // Per-shard round trips merged into one phase-level distribution.
-    for (std::size_t s = 0; s < router.shard_slots(); ++s) {
-      latency->merge(router.latency_snapshot(s));
-    }
+  // Per-shard round trips merged into one phase-level distribution.
+  for (std::size_t s = 0; s < router.shard_slots(); ++s) {
+    latency->merge(router.latency_snapshot(s));
   }
-  if (stats_out) *stats_out = router.stats();
   if (router.any_error() || emitted != lines.size()) return -1.0;
   return seconds;
 }
@@ -546,117 +525,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ----------------------------------------------------- skewed-key phase
-  // Every job is a twin of one hot instance, in the online-serving shape
-  // (many cheap solves of one QKP-200). R=1: the owner serializes the
-  // whole stream. R=2 + hot-key routing: twins overflow to the
-  // least-loaded replica, so both shards work.
-  util::JsonWriter skewed_json;
-  if (::access(serve.c_str(), X_OK) != 0) {
-    skewed_json.field("skipped", true);
-  } else {
-    std::vector<std::string> hot_lines;
-    for (std::size_t j = 0; j < jobs; ++j) {
-      util::JsonWriter line;
-      line.field("id", "hot" + std::to_string(j))
-          .field("gen", "qkp:200-25-1")
-          .field("iterations", std::uint64_t{2})
-          .field("sweeps", std::uint64_t{30})
-          .field("seed", static_cast<std::uint64_t>(j + 1))
-          .field("cache", false);
-      hot_lines.push_back(line.str());
-    }
-    double jps[2] = {0.0, 0.0};
-    std::uint64_t replica_hits = 0;
-    for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
-      service::RouterOptions router_options;
-      router_options.replicas = replicas;
-      router_options.hot_key_depth = replicas == 2 ? 2 : 0;
-      service::ShardRouter::Stats stats;
-      const double seconds =
-          run_sharded_wave(serve, 2, {}, hot_lines, /*latency=*/nullptr,
-                           router_options, &stats);
-      jps[replicas - 1] =
-          seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
-      if (replicas == 2) replica_hits = stats.replica_hits;
-      std::printf("  skewed R=%zu: %6.2f jobs/sec (%.2fs, %llu twins "
-                  "replica-routed)\n",
-                  replicas, jps[replicas - 1], seconds,
-                  static_cast<unsigned long long>(stats.replica_hits));
-    }
-    const double speedup = jps[0] > 0 ? jps[1] / jps[0] : 0.0;
-    std::printf("  skewed-key replication win (R=2 over R=1): %.2fx\n",
-                speedup);
-    skewed_json.field("skipped", false)
-        .field("r1_jobs_per_sec", jps[0])
-        .field("r2_jobs_per_sec", jps[1])
-        .field("speedup", speedup)
-        .field("replica_hits", replica_hits)
-        .field("r2_beats_r1", jps[1] > jps[0]);
-  }
-
-  // ---------------------------------------------------------- hedge phase
-  // SIGSTOP (not SIGKILL) one shard mid-wave: the pipe never EOFs, so the
-  // failover path cannot fire — only hedged re-dispatch finishes the
-  // stopped shard's in-flight jobs. window >= jobs keeps everything in
-  // flight (pending jobs would not be hedged).
-  util::JsonWriter hedge_json;
-  if (::access(serve.c_str(), X_OK) != 0) {
-    hedge_json.field("skipped", true);
-  } else {
-    const auto lines = make_job_lines(jobs, instances, n, iterations, sweeps);
-    service::RouterOptions router_options;
-    router_options.shards = 2;
-    router_options.window = jobs;
-    router_options.replicas = 2;
-    router_options.hedge_min_ms = 25.0;
-    service::ShardRouter router(router_options);
-    service::Supervisor fleet(router, fixed_fleet_options(serve));
-    fleet.attach_local(0);
-    fleet.attach_local(1);
-
-    util::WallTimer timer;
-    std::size_t line_no = 0;
-    std::size_t emitted = 0;
-    for (const auto& line : lines) {
-      emitted += router.accept_line(line, ++line_no).size();
-    }
-    // Mid-wave: a quarter of the results are out, both shards are busy.
-    while (emitted < jobs / 4 && timer.seconds() < 300.0) {
-      emitted += fleet.pump(2).size();
-    }
-    const std::size_t victim =
-        router.inflight(0) + router.pending(0) >=
-                router.inflight(1) + router.pending(1)
-            ? 0
-            : 1;
-    auto* victim_child =
-        dynamic_cast<service::ProcessChild*>(fleet.endpoint(victim));
-    if (victim_child) ::kill(victim_child->pid(), SIGSTOP);
-    while (!router.idle() && timer.seconds() < 300.0) {
-      emitted += fleet.pump(2).size();
-      if (router.live_shards() == 0) break;
-    }
-    const double seconds = timer.seconds();
-    if (victim_child) ::kill(victim_child->pid(), SIGCONT);
-
-    const auto& stats = router.stats();
-    const bool completed =
-        router.idle() && !router.any_error() && emitted == lines.size();
-    std::printf("  hedge: shard %zu SIGSTOPped mid-wave -> %s in %.2fs "
-                "(%llu hedges, %llu wins)\n",
-                victim, completed ? "all jobs completed" : "WAVE INCOMPLETE",
-                seconds, static_cast<unsigned long long>(stats.hedges),
-                static_cast<unsigned long long>(stats.hedge_wins));
-    hedge_json.field("skipped", false)
-        .field("completed", completed)
-        .field("seconds", seconds)
-        .field("hedges", stats.hedges)
-        .field("hedge_wins", stats.hedge_wins)
-        .raw_field("hedge_win_latency",
-                   service::latency_quantiles_json(router.hedge_win_snapshot()));
-  }
-
   util::JsonWriter doc;
   doc.field("bench", "service_throughput")
       .field("jobs", static_cast<std::uint64_t>(jobs))
@@ -671,9 +539,7 @@ int main(int argc, char** argv) {
       .raw_field("cache", cache_json.str())
       .raw_field("warm", warm_json.str())
       .raw_field("sharded", sharded_json.str())
-      .raw_field("open_loop", open_loop_json.str())
-      .raw_field("skewed", skewed_json.str())
-      .raw_field("hedge", hedge_json.str());
+      .raw_field("open_loop", open_loop_json.str());
 
   const std::string out_path = args.get("out");
   std::ofstream out(out_path);

@@ -184,12 +184,10 @@ std::vector<std::string> ShardRouter::accept_line(const std::string& line,
     // accepted stats stay truthful.
     const std::string source = instance_source_key(parsed);
     std::uint64_t fingerprint = 0;
-    bool twin = false;  // an instance seen before: replicas can cache-hit
     const auto memo = fingerprint_memo_.find(source);
     if (!source.empty() && memo != fingerprint_memo_.end()) {
       validate_job(parsed);
       fingerprint = memo->second;
-      twin = true;
     } else {
       const ParsedJob job = parse_job(parsed, /*warm_default=*/false);
       fingerprint = problems::fingerprint(*job.request.problem);
@@ -236,21 +234,6 @@ std::vector<std::string> ShardRouter::accept_line(const std::string& line,
     job.fingerprint = fingerprint;
     job.priority = priority;
     job.shard = ring_.route(fingerprint);
-    if (twin && options_.replicas > 1 && options_.hot_key_depth > 0 &&
-        depth(job.shard) >= options_.hot_key_depth) {
-      // Hot-key route: the owner is saturated and this twin is
-      // cache-hittable on any replica that warmed its fingerprint; run it
-      // on the least-loaded replica when one is strictly less loaded.
-      std::size_t best = job.shard;
-      for (std::size_t member :
-           ring_.replicas(fingerprint, options_.replicas)) {
-        if (member != job.shard && depth(member) < depth(best)) best = member;
-      }
-      if (best != job.shard) {
-        job.shard = best;
-        ++stats_.replica_hits;
-      }
-    }
     const std::string token = token_for(job.ordinal);
     util::JsonValue::Object rewritten = parsed.object();
     rewritten["id"] = util::JsonValue(token);
@@ -282,15 +265,8 @@ std::vector<std::string> ShardRouter::take_sendable(std::size_t shard) {
     auto it = jobs_.find(token);
     if (it == jobs_.end()) continue;  // defensive
     Job& job = it->second;
-    if (job.hedge_shard == shard && job.shard != shard) {
-      // Hedge copy going out: the primary stays in flight elsewhere;
-      // stamp the hedge's own clock so a hedge win measures ITS trip.
-      job.hedge_inflight = true;
-      job.hedge_sent_at = std::chrono::steady_clock::now();
-    } else {
-      job.inflight = true;
-      job.sent_at = std::chrono::steady_clock::now();
-    }
+    job.inflight = true;
+    job.sent_at = std::chrono::steady_clock::now();
     out.push_back(job.line);
     inflight.insert(token);
   }
@@ -339,32 +315,21 @@ std::vector<std::string> ShardRouter::on_child_line(std::size_t shard,
   Job job = std::move(it->second);
   const std::string token = id->as_string();
   jobs_.erase(it);
-  // Release BOTH copies of a hedged job: the loser is either still
-  // pending on the other shard (pulled from its queue here, never sent)
-  // or in flight there (its late line will dedupe as an unknown token).
-  if (job.shard < inflight_.size()) inflight_[job.shard].erase(token);
-  unqueue(job.shard, token);
-  if (job.hedge_shard) {
-    if (*job.hedge_shard < inflight_.size()) {
-      inflight_[*job.hedge_shard].erase(token);
-    }
-    unqueue(*job.hedge_shard, token);
+  // Release the job's slot on the shard that holds it now. That is
+  // usually the answering shard; after a failover it is the shard the job
+  // was requeued onto, where it may still wait in the pending queue (the
+  // only case that needs the queue scan) or already be in flight (its
+  // second answer will dedupe as an unknown token).
+  if (job.inflight) {
+    inflight_[job.shard].erase(token);
+  } else {
+    unqueue(job.shard, token);
   }
   const auto now = std::chrono::steady_clock::now();
-  const bool from_hedge = job.hedge_shard == shard && job.shard != shard;
-  if (from_hedge) {
-    ++stats_.hedge_wins;
-    if (job.hedge_sent_at != std::chrono::steady_clock::time_point{}) {
-      hedge_win_ms_.observe(
-          std::chrono::duration<double, std::milli>(now - job.hedge_sent_at)
-              .count());
-    }
-  }
-  const auto sent = from_hedge ? job.hedge_sent_at : job.sent_at;
   if (shard < latency_.size() &&
-      sent != std::chrono::steady_clock::time_point{}) {
+      job.sent_at != std::chrono::steady_clock::time_point{}) {
     latency_[shard]->observe(
-        std::chrono::duration<double, std::milli>(now - sent).count());
+        std::chrono::duration<double, std::milli>(now - job.sent_at).count());
   }
 
   // Byte-level surgery keeps every solver-produced field bit-identical:
@@ -403,32 +368,6 @@ std::vector<std::string> ShardRouter::on_child_down(std::size_t shard) {
   for (const std::string& token : tokens) {
     auto it = jobs_.find(token);
     if (it == jobs_.end()) continue;
-    {
-      Job& hedged = it->second;
-      if (hedged.hedge_shard == shard && hedged.shard != shard) {
-        // Only the hedge copy died; the primary is still out there on a
-        // live shard. Drop the hedge — dispatch_hedges may re-hedge the
-        // job onto the post-crash ring.
-        hedged.hedge_shard.reset();
-        hedged.hedge_inflight = false;
-        hedged.hedge_sent_at = {};
-        continue;
-      }
-      if (hedged.shard == shard && hedged.hedge_shard &&
-          *hedged.hedge_shard < alive_.size() &&
-          alive_[*hedged.hedge_shard]) {
-        // The owner died but a hedge copy is already queued or in flight
-        // on a live replica: promote it to primary instead of requeueing
-        // from scratch — the zero-stall crash rescue.
-        hedged.shard = *hedged.hedge_shard;
-        hedged.inflight = hedged.hedge_inflight;
-        hedged.sent_at = hedged.hedge_sent_at;
-        hedged.hedge_shard.reset();
-        hedged.hedge_inflight = false;
-        hedged.hedge_sent_at = {};
-        continue;
-      }
-    }
     if (ring_.shard_count() == 0) {
       // Nothing left to run it on: the job errors out, but still gets its
       // global seq — it WAS accepted, and downstream consumers count on
@@ -450,9 +389,6 @@ std::vector<std::string> ShardRouter::on_child_down(std::size_t shard) {
     } else {
       Job& job = it->second;
       job.inflight = false;
-      job.hedge_shard.reset();
-      job.hedge_inflight = false;
-      job.hedge_sent_at = {};
       job.shard = ring_.route(job.fingerprint);
       ++stats_.requeued;
       ++stats_.routed_per_shard[job.shard];
@@ -507,59 +443,6 @@ void ShardRouter::requeue_inflight(std::size_t shard) {
   }
 }
 
-std::size_t ShardRouter::dispatch_hedges(
-    std::chrono::steady_clock::time_point* next_due) {
-  thread_checker_.assert_current_thread();
-  if (options_.hedge_min_ms <= 0.0 || options_.replicas < 2 ||
-      ring_.shard_count() < 2) {
-    return 0;
-  }
-  const auto now = std::chrono::steady_clock::now();
-  std::size_t dispatched = 0;
-  for (auto& [token, job] : jobs_) {
-    if (job.hedge_shard) continue;
-    // Adaptive threshold: this shard's observed round-trip p95, floored
-    // by hedge_min_ms so an empty histogram (or a pathologically fast
-    // one) cannot trigger a hedge storm. A job not yet written is due no
-    // sooner than hedge_min_ms from now.
-    double threshold_ms = options_.hedge_min_ms;
-    if (job.inflight) {
-      const obs::HistogramSnapshot snap = latency_snapshot(job.shard);
-      if (snap.count > 0) {
-        threshold_ms = std::max(threshold_ms, snap.quantile(0.95));
-      }
-    }
-    const auto due = (job.inflight ? job.sent_at : now) +
-                     std::chrono::ceil<std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             threshold_ms));
-    if (!job.inflight || now < due) {
-      if (next_due) *next_due = std::min(*next_due, due);
-      continue;
-    }
-    // The hedge target: the first replica that is not the job's own
-    // shard. replicas() only walks live shards, so the target can take
-    // the copy right now.
-    std::optional<std::size_t> target;
-    for (std::size_t member :
-         ring_.replicas(job.fingerprint, options_.replicas)) {
-      if (member != job.shard) {
-        target = member;
-        break;
-      }
-    }
-    if (!target) continue;  // replica set collapsed to the owner alone
-    job.hedge_shard = target;
-    job.hedge_inflight = false;
-    job.hedge_sent_at = {};
-    pending_[*target].push_back(token);
-    ++stats_.hedges;
-    ++stats_.routed_per_shard[*target];
-    ++dispatched;
-  }
-  return dispatched;
-}
-
 bool ShardRouter::take_pong(std::size_t shard) {
   thread_checker_.assert_current_thread();
   if (shard >= pong_.size()) return false;
@@ -607,11 +490,6 @@ std::size_t ShardRouter::total_pending() const {
   return total;
 }
 
-std::size_t ShardRouter::depth(std::size_t shard) const {
-  if (shard >= pending_.size()) return 0;
-  return pending_[shard].size() + inflight_[shard].size();
-}
-
 void ShardRouter::unqueue(std::size_t shard, const std::string& token) {
   if (shard >= pending_.size()) return;
   auto& queue = pending_[shard];
@@ -622,12 +500,12 @@ void ShardRouter::unqueue(std::size_t shard, const std::string& token) {
 bool ShardRouter::shed_for(int incoming_priority,
                            std::vector<std::string>* out) {
   // Victim: the lowest-priority job still waiting in a pending queue —
-  // never one in flight or hedged (those hold window slots and may be
-  // answered any moment). Ties break toward the newest ordinal: the jobs
-  // that waited longest are shed last.
+  // never one in flight (it holds a window slot and may be answered any
+  // moment). Ties break toward the newest ordinal: the jobs that waited
+  // longest are shed last.
   const Job* victim = nullptr;
   for (const auto& [token, job] : jobs_) {
-    if (job.inflight || job.hedge_shard) continue;
+    if (job.inflight) continue;
     if (victim == nullptr || job.priority < victim->priority ||
         (job.priority == victim->priority && job.ordinal > victim->ordinal)) {
       victim = &job;

@@ -33,14 +33,12 @@
 //     forwarded;
 //   * replication (RouterOptions::replicas = R): a key's replica set is
 //     its owner plus the next R-1 distinct shards clockwise, recomputed
-//     deterministically on every membership change. On top of it ride
-//     hedged requests (dispatch_hedges: a job stuck in flight past an
-//     adaptive per-shard threshold is re-sent — same token — to a
-//     replica; first result wins, token dedupe swallows the loser),
-//     hot-key routing (an instance twin bound for an overloaded owner
-//     runs on its least-loaded replica instead) and admission control
-//     (past a global pending bound, the lowest-priority job is shed
-//     with a "delayed"-tagged error instead of queueing unboundedly).
+//     deterministically on every membership change. Every job runs on its
+//     owner; the replica set only tells the Supervisor where to warm
+//     pools, so failover lands on a shard that already knows the key;
+//   * admission control: past a global pending bound, the lowest-priority
+//     job is shed with a "delayed"-tagged error instead of queueing
+//     unboundedly.
 //
 // To keep every request byte the shard sees equivalent to what a
 // single-process saim_serve would have parsed, the router rewrites only
@@ -110,19 +108,9 @@ struct RouterOptions {
   /// Virtual nodes per shard on the hash ring.
   std::size_t vnodes = 64;
   /// Replication factor R: a job runs on its key's owner, but warm pools
-  /// (Supervisor handoff/gossip), hedges and hot-key twins extend to the
-  /// next R-1 distinct shards clockwise. 1 = no replication.
+  /// (Supervisor handoff/gossip) extend to the next R-1 distinct shards
+  /// clockwise, where failover lands. 1 = no replication.
   std::size_t replicas = 1;
-  /// Hedging (needs replicas >= 2): re-dispatch a job still in flight on
-  /// its shard after max(hedge_min_ms, that shard's round-trip p95) to a
-  /// replica, deduping by routing token — first result wins, the loser
-  /// is swallowed. 0 disables hedging.
-  double hedge_min_ms = 0.0;
-  /// Hot-key routing (needs replicas >= 2): an instance-twin job (its
-  /// fingerprint was seen before, so the replicas' caches/pools can hit)
-  /// whose owner already has this many unanswered jobs is routed to the
-  /// least-loaded replica instead of queueing on the owner. 0 disables.
-  std::size_t hot_key_depth = 0;
   /// Admission control: once this many routed jobs wait for a window
   /// slot, the lowest-priority pending job is shed with a "delayed"-
   /// tagged error instead of growing the backlog. 0 = unbounded.
@@ -137,10 +125,7 @@ class ShardRouter {
     std::uint64_t emitted = 0;   ///< job result/error lines sent downstream
     std::uint64_t requeued = 0;  ///< jobs moved off a dead shard
     std::uint64_t orphaned = 0;  ///< jobs errored: no live shard remained
-    std::uint64_t hedges = 0;    ///< hedge copies dispatched to a replica
-    std::uint64_t hedge_wins = 0;  ///< jobs whose hedge copy answered first
     std::uint64_t sheds = 0;     ///< jobs shed by admission control
-    std::uint64_t replica_hits = 0;  ///< hot-key twins routed to a replica
     std::vector<std::uint64_t> routed_per_shard;
   };
 
@@ -182,20 +167,6 @@ class ShardRouter {
   /// index. The new shard starts live and on the ring.
   std::size_t add_shard();
 
-  /// Dispatches due hedges (no-op unless hedge_min_ms > 0 and replicas
-  /// >= 2): every job in flight on one shard for longer than
-  /// max(hedge_min_ms, that shard's round-trip p95) gets a copy of its
-  /// rewritten line — SAME routing token — queued onto the next live
-  /// replica. The first result to come back wins (on_child_line dedupes
-  /// by token); the loser's line is swallowed as a late duplicate and
-  /// both copies' window slots are released. Call once per pump cycle.
-  /// Returns the number of hedges dispatched; with `next_due`, also
-  /// lowers it to the earliest moment a job not yet hedged can fall due
-  /// (a job still waiting to be written counts as written now), so the
-  /// caller may sleep until then.
-  std::size_t dispatch_hedges(
-      std::chrono::steady_clock::time_point* next_due = nullptr);
-
   /// Moves `shard`'s written-but-unanswered jobs back to the head of its
   /// pending queue (original accept order): the sole-shard respawn path,
   /// where failing over is impossible and orphaning needless — ring
@@ -221,13 +192,6 @@ class ShardRouter {
   /// the same slot; empty snapshot for an out-of-range index.
   [[nodiscard]] obs::HistogramSnapshot latency_snapshot(
       std::size_t shard) const;
-
-  /// Round trips of the hedge copies that WON their race (hedge written
-  /// -> its result back, ms): the latency the tail actually saw instead
-  /// of waiting out the slow owner.
-  [[nodiscard]] obs::HistogramSnapshot hedge_win_snapshot() const {
-    return hedge_win_ms_.snapshot();
-  }
 
   [[nodiscard]] bool alive(std::size_t shard) const;
   [[nodiscard]] std::size_t live_shards() const { return ring_.shard_count(); }
@@ -264,6 +228,8 @@ class ShardRouter {
     std::string line;            ///< rewritten request line (id = token)
     std::uint64_t fingerprint = 0;  ///< routing key (problem content hash)
     std::size_t shard = 0;
+    /// The token sits in inflight_[shard] when true, in pending_[shard]
+    /// when false — never in both, never on another shard.
     bool inflight = false;
     /// When the line was handed out for writing (take_sendable); epoch
     /// until then. Feeds the per-shard round-trip latency histogram.
@@ -271,11 +237,6 @@ class ShardRouter {
     /// Priority band (0 low, 1 normal, 2 high): admission control sheds
     /// lowest first.
     int priority = 1;
-    /// Hedge copy, when one was dispatched: the replica carrying the
-    /// duplicate line (same token). At most one hedge per job.
-    std::optional<std::size_t> hedge_shard;
-    bool hedge_inflight = false;  ///< hedge copy written (vs still pending)
-    std::chrono::steady_clock::time_point hedge_sent_at{};
   };
   struct Drain {
     std::uint64_t before = 0;  ///< waits for jobs with ordinal < before
@@ -286,8 +247,6 @@ class ShardRouter {
   /// One outstanding job finished (emitted or orphaned): advance drains.
   void finished(std::uint64_t ordinal, std::vector<std::string>* out);
   [[nodiscard]] std::string drained_line(const Drain& drain) const;
-  /// Unanswered jobs attributed to `shard` (pending + in flight).
-  [[nodiscard]] std::size_t depth(std::size_t shard) const;
   /// Drops `token` from `shard`'s pending queue if still there.
   void unqueue(std::size_t shard, const std::string& token);
   /// Admission control: called with a full backlog before accepting a
@@ -312,7 +271,6 @@ class ShardRouter {
   std::vector<std::optional<std::string>> stats_export_;  ///< per shard
   /// Per-shard round-trip latency (unique_ptr: atomics are immovable).
   std::vector<std::unique_ptr<obs::Histogram>> latency_;
-  obs::Histogram hedge_win_ms_;  ///< round trips of winning hedge copies
   std::unordered_map<std::string, Job> jobs_;  ///< token -> outstanding job
   /// Problem fingerprint per instance-source key: a duplicated-instance
   /// stream builds (and hashes) the instance once, not once per line.

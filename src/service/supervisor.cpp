@@ -104,12 +104,6 @@ std::vector<std::string> Supervisor::pump(int max_wait_ms) {
     }
   }
 
-  // Hedge pass: queue replica copies of jobs stuck in flight past their
-  // shard's adaptive threshold, so the send loop below writes them in
-  // this same cycle.
-  auto next_hedge = Clock::time_point::max();
-  router_.dispatch_hedges(&next_hedge);
-
   // Send: fill each live shard's window; keep flushing retiring shards
   // so their farewell control lines leave the user-space buffer, then
   // half-close them.
@@ -138,7 +132,7 @@ std::vector<std::string> Supervisor::pump(int max_wait_ms) {
   // Wait for output anywhere (live or retiring), room on a full pipe,
   // a caller's fd or the next deadline — not at all with lines to return.
   watch_endpoints();
-  loop_.run_once(out.empty() ? wait_ms(max_wait_ms, next_hedge) : 0);
+  loop_.run_once(out.empty() ? wait_ms(max_wait_ms) : 0);
 
   // Read everyone — retiring shards included, so results they computed
   // before departure are harvested, not recomputed. Deaths are declared
@@ -232,10 +226,7 @@ std::string Supervisor::fleet_stats_line(const StatsProbe& probe) const {
       .field("emitted", rs.emitted)
       .field("requeued", rs.requeued)
       .field("orphaned", rs.orphaned)
-      .field("hedges", rs.hedges)
-      .field("hedge_wins", rs.hedge_wins)
       .field("sheds", rs.sheds)
-      .field("replica_hits", rs.replica_hits)
       .field("replicas",
              static_cast<std::uint64_t>(router_.replication_factor()))
       .field("outstanding", static_cast<std::uint64_t>(router_.outstanding()));
@@ -649,9 +640,9 @@ void Supervisor::watch_endpoints() {
   watched_ = std::move(want);
 }
 
-int Supervisor::wait_ms(int max_wait_ms, Clock::time_point next_hedge) const {
+int Supervisor::wait_ms(int max_wait_ms) const {
   const auto now = Clock::now();
-  Clock::time_point next = next_hedge;
+  auto next = Clock::time_point::max();
   for (const Slot& slot : slots_) {
     // A socket endpoint terminated since the last read pass has closed
     // its fd: nothing will wake the loop for it, so go observe its EOF.

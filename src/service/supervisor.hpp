@@ -33,7 +33,7 @@
 //     grow, shrink), every live shard is probed with export_warm; each
 //     returned pool entry is forwarded as import_warm to every member of
 //     its fingerprint's replica set (owner + next R-1) except the donor,
-//     so requeued, hedged and hot-key-routed jobs start from the best
+//     so jobs that fail over onto a replica start from the best
 //     configurations already found. With gossip_ms > 0 the same probe
 //     also runs on a timer, warming late joiners between membership
 //     changes.
@@ -230,10 +230,8 @@ class Supervisor {
   void watch_endpoints();
   /// `max_wait_ms` clamped to the earliest deadline the fleet keeps: a
   /// respawn backoff, a retiree's grace, a stats probe, the next ping or
-  /// gossip round, the router's `next_hedge`.
-  [[nodiscard]] int wait_ms(int max_wait_ms,
-                            std::chrono::steady_clock::time_point next_hedge)
-      const;
+  /// gossip round.
+  [[nodiscard]] int wait_ms(int max_wait_ms) const;
   /// Emits every complete (or expired) fleet-stats aggregation.
   void advance_stats_probes(std::vector<std::string>* out);
   [[nodiscard]] std::string fleet_stats_line(const StatsProbe& probe) const;

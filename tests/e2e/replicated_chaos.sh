@@ -2,8 +2,9 @@
 # Replicated-fleet chaos smoke: saim_shard at R=2 loses a shard mid-stream.
 #
 #   1. A mid-stream scrape of the fleet's --metrics endpoint exposes the
-#      hedge, shed and replica-hit counters and the hedge-win histogram,
-#      well-formed, before any chaos.
+#      shed counter and a well-formed per-shard round-trip histogram
+#      (cumulative buckets ending in +Inf, _count equal to the +Inf
+#      bucket, a _sum), before any chaos.
 #   2. SIGKILL one saim_serve child once the first result is out: the
 #      supervisor reports it "down, respawning".
 #   3. All 12 jobs are delivered exactly once, with no error lines and
@@ -33,8 +34,7 @@ cd "$work"
 for k in 1 2 3 4 5 6; do for j in 1 2; do
   echo "{\"id\":\"k${k}j${j}\",\"gen\":\"qkp:80-25-${k}\",\"iterations\":150,\"sweeps\":600,\"seed\":${j}}"
 done; done > slow_jobs.jsonl
-"$shard" --shards 2 --workers 1 --replicas 2 \
-  --hedge-min-ms 50 --gossip-ms 50 \
+"$shard" --shards 2 --workers 1 --replicas 2 --gossip-ms 50 \
   --metrics 127.0.0.1:0 --metrics-port-file metrics_port.tmp \
   --stats < slow_jobs.jsonl > chaos_out.jsonl 2> chaos_err.txt &
 shard_pid=$!
@@ -52,14 +52,25 @@ import urllib.request
 
 text = urllib.request.urlopen(
     'http://127.0.0.1:%s/metrics' % sys.argv[1], timeout=10).read().decode()
-for name in ['saim_router_hedges_total',
-             'saim_router_hedge_wins_total',
-             'saim_router_sheds_total',
-             'saim_router_replica_hits_total']:
-    assert f'# TYPE {name} counter' in text, name
-    assert re.search(rf'^{name} \d+$', text, re.MULTILINE), name
-assert '# TYPE saim_hedge_win_ms histogram' in text
-assert re.search(r'^saim_hedge_win_ms_count \d+$', text, re.MULTILINE)
+name = 'saim_router_sheds_total'
+assert f'# TYPE {name} counter' in text, name
+assert re.search(rf'^{name} \d+$', text, re.MULTILINE), name
+
+hist = 'saim_shard_roundtrip_ms'
+assert f'# TYPE {hist} histogram' in text, hist
+for shard in ('0', '1'):
+    labels = f'shard="{shard}"'
+    buckets = re.findall(
+        rf'^{hist}_bucket\{{{labels},le="([^"]+)"\}} (\d+)$', text,
+        re.MULTILINE)
+    assert buckets and buckets[-1][0] == '+Inf', (shard, buckets)
+    counts = [int(c) for _, c in buckets]
+    assert counts == sorted(counts), (shard, counts)
+    count = re.search(rf'^{hist}_count\{{{labels}\}} (\d+)$', text,
+                      re.MULTILINE)
+    assert count and int(count.group(1)) == counts[-1], shard
+    assert re.search(rf'^{hist}_sum\{{{labels}\}} \S+$', text,
+                     re.MULTILINE), shard
 EOF
 
 # 2. SIGKILL a shard once the first result is out.

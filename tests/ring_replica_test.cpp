@@ -1,7 +1,6 @@
 // Property tests for HashRing::replicas — the replica-set contract the
-// whole replication layer (warm handoff fan-out, gossip, hedged requests,
-// hot-key routing) builds on. Pinned properties, over random memberships
-// and key sets:
+// whole replication layer (warm handoff fan-out and gossip) builds on.
+// Pinned properties, over random memberships and key sets:
 //
 //   * a replica set holds min(R, live) DISTINCT live shards, led by the
 //     key's owner;

@@ -20,7 +20,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "service/process_child.hpp"
@@ -333,110 +332,37 @@ TEST(ShardRouter, PingAnsweredLocallyAndDrainCertifiesThePast) {
   EXPECT_FALSE(router.take_pong(owner));
 }
 
-// ------------------------------------------------- hedging and admission
-
-RouterOptions hedged_two_shards() {
-  RouterOptions options;
-  options.shards = 2;
-  options.window = 8;
-  options.replicas = 2;
-  options.hedge_min_ms = 0.01;  // tiny floor: a 1ms sleep is "stuck"
-  return options;
-}
-
-/// Accepts one job, puts it in flight on its owner, waits past the hedge
-/// floor and dispatches the hedge. Returns {owner, replica, token}.
-std::tuple<std::size_t, std::size_t, std::string> hedge_one_job(
-    ShardRouter& router) {
+TEST(ShardRouter, LateAnswerFromADownShardUnqueuesTheRequeuedJob) {
+  ShardRouter router(two_shards());
   EXPECT_TRUE(router.accept_line(job_line("a", 1, 1), 1).empty());
   const std::size_t owner = router.pending(0) ? 0 : 1;
+  const std::size_t survivor = 1 - owner;
   const auto sent = router.take_sendable(owner);
-  EXPECT_EQ(sent.size(), 1u);
+  ASSERT_EQ(sent.size(), 1u);
   const std::string token = token_of(sent[0]);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(router.dispatch_hedges(), 1u);
-  EXPECT_EQ(router.dispatch_hedges(), 0u) << "at most one hedge per job";
-  const std::size_t replica = 1 - owner;
-  EXPECT_EQ(router.pending(replica), 1u);
-  return {owner, replica, token};
-}
 
-TEST(ShardRouter, HedgeDedupesWhenThePrimaryAnswersFirst) {
-  ShardRouter router(hedged_two_shards());
-  const auto [owner, replica, token] = hedge_one_job(router);
-  const auto hedge_sent = router.take_sendable(replica);
-  ASSERT_EQ(hedge_sent.size(), 1u);
-  EXPECT_EQ(token_of(hedge_sent[0]), token) << "hedge reuses the token";
+  // The owner leaves the ring with the job in flight (a reshard retiree
+  // still answers), so the job waits in the survivor's pending queue.
+  EXPECT_TRUE(router.on_child_down(owner).empty());
+  EXPECT_EQ(router.pending(survivor), 1u);
+  EXPECT_EQ(router.stats().requeued, 1u);
 
-  // The primary wins the race: one client line, the hedge copy's window
-  // slot is released immediately, and the replica's late answer is
-  // swallowed as a duplicate.
+  // The departed owner's late answer wins: one client line, and the
+  // requeued copy leaves the survivor's queue unsent.
   const auto out = router.on_child_line(owner, fake_result(token, 0));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(util::parse_json(out[0]).find("id")->as_string(), "a");
   EXPECT_EQ(util::parse_json(out[0]).find("seq")->as_int(), 0);
-  EXPECT_EQ(router.inflight(replica), 0u);
-  EXPECT_TRUE(router.on_child_line(replica, fake_result(token, 0)).empty());
+  EXPECT_EQ(router.pending(survivor), 0u);
+  EXPECT_TRUE(router.take_sendable(survivor).empty());
   EXPECT_TRUE(router.idle());
-  EXPECT_EQ(router.stats().hedges, 1u);
-  EXPECT_EQ(router.stats().hedge_wins, 0u);
+  // A later answer for the same token is swallowed as a duplicate.
+  EXPECT_TRUE(router.on_child_line(survivor, fake_result(token, 0)).empty());
   EXPECT_EQ(router.stats().emitted, 1u);
   EXPECT_FALSE(router.any_error());
 }
 
-TEST(ShardRouter, HedgeDedupesWhenTheReplicaAnswersFirst) {
-  ShardRouter router(hedged_two_shards());
-  const auto [owner, replica, token] = hedge_one_job(router);
-  ASSERT_EQ(router.take_sendable(replica).size(), 1u);
-
-  const auto out = router.on_child_line(replica, fake_result(token, 0));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(util::parse_json(out[0]).find("id")->as_string(), "a");
-  EXPECT_EQ(util::parse_json(out[0]).find("seq")->as_int(), 0);
-  EXPECT_EQ(router.stats().hedge_wins, 1u);
-  EXPECT_EQ(router.hedge_win_snapshot().count, 1u);
-  EXPECT_EQ(router.inflight(owner), 0u) << "the loser's slot is released";
-  EXPECT_TRUE(router.on_child_line(owner, fake_result(token, 0)).empty());
-  EXPECT_TRUE(router.idle());
-  EXPECT_FALSE(router.any_error());
-}
-
-TEST(ShardRouter, HedgeIsPromotedWhenTheOwnerCrashes) {
-  ShardRouter router(hedged_two_shards());
-  const auto [owner, replica, token] = hedge_one_job(router);
-  ASSERT_EQ(router.take_sendable(replica).size(), 1u);
-
-  // The owner dies with the hedge copy already in flight on the replica:
-  // the copy is promoted to primary — nothing is requeued or replayed,
-  // the answer that was already being computed just lands.
-  EXPECT_TRUE(router.on_child_down(owner).empty());
-  EXPECT_FALSE(router.alive(owner));
-  EXPECT_EQ(router.stats().requeued, 0u) << "promotion, not requeue";
-  EXPECT_EQ(router.inflight(replica), 1u);
-
-  const auto out = router.on_child_line(replica, fake_result(token, 0));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(util::parse_json(out[0]).find("id")->as_string(), "a");
-  EXPECT_EQ(util::parse_json(out[0]).find("seq")->as_int(), 0);
-  EXPECT_EQ(util::parse_json(out[0]).find("error"), nullptr);
-  EXPECT_TRUE(router.idle());
-  EXPECT_FALSE(router.any_error());
-}
-
-TEST(ShardRouter, HedgeShardCrashLeavesThePrimaryInFlight) {
-  ShardRouter router(hedged_two_shards());
-  const auto [owner, replica, token] = hedge_one_job(router);
-  ASSERT_EQ(router.take_sendable(replica).size(), 1u);
-
-  EXPECT_TRUE(router.on_child_down(replica).empty());
-  EXPECT_EQ(router.inflight(owner), 1u) << "primary copy unaffected";
-  // One live shard left: the ring cannot host a new hedge.
-  EXPECT_EQ(router.dispatch_hedges(), 0u);
-  const auto out = router.on_child_line(owner, fake_result(token, 0));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(util::parse_json(out[0]).find("id")->as_string(), "a");
-  EXPECT_TRUE(router.idle());
-}
+// ------------------------------------------------------ admission control
 
 TEST(ShardRouter, AdmissionControlShedsWithDelayedTagAndContiguousSeq) {
   RouterOptions options;
@@ -492,54 +418,37 @@ TEST(ShardRouter, AdmissionControlShedsWithDelayedTagAndContiguousSeq) {
   EXPECT_TRUE(router.any_error());
 }
 
-TEST(ShardRouter, AdmissionControlNeverShedsInflightOrHedgedJobs) {
-  RouterOptions options = hedged_two_shards();
+TEST(ShardRouter, AdmissionControlNeverShedsInflightJobs) {
+  RouterOptions options;
+  options.shards = 1;
+  options.window = 1;
   options.max_queue_depth = 1;
   ShardRouter router(options);
-  const auto [owner, replica, token] = hedge_one_job(router);
-  // The only outstanding job is in flight (and hedged): pending holds the
-  // hedge copy, so the backlog reads full — but the job is untouchable,
-  // and the incoming normal-priority arrival is shed instead.
-  const auto out = router.accept_line(job_line("b", 2, 1), 9);
+  const auto low = R"({"id":"lo","gen":"qkp:30-25-1","iterations":2,)"
+                   R"("sweeps":20,"priority":"low"})";
+  EXPECT_TRUE(router.accept_line(low, 1).empty());
+  const auto sent = router.take_sendable(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_TRUE(router.accept_line(job_line("n1", 2, 1), 2).empty());
+  ASSERT_EQ(router.pending(0), 1u);
+
+  // Backlog full. The low-priority job ranks lowest but is in flight, so
+  // it is untouchable; the pending job does not rank below the incoming
+  // normal-priority arrival, which is shed instead.
+  const auto out = router.accept_line(job_line("n2", 3, 1), 3);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(util::parse_json(out[0]).find("id")->as_string(), "b");
+  EXPECT_EQ(util::parse_json(out[0]).find("id")->as_string(), "n2");
   EXPECT_TRUE(util::parse_json(out[0]).find("delayed")->as_bool());
-  EXPECT_EQ(router.outstanding(), 1u);
-  ASSERT_EQ(router.take_sendable(replica).size(), 1u);
-  EXPECT_EQ(router.on_child_line(owner, fake_result(token, 0)).size(), 1u);
+  EXPECT_EQ(router.outstanding(), 2u);
+
+  const auto done = router.on_child_line(0, fake_result(token_of(sent[0]), 0));
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(util::parse_json(done[0]).find("id")->as_string(), "lo");
+  const auto next = router.take_sendable(0);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(router.on_child_line(0, fake_result(token_of(next[0]), 1)).size(),
+            1u);
   EXPECT_TRUE(router.idle());
-}
-
-TEST(ShardRouter, HotKeyTwinsRouteToTheLeastLoadedReplica) {
-  RouterOptions options;
-  options.shards = 2;
-  options.window = 8;
-  options.replicas = 2;
-  options.hot_key_depth = 2;
-  ShardRouter router(options);
-
-  // Two jobs over one instance saturate the owner (depth 2 >= 2)...
-  EXPECT_TRUE(router.accept_line(job_line("j0", 1, 1), 1).empty());
-  EXPECT_TRUE(router.accept_line(job_line("j1", 1, 2), 2).empty());
-  const std::size_t owner = router.pending(0) >= 2 ? 0 : 1;
-  ASSERT_EQ(router.pending(owner), 2u);
-  // ...so the next twin skips it for the idle replica.
-  EXPECT_TRUE(router.accept_line(job_line("hot", 1, 9), 3).empty());
-  EXPECT_EQ(router.pending(1 - owner), 1u);
-  EXPECT_EQ(router.stats().replica_hits, 1u);
-  // Once the replica is just as loaded, twins stay home: rerouting needs
-  // a STRICTLY less-loaded replica.
-  EXPECT_TRUE(router.accept_line(job_line("hot2", 1, 10), 4).empty());
-  EXPECT_TRUE(router.accept_line(job_line("hot3", 1, 11), 5).empty());
-  EXPECT_EQ(router.stats().replica_hits, 2u);
-  EXPECT_EQ(router.pending(owner), 3u);
-  EXPECT_EQ(router.pending(1 - owner), 2u);
-
-  // A twin for a key whose owner is NOT saturated stays put.
-  ShardRouter cold(options);
-  EXPECT_TRUE(cold.accept_line(job_line("a", 1, 1), 1).empty());
-  EXPECT_TRUE(cold.accept_line(job_line("b", 1, 2), 2).empty());
-  EXPECT_EQ(cold.stats().replica_hits, 0u);
 }
 
 // ----------------------------------------------------------- ProcessChild

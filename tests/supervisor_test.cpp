@@ -498,16 +498,15 @@ TEST(SupervisorFleet, WarmHandoffSeedsTheNewOwnerOnGrow) {
 
 TEST(SupervisorFleet, ChaosSigkillWithReplicationCompletesWithZeroStall) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  // R=2 with hedging on: when the owner is SIGKILLed mid-stream, its
-  // hedged jobs are promoted to the replica copies already running and
-  // the rest fail over — nothing waits for the respawn. The respawn
-  // backoff is set absurdly high so a single stalled job would hang the
-  // test: 12/12 completing proves completion never depended on it.
+  // R=2: when the owner is SIGKILLed mid-stream, its unanswered jobs
+  // fail over to the replica, which holds the key's warm pool — nothing
+  // waits for the respawn. The respawn backoff is set absurdly high so a
+  // single stalled job would hang the test: 12/12 completing proves
+  // completion never depended on it.
   RouterOptions router_options;
   router_options.shards = 2;
   router_options.window = 4;
   router_options.replicas = 2;
-  router_options.hedge_min_ms = 5.0;
   ShardRouter router(router_options);
   SupervisorOptions supervisor_options = fast_supervisor_options();
   supervisor_options.backoff_initial_ms = 60000;
@@ -543,6 +542,52 @@ TEST(SupervisorFleet, ChaosSigkillWithReplicationCompletesWithZeroStall) {
   EXPECT_EQ(router.live_shards(), 1u);
   EXPECT_EQ(router.stats().orphaned, 0u);
   EXPECT_FALSE(router.any_error());
+  supervisor.shutdown_fleet();
+}
+
+TEST(SupervisorFleet, WedgedShardIsKilledByTheWatchdogAndItsJobsFailOver) {
+  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
+  // A SIGSTOPped shard never EOFs, so only the health watchdog can rescue
+  // its jobs: 5 missed pongs, terminate, then failover and respawn.
+  RouterOptions router_options;
+  router_options.shards = 2;
+  router_options.window = 4;
+  ShardRouter router(router_options);
+  SupervisorOptions supervisor_options = fast_supervisor_options();
+  supervisor_options.ping_ms = 20;
+  Supervisor supervisor(router, supervisor_options);
+  supervisor.attach_local(0);
+  supervisor.attach_local(1);
+
+  std::vector<std::string> out;
+  std::size_t line_no = 0;
+  feed_jobs(router, &out, &line_no, 1, 6, 25, 300);
+  ASSERT_GT(router.pending(0), 0u);
+  ASSERT_GT(router.pending(1), 0u);
+
+  for (int spin = 0; spin < 10000 && out.size() < 2; ++spin) {
+    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
+  }
+  ASSERT_GE(out.size(), 2u);
+  const std::size_t victim =
+      router.inflight(0) + router.pending(0) >=
+              router.inflight(1) + router.pending(1)
+          ? 0
+          : 1;
+  ASSERT_GT(router.inflight(victim) + router.pending(victim), 0u);
+  auto* child = dynamic_cast<ProcessChild*>(supervisor.endpoint(victim));
+  ASSERT_NE(child, nullptr);
+  const pid_t wedged = child->pid();
+  ASSERT_EQ(::kill(wedged, SIGSTOP), 0);
+
+  for (auto& l : pump_to_idle(router, supervisor)) out.push_back(std::move(l));
+
+  expect_exactly_once(out, 12);
+  EXPECT_GE(supervisor.stats().unresponsive_kills, 1u);
+  EXPECT_FALSE(router.any_error());
+  // Let a shard the watchdog missed exit on shutdown; a killed one is
+  // already reaped, and its pid must not be signalled again.
+  if (supervisor.stats().unresponsive_kills == 0) ::kill(wedged, SIGCONT);
   supervisor.shutdown_fleet();
 }
 

@@ -28,12 +28,10 @@
 //     carry none);
 //   * per-shard bounded in-flight windows give backpressure — a slow
 //     shard throttles only its own keyslice;
-//   * with --replicas R, warm pools mirror to each key's next R-1 ring
-//     neighbors: a job stuck in flight past max(--hedge-min-ms, its
-//     shard's round-trip p95) is hedged to a replica (same routing
-//     token, first result wins, exactly one client line), twins of a
-//     hot key skip a saturated owner for its least-loaded replica, and
-//     --max-queue-depth sheds the lowest-priority job past the bound
+//   * every job runs on its key's ring owner and moves only on failover;
+//     with --replicas R, warm pools mirror to each key's next R-1 ring
+//     neighbors, so a job that fails over lands on a warm shard;
+//   * --max-queue-depth sheds the lowest-priority job past the bound
 //     with a "delayed"-tagged error instead of queueing unboundedly;
 //   * a crashed or unresponsive LOCAL shard is respawned with backoff
 //     and rejoins the ring (its unanswered jobs fail over to survivors
@@ -172,14 +170,8 @@ std::string render_fleet_metrics(const service::ShardRouter& router,
           "jobs moved off a dead shard");
   counter("saim_router_orphaned_total", rs.orphaned,
           "jobs errored because no live shard remained");
-  counter("saim_router_hedges_total", rs.hedges,
-          "hedge copies dispatched to a replica");
-  counter("saim_router_hedge_wins_total", rs.hedge_wins,
-          "jobs whose hedge copy answered before the owner");
   counter("saim_router_sheds_total", rs.sheds,
           "jobs shed by admission control with a delayed-tagged error");
-  counter("saim_router_replica_hits_total", rs.replica_hits,
-          "hot-key twins routed to a replica instead of the owner");
   counter("saim_supervisor_respawns_total", sup.respawns,
           "successful local shard re-execs");
   counter("saim_supervisor_remote_reconnects_total", sup.remote_reconnects,
@@ -239,9 +231,6 @@ std::string render_fleet_metrics(const service::ShardRouter& router,
     text.histogram_series("saim_shard_roundtrip_ms", shard_label(s),
                           router.latency_snapshot(s));
   }
-  text.histogram("saim_hedge_win_ms", {}, router.hedge_win_snapshot(),
-                 "round trip of hedge copies that answered before the "
-                 "owner, milliseconds");
   return text.str();
 }
 
@@ -268,15 +257,10 @@ int main(int argc, char** argv) {
                 "shard")
       .add_flag("window", "max in-flight jobs per shard", "32")
       .add_flag("replicas",
-                "replication factor R: warm pools/caches mirror to the "
-                "next R-1 shards on the ring, enabling hedged requests "
-                "and hot-key routing (1 disables)",
+                "replication factor R: warm pools mirror to the next "
+                "R-1 shards on the ring, where failover lands (1 "
+                "disables)",
                 "1")
-      .add_flag("hedge-min-ms",
-                "re-dispatch a job still in flight after max(this, the "
-                "shard's round-trip p95) ms to a replica; first result "
-                "wins (0 disables; needs --replicas >= 2)",
-                "0")
       .add_flag("max-queue-depth",
                 "admission control: once this many routed jobs wait for "
                 "a window slot, shed the lowest-priority job with a "
@@ -342,8 +326,6 @@ int main(int argc, char** argv) {
     locals = nonneg("shards");
     router_options.window = std::max<std::size_t>(1, nonneg("window"));
     router_options.replicas = std::max<std::size_t>(1, nonneg("replicas"));
-    router_options.hedge_min_ms =
-        std::max(0.0, args.get_double("hedge-min-ms"));
     router_options.max_queue_depth = nonneg("max-queue-depth");
     supervisor_options.max_restarts = static_cast<int>(
         std::max<std::size_t>(1, nonneg("max-restarts")));
@@ -353,9 +335,6 @@ int main(int argc, char** argv) {
     util::log_error() << "saim_shard: " << e.what();
     return 2;
   }
-  // Hot-key routing bound: one full window queued on the owner means a
-  // twin would wait a whole window behind it — a replica is cheaper.
-  router_options.hot_key_depth = router_options.window;
 
   // Fleet membership: locals first (slots 0..L-1), then remotes.
   std::vector<net::HostPort> remotes;
