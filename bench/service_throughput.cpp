@@ -2,10 +2,9 @@
 // QKP/MKP job stream at 1/4/8 workers, plus the cache hit-rate when the
 // stream repeats itself, plus the warm-start win. Every phase records
 // per-job end-to-end latency into an obs::Histogram and reports
-// count/mean/p50/p95/p99; most phases are
-// closed-loop (each wave submits everything then waits), and the
-// open_loop phase (bench/load_gen) measures the TCP front door at fixed
-// arrival rates free of coordinated omission. Writes BENCH_service.json.
+// count/mean/p50/p95/p99; every phase is closed-loop (each wave submits
+// everything then waits). The open-loop view of the TCP front door is
+// perfbench's online_tiny workload. Writes BENCH_service.json.
 //
 // Phases:
 //   * scaling — a stream of unique jobs (distinct seeds, cache off) timed
@@ -19,7 +18,9 @@
 //     warm-start pool, then a warm wave (distinct seeds, warm_start on)
 //     must reach at least the cold wave's best objective — pooled best
 //     samples are imported, so warm_best <= cold_best (costs negative)
-//     holds by construction and the JSON records it.
+//     holds by construction and the JSON records it. A cold wave with
+//     no feasible sample has nothing to reach: its best is null in the
+//     JSON and warm_reaches_cold is false.
 //   * sharded — the same mixed stream as JSONL lines through the
 //     multi-process front door (service/shard_router + service/Supervisor
 //     — the pump saim_shard ships — over saim_serve children, 1 worker
@@ -29,11 +30,6 @@
 //     overhead is tracked release over release. Throughput should scale
 //     with shard count on multicore boxes. Skipped (and marked so in the
 //     JSON) when the saim_serve binary is not next to the bench.
-//   * open_loop — the event-driven `saim_serve --listen` front door
-//     under an open-loop generator (bench/load_gen.hpp): jobs arrive on
-//     a fixed Poisson schedule at several rates and latency is measured
-//     from each job's SCHEDULED send time, so queueing delay at
-//     saturation is measured, not coordinated-omitted away.
 //
 // The sharded phase runs the Supervisor with respawn, remote reconnects
 // and health pings off, and attaches its children before the timer
@@ -42,6 +38,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -50,7 +47,6 @@
 #include <thread>
 #include <vector>
 
-#include "load_gen.hpp"
 #include "obs/metrics.hpp"
 #include "problems/mkp.hpp"
 #include "problems/qkp.hpp"
@@ -189,18 +185,18 @@ service::SupervisorOptions fixed_fleet_options(const std::string& serve) {
   return options;
 }
 
-/// Spawns one loopback `saim_serve --listen` server (streaming, cache
-/// off), parks the process in `servers`, and returns its bound port — 0
-/// when it fails to come up in time.
+/// Spawns one loopback `saim_serve --listen` server (streaming, 1 worker,
+/// cache off), parks the process in `servers`, and returns its bound
+/// port — 0 when it fails to come up in time.
 int spawn_listen_server(
-    const std::string& serve, const std::string& tag, std::size_t workers,
+    const std::string& serve, const std::string& tag,
     std::vector<std::unique_ptr<service::ProcessChild>>* servers) {
   const std::string port_file = "bench_listen_port_" + tag + ".tmp";
   std::remove(port_file.c_str());
   servers->push_back(std::make_unique<service::ProcessChild>(
       std::vector<std::string>{serve, "--listen", "127.0.0.1:0",
                                "--port-file", port_file, "--stream",
-                               "--workers", std::to_string(workers),
+                               "--workers", "1",
                                "--cache", "0"}));
   int port = 0;
   for (int spin = 0; spin < 5000 && port == 0; ++spin) {
@@ -376,11 +372,16 @@ int main(int argc, char** argv) {
                  /*warm_start=*/true, &warm_best, &warm_latency);
     warm_seeded = svc.stats().warm_seeded;
   }
-  const bool warm_reaches_cold = warm_best <= cold_best;
+  // Both bests stay +inf (null in the JSON) when no job of the wave
+  // found a feasible sample; an infeasible cold wave proves nothing.
+  const bool warm_reaches_cold =
+      std::isfinite(cold_best) && warm_best <= cold_best;
   std::printf("  warm start: cold best %.0f, warm best %.0f (%s, %llu jobs "
               "seeded)\n",
               cold_best, warm_best,
-              warm_reaches_cold ? "warm >= cold objective" : "WARM FELL SHORT",
+              warm_reaches_cold          ? "warm >= cold objective"
+              : std::isfinite(cold_best) ? "WARM FELL SHORT"
+                                         : "NO FEASIBLE COLD SAMPLE",
               static_cast<unsigned long long>(warm_seeded));
 
   util::JsonWriter warm_json;
@@ -439,8 +440,8 @@ int main(int argc, char** argv) {
       std::vector<std::unique_ptr<service::ProcessChild>> servers;
       std::vector<int> ports;  // 0 = never came up; its attach then fails
       for (std::size_t s = 0; s < shards; ++s) {
-        ports.push_back(spawn_listen_server(serve, std::to_string(s),
-                                            /*workers=*/1, &servers));
+        ports.push_back(
+            spawn_listen_server(serve, std::to_string(s), &servers));
       }
       obs::HistogramSnapshot latency;
       const double seconds =
@@ -468,63 +469,6 @@ int main(int argc, char** argv) {
         .field("pipe_over_socket_1shard", socket_overhead);
   }
 
-  // ------------------------------------------------------ open-loop phase
-  // The event-driven front door under fixed arrival rates. One server,
-  // 4 workers; each rate gets a fresh connection and a fresh Poisson
-  // schedule of tiny hot-instance jobs. Latency is measured from each
-  // job's SCHEDULED send time (bench/load_gen.hpp), so when a rate
-  // exceeds capacity the growing queue shows up as growing quantiles
-  // instead of silently stretching the schedule.
-  util::JsonWriter open_loop_json;
-  if (::access(serve.c_str(), X_OK) != 0) {
-    std::printf("  open_loop: skipped ('%s' not executable)\n", serve.c_str());
-    open_loop_json.field("skipped", true);
-  } else {
-    std::vector<std::unique_ptr<service::ProcessChild>> servers;
-    const int port =
-        spawn_listen_server(serve, "openloop", /*workers=*/4, &servers);
-    if (port == 0) {
-      std::printf("  open_loop: skipped (server failed to start)\n");
-      open_loop_json.field("skipped", true);
-    } else {
-      const double rates[] = {50.0, 100.0, 200.0};
-      std::string rows = "[";
-      bool all_completed = true;
-      for (std::size_t r = 0; r < 3; ++r) {
-        bench::LoadGenOptions options;
-        options.rate_per_sec = rates[r];
-        options.total_jobs = static_cast<std::size_t>(rates[r] * 2.0);
-        options.seed = r + 1;
-        const auto report = bench::run_open_loop(
-            "127.0.0.1", port, options, [&](std::size_t i) {
-              util::JsonWriter line;
-              line.field("id", "ol" + std::to_string(i))
-                  .field("gen",
-                         "qkp:30-25-" + std::to_string(i % 4 + 1))
-                  .field("iterations", std::uint64_t{2})
-                  .field("sweeps", std::uint64_t{30})
-                  .field("seed", static_cast<std::uint64_t>(i + 1))
-                  .field("cache", false);
-              return line.take();
-            });
-        all_completed = all_completed && report.completed_all();
-        std::printf("  open loop %5.0f jobs/sec offered: %zu/%zu done, "
-                    "sched-send p50/p99/p99.9 %.1f/%.1f/%.1f ms\n",
-                    rates[r], report.completed, report.sent,
-                    report.latency.quantile(0.50),
-                    report.latency.quantile(0.99),
-                    report.latency.quantile(0.999));
-        rows += (r ? "," : "") + bench::load_gen_report_json(report);
-      }
-      rows += "]";
-      for (auto& server : servers) server->terminate();
-      open_loop_json.field("skipped", false)
-          .field("workers", std::uint64_t{4})
-          .field("all_completed", all_completed)
-          .raw_field("rates", rows);
-    }
-  }
-
   util::JsonWriter doc;
   doc.field("bench", "service_throughput")
       .field("jobs", static_cast<std::uint64_t>(jobs))
@@ -538,8 +482,7 @@ int main(int argc, char** argv) {
       .field("scaling_1_to_4", scaling_1_to_4)
       .raw_field("cache", cache_json.str())
       .raw_field("warm", warm_json.str())
-      .raw_field("sharded", sharded_json.str())
-      .raw_field("open_loop", open_loop_json.str());
+      .raw_field("sharded", sharded_json.str());
 
   const std::string out_path = args.get("out");
   std::ofstream out(out_path);

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -45,7 +46,7 @@ int bound_port(int fd) {
 }  // namespace
 
 Listener::Listener(const std::string& host, int port) {
-  // Session threads write to accepted fds; a client that disconnects
+  // The server writes to accepted fds; a client that disconnects
   // mid-result must not SIGPIPE the whole server.
   ignore_sigpipe_once();
   addrinfo hints{};
@@ -111,11 +112,6 @@ std::optional<int> Listener::accept_fd() {
     const int client = ::accept(fd_, nullptr, nullptr);
     if (client >= 0) {
       set_cloexec(client);
-      // BSD-derived systems make accepted fds inherit the listener's
-      // O_NONBLOCK; the contract here is a BLOCKING fd (session threads
-      // depend on it), so clear it explicitly everywhere.
-      const int flags = ::fcntl(client, F_GETFL, 0);
-      if (flags >= 0) ::fcntl(client, F_SETFL, flags & ~O_NONBLOCK);
       return client;
     }
     if (errno == EINTR) continue;
@@ -127,6 +123,14 @@ void Listener::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
+  }
+}
+
+void write_port_file(const std::string& path, int port) {
+  if (path.empty()) return;
+  std::ofstream file(path);
+  if (!(file << port << "\n")) {
+    throw std::runtime_error("cannot write '" + path + "'");
   }
 }
 

@@ -25,9 +25,8 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   /// Accepts one pending connection; std::nullopt when none is waiting.
-  /// The returned fd is connected but otherwise untouched (blocking) —
-  /// wrap it in net::Connection for non-blocking line IO, or keep it
-  /// blocking for a dedicated session thread.
+  /// The returned fd is connected and close-on-exec; wrap it in
+  /// net::Connection, which makes it non-blocking.
   std::optional<int> accept_fd();
 
   void close();
@@ -41,5 +40,11 @@ class Listener {
   int fd_ = -1;
   int port_ = 0;
 };
+
+/// Writes `port` and a newline to `path` — the rendezvous for port 0:
+/// readers poll the file until it is nonempty. An empty path writes
+/// nothing. Throws std::runtime_error naming the path when it cannot be
+/// written.
+void write_port_file(const std::string& path, int port);
 
 }  // namespace saim::net

@@ -148,6 +148,11 @@ class EventServer {
   /// Thread-safe: asks run() to begin the graceful shutdown sequence.
   void stop();
 
+  /// The reactor run() drives: the owner may register fds of its own
+  /// (saim_serve's --metrics endpoint) before run(), and must remove
+  /// them before the server is destroyed.
+  [[nodiscard]] net::EventLoop& loop() noexcept { return loop_; }
+
   /// Test-visible counters (readable from any thread while run() spins).
   /// All but backpressure_pauses are connection metrics: zero without a
   /// listener.

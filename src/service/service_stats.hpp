@@ -7,9 +7,10 @@
 //                                exposition (format 0.0.4).
 //
 // Both read only atomics and the mutex-guarded registry, so they are safe
-// to call from any thread (the metrics server's scrape thread included)
-// while workers run. scripts/check_protocol_docs.sh greps this module's
-// .cpp for emitted field names — keep docs/PROTOCOL.md in lockstep.
+// to call from any thread (the reactor serving a --metrics scrape
+// included) while workers run. scripts/check_protocol_docs.sh greps this
+// module's .cpp for emitted field names — keep docs/PROTOCOL.md in
+// lockstep.
 #pragma once
 
 #include <string>

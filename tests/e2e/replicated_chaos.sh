@@ -4,12 +4,17 @@
 #   1. A mid-stream scrape of the fleet's --metrics endpoint exposes the
 #      shed counter and a well-formed per-shard round-trip histogram
 #      (cumulative buckets ending in +Inf, _count equal to the +Inf
-#      bucket, a _sum), before any chaos.
-#   2. SIGKILL one saim_serve child once the first result is out: the
+#      bucket, a _sum), before any chaos. The front door runs ONE
+#      thread with --metrics on: scrapes are served on its own loop
+#      (checked where /proc exists).
+#   2. Scrapes render on request: once k result lines have reached
+#      stdout, one scrape with no wait shows saim_router_emitted_total
+#      >= k.
+#   3. SIGKILL one saim_serve child once the first result is out: the
 #      supervisor reports it "down, respawning".
-#   3. All 12 jobs are delivered exactly once, with no error lines and
+#   4. All 12 jobs are delivered exactly once, with no error lines and
 #      contiguous seq 0..11.
-#   4. No "WARNING: ThreadSanitizer" line reaches stderr (the tsan CI job
+#   5. No "WARNING: ThreadSanitizer" line reaches stderr (the tsan CI job
 #      runs this script against a -DSAIM_SANITIZE=thread build).
 #
 # Usage: tests/e2e/replicated_chaos.sh SAIM_SHARD
@@ -73,11 +78,31 @@ for shard in ('0', '1'):
                      re.MULTILINE), shard
 EOF
 
-# 2. SIGKILL a shard once the first result is out.
+if [[ -d /proc/$shard_pid/task ]]; then
+  tasks=("/proc/$shard_pid/task"/*)
+  [[ ${#tasks[@]} -eq 1 ]] \
+    || { echo "saim_shard runs ${#tasks[@]} threads, want 1" >&2; exit 1; }
+fi
+
+# 2. A fresh scrape once the first result is out.
 for _ in $(seq 1 6000); do
   [[ -s chaos_out.jsonl ]] && break
   sleep 0.01
 done
+python3 - "$(cat metrics_port.tmp)" <<'EOF'
+import re
+import sys
+import urllib.request
+
+seen = sum(1 for line in open('chaos_out.jsonl') if line.endswith('\n'))
+text = urllib.request.urlopen(
+    'http://127.0.0.1:%s/metrics' % sys.argv[1], timeout=10).read().decode()
+emitted = int(re.search(r'^saim_router_emitted_total (\d+)$', text,
+                        re.MULTILINE).group(1))
+assert seen >= 1 and emitted >= seen, (seen, emitted)
+EOF
+
+# 3. SIGKILL a shard.
 # -P pins the victim to THIS fleet: under `ctest -j` another case's
 # saim_serve may be running too.
 victim=$(pgrep -P "$shard_pid" -x saim_serve | head -1)
@@ -88,7 +113,7 @@ shard_pid=
 grep -q "down, respawning" chaos_err.txt \
   || { cat chaos_err.txt >&2; echo "no respawn reported" >&2; exit 1; }
 
-# 3. Exactly once, contiguous seq.
+# 4. Exactly once, contiguous seq.
 python3 - <<'EOF'
 import json
 lines = [json.loads(l) for l in open('chaos_out.jsonl')]
@@ -97,11 +122,11 @@ assert not any('error' in l for l in lines), lines
 assert sorted(l['seq'] for l in lines) == list(range(12)), lines
 EOF
 
-# 4. No sanitizer report.
+# 5. No sanitizer report.
 if grep -q "WARNING: ThreadSanitizer" chaos_err.txt; then
   cat chaos_err.txt >&2
   echo "TSan report during the chaos smoke" >&2
   exit 1
 fi
 
-echo 'replicated chaos OK: metrics scrape, SIGKILL + respawn, 12 jobs exactly once'
+echo "replicated chaos OK: one thread, fresh metrics scrapes, SIGKILL + respawn, 12 jobs exactly once"

@@ -1,14 +1,17 @@
 // Tests for the observability subsystem (ISSUE 7): histogram bucket
 // boundaries, quantile interpolation and snapshot merging; registry
 // get-or-create semantics and thread-safety (ASan/TSan-friendly: many
-// threads hammer the same names); Prometheus text rendering; and a real
-// scrape of the MetricsServer endpoint returning every registered
-// series.
+// threads hammer the same names); Prometheus text rendering; and real
+// scrapes of the MetricsServer endpoint on an event loop the test
+// thread drives: every registered series, a producer failure, stalled
+// and over-cap scrapers, and a request head split across writes.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "net/connection.hpp"
+#include "net/event_loop.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_server.hpp"
 
@@ -204,7 +208,8 @@ TEST(PromText, LabeledHistogramSeriesShareOneHeader) {
 // -------------------------------------------------------- metrics server
 
 /// One-shot HTTP GET against the endpoint; returns the whole response
-/// (headers + body) with lines re-joined by '\n'.
+/// (headers + body) with lines re-joined by '\n'. Runs on a helper
+/// thread while the test thread drives the endpoint's loop.
 std::string http_get(int port) {
   net::Connection conn = net::connect_to("127.0.0.1", port);
   conn.send_line("GET /metrics HTTP/1.0\r");
@@ -231,17 +236,43 @@ std::string http_get(int port) {
   return response;
 }
 
+/// Runs `client` on a helper thread and drives `loop` on this one until
+/// the client returns: the endpoint lives on the loop, as in the tools.
+template <typename Client>
+auto drive_until_done(net::EventLoop& loop, Client client) {
+  auto result = std::async(std::launch::async, std::move(client));
+  while (result.wait_for(std::chrono::seconds(0)) !=
+         std::future_status::ready) {
+    loop.run_once(5);
+  }
+  return result.get();
+}
+
+/// Drives `loop` until `done()` holds or 10 s pass; returns done().
+template <typename Pred>
+bool drive_until(net::EventLoop& loop, Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    loop.run_once(5);
+  }
+  return done();
+}
+
 TEST(MetricsServer, ScrapeReturnsEveryRegisteredSeries) {
   MetricsRegistry registry;
   registry.counter("saim_jobs_total", "jobs").add(42);
   registry.gauge("saim_inflight", "inflight").set(1.0);
   registry.histogram("saim_latency_ms", "latency").observe(3.5);
 
-  MetricsServer server("127.0.0.1", 0,
+  net::EventLoop loop;
+  MetricsServer server(loop, "127.0.0.1", 0,
                        [&registry] { return registry.render_prometheus(); });
-  ASSERT_GT(server.port(), 0);
+  const int port = server.port();
+  ASSERT_GT(port, 0);
 
-  const std::string response = http_get(server.port());
+  const std::string response =
+      drive_until_done(loop, [port] { return http_get(port); });
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
   for (const auto& name : registry.names()) {
@@ -251,20 +282,128 @@ TEST(MetricsServer, ScrapeReturnsEveryRegisteredSeries) {
   EXPECT_NE(response.find("saim_jobs_total 42"), std::string::npos);
 
   // The endpoint is one-shot per connection but serves any number of
-  // connections; a second scrape sees updated values.
+  // connections; a second scrape renders the updated values.
   registry.counter("saim_jobs_total").add(1);
-  EXPECT_NE(http_get(server.port()).find("saim_jobs_total 43"),
+  EXPECT_NE(drive_until_done(loop, [port] { return http_get(port); })
+                .find("saim_jobs_total 43"),
             std::string::npos);
-  server.stop();
+  EXPECT_EQ(server.open_scrapes(), 0u) << "answered scrapes close";
 }
 
 TEST(MetricsServer, ProducerFailureIsA500NotACrash) {
-  MetricsServer server("127.0.0.1", 0, []() -> std::string {
+  net::EventLoop loop;
+  MetricsServer server(loop, "127.0.0.1", 0, []() -> std::string {
     throw std::runtime_error("boom");
   });
-  const std::string response = http_get(server.port());
+  const int port = server.port();
+  const std::string response =
+      drive_until_done(loop, [port] { return http_get(port); });
   EXPECT_NE(response.find("500"), std::string::npos) << response;
   EXPECT_NE(response.find("metrics producer failed"), std::string::npos);
+}
+
+TEST(MetricsServer, StalledScraperBlocksNothing) {
+  net::EventLoop loop;
+  MetricsServer server(loop, "127.0.0.1", 0,
+                       [] { return std::string("saim_up 1\n"); });
+  const int port = server.port();
+
+  // Connects and never sends a byte.
+  net::Connection stalled = net::connect_to("127.0.0.1", port);
+  ASSERT_TRUE(drive_until(loop, [&] { return server.open_scrapes() == 1; }));
+
+  const std::string response =
+      drive_until_done(loop, [port] { return http_get(port); });
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("saim_up 1"), std::string::npos) << response;
+
+  // Another fd on the same loop is still dispatched.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  bool dispatched = false;
+  loop.add_fd(pipe_fds[0], net::EventLoop::kRead,
+              [&dispatched](std::uint32_t) { dispatched = true; });
+  ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
+  EXPECT_TRUE(drive_until(loop, [&] { return dispatched; }));
+  loop.remove_fd(pipe_fds[0]);
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+
+  EXPECT_EQ(server.open_scrapes(), 1u) << "the stalled scrape stays open";
+  (void)stalled.read_lines();
+  EXPECT_FALSE(stalled.eof()) << "and nobody answered it";
+}
+
+TEST(MetricsServer, OpenScrapeCapClosesTheOldest) {
+  net::EventLoop loop;
+  MetricsServer server(loop, "127.0.0.1", 0,
+                       [] { return std::string("saim_up 1\n"); });
+  std::vector<net::Connection> stalled;
+  for (std::size_t i = 0; i < MetricsServer::kMaxOpenScrapes; ++i) {
+    stalled.push_back(net::connect_to("127.0.0.1", server.port()));
+    // One accept at a time pins the accept order to the connect order.
+    ASSERT_TRUE(
+        drive_until(loop, [&] { return server.open_scrapes() == i + 1; }));
+  }
+
+  net::Connection newest = net::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(drive_until(loop, [&] {
+    (void)stalled.front().read_lines();
+    return stalled.front().eof();
+  })) << "accepting past the cap closes the oldest scrape";
+  EXPECT_EQ(server.open_scrapes(), MetricsServer::kMaxOpenScrapes);
+  for (std::size_t i = 1; i < stalled.size(); ++i) {
+    (void)stalled[i].read_lines();
+    EXPECT_FALSE(stalled[i].eof()) << "scrape " << i << " stays open";
+  }
+
+  // The newest one is served as usual.
+  newest.send_line("GET / HTTP/1.0\r");
+  newest.send_line("\r");
+  newest.pump_writes();
+  std::string response;
+  ASSERT_TRUE(drive_until(loop, [&] {
+    for (const auto& line : newest.read_lines()) response += line + "\n";
+    return newest.eof();
+  }));
+  EXPECT_NE(response.find("saim_up 1"), std::string::npos) << response;
+}
+
+TEST(MetricsServer, HeadSplitAcrossWrites) {
+  net::EventLoop loop;
+  int renders = 0;
+  MetricsServer server(loop, "127.0.0.1", 0, [&renders] {
+    ++renders;
+    return std::string("saim_up 1\n");
+  });
+  net::Connection client = net::connect_to("127.0.0.1", server.port());
+  const auto send_raw = [&client](const std::string& bytes) {
+    ASSERT_EQ(::write(client.fd(), bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  };
+
+  // Every piece but the last leaves the head unfinished: no response.
+  for (const std::string piece :
+       {"GET /met", "rics HTTP/1.0\r\nHost: x", "\r\n", "\r"}) {
+    send_raw(piece);
+    for (int i = 0; i < 10; ++i) loop.run_once(2);
+    EXPECT_TRUE(client.read_lines().empty()) << "after '" << piece << "'";
+    EXPECT_FALSE(client.eof());
+  }
+  EXPECT_EQ(renders, 0);
+
+  send_raw("\n");
+  std::string response;
+  ASSERT_TRUE(drive_until(loop, [&] {
+    for (const auto& line : client.read_lines()) response += line + "\n";
+    return client.eof();
+  }));
+  EXPECT_EQ(renders, 1) << "the producer runs once per scrape";
+  EXPECT_EQ(response.find("HTTP/1.0 200 OK"), 0u) << response;
+  EXPECT_NE(response.find("Content-Length: 10\r"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("\r\n\r\nsaim_up 1\n"), std::string::npos)
+      << response;
 }
 
 }  // namespace

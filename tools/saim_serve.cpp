@@ -39,7 +39,8 @@
 // {"id":...,"service":{...}} snapshot: counters, cache/warm-pool state,
 // per-stage latency quantiles), export_warm/import_warm (warm-pool
 // handoff between processes). --metrics host:port serves the same
-// service state as a Prometheus text-format scrape; jobs with
+// service state as a Prometheus text-format scrape, answered on the
+// EventServer's own reactor and rendered when scraped; jobs with
 // "trace":true get a per-stage "timing" object on their result line.
 //
 // Example:
@@ -52,13 +53,13 @@
 // stream.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "net/connection.hpp"
+#include "net/listener.hpp"
 #include "net/stdio.hpp"
 #include "obs/metrics_server.hpp"
 #include "service/event_server.hpp"
@@ -72,24 +73,31 @@ namespace {
 
 using namespace saim;
 
-/// The port file is the rendezvous for port 0 (ephemeral): written
-/// atomically enough for a single int — readers poll until nonempty.
-bool write_port_file(const std::string& path, int port) {
-  if (path.empty()) return true;
-  std::ofstream pf(path);
-  if (!pf) {
-    util::log_error() << "saim_serve: cannot write '" << path << "'";
-    return false;
-  }
-  pf << port << "\n";
-  return true;
+/// --metrics and --metrics-port-file, carried to whichever transport
+/// runs.
+struct MetricsFlags {
+  std::string spec;
+  std::string port_file;
+};
+
+/// The --metrics endpoint on `server`'s reactor (null without
+/// --metrics). It renders straight off the service, whose stats struct
+/// and metrics registry are atomic. Throws like obs::serve_metrics;
+/// destroy it before the server.
+std::unique_ptr<obs::MetricsServer> serve_metrics(
+    service::EventServer& server, service::SolveService& svc,
+    const MetricsFlags& metrics) {
+  return obs::serve_metrics(
+      server.loop(), metrics.spec, metrics.port_file,
+      [&svc] { return service::service_metrics_prometheus(svc); });
 }
 
 /// --listen: the event-driven front door (service/EventServer — see its
 /// header for the backpressure, cap and deadline semantics).
 int serve_listen(service::SolveService& svc, const std::string& spec,
                  const std::string& port_file,
-                 service::EventServerOptions options) {
+                 service::EventServerOptions options,
+                 const MetricsFlags& metrics) {
   const auto hostport = net::parse_hostport(spec);
   if (!hostport) {
     util::log_error() << "saim_serve: bad --listen '" << spec
@@ -99,13 +107,15 @@ int serve_listen(service::SolveService& svc, const std::string& spec,
   options.host = hostport->host;
   options.port = hostport->port;
   std::unique_ptr<service::EventServer> server;
+  std::unique_ptr<obs::MetricsServer> metrics_endpoint;
   try {
     server = std::make_unique<service::EventServer>(svc, std::move(options));
+    metrics_endpoint = serve_metrics(*server, svc, metrics);
+    net::write_port_file(port_file, server->port());
   } catch (const std::exception& e) {
     util::log_error() << "saim_serve: " << e.what();
     return 2;
   }
-  if (!write_port_file(port_file, server->port())) return 2;
   util::log_info() << "saim_serve: listening on " << hostport->host << ":"
                    << server->port();
   return server->run();
@@ -116,7 +126,8 @@ int serve_listen(service::SolveService& svc, const std::string& spec,
 /// duplicates of 0 and 1.
 int serve_stdio(service::SolveService& svc, const std::string& input,
                 const std::string& output,
-                const service::SessionOptions& session) {
+                const service::SessionOptions& session,
+                const MetricsFlags& metrics) {
   int in_fd = -1;
   int out_fd = -1;
   std::string bad_path;
@@ -129,7 +140,15 @@ int serve_stdio(service::SolveService& svc, const std::string& input,
   const net::StdioFlagsGuard stdio_flags;
   service::EventServerOptions options;
   options.session = session;
-  return service::EventServer(svc, in_fd, out_fd, std::move(options)).run();
+  service::EventServer server(svc, in_fd, out_fd, std::move(options));
+  std::unique_ptr<obs::MetricsServer> metrics_endpoint;
+  try {
+    metrics_endpoint = serve_metrics(server, svc, metrics);
+  } catch (const std::exception& e) {
+    util::log_error() << "saim_serve: " << e.what();
+    return 2;
+  }
+  return server.run();
 }
 
 }  // namespace
@@ -215,47 +234,22 @@ int main(int argc, char** argv) {
   }
   service::SolveService svc(service_options);
 
-  // --metrics: a scrape thread rendering straight off the service — its
-  // stats struct and metrics registry are atomic, so the producer is safe
-  // to run concurrently with every session thread.
-  std::unique_ptr<obs::MetricsServer> metrics_server;
-  const std::string metrics_spec = args.get("metrics");
-  if (!metrics_spec.empty()) {
-    const auto hostport = net::parse_hostport(metrics_spec);
-    if (!hostport) {
-      util::log_error() << "saim_serve: bad --metrics '" << metrics_spec
-                        << "' (want host:port)";
-      return 2;
-    }
-    try {
-      metrics_server = std::make_unique<obs::MetricsServer>(
-          hostport->host, hostport->port,
-          [&svc] { return service::service_metrics_prometheus(svc); });
-    } catch (const std::exception& e) {
-      util::log_error() << "saim_serve: " << e.what();
-      return 2;
-    }
-    if (!write_port_file(args.get("metrics-port-file"),
-                         metrics_server->port())) {
-      return 2;
-    }
-    util::log_info() << "saim_serve: metrics on " << hostport->host << ":"
-                     << metrics_server->port();
-  }
-
   service::SessionOptions session_options;
   session_options.stream = args.get_bool("stream");
   session_options.warm_default = args.get_bool("warm-start");
+
+  const MetricsFlags metrics{args.get("metrics"),
+                             args.get("metrics-port-file")};
 
   int exit_code = 0;
   if (!args.get("listen").empty()) {
     listen_options.auth_token = args.get("auth-token");
     listen_options.session = session_options;
     exit_code = serve_listen(svc, args.get("listen"), args.get("port-file"),
-                             std::move(listen_options));
+                             std::move(listen_options), metrics);
   } else {
     exit_code = serve_stdio(svc, args.get("input"), args.get("output"),
-                            session_options);
+                            session_options, metrics);
   }
 
   if (args.get_bool("stats")) {

@@ -14,13 +14,13 @@
 // crash respawn with backoff, ring rejoin, live resharding, warm-pool
 // handoff, health probes — is service/supervisor.
 //
-// One thread runs it all (plus the --metrics scrape thread when asked):
-// stdin and stdout are one net::Connection registered on the
-// supervisor's net::EventLoop next to every shard endpoint, so the tool
-// sleeps in Supervisor::pump until input, a shard, room on the output,
-// a signal or a fleet deadline wakes it. The fd callbacks only buffer
-// lines and flush output; routing and control lines are handled between
-// pumps.
+// One thread runs it all: stdin and stdout are one net::Connection
+// registered on the supervisor's net::EventLoop next to every shard
+// endpoint and, with --metrics, the scrape endpoint, so the tool sleeps
+// in Supervisor::pump until input, a shard, room on the output, a
+// scrape, a signal or a fleet deadline wakes it. The fd callbacks only
+// buffer lines, flush output and answer scrapes; routing and control
+// lines are handled between pumps.
 //
 // Semantics (inherited from router + supervisor):
 //   * results stream in global completion order, each accepted job tagged
@@ -61,14 +61,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -85,8 +83,6 @@
 #include "util/cli.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace {
 
@@ -100,15 +96,6 @@ void on_signal(int) {
   g_signal = 1;
   if (net::EventLoop* loop = g_loop.load()) loop->wakeup();  // one write()
 }
-
-/// The latest pre-rendered Prometheus payload, published by the main loop
-/// every ~250 ms and served by the MetricsServer scrape thread. A named
-/// struct (not locals) so the shared string carries a thread-safety
-/// annotation — attributes cannot attach to function-local variables.
-struct MetricsPublisher {
-  util::Mutex mutex;
-  std::string payload SAIM_GUARDED_BY(mutex);
-};
 
 /// saim_serve is expected to sit next to saim_shard unless --serve says
 /// otherwise.
@@ -147,9 +134,8 @@ std::string shard_label(std::size_t s) {
   return "shard=\"" + std::to_string(s) + "\"";
 }
 
-/// Prometheus exposition of the router/supervisor state. Runs on the MAIN
-/// thread only (both owners are single-threaded); the MetricsServer thread
-/// serves the latest pre-rendered copy published under a mutex.
+/// Prometheus exposition of the router/supervisor state, rendered by the
+/// MetricsServer on the supervisor's loop each time it is scraped.
 std::string render_fleet_metrics(const service::ShardRouter& router,
                                  const service::Supervisor& supervisor) {
   obs::PromText text;
@@ -396,6 +382,21 @@ int main(int argc, char** argv) {
   }
   net::Connection io(in_fd, out_fd);
 
+  // --metrics: scrapes are served on the supervisor's loop, between the
+  // pumps' other callbacks, so the exposition renders straight off the
+  // single-threaded router and supervisor whenever it is asked for.
+  std::unique_ptr<obs::MetricsServer> metrics_server;
+  try {
+    metrics_server = obs::serve_metrics(
+        loop, args.get("metrics"), args.get("metrics-port-file"),
+        [&router, &supervisor] {
+          return render_fleet_metrics(router, supervisor);
+        });
+  } catch (const std::exception& e) {
+    util::log_error() << "saim_shard: " << e.what();
+    return 2;
+  }
+
   for (std::size_t s = 0; s < locals; ++s) supervisor.attach_local(s);
   for (std::size_t i = 0; i < remotes.size(); ++i) {
     try {
@@ -404,48 +405,6 @@ int main(int argc, char** argv) {
       util::log_error() << "saim_shard: " << e.what();
       return 2;
     }
-  }
-
-  // --metrics: one background scrape thread serving the latest
-  // pre-rendered exposition. The router and supervisor are single-threaded
-  // (owned by this loop), so the server never reads them directly — the
-  // loop republishes the payload under the mutex every ~250 ms.
-  MetricsPublisher metrics_pub;
-  {
-    util::MutexLock lock(metrics_pub.mutex);
-    metrics_pub.payload = render_fleet_metrics(router, supervisor);
-  }
-  std::unique_ptr<obs::MetricsServer> metrics_server;
-  const std::string metrics_spec = args.get("metrics");
-  if (!metrics_spec.empty()) {
-    const auto hostport = net::parse_hostport(metrics_spec);
-    if (!hostport) {
-      util::log_error() << "saim_shard: bad --metrics '" << metrics_spec
-                        << "' (want host:port)";
-      return 2;
-    }
-    try {
-      metrics_server = std::make_unique<obs::MetricsServer>(
-          hostport->host, hostport->port, [&metrics_pub] {
-            util::MutexLock lock(metrics_pub.mutex);
-            return metrics_pub.payload;
-          });
-    } catch (const std::exception& e) {
-      util::log_error() << "saim_shard: " << e.what();
-      return 2;
-    }
-    const std::string metrics_port_file = args.get("metrics-port-file");
-    if (!metrics_port_file.empty()) {
-      std::ofstream pf(metrics_port_file);
-      if (!pf) {
-        util::log_error() << "saim_shard: cannot write '" << metrics_port_file
-                          << "'";
-        return 2;
-      }
-      pf << metrics_server->port() << "\n";
-    }
-    util::log_info() << "metrics on " << hostport->host << ":"
-                     << metrics_server->port();
   }
 
   // Intake backpressure: stop routing when this many jobs wait for a
@@ -498,7 +457,6 @@ int main(int argc, char** argv) {
   };
 
   std::size_t line_no = 0;
-  auto next_metrics_refresh = std::chrono::steady_clock::now();
   for (;;) {
     if (g_signal && intake_open) {
       intake_open = false;  // drain what was accepted, then leave
@@ -510,17 +468,6 @@ int main(int argc, char** argv) {
       util::log_error()
           << "saim_shard: output closed before every result was written";
       break;
-    }
-
-    if (metrics_server &&
-        std::chrono::steady_clock::now() >= next_metrics_refresh) {
-      std::string rendered = render_fleet_metrics(router, supervisor);
-      {
-        util::MutexLock lock(metrics_pub.mutex);
-        metrics_pub.payload = std::move(rendered);
-      }
-      next_metrics_refresh =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
     }
 
     // Route buffered input as far as backpressure allows, intercepting
@@ -601,9 +548,9 @@ int main(int argc, char** argv) {
     if (input_done && router.idle()) break;
 
     // Sleep until input, a shard, room on the output, a signal or a
-    // fleet deadline — or, with --metrics, at most one refresh interval.
+    // fleet deadline (a scrape is served inside the pump).
     watch_io();
-    emit(supervisor.pump(metrics_server ? 250 : -1));
+    emit(supervisor.pump(-1));
   }
 
   if (saw_shutdown_cmd) {
@@ -618,7 +565,7 @@ int main(int argc, char** argv) {
   // flushing while the fleet drains.
   intake_open = false;
   watch_io();
-  metrics_server.reset();  // last scrape before the fleet state goes away
+  metrics_server.reset();  // the endpoint closes before the fleet goes
   supervisor.shutdown_fleet();
   emit(supervisor.drain_deferred());
   while (io.outbound_bytes() > 0) {
