@@ -1,6 +1,7 @@
 // Service-layer throughput bench: jobs/sec of SolveService on a mixed
 // QKP/MKP job stream at 1/4/8 workers, plus the cache hit-rate when the
-// stream repeats itself, plus the warm-start win. Every phase records
+// stream repeats itself, plus the same stream through the sharded front
+// door. Every phase records
 // per-job end-to-end latency into an obs::Histogram and reports
 // count/mean/p50/p95/p99; every phase is closed-loop (each wave submits
 // everything then waits). The open-loop view of the TCP front door is
@@ -14,13 +15,6 @@
 //   * cache — the same mixed stream submitted twice through a caching
 //     service: the second wave is pure cache hits, and the measured
 //     hit-rate and hit-serving throughput quantify what the cache buys.
-//   * warm — a hot-instance workload: a cold wave populates the
-//     warm-start pool, then a warm wave (distinct seeds, warm_start on)
-//     must reach at least the cold wave's best objective — pooled best
-//     samples are imported, so warm_best <= cold_best (costs negative)
-//     holds by construction and the JSON records it. A cold wave with
-//     no feasible sample has nothing to reach: its best is null in the
-//     JSON and warm_reaches_cold is false.
 //   * sharded — the same mixed stream as JSONL lines through the
 //     multi-process front door (service/shard_router + service/Supervisor
 //     — the pump saim_shard ships — over saim_serve children, 1 worker
@@ -38,10 +32,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -87,42 +79,13 @@ std::vector<service::SolveRequest> make_mixed_stream(std::size_t instances,
 service::SolveRequest make_request(const service::SolveRequest& base,
                                    std::size_t iterations,
                                    std::size_t sweeps, std::uint64_t seed,
-                                   bool use_cache, bool warm_start = false) {
+                                   bool use_cache) {
   service::SolveRequest request = base;
   request.backend.sweeps = sweeps;
   request.options.iterations = iterations;
   request.options.seed = seed;
   request.use_cache = use_cache;
-  request.warm_start = warm_start;
   return request;
-}
-
-/// Submits `jobs` same-instance requests (distinct seeds starting at
-/// `seed0`) and waits; returns wall seconds and min best_cost via out-param.
-double run_hot_wave(service::SolveService& svc,
-                    const service::SolveRequest& hot, std::size_t jobs,
-                    std::size_t iterations, std::size_t sweeps,
-                    std::uint64_t seed0, bool warm_start,
-                    double* best_cost = nullptr,
-                    obs::Histogram* latency = nullptr) {
-  std::vector<service::JobHandle> handles;
-  handles.reserve(jobs);
-  util::WallTimer timer;
-  for (std::size_t j = 0; j < jobs; ++j) {
-    handles.push_back(svc.submit(make_request(hot, iterations, sweeps,
-                                              seed0 + j, /*use_cache=*/false,
-                                              warm_start)));
-  }
-  double best = std::numeric_limits<double>::infinity();
-  for (auto& h : handles) {
-    const auto response = h.wait();
-    if (latency) latency->observe(response->timing.total_ms);
-    if (response->result->found_feasible) {
-      best = std::min(best, response->result->best_cost);
-    }
-  }
-  if (best_cost) *best_cost = best;
-  return timer.seconds();
 }
 
 /// Submits `jobs` requests (seed = job index when unique_seeds) and waits
@@ -354,44 +317,6 @@ int main(int argc, char** argv) {
       .raw_field("latency",
                  service::latency_quantiles_json(cache_latency.snapshot()));
 
-  // ----------------------------------------------------------- warm phase
-  // Cold wave fills the pool; warm wave must reach >= its best objective.
-  double cold_best = 0.0;
-  double warm_best = 0.0;
-  std::uint64_t warm_seeded = 0;
-  obs::Histogram warm_latency;  // both waves of the phase
-  {
-    service::ServiceOptions options;
-    options.workers = 1;
-    options.cache_capacity = 0;  // isolate the pool from result replay
-    service::SolveService svc(options);
-    const auto& hot = templates.front();
-    run_hot_wave(svc, hot, jobs, iterations, sweeps, /*seed0=*/1,
-                 /*warm_start=*/false, &cold_best, &warm_latency);
-    run_hot_wave(svc, hot, jobs, iterations, sweeps, /*seed0=*/1000,
-                 /*warm_start=*/true, &warm_best, &warm_latency);
-    warm_seeded = svc.stats().warm_seeded;
-  }
-  // Both bests stay +inf (null in the JSON) when no job of the wave
-  // found a feasible sample; an infeasible cold wave proves nothing.
-  const bool warm_reaches_cold =
-      std::isfinite(cold_best) && warm_best <= cold_best;
-  std::printf("  warm start: cold best %.0f, warm best %.0f (%s, %llu jobs "
-              "seeded)\n",
-              cold_best, warm_best,
-              warm_reaches_cold          ? "warm >= cold objective"
-              : std::isfinite(cold_best) ? "WARM FELL SHORT"
-                                         : "NO FEASIBLE COLD SAMPLE",
-              static_cast<unsigned long long>(warm_seeded));
-
-  util::JsonWriter warm_json;
-  warm_json.field("cold_best_cost", cold_best)
-      .field("warm_best_cost", warm_best)
-      .field("warm_reaches_cold", warm_reaches_cold)
-      .field("warm_seeded", warm_seeded)
-      .raw_field("latency",
-                 service::latency_quantiles_json(warm_latency.snapshot()));
-
   // -------------------------------------------------------- sharded phase
   // The same mixed stream through the multi-process front door at growing
   // shard counts (1 solver worker per shard, cache off): jobs/sec should
@@ -481,7 +406,6 @@ int main(int argc, char** argv) {
       .raw_field("workers", workers_json)
       .field("scaling_1_to_4", scaling_1_to_4)
       .raw_field("cache", cache_json.str())
-      .raw_field("warm", warm_json.str())
       .raw_field("sharded", sharded_json.str());
 
   const std::string out_path = args.get("out");

@@ -9,16 +9,20 @@
 #     rewritten/error lines, the supervisor's fleet control lines, the
 #     socket dialer's auth handshake, and whatever the tools emit
 #     themselves),
-#   * request-side: the kKnownKeys job whitelist and the kControlKeys
-#     control-line whitelist in src/service/job_parser.cpp —
+#   * request-side: the kKnownKeys job whitelist, the kControlKeys
+#     control-line whitelist and the kCommands control-command list in
+#     src/service/job_parser.cpp —
 # and fails when any name is missing from the doc (backtick-quoted, so a
 # prose mention by accident does not count).
 #
-# CLI flags are gated in both directions: every flag the two tools
-# register (add_flag/add_bool/add_multi in tools/saim_serve.cpp and
-# tools/saim_shard.cpp) must appear in the doc as --name, and every
-# flag-table row (| `--name` | ...) must name a flag the tools still
-# register, so a deleted flag cannot linger in the table.
+# Job keys, control commands and CLI flags are gated in both directions:
+# every flag the two tools register (add_flag/add_bool/add_multi in
+# tools/saim_serve.cpp and tools/saim_shard.cpp) must appear in the doc as
+# --name, every row of the job-field tables (the `| \`name\` |` rows of
+# "## Request lines") must name a key in kKnownKeys, every row of the
+# `cmd` table ("## Control lines") a command in kCommands, and every
+# flag-table row (| `--name` | ...) a flag the tools still register — so
+# a deleted key, command or flag cannot linger in a table.
 #
 # Run from anywhere; ctest runs it as check_protocol_docs.
 set -euo pipefail
@@ -40,6 +44,23 @@ accepted=$(awk '/kKnownKeys = \{/,/\};/' src/service/job_parser.cpp |
            grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
 control=$(awk '/kControlKeys = \{/,/\};/' src/service/job_parser.cpp |
           grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
+commands=$(awk '/kCommands[^=]*= \{/,/\};/' src/service/job_parser.cpp |
+           grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
+
+# Backtick-quoted first cells of the table body rows inside one "## "
+# section (a header row, the one right above a |---| line, is skipped).
+table_rows() {
+  awk -v section="$1" '
+    /^## / { inside = ($0 == "## " section) }
+    !inside { held = 0; next }
+    /^\|[-| ]+\|$/ { held = 0; next }
+    { if (held) print row; held = 0 }
+    /^\| `[a-z_]+` \|/ { row = $0; held = 1 }
+    END { if (held) print row }
+  ' "$doc" | grep -oE '^\| `[a-z_]+`' | grep -oE '[a-z_]+' | sort -u
+}
+table_keys=$(table_rows "Request lines")
+table_cmds=$(table_rows "Control lines")
 
 flags=$(grep -hoE 'add_(flag|bool|multi)\("[a-z-]+"' \
           tools/saim_serve.cpp tools/saim_shard.cpp |
@@ -47,15 +68,16 @@ flags=$(grep -hoE 'add_(flag|bool|multi)\("[a-z-]+"' \
 table_flags=$(grep -oE '^\| `--[a-z-]+` \|' "$doc" |
               grep -oE -- '--[a-z-]+' | sed 's/^--//' | sort -u)
 
-if [[ -z "$emitted" || -z "$accepted" || -z "$control" || -z "$flags" ||
-      -z "$table_flags" ]]; then
+if [[ -z "$emitted" || -z "$accepted" || -z "$control" || -z "$commands" ||
+      -z "$flags" || -z "$table_flags" || -z "$table_keys" ||
+      -z "$table_cmds" ]]; then
   echo "FAIL: could not extract field names (did the emitters move?)"
   exit 1
 fi
 
 fail=0
 # shellcheck disable=SC2086  # word splitting intended: one field name per word
-for f in $emitted $accepted $control; do
+for f in $emitted $accepted $control $commands; do
   if ! grep -q "\`$f\`" "$doc"; then
     echo "PROTOCOL drift: \"$f\" is spoken by the serving layer but not" \
          "documented in $doc"
@@ -66,6 +88,22 @@ done
 for f in $flags; do
   if ! grep -qE -- "--$f([^a-z-]|\$)" "$doc"; then
     echo "PROTOCOL drift: --$f is a tool flag but not documented in $doc"
+    fail=1
+  fi
+done
+# shellcheck disable=SC2086
+for f in $table_keys; do
+  if ! grep -qx -- "$f" <<<"$accepted"; then
+    echo "PROTOCOL drift: $doc has a job-field row for \"$f\", which the" \
+         "parser does not accept"
+    fail=1
+  fi
+done
+# shellcheck disable=SC2086
+for f in $table_cmds; do
+  if ! grep -qx -- "$f" <<<"$commands"; then
+    echo "PROTOCOL drift: $doc has a cmd row for \"$f\", which is not a" \
+         "control command"
     fail=1
   fi
 done
@@ -81,7 +119,8 @@ done
 if [[ $fail -eq 0 ]]; then
   count=$(printf '%s\n%s\n%s\n' "$emitted" "$accepted" "$control" |
           sort -u | wc -l)
-  echo "protocol docs OK: all $count field names and" \
-       "$(wc -l <<<"$flags") flags documented in $doc"
+  echo "protocol docs OK: all $count field names," \
+       "$(wc -l <<<"$commands") commands and $(wc -l <<<"$flags") flags" \
+       "documented in $doc; every table row is live"
 fi
 exit "$fail"

@@ -21,7 +21,7 @@ std::vector<RunResult> IsingSolverBackend::run_batch(util::Xoshiro256pp& rng,
 }
 
 std::vector<RunResult> run_replicas_parallel(
-    const std::function<RunResult(util::Xoshiro256pp&, std::size_t)>& run_one,
+    const std::function<RunResult(util::Xoshiro256pp&)>& run_one,
     util::Xoshiro256pp& rng, std::size_t replicas, std::size_t threads,
     const util::StopToken& stop) {
   const std::uint64_t base = rng();  // always advance the caller's stream
@@ -31,21 +31,10 @@ std::vector<RunResult> run_replicas_parallel(
       replicas,
       [&](std::size_t r) {
         util::Xoshiro256pp replica_rng(util::derive_seed(base, r));
-        results[r] = run_one(replica_rng, r);
+        results[r] = run_one(replica_rng);
       },
       threads);
   return results;
-}
-
-std::vector<RunResult> run_replicas_parallel(
-    const std::function<RunResult(util::Xoshiro256pp&)>& run_one,
-    util::Xoshiro256pp& rng, std::size_t replicas, std::size_t threads,
-    const util::StopToken& stop) {
-  return run_replicas_parallel(
-      [&run_one](util::Xoshiro256pp& replica_rng, std::size_t) {
-        return run_one(replica_rng);
-      },
-      rng, replicas, threads, stop);
 }
 
 PBitBackend::PBitBackend(pbit::Schedule schedule, std::size_t sweeps,
@@ -67,11 +56,8 @@ RunResult PBitBackend::run(util::Xoshiro256pp& rng) {
   }
   pbit::AnnealOptions opts = options_;
   opts.stop = &stop_token();  // chunked stop checks inside the anneal loop
-  const std::vector<ising::Spins> seeds = take_initial_states();
   pbit::AnnealResult r;
-  if (!seeds.empty() && seeds.front().size() == machine_->n()) {
-    r = machine_->anneal_from(seeds.front(), schedule_, opts, rng);
-  } else if (warm_restart_ && previous_state_.size() == machine_->n()) {
+  if (warm_restart_ && previous_state_.size() == machine_->n()) {
     r = machine_->anneal_from(previous_state_, schedule_, opts, rng);
   } else {
     r = machine_->anneal(schedule_, opts, rng);
@@ -91,16 +77,9 @@ std::vector<RunResult> PBitBackend::run_batch(util::Xoshiro256pp& rng,
   }
   pbit::AnnealOptions opts = options_;
   opts.stop = &stop_token();
-  // Claimed up front so seeds warm exactly this batch: replica r starts
-  // from seeds[r], replicas past the pool cold-start as usual.
-  const std::vector<ising::Spins> seeds = take_initial_states();
   return run_replicas_parallel(
-      [this, &opts, &seeds](util::Xoshiro256pp& replica_rng, std::size_t r) {
-        const bool seeded =
-            r < seeds.size() && seeds[r].size() == machine_->n();
-        auto res = seeded ? machine_->anneal_from(seeds[r], schedule_, opts,
-                                                  replica_rng)
-                          : machine_->anneal(schedule_, opts, replica_rng);
+      [this, &opts](util::Xoshiro256pp& replica_rng) {
+        auto res = machine_->anneal(schedule_, opts, replica_rng);
         return RunResult{std::move(res.last), res.last_energy,
                          std::move(res.best), res.best_energy, res.sweeps};
       },

@@ -69,24 +69,6 @@ class IsingSolverBackend {
     return batch_threads_;
   }
 
-  /// Initial-state seeding (warm starts): when a backend reports
-  /// supports_initial_states(), the NEXT run() / run_batch() call starts
-  /// replica r from states[r] (r < states.size(); remaining replicas
-  /// cold-start as usual) instead of a fresh random configuration, then
-  /// discards the seeds — one injection warms exactly one inner solve, so
-  /// later iterations explore from their own samples. The service feeds
-  /// this from its per-problem warm-start pool (ResultCache). Seeded runs
-  /// skip the initial random-state draws, so their RNG stream differs from
-  /// a cold run's — which is why warm starts are strictly opt-in at the
-  /// request level. Backends without a warm path keep the default
-  /// supports_initial_states() == false and are never handed seeds.
-  [[nodiscard]] virtual bool supports_initial_states() const noexcept {
-    return false;
-  }
-  void set_initial_states(std::vector<ising::Spins> states) noexcept {
-    initial_states_ = std::move(states);
-  }
-
   /// Cooperative cancellation: SaimSolver installs the solve's StopToken
   /// here before the outer loop and clears it afterwards. Backends poll it
   /// at coarse points only — between the runs of a sequential batch, at
@@ -110,17 +92,9 @@ class IsingSolverBackend {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
- protected:
-  /// Claims (and clears) the pending seeds; implementations call this once
-  /// per run/run_batch so stale seeds can never leak into a later solve.
-  [[nodiscard]] std::vector<ising::Spins> take_initial_states() noexcept {
-    return std::exchange(initial_states_, {});
-  }
-
  private:
   std::size_t batch_threads_ = 0;
   util::StopToken stop_token_;
-  std::vector<ising::Spins> initial_states_;
 };
 
 /// Shared implementation of the deterministic parallel run_batch contract:
@@ -141,15 +115,6 @@ std::vector<RunResult> run_replicas_parallel(
     util::Xoshiro256pp& rng, std::size_t replicas,
     std::size_t threads = 0, const util::StopToken& stop = {});
 
-/// As above, with the replica index passed through to `run_one` — the hook
-/// warm-started batches use to give replica r its pooled initial state
-/// while keeping the same derive_seed(base, r) stream (so a seeded batch is
-/// still bit-identical across thread counts).
-std::vector<RunResult> run_replicas_parallel(
-    const std::function<RunResult(util::Xoshiro256pp&, std::size_t)>& run_one,
-    util::Xoshiro256pp& rng, std::size_t replicas,
-    std::size_t threads = 0, const util::StopToken& stop = {});
-
 /// The paper's backend: p-bit machine annealed with a (linear) beta ramp.
 class PBitBackend final : public IsingSolverBackend {
  public:
@@ -167,10 +132,6 @@ class PBitBackend final : public IsingSolverBackend {
     return options_.sweeps;
   }
   [[nodiscard]] std::string name() const override { return "pbit"; }
-  /// anneal_from gives the p-bit machine a native seeded path.
-  [[nodiscard]] bool supports_initial_states() const noexcept override {
-    return true;
-  }
 
   /// Warm restarts (ablation; off by default = the paper's cold starts):
   /// each run() continues from the previous run's final state instead of a

@@ -76,7 +76,6 @@ MetropolisSaBackend::MetropolisSaBackend(pbit::Schedule schedule,
 
 void MetropolisSaBackend::bind(const ising::IsingModel& model) {
   sa_ = std::make_unique<MetropolisSa>(model);
-  model_n_ = model.n();
 }
 
 RunResult MetropolisSaBackend::run(util::Xoshiro256pp& rng) {
@@ -85,10 +84,6 @@ RunResult MetropolisSaBackend::run(util::Xoshiro256pp& rng) {
   }
   SaOptions opts = options_;
   opts.stop = &stop_token();  // between-sweep stop polls
-  const std::vector<ising::Spins> seeds = take_initial_states();
-  if (!seeds.empty() && seeds.front().size() == model_n_) {
-    return sa_->run_from(seeds.front(), schedule_, opts, rng);
-  }
   return sa_->run(schedule_, opts, rng);
 }
 
@@ -100,13 +95,8 @@ std::vector<RunResult> MetropolisSaBackend::run_batch(
   }
   SaOptions opts = options_;
   opts.stop = &stop_token();
-  // Replica r warm-starts from seeds[r]; the rest cold-start.
-  const std::vector<ising::Spins> seeds = take_initial_states();
   return run_replicas_parallel(
-      [this, &opts, &seeds](util::Xoshiro256pp& replica_rng, std::size_t r) {
-        if (r < seeds.size() && seeds[r].size() == model_n_) {
-          return sa_->run_from(seeds[r], schedule_, opts, replica_rng);
-        }
+      [this, &opts](util::Xoshiro256pp& replica_rng) {
         return sa_->run(schedule_, opts, replica_rng);
       },
       rng, replicas, batch_threads(), stop_token());

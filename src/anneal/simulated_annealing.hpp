@@ -53,24 +53,18 @@ class MetropolisSaBackend final : public IsingSolverBackend {
 
   void bind(const ising::IsingModel& model) override;
   RunResult run(util::Xoshiro256pp& rng) override;
-  /// Parallel replicas over run_replicas_parallel; replica r warm-starts
-  /// from the r-th pending initial state, if any.
+  /// Parallel replicas over run_replicas_parallel.
   std::vector<RunResult> run_batch(util::Xoshiro256pp& rng,
                                    std::size_t replicas) override;
   [[nodiscard]] std::size_t sweeps_per_run() const override {
     return options_.sweeps;
   }
   [[nodiscard]] std::string name() const override { return "metropolis-sa"; }
-  /// run_from gives Metropolis SA a native seeded path.
-  [[nodiscard]] bool supports_initial_states() const noexcept override {
-    return true;
-  }
 
  private:
   pbit::Schedule schedule_;
   SaOptions options_;
   std::unique_ptr<MetropolisSa> sa_;
-  std::size_t model_n_ = 0;  ///< spin count of the bound model (seed checks)
 };
 
 }  // namespace saim::anneal

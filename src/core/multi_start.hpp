@@ -17,7 +17,7 @@
 namespace saim::core {
 
 /// Creates a fresh inner-solver backend per restart. Backends keep state
-/// (bound model, warm-start caches), so restarts must not share one. With
+/// (bound model, warm-restart state), so restarts must not share one. With
 /// threads > 1 the factory (and the evaluator passed to
 /// multi_start_saim) are invoked concurrently and must be thread-safe —
 /// the in-repo factories and evaluators, which only read shared problem

@@ -94,8 +94,7 @@ std::string result_to_jsonl(const SolveResult& result,
       .field("wall_ms", context.wall_ms)
       .field("cache_hit", context.cache_hit)
       .field("fingerprint", fingerprint_hex)
-      .field("batch_size", std::uint64_t{1})
-      .field("warm_started", context.warm_started);
+      .field("batch_size", std::uint64_t{1});
   if (context.trace) {
     // Nested object, and strictly before seq: remap_seq (shard_router)
     // rewrites the `,"seq":N}` suffix in place and would corrupt any

@@ -37,7 +37,6 @@ struct JsonlContext {
   double wall_ms = 0.0;
   bool cache_hit = false;
   std::uint64_t fingerprint = 0;
-  bool warm_started = false;  ///< seeded from the warm-start pool
   /// Per-stage latency echo, emitted as a nested "timing" object only
   /// when the job line set "trace": true. Kept BEFORE seq in the output:
   /// the shard router's seq remap expects `,"seq":N}` to be the line's
@@ -59,10 +58,9 @@ struct JsonlContext {
 /// found_feasible, best_cost (null when no feasible sample), feasible
 /// count, iterations (outer runs), total MCS, wall time, cache_hit, the
 /// request fingerprint (hex), batch_size (always 1: every job runs alone;
-/// kept for clients that read it), warm_started, and (stream mode only)
-/// seq. The full schema lives in docs/PROTOCOL.md — keep the two in
-/// lockstep, CI greps the doc for every field emitted here. No trailing
-/// newline.
+/// kept for clients that read it), and (stream mode only) seq. The full
+/// schema lives in docs/PROTOCOL.md — keep the two in lockstep, CI greps
+/// the doc for every field emitted here. No trailing newline.
 std::string result_to_jsonl(const SolveResult& result,
                             const JsonlContext& context);
 

@@ -48,12 +48,6 @@ struct SolveResult {
   Status status = Status::kCompleted;
   bool found_feasible = false;
   ising::Bits best_x;  ///< decision bits of the best feasible sample
-  /// Full slack-extended configuration of the best feasible sample (what
-  /// the Ising machine actually measured). This is what the service's
-  /// warm-start pool stores and re-injects as a backend initial state —
-  /// decision bits alone cannot seed a machine that also carries slack
-  /// spins. Empty while no feasible sample exists.
-  ising::Bits best_config;
   double best_cost = std::numeric_limits<double>::infinity();  ///< raw cost
 
   std::size_t total_runs = 0;    ///< SA runs performed (K)

@@ -20,14 +20,12 @@ double effective_penalty(const problems::ConstrainedProblem& problem,
 
 DualAscent::DualAscent(const problems::ConstrainedProblem& problem,
                        SaimOptions options, SampleEvaluator evaluate,
-                       util::StopToken stop,
-                       std::vector<ising::Bits> warm_starts)
+                       util::StopToken stop)
     : problem_(&problem),
       options_(options),
       judge_(evaluate ? std::move(evaluate)
                       : make_equality_evaluator(problem)),
       stop_(std::move(stop)),
-      warm_starts_(std::move(warm_starts)),
       rng_(options.seed),
       lambda_(problem.num_constraints(), 0.0) {
   if (options_.record_history) result_.history.reserve(options_.iterations);
@@ -62,27 +60,6 @@ bool DualAscent::step(lagrange::LagrangianModel& model,
                       anneal::IsingSolverBackend& backend) {
   if (finished_) return true;
 
-  if (k_ == 0 && !warm_starts_.empty()) {
-    // Import the pooled samples: re-judged (never trusted) against THIS
-    // job's evaluator, and only best_cost/best_x seeded — the measured
-    // per-sample statistics stay untouched so feasibility_rate and
-    // optimality columns keep describing what this solve measured.
-    for (const auto& sample : warm_starts_) {
-      if (sample.size() != problem_->n()) continue;
-      const SampleVerdict v = judge_(sample);
-      if (!v.feasible) continue;
-      result_.found_feasible = true;
-      if (v.cost < result_.best_cost) {
-        result_.best_cost = v.cost;
-        result_.best_config = sample;
-        result_.best_x.assign(
-            sample.begin(),
-            sample.begin() +
-                static_cast<std::ptrdiff_t>(problem_->num_decision()));
-      }
-    }
-  }
-
   // Cooperative stop, polled once per outer iteration so the inner
   // Monte-Carlo loop stays unchanged. Everything gathered so far stays in
   // the (partial) result.
@@ -101,17 +78,6 @@ bool DualAscent::step(lagrange::LagrangianModel& model,
   model.set_lambda(lambda_);
   backend.fields_updated();
   backend.set_stop_token(stop_);
-  if (k_ == 0 && !warm_starts_.empty() &&
-      backend.supports_initial_states()) {
-    std::vector<ising::Spins> seeds;
-    seeds.reserve(warm_starts_.size());
-    for (const auto& sample : warm_starts_) {
-      if (sample.size() == problem_->n()) {
-        seeds.push_back(ising::bits_to_spins(sample));
-      }
-    }
-    if (!seeds.empty()) backend.set_initial_states(std::move(seeds));
-  }
 
   // Minimize L_k with the Ising machine; read the measured sample(s).
   // replicas == 1 keeps the paper's single run() call (and its exact RNG
@@ -147,7 +113,6 @@ bool DualAscent::step(lagrange::LagrangianModel& model,
       }
       if (v.cost < result_.best_cost) {
         result_.best_cost = v.cost;
-        result_.best_config = xr;
         result_.best_x.assign(xr.begin(),
                               xr.begin() + static_cast<std::ptrdiff_t>(
                                                problem_->num_decision()));

@@ -91,20 +91,10 @@ double effective_penalty(const problems::ConstrainedProblem& problem,
 /// pure rebuild from base coefficients — so whatever lambda the model held
 /// before does not matter: the landscape a run sees depends only on this
 /// job's own lambda trajectory, and the job owns its RNG stream.
-///
-/// Warm starts (both opt-in, service-fed): `warm_starts` holds full
-/// slack-extended configurations of known-feasible samples. On the first
-/// step they are (a) re-judged by this job's evaluator and, when feasible,
-/// imported as the best-so-far sample — imports seed best_cost/best_x only,
-/// never the measured-sample statistics (feasible_count, total_runs,
-/// feasible_cost_stats) — and (b) injected as backend initial states for the
-/// first inner run when the backend supports seeding. With no warm starts
-/// the trajectory is exactly the paper's cold-start loop.
 class DualAscent {
  public:
   DualAscent(const problems::ConstrainedProblem& problem, SaimOptions options,
-             SampleEvaluator evaluate, util::StopToken stop,
-             std::vector<ising::Bits> warm_starts = {});
+             SampleEvaluator evaluate, util::StopToken stop);
 
   /// Advances one outer iteration on (model, backend): set this job's
   /// lambda, run the inner solver, judge samples, update lambda. The model
@@ -128,7 +118,6 @@ class DualAscent {
   SaimOptions options_;
   SampleEvaluator judge_;
   util::StopToken stop_;
-  std::vector<ising::Bits> warm_starts_;
 
   util::Xoshiro256pp rng_;
   std::vector<double> lambda_;

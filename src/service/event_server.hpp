@@ -8,7 +8,7 @@
 // built either
 //   * over a listener (saim_serve --listen): epoll on Linux, poll
 //     elsewhere; one session per accepted connection, all sharing ONE
-//     SolveService (cache, cached models and warm pool), or
+//     SolveService (result cache and cached models), or
 //   * over one pre-connected fd pair (stdin/stdout, --input/--output
 //     files): a single session, always on the poll backend — epoll buys
 //     nothing for one session and rejects regular files.

@@ -1,10 +1,15 @@
 #include "service/job_parser.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "problems/mkp.hpp"
@@ -28,50 +33,81 @@ const std::set<std::string>& known_keys() {
       "gen",        "backend",   "sweeps",        "beta_max",
       "iterations", "eta",       "penalty_alpha", "seed",
       "replicas",   "priority",  "deadline_ms",   "cache",
-      "warm_start", "trace"};
+      "trace"};
   return kKnownKeys;
 }
 
 // Keys a control line may carry (gate-checked like kKnownKeys above).
-// "warm" rides only on import_warm and "shards" only on reshard; the
-// per-command whitelists in control_cmd() enforce that split.
+// "shards" rides only on reshard; control_cmd() enforces that split.
 const std::set<std::string>& control_keys() {
-  static const std::set<std::string> kControlKeys = {"cmd", "id", "warm",
-                                                     "shards"};
+  static const std::set<std::string> kControlKeys = {"cmd", "id", "shards"};
   return kControlKeys;
 }
 
-/// Extra keys (beyond cmd/id) each control command accepts.
-const std::set<std::string>& control_extra_keys(const std::string& cmd) {
-  static const std::set<std::string> kNone;
-  static const std::set<std::string> kImportWarm = {"warm"};
-  static const std::set<std::string> kReshard = {"shards"};
-  if (cmd == "import_warm") return kImportWarm;
-  if (cmd == "reshard") return kReshard;
-  return kNone;
+// Every control command, in the order the error text lists them
+// (gate-checked like kKnownKeys above).
+constexpr std::string_view kCommands[] = {"ping", "drain", "shutdown",
+                                          "stats", "reshard"};
+
+/// "unknown control cmd" error text, its "(want ...)" list built from
+/// kCommands so the two cannot drift.
+std::string unknown_cmd_error(const std::string& name) {
+  std::string text = "unknown control cmd \"" + name + "\" (want ";
+  for (std::size_t i = 0; i < std::size(kCommands); ++i) {
+    if (i > 0) text += i + 1 == std::size(kCommands) ? " or " : ", ";
+    text += kCommands[i];
+  }
+  return text + ")";
 }
 
-/// "qkp:100-25-1" -> generated paper instance. Throws on a malformed spec.
+/// "qkp:100-25-1" -> generated paper instance. Throws on a malformed spec:
+/// each of the three fields is plain decimal digits, nothing may follow
+/// the third, N (and M for mkp) lies in 1..kMaxGenSize, the qkp density
+/// is a percentage and k fits an int (a wider value would be narrowed
+/// onto another spec's instance).
 SolveRequest build_gen_request(const std::string& spec) {
+  const auto bad = [&spec](const std::string& why) {
+    return std::runtime_error("bad gen spec '" + spec + "'" + why);
+  };
   const auto colon = spec.find(':');
+  if (colon == std::string::npos) {
+    throw bad(" (want qkp:N-density-k or mkp:N-M-k)");
+  }
   const std::string kind = spec.substr(0, colon);
-  std::size_t a = 0, b = 0, c = 0;
-  if (colon == std::string::npos ||
-      std::sscanf(spec.c_str() + colon + 1, "%zu-%zu-%zu", &a, &b, &c) != 3) {
-    throw std::runtime_error("bad gen spec '" + spec +
-                             "' (want qkp:N-density-k or mkp:N-M-k)");
+  std::array<std::size_t, 3> fields{};
+  const char* p = spec.data() + colon + 1;
+  const char* const end = spec.data() + spec.size();
+  bool ok = true;
+  for (std::size_t i = 0; ok && i < fields.size(); ++i) {
+    if (i > 0) ok = p != end && *p++ == '-';
+    if (!ok) break;
+    const auto [next, ec] = std::from_chars(p, end, fields[i]);
+    ok = ec == std::errc{};
+    p = next;
+  }
+  if (!ok || p != end) throw bad(" (want qkp:N-density-k or mkp:N-M-k)");
+  const auto [a, b, c] = fields;
+  if (a == 0 || a > kMaxGenSize) {
+    throw bad(": N must be 1.." + std::to_string(kMaxGenSize));
+  }
+  if (c > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    throw bad(": k must be at most " +
+              std::to_string(std::numeric_limits<int>::max()));
   }
   SolveRequest request;
   if (kind == "qkp") {
+    if (b > 100) throw bad(": density must be 0..100");
     request = request_for(std::make_shared<problems::QkpInstance>(
         problems::make_paper_qkp(a, static_cast<int>(b),
                                  static_cast<int>(c))));
   } else if (kind == "mkp") {
+    if (b == 0 || b > kMaxGenSize) {
+      throw bad(": M must be 1.." + std::to_string(kMaxGenSize));
+    }
     request = request_for(std::make_shared<problems::MkpInstance>(
         problems::make_paper_mkp(a, b, static_cast<int>(c))));
   } else {
-    throw std::runtime_error("bad gen spec '" + spec + "': unknown type '" +
-                             kind + "'");
+    throw bad(": unknown type '" + kind + "'");
   }
   return request;
 }
@@ -232,7 +268,7 @@ void validate_job(const util::JsonValue& job) {
   }
 }
 
-ParsedJob parse_job(const util::JsonValue& job, bool warm_default) {
+ParsedJob parse_job(const util::JsonValue& job) {
   validate_job(job);
 
   ParsedJob parsed;
@@ -265,10 +301,6 @@ ParsedJob parse_job(const util::JsonValue& job, bool warm_default) {
   if (const auto* cache = job.find("cache")) {
     request.use_cache = cache->as_bool(true);
   }
-  request.warm_start = warm_default;
-  if (const auto* warm = job.find("warm_start")) {
-    request.warm_start = warm->as_bool(warm_default);
-  }
   if (const auto* trace = job.find("trace")) {
     request.trace = trace->as_bool(false);
   }
@@ -276,8 +308,8 @@ ParsedJob parse_job(const util::JsonValue& job, bool warm_default) {
   return parsed;
 }
 
-ParsedJob parse_job_line(const std::string& line, bool warm_default) {
-  return parse_job(util::parse_json(line), warm_default);
+ParsedJob parse_job_line(const std::string& line) {
+  return parse_job(util::parse_json(line));
 }
 
 std::optional<std::string> control_cmd(const util::JsonValue& line) {
@@ -285,18 +317,13 @@ std::optional<std::string> control_cmd(const util::JsonValue& line) {
   const auto* cmd = line.find("cmd");
   if (!cmd) return std::nullopt;
   const std::string& name = cmd->as_string();
-  static const std::set<std::string> kCommands = {
-      "ping",        "drain",   "shutdown", "stats",
-      "export_warm", "import_warm", "reshard"};
-  if (!kCommands.contains(name)) {
-    throw std::runtime_error(
-        "unknown control cmd \"" + name +
-        "\" (want ping, drain, shutdown, stats, export_warm, import_warm "
-        "or reshard)");
+  if (std::find(std::begin(kCommands), std::end(kCommands), name) ==
+      std::end(kCommands)) {
+    throw std::runtime_error(unknown_cmd_error(name));
   }
-  const auto& extras = control_extra_keys(name);
   for (const auto& [key, value] : line.object()) {
-    if (key == "cmd" || key == "id" || extras.contains(key)) continue;
+    if (key == "cmd" || key == "id") continue;
+    if (key == "shards" && name == "reshard") continue;
     if (control_keys().contains(key)) {
       throw std::runtime_error("control field \"" + key +
                                "\" does not belong on cmd \"" + name + "\"");

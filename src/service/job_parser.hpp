@@ -5,11 +5,12 @@
 // routes by — so a line rejected by the front door is rejected with the
 // exact error text the shard would have produced.
 //
-// Also home to the control-line dialect ({"cmd":"ping"|"drain"}): control
+// Also home to the control-line dialect ({"cmd":"ping"|"drain"|...}): control
 // lines are answered by the serving layer itself, never become jobs, and
 // never consume completion-order sequence numbers.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -17,6 +18,12 @@
 #include "util/jsonl.hpp"
 
 namespace saim::service {
+
+/// Largest N (and, for MKP, M) a "gen" spec may name. A QKP spec builds an
+/// N x N instance matrix and the process memoizes 16 specs, so an unbounded
+/// N on one job line could exhaust the server's memory. Every spec the
+/// tests, benches and workloads use has N <= 200.
+inline constexpr std::size_t kMaxGenSize = 1000;
 
 struct ParsedJob {
   /// Ready-to-submit request; tag is the line's "id" ("" when absent).
@@ -37,22 +44,22 @@ void validate_job(const util::JsonValue& job);
 /// (validate_job + instance build + extraction). A "gen" instance is
 /// built once per process and spec: every line naming that spec shares
 /// one problem and evaluator. A "path" instance is loaded per line.
-/// `warm_default` is the --warm-start flag; a per-job "warm_start" field
-/// overrides it either way. Throws std::runtime_error on unknown fields, bad values, or a
+/// Throws std::runtime_error on unknown fields, bad values, a malformed
+/// gen spec (trailing input, N or M outside 1..kMaxGenSize), or a
 /// missing/unloadable instance source.
-ParsedJob parse_job(const util::JsonValue& job, bool warm_default);
+ParsedJob parse_job(const util::JsonValue& job);
 
 /// Convenience: parse_json + parse_job (also throws on malformed JSON).
-ParsedJob parse_job_line(const std::string& line, bool warm_default);
+ParsedJob parse_job_line(const std::string& line);
 
 /// Control-line detection. Returns the command ("ping", "drain",
-/// "shutdown", "export_warm", "import_warm" or "reshard") when `line` is
-/// a control object, std::nullopt when it is a plain job. Throws
-/// std::runtime_error on an unknown command or stray keys (control lines
-/// accept "cmd" and "id", plus "warm" on import_warm and "shards" on
-/// reshard). Which layer answers which command is the serving layer's
-/// business: saim_serve handles everything but reshard, the saim_shard
-/// front door handles reshard/shutdown itself and forwards nothing.
+/// "shutdown", "stats" or "reshard") when `line` is a control object,
+/// std::nullopt when it is a plain job. Throws std::runtime_error on an
+/// unknown command or stray keys (control lines accept "cmd" and "id",
+/// plus "shards" on reshard). Which layer answers which command is the
+/// serving layer's business: saim_serve handles everything but reshard,
+/// the saim_shard front door handles reshard/shutdown itself and forwards
+/// nothing.
 std::optional<std::string> control_cmd(const util::JsonValue& line);
 
 /// Stable key naming the job's instance source before any instance is

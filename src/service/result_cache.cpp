@@ -1,6 +1,8 @@
 #include "service/result_cache.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace saim::service {
 
@@ -57,68 +59,6 @@ void ResultCache::put(std::uint64_t key,
   ++stats_.insertions;
 }
 
-void ResultCache::put_warm(std::uint64_t problem_fp,
-                           const ising::Bits& config, double cost) {
-  if (warm_capacity_ == 0 || config.empty()) return;
-  util::MutexLock lock(mutex_);
-  auto it = warm_index_.find(problem_fp);
-  if (it == warm_index_.end()) {
-    if (warm_lru_.size() >= warm_capacity_) {
-      // Plain LRU for pools: a problem nobody solves anymore has no
-      // claim on pool space regardless of how good its samples were.
-      warm_index_.erase(warm_lru_.back().key);
-      warm_lru_.pop_back();
-    }
-    warm_lru_.push_front(WarmEntry{problem_fp, {}});
-    it = warm_index_.emplace(problem_fp, warm_lru_.begin()).first;
-  } else {
-    warm_lru_.splice(warm_lru_.begin(), warm_lru_, it->second);
-  }
-
-  auto& samples = it->second->samples;
-  for (const auto& [pooled_cost, pooled] : samples) {
-    if (pooled == config) return;  // already pooled
-  }
-  const auto pos = std::upper_bound(
-      samples.begin(), samples.end(), cost,
-      [](double c, const auto& s) { return c < s.first; });
-  if (pos == samples.end() && samples.size() >= kWarmSamplesPerProblem) {
-    return;  // worse than everything pooled
-  }
-  samples.emplace(pos, cost, config);
-  if (samples.size() > kWarmSamplesPerProblem) samples.pop_back();
-  ++stats_.warm_inserts;
-}
-
-std::vector<ising::Bits> ResultCache::warm_samples(std::uint64_t problem_fp) {
-  if (warm_capacity_ == 0) return {};
-  util::MutexLock lock(mutex_);
-  const auto it = warm_index_.find(problem_fp);
-  if (it == warm_index_.end() || it->second->samples.empty()) {
-    ++stats_.warm_misses;
-    return {};
-  }
-  ++stats_.warm_hits;
-  warm_lru_.splice(warm_lru_.begin(), warm_lru_, it->second);
-  std::vector<ising::Bits> out;
-  out.reserve(it->second->samples.size());
-  for (const auto& [cost, config] : it->second->samples) {
-    out.push_back(config);
-  }
-  return out;
-}
-
-std::vector<ResultCache::WarmSnapshot> ResultCache::export_warm() const {
-  util::MutexLock lock(mutex_);
-  std::vector<WarmSnapshot> out;
-  out.reserve(warm_lru_.size());
-  for (const auto& entry : warm_lru_) {
-    if (entry.samples.empty()) continue;
-    out.push_back(WarmSnapshot{entry.key, entry.samples});
-  }
-  return out;
-}
-
 ResultCache::Stats ResultCache::stats() const {
   util::MutexLock lock(mutex_);
   return stats_;
@@ -129,17 +69,10 @@ std::size_t ResultCache::size() const {
   return lru_.size();
 }
 
-std::size_t ResultCache::warm_pool_size() const {
-  util::MutexLock lock(mutex_);
-  return warm_lru_.size();
-}
-
 void ResultCache::clear() {
   util::MutexLock lock(mutex_);
   lru_.clear();
   index_.clear();
-  warm_lru_.clear();
-  warm_index_.clear();
 }
 
 }  // namespace saim::service

@@ -1,7 +1,6 @@
-// LRU cache of completed solve results, keyed by request fingerprint —
-// plus the per-problem warm-start pool.
+// LRU cache of completed solve results, keyed by request fingerprint.
 //
-// Result cache: values are shared_ptr<const SolveResult>: a hit hands back
+// Values are shared_ptr<const SolveResult>: a hit hands back
 // the *same* object the original computation produced, so cached results
 // are bit-identical to the first solve by construction (and tests can
 // assert "no recompute" by pointer equality). Only kCompleted results
@@ -13,13 +12,6 @@
 // is dropped: a 2-ms solve makes room before a 2-second one, scans stay
 // O(1).
 //
-// Warm-start pool: keyed by *problem* fingerprint (not request — jobs over
-// one instance with different seeds/options share it), each entry keeps the
-// kWarmSamplesPerProblem best-cost feasible full configurations seen across
-// completed jobs. Opt-in jobs (SolveRequest::warm_start) seed their backend
-// initial states from here; every completed feasible job deposits back.
-// Pool entries are LRU-bounded independently of the result cache.
-//
 // Thread-safe; all operations are O(1) in the table size.
 #pragma once
 
@@ -27,8 +19,6 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "core/result.hpp"
 #include "util/mutex.hpp"
@@ -43,9 +33,6 @@ class ResultCache {
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t warm_hits = 0;    ///< warm_samples() with a non-empty pool
-    std::uint64_t warm_misses = 0;  ///< warm_samples() with nothing pooled
-    std::uint64_t warm_inserts = 0; ///< samples accepted into a pool
 
     [[nodiscard]] double hit_rate() const noexcept {
       const std::uint64_t lookups = hits + misses;
@@ -55,15 +42,11 @@ class ResultCache {
     }
   };
 
-  /// Best-cost samples retained per problem fingerprint.
-  static constexpr std::size_t kWarmSamplesPerProblem = 4;
   /// Tail entries considered per eviction (cost-weighted LRU).
   static constexpr std::size_t kEvictionWindow = 8;
 
-  /// capacity == 0 disables the result cache (every lookup misses, puts
-  /// drop); warm_capacity == 0 likewise disables the warm-start pool.
-  explicit ResultCache(std::size_t capacity, std::size_t warm_capacity = 0)
-      : capacity_(capacity), warm_capacity_(warm_capacity) {}
+  /// capacity == 0 disables the cache (every lookup misses, puts drop).
+  explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// Returns the cached result and bumps it to most-recently-used, or
   /// nullptr on miss. Counts toward stats either way.
@@ -75,34 +58,9 @@ class ResultCache {
   void put(std::uint64_t key, std::shared_ptr<const core::SolveResult> value)
       SAIM_EXCLUDES(mutex_);
 
-  /// Offers one feasible full configuration to `problem_fp`'s pool. Kept
-  /// only while it ranks among the kWarmSamplesPerProblem best costs;
-  /// duplicates of an already-pooled configuration are dropped.
-  void put_warm(std::uint64_t problem_fp, const ising::Bits& config,
-                double cost) SAIM_EXCLUDES(mutex_);
-
-  /// The pooled configurations for `problem_fp`, best cost first (empty
-  /// when nothing is pooled). Bumps the pool's recency.
-  [[nodiscard]] std::vector<ising::Bits> warm_samples(std::uint64_t problem_fp)
-      SAIM_EXCLUDES(mutex_);
-
-  /// One problem's pooled samples, for cross-process warm handoff.
-  struct WarmSnapshot {
-    std::uint64_t problem_fp = 0;
-    /// (cost, config), best cost first — put_warm's retention order.
-    std::vector<std::pair<double, ising::Bits>> samples;
-  };
-
-  /// Snapshot of the whole warm pool, most recently used problem first.
-  /// Recency is NOT bumped (an export is bookkeeping, not demand);
-  /// re-import on another process is plain put_warm per sample.
-  [[nodiscard]] std::vector<WarmSnapshot> export_warm() const
-      SAIM_EXCLUDES(mutex_);
-
   [[nodiscard]] Stats stats() const SAIM_EXCLUDES(mutex_);
   [[nodiscard]] std::size_t size() const SAIM_EXCLUDES(mutex_);
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t warm_pool_size() const SAIM_EXCLUDES(mutex_);
   void clear() SAIM_EXCLUDES(mutex_);
 
  private:
@@ -110,23 +68,13 @@ class ResultCache {
     std::uint64_t key = 0;
     std::shared_ptr<const core::SolveResult> value;
   };
-  struct WarmEntry {
-    std::uint64_t key = 0;
-    /// (cost, config), sorted ascending by cost (best first).
-    std::vector<std::pair<double, ising::Bits>> samples;
-  };
 
   void evict_one_locked() SAIM_REQUIRES(mutex_);
 
   std::size_t capacity_;
-  std::size_t warm_capacity_;
   mutable util::Mutex mutex_;
   std::list<Entry> lru_ SAIM_GUARDED_BY(mutex_);  ///< front = most recent
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_
-      SAIM_GUARDED_BY(mutex_);
-  std::list<WarmEntry> warm_lru_
-      SAIM_GUARDED_BY(mutex_);  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::list<WarmEntry>::iterator> warm_index_
       SAIM_GUARDED_BY(mutex_);
   Stats stats_ SAIM_GUARDED_BY(mutex_);
 };

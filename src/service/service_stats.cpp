@@ -40,12 +40,7 @@ std::string service_stats_json(const SolveService& service) {
       .field("hit_rate", s.cache.hit_rate())
       .field("insertions", s.cache.insertions)
       .field("evictions", s.cache.evictions)
-      .field("size", static_cast<std::uint64_t>(service.cache_size()))
-      .field("warm_hits", s.cache.warm_hits)
-      .field("warm_misses", s.cache.warm_misses)
-      .field("warm_inserts", s.cache.warm_inserts)
-      .field("warm_pool_size",
-             static_cast<std::uint64_t>(service.warm_pool_size()));
+      .field("size", static_cast<std::uint64_t>(service.cache_size()));
 
   util::JsonWriter latency;
   for (const auto& [key, metric] : kLatencyStages) {
@@ -62,7 +57,6 @@ std::string service_stats_json(const SolveService& service) {
       .field("deadline_expired", s.deadline_expired)
       .field("errors", s.errors)
       .field("coalesced", s.coalesced)
-      .field("warm_seeded", s.warm_seeded)
       .field("model_builds", s.model_builds)
       .field("model_reuses", s.model_reuses)
       .field("workers", static_cast<std::uint64_t>(service.worker_count()))
@@ -117,8 +111,6 @@ std::string service_metrics_prometheus(const SolveService& service) {
   counter("saim_jobs_errors_total", s.errors, "jobs failing with an error");
   counter("saim_jobs_coalesced_total", s.coalesced,
           "submits joined onto an in-flight twin");
-  counter("saim_warm_seeded_total", s.warm_seeded,
-          "jobs seeded from the warm-start pool");
   counter("saim_model_builds_total", s.model_builds,
           "jobs that built a model and bound a backend");
   counter("saim_model_reuses_total", s.model_reuses,
@@ -129,16 +121,8 @@ std::string service_metrics_prometheus(const SolveService& service) {
           "result cache insertions");
   counter("saim_cache_evictions_total", s.cache.evictions,
           "result cache evictions");
-  counter("saim_warm_pool_hits_total", s.cache.warm_hits,
-          "warm-pool lookups returning samples");
-  counter("saim_warm_pool_misses_total", s.cache.warm_misses,
-          "warm-pool lookups finding nothing pooled");
-  counter("saim_warm_pool_inserts_total", s.cache.warm_inserts,
-          "samples accepted into the warm pool");
   gauge("saim_cache_size", static_cast<double>(service.cache_size()),
         "result cache entries right now");
-  gauge("saim_warm_pool_size", static_cast<double>(service.warm_pool_size()),
-        "problems tracked by the warm-start pool right now");
   gauge("saim_workers", static_cast<double>(service.worker_count()),
         "solver worker threads");
 

@@ -26,14 +26,14 @@ namespace saim::service {
 std::string latency_quantiles_json(const obs::HistogramSnapshot& snap);
 
 /// One service's full stats snapshot as a JSON object: lifetime job
-/// counters, cache/warm-pool statistics, worker count, and per-stage
+/// counters, cache statistics, worker count, and per-stage
 /// latency quantiles (queue/setup/solve/total, plus emit when the serving
 /// layer has registered it).
 std::string service_stats_json(const SolveService& service);
 
 /// Prometheus text exposition for one service: saim_jobs_*_total and
 /// saim_cache_* series derived from SolveService::Stats, gauges for the
-/// cache/pool/worker sizes, then every histogram in the service registry
+/// cache and worker sizes, then every histogram in the service registry
 /// (saim_job_queue_ms, saim_job_setup_ms, saim_job_solve_ms,
 /// saim_job_total_ms, saim_emit_ms, ...).
 std::string service_metrics_prometheus(const SolveService& service);

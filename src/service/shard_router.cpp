@@ -44,26 +44,6 @@ std::size_t HashRing::route(std::uint64_t key) const {
   return it == ring_.end() ? ring_.begin()->second : it->second;
 }
 
-std::vector<std::size_t> HashRing::replicas(std::uint64_t key,
-                                            std::size_t count) const {
-  if (ring_.empty()) throw std::runtime_error("no live shards");
-  count = std::max<std::size_t>(1, std::min(count, shards_.size()));
-  std::vector<std::size_t> members;
-  members.reserve(count);
-  auto it = ring_.lower_bound(key);
-  if (it == ring_.end()) it = ring_.begin();
-  // A full lap visits every live shard at least once, so this terminates
-  // with exactly `count` distinct members.
-  while (members.size() < count) {
-    if (std::find(members.begin(), members.end(), it->second) ==
-        members.end()) {
-      members.push_back(it->second);
-    }
-    if (++it == ring_.end()) it = ring_.begin();
-  }
-  return members;
-}
-
 // ----------------------------------------------------------------- router
 
 namespace {
@@ -130,7 +110,6 @@ ShardRouter::ShardRouter(RouterOptions options)
   pending_.resize(options_.shards);
   inflight_.resize(options_.shards);
   pong_.assign(options_.shards, false);
-  warm_export_.resize(options_.shards);
   stats_export_.resize(options_.shards);
   stats_.routed_per_shard.assign(options_.shards, 0);
   for (std::size_t s = 0; s < options_.shards; ++s) {
@@ -168,9 +147,9 @@ std::vector<std::string> ShardRouter::accept_line(const std::string& line,
         }
         return out;
       }
-      // shutdown/reshard/export_warm/import_warm are fleet-management
-      // commands the front door answers before lines reach the router;
-      // one arriving here means no supervisor is in charge of them.
+      // shutdown/reshard/stats are fleet-management commands the front
+      // door answers before lines reach the router; one arriving here
+      // means no supervisor is in charge of them.
       throw std::runtime_error("control cmd \"" + *cmd +
                                "\" is handled by the fleet supervisor, "
                                "not the router");
@@ -189,7 +168,7 @@ std::vector<std::string> ShardRouter::accept_line(const std::string& line,
       validate_job(parsed);
       fingerprint = memo->second;
     } else {
-      const ParsedJob job = parse_job(parsed, /*warm_default=*/false);
+      const ParsedJob job = parse_job(parsed);
       fingerprint = problems::fingerprint(*job.request.problem);
       if (!source.empty()) {
         // The memo is a pure speedup; cap it so a long-lived front door
@@ -289,14 +268,6 @@ std::vector<std::string> ShardRouter::on_child_line(std::size_t shard,
     return out;
   }
   if (parsed.find("drained")) return out;  // child drain ack: internal
-  if (const auto* warm = parsed.find("warm")) {
-    // Reply to a Supervisor export_warm probe: stash the snapshot for
-    // the warm handoff; never forwarded downstream.
-    if (shard < warm_export_.size()) {
-      warm_export_[shard] = util::to_json(*warm);
-    }
-    return out;
-  }
   if (const auto* service = parsed.find("service")) {
     // Reply to a Supervisor stats probe: stash the shard's own service
     // snapshot for fleet aggregation; never forwarded downstream.
@@ -305,8 +276,8 @@ std::vector<std::string> ShardRouter::on_child_line(std::size_t shard,
     }
     return out;
   }
-  // import_warm acks and shutdown farewells are fleet-internal too.
-  if (parsed.find("imported") || parsed.find("bye")) return out;
+  // Shutdown farewells are fleet-internal too.
+  if (parsed.find("bye")) return out;
 
   const auto* id = parsed.find("id");
   if (!id) return out;
@@ -403,7 +374,6 @@ void ShardRouter::revive_shard(std::size_t shard) {
   if (shard >= alive_.size() || alive_[shard]) return;
   alive_[shard] = true;
   pong_[shard] = false;
-  warm_export_[shard].reset();
   stats_export_[shard].reset();
   ring_.add(shard);
 }
@@ -415,7 +385,6 @@ std::size_t ShardRouter::add_shard() {
   pending_.emplace_back();
   inflight_.emplace_back();
   pong_.push_back(false);
-  warm_export_.emplace_back();
   stats_export_.emplace_back();
   latency_.push_back(std::make_unique<obs::Histogram>());
   stats_.routed_per_shard.push_back(0);
@@ -449,14 +418,6 @@ bool ShardRouter::take_pong(std::size_t shard) {
   const bool seen = pong_[shard];
   pong_[shard] = false;
   return seen;
-}
-
-std::optional<std::string> ShardRouter::take_warm_export(std::size_t shard) {
-  thread_checker_.assert_current_thread();
-  if (shard >= warm_export_.size()) return std::nullopt;
-  std::optional<std::string> out;
-  warm_export_[shard].swap(out);
-  return out;
 }
 
 std::optional<std::string> ShardRouter::take_stats_export(std::size_t shard) {

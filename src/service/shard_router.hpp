@@ -7,8 +7,8 @@
 //   * a consistent-hash ring (HashRing) over the shards, keyed by the
 //     canonical PROBLEM fingerprint (problems/fingerprint) of each job's
 //     instance — all jobs over one instance land on one shard, so that
-//     shard's ResultCache, coalescer, cached models and warm-start pool
-//     stay hot for its keyslice, and removing a shard only remaps the
+//     shard's ResultCache, coalescer and cached models stay hot for its
+//     keyslice, and removing a shard only remaps the
 //     keys it owned (cache locality survives resharding);
 //   * per-shard outstanding-job tables: a pending queue (routed, not yet
 //     written) and an in-flight set (written, awaiting a result), with a
@@ -22,8 +22,8 @@
 //     here, so accepted jobs always see the contiguous global range;
 //   * failover: when a child dies (on_child_down), its unanswered jobs —
 //     pending and in-flight — are requeued onto the ring's next live
-//     shard and rerun from scratch; cold jobs are deterministic per seed,
-//     so a rerun emits the bit-identical result. Every accepted job
+//     shard and rerun from scratch; jobs are deterministic per seed, so a
+//     rerun emits the bit-identical result. Every accepted job
 //     produces exactly one output line even across a crash. Only when no
 //     shard is left do jobs error out (with a `shard` field naming the
 //     casualty);
@@ -31,11 +31,6 @@
 //     lines are answered by the router itself; pongs from children (the
 //     router's own health probes) are consumed via take_pong, never
 //     forwarded;
-//   * replication (RouterOptions::replicas = R): a key's replica set is
-//     its owner plus the next R-1 distinct shards clockwise, recomputed
-//     deterministically on every membership change. Every job runs on its
-//     owner; the replica set only tells the Supervisor where to warm
-//     pools, so failover lands on a shard that already knows the key;
 //   * admission control: past a global pending bound, the lowest-priority
 //     job is shed with a "delayed"-tagged error instead of queueing
 //     unboundedly.
@@ -84,17 +79,6 @@ class HashRing {
   /// The shard owning `key`. Throws std::runtime_error on an empty ring.
   [[nodiscard]] std::size_t route(std::uint64_t key) const;
 
-  /// The replica set for `key`: up to `count` DISTINCT live shards,
-  /// starting at the owner and walking clockwise. Deterministic for a
-  /// given membership (a pure function of the vnode points, which are a
-  /// pure function of the slot indices), clamped to the live shard count.
-  /// Removing a shard that is not in a key's replica set leaves that set
-  /// unchanged — the walk skips only the removed shard's points — so
-  /// membership changes remap replica sets minimally, like ownership.
-  /// Throws std::runtime_error on an empty ring.
-  [[nodiscard]] std::vector<std::size_t> replicas(std::uint64_t key,
-                                                 std::size_t count) const;
-
  private:
   std::size_t vnodes_;
   std::map<std::uint64_t, std::size_t> ring_;  ///< point -> shard
@@ -107,10 +91,6 @@ struct RouterOptions {
   std::size_t window = 32;
   /// Virtual nodes per shard on the hash ring.
   std::size_t vnodes = 64;
-  /// Replication factor R: a job runs on its key's owner, but warm pools
-  /// (Supervisor handoff/gossip) extend to the next R-1 distinct shards
-  /// clockwise, where failover lands. 1 = no replication.
-  std::size_t replicas = 1;
   /// Admission control: once this many routed jobs wait for a window
   /// slot, the lowest-priority pending job is shed with a "delayed"-
   /// tagged error instead of growing the backlog. 0 = unbounded.
@@ -159,8 +139,7 @@ class ShardRouter {
 
   /// Re-adds a dead shard slot to the ring (the Supervisor respawned its
   /// process). Its vnode points are a pure function of the slot index,
-  /// so exactly the keyslice it owned before the crash moves back — and
-  /// with it any warm-pool entries the Supervisor forwards.
+  /// so exactly the keyslice it owned before the crash moves back.
   void revive_shard(std::size_t shard);
 
   /// Appends a brand-new shard slot (live resharding grow); returns its
@@ -177,11 +156,6 @@ class ShardRouter {
   /// True when a pong arrived from `shard` since the last call (clears).
   bool take_pong(std::size_t shard);
 
-  /// The latest {"warm":{...}} snapshot `shard` sent in reply to an
-  /// export_warm probe, serialized; consumed by the Supervisor's warm
-  /// handoff. Clears on read.
-  std::optional<std::string> take_warm_export(std::size_t shard);
-
   /// The latest {"service":{...}} stats snapshot `shard` sent in reply to
   /// a Supervisor stats probe, serialized; consumed by the fleet stats
   /// aggregation. Clears on read.
@@ -197,19 +171,10 @@ class ShardRouter {
   [[nodiscard]] std::size_t live_shards() const { return ring_.shard_count(); }
   /// Total slots ever created (live + dead); endpoints index this range.
   [[nodiscard]] std::size_t shard_slots() const { return alive_.size(); }
-  /// The live shard owning problem fingerprint `fp` right now (warm
-  /// handoff targeting). Throws std::runtime_error on an empty ring.
+  /// The live shard owning problem fingerprint `fp` right now. Throws
+  /// std::runtime_error on an empty ring.
   [[nodiscard]] std::size_t owner_of(std::uint64_t fp) const {
     return ring_.route(fp);
-  }
-  /// `fp`'s full replica set under this router's replication factor:
-  /// the owner plus the next R-1 distinct live shards (warm handoff and
-  /// gossip targeting). Throws std::runtime_error on an empty ring.
-  [[nodiscard]] std::vector<std::size_t> replica_set(std::uint64_t fp) const {
-    return ring_.replicas(fp, options_.replicas);
-  }
-  [[nodiscard]] std::size_t replication_factor() const {
-    return options_.replicas;
   }
   /// Jobs accepted but not yet answered (any shard, any state).
   [[nodiscard]] std::size_t outstanding() const { return jobs_.size(); }
@@ -267,7 +232,6 @@ class ShardRouter {
   std::vector<std::deque<std::string>> pending_;  ///< tokens, FIFO
   std::vector<std::unordered_set<std::string>> inflight_;
   std::vector<bool> pong_;
-  std::vector<std::optional<std::string>> warm_export_;  ///< per shard
   std::vector<std::optional<std::string>> stats_export_;  ///< per shard
   /// Per-shard round-trip latency (unique_ptr: atomics are immovable).
   std::vector<std::unique_ptr<obs::Histogram>> latency_;

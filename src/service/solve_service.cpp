@@ -22,11 +22,9 @@ namespace detail {
 
 struct JobState {
   std::uint64_t fingerprint = 0;
-  /// Content hash of the problem alone — the warm-start pool's key.
-  std::uint64_t problem_fp = 0;
-  /// Model key: problem_fp + backend spec + penalty shaping. Jobs sharing
-  /// it can run on one model + one bound backend; seeds, iteration
-  /// budgets, deadlines etc. stay per job.
+  /// Model key: problem fingerprint + backend spec + penalty shaping.
+  /// Jobs sharing it can run on one model + one bound backend; seeds,
+  /// iteration budgets, deadlines etc. stay per job.
   std::uint64_t model_key = 0;
   SolveRequest request;
   util::StopSource stop;
@@ -220,7 +218,7 @@ SolveService::SolveService(ServiceOptions options)
           "saim_job_solve_ms", "solve start to job completion, ms")),
       hist_total_ms_(registry_.histogram(
           "saim_job_total_ms", "submit to response ready, milliseconds")),
-      cache_(options.cache_capacity, options.warm_pool_capacity),
+      cache_(options.cache_capacity),
       pool_(options.workers == 0 ? util::hardware_threads()
                                  : options.workers) {
   for (std::size_t w = 0; w < pool_.thread_count(); ++w) {
@@ -259,16 +257,12 @@ std::uint64_t request_fingerprint_with(std::uint64_t problem_fp,
   fp.mix(static_cast<std::uint64_t>(o.collect_feasible_costs));
   fp.mix(static_cast<std::uint64_t>(o.convergence_patience));
   fp.mix(o.convergence_tol);
-  // Warm and cold twins are different computations: a warm job's output
-  // depends on the pool, so it must never collide with a cold twin in the
-  // cache or the in-flight table.
-  fp.mix(static_cast<std::uint64_t>(request.warm_start));
   return fp.digest();
 }
 
 /// Everything that shapes a worker's cached model/backend — and nothing
 /// that is legitimately per job (seed, eta, iterations, replicas,
-/// deadline, warm_start).
+/// deadline).
 std::uint64_t model_key_with(std::uint64_t problem_fp,
                              const SolveRequest& request) {
   problems::Fingerprint fp;
@@ -334,7 +328,6 @@ JobHandle SolveService::submit(SolveRequest request) {
 
   auto job = std::make_shared<JobState>();
   job->fingerprint = fp;
-  job->problem_fp = problem_fp;
   job->model_key = model_key_with(problem_fp, request);
   job->submitted_at = std::chrono::steady_clock::now();
 
@@ -344,11 +337,7 @@ JobHandle SolveService::submit(SolveRequest request) {
       throw std::runtime_error("SolveService::submit after shutdown");
     }
 
-    // Warm jobs bypass the replay machinery wholesale: their result is a
-    // function of the pool's state at execution time, so serving a stored
-    // twin (cache) or joining a running one (coalescing) would hand the
-    // caller a different pool snapshot than the one they asked to use.
-    if (request.use_cache && !request.warm_start) {
+    if (request.use_cache) {
       // Completed twin: serve the very SolveResult object computed the
       // first time — bit-identical by construction, no recompute.
       if (auto cached = cache_.get(fp)) {
@@ -383,9 +372,7 @@ JobHandle SolveService::submit(SolveRequest request) {
     // a deadline (timeouts are not fingerprinted, so coalescing across
     // them would hand one caller the other's time budget) — otherwise
     // fall through and compute independently.
-    if (const auto it = request.warm_start ? inflight_.end()
-                                           : inflight_.find(fp);
-        it != inflight_.end()) {
+    if (const auto it = inflight_.find(fp); it != inflight_.end()) {
       if (auto twin = it->second.lock();
           twin && twin->request.timeout.count() == 0 &&
           request.timeout.count() == 0) {
@@ -429,11 +416,8 @@ JobHandle SolveService::submit(SolveRequest request) {
     // Register for coalescing only if the slot is free: a job that
     // *declined* to join a live twin (deadline mismatch) must not evict
     // that twin's entry — later deadline-free duplicates should still
-    // find and join the original. Warm jobs never coalesce, so they do
-    // not register either.
-    if (!job->request.warm_start) {
-      if (auto& slot = inflight_[fp]; slot.expired()) slot = job;
-    }
+    // find and join the original.
+    if (auto& slot = inflight_[fp]; slot.expired()) slot = job;
   }
 
   if (!queue_.push(job, job->request.priority)) {
@@ -485,15 +469,7 @@ void SolveService::record_outcome(
   if (result->status != core::Status::kCompleted) return;
   // Only full solves are worth replaying; partial (stopped) results depend
   // on wall-clock timing and must never be served to a future request.
-  // Warm results are excluded too: they depend on the pool snapshot.
-  if (job->request.use_cache && !job->request.warm_start) {
-    cache_.put(job->fingerprint, result);
-  }
-  // Every completed feasible job deposits its best configuration into the
-  // problem's warm-start pool (no opt-in needed to GIVE — only to TAKE).
-  if (result->found_feasible && !result->best_config.empty()) {
-    cache_.put_warm(job->problem_fp, result->best_config, result->best_cost);
-  }
+  if (job->request.use_cache) cache_.put(job->fingerprint, result);
 }
 
 void SolveService::execute(const std::shared_ptr<JobState>& job,
@@ -516,14 +492,6 @@ void SolveService::execute(const std::shared_ptr<JobState>& job,
     response->error = what;
   };
   try {
-    std::vector<ising::Bits> warm_starts;
-    if (request.warm_start) {
-      warm_starts = cache_.warm_samples(job->problem_fp);
-      response->warm_started = !warm_starts.empty();
-      if (response->warm_started) {
-        warm_seeded_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
     BoundModel* bound = models.find(job->model_key);
     if (bound != nullptr) {
       model_reuses_.fetch_add(1, std::memory_order_relaxed);
@@ -544,7 +512,7 @@ void SolveService::execute(const std::shared_ptr<JobState>& job,
       throw std::invalid_argument("SaimSolver: iterations must be positive");
     }
     ascent.emplace(*bound->problem, request.options, request.evaluator,
-                   job->stop.token(), std::move(warm_starts));
+                   job->stop.token());
     job->solve_started_at = std::chrono::steady_clock::now();
     while (!ascent->step(*bound->model, *bound->backend)) {
     }
@@ -556,8 +524,8 @@ void SolveService::execute(const std::shared_ptr<JobState>& job,
   } catch (...) {
     fail("unknown exception in solve job");
   }
-  // A failure may leave state behind in the backend (unconsumed initial
-  // states): the next job on this key starts fresh.
+  // A failure may leave the backend half-run: the next job on this key
+  // starts from a fresh build.
   if (result->status == core::Status::kError) models.erase(job->model_key);
 
   response->wall_ms = timer.milliseconds();
@@ -645,7 +613,6 @@ SolveService::Stats SolveService::stats() const {
   s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
   s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.warm_seeded = warm_seeded_.load(std::memory_order_relaxed);
   s.model_builds = model_builds_.load(std::memory_order_relaxed);
   s.model_reuses = model_reuses_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();

@@ -5,8 +5,7 @@
 // JobHandle future. The service owns
 //   * a persistent util::ThreadPool of solver workers,
 //   * a JobQueue with strict priority bands (FIFO within a band),
-//   * a content-keyed LRU ResultCache of completed results (with the
-//     per-problem warm-start pool riding along),
+//   * a content-keyed LRU ResultCache of completed results,
 //   * an in-flight table that coalesces duplicate requests onto one
 //     computation, and
 //   * per worker, a small LRU of built models keyed by the job's model
@@ -74,10 +73,6 @@ struct ServiceOptions {
   /// Defaults to 1: with several workers running whole jobs in parallel,
   /// per-job fan-out would only oversubscribe.
   std::size_t backend_batch_threads = 1;
-  /// Problem fingerprints the warm-start pool may track (each keeping the
-  /// ResultCache::kWarmSamplesPerProblem best feasible configurations).
-  /// 0 disables the pool — warm_start requests then run cold.
-  std::size_t warm_pool_capacity = 64;
 };
 
 struct SolveRequest {
@@ -93,14 +88,6 @@ struct SolveRequest {
   /// Wall-clock budget from submission; zero means none.
   std::chrono::milliseconds timeout{0};
   bool use_cache = true;
-  /// Opt-in cross-job warm start: seed this job's first inner run from the
-  /// per-problem pool of best-known feasible samples (and import the
-  /// pooled samples as its initial best-so-far). Off by default because a
-  /// warm job's result depends on what the pool held when it ran — it is
-  /// neither reproducible nor cacheable, so warm jobs bypass the result
-  /// cache and in-flight coalescing entirely. The flag IS fingerprinted,
-  /// keeping warm and cold twins distinct.
-  bool warm_start = false;
   /// Echo-through label (job id / instance name); not fingerprinted.
   std::string tag;
   /// Echo per-stage timing on the result line ("timing" object, see
@@ -128,9 +115,6 @@ struct SolveResponse {
   bool cache_hit = false;
   double wall_ms = 0.0;  ///< solve time; 0 for cache hits
   std::uint64_t fingerprint = 0;
-  /// True when the job was seeded from the warm-start pool (requested
-  /// warm_start AND the pool had samples for its problem).
-  bool warm_started = false;
   std::string tag;
   std::string error;  ///< non-empty iff status == kError
   /// Stage latencies for this job (see JobTiming). Always populated;
@@ -154,7 +138,7 @@ using ModelCache = util::SmallLru<std::uint64_t, BoundModel>;
 /// cancellation vote on the (possibly shared) underlying computation, and
 /// dropping a handle without voting withdraws it from the quorum — when
 /// the last handle of an unfinished job is dropped, the job is abandoned
-/// and cancels itself (keep the handle alive for fire-and-forget warming).
+/// and cancels itself (keep the handle alive to warm the result cache).
 class JobHandle {
  public:
   JobHandle() = default;
@@ -238,7 +222,6 @@ class SolveService {
     std::uint64_t deadline_expired = 0;
     std::uint64_t errors = 0;
     std::uint64_t coalesced = 0;  ///< submits joined onto an in-flight twin
-    std::uint64_t warm_seeded = 0;  ///< jobs seeded from the warm pool
     /// Jobs that built a LagrangianModel and bound a backend, and jobs
     /// that reused a worker's built pair instead.
     std::uint64_t model_builds = 0;
@@ -250,9 +233,6 @@ class SolveService {
   /// Result-cache entry count right now (stats snapshots for the
   /// {"cmd":"stats"} control line and the metrics endpoint).
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
-  [[nodiscard]] std::size_t warm_pool_size() const {
-    return cache_.warm_pool_size();
-  }
 
   /// This service's metric registry: the per-stage latency histograms
   /// (saim_job_queue_ms, saim_job_setup_ms, saim_job_solve_ms,
@@ -269,23 +249,6 @@ class SolveService {
   /// the cache/coalescing key. Exposed for tests and tooling.
   [[nodiscard]] static std::uint64_t request_fingerprint(
       const SolveRequest& request);
-
-  /// Snapshot of the warm-start pool (per-problem best feasible configs)
-  /// for cross-process handoff: the {"cmd":"export_warm"} control line.
-  /// Problem fingerprints are stable across processes, so another
-  /// service can import_warm_sample() these verbatim.
-  [[nodiscard]] std::vector<ResultCache::WarmSnapshot> export_warm_pool()
-      const {
-    return cache_.export_warm();
-  }
-
-  /// Offers one exported configuration to this service's pool (the
-  /// {"cmd":"import_warm"} control line). Samples are re-judged at use —
-  /// an import can only seed, never corrupt, a warm job.
-  void import_warm_sample(std::uint64_t problem_fp, const ising::Bits& bits,
-                          double cost) {
-    cache_.put_warm(problem_fp, bits, cost);
-  }
 
  private:
   void worker_loop();
@@ -338,7 +301,6 @@ class SolveService {
   std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> warm_seeded_{0};
   std::atomic<std::uint64_t> model_builds_{0};
   std::atomic<std::uint64_t> model_reuses_{0};
 

@@ -1,104 +1,20 @@
 #include "service/stream_session.hpp"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
+#include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "core/report.hpp"
 #include "service/job_parser.hpp"
 #include "service/service_stats.hpp"
+#include "util/jsonl.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_checker.hpp"
 
 namespace saim::service {
-
-// ----------------------------------------------------------- warm payload
-
-std::string warm_pool_to_json(
-    const std::vector<ResultCache::WarmSnapshot>& pool) {
-  std::string json = "{";
-  bool first_problem = true;
-  for (const auto& entry : pool) {
-    char fp_hex[17];
-    std::snprintf(fp_hex, sizeof fp_hex, "%016" PRIx64, entry.problem_fp);
-    if (!first_problem) json += ",";
-    first_problem = false;
-    json += "\"";
-    json += fp_hex;
-    json += "\":[";
-    bool first_sample = true;
-    for (const auto& [cost, bits] : entry.samples) {
-      std::string bit_string(bits.size(), '0');
-      for (std::size_t i = 0; i < bits.size(); ++i) {
-        if (bits[i]) bit_string[i] = '1';
-      }
-      util::JsonWriter sample;
-      sample.field("cost", cost).field("bits", bit_string);
-      if (!first_sample) json += ",";
-      first_sample = false;
-      json += sample.str();
-    }
-    json += "]";
-  }
-  json += "}";
-  return json;
-}
-
-std::optional<std::uint64_t> parse_fp_hex(const std::string& hex) {
-  if (hex.empty() || hex.size() > 16) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : hex) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return value;
-}
-
-std::size_t import_warm_json(SolveService& service,
-                             const util::JsonValue& warm) {
-  if (!warm.is_object()) {
-    throw std::runtime_error("\"warm\" must be an object");
-  }
-  std::size_t imported = 0;
-  for (const auto& [fp_hex, samples] : warm.object()) {
-    const auto fp = parse_fp_hex(fp_hex);
-    if (!fp) {
-      throw std::runtime_error("bad warm fingerprint \"" + fp_hex + "\"");
-    }
-    if (!samples.is_array()) {
-      throw std::runtime_error("warm entry \"" + fp_hex +
-                               "\" must be an array");
-    }
-    for (const auto& sample : samples.array()) {
-      const auto* cost = sample.find("cost");
-      const auto* bits = sample.find("bits");
-      if (!cost || !cost->is_number() || !bits || !bits->is_string()) {
-        throw std::runtime_error("warm sample needs \"cost\" and \"bits\"");
-      }
-      const std::string& bit_string = bits->as_string();
-      ising::Bits config(bit_string.size(), 0);
-      for (std::size_t i = 0; i < bit_string.size(); ++i) {
-        if (bit_string[i] == '1') {
-          config[i] = 1;
-        } else if (bit_string[i] != '0') {
-          throw std::runtime_error("warm \"bits\" must be 0/1 characters");
-        }
-      }
-      service.import_warm_sample(*fp, config, cost->as_double());
-      ++imported;
-    }
-  }
-  return imported;
-}
 
 // -------------------------------------------------------------- core
 
@@ -113,10 +29,9 @@ struct PendingJob {
   bool trace = false;  ///< echo the "timing" object on the result line
   bool drain = false;  ///< {"cmd":"drain"} barrier, not a job
   bool bye = false;    ///< {"cmd":"shutdown"} farewell barrier
-  bool export_warm = false;  ///< {"cmd":"export_warm"} snapshot barrier
   bool emitted = false;
 
-  [[nodiscard]] bool barrier() const { return drain || bye || export_warm; }
+  [[nodiscard]] bool barrier() const { return drain || bye; }
 };
 
 }  // namespace
@@ -224,7 +139,6 @@ std::string StreamSessionCore::Impl::render(PendingJob& job) {
   context.wall_ms = response->wall_ms;
   context.cache_hit = response->cache_hit;
   context.fingerprint = response->fingerprint;
-  context.warm_started = response->warm_started;
   if (job.trace) {
     context.trace = true;
     context.queue_ms = response->timing.queue_ms;
@@ -239,16 +153,12 @@ std::string StreamSessionCore::Impl::render(PendingJob& job) {
 }
 
 // A barrier's acknowledgement line (no seq: control lines never consume
-// completion-order numbers). drain says "drained", shutdown says "bye",
-// export_warm snapshots the pool — at barrier time, so every feasible
-// job accepted before it has already deposited its samples.
+// completion-order numbers). drain says "drained", shutdown says "bye".
 std::string StreamSessionCore::Impl::render_barrier(PendingJob& job) {
   util::JsonWriter ack;
   ack.field("id", job.id);
   if (job.bye) {
     ack.field("bye", true);
-  } else if (job.export_warm) {
-    ack.raw_field("warm", warm_pool_to_json(service.export_warm_pool()));
   } else {
     ack.field("drained", true);
   }
@@ -313,16 +223,6 @@ bool StreamSessionCore::on_line(const std::string& line,
         replies.push_back(reply.take());
         return true;
       }
-      if (*cmd == "import_warm") {
-        const auto* warm = parsed.find("warm");
-        if (!warm) throw std::runtime_error("import_warm needs \"warm\"");
-        const std::size_t imported = import_warm_json(im.service, *warm);
-        util::JsonWriter reply;
-        reply.field("id", pending.id)
-            .field("imported", static_cast<std::uint64_t>(imported));
-        replies.push_back(reply.take());
-        return true;
-      }
       if (*cmd == "reshard") {
         throw std::runtime_error(
             "control cmd \"reshard\" is only handled by the saim_shard "
@@ -333,16 +233,11 @@ bool StreamSessionCore::on_line(const std::string& line,
         // before it drains, then {"bye":true} ends the session.
         pending.bye = true;
         stop_reading = true;
-      } else if (*cmd == "export_warm") {
-        // Snapshot barrier: replied once every job accepted before it
-        // has emitted — their feasible samples are then in the pool,
-        // so a handoff export never under-reports in-flight work.
-        pending.export_warm = true;
       } else {
         pending.drain = true;  // barrier; acknowledged once drained
       }
     } else {
-      ParsedJob job = parse_job(parsed, im.options.warm_default);
+      ParsedJob job = parse_job(parsed);
       job.request.tag = pending.id;
       pending.instance = job.instance;
       pending.backend = job.request.backend.name;

@@ -22,20 +22,17 @@
 // Control lines handled here: ping, stats (immediate service snapshot:
 // counters, cache stats, latency quantiles — see service_stats.hpp),
 // drain, shutdown (stop intake, drain everything accepted, emit
-// {"bye":true}, end the session), export_warm (warm-pool snapshot as
-// {"warm":{...}}), import_warm (deposit exported samples). reshard is
-// the sharding front door's command and is answered with an error line.
+// {"bye":true}, end the session). reshard is the sharding front door's
+// command and is answered with an error line.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "service/solve_service.hpp"
-#include "util/jsonl.hpp"
 
 namespace saim::service {
 
@@ -43,13 +40,11 @@ struct SessionOptions {
   /// Emit results as jobs finish (tagged with "seq") instead of in input
   /// order after EOF.
   bool stream = false;
-  /// --warm-start: per-job "warm_start" default.
-  bool warm_default = false;
 };
 
 /// The protocol state machine of one session, decoupled from any
 /// transport: feed input lines with on_line() (immediate replies —
-/// pong, stats, import acks — come back through `replies`), mark EOF
+/// pong, stats — come back through `replies`), mark EOF
 /// with finish_input(), and pull finished result lines with
 /// poll_emittable(), which NEVER blocks. Single-threaded: every call
 /// must come from the thread that made the first one (the event
@@ -61,8 +56,8 @@ struct SessionOptions {
 ///   * stream mode — completion order; every rendered line of an
 ///     accepted job carries the next "seq" (contiguous from 0). Lines
 ///     that became ready before one poll_emittable call render in the
-///     order their jobs finished, not in input order. A drain/shutdown/
-///     export barrier waits until every entry before it has emitted;
+///     order their jobs finished, not in input order. A drain/shutdown
+///     barrier waits until every entry before it has emitted;
 ///   * batch mode — nothing emits before finish_input(); afterwards
 ///     results render in input order (poll_emittable yields the maximal
 ///     finished prefix per call).
@@ -106,24 +101,5 @@ class StreamSessionCore {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// --------------------------------------------------------- warm payloads
-// The {"warm":{...}} wire object: problem fingerprints (16 hex digits,
-// the same rendering as result-line fingerprints) mapping to arrays of
-// {"cost":C,"bits":"0101..."} samples, best cost first.
-
-/// Serializes a pool snapshot as the warm payload object.
-std::string warm_pool_to_json(
-    const std::vector<ResultCache::WarmSnapshot>& pool);
-
-/// Offers every sample in a parsed warm payload to `service`'s pool.
-/// Returns the number of samples offered; throws std::runtime_error on a
-/// malformed payload.
-std::size_t import_warm_json(SolveService& service,
-                             const util::JsonValue& warm);
-
-/// "9c0f4a6e12b35d88" -> the fingerprint; std::nullopt when not 1-16
-/// lowercase hex digits.
-std::optional<std::uint64_t> parse_fp_hex(const std::string& hex);
 
 }  // namespace saim::service

@@ -11,7 +11,6 @@
 #include "net/socket_child.hpp"
 #include "service/process_child.hpp"
 #include "service/service_stats.hpp"
-#include "service/stream_session.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 
@@ -30,7 +29,7 @@ void append(std::vector<std::string>* out, std::vector<std::string> lines) {
 
 Supervisor::Supervisor(ShardRouter& router, SupervisorOptions options)
     : router_(router), options_(std::move(options)),
-      last_ping_(Clock::now()), last_gossip_(Clock::now()) {
+      last_ping_(Clock::now()) {
   slots_.resize(router_.shard_slots());
 }
 
@@ -143,9 +142,6 @@ std::vector<std::string> Supervisor::pump(int max_wait_ms) {
     for (const auto& line : slot.endpoint->read_lines()) {
       append(&out, router_.on_child_line(s, line));
     }
-    if (const auto warm = router_.take_warm_export(s)) {
-      forward_warm(s, *warm);
-    }
     if (const auto stats_json = router_.take_stats_export(s)) {
       // Deliver to the oldest aggregation still waiting on this shard.
       for (auto& probe : stats_probes_) {
@@ -167,17 +163,6 @@ std::vector<std::string> Supervisor::pump(int max_wait_ms) {
   }
 
   send_health_pings();
-  const auto after_wait = Clock::now();
-  if (options_.gossip_ms > 0 &&
-      after_wait - last_gossip_ >=
-          std::chrono::milliseconds(options_.gossip_ms)) {
-    // Periodic warm-pool gossip: the same export_warm probe the
-    // membership-change handoff uses, on a timer — replies route through
-    // forward_warm above on later pumps, warming replicas that joined
-    // (or respawned) after the pool entries were found.
-    last_gossip_ = after_wait;
-    request_warm_rebalance();
-  }
   advance_stats_probes(&out);
   // Endpoints that died or retired above closed their fds: deregister
   // them now, before the caller can open an fd that reuses a number.
@@ -227,8 +212,6 @@ std::string Supervisor::fleet_stats_line(const StatsProbe& probe) const {
       .field("requeued", rs.requeued)
       .field("orphaned", rs.orphaned)
       .field("sheds", rs.sheds)
-      .field("replicas",
-             static_cast<std::uint64_t>(router_.replication_factor()))
       .field("outstanding", static_cast<std::uint64_t>(router_.outstanding()));
 
   util::JsonWriter sup;
@@ -237,7 +220,6 @@ std::string Supervisor::fleet_stats_line(const StatsProbe& probe) const {
       .field("respawn_failures", stats_.respawn_failures)
       .field("reshards", stats_.reshards)
       .field("retired", stats_.retired)
-      .field("warm_forwarded", stats_.warm_forwarded)
       .field("unresponsive_kills", stats_.unresponsive_kills);
 
   std::string shards = "[";
@@ -379,10 +361,7 @@ bool Supervisor::try_respawn(std::size_t s, std::vector<std::string>* out) {
     util::log_info() << "remote shard " << s << " reconnected to "
                      << slot.host << ":" << slot.port;
   }
-  if (!router_.alive(s)) {
-    router_.revive_shard(s);  // the old keyslice routes back here
-    request_warm_rebalance();  // ... and its warm entries follow
-  }
+  if (!router_.alive(s)) router_.revive_shard(s);  // old keyslice returns
   return true;
 }
 
@@ -408,7 +387,7 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
     std::size_t failed_spawns = 0;
     // Recycle dead local slots first: revive_shard restores their exact
     // old keyslice, so a shrink-then-grow round trip moves keys back
-    // where their caches were warm.
+    // where their caches were hot.
     for (std::size_t s = 0; s < slots_.size() && needed > 0; ++s) {
       Slot& slot = slots_[s];
       if (!slot.attached || !slot.local || slot.want || slot.retiring ||
@@ -451,14 +430,12 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
     if (failed_spawns > 0) {
       util::log_warn() << "reshard grow stopped short (spawn failed)";
     }
-    request_warm_rebalance();  // new owners inherit their keys' pools
     return desired_locals();
   }
 
-  // Shrink: retire the highest-indexed local members. Ask each for its
-  // warm pool (forwarded to the keys' new owners when the reply lands),
-  // requeue its unanswered jobs via the failover path, and let it drain
-  // out through a polite shutdown.
+  // Shrink: retire the highest-indexed local members. Requeue each one's
+  // unanswered jobs via the failover path and let it drain out through a
+  // polite shutdown.
   std::size_t to_remove = current - target_locals;
   for (std::size_t i = slots_.size(); i-- > 0 && to_remove > 0;) {
     Slot& slot = slots_[i];
@@ -468,9 +445,6 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
     ++stats_.retired;
     --to_remove;
     if (slot.endpoint) {
-      slot.endpoint->send_line(
-          R"({"cmd":"export_warm","id":"_probe)" +
-          std::to_string(probe_counter_++) + "\"}");
       slot.endpoint->send_line(R"({"cmd":"shutdown","id":"_retire"})");
       slot.endpoint->pump_writes();
       slot.retiring = true;
@@ -483,62 +457,6 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
     }
   }
   return desired_locals();
-}
-
-void Supervisor::request_warm_rebalance() {
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (!slots_[s].endpoint || slots_[s].retiring || !router_.alive(s)) {
-      continue;
-    }
-    slots_[s].endpoint->send_line(
-        R"({"cmd":"export_warm","id":"_probe)" +
-        std::to_string(probe_counter_++) + "\"}");
-  }
-}
-
-void Supervisor::forward_warm(std::size_t donor, const std::string& warm_json) {
-  util::JsonValue warm;
-  try {
-    warm = util::parse_json(warm_json);
-  } catch (const std::exception&) {
-    return;  // defensive: a child never sends garbage
-  }
-  if (!warm.is_object()) return;
-
-  // Group the donor's entries by every member of their CURRENT replica
-  // set (owner + next R-1 shards); the donor's own copy stays put.
-  std::map<std::size_t, std::string> per_owner;
-  std::map<std::size_t, std::uint64_t> forwarded;
-  for (const auto& [fp_hex, samples] : warm.object()) {
-    const auto fp = parse_fp_hex(fp_hex);
-    if (!fp || !samples.is_array() || samples.array().empty()) continue;
-    std::vector<std::size_t> members;
-    try {
-      members = router_.replica_set(*fp);
-    } catch (const std::exception&) {
-      return;  // empty ring: nobody to hand anything to
-    }
-    for (const std::size_t member : members) {
-      if (member == donor || member >= slots_.size() ||
-          !slots_[member].endpoint || slots_[member].retiring) {
-        continue;
-      }
-      std::string& payload = per_owner[member];
-      payload += payload.empty() ? "{" : ",";
-      payload += "\"" + fp_hex + "\":" + util::to_json(samples);
-      forwarded[member] += samples.array().size();
-    }
-  }
-  for (auto& [owner, payload] : per_owner) {
-    payload += "}";
-    util::JsonWriter line;
-    line.field("cmd", "import_warm")
-        .field("id", "_warm" + std::to_string(probe_counter_++))
-        .raw_field("warm", payload);
-    slots_[owner].endpoint->send_line(line.str());
-    slots_[owner].endpoint->pump_writes();
-    stats_.warm_forwarded += forwarded[owner];
-  }
 }
 
 void Supervisor::send_health_pings() {
@@ -655,12 +573,9 @@ int Supervisor::wait_ms(int max_wait_ms) const {
   for (const StatsProbe& probe : stats_probes_) {
     next = std::min(next, probe.deadline);
   }
-  for (const auto& [last, every_ms] :
-       {std::pair{last_ping_, options_.ping_ms},
-        std::pair{last_gossip_, options_.gossip_ms}}) {
-    if (every_ms > 0) {
-      next = std::min(next, last + std::chrono::milliseconds(every_ms));
-    }
+  if (options_.ping_ms > 0) {
+    next = std::min(next,
+                    last_ping_ + std::chrono::milliseconds(options_.ping_ms));
   }
   if (next == Clock::time_point::max()) return max_wait_ms;
   // Rounded up: waking a fraction of a millisecond early would find the

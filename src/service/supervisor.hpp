@@ -22,21 +22,12 @@
 //   * live resharding — reshard(n) grows or shrinks the LOCAL fleet to n
 //     while jobs are in flight. Grow spawns children into recycled dead
 //     slots first, then brand-new slots. Shrink retires the
-//     highest-indexed local shards: each is asked to export_warm, has
-//     its unanswered jobs requeued onto the survivors via the PR 4
-//     failover path (exactly-once: a late result from the retiree and
-//     the rerun's result dedupe by routing token, first one wins), and
-//     is then sent {"cmd":"shutdown"} — its tail output is pumped until
+//     highest-indexed local shards: each has its unanswered jobs
+//     requeued onto the survivors via the router's failover path
+//     (exactly-once: a late result from the retiree and the rerun's
+//     result dedupe by routing token, first one wins), and is then sent
+//     {"cmd":"shutdown"} — its tail output is pumped until
 //     the farewell EOF so nothing it already computed is discarded.
-//
-//   * warm handoff — whenever ring membership changes (respawn rejoin,
-//     grow, shrink), every live shard is probed with export_warm; each
-//     returned pool entry is forwarded as import_warm to every member of
-//     its fingerprint's replica set (owner + next R-1) except the donor,
-//     so jobs that fail over onto a replica start from the best
-//     configurations already found. With gossip_ms > 0 the same probe
-//     also runs on a timer, warming late joiners between membership
-//     changes.
 //
 //   * health — the ping/5-missed-pongs watchdog from PR 4's tool loop
 //     lives here now; an unresponsive shard is terminated and flows into
@@ -98,12 +89,6 @@ struct SupervisorOptions {
   /// exit on its own before being terminated (a wedged retiree must not
   /// haunt the fleet until final teardown).
   int retire_grace_ms = 10000;
-  /// Periodic warm-pool gossip: every gossip_ms the fleet is probed with
-  /// export_warm and each entry is re-forwarded to its key's replica set
-  /// (same path as the membership-change handoff), so a late-joining or
-  /// respawned replica warms up between membership changes too. 0 = only
-  /// membership changes trigger the handoff.
-  int gossip_ms = 0;
   /// Auth token presented to remote `--listen` shards on connect and on
   /// every redial (they close unauthenticated sessions when started with
   /// --auth-token). Empty = no handshake line.
@@ -118,7 +103,6 @@ class Supervisor {
     std::uint64_t respawn_failures = 0;///< slots abandoned after max_restarts
     std::uint64_t reshards = 0;        ///< reshard() membership changes
     std::uint64_t retired = 0;         ///< shards removed by shrink
-    std::uint64_t warm_forwarded = 0;  ///< pool entries moved to a new owner
     std::uint64_t unresponsive_kills = 0;
   };
 
@@ -139,8 +123,8 @@ class Supervisor {
 
   /// One cycle: flush windows, wait on loop() (at most `max_wait_ms`,
   /// negative = unbounded, and never past the fleet's next deadline),
-  /// route lines, advance deaths / respawns / retirements / warm
-  /// handoffs / health probes. Returns result lines to emit downstream,
+  /// route lines, advance deaths / respawns / retirements / health
+  /// probes. Returns result lines to emit downstream,
   /// in order.
   std::vector<std::string> pump(int max_wait_ms);
 
@@ -217,11 +201,6 @@ class Supervisor {
   void on_death(std::size_t slot, std::vector<std::string>* out);
   /// Spawns the replacement for a due slot; true on success.
   bool try_respawn(std::size_t slot, std::vector<std::string>* out);
-  /// Probes every live shard for its warm pool (handoff/gossip trigger).
-  void request_warm_rebalance();
-  /// Routes one shard's export to each entry's current replica set (the
-  /// owner plus the next R-1 shards), skipping the donor itself.
-  void forward_warm(std::size_t donor, const std::string& warm_json);
   void send_health_pings();
   /// Registers on loop_ each endpoint's read fd until EOF and its write
   /// fd while bytes are queued. Keyed by the fds recorded at the last
@@ -229,8 +208,7 @@ class Supervisor {
   /// without asking the endpoint.
   void watch_endpoints();
   /// `max_wait_ms` clamped to the earliest deadline the fleet keeps: a
-  /// respawn backoff, a retiree's grace, a stats probe, the next ping or
-  /// gossip round.
+  /// respawn backoff, a retiree's grace, a stats probe or the next ping.
   [[nodiscard]] int wait_ms(int max_wait_ms) const;
   /// Emits every complete (or expired) fleet-stats aggregation.
   void advance_stats_probes(std::vector<std::string>* out);
@@ -249,7 +227,6 @@ class Supervisor {
   std::vector<std::string> deferred_out_;
   std::vector<StatsProbe> stats_probes_;
   std::chrono::steady_clock::time_point last_ping_;
-  std::chrono::steady_clock::time_point last_gossip_;
   std::uint64_t probe_counter_ = 0;
   Stats stats_;
 };

@@ -131,7 +131,7 @@ std::shared_ptr<const core::SolveResult> make_result(std::size_t sweeps) {
 TEST(ConcurrencyStress, ResultCacheConcurrentPutGetEvict) {
   // Capacity far below the key space, so eviction runs constantly while
   // other threads read and overwrite.
-  service::ResultCache cache(/*capacity=*/32, /*warm_capacity=*/8);
+  service::ResultCache cache(/*capacity=*/32);
   constexpr std::uint64_t kKeySpace = 128;
 
   std::vector<std::thread> workers;
@@ -146,26 +146,17 @@ TEST(ConcurrencyStress, ResultCacheConcurrentPutGetEvict) {
           // eviction churns the LRU list under it.
           EXPECT_EQ(hit->status, core::Status::kCompleted);
         }
-        if (i % 5 == 0) {
-          ising::Bits bits(8, static_cast<std::uint8_t>(t & 1));
-          cache.put_warm(key % 16, bits, static_cast<double>(i % 11));
-        }
-        if (i % 7 == 0) {
-          (void)cache.warm_samples(key % 16);
-        }
       }
     });
   }
   for (auto& w : workers) w.join();
 
   EXPECT_LE(cache.size(), cache.capacity());
-  EXPECT_LE(cache.warm_pool_size(), 8u);
   const auto stats = cache.stats();
   // Conservation: entries present == entries ever inserted - evicted
   // (overwrites count as neither), and every lookup was a hit or a miss.
   EXPECT_EQ(stats.insertions - stats.evictions, cache.size());
   EXPECT_GT(stats.hits + stats.misses, 0u);
-  EXPECT_GT(stats.warm_hits + stats.warm_misses, 0u);
 }
 
 // ---------------------------------------------------------- MetricsRegistry
@@ -232,7 +223,7 @@ TEST(ConcurrencyStress, ParseJobSharesOneProblemPerGenSpec) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (std::size_t i = t; i < parsed.size(); i += kThreads) {
-        parsed[i] = service::parse_job(line, /*warm_default=*/false);
+        parsed[i] = service::parse_job(line);
       }
     });
   }

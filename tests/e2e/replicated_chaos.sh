@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Replicated-fleet chaos smoke: saim_shard at R=2 loses a shard mid-stream.
+# Fleet chaos smoke: a two-shard saim_shard loses a shard mid-stream.
 #
 #   1. A mid-stream scrape of the fleet's --metrics endpoint exposes the
 #      shed counter and a well-formed per-shard round-trip histogram
@@ -11,7 +11,8 @@
 #      stdout, one scrape with no wait shows saim_router_emitted_total
 #      >= k.
 #   3. SIGKILL one saim_serve child once the first result is out: the
-#      supervisor reports it "down, respawning".
+#      supervisor reports it "down, respawning", and its unanswered jobs
+#      fail over to the survivor.
 #   4. All 12 jobs are delivered exactly once, with no error lines and
 #      contiguous seq 0..11.
 #   5. No "WARNING: ThreadSanitizer" line reaches stderr (the tsan CI job
@@ -39,7 +40,7 @@ cd "$work"
 for k in 1 2 3 4 5 6; do for j in 1 2; do
   echo "{\"id\":\"k${k}j${j}\",\"gen\":\"qkp:80-25-${k}\",\"iterations\":150,\"sweeps\":600,\"seed\":${j}}"
 done; done > slow_jobs.jsonl
-"$shard" --shards 2 --workers 1 --replicas 2 --gossip-ms 50 \
+"$shard" --shards 2 --workers 1 \
   --metrics 127.0.0.1:0 --metrics-port-file metrics_port.tmp \
   --stats < slow_jobs.jsonl > chaos_out.jsonl 2> chaos_err.txt &
 shard_pid=$!
@@ -129,4 +130,4 @@ if grep -q "WARNING: ThreadSanitizer" chaos_err.txt; then
   exit 1
 fi
 
-echo "replicated chaos OK: one thread, fresh metrics scrapes, SIGKILL + respawn, 12 jobs exactly once"
+echo "fleet chaos OK: one thread, fresh metrics scrapes, SIGKILL + respawn, 12 jobs exactly once"

@@ -2,16 +2,17 @@
 # saim_serve's stdin/stdout session, end to end.
 #
 #   1. JSONL smoke: three batch-mode jobs complete in input order; the
-#      duplicate instance reports the same fingerprint.
-#   2. Stream + warm start on one instance: seq 0..2, every batch_size
-#      is 1 (each job runs alone on its worker).
+#      duplicate instance reports the same fingerprint; result lines carry
+#      batch_size and no warm_started field.
+#   2. Stream on one instance: seq 0..2, every batch_size is 1 (each job
+#      runs alone on its worker).
 #   3. Transports: the same jobs from a pipe, from a regular file on
 #      stdin and through --input/--output paths give identical solver
 #      fields.
 #   4. An unterminated last line at EOF is served.
 #   5. Input after {"cmd":"shutdown"} is ignored and bye is the last line.
 #   6. A malformed line gives an error line and exit 1; a bad --input
-#      path gives exit 2.
+#      path and the deleted --warm-start flag give exit 2.
 #   7. fd flags: saim_serve runs with a pipe's read end as stdin and
 #      another pipe's write end as stdout; the O_NONBLOCK bit of those
 #      shared open file descriptions is as before the run once it exits,
@@ -45,14 +46,14 @@ lines = [json.loads(l) for l in open('serve_out.jsonl')]
 assert [l['id'] for l in lines] == ['a', 'b', 'a-again'], lines
 assert all(l['status'] == 'completed' for l in lines), lines
 assert lines[0]['fingerprint'] == lines[2]['fingerprint'], lines
-assert all('batch_size' in l and 'warm_started' in l for l in lines), lines
+assert all('batch_size' in l and 'warm_started' not in l for l in lines), lines
 EOF
 
-# 2. Stream + warm start on one instance.
+# 2. Stream on one instance.
 printf '%s\n' \
   '{"id":"c1","gen":"qkp:40-25-1","iterations":30,"sweeps":200,"seed":1}' \
   '{"id":"c2","gen":"qkp:40-25-1","iterations":30,"sweeps":200,"seed":2}' \
-  '{"id":"w","gen":"qkp:40-25-1","iterations":30,"sweeps":200,"seed":3,"warm_start":true}' \
+  '{"id":"c3","gen":"qkp:40-25-1","iterations":30,"sweeps":200,"seed":3}' \
   | "$serve" --workers 1 --stream --stats > stream_out.jsonl
 python3 - <<'EOF'
 import json
@@ -124,6 +125,9 @@ EOF
 rc=0
 "$serve" --input "$work/no/such/file.jsonl" > /dev/null 2>&1 || rc=$?
 [[ $rc -eq 2 ]] || { echo "bad --input: exit $rc, want 2" >&2; exit 1; }
+rc=0
+"$serve" --warm-start < /dev/null > /dev/null 2>&1 || rc=$?
+[[ $rc -eq 2 ]] || { echo "--warm-start: exit $rc, want 2" >&2; exit 1; }
 
 # 7. fd flags survive the run, ended by EOF or by SIGTERM.
 python3 - "$serve" <<'EOF'

@@ -9,7 +9,9 @@
 #   3. A reader that leaves early (`| head -1`) makes saim_shard exit 1:
 #      results were lost.
 #   4. A fractional {"cmd":"reshard"} gets an error line (and exit 1).
-#   5. Supervisor restart: SIGKILL one shard child mid-stream; all 12
+#   5. The deleted replication flags (--replicas, --gossip-ms) and
+#      --warm-start are bad invocations: exit 2, before any shard starts.
+#   6. Supervisor restart: SIGKILL one shard child mid-stream; all 12
 #      jobs still answer exactly once, with no error lines, contiguous
 #      seq and a respawn in the exit summary.
 #
@@ -105,7 +107,15 @@ assert len(lines) == 1 and lines[0]['id'] == 'frac', lines
 assert 'error' in lines[0] and 'resharded' not in lines[0], lines
 EOF
 
-# 5. Supervisor restart: SIGKILL a shard mid-stream.
+# 5. Removed flags exit 2.
+for flag in "--replicas 2" "--gossip-ms 5" "--warm-start"; do
+  rc=0
+  # shellcheck disable=SC2086  # the flag and its value are two words
+  "$shard" --shards 1 $flag < /dev/null > /dev/null 2>&1 || rc=$?
+  [[ $rc -eq 2 ]] || { echo "saim_shard $flag: exit $rc, want 2" >&2; exit 1; }
+done
+
+# 6. Supervisor restart: SIGKILL a shard mid-stream.
 for k in 1 2 3 4 5 6; do for j in 1 2; do
   echo "{\"id\":\"k${k}j${j}\",\"gen\":\"qkp:80-25-${k}\",\"iterations\":150,\"sweeps\":600,\"seed\":${j}}"
 done; done > slow_jobs.jsonl

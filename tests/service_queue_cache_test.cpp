@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <initializer_list>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -251,77 +250,6 @@ TEST(ResultCache, NullValueIsNeverInserted) {
   cache.put(1, nullptr);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().insertions, 0u);
-}
-
-// ------------------------------------------------------- warm-start pool
-
-ising::Bits config_of(std::initializer_list<int> bits) {
-  ising::Bits b;
-  for (const int v : bits) b.push_back(static_cast<std::uint8_t>(v));
-  return b;
-}
-
-TEST(ResultCache, WarmPoolReturnsBestCostFirstAndDedupes) {
-  ResultCache cache(4, /*warm_capacity=*/4);
-  cache.put_warm(7, config_of({1, 0, 0}), -5.0);
-  cache.put_warm(7, config_of({0, 1, 0}), -9.0);
-  cache.put_warm(7, config_of({1, 0, 0}), -5.0);  // duplicate config
-  const auto samples = cache.warm_samples(7);
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0], config_of({0, 1, 0}));  // best cost first
-  EXPECT_EQ(samples[1], config_of({1, 0, 0}));
-  EXPECT_EQ(cache.stats().warm_inserts, 2u);
-  EXPECT_EQ(cache.stats().warm_hits, 1u);
-}
-
-TEST(ResultCache, WarmPoolKeepsOnlyTheBestSamplesPerProblem) {
-  ResultCache cache(4, /*warm_capacity=*/4);
-  const auto cap = ResultCache::kWarmSamplesPerProblem;
-  for (std::size_t i = 0; i < cap + 3; ++i) {
-    cache.put_warm(7, config_of({int(i % 2), int(i / 2 % 2), int(i / 4)}),
-                   -double(i));
-  }
-  const auto samples = cache.warm_samples(7);
-  EXPECT_EQ(samples.size(), std::min<std::size_t>(cap, 7));
-  // A sample worse than everything pooled is rejected outright.
-  const auto before = cache.stats().warm_inserts;
-  cache.put_warm(7, config_of({1, 1, 1}), 1000.0);
-  EXPECT_EQ(cache.stats().warm_inserts, before);
-}
-
-TEST(ResultCache, WarmPoolEvictsLeastRecentlyUsedProblem) {
-  ResultCache cache(4, /*warm_capacity=*/2);
-  cache.put_warm(1, config_of({1}), -1.0);
-  cache.put_warm(2, config_of({1}), -1.0);
-  EXPECT_FALSE(cache.warm_samples(1).empty());  // bump problem 1
-  cache.put_warm(3, config_of({1}), -1.0);      // evicts problem 2
-  EXPECT_TRUE(cache.warm_samples(2).empty());
-  EXPECT_FALSE(cache.warm_samples(1).empty());
-  EXPECT_FALSE(cache.warm_samples(3).empty());
-  EXPECT_EQ(cache.warm_pool_size(), 2u);
-}
-
-TEST(ResultCache, WarmPoolDisabledWhenCapacityZero) {
-  ResultCache cache(4);  // warm_capacity defaults to 0
-  cache.put_warm(7, config_of({1, 0}), -1.0);
-  EXPECT_TRUE(cache.warm_samples(7).empty());
-  EXPECT_EQ(cache.warm_pool_size(), 0u);
-  EXPECT_EQ(cache.stats().warm_inserts, 0u);
-  // A disabled pool measures nothing: reads are not "misses", they are
-  // non-events (the service would otherwise skew warm hit-rates).
-  EXPECT_EQ(cache.stats().warm_misses, 0u);
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
-}
-
-TEST(ResultCache, WarmPoolCapacityOneAndEmptyConfigEdgeCases) {
-  ResultCache cache(4, /*warm_capacity=*/1);
-  cache.put_warm(1, ising::Bits{}, -1.0);  // empty config: dropped
-  EXPECT_EQ(cache.warm_pool_size(), 0u);
-  cache.put_warm(1, config_of({1}), -1.0);
-  cache.put_warm(2, config_of({0}), -2.0);  // evicts problem 1's pool
-  EXPECT_EQ(cache.warm_pool_size(), 1u);
-  EXPECT_TRUE(cache.warm_samples(1).empty());
-  ASSERT_EQ(cache.warm_samples(2).size(), 1u);
 }
 
 TEST(ResultCache, ConcurrentMixedTrafficStaysConsistent) {

@@ -65,7 +65,6 @@ void expect_same_result(const core::SolveResult& got,
   EXPECT_EQ(got.status, want.status) << label;
   EXPECT_EQ(got.found_feasible, want.found_feasible) << label;
   EXPECT_EQ(got.best_x, want.best_x) << label;
-  EXPECT_EQ(got.best_config, want.best_config) << label;
   EXPECT_EQ(got.best_cost, want.best_cost) << label;
   EXPECT_EQ(got.total_runs, want.total_runs) << label;
   EXPECT_EQ(got.total_sweeps, want.total_sweeps) << label;

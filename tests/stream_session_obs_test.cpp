@@ -91,7 +91,7 @@ TEST(StreamSessionStats, StatsCmdReturnsOneServiceSnapshot) {
   const auto* cache = service_obj->find("cache");
   ASSERT_NE(cache, nullptr);
   EXPECT_NE(cache->find("hit_rate"), nullptr);
-  EXPECT_NE(cache->find("warm_pool_size"), nullptr);
+  EXPECT_NE(cache->find("size"), nullptr);
 
   // Per-stage latency quantiles, fed by the finished jobs above.
   const auto* latency = service_obj->find("latency");

@@ -2,10 +2,8 @@
 // shard revival / growth / in-place requeue, the Supervisor's respawn
 // with ring rejoin (SIGKILL mid-stream -> exactly-once, contiguous
 // global seq), live resharding under load (2 -> 4 -> 1 with zero lost
-// jobs), warm-pool handoff across membership changes, the export_warm /
-// import_warm protocol itself against real saim_serve children,
-// graceful fleet teardown without zombie processes, and pump's wait,
-// which sleeps until a registered fd or the fleet's next deadline.
+// jobs), graceful fleet teardown without zombie processes, and pump's
+// wait, which sleeps until a registered fd or the fleet's next deadline.
 #include <gtest/gtest.h>
 
 #include <errno.h>
@@ -117,22 +115,12 @@ TEST(ShardRouterFleet, RequeueInflightHoldsJobsInAcceptOrder) {
   }
 }
 
-TEST(ShardRouterFleet, WarmExportsAreStashedAndInternalAcksSwallowed) {
+TEST(ShardRouterFleet, ShardFarewellsAreSwallowed) {
   RouterOptions options;
   options.shards = 2;
   ShardRouter router(options);
-  EXPECT_FALSE(router.take_warm_export(0).has_value());
-  EXPECT_TRUE(
-      router
-          .on_child_line(
-              0, R"({"id":"_p1","warm":{"00000000000000ff":[{"cost":-1,"bits":"0101"}]}})")
-          .empty());
-  const auto warm = router.take_warm_export(0);
-  ASSERT_TRUE(warm.has_value());
-  EXPECT_NE(warm->find("00000000000000ff"), std::string::npos);
-  EXPECT_FALSE(router.take_warm_export(0).has_value()) << "clears on read";
-
-  EXPECT_TRUE(router.on_child_line(0, R"({"id":"_w","imported":3})").empty());
+  // A retiring or departing shard's {"bye":true} is fleet-internal: the
+  // front door answers its own shutdown line.
   EXPECT_TRUE(router.on_child_line(0, R"({"id":"_bye","bye":true})").empty());
   EXPECT_FALSE(router.any_error());
 }
@@ -417,96 +405,15 @@ TEST(SupervisorFleet, Reshard2To4To1UnderLoadLosesNothing) {
   supervisor.shutdown_fleet();
 }
 
-TEST(SupervisorFleet, WarmHandoffSeedsTheNewOwnerOnGrow) {
+TEST(SupervisorFleet, ChaosSigkillCompletesWithZeroStall) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  RouterOptions router_options;
-  router_options.shards = 1;
-  ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
-  supervisor.attach_local(0);
-
-  // Cold wave over many instances: shard 0's warm pool fills with the
-  // best feasible configurations per problem fingerprint.
-  std::vector<std::string> out;
-  std::size_t line_no = 0;
-  for (int k = 1; k <= 12; ++k) {
-    out = router.accept_line(
-        "{\"id\":\"cold" + std::to_string(k) + "\",\"gen\":\"qkp:30-25-" +
-            std::to_string(k) + "\",\"iterations\":20,\"sweeps\":200}",
-        ++line_no);
-    ASSERT_TRUE(out.empty());
-  }
-  std::vector<std::string> cold;
-  for (auto& l : pump_to_idle(router, supervisor)) cold.push_back(std::move(l));
-  ASSERT_EQ(cold.size(), 12u);
-  std::set<int> feasible;
-  for (const auto& line : cold) {
-    const auto v = util::parse_json(line);
-    if (v.find("found_feasible")->as_bool()) {
-      const auto id = v.find("id")->as_string();
-      feasible.insert(std::stoi(id.substr(4)));
-    }
-  }
-  ASSERT_FALSE(feasible.empty()) << "no cold job found a feasible sample";
-
-  // Grow: shard 1 joins; the supervisor probes shard 0's pool and
-  // forwards the entries shard 1 now owns.
-  ASSERT_EQ(supervisor.reshard(2), 2u);
-
-  // A feasible instance whose key moved to the new shard.
-  int moved_k = 0;
-  for (const int k : feasible) {
-    const auto request = request_for(std::make_shared<problems::QkpInstance>(
-        problems::make_paper_qkp(30, 25, k)));
-    if (router.owner_of(problems::fingerprint(*request.problem)) == 1) {
-      moved_k = k;
-      break;
-    }
-  }
-  ASSERT_NE(moved_k, 0) << "no feasible instance moved to the new shard "
-                           "(would need more instances)";
-
-  // Let the export -> forward -> import round trip complete.
-  for (int spin = 0;
-       spin < 20000 && supervisor.stats().warm_forwarded == 0; ++spin) {
-    (void)supervisor.pump(2);
-  }
-  ASSERT_GT(supervisor.stats().warm_forwarded, 0u)
-      << "the donor's pool entries never reached the new owner";
-
-  // A warm job on the moved instance runs on shard 1 — which never
-  // executed it — and still starts warm: the handoff carried the pool.
-  // (The import_warm line was queued on shard 1's pipe before this job,
-  // so ordering is guaranteed by the transport.)
-  out = router.accept_line(
-      "{\"id\":\"w\",\"gen\":\"qkp:30-25-" + std::to_string(moved_k) +
-          "\",\"iterations\":5,\"sweeps\":100,\"seed\":77,"
-          "\"warm_start\":true}",
-      ++line_no);
-  ASSERT_TRUE(out.empty());
-  std::vector<std::string> warm_out;
-  for (auto& l : pump_to_idle(router, supervisor)) {
-    warm_out.push_back(std::move(l));
-  }
-  ASSERT_EQ(warm_out.size(), 1u);
-  const auto warm_line = util::parse_json(warm_out[0]);
-  EXPECT_EQ(warm_line.find("id")->as_string(), "w");
-  EXPECT_TRUE(warm_line.find("warm_started")->as_bool())
-      << warm_out[0] << " — the new owner should have imported the pool";
-  supervisor.shutdown_fleet();
-}
-
-TEST(SupervisorFleet, ChaosSigkillWithReplicationCompletesWithZeroStall) {
-  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  // R=2: when the owner is SIGKILLed mid-stream, its unanswered jobs
-  // fail over to the replica, which holds the key's warm pool — nothing
-  // waits for the respawn. The respawn backoff is set absurdly high so a
-  // single stalled job would hang the test: 12/12 completing proves
-  // completion never depended on it.
+  // When an owner is SIGKILLed mid-stream, its unanswered jobs fail over
+  // to the survivor — nothing waits for the respawn. The respawn backoff
+  // is set absurdly high so a single stalled job would hang the test:
+  // 12/12 completing proves completion never depended on it.
   RouterOptions router_options;
   router_options.shards = 2;
   router_options.window = 4;
-  router_options.replicas = 2;
   ShardRouter router(router_options);
   SupervisorOptions supervisor_options = fast_supervisor_options();
   supervisor_options.backoff_initial_ms = 60000;
@@ -591,93 +498,6 @@ TEST(SupervisorFleet, WedgedShardIsKilledByTheWatchdogAndItsJobsFailOver) {
   supervisor.shutdown_fleet();
 }
 
-TEST(SupervisorFleet, GossipWarmsReplicasWithoutAnyMembershipChange) {
-  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  // Replication satellite: with gossip_ms set, warm-pool entries reach
-  // every member of their replica set on a timer — no reshard, respawn or
-  // other membership event required. Proof: warm_forwarded grows while
-  // reshards == respawns == 0; then the owner dies and a warm job on the
-  // survivor still starts warm, although the survivor never solved the
-  // instance and the dead owner can no longer export anything.
-  RouterOptions router_options;
-  router_options.shards = 2;
-  router_options.replicas = 2;
-  ShardRouter router(router_options);
-  SupervisorOptions supervisor_options = fast_supervisor_options();
-  supervisor_options.gossip_ms = 5;
-  supervisor_options.backoff_initial_ms = 60000;
-  supervisor_options.backoff_max_ms = 60000;
-  Supervisor supervisor(router, supervisor_options);
-  supervisor.attach_local(0);
-  supervisor.attach_local(1);
-
-  // Cold wave over many instances: each owner's pool fills with the best
-  // feasible configurations for its keyslice.
-  std::vector<std::string> out;
-  std::size_t line_no = 0;
-  for (int k = 1; k <= 12; ++k) {
-    ASSERT_TRUE(router
-                    .accept_line("{\"id\":\"cold" + std::to_string(k) +
-                                     "\",\"gen\":\"qkp:30-25-" +
-                                     std::to_string(k) +
-                                     "\",\"iterations\":20,\"sweeps\":200}",
-                                 ++line_no)
-                    .empty());
-  }
-  std::vector<std::string> cold;
-  for (auto& l : pump_to_idle(router, supervisor)) cold.push_back(std::move(l));
-  ASSERT_EQ(cold.size(), 12u);
-  std::set<int> feasible;
-  for (const auto& line : cold) {
-    const auto v = util::parse_json(line);
-    if (v.find("found_feasible")->as_bool()) {
-      feasible.insert(std::stoi(v.find("id")->as_string().substr(4)));
-    }
-  }
-  ASSERT_FALSE(feasible.empty()) << "no cold job found a feasible sample";
-
-  // Idle gossip rounds replicate the pools across the fleet.
-  for (int spin = 0;
-       spin < 20000 && supervisor.stats().warm_forwarded == 0; ++spin) {
-    (void)supervisor.pump(2);
-  }
-  ASSERT_GT(supervisor.stats().warm_forwarded, 0u)
-      << "gossip never moved a pool entry";
-  EXPECT_EQ(supervisor.stats().reshards, 0u);
-  EXPECT_EQ(supervisor.stats().respawns, 0u);
-
-  // Kill a feasible instance's owner. Its pool dies with it, so any
-  // warmth the survivor shows below must have arrived via gossip.
-  const int moved_k = *feasible.begin();
-  const auto request = request_for(std::make_shared<problems::QkpInstance>(
-      problems::make_paper_qkp(30, 25, moved_k)));
-  const std::size_t owner =
-      router.owner_of(problems::fingerprint(*request.problem));
-  supervisor.endpoint(owner)->terminate();
-  for (int spin = 0; spin < 20000 && router.live_shards() == 2; ++spin) {
-    (void)supervisor.pump(2);
-  }
-  ASSERT_EQ(router.live_shards(), 1u);
-
-  ASSERT_TRUE(router
-                  .accept_line("{\"id\":\"w\",\"gen\":\"qkp:30-25-" +
-                                   std::to_string(moved_k) +
-                                   "\",\"iterations\":5,\"sweeps\":100,"
-                                   "\"seed\":77,\"warm_start\":true}",
-                               ++line_no)
-                  .empty());
-  std::vector<std::string> warm_out;
-  for (auto& l : pump_to_idle(router, supervisor)) {
-    warm_out.push_back(std::move(l));
-  }
-  ASSERT_EQ(warm_out.size(), 1u);
-  const auto warm_line = util::parse_json(warm_out[0]);
-  EXPECT_EQ(warm_line.find("id")->as_string(), "w");
-  EXPECT_TRUE(warm_line.find("warm_started")->as_bool())
-      << warm_out[0] << " — gossip should have warmed the replica";
-  supervisor.shutdown_fleet();
-}
-
 TEST(SupervisorFleet, GracefulShutdownReapsEveryChild) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
   RouterOptions router_options;
@@ -707,73 +527,6 @@ TEST(SupervisorFleet, GracefulShutdownReapsEveryChild) {
     EXPECT_EQ(::kill(pid, 0), -1);
     EXPECT_EQ(errno, ESRCH) << "child " << pid << " was not reaped";
   }
-}
-
-// --------------------------------- warm handoff protocol (serve <-> serve)
-
-/// Sends `lines` to a fresh saim_serve and returns everything it printed
-/// until EOF (stdin closed after the send).
-std::vector<std::string> converse(
-    ProcessChild& serve, const std::vector<std::string>& lines) {
-  for (const auto& line : lines) serve.send_line(line);
-  for (int spin = 0; spin < 10000 && serve.outbound_bytes() > 0; ++spin) {
-    serve.pump_writes();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  serve.shutdown_input();
-  std::vector<std::string> out;
-  for (int spin = 0; spin < 20000 && !serve.eof(); ++spin) {
-    for (auto& l : serve.read_lines()) out.push_back(std::move(l));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (auto& l : serve.read_lines()) out.push_back(std::move(l));
-  return out;
-}
-
-TEST(WarmHandoffProtocol, ExportedPoolImportsIntoASiblingProcess) {
-  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  // Process A: two feasible jobs fill the pool; drain certifies both
-  // deposited before export_warm snapshots it.
-  ProcessChild a(std::vector<std::string>{serve_bin(), "--stream",
-                                          "--workers", "1"});
-  const auto a_out = converse(
-      a, {R"({"id":"j1","gen":"qkp:40-25-1","iterations":20,"sweeps":200,"seed":1})",
-          R"({"id":"j2","gen":"qkp:40-25-1","iterations":20,"sweeps":200,"seed":2})",
-          R"({"cmd":"drain"})", R"({"cmd":"export_warm","id":"x"})"});
-  std::string warm_payload;
-  bool any_feasible = false;
-  for (const auto& line : a_out) {
-    const auto v = util::parse_json(line);
-    if (const auto* warm = v.find("warm")) warm_payload = util::to_json(*warm);
-    if (const auto* f = v.find("found_feasible")) {
-      any_feasible = any_feasible || f->as_bool();
-    }
-  }
-  ASSERT_FALSE(warm_payload.empty());
-  if (!any_feasible) GTEST_SKIP() << "no feasible sample to hand off";
-  ASSERT_NE(warm_payload, "{}") << "feasible jobs must deposit to the pool";
-
-  // Process B: import the snapshot, then run a warm job over the same
-  // instance — it must report warm_started although B never solved it.
-  ProcessChild b(std::vector<std::string>{serve_bin(), "--stream",
-                                          "--workers", "1"});
-  const auto b_out = converse(
-      b, {std::string(R"({"cmd":"import_warm","id":"imp","warm":)") +
-              warm_payload + "}",
-          R"({"id":"w","gen":"qkp:40-25-1","iterations":5,"sweeps":100,"seed":9,"warm_start":true})"});
-  bool imported_some = false;
-  bool warm_started = false;
-  for (const auto& line : b_out) {
-    const auto v = util::parse_json(line);
-    if (const auto* imported = v.find("imported")) {
-      imported_some = imported->as_int() > 0;
-    }
-    if (v.find("id") && v.find("id")->as_string() == "w") {
-      warm_started = v.find("warm_started")->as_bool();
-    }
-  }
-  EXPECT_TRUE(imported_some);
-  EXPECT_TRUE(warm_started);
 }
 
 // ------------------------------------------------------------ fleet stats
@@ -819,8 +572,7 @@ TEST(SupervisorFleet, FleetStatsAggregatesEveryShardSnapshot) {
   const auto* sup = fleet->find("supervisor");
   ASSERT_NE(sup, nullptr);
   for (const char* key : {"respawns", "remote_reconnects", "respawn_failures",
-                          "reshards", "retired", "warm_forwarded",
-                          "unresponsive_kills"}) {
+                          "reshards", "retired", "unresponsive_kills"}) {
     ASSERT_NE(sup->find(key), nullptr) << key;
   }
 

@@ -2,11 +2,13 @@
 //
 // Reads one job per line, runs every job through one SolveService
 // (priority queue, worker pool with per-worker cached models,
-// content-keyed result cache, duplicate coalescing, warm-start pool), and
-// emits one JSON result line per job. The full wire protocol — every
-// request and response field, control lines, error lines, exit codes,
-// worked examples — is specified in docs/PROTOCOL.md; keep that file in
-// lockstep with this one (CI greps it for every emitted field name).
+// content-keyed result cache, duplicate coalescing), and emits one JSON
+// result line per job. Every job runs cold: nothing carries over from
+// one job to the next except a cached result for an identical request.
+// The full wire protocol — every request and response field, control
+// lines, error lines, exit codes, worked examples — is specified in
+// docs/PROTOCOL.md; keep that file in lockstep with this one (CI greps
+// it for every emitted field name).
 // The protocol state machine lives in service/stream_session.{hpp,cpp},
 // the session driver for both transports in service/event_server.
 // {hpp,cpp}, the job-line parser in service/job_parser.{hpp,cpp}
@@ -22,11 +24,11 @@
 //     write backpressure, a --max-connections fail-fast cap,
 //     --auth-timeout-ms / --idle-timeout-ms deadlines). Every
 //     connection speaks its own session over ONE shared SolveService
-//     (cache and warm-start pool are shared). Port 0 picks
-//     an ephemeral port; --port-file writes the bound port for
-//     race-free rendezvous. This is how a remote shard joins a
-//     `saim_shard --connect host:port` fleet — start it with --stream,
-//     which the sharding router requires. With --auth-token the first
+//     (the result cache is shared). Port 0 picks an ephemeral port;
+//     --port-file writes the bound port for race-free rendezvous. This
+//     is how a remote shard joins a `saim_shard --connect host:port`
+//     fleet — start it with --stream, which the sharding router
+//     requires. With --auth-token the first
 //     line of every connection must be the {"auth":"<token>"}
 //     handshake or the connection is closed unserved (fail-closed).
 //
@@ -36,9 +38,8 @@
 //
 // Control lines (docs/PROTOCOL.md): ping, drain, shutdown (drain +
 // {"bye":true}; also stops a --listen server), stats (one
-// {"id":...,"service":{...}} snapshot: counters, cache/warm-pool state,
-// per-stage latency quantiles), export_warm/import_warm (warm-pool
-// handoff between processes). --metrics host:port serves the same
+// {"id":...,"service":{...}} snapshot: counters, cache state,
+// per-stage latency quantiles). --metrics host:port serves the same
 // service state as a Prometheus text-format scrape, answered on the
 // EventServer's own reactor and rendered when scraped; jobs with
 // "trace":true get a per-stage "timing" object on their result line.
@@ -184,9 +185,6 @@ int main(int argc, char** argv) {
                 "0")
       .add_flag("workers", "solver worker threads (0 = hardware)", "0")
       .add_flag("cache", "result-cache capacity (0 disables)", "256")
-      .add_bool("warm-start",
-                "seed jobs from the per-problem pool by default "
-                "(per-job \"warm_start\" field overrides)")
       .add_bool("stream",
                 "emit result lines as jobs finish (tagged with \"seq\") "
                 "instead of in input order after EOF")
@@ -236,7 +234,6 @@ int main(int argc, char** argv) {
 
   service::SessionOptions session_options;
   session_options.stream = args.get_bool("stream");
-  session_options.warm_default = args.get_bool("warm-start");
 
   const MetricsFlags metrics{args.get("metrics"),
                              args.get("metrics-port-file")};
@@ -256,12 +253,10 @@ int main(int argc, char** argv) {
     const auto s = svc.stats();
     std::fprintf(stderr,
                  "saim_serve: %llu submitted, %llu executed, %llu coalesced, "
-                 "%llu warm-seeded, %llu model builds, %llu reuses, "
-                 "cache hit-rate %.2f\n",
+                 "%llu model builds, %llu reuses, cache hit-rate %.2f\n",
                  static_cast<unsigned long long>(s.submitted),
                  static_cast<unsigned long long>(s.executed),
                  static_cast<unsigned long long>(s.coalesced),
-                 static_cast<unsigned long long>(s.warm_seeded),
                  static_cast<unsigned long long>(s.model_builds),
                  static_cast<unsigned long long>(s.model_reuses),
                  s.cache.hit_rate());

@@ -7,12 +7,12 @@
 // `saim_serve --listen` servers over TCP — routing each job by
 // consistent hashing on its canonical problem fingerprint. All jobs over
 // one instance land on one shard, so that shard's result cache,
-// coalescer, cached models and warm-start pool stay hot for its
-// keyslice. The routing/remapping brain is service/shard_router; the
-// transports are service/process_child (pipes) and net/socket_child
-// (TCP) behind net::ShardEndpoint; the self-healing layer —
-// crash respawn with backoff, ring rejoin, live resharding, warm-pool
-// handoff, health probes — is service/supervisor.
+// coalescer and cached models stay hot for its keyslice. The
+// routing/remapping brain is service/shard_router; the transports are
+// service/process_child (pipes) and net/socket_child (TCP) behind
+// net::ShardEndpoint; the self-healing layer — crash respawn with
+// backoff, ring rejoin, live resharding, health probes — is
+// service/supervisor.
 //
 // One thread runs it all: stdin and stdout are one net::Connection
 // registered on the supervisor's net::EventLoop next to every shard
@@ -29,8 +29,6 @@
 //   * per-shard bounded in-flight windows give backpressure — a slow
 //     shard throttles only its own keyslice;
 //   * every job runs on its key's ring owner and moves only on failover;
-//     with --replicas R, warm pools mirror to each key's next R-1 ring
-//     neighbors, so a job that fails over lands on a warm shard;
 //   * --max-queue-depth sheds the lowest-priority job past the bound
 //     with a "delayed"-tagged error instead of queueing unboundedly;
 //   * a crashed or unresponsive LOCAL shard is respawned with backoff
@@ -168,8 +166,6 @@ std::string render_fleet_metrics(const service::ShardRouter& router,
           "live fleet membership changes");
   counter("saim_supervisor_retired_total", sup.retired,
           "shards removed by a shrink");
-  counter("saim_supervisor_warm_forwarded_total", sup.warm_forwarded,
-          "warm-pool entries moved to a new owner");
   counter("saim_supervisor_unresponsive_kills_total", sup.unresponsive_kills,
           "shards terminated by the health watchdog");
 
@@ -238,24 +234,11 @@ int main(int argc, char** argv) {
                 "1")
       .add_flag("cache", "result-cache capacity per shard (0 disables)",
                 "256")
-      .add_bool("warm-start",
-                "make \"warm_start\": true the per-job default on every "
-                "shard")
       .add_flag("window", "max in-flight jobs per shard", "32")
-      .add_flag("replicas",
-                "replication factor R: warm pools mirror to the next "
-                "R-1 shards on the ring, where failover lands (1 "
-                "disables)",
-                "1")
       .add_flag("max-queue-depth",
                 "admission control: once this many routed jobs wait for "
                 "a window slot, shed the lowest-priority job with a "
                 "\"delayed\"-tagged error (0 = unbounded)",
-                "0")
-      .add_flag("gossip-ms",
-                "re-broadcast every shard's warm pool to its keys' "
-                "replica sets on this interval (0 = only on membership "
-                "changes)",
                 "0")
       .add_flag("auth-token",
                 "shared secret presented to --connect shards that were "
@@ -311,12 +294,10 @@ int main(int argc, char** argv) {
     }
     locals = nonneg("shards");
     router_options.window = std::max<std::size_t>(1, nonneg("window"));
-    router_options.replicas = std::max<std::size_t>(1, nonneg("replicas"));
     router_options.max_queue_depth = nonneg("max-queue-depth");
     supervisor_options.max_restarts = static_cast<int>(
         std::max<std::size_t>(1, nonneg("max-restarts")));
     supervisor_options.ping_ms = static_cast<int>(nonneg("ping-ms"));
-    supervisor_options.gossip_ms = static_cast<int>(nonneg("gossip-ms"));
   } catch (const std::invalid_argument& e) {
     util::log_error() << "saim_shard: " << e.what();
     return 2;
@@ -344,7 +325,7 @@ int main(int argc, char** argv) {
   }
 
   // The fleet: router (routing state) + supervisor (endpoints, respawn,
-  // resharding, warm handoff, health — and the one event loop this whole
+  // resharding, health — and the one event loop this whole
   // tool runs on).
   service::ShardRouter router(router_options);
   supervisor_options.local_argv = {
@@ -353,9 +334,6 @@ int main(int argc, char** argv) {
       "--workers", args.get("workers"),
       "--cache", args.get("cache"),
   };
-  if (args.get_bool("warm-start")) {
-    supervisor_options.local_argv.push_back("--warm-start");
-  }
   supervisor_options.respawn = !args.get_bool("no-respawn");
   supervisor_options.remote_auth_token = args.get("auth-token");
   service::Supervisor supervisor(router, supervisor_options);
@@ -479,10 +457,10 @@ int main(int argc, char** argv) {
       ++line_no;
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
-      // Fleet-management control lines (reshard/shutdown/export_warm/
-      // import_warm) are handled here; ping/drain and job lines flow to
-      // the router. The substring test only gates the extra parse —
-      // false positives cost one parse_json, nothing else.
+      // Fleet-management control lines (reshard/shutdown/stats) are
+      // handled here; ping/drain and job lines flow to the router. The
+      // substring test only gates the extra parse — false positives cost
+      // one parse_json, nothing else.
       if (line.find("\"cmd\"") != std::string::npos) {
         std::string cmd_id = "job" + std::to_string(line_no);
         try {
@@ -525,12 +503,6 @@ int main(int argc, char** argv) {
             // replies land (or the 2 s deadline passes).
             supervisor.request_fleet_stats(cmd_id);
             continue;
-          }
-          if (cmd && (*cmd == "export_warm" || *cmd == "import_warm")) {
-            throw std::runtime_error(
-                "control cmd \"" + *cmd +
-                "\" is not served by the saim_shard front door (warm "
-                "pools live in the shards)");
           }
         } catch (const std::exception& e) {
           front_error = true;
@@ -589,8 +561,7 @@ int main(int argc, char** argv) {
                      << " respawns, " << sup.remote_reconnects
                      << " remote reconnects, " << sup.respawn_failures
                      << " respawn failures, " << sup.reshards << " reshards, "
-                     << sup.retired << " retired, " << sup.warm_forwarded
-                     << " warm entries forwarded, " << sup.unresponsive_kills
+                     << sup.retired << " retired, " << sup.unresponsive_kills
                      << " unresponsive kills";
     if (args.get_bool("stats")) {
       for (std::size_t i = 0; i < s.routed_per_shard.size(); ++i) {
