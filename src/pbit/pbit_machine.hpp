@@ -9,14 +9,21 @@
 // distribution P{m} ∝ exp(-beta * H{m}) (eq. 11) — verified by the
 // chi-square tests in tests/pbit_boltzmann_test.cpp.
 //
-// A sweep visits the spins in blocks of 4. It draws the block's 4 uniforms
-// first, in the order a one-spin-at-a-time loop would, then decides all 4
-// visits with one masked tanh test (util::tanh_sign_neg4). The first visit
-// whose decision disagrees with its spin flips, through LocalFieldState
-// (a dense-row axpy on the paper's fully coupled Lagrangian models), and
-// only the later visits are re-decided against the updated inputs. Every
-// visit thus sees the field and the draw of the sequential loop, and every
-// decision equals the libm one, so trajectories are bit-identical to it.
+// A sweep visits the spins in blocks of 4, through one block body compiled
+// once per SweepOrder. It draws the block's 4 uniforms first, in the order
+// a one-spin-at-a-time loop would, then decides all 4 visits with one
+// masked tanh test (util::tanh_sign_neg4): each lane reads its row of a
+// 257-row table bracketing libm's tanh, and only the lanes the bracket
+// leaves ambiguous call std::tanh (0.07% of lanes, in 0.3% of blocks, over
+// the QKP-200 paper runs). The first visit whose decision
+// disagrees with its spin flips, through LocalFieldState (a dense-row axpy
+// on the paper's fully coupled Lagrangian models), and only the later
+// visits are re-decided against the updated inputs. Every visit thus sees
+// the field and the draw of the sequential loop, and every decision equals
+// the libm one, so trajectories are bit-identical to it. In kSequential
+// order, the paper's, a full block reads C[], h[] and its spins
+// contiguously at its first spin; the tail block and the random orders
+// load through util::gather4.
 //
 // The machine keeps a reference to its IsingModel: SAIM's lambda updates
 // rewrite only the model's fields h between runs, which the machine reads
@@ -96,9 +103,10 @@ class PBitMachine {
 
  private:
   /// One Monte-Carlo sweep at inverse temperature beta, 4 visits per
-  /// block, for every SweepOrder. Reads the p-bit inputs from the
-  /// incremental engine (O(1) per visit) and pushes flips back through it;
-  /// `lfs` tracks the running energy.
+  /// block, in `order` (dispatched once per sweep to the block kernel
+  /// specialised for it). Reads the p-bit inputs from the incremental
+  /// engine (O(1) per visit) and pushes flips back through it; `lfs`
+  /// tracks the running energy.
   void sweep(ising::Spins& m, ising::LocalFieldState& lfs, double beta,
              SweepOrder order, util::Xoshiro256pp& rng,
              std::vector<std::uint32_t>& scratch) const;

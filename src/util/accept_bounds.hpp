@@ -1,4 +1,4 @@
-// Conservative bounds on libm exp/tanh for branch-free acceptance tests.
+// Conservative brackets on libm exp/tanh for branch-free acceptance tests.
 //
 // The Monte-Carlo sweep engines spend most of a visit in one transcendental:
 // Metropolis compares a uniform against exp(-beta*dH), the p-bit machine
@@ -8,27 +8,31 @@
 //
 //   u <  lo  =>  u <  exp(arg)   (accept, certain)
 //   u >= hi  =>  u >= exp(arg)   (reject, certain)
-//   otherwise    call std::exp and decide exactly (rare: the interval is
-//                ~4e-5 wide relative, so the ambiguous band is hit on the
-//                order of 0.001% of visits)
+//   otherwise    call libm and decide exactly (rare)
 //
 // Decisions are therefore bit-identical to calling libm on every visit —
 // the property tests/simd_shim_test.cpp and the golden trajectories pin —
-// while the hot path runs ~10 cheap fp ops instead of an exp/tanh call per
-// 4 lanes.
+// while the hot path runs a few cheap fp ops instead of a libm call.
 //
-// Construction (all margins deliberately loose; verified empirically over
-// millions of points by tests/simd_shim_test.cpp):
-//   exp(a) = 2^r, r = a*log2(e). k = floor(r), f = r-k (exact), and a
-//   degree-6 Taylor of e^(f ln2) underestimates 2^f with relative
-//   remainder <= ln2^7/5040 * 2 < 3.1e-5. 2^k is assembled exactly with
-//   the (k+1023)<<52 bit trick. Upper slack 4e-5 covers the remainder +
-//   every rounding (poly Horner, exponent product, libm's own <=1 ulp);
-//   lower slack 1e-9 covers the roundings alone. |r| > 970 falls into
-//   saturated branches. The bounds hold for BOTH the true value and the
-//   libm double, so they compose: tanh bounds map exp(2x) bounds through
-//   the monotone (e-1)/(e+1), widened by an absolute pad for the division
-//   rounding and libm tanh's ~2 ulp, with |x| >= 8 saturated.
+// exp: exp(a) = 2^r, r = a*log2(e). k = floor(r), f = r-k (exact), and a
+// degree-6 Taylor of e^(f ln2) underestimates 2^f with relative remainder
+// <= ln2^7/5040 * 2 < 3.1e-5. 2^k is assembled exactly with the
+// (k+1023)<<52 bit trick. Upper slack 4e-5 covers the remainder + every
+// rounding (poly Horner, exponent product, libm's own <=1 ulp); lower
+// slack 1e-9 covers the roundings alone. |r| > 970 falls into saturated
+// branches. The interval is ~4e-5 wide relative, so on the order of 0.001%
+// of Metropolis draws reach std::exp.
+//
+// tanh: one table. tanh is odd and increasing, so for |x| in
+// [k/32, (k+1)/32) the libm value lies in [tanh(k/32), tanh((k+1)/32)],
+// each node libm's own and padded by 1e-12 (far above libm's few-ulp
+// error and the non-monotonicity it allows). Row 256 holds |x| >= 8 and
+// ±inf: [1 - 2^-21, 1], since 1 - tanh(8) = 2.26e-7 < 2^-21. A lane reads
+// row min(floor(32|x|), 256) — scaling by 32 is exact — and mirrors it
+// for x < 0. A row is at most 1/32 wide, so at most ~1.6% of uniform
+// draws near x = 0 reach std::tanh; over Algorithm 1 on the QKP-200 paper
+// instances, 0.07% of lanes do (in 0.3% of 4-lane blocks). NaN reaches
+// libm too.
 #pragma once
 
 #include <bit>
@@ -52,20 +56,39 @@ inline constexpr double kExpUpperSlack = 1.0 + 4e-5;
 inline constexpr double kRangeLimit = 970.0;
 inline constexpr double kTinyHi = 0x1.0p-900;
 inline constexpr double kBigLo = 0x1.0p900;
-inline constexpr double kTanhPad = 1e-12;
-// Saturation: for |x| >= 8, 1 - |tanh(x)| < 2 e^-16 = 2.26e-7, and libm
-// adds at most a few 1e-16; the band 2^-21 = 4.77e-7 covers both twice
-// over. So |tanh(x)| >= kTanhSatLo there, and sign(tanh(x) + u) is
-// sign(x) for every |u| < kTanhSatLo. On the annealed QKP-200 Lagrangians
-// this tier decides ~90-99% of visits past the first fifth of the ramp.
-inline constexpr double kTanhSat = 8.0;
-inline constexpr double kTanhSatLo = 1.0 - 0x1.0p-21;
 // Tier-1 exponent trick (see exp_accept): with r = arg*log2(e), log2(u)
 // lies in [e, e+1) for biased exponent be = e + 1023, so be < r + 1022
 // accepts and be >= r + 1023 rejects; the 1e-9 margin dwarfs the rounding
 // error in r (< 1e-12 for |arg| < 750).
 inline constexpr double kTier1Accept = 1022.0 - 1e-9;
 inline constexpr double kTier1Reject = 1023.0 + 1e-9;
+
+// The tanh bracket table (see the header comment).
+inline constexpr double kTanhPad = 1e-12;
+inline constexpr double kTanhRowsPerUnit = 32.0;  // a power of 2: exact
+inline constexpr int kTanhSatRow = 256;            // |x| >= 8
+inline constexpr double kTanhSatLo = 1.0 - 0x1.0p-21;
+
+struct TanhBracketTable {
+  alignas(64) double lo[kTanhSatRow + 1];  // <= libm tanh on the row
+  alignas(64) double hi[kTanhSatRow + 1];  // >= libm tanh on the row
+};
+
+/// Built on first use, so a process that never runs a p-bit sweep does no
+/// tanh work.
+inline const TanhBracketTable& tanh_table() noexcept {
+  static const TanhBracketTable table = [] {
+    TanhBracketTable t{};
+    for (int k = 0; k < kTanhSatRow; ++k) {
+      t.lo[k] = std::tanh(k / kTanhRowsPerUnit) - kTanhPad;
+      t.hi[k] = std::tanh((k + 1) / kTanhRowsPerUnit) + kTanhPad;
+    }
+    t.lo[kTanhSatRow] = kTanhSatLo;
+    t.hi[kTanhSatRow] = 1.0;
+    return t;
+  }();
+  return table;
+}
 }  // namespace accept_detail
 
 /// Per-lane [lo, hi] with lo <= std::exp(a) <= hi (and the true exp too).
@@ -133,58 +156,42 @@ inline bool exp_accept(double u, double arg) noexcept {
   return u < std::exp(arg);
 }
 
-/// Per-lane [lo, hi] with lo <= std::tanh(x) <= hi.
-inline BoundsF64x4 tanh_bounds(F64x4 x) noexcept {
+/// Per-lane [lo, hi] with lo <= std::tanh(x) <= hi: the lane's row of the
+/// bracket table, mirrored for x < 0. NaN lanes get a NaN bracket, which
+/// decides nothing.
+inline BoundsF64x4 tanh_bracket4(F64x4 x) noexcept {
   using namespace accept_detail;
-  const F64x4 sat = F64x4::broadcast(kTanhSat);
-  const F64x4 sat_pos = cmp_ge(x, sat);
-  const F64x4 sat_neg = cmp_le(x, F64x4::zero() - sat);
-
-  const BoundsF64x4 e2 = exp_bounds(x + x);  // bounds on e^(2x)
-  const F64x4 one = F64x4::broadcast(1.0);
-  const F64x4 pad = F64x4::broadcast(kTanhPad);
-  F64x4 lo = (e2.lo - one) / (e2.lo + one) - pad;
-  F64x4 hi = (e2.hi - one) / (e2.hi + one) + pad;
-
-  lo = select(sat_pos, F64x4::broadcast(kTanhSatLo), lo);
-  hi = select(sat_pos, one, hi);
-  lo = select(sat_neg, F64x4::zero() - one, lo);
-  hi = select(sat_neg, F64x4::zero() - F64x4::broadcast(kTanhSatLo), hi);
-  return {lo, hi};
+  const TanhBracketTable& table = tanh_table();
+  const F64x4 zero = F64x4::zero();
+  const F64x4 absx = mask_andnot(F64x4::broadcast(-0.0), x);
+  // Row floor(32|x|), clamped to the saturation row before the conversion:
+  // |x| >= 8, ±inf and NaN all fail the compare and read row 256.
+  const F64x4 scaled = absx * F64x4::broadcast(kTanhRowsPerUnit);
+  const F64x4 sat = F64x4::broadcast(static_cast<double>(kTanhSatRow));
+  std::int32_t row[4];
+  trunc_i32(select(cmp_lt(scaled, sat), scaled, sat), row);
+  const F64x4 lo = gather4(table.lo, row);
+  const F64x4 hi = gather4(table.hi, row);
+  const F64x4 xneg = cmp_lt(x, zero);
+  const F64x4 num = cmp_ge(absx, zero);  // false only for NaN
+  return {select(num, select(xneg, zero - hi, lo), x),
+          select(num, select(xneg, zero - lo, hi), x)};
 }
 
-/// 4-lane tiered p-bit test: bit l of the result is set iff
-/// std::tanh(x_l) + u_l < 0 (the p-bit settles at -1), for the lanes in
-/// `active`; inactive lanes read 0 and never reach libm. The p-bit sweep
-/// (pbit/pbit_machine.cpp) decides four visits at a time with it.
-///   * Saturation tier, when every active lane has |x| >= 8: |tanh(x)| is
-///     within 2^-21 of 1, so the sign of x decides unless |u| >= 1 - 2^-21.
-///   * Bounds tier otherwise: tanh_bounds decides ~all lanes.
-/// Lanes left ambiguous by either tier call std::tanh, so every decision
-/// equals the libm one. `u` lanes are uniform_sym draws in [-1, 1).
+/// 4-lane p-bit test: bit l of the result is set iff std::tanh(x_l) + u_l
+/// < 0 (the p-bit settles at -1), for the lanes in `active`; inactive lanes
+/// read 0 and never reach libm. The p-bit sweep (pbit/pbit_machine.cpp)
+/// decides four visits at a time with it. tanh_bracket4 decides almost
+/// every lane; the lanes it leaves ambiguous, and NaN lanes, call
+/// std::tanh, so every decision equals the libm one. `u` lanes are
+/// uniform_sym draws in [-1, 1).
 inline unsigned tanh_sign_neg4(F64x4 x, F64x4 u, unsigned active) noexcept {
-  using namespace accept_detail;
   const F64x4 zero = F64x4::zero();
-  const F64x4 signbit = F64x4::broadcast(-0.0);
-  const F64x4 absx = mask_andnot(signbit, x);
-  const auto sat = static_cast<unsigned>(
-      movemask(cmp_ge(absx, F64x4::broadcast(kTanhSat))));
-  unsigned neg;
-  unsigned amb;
-  if ((sat & active) == active) {
-    neg = static_cast<unsigned>(movemask(cmp_lt(x, zero)));
-    const F64x4 absu = mask_andnot(signbit, u);
-    amb = static_cast<unsigned>(
-        movemask(cmp_ge(absu, F64x4::broadcast(kTanhSatLo))));
-  } else {
-    const BoundsF64x4 tb = tanh_bounds(x);
-    neg = static_cast<unsigned>(movemask(cmp_lt(tb.hi + u, zero)));
-    const unsigned pos =
-        static_cast<unsigned>(movemask(cmp_ge(tb.lo + u, zero)));
-    amb = ~(neg | pos);
-  }
-  neg &= active;
-  amb &= active;
+  const BoundsF64x4 tb = tanh_bracket4(x);
+  unsigned neg =
+      static_cast<unsigned>(movemask(cmp_lt(tb.hi + u, zero))) & active;
+  const auto pos = static_cast<unsigned>(movemask(cmp_ge(tb.lo + u, zero)));
+  const unsigned amb = ~(neg | pos) & active;
   if (amb != 0) {
     double xs[4], us[4];
     x.store(xs);
@@ -192,31 +199,37 @@ inline unsigned tanh_sign_neg4(F64x4 x, F64x4 u, unsigned active) noexcept {
     for (unsigned l = 0; l < 4; ++l) {
       if (((amb >> l) & 1u) != 0) {
         const bool lane_neg = std::tanh(xs[l]) + us[l] < 0.0;
-        neg = (neg & ~(1u << l)) | (static_cast<unsigned>(lane_neg) << l);
+        neg |= static_cast<unsigned>(lane_neg) << l;
       }
     }
   }
   return neg;
 }
 
-/// Scalar tiered p-bit sign test: decides tanh(x) + u >= 0 bit-identically
-/// to calling std::tanh on every draw — one lane of the tiers above, kept
-/// as an independent scalar reference. Saturation tier for |x| >= 8 (the
-/// draw decides only inside the 2^-21 band next to ±1), tanh_bounds tier
-/// otherwise; ambiguous draws reach libm. `u` is a uniform_sym draw in
-/// [-1, 1).
-inline bool tanh_sign_nonneg(double x, double u) noexcept {
+struct Bracket {
+  double lo, hi;
+};
+
+/// One lane of tanh_bracket4: the same row, the same mirror, NaN for NaN.
+inline Bracket tanh_bracket(double x) noexcept {
   using namespace accept_detail;
-  if (x >= kTanhSat || x <= -kTanhSat) {
-    if (std::abs(u) < kTanhSatLo) return x >= 0.0;
-    return std::tanh(x) + u >= 0.0;
-  }
-  const BoundsF64x4 tb = tanh_bounds(F64x4::broadcast(x));
-  double lo[4], hi[4];
-  tb.lo.store(lo);
-  tb.hi.store(hi);
-  if (lo[0] + u >= 0.0) return true;
-  if (hi[0] + u < 0.0) return false;
+  const double absx = std::abs(x);
+  if (!(absx >= 0.0)) return {x, x};  // NaN
+  const TanhBracketTable& table = tanh_table();
+  const double scaled = absx * kTanhRowsPerUnit;
+  const int row =
+      scaled < kTanhSatRow ? static_cast<int>(scaled) : kTanhSatRow;
+  if (x < 0.0) return {-table.hi[row], -table.lo[row]};
+  return {table.lo[row], table.hi[row]};
+}
+
+/// Scalar p-bit sign test: decides tanh(x) + u >= 0 bit-identically to
+/// calling std::tanh on every draw, through tanh_bracket; ambiguous draws
+/// and NaN reach libm. `u` is a uniform_sym draw in [-1, 1).
+inline bool tanh_sign_nonneg(double x, double u) noexcept {
+  const Bracket b = tanh_bracket(x);
+  if (b.lo + u >= 0.0) return true;
+  if (b.hi + u < 0.0) return false;
   return std::tanh(x) + u >= 0.0;
 }
 

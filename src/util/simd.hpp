@@ -9,6 +9,9 @@
 // (util/accept_bounds.hpp) and the vectorized Adjacency reductions claim
 // bit-exact parity with their scalar references on every platform. U64x4
 // carries only what the exp bounds need: bit casts and a left shift.
+// trunc_i32 and gather4 turn 4 lanes into int32 indices and load through
+// them: the tanh bracket table, and the p-bit sweep's visits outside
+// sequential order.
 //
 // Feature selection is compile-time: AVX2 when the compiler was given
 // -mavx2 (CMake's SAIM_SIMD=ON does this on x86-64), NEON on aarch64, the
@@ -112,6 +115,12 @@ inline U64x4 bitcast_u64(F64x4 a) noexcept {
 template <int K>
 inline U64x4 shl(U64x4 a) noexcept {
   return {_mm256_slli_epi64(a.v, K)};
+}
+
+/// Lane-wise conversion toward zero: out[l] = (int32)a_l. Lanes must be
+/// finite and inside the int32 range; callers clamp first.
+inline void trunc_i32(F64x4 a, std::int32_t (&out)[4]) noexcept {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm256_cvttpd_epi32(a.v));
 }
 
 #elif defined(SAIM_SIMD_NEON)
@@ -312,6 +321,24 @@ inline U64x4 shl(U64x4 a) noexcept {
 }
 
 #endif
+
+#if !defined(SAIM_SIMD_AVX2)
+/// Lane-wise conversion toward zero: out[l] = (int32)a_l. Lanes must be
+/// finite and inside the int32 range; callers clamp first.
+inline void trunc_i32(F64x4 a, std::int32_t (&out)[4]) noexcept {
+  double d[4];
+  a.store(d);
+  for (int l = 0; l < 4; ++l) out[l] = static_cast<std::int32_t>(d[l]);
+}
+#endif
+
+/// Indexed load: lane l reads base[idx[l]]. Four scalar loads on every
+/// backend: on the x86-64 hosts measured, an AVX2 vgatherdpd made the p-bit
+/// sweep ~10% slower than the four loads.
+inline F64x4 gather4(const double* base,
+                     const std::int32_t (&idx)[4]) noexcept {
+  return F64x4::set(base[idx[0]], base[idx[1]], base[idx[2]], base[idx[3]]);
+}
 
 // ------------------------------------------------------- shared helpers
 

@@ -12,7 +12,9 @@
 #      >= k.
 #   3. SIGKILL one saim_serve child once the first result is out: the
 #      supervisor reports it "down, respawning", and its unanswered jobs
-#      fail over to the survivor.
+#      fail over to the survivor. The jobs arrive through a FIFO whose
+#      write end stays open until the respawn is reported, so the fleet
+#      is still up for steps 1-3 however fast the solves run.
 #   4. All 12 jobs are delivered exactly once, with no error lines and
 #      contiguous seq 0..11.
 #   5. No "WARNING: ThreadSanitizer" line reaches stderr (the tsan CI job
@@ -40,10 +42,13 @@ cd "$work"
 for k in 1 2 3 4 5 6; do for j in 1 2; do
   echo "{\"id\":\"k${k}j${j}\",\"gen\":\"qkp:80-25-${k}\",\"iterations\":150,\"sweeps\":600,\"seed\":${j}}"
 done; done > slow_jobs.jsonl
+mkfifo jobs.fifo
 "$shard" --shards 2 --workers 1 \
   --metrics 127.0.0.1:0 --metrics-port-file metrics_port.tmp \
-  --stats < slow_jobs.jsonl > chaos_out.jsonl 2> chaos_err.txt &
+  --stats < jobs.fifo > chaos_out.jsonl 2> chaos_err.txt &
 shard_pid=$!
+exec 3> jobs.fifo
+cat slow_jobs.jsonl >&3
 
 # 1. Mid-stream metrics scrape.
 for _ in $(seq 1 3000); do
@@ -109,6 +114,11 @@ EOF
 victim=$(pgrep -P "$shard_pid" -x saim_serve | head -1)
 [[ -n $victim ]] || { echo "no saim_serve child of $shard_pid" >&2; exit 1; }
 kill -9 "$victim"
+for _ in $(seq 1 3000); do
+  grep -q "down, respawning" chaos_err.txt && break
+  sleep 0.01
+done
+exec 3>&-  # end of input: the fleet drains and exits
 wait "$shard_pid"
 shard_pid=
 grep -q "down, respawning" chaos_err.txt \

@@ -12,7 +12,6 @@
 
 #include "ising/adjacency.hpp"
 #include "ising/local_field.hpp"
-#include "util/accept_bounds.hpp"
 #include "util/rng.hpp"
 
 namespace saim::pbit {
@@ -189,17 +188,18 @@ ising::IsingModel random_model(std::size_t n, double density,
 
 /// Test-local copy of the one-spin-at-a-time p-bit sweep that the blocked
 /// kernel replaced: per visit one uniform_sym draw (after the below() pick
-/// in kRandomUniform order), the scalar tiered decision, and the flip
-/// applied before the next visit.
+/// in kRandomUniform order), the decision tanh(beta*I) + u >= 0 straight
+/// from libm (not through util's bracket, which the blocked kernel uses),
+/// and the flip applied before the next visit.
 void reference_sweep(ising::Spins& m, ising::LocalFieldState& lfs,
                      double beta, SweepOrder order,
                      util::Xoshiro256pp& rng) {
   const std::size_t size = m.size();
   auto update_one = [&](std::size_t i) {
+    const double x = beta * lfs.field(i);
+    const double u = rng.uniform_sym();
     const std::int8_t next =
-        util::tanh_sign_nonneg(beta * lfs.field(i), rng.uniform_sym())
-            ? std::int8_t{1}
-            : std::int8_t{-1};
+        std::tanh(x) + u >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
     if (next != m[i]) lfs.flip(m, i);
   };
   switch (order) {
@@ -250,8 +250,9 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 TEST(PBitMachine, BlockedSweepMatchesOneSpinAtATimeLoop) {
   std::uint64_t seed = 100;
   for (const double density : {1.0, 0.15}) {  // dense rows and CSR rows
+    // 211 and 212: the slack-extended QKP-200 sizes (tails of 3 and 0).
     for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 12u, 13u, 14u,
-                                15u, 37u, 64u}) {
+                                15u, 37u, 64u, 211u, 212u}) {
       const auto model = random_model(n, density, seed++);
       const PBitMachine machine(model);
       for (const auto order :

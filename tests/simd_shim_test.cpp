@@ -149,32 +149,98 @@ TEST(AcceptBounds, ExpBoundsContainLibmEverywhere) {
   check(-std::numeric_limits<double>::infinity());
 }
 
-TEST(AcceptBounds, TanhBoundsContainLibmEverywhere) {
-  util::Xoshiro256pp rng(5);
-  auto check = [](double x) {
-    const util::BoundsF64x4 b = util::tanh_bounds(F64x4::broadcast(x));
-    double lo[4], hi[4];
-    b.lo.store(lo);
-    b.hi.store(hi);
+// The p-bit bracket: one table row per 1/32 of |x|, row 256 for |x| >= 8.
+// Containment of libm at every node, next to it and on a dense grid, the
+// 4-lane gather equal to the scalar row, and the edge cases that could
+// index outside the table.
+TEST(AcceptBounds, TanhBracketContainsLibmEverywhere) {
+  const auto& table = util::accept_detail::tanh_table();
+  auto check = [&](double x) {
+    const util::Bracket b = util::tanh_bracket(x);
     const double t = std::tanh(x);
-    EXPECT_LE(lo[0], t) << "arg " << x;
-    EXPECT_GE(hi[0], t) << "arg " << x;
-    // The pads may push the interval a hair past ±1 — conservative and
-    // harmless for sign decisions — but never by more than the pad.
-    EXPECT_GE(lo[0], -1.0 - 1e-9) << "arg " << x;
-    EXPECT_LE(hi[0], 1.0 + 1e-9) << "arg " << x;
+    ASSERT_LE(b.lo, t) << "x " << x;
+    ASSERT_GE(b.hi, t) << "x " << x;
+    // The pad may push the bracket a hair past ±1, never further.
+    ASSERT_GE(b.lo, -1.0 - 1e-12) << "x " << x;
+    ASSERT_LE(b.hi, 1.0 + 1e-12) << "x " << x;
+    // The row is floor(32|x|) below 8 and 256 from there on (and for inf).
+    const double ax = std::abs(x);
+    const int row = ax < 8.0 ? static_cast<int>(std::floor(32.0 * ax)) : 256;
+    ASSERT_EQ(b.lo, x < 0.0 ? -table.hi[row] : table.lo[row]) << "x " << x;
+    ASSERT_EQ(b.hi, x < 0.0 ? -table.lo[row] : table.hi[row]) << "x " << x;
   };
-  for (int it = 0; it < 500000; ++it) {
-    check(5.0 * rng.uniform_sym());    // typical beta*I
-    check(40.0 * rng.uniform_sym());   // saturation crossings
-    check(0.01 * rng.uniform_sym());   // near zero: bounds must straddle 0
+  // The 4-lane bracket reads the same rows, mirrored the same way.
+  auto check4 = [](double a, double b, double c, double d) {
+    const util::BoundsF64x4 v = util::tanh_bracket4(F64x4::set(a, b, c, d));
+    double lo[4], hi[4];
+    v.lo.store(lo);
+    v.hi.store(hi);
+    const double xs[4] = {a, b, c, d};
+    for (int l = 0; l < 4; ++l) {
+      const util::Bracket want = util::tanh_bracket(xs[l]);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(lo[l]),
+                std::bit_cast<std::uint64_t>(want.lo))
+          << "x " << xs[l];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(hi[l]),
+                std::bit_cast<std::uint64_t>(want.hi))
+          << "x " << xs[l];
+    }
+  };
+  std::vector<double> xs;
+  for (int k = 0; k <= 300; ++k) {  // every node, past the last one too
+    const double node = k / 32.0;
+    for (const double x : {node, std::nextafter(node, 0.0),
+                           std::nextafter(node, 20.0)}) {
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
   }
-  check(0.0);
-  check(-0.0);
-  check(20.0);
-  check(-20.0);
-  check(1e300);
-  check(-1e300);
+  for (int i = -9 * 4096; i <= 9 * 4096; ++i) xs.push_back(i / 4096.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::min();
+  const double huge = std::numeric_limits<double>::max();
+  for (const double x : {0.0, 8.0, 5e-324, tiny / 2.0, tiny, 1e-300, 1e300,
+                         huge, inf}) {
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  util::Xoshiro256pp rng(5);
+  for (int it = 0; it < 200000; ++it) {
+    xs.push_back(9.0 * rng.uniform_sym());
+    xs.push_back(40.0 * rng.uniform_sym());
+  }
+  for (const double x : xs) check(x);
+  for (std::size_t i = 0; i + 3 < xs.size(); ++i) {
+    check4(xs[i], xs[i + 1], xs[xs.size() - 1 - i], xs[(i * 7) % xs.size()]);
+  }
+  // ±0: the first row straddles 0. NaN: a NaN bracket decides nothing.
+  EXPECT_LT(util::tanh_bracket(-0.0).lo, 0.0);
+  EXPECT_GT(util::tanh_bracket(-0.0).hi, 0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(util::tanh_bracket(nan).lo));
+  EXPECT_TRUE(std::isnan(util::tanh_bracket(nan).hi));
+  check4(nan, 1.0, -nan, -inf);
+}
+
+// Lanes the bracket leaves ambiguous call std::tanh, so they must be rare.
+// A row is at most 1/32 wide: on a uniform (x, u) grid over the inputs a
+// sweep sees, well under 1% of draws are ambiguous.
+TEST(AcceptBounds, TanhBracketAmbiguousShareIsSmall) {
+  for (const double span : {4.0, 9.0}) {
+    std::size_t ambiguous = 0;
+    std::size_t total = 0;
+    for (int i = -512; i <= 512; ++i) {
+      const double x = span * i / 512.0;
+      const util::Bracket b = util::tanh_bracket(x);
+      for (int j = -1000; j < 1000; ++j) {
+        const double u = j / 1000.0;
+        if (!(b.lo + u >= 0.0) && !(b.hi + u < 0.0)) ++ambiguous;
+        ++total;
+      }
+    }
+    EXPECT_GT(ambiguous, 0u) << "span " << span;
+    EXPECT_LE(ambiguous, total / 100) << "span " << span;
+  }
 }
 
 // The ambiguous band (bounds fail to decide) must be rare, or the scalar
@@ -198,16 +264,18 @@ TEST(AcceptBounds, AmbiguousBandIsNarrow) {
 }
 
 // The blocked p-bit sweep's 4-lane test must decide every lane exactly as
-// the scalar tiered test and libm do, whichever tier the block takes, and
+// the scalar test and libm do, whichever bracket row each lane reads, and
 // leave inactive lanes 0.
 TEST(AcceptBounds, TanhSignNeg4MatchesScalarTest) {
+  const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> xs = {0.0,     -0.0,    5e-324,   -5e-324, 1e-300,
                             -1e-300, 1e-12,   -1e-12,   0.3,     -0.7,
                             1.5,     -3.0,    19.999999, -19.999999,
                             20.0,    -20.0,   25.0,     -25.0,   1e300,
-                            -1e300};
-  // The saturation edge (|x| = 8) and the old one (|x| = 20).
-  for (const double edge : {8.0, -8.0, 20.0, -20.0}) {
+                            -1e300,  inf,     -inf};
+  // The saturation row's edge (|x| = 8), a row edge (|x| = 1) and the old
+  // saturation cutoff (|x| = 20).
+  for (const double edge : {8.0, -8.0, 1.0, -1.0, 20.0, -20.0}) {
     xs.push_back(edge);
     xs.push_back(std::nextafter(edge, 0.0));
     xs.push_back(std::nextafter(edge, 2.0 * edge));
@@ -227,22 +295,24 @@ TEST(AcceptBounds, TanhSignNeg4MatchesScalarTest) {
   for (const double x : xs) {
     for (const double u : us) points.emplace_back(x, u);
   }
-  // Draws right at -tanh(x) sit inside the bounds' ambiguous band, so the
-  // libm fallback decides them.
+  // The adversarial draws u = -tanh(x) and the ulps on either side: the
+  // sum lands on 0 or next to it, inside the bracket's ambiguous band, so
+  // the libm fallback decides them. x covers table nodes, the points just
+  // inside a row, both signs and the saturation row.
   std::size_t ambiguous = 0;
-  for (const double x : {5e-3, -5e-3, 0.3, -0.7, 1.5, -3.0, 5.5, -7.25}) {
+  for (const double x : {5e-3, -5e-3, 0.3, -0.7, 1.5, -3.0, 5.5, -7.25, 0.25,
+                         -0.25, 1.0, 7.96875, -7.96875,
+                         std::nextafter(1.0, 0.0), std::nextafter(-1.0, 0.0),
+                         8.0, -8.0, 9.0, -9.0, 20.0, -20.0}) {
     const double t = std::tanh(x);
     for (const double u :
          {-t, std::nextafter(-t, 2.0), std::nextafter(-t, -2.0)}) {
       points.emplace_back(x, u);
-      const util::BoundsF64x4 b = util::tanh_bounds(F64x4::broadcast(x));
-      double lo[4], hi[4];
-      b.lo.store(lo);
-      b.hi.store(hi);
-      if (lo[0] + u < 0.0 && hi[0] + u >= 0.0) ++ambiguous;
+      const util::Bracket b = util::tanh_bracket(x);
+      if (b.lo + u < 0.0 && b.hi + u >= 0.0) ++ambiguous;
     }
   }
-  EXPECT_GE(ambiguous, 16u);
+  EXPECT_GE(ambiguous, 40u);
 
   auto check_block = [](const std::pair<double, double>* p, unsigned active) {
     const F64x4 x = F64x4::set(p[0].first, p[1].first, p[2].first, p[3].first);
@@ -283,13 +353,21 @@ TEST(AcceptBounds, TanhSignNeg4MatchesScalarTest) {
     }
     check_block(block, 15u);
   }
+  // NaN: libm's tanh(NaN) + u compares false both ways, so the lane is
+  // never negative and the scalar test never says non-negative.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const F64x4 x = F64x4::set(nan, -1.0, -nan, 2.0);
+  const F64x4 u = F64x4::set(-1.0, 0.5, -0.5, -0.99);
+  EXPECT_EQ(util::tanh_sign_neg4(x, u, 15u), 0b1010u);
+  EXPECT_FALSE(util::tanh_sign_nonneg(nan, -0.5));
+  EXPECT_FALSE(util::tanh_sign_nonneg(nan, 0.5));
 }
 
 // The scalar engines' tiered acceptance tests must decide every draw
 // bit-identically to libm. Dense random sweeps plus the edges where tiers
 // hand over: u = 0 (libm exp can underflow to exactly 0), u just
 // above/below 2^-53, args in the tier-1-ambiguous band, deep-negative
-// args, |x| straddling the tanh saturation threshold.
+// args, |x| straddling the tanh bracket's row edges and saturation row.
 TEST(ScalarTieredAcceptance, ExpAcceptMatchesLibmEverywhere) {
   util::Xoshiro256pp rng(2024);
   for (int i = 0; i < 200000; ++i) {
@@ -329,12 +407,12 @@ TEST(ScalarTieredAcceptance, TanhSignMatchesLibmEverywhere) {
     ASSERT_EQ(util::tanh_sign_nonneg(x, u), std::tanh(x) + u >= 0.0)
         << "x=" << x << " u=" << u;
   }
-  // The saturation handover (|x| = kTanhSat = 8, band 1 - 2^-21) and the
-  // one before it (|x| = 20, band 2^-48), with the ulps next to each, and
-  // the ambiguous band next to ±1.
+  // The saturation row's edge (|x| = 8, band 1 - 2^-21), a row edge
+  // (|x| = 1), the old cutoff (|x| = 20, band 2^-48), with the ulps next to
+  // each, and the ambiguous band next to ±1.
   std::vector<double> xs = {-25.0, -19.999999, -1.0, -1e-12, 0.0,
                             1e-12, 1.0,        19.999999, 25.0};
-  for (const double edge : {8.0, -8.0, 20.0, -20.0}) {
+  for (const double edge : {8.0, -8.0, 1.0, -1.0, 20.0, -20.0}) {
     xs.push_back(edge);
     xs.push_back(std::nextafter(edge, 0.0));
     xs.push_back(std::nextafter(edge, 2.0 * edge));
