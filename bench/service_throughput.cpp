@@ -18,31 +18,24 @@
 //   * sharded — the same mixed stream as JSONL lines through the
 //     multi-process front door (service/shard_router + service/Supervisor
 //     — the pump saim_shard ships — over saim_serve children, 1 worker
-//     each) at 1/2/4 shards and over BOTH transports:
-//     fork/exec pipes (transport "pipe") and loopback TCP against
-//     `saim_serve --listen` servers (transport "socket"), so pipe-vs-TCP
-//     overhead is tracked release over release. Throughput should scale
+//     each, on fork/exec pipes) at 1/2/4 shards. Throughput should scale
 //     with shard count on multicore boxes. Skipped (and marked so in the
 //     JSON) when the saim_serve binary is not next to the bench.
 //
-// The sharded phase runs the Supervisor with respawn, remote reconnects
-// and health pings off, and attaches its children before the timer
-// starts.
+// The sharded phase runs the Supervisor with respawn and health pings
+// off, and attaches its children before the timer starts.
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "problems/mkp.hpp"
 #include "problems/qkp.hpp"
-#include "service/process_child.hpp"
 #include "service/service_stats.hpp"
 #include "service/request_builders.hpp"
 #include "service/shard_router.hpp"
@@ -137,60 +130,27 @@ std::vector<std::string> make_job_lines(std::size_t jobs,
   return lines;
 }
 
-/// A fixed fleet: local children are `saim_serve --stream`, 1 worker,
-/// cache off; nothing is respawned, redialed or pinged (see the header).
+/// A fixed fleet: children are `saim_serve --stream`, 1 worker, cache
+/// off; nothing is respawned or pinged (see the header).
 service::SupervisorOptions fixed_fleet_options(const std::string& serve) {
   service::SupervisorOptions options;
   options.local_argv = {serve, "--stream", "--workers", "1", "--cache", "0"};
   options.respawn = false;
-  options.reconnect_remotes = false;
   options.ping_ms = 0;
   return options;
 }
 
-/// Spawns one loopback `saim_serve --listen` server (streaming, 1 worker,
-/// cache off), parks the process in `servers`, and returns its bound
-/// port — 0 when it fails to come up in time.
-int spawn_listen_server(
-    const std::string& serve, const std::string& tag,
-    std::vector<std::unique_ptr<service::ProcessChild>>* servers) {
-  const std::string port_file = "bench_listen_port_" + tag + ".tmp";
-  std::remove(port_file.c_str());
-  servers->push_back(std::make_unique<service::ProcessChild>(
-      std::vector<std::string>{serve, "--listen", "127.0.0.1:0",
-                               "--port-file", port_file, "--stream",
-                               "--workers", "1",
-                               "--cache", "0"}));
-  int port = 0;
-  for (int spin = 0; spin < 5000 && port == 0; ++spin) {
-    std::ifstream pf(port_file);
-    if (!(pf >> port)) {
-      port = 0;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  std::remove(port_file.c_str());
-  return port;
-}
-
-/// Routes `lines` through a fixed fleet of `locals` forked children
-/// (slots 0..locals-1) plus one session per loopback listen server in
-/// `remote_ports`. Returns wall seconds, or a negative value when any
-/// job failed.
-double run_sharded_wave(const std::string& serve, std::size_t locals,
-                        const std::vector<int>& remote_ports,
+/// Routes `lines` through a fixed fleet of `shards` forked children.
+/// Returns wall seconds, or a negative value when any job failed.
+double run_sharded_wave(const std::string& serve, std::size_t shards,
                         const std::vector<std::string>& lines,
                         obs::HistogramSnapshot* latency) {
   service::RouterOptions router_options;
-  router_options.shards = locals + remote_ports.size();
-  if (router_options.shards == 0) return -1.0;
+  router_options.shards = shards;
   service::ShardRouter router(router_options);
   service::Supervisor fleet(router, fixed_fleet_options(serve));
   try {
-    for (std::size_t s = 0; s < locals; ++s) fleet.attach_local(s);
-    for (std::size_t i = 0; i < remote_ports.size(); ++i) {
-      fleet.attach_remote(locals + i, "127.0.0.1", remote_ports[i]);
-    }
+    for (std::size_t s = 0; s < shards; ++s) fleet.attach_local(s);
   } catch (const std::exception&) {
     return -1.0;
   }
@@ -320,9 +280,7 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------- sharded phase
   // The same mixed stream through the multi-process front door at growing
   // shard counts (1 solver worker per shard, cache off): jobs/sec should
-  // grow with shards up to the core count. Run over both transports —
-  // pipes (local forks) and loopback TCP (saim_serve --listen) — so the
-  // socket overhead is a tracked number, not a guess.
+  // grow with shards up to the core count.
   const std::string serve = args.get("serve");
   util::JsonWriter sharded_json;
   if (::access(serve.c_str(), X_OK) != 0) {
@@ -332,66 +290,31 @@ int main(int argc, char** argv) {
     const auto lines = make_job_lines(jobs, instances, n, iterations, sweeps);
     const std::size_t shard_counts[] = {1, 2, 4};
     double pipe_jps[3] = {0, 0, 0};
-    double socket_jps_1 = 0.0;
     std::string rows = "[";
-    bool first_row = true;
-    const auto add_row = [&](const char* transport, std::size_t shards,
-                             double jps, double seconds,
-                             const obs::HistogramSnapshot& latency) {
-      util::JsonWriter row;
-      row.field("transport", transport)
-          .field("shards", static_cast<std::uint64_t>(shards))
-          .field("jobs_per_sec", jps)
-          .field("seconds", seconds)
-          .raw_field("latency", service::latency_quantiles_json(latency));
-      rows += (first_row ? "" : ",") + row.str();
-      first_row = false;
-    };
     for (std::size_t i = 0; i < 3; ++i) {
       obs::HistogramSnapshot latency;
       const double seconds =
-          run_sharded_wave(serve, shard_counts[i], {}, lines, &latency);
+          run_sharded_wave(serve, shard_counts[i], lines, &latency);
       pipe_jps[i] = seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
       std::printf("  pipe   %zu shard%s: %6.2f jobs/sec (%.2fs, round-trip "
                   "p50/p95 %.0f/%.0f ms)\n",
                   shard_counts[i], shard_counts[i] == 1 ? " " : "s",
                   pipe_jps[i], seconds, latency.quantile(0.50),
                   latency.quantile(0.95));
-      add_row("pipe", shard_counts[i], pipe_jps[i], seconds, latency);
-    }
-    // Socket transport at 1 and 2 shards: enough to price the transport
-    // without re-measuring the scaling curve twice.
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-      std::vector<std::unique_ptr<service::ProcessChild>> servers;
-      std::vector<int> ports;  // 0 = never came up; its attach then fails
-      for (std::size_t s = 0; s < shards; ++s) {
-        ports.push_back(
-            spawn_listen_server(serve, std::to_string(s), &servers));
-      }
-      obs::HistogramSnapshot latency;
-      const double seconds =
-          run_sharded_wave(serve, 0, ports, lines, &latency);
-      for (auto& server : servers) server->terminate();
-      const double jps =
-          seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
-      if (shards == 1) socket_jps_1 = jps;
-      std::printf("  socket %zu shard%s: %6.2f jobs/sec (%.2fs, round-trip "
-                  "p50/p95 %.0f/%.0f ms)\n",
-                  shards, shards == 1 ? " " : "s", jps, seconds,
-                  latency.quantile(0.50), latency.quantile(0.95));
-      add_row("socket", shards, jps, seconds, latency);
+      util::JsonWriter row;
+      row.field("transport", "pipe")
+          .field("shards", static_cast<std::uint64_t>(shard_counts[i]))
+          .field("jobs_per_sec", pipe_jps[i])
+          .field("seconds", seconds)
+          .raw_field("latency", service::latency_quantiles_json(latency));
+      rows += (i ? "," : "") + row.str();
     }
     rows += "]";
     const double scaling = pipe_jps[0] > 0 ? pipe_jps[1] / pipe_jps[0] : 0.0;
-    const double socket_overhead =
-        socket_jps_1 > 0 ? pipe_jps[0] / socket_jps_1 : 0.0;
-    std::printf("  shard scaling 1 -> 2 (pipe): %.2fx; pipe/socket at 1 "
-                "shard: %.2fx\n",
-                scaling, socket_overhead);
+    std::printf("  shard scaling 1 -> 2 (pipe): %.2fx\n", scaling);
     sharded_json.field("skipped", false)
         .raw_field("shards", rows)
-        .field("scaling_1_to_2", scaling)
-        .field("pipe_over_socket_1shard", socket_overhead);
+        .field("scaling_1_to_2", scaling);
   }
 
   util::JsonWriter doc;

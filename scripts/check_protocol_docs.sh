@@ -6,9 +6,8 @@
 #   * response-side: every .field("...")/.raw_field("...") name in the
 #     JSONL emitters (core/report.cpp's result_to_jsonl, the stream
 #     session's result/control/barrier lines, the shard router's
-#     rewritten/error lines, the supervisor's fleet control lines, the
-#     socket dialer's auth handshake, and whatever the tools emit
-#     themselves),
+#     rewritten/error lines, the supervisor's fleet control lines, and
+#     whatever the tools emit themselves),
 #   * request-side: the kKnownKeys job whitelist, the kControlKeys
 #     control-line whitelist and the kCommands control-command list in
 #     src/service/job_parser.cpp —
@@ -16,7 +15,7 @@
 # prose mention by accident does not count).
 #
 # Job keys, control commands and CLI flags are gated in both directions:
-# every flag the two tools register (add_flag/add_bool/add_multi in
+# every flag the two tools register (add_flag/add_bool in
 # tools/saim_serve.cpp and tools/saim_shard.cpp) must appear in the doc as
 # --name, every row of the job-field tables (the `| \`name\` |` rows of
 # "## Request lines") must name a key in kKnownKeys, every row of the
@@ -38,7 +37,7 @@ emitted=$(grep -hoE '\.(raw_)?field\("[a-z_]+"' \
             src/core/report.cpp tools/saim_serve.cpp tools/saim_shard.cpp \
             src/service/shard_router.cpp src/service/stream_session.cpp \
             src/service/supervisor.cpp src/service/service_stats.cpp \
-            src/service/event_server.cpp src/net/socket_child.cpp |
+            src/service/event_server.cpp |
           grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
 accepted=$(awk '/kKnownKeys = \{/,/\};/' src/service/job_parser.cpp |
            grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
@@ -62,7 +61,7 @@ table_rows() {
 table_keys=$(table_rows "Request lines")
 table_cmds=$(table_rows "Control lines")
 
-flags=$(grep -hoE 'add_(flag|bool|multi)\("[a-z-]+"' \
+flags=$(grep -hoE 'add_(flag|bool)\("[a-z-]+"' \
           tools/saim_serve.cpp tools/saim_shard.cpp |
         grep -oE '"[a-z-]+"' | tr -d '"' | sort -u)
 table_flags=$(grep -oE '^\| `--[a-z-]+` \|' "$doc" |

@@ -1,12 +1,12 @@
 // Line framing for stream bytes — the byte-level half of the JSONL
-// transport (net/Connection), which every shard endpoint and stdio
-// session speaks through.
+// transport (net/Connection), which every shard's pipes, every --listen
+// connection and the stdio session speak through.
 //
 // The protocol is newline-delimited: a line is every byte up to (not
 // including) '\n'. Stream fds deliver arbitrary fragments — a read may
 // return half a line, three lines and a half, or one byte — so LineFramer
 // accumulates bytes and surfaces only complete lines. For shard replies
-// (ProcessChild, SocketChild) a trailing half-line at EOF is dropped: the
+// (ProcessChild) a trailing half-line at EOF is dropped: the
 // child died mid-write, and a partial JSON object is garbage by
 // definition. A request stream's last line may lack its '\n', so
 // net::Connection can hand that one over at an orderly EOF instead.

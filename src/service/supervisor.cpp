@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/socket_child.hpp"
-#include "service/process_child.hpp"
 #include "service/service_stats.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
@@ -48,44 +46,19 @@ void Supervisor::attach_local(std::size_t slot) {
   Slot& s = slots_[slot];
   if (s.attached) throw std::logic_error("Supervisor: slot already attached");
   s.endpoint = std::make_unique<ProcessChild>(options_.local_argv);
-  s.local = true;
   s.attached = true;
   s.want = true;
   s.spawned_at = Clock::now();
 }
 
-void Supervisor::attach_remote(std::size_t slot, const std::string& host,
-                               int port) {
-  thread_checker_.assert_current_thread();
-  if (slot >= router_.shard_slots()) {
-    throw std::logic_error("Supervisor: slot beyond the router's shards");
-  }
-  ensure_slot(slot);
-  Slot& s = slots_[slot];
-  if (s.attached) throw std::logic_error("Supervisor: slot already attached");
-  s.endpoint =
-      std::make_unique<net::SocketChild>(host, port,
-                                         options_.remote_auth_token);
-  s.local = false;
-  s.attached = true;
-  s.want = true;
-  s.host = host;
-  s.port = port;
-  s.spawned_at = Clock::now();
-}
-
-net::ShardEndpoint* Supervisor::endpoint(std::size_t s) const {
+ProcessChild* Supervisor::endpoint(std::size_t s) const {
   return s < slots_.size() ? slots_[s].endpoint.get() : nullptr;
-}
-
-bool Supervisor::is_local(std::size_t s) const {
-  return s < slots_.size() && slots_[s].local;
 }
 
 std::size_t Supervisor::desired_locals() const {
   std::size_t count = 0;
   for (const Slot& s : slots_) {
-    if (s.local && s.want) ++count;
+    if (s.attached && s.want) ++count;
   }
   return count;
 }
@@ -216,7 +189,6 @@ std::string Supervisor::fleet_stats_line(const StatsProbe& probe) const {
 
   util::JsonWriter sup;
   sup.field("respawns", stats_.respawns)
-      .field("remote_reconnects", stats_.remote_reconnects)
       .field("respawn_failures", stats_.respawn_failures)
       .field("reshards", stats_.reshards)
       .field("retired", stats_.retired)
@@ -228,7 +200,7 @@ std::string Supervisor::fleet_stats_line(const StatsProbe& probe) const {
     util::JsonWriter shard;
     shard.field("shard", static_cast<std::uint64_t>(s))
         .field("alive", router_.alive(s))
-        .field("local", is_local(s))
+        .field("local", s < slots_.size() && slots_[s].attached)
         .field("restarts",
                s < slots_.size() ? slots_[s].restarts : 0)
         .field("routed", s < rs.routed_per_shard.size()
@@ -263,9 +235,8 @@ void Supervisor::on_death(std::size_t s, std::vector<std::string>* out) {
   slot.endpoint->reap();
   // An exec failure (bad --serve path after a respawn) deserves a loud,
   // specific note — it looks like an instant crash otherwise.
-  if (auto* child = dynamic_cast<ProcessChild*>(slot.endpoint.get());
-      child && WIFEXITED(child->exit_status()) &&
-      WEXITSTATUS(child->exit_status()) == 127) {
+  if (const int status = slot.endpoint->exit_status();
+      WIFEXITED(status) && WEXITSTATUS(status) == 127) {
     util::log_error() << "shard " << s << " could not exec its saim_serve";
   }
   slot.endpoint.reset();
@@ -278,11 +249,8 @@ void Supervisor::on_death(std::size_t s, std::vector<std::string>* out) {
     slot.restarts = 0;  // it earned its budget back before dying
   }
 
-  const bool revivable =
-      slot.local ? options_.respawn
-                 : options_.reconnect_remotes && !slot.host.empty();
-  const bool will_respawn =
-      slot.want && revivable && slot.restarts < options_.max_restarts;
+  const bool will_respawn = slot.want && options_.respawn &&
+                            slot.restarts < options_.max_restarts;
   if (will_respawn) {
     if (router_.alive(s) && router_.live_shards() == 1) {
       // Sole shard: nowhere to fail over to. Hold its jobs on its own
@@ -298,22 +266,15 @@ void Supervisor::on_death(std::size_t s, std::vector<std::string>* out) {
         options_.backoff_initial_ms << std::min(slot.restarts, 20));
     slot.respawn_pending = true;
     slot.respawn_at = now + std::chrono::milliseconds(backoff);
-    if (slot.local) {
-      util::log_warn() << "shard " << s << " down, respawning in " << backoff
-                       << " ms (attempt " << slot.restarts + 1 << "/"
-                       << options_.max_restarts << ")";
-    } else {
-      util::log_warn() << "remote shard " << s << " (" << slot.host << ":"
-                       << slot.port << ") dropped, reconnecting in "
-                       << backoff << " ms (attempt " << slot.restarts + 1
-                       << "/" << options_.max_restarts << ")";
-    }
+    util::log_warn() << "shard " << s << " down, respawning in " << backoff
+                     << " ms (attempt " << slot.restarts + 1 << "/"
+                     << options_.max_restarts << ")";
     return;
   }
 
-  // Dead for good: reconnect/respawn disabled or budget exhausted.
+  // Dead for good: respawn disabled or budget exhausted.
   if (router_.alive(s)) append(out, router_.on_child_down(s));
-  if (revivable && slot.want) {
+  if (options_.respawn && slot.want) {
     ++stats_.respawn_failures;
     util::log_error() << "shard " << s << " abandoned after " << slot.restarts
                       << " crashes";
@@ -325,18 +286,12 @@ void Supervisor::on_death(std::size_t s, std::vector<std::string>* out) {
 bool Supervisor::try_respawn(std::size_t s, std::vector<std::string>* out) {
   Slot& slot = slots_[s];
   slot.respawn_pending = false;
-  if (!slot.want || (!slot.local && slot.host.empty())) return false;
+  if (!slot.want) return false;
   try {
-    if (slot.local) {
-      slot.endpoint = std::make_unique<ProcessChild>(options_.local_argv);
-    } else {
-      slot.endpoint = std::make_unique<net::SocketChild>(
-          slot.host, slot.port, options_.remote_auth_token);
-    }
+    slot.endpoint = std::make_unique<ProcessChild>(options_.local_argv);
   } catch (const std::exception&) {
-    // fork/pipe failure (fd or process exhaustion) — or, for a remote,
-    // a server that is not back yet: retry on backoff like a crash,
-    // give up on the same budget.
+    // fork/pipe failure (fd or process exhaustion): retry on backoff
+    // like a crash, give up on the same budget.
     ++slot.restarts;
     if (slot.restarts >= options_.max_restarts) {
       if (router_.alive(s)) append(out, router_.on_child_down(s));
@@ -353,31 +308,16 @@ bool Supervisor::try_respawn(std::size_t s, std::vector<std::string>* out) {
   }
   slot.spawned_at = Clock::now();
   ++slot.restarts;
-  if (slot.local) {
-    ++stats_.respawns;
-    util::log_info() << "shard " << s << " respawned";
-  } else {
-    ++stats_.remote_reconnects;
-    util::log_info() << "remote shard " << s << " reconnected to "
-                     << slot.host << ":" << slot.port;
-  }
+  ++stats_.respawns;
+  util::log_info() << "shard " << s << " respawned";
   if (!router_.alive(s)) router_.revive_shard(s);  // old keyslice returns
   return true;
 }
 
 std::size_t Supervisor::reshard(std::size_t target_locals) {
   thread_checker_.assert_current_thread();
-  // A fleet with no remote members must keep at least one local shard —
-  // an empty ring rejects every job.
-  std::size_t live_remotes = 0;
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (!slots_[s].local && slots_[s].endpoint && router_.alive(s)) {
-      ++live_remotes;
-    }
-  }
-  if (live_remotes == 0) {
-    target_locals = std::max<std::size_t>(1, target_locals);
-  }
+  // The fleet keeps at least one shard: an empty ring rejects every job.
+  target_locals = std::max<std::size_t>(1, target_locals);
   const std::size_t current = desired_locals();
   if (target_locals == current) return current;
   ++stats_.reshards;
@@ -385,13 +325,12 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
   if (target_locals > current) {
     std::size_t needed = target_locals - current;
     std::size_t failed_spawns = 0;
-    // Recycle dead local slots first: revive_shard restores their exact
+    // Recycle dead slots first: revive_shard restores their exact
     // old keyslice, so a shrink-then-grow round trip moves keys back
     // where their caches were hot.
     for (std::size_t s = 0; s < slots_.size() && needed > 0; ++s) {
       Slot& slot = slots_[s];
-      if (!slot.attached || !slot.local || slot.want || slot.retiring ||
-          slot.endpoint) {
+      if (!slot.attached || slot.want || slot.retiring || slot.endpoint) {
         continue;
       }
       try {
@@ -408,9 +347,9 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
     }
     while (needed > 0) {
       // Spawn BEFORE touching the ring: a fork/pipe failure must not
-      // leave a live ring slot with no endpoint behind it (jobs hashing
+      // leave a live ring slot with no child behind it (jobs hashing
       // there would wait forever).
-      std::unique_ptr<net::ShardEndpoint> endpoint;
+      std::unique_ptr<ProcessChild> endpoint;
       try {
         endpoint = std::make_unique<ProcessChild>(options_.local_argv);
       } catch (const std::exception&) {
@@ -421,7 +360,6 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
       ensure_slot(s);
       Slot& slot = slots_[s];
       slot.endpoint = std::move(endpoint);
-      slot.local = true;
       slot.attached = true;
       slot.want = true;
       slot.spawned_at = Clock::now();
@@ -433,13 +371,13 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
     return desired_locals();
   }
 
-  // Shrink: retire the highest-indexed local members. Requeue each one's
+  // Shrink: retire the highest-indexed members. Requeue each one's
   // unanswered jobs via the failover path and let it drain out through a
   // polite shutdown.
   std::size_t to_remove = current - target_locals;
   for (std::size_t i = slots_.size(); i-- > 0 && to_remove > 0;) {
     Slot& slot = slots_[i];
-    if (!slot.local || !slot.want || slot.retiring) continue;
+    if (!slot.attached || !slot.want || slot.retiring) continue;
     slot.want = false;
     slot.respawn_pending = false;
     ++stats_.retired;
@@ -486,11 +424,7 @@ void Supervisor::shutdown_fleet(int grace_ms) {
   for (Slot& slot : slots_) {
     slot.want = false;
     slot.respawn_pending = false;
-    // Local children are OURS: tell them to shut the whole process down.
-    // A remote server belongs to its operator and may be serving other
-    // front doors — only this session ends (the input half-close below),
-    // never the server.
-    if (slot.local && slot.endpoint && !slot.endpoint->eof()) {
+    if (slot.endpoint && !slot.endpoint->eof()) {
       slot.endpoint->send_line(R"({"cmd":"shutdown","id":"_bye"})");
       slot.endpoint->pump_writes();
     }
@@ -537,7 +471,7 @@ void Supervisor::shutdown_fleet(int grace_ms) {
 void Supervisor::watch_endpoints() {
   std::map<int, std::uint32_t> want;
   for (const Slot& slot : slots_) {
-    const net::ShardEndpoint* endpoint = slot.endpoint.get();
+    const ProcessChild* endpoint = slot.endpoint.get();
     if (!endpoint) continue;
     if (!endpoint->eof() && endpoint->read_fd() >= 0) {
       want[endpoint->read_fd()] |= net::EventLoop::kRead;
@@ -562,9 +496,6 @@ int Supervisor::wait_ms(int max_wait_ms) const {
   const auto now = Clock::now();
   auto next = Clock::time_point::max();
   for (const Slot& slot : slots_) {
-    // A socket endpoint terminated since the last read pass has closed
-    // its fd: nothing will wake the loop for it, so go observe its EOF.
-    if (slot.endpoint && slot.endpoint->eof()) return 0;
     if (slot.respawn_pending) next = std::min(next, slot.respawn_at);
     if (slot.retiring && slot.endpoint) {
       next = std::min(next, slot.retire_deadline);

@@ -2,27 +2,22 @@
 //
 // PR 4's front door was fail-static: a crashed shard was dropped from
 // the ring forever and --shards was fixed at spawn. The Supervisor owns
-// the fleet's endpoints (local fork/exec children and remote TCP shards
-// behind one net::ShardEndpoint interface) and adds the management
-// behaviors on top of the same ShardRouter/pump cycle:
+// the fleet's fork/exec children (service::ProcessChild) and adds the
+// management behaviors on top of the same ShardRouter/pump cycle:
 //
-//   * respawn — a crashed LOCAL child is re-exec'd with exponential
+//   * respawn — a crashed child is re-exec'd with exponential
 //     backoff and re-added to the ring (revive_shard: consistent hashing
 //     moves exactly its old keyslice back). While survivors exist its
 //     unanswered jobs fail over to them first (PR 4 path); when it was
 //     the ONLY shard they are held on its pending queue instead of
 //     orphaning, and replay into the replacement. A child that stays up
 //     `stable_ms` earns its restart budget back; one that crash-loops
-//     `max_restarts` times is declared down for good. A remote shard is
-//     not respawned (this process cannot re-exec another machine's
-//     server) but its session IS redialed on the same backoff/budget:
-//     its jobs fail over immediately, and when the reconnect lands the
-//     slot rejoins the ring exactly like a respawned local child.
+//     `max_restarts` times is declared down for good.
 //
-//   * live resharding — reshard(n) grows or shrinks the LOCAL fleet to n
+//   * live resharding — reshard(n) grows or shrinks the fleet to n
 //     while jobs are in flight. Grow spawns children into recycled dead
 //     slots first, then brand-new slots. Shrink retires the
-//     highest-indexed local shards: each has its unanswered jobs
+//     highest-indexed shards: each has its unanswered jobs
 //     requeued onto the survivors via the router's failover path
 //     (exactly-once: a late result from the retiree and the rerun's
 //     result dedupe by routing token, first one wins), and is then sent
@@ -37,12 +32,12 @@
 // repeatedly; every management action advances inside pump. The
 // Supervisor owns that thread's one reactor, a net::EventLoop on the
 // poll backend (a fleet has a handful of fds, and a caller's --input may
-// be a regular file, which epoll rejects). pump() waits there until an
-// endpoint has output (or room for queued input), a caller's fd fires
+// be a regular file, which epoll rejects). pump() waits there until a
+// child has output (or room for queued input), a caller's fd fires
 // (saim_shard's stdin/stdout), loop().wakeup() is called, or the
 // earliest deadline the fleet already keeps falls due.
 //
-// With respawn, reconnect_remotes and ping_ms all off it is a plain
+// With respawn and ping_ms both off it is a plain
 // fixed-membership pump — a dead shard stays dead and its unanswered
 // jobs fail over to the survivors — which is how the failover tests and
 // bench/service_throughput drive it.
@@ -59,23 +54,17 @@
 #include <vector>
 
 #include "net/event_loop.hpp"
-#include "net/shard_endpoint.hpp"
+#include "service/process_child.hpp"
 #include "service/shard_router.hpp"
 #include "util/thread_checker.hpp"
 
 namespace saim::service {
 
 struct SupervisorOptions {
-  /// argv to exec one local shard (a `saim_serve --stream` invocation).
+  /// argv to exec one shard (a `saim_serve --stream` invocation).
   std::vector<std::string> local_argv;
-  /// Re-exec crashed local children. Off = PR 4 fail-static behavior.
+  /// Re-exec crashed children. Off = PR 4 fail-static behavior.
   bool respawn = true;
-  /// Redial remote (--connect) endpoints whose connection dropped, on
-  /// the same exponential-backoff/budget machinery as local respawns.
-  /// The remote server is never re-exec'd — it belongs to its operator;
-  /// this only re-establishes the session (the server may have been
-  /// restarted, or the drop may have been transient network weather).
-  bool reconnect_remotes = true;
   /// Consecutive crashes before a slot is abandoned (counter resets
   /// after a child survives stable_ms).
   int max_restarts = 5;
@@ -89,17 +78,12 @@ struct SupervisorOptions {
   /// exit on its own before being terminated (a wedged retiree must not
   /// haunt the fleet until final teardown).
   int retire_grace_ms = 10000;
-  /// Auth token presented to remote `--listen` shards on connect and on
-  /// every redial (they close unauthenticated sessions when started with
-  /// --auth-token). Empty = no handshake line.
-  std::string remote_auth_token;
 };
 
 class Supervisor {
  public:
   struct Stats {
-    std::uint64_t respawns = 0;        ///< successful local re-execs
-    std::uint64_t remote_reconnects = 0;  ///< successful remote redials
+    std::uint64_t respawns = 0;        ///< successful re-execs
     std::uint64_t respawn_failures = 0;///< slots abandoned after max_restarts
     std::uint64_t reshards = 0;        ///< reshard() membership changes
     std::uint64_t retired = 0;         ///< shards removed by shrink
@@ -107,19 +91,16 @@ class Supervisor {
   };
 
   /// The router must outlive the supervisor. Slots are attached (or
-  /// grown) explicitly; router slot `s` pairs with endpoint slot `s`.
+  /// grown) explicitly; router slot `s` pairs with child slot `s`.
   Supervisor(ShardRouter& router, SupervisorOptions options);
   ~Supervisor();
 
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Spawns a local child into router slot `slot` (must be < the
-  /// router's shard_slots and not yet attached).
+  /// Spawns a child into router slot `slot` (must be < the router's
+  /// shard_slots and not yet attached).
   void attach_local(std::size_t slot);
-  /// Connects router slot `slot` to a remote `saim_serve --listen`.
-  /// Throws std::runtime_error when the connection fails.
-  void attach_remote(std::size_t slot, const std::string& host, int port);
 
   /// One cycle: flush windows, wait on loop() (at most `max_wait_ms`,
   /// negative = unbounded, and never past the fleet's next deadline),
@@ -142,10 +123,9 @@ class Supervisor {
   /// (null for shards that did not answer in time).
   void request_fleet_stats(const std::string& reply_id);
 
-  /// Live resharding: grow or shrink the LOCAL fleet so that
-  /// `target_locals` local shards serve the ring (remote shards are
-  /// never touched; target is clamped to >= 1 when no remotes exist).
-  /// Returns the number of local shards after the change is applied
+  /// Live resharding: grow or shrink the fleet so that `target_locals`
+  /// shards serve the ring (clamped to >= 1: an empty ring rejects every
+  /// job). Returns the number of shards after the change is applied
   /// (the membership change itself completes over subsequent pumps).
   std::size_t reshard(std::size_t target_locals);
 
@@ -161,26 +141,21 @@ class Supervisor {
     return std::exchange(deferred_out_, {});
   }
 
-  /// Live local shards wanted (attached or respawning).
+  /// Live shards wanted (attached or respawning).
   [[nodiscard]] std::size_t desired_locals() const;
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// The endpoint currently serving router slot `s` (nullptr when the
-  /// slot is dead/retired). Exposed for tests and the tool's 127 check.
-  [[nodiscard]] net::ShardEndpoint* endpoint(std::size_t s) const;
-  [[nodiscard]] bool is_local(std::size_t s) const;
+  /// The child currently serving router slot `s` (nullptr when the slot
+  /// is dead/retired). Exposed for tests.
+  [[nodiscard]] ProcessChild* endpoint(std::size_t s) const;
 
  private:
   struct Slot {
-    std::unique_ptr<net::ShardEndpoint> endpoint;
-    bool local = false;
-    bool attached = false;   ///< slot was ever given an endpoint
+    std::unique_ptr<ProcessChild> endpoint;
+    bool attached = false;   ///< slot was ever given a child
     bool want = true;        ///< desired fleet member (false once retired)
     bool retiring = false;   ///< removed from ring, draining tail output
     bool respawn_pending = false;
     int restarts = 0;
-    /// Remote endpoint address, kept for redials (empty host = local).
-    std::string host;
-    int port = 0;
     std::chrono::steady_clock::time_point respawn_at{};
     std::chrono::steady_clock::time_point spawned_at{};
     std::chrono::steady_clock::time_point retire_deadline{};
@@ -197,15 +172,15 @@ class Supervisor {
   };
 
   void ensure_slot(std::size_t slot);
-  /// Handles one observed endpoint death; appends orphan lines to out.
+  /// Handles one observed child death; appends orphan lines to out.
   void on_death(std::size_t slot, std::vector<std::string>* out);
   /// Spawns the replacement for a due slot; true on success.
   bool try_respawn(std::size_t slot, std::vector<std::string>* out);
   void send_health_pings();
-  /// Registers on loop_ each endpoint's read fd until EOF and its write
-  /// fd while bytes are queued. Keyed by the fds recorded at the last
-  /// call, so one an endpoint already closed (terminate()) is dropped
-  /// without asking the endpoint.
+  /// Registers on loop_ each child's read fd until EOF and its write fd
+  /// while bytes are queued. Keyed by the fds recorded at the last call,
+  /// so one a retired or dead child already closed is dropped without
+  /// asking the child.
   void watch_endpoints();
   /// `max_wait_ms` clamped to the earliest deadline the fleet keeps: a
   /// respawn backoff, a retiree's grace, a stats probe or the next ping.

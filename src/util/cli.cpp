@@ -32,19 +32,6 @@ ArgParser& ArgParser::add_bool(const std::string& name,
   return *this;
 }
 
-ArgParser& ArgParser::add_multi(const std::string& name,
-                                const std::string& help) {
-  if (flags_.contains(name)) {
-    throw std::logic_error("ArgParser: duplicate flag registration --" +
-                           name);
-  }
-  order_.push_back(name);
-  Flag flag{help, "", false};
-  flag.is_multi = true;
-  flags_[name] = std::move(flag);
-  return *this;
-}
-
 std::optional<ArgParser::Flag*> ArgParser::find(const std::string& name) {
   auto it = flags_.find(name);
   if (it == flags_.end()) return std::nullopt;
@@ -90,7 +77,6 @@ bool ArgParser::parse(int argc, const char* const* argv) {
         value = argv[++i];
       }
       (*flag)->value = value;
-      if ((*flag)->is_multi) (*flag)->values.push_back(std::move(value));
     }
   }
   return true;
@@ -137,14 +123,6 @@ bool ArgParser::get_bool(const std::string& name) const {
   return v == "true" || v == "1" || v == "yes";
 }
 
-std::vector<std::string> ArgParser::get_all(const std::string& name) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    throw std::invalid_argument("ArgParser: unregistered flag " + name);
-  }
-  return it->second.values;
-}
-
 std::string ArgParser::usage() const {
   std::string out = program_ + " — " + description_ + "\n\nFlags:\n";
   for (const auto& name : order_) {
@@ -152,8 +130,7 @@ std::string ArgParser::usage() const {
     out += "  --" + name;
     if (!f.is_bool) out += " <value>";
     out += "\n      " + f.help;
-    out += f.is_multi ? " (repeatable)" : " (default: " + f.value + ")";
-    out += "\n";
+    out += " (default: " + f.value + ")\n";
   }
   out += "  --help\n      show this message\n";
   return out;

@@ -22,10 +22,6 @@ class ArgParser {
   ArgParser& add_flag(const std::string& name, const std::string& help,
                       std::string default_value);
   ArgParser& add_bool(const std::string& name, const std::string& help);
-  /// A flag that may repeat: every occurrence's value is kept, in order
-  /// (read back with get_all; get() returns the last occurrence, "" when
-  /// none).
-  ArgParser& add_multi(const std::string& name, const std::string& help);
 
   /// Parses argv. Returns false (and prints usage) on --help or on a parse
   /// error such as an unknown flag; error() then carries the message,
@@ -42,9 +38,6 @@ class ArgParser {
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
-  /// Every value a multi flag received, in command-line order.
-  [[nodiscard]] std::vector<std::string> get_all(
-      const std::string& name) const;
 
   [[nodiscard]] std::string usage() const;
 
@@ -53,8 +46,6 @@ class ArgParser {
     std::string help;
     std::string value;
     bool is_bool = false;
-    bool is_multi = false;
-    std::vector<std::string> values;  ///< multi flags: every occurrence
   };
 
   std::optional<Flag*> find(const std::string& name);

@@ -187,8 +187,11 @@ TEST(ConcurrencyStress, MetricsRegistryConcurrentRegisterRecordScrape) {
   }
 
   // Scrape concurrently with registration and recording: the exposition
-  // must always be well-formed (non-empty, every header paired).
+  // must always be well-formed (non-empty, every header paired). The
+  // first render waits for the first registration; an empty registry
+  // renders nothing.
   std::thread scraper([&] {
+    while (registry.names().empty()) std::this_thread::yield();
     while (!stop_scraping.load(std::memory_order_relaxed)) {
       const std::string payload = registry.render_prometheus();
       EXPECT_NE(payload.find("# TYPE"), std::string::npos);

@@ -9,8 +9,9 @@
 #   3. A reader that leaves early (`| head -1`) makes saim_shard exit 1:
 #      results were lost.
 #   4. A fractional {"cmd":"reshard"} gets an error line (and exit 1).
-#   5. The deleted replication flags (--replicas, --gossip-ms) and
-#      --warm-start are bad invocations: exit 2, before any shard starts.
+#   5. The deleted replication flags (--replicas, --gossip-ms),
+#      --warm-start and the deleted remote-shard flags (--connect,
+#      --auth-token) are bad invocations: exit 2, before any shard starts.
 #   6. Supervisor restart: SIGKILL one shard child mid-stream; all 12
 #      jobs still answer exactly once, with no error lines, contiguous
 #      seq and a respawn in the exit summary.
@@ -108,7 +109,8 @@ assert 'error' in lines[0] and 'resharded' not in lines[0], lines
 EOF
 
 # 5. Removed flags exit 2.
-for flag in "--replicas 2" "--gossip-ms 5" "--warm-start"; do
+for flag in "--replicas 2" "--gossip-ms 5" "--warm-start" \
+            "--connect 127.0.0.1:1" "--auth-token t"; do
   rc=0
   # shellcheck disable=SC2086  # the flag and its value are two words
   "$shard" --shards 1 $flag < /dev/null > /dev/null 2>&1 || rc=$?

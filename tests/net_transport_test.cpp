@@ -1,12 +1,9 @@
 // Tests for the src/net transport subsystem: line framing over stream
 // fds (partial lines, short reads, EOF mid-line), the non-blocking
 // Connection, host:port parsing, Listener/connect_to over loopback TCP,
-// and — when the build provides SAIM_SERVE_BIN — the transport-equality
-// contract: the same job stream routed through SocketChild endpoints
-// (against real `saim_serve --listen` servers) produces solver output
-// bit-identical to the pipe-transport fleet. The sockets reach the
-// event-driven listen server, so this also pins that the reactor does
-// not perturb solver output.
+// and — when the build provides SAIM_SERVE_BIN — a plain connect_to
+// client against real `saim_serve --listen` servers: the --auth-token
+// handshake gate and the shutdown control line.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -15,9 +12,7 @@
 
 #include <chrono>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,10 +20,7 @@
 #include "net/connection.hpp"
 #include "net/framing.hpp"
 #include "net/listener.hpp"
-#include "net/socket_child.hpp"
 #include "service/process_child.hpp"
-#include "service/shard_router.hpp"
-#include "service/supervisor.hpp"
 #include "util/jsonl.hpp"
 
 namespace saim {
@@ -278,7 +270,7 @@ TEST(Listener, ConnectToNobodyThrows) {
   EXPECT_THROW((void)connect_to("127.0.0.1", dead_port), std::runtime_error);
 }
 
-// ------------------------------------- transport equality with saim_serve
+// ------------------------------------------ saim_serve --listen sessions
 
 const char* serve_bin() {
 #ifdef SAIM_SERVE_BIN
@@ -288,17 +280,17 @@ const char* serve_bin() {
 #endif
 }
 
-/// Spawns a `saim_serve --listen` server and connects a SocketChild.
-/// The server process handle keeps it alive; pass-through of the bound
-/// port goes through --port-file (race-free with ephemeral ports).
-struct RemoteShard {
-  std::unique_ptr<service::ProcessChild> server;
+/// A `saim_serve --listen` server. The process handle keeps it alive;
+/// the bound port comes back through --port-file (race-free with
+/// ephemeral ports).
+struct ListenServer {
+  std::unique_ptr<service::ProcessChild> process;
   int port = 0;
 };
 
-RemoteShard spawn_listen_serve(const std::string& tag,
-                               std::vector<std::string> extra_args = {}) {
-  RemoteShard remote;
+ListenServer spawn_listen_serve(const std::string& tag,
+                                std::vector<std::string> extra_args = {}) {
+  ListenServer server;
   const std::string port_file = "net_test_port_" + tag + ".tmp";
   std::remove(port_file.c_str());
   std::vector<std::string> argv{serve_bin(),    "--listen", "127.0.0.1:0",
@@ -306,230 +298,135 @@ RemoteShard spawn_listen_serve(const std::string& tag,
                                 "--workers",    "1",        "--cache",
                                 "0"};
   argv.insert(argv.end(), extra_args.begin(), extra_args.end());
-  remote.server = std::make_unique<service::ProcessChild>(std::move(argv));
-  for (int spin = 0; spin < 10000 && remote.port == 0; ++spin) {
+  server.process = std::make_unique<service::ProcessChild>(std::move(argv));
+  for (int spin = 0; spin < 10000 && server.port == 0; ++spin) {
     std::ifstream pf(port_file);
-    if (!(pf >> remote.port)) {
-      remote.port = 0;
+    if (!(pf >> server.port)) {
+      server.port = 0;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
   std::remove(port_file.c_str());
-  return remote;
+  return server;
 }
 
-std::vector<std::string> job_stream() {
-  std::vector<std::string> lines;
-  for (int k = 1; k <= 3; ++k) {
-    for (int j = 1; j <= 2; ++j) {
-      lines.push_back("{\"id\":\"k" + std::to_string(k) + "j" +
-                      std::to_string(j) + "\",\"gen\":\"qkp:30-25-" +
-                      std::to_string(k) +
-                      "\",\"iterations\":3,\"sweeps\":50,\"seed\":" +
-                      std::to_string(j) + "}");
-    }
+/// Opens a client session. A non-empty `token` is queued as the
+/// session's first line, {"auth":"..."}, the handshake a server started
+/// with --auth-token reads before it creates a session.
+Connection open_session(int port, const std::string& token = "") {
+  Connection session = connect_to("127.0.0.1", port);
+  if (!token.empty()) {
+    util::JsonWriter hello;
+    hello.field("auth", token);
+    session.send_line(hello.str());
   }
-  return lines;
+  return session;
 }
 
-/// Drives `lines` through a fixed fleet on the Supervisor's pump (no
-/// respawn, reconnect or pings): `locals` forked saim_serve children,
-/// then one session per listen server in `remote_ports`. Returns result
-/// lines.
-std::vector<std::string> route_through(std::size_t locals,
-                                       const std::vector<int>& remote_ports,
-                                       const std::vector<std::string>& lines) {
-  service::RouterOptions options;
-  options.shards = locals + remote_ports.size();
-  service::ShardRouter router(options);
-  service::SupervisorOptions fleet_options;
-  fleet_options.local_argv = {serve_bin(), "--stream", "--workers", "1",
-                              "--cache", "0"};
-  fleet_options.respawn = false;
-  fleet_options.reconnect_remotes = false;
-  fleet_options.ping_ms = 0;
-  service::Supervisor fleet(router, fleet_options);
-  for (std::size_t s = 0; s < locals; ++s) fleet.attach_local(s);
-  for (std::size_t i = 0; i < remote_ports.size(); ++i) {
-    fleet.attach_remote(locals + i, "127.0.0.1", remote_ports[i]);
-  }
-  std::vector<std::string> out;
-  std::size_t line_no = 0;
-  for (const auto& line : lines) {
-    for (auto& l : router.accept_line(line, ++line_no)) {
-      out.push_back(std::move(l));
-    }
-  }
-  for (int spin = 0; spin < 20000 && !router.idle(); ++spin) {
-    for (auto& l : fleet.pump(2)) out.push_back(std::move(l));
-    if (router.live_shards() == 0) break;
-  }
-  EXPECT_TRUE(router.idle());
-  return out;
-}
-
-/// Solver-produced fields: everything except scheduling artifacts
-/// (seq = arrival order, wall_ms = timing).
-std::map<std::string, std::string> solved_fields(const std::string& line) {
-  const auto v = util::parse_json(line);
-  std::map<std::string, std::string> fields;
-  for (const auto& [key, value] : v.object()) {
-    if (key == "seq" || key == "wall_ms") continue;
-    fields[key] = util::to_json(value);
-  }
-  return fields;
-}
-
-TEST(TransportEquality, SocketFleetMatchesPipeFleetBitForBit) {
-  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  const auto lines = job_stream();
-
-  // Pipe transport: 2 fork/exec children.
-  const auto pipe_out = route_through(2, {}, lines);
-
-  // Socket transport: 2 --listen servers over loopback TCP.
-  auto remote_a = spawn_listen_serve("a");
-  auto remote_b = spawn_listen_serve("b");
-  ASSERT_GT(remote_a.port, 0) << "listen server never wrote its port";
-  ASSERT_GT(remote_b.port, 0);
-  const auto socket_out =
-      route_through(0, {remote_a.port, remote_b.port}, lines);
-
-  ASSERT_EQ(pipe_out.size(), lines.size());
-  ASSERT_EQ(socket_out.size(), lines.size());
-  // Key by id; every solver field must match byte for byte.
-  std::map<std::string, std::map<std::string, std::string>> pipe_by_id;
-  std::map<std::string, std::map<std::string, std::string>> socket_by_id;
-  for (const auto& line : pipe_out) {
-    pipe_by_id[util::parse_json(line).find("id")->as_string()] =
-        solved_fields(line);
-  }
-  for (const auto& line : socket_out) {
-    socket_by_id[util::parse_json(line).find("id")->as_string()] =
-        solved_fields(line);
-  }
-  ASSERT_EQ(pipe_by_id.size(), lines.size());
-  EXPECT_EQ(pipe_by_id, socket_by_id)
-      << "socket transport must not perturb any solver output";
-
-  // Both runs numbered their accepted jobs contiguously.
-  for (const auto* out : {&pipe_out, &socket_out}) {
-    std::set<std::int64_t> seqs;
-    for (const auto& line : *out) {
-      seqs.insert(util::parse_json(line).find("seq")->as_int());
-    }
-    EXPECT_EQ(seqs.size(), lines.size());
-    EXPECT_EQ(*seqs.begin(), 0);
-  }
-  remote_a.server->terminate();
-  remote_b.server->terminate();
-}
-
-// ------------------------------------------------------ shard-side auth
-
-/// Sends one job over `shard` and collects lines until EOF or the first
-/// result, whichever comes first.
-std::vector<std::string> try_one_job(net::SocketChild& shard) {
-  shard.send_line(
+/// Sends one job over `session` and collects lines until EOF or the
+/// first result, whichever comes first.
+std::vector<std::string> try_one_job(Connection& session) {
+  session.send_line(
       R"({"id":"one","gen":"qkp:30-25-1","iterations":2,"sweeps":20})");
-  shard.pump_writes();
+  session.pump_writes();
   std::vector<std::string> lines;
-  for (int spin = 0; spin < 20000 && !shard.eof() && lines.empty(); ++spin) {
-    shard.pump_writes();
-    for (auto& l : shard.read_lines()) lines.push_back(std::move(l));
+  for (int spin = 0; spin < 20000 && !session.eof() && lines.empty();
+       ++spin) {
+    session.pump_writes();
+    for (auto& l : session.read_lines()) lines.push_back(std::move(l));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  for (auto& l : shard.read_lines()) lines.push_back(std::move(l));
+  for (auto& l : session.read_lines()) lines.push_back(std::move(l));
   return lines;
 }
 
 TEST(ShardAuth, TokenGatesTheSessionFailingClosed) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  auto remote = spawn_listen_serve("auth", {"--auth-token", "s3cr3t"});
-  ASSERT_GT(remote.port, 0);
+  auto server = spawn_listen_serve("auth", {"--auth-token", "s3cr3t"});
+  ASSERT_GT(server.port, 0);
 
-  // Correct token: the SocketChild sends the {"auth":...} handshake
-  // before anything else and the session proceeds normally.
+  // Correct token: the {"auth":...} handshake goes first and the session
+  // proceeds normally.
   {
-    net::SocketChild shard("127.0.0.1", remote.port, "s3cr3t");
-    const auto lines = try_one_job(shard);
+    Connection session = open_session(server.port, "s3cr3t");
+    const auto lines = try_one_job(session);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_NE(lines[0].find("\"status\":\"completed\""), std::string::npos);
-    EXPECT_FALSE(shard.eof());
+    EXPECT_FALSE(session.eof());
   }
 
   // Wrong token: the server closes the connection before the job line is
   // ever parsed — EOF, zero result lines.
   {
-    net::SocketChild shard("127.0.0.1", remote.port, "wrong");
-    const auto lines = try_one_job(shard);
+    Connection session = open_session(server.port, "wrong");
+    const auto lines = try_one_job(session);
     EXPECT_TRUE(lines.empty()) << lines.front();
-    EXPECT_TRUE(shard.eof());
+    EXPECT_TRUE(session.eof());
   }
 
   // Missing token: the first line is a job, not a handshake — same
   // fail-closed close, and the job is NOT executed.
   {
-    net::SocketChild shard("127.0.0.1", remote.port);
-    const auto lines = try_one_job(shard);
+    Connection session = open_session(server.port);
+    const auto lines = try_one_job(session);
     EXPECT_TRUE(lines.empty()) << lines.front();
-    EXPECT_TRUE(shard.eof());
+    EXPECT_TRUE(session.eof());
   }
 
   // The gate is per-session: a good client still works afterwards.
   {
-    net::SocketChild shard("127.0.0.1", remote.port, "s3cr3t");
-    const auto lines = try_one_job(shard);
+    Connection session = open_session(server.port, "s3cr3t");
+    const auto lines = try_one_job(session);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_NE(lines[0].find("\"status\":\"completed\""), std::string::npos);
   }
-  remote.server->terminate();
+  server.process->terminate();
 }
 
 TEST(ShardAuth, NoServerTokenMeansNoHandshakeRequired) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  auto remote = spawn_listen_serve("noauth");
-  ASSERT_GT(remote.port, 0);
-  net::SocketChild shard("127.0.0.1", remote.port);
-  const auto lines = try_one_job(shard);
+  auto server = spawn_listen_serve("noauth");
+  ASSERT_GT(server.port, 0);
+  Connection session = open_session(server.port);
+  const auto lines = try_one_job(session);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find("\"status\":\"completed\""), std::string::npos);
-  remote.server->terminate();
+  server.process->terminate();
 }
 
 TEST(TransportEquality, ListenServerShutdownCmdExitsZero) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  auto remote = spawn_listen_serve("bye");
-  ASSERT_GT(remote.port, 0);
+  auto server = spawn_listen_serve("bye");
+  ASSERT_GT(server.port, 0);
   // A second, idle client parked in the server's blocking read: the
   // shutdown below must not hang on it (the server half-closes parked
   // sessions to unblock them).
-  Connection idler = connect_to("127.0.0.1", remote.port);
-  net::SocketChild shard("127.0.0.1", remote.port);
-  shard.send_line(
+  Connection idler = connect_to("127.0.0.1", server.port);
+  Connection session = open_session(server.port);
+  session.send_line(
       R"({"id":"one","gen":"qkp:30-25-1","iterations":2,"sweeps":20})");
-  shard.send_line(R"({"cmd":"shutdown","id":"bye"})");
-  shard.pump_writes();
+  session.send_line(R"({"cmd":"shutdown","id":"bye"})");
+  session.pump_writes();
 
   std::vector<std::string> lines;
-  for (int spin = 0; spin < 20000 && !shard.eof(); ++spin) {
-    for (auto& l : shard.read_lines()) lines.push_back(std::move(l));
+  for (int spin = 0; spin < 20000 && !session.eof(); ++spin) {
+    for (auto& l : session.read_lines()) lines.push_back(std::move(l));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  for (auto& l : shard.read_lines()) lines.push_back(std::move(l));
+  for (auto& l : session.read_lines()) lines.push_back(std::move(l));
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[0].find("\"status\":\"completed\""), std::string::npos);
   const auto bye = util::parse_json(lines[1]);
   EXPECT_TRUE(bye.find("bye")->as_bool());
 
   // The whole server process exits 0: shutdown is a clean stop.
-  auto* server = remote.server.get();
-  for (int spin = 0; spin < 20000 && server->running(); ++spin) {
+  auto* process = server.process.get();
+  for (int spin = 0; spin < 20000 && process->running(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_FALSE(server->running()) << "server must exit after shutdown";
-  ASSERT_TRUE(WIFEXITED(server->exit_status()));
-  EXPECT_EQ(WEXITSTATUS(server->exit_status()), 0);
+  ASSERT_FALSE(process->running()) << "server must exit after shutdown";
+  ASSERT_TRUE(WIFEXITED(process->exit_status()));
+  EXPECT_EQ(WEXITSTATUS(process->exit_status()), 0);
 }
 
 }  // namespace

@@ -513,14 +513,13 @@ const char* serve_bin() {
 }
 
 /// Spawns one saim_serve child per router slot under a Supervisor with
-/// respawn, reconnects and pings off: a dead shard stays dead, so the
+/// respawn and pings off: a dead shard stays dead, so the
 /// router's failover path alone must keep every job.
 std::unique_ptr<Supervisor> spawn_fleet(ShardRouter& router) {
   SupervisorOptions options;
   options.local_argv = {serve_bin(), "--stream", "--workers", "1",
                         "--cache", "0"};
   options.respawn = false;
-  options.reconnect_remotes = false;
   options.ping_ms = 0;
   auto supervisor = std::make_unique<Supervisor>(router, options);
   for (std::size_t s = 0; s < router.shard_slots(); ++s) {

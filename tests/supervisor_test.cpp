@@ -12,8 +12,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/socket_child.hpp"
 #include "problems/fingerprint.hpp"
 #include "problems/qkp.hpp"
 #include "service/process_child.hpp"
@@ -249,91 +246,6 @@ TEST(SupervisorFleet, RespawnsSigkilledShardWhichRejoinsTheRing) {
   supervisor.shutdown_fleet();
 }
 
-/// A `saim_serve --listen` server for the remote-reconnect test. Port 0
-/// lets the OS pick; the bound port comes back race-free via
-/// --port-file. Passing a fixed port pins the replacement server to the
-/// dead one's address (SO_REUSEADDR makes the rebind immediate).
-struct ListenServer {
-  std::unique_ptr<ProcessChild> process;
-  int port = 0;
-};
-
-ListenServer spawn_listen_serve(int port, const std::string& tag) {
-  ListenServer server;
-  const std::string port_file = "supervisor_listen_" + tag + ".port";
-  std::remove(port_file.c_str());
-  server.process = std::make_unique<ProcessChild>(std::vector<std::string>{
-      serve_bin(), "--listen", "127.0.0.1:" + std::to_string(port),
-      "--port-file", port_file, "--stream", "--workers", "1"});
-  for (int spin = 0; spin < 10000 && server.port == 0; ++spin) {
-    std::ifstream pf(port_file);
-    if (!(pf >> server.port)) {
-      server.port = 0;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  std::remove(port_file.c_str());
-  return server;
-}
-
-TEST(SupervisorFleet, RemoteShardIsRedialedAfterItsServerRestarts) {
-  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  auto remote = spawn_listen_serve(0, "reconnect_a");
-  ASSERT_GT(remote.port, 0) << "listen server never reported its port";
-
-  RouterOptions router_options;
-  router_options.shards = 2;
-  router_options.window = 4;
-  ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
-  supervisor.attach_local(0);
-  supervisor.attach_remote(1, "127.0.0.1", remote.port);
-  ASSERT_FALSE(supervisor.is_local(1));
-
-  std::vector<std::string> out;
-  std::size_t line_no = 0;
-  feed_jobs(router, &out, &line_no, 1, 6, 25, 300);
-  ASSERT_GT(router.inflight(1) + router.pending(1), 0u)
-      << "no job routed to the remote shard; the crash would be invisible";
-
-  // Mid-stream, with results flowing, the remote server dies — taking
-  // the TCP session down with it ...
-  for (int spin = 0; spin < 10000 && out.size() < 2; ++spin) {
-    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
-  }
-  ASSERT_GE(out.size(), 2u);
-  remote.process->terminate();
-  // Reap it first: until the killed process is gone its listening socket
-  // still holds the port, and the replacement's bind would fail.
-  for (int spin = 0; spin < 10000 && remote.process->running(); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_FALSE(remote.process->running());
-
-  // ... and its operator brings a replacement up on the same address.
-  // The supervisor cannot respawn it (it owns no remote processes), but
-  // it must redial the endpoint and put slot 1 back on the ring.
-  auto replacement = spawn_listen_serve(remote.port, "reconnect_b");
-  ASSERT_EQ(replacement.port, remote.port);
-
-  for (auto& l : pump_to_idle(router, supervisor,
-                              [&] { return router.live_shards() == 2; })) {
-    out.push_back(std::move(l));
-  }
-
-  expect_exactly_once(out, 12);
-  EXPECT_TRUE(router.alive(1));
-  EXPECT_EQ(router.live_shards(), 2u);
-  EXPECT_GE(supervisor.stats().remote_reconnects, 1u);
-  EXPECT_EQ(supervisor.stats().respawns, 0u)
-      << "a redial must not be booked as a local re-exec";
-  EXPECT_FALSE(router.any_error());
-  supervisor.shutdown_fleet();
-  // Teardown closes only our session; the servers belong to their
-  // operator (this test), which stops the survivor explicitly.
-  replacement.process->terminate();
-}
-
 TEST(SupervisorFleet, SoleShardCrashHoldsJobsInsteadOfOrphaning) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
   RouterOptions router_options;
@@ -482,7 +394,7 @@ TEST(SupervisorFleet, WedgedShardIsKilledByTheWatchdogAndItsJobsFailOver) {
           ? 0
           : 1;
   ASSERT_GT(router.inflight(victim) + router.pending(victim), 0u);
-  auto* child = dynamic_cast<ProcessChild*>(supervisor.endpoint(victim));
+  ProcessChild* child = supervisor.endpoint(victim);
   ASSERT_NE(child, nullptr);
   const pid_t wedged = child->pid();
   ASSERT_EQ(::kill(wedged, SIGSTOP), 0);
@@ -517,7 +429,7 @@ TEST(SupervisorFleet, GracefulShutdownReapsEveryChild) {
 
   std::vector<pid_t> pids;
   for (std::size_t s = 0; s < 2; ++s) {
-    auto* child = dynamic_cast<ProcessChild*>(supervisor.endpoint(s));
+    ProcessChild* child = supervisor.endpoint(s);
     ASSERT_NE(child, nullptr);
     pids.push_back(child->pid());
   }
@@ -571,8 +483,8 @@ TEST(SupervisorFleet, FleetStatsAggregatesEveryShardSnapshot) {
 
   const auto* sup = fleet->find("supervisor");
   ASSERT_NE(sup, nullptr);
-  for (const char* key : {"respawns", "remote_reconnects", "respawn_failures",
-                          "reshards", "retired", "unresponsive_kills"}) {
+  for (const char* key : {"respawns", "respawn_failures", "reshards",
+                          "retired", "unresponsive_kills"}) {
     ASSERT_NE(sup->find(key), nullptr) << key;
   }
 

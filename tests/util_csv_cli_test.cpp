@@ -101,27 +101,6 @@ TEST(ArgParser, BoolFlagForms) {
   EXPECT_FALSE(q.get_bool("full"));
 }
 
-TEST(ArgParser, MultiFlagCollectsEveryOccurrenceInOrder) {
-  ArgParser p("prog", "test program");
-  p.add_multi("connect", "remote shard host:port");
-  const std::array<const char*, 6> argv = {
-      "prog", "--connect", "a:1", "--connect=b:2", "--connect", "c:3"};
-  ASSERT_TRUE(p.parse(argv.size(), argv.data()));
-  const auto all = p.get_all("connect");
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0], "a:1");
-  EXPECT_EQ(all[1], "b:2");
-  EXPECT_EQ(all[2], "c:3");
-  EXPECT_EQ(p.get("connect"), "c:3") << "get() sees the last occurrence";
-
-  ArgParser empty("prog", "test program");
-  empty.add_multi("connect", "remote shard host:port");
-  const std::array<const char*, 1> none = {"prog"};
-  ASSERT_TRUE(empty.parse(1, none.data()));
-  EXPECT_TRUE(empty.get_all("connect").empty());
-  EXPECT_THROW((void)empty.get_all("nope"), std::invalid_argument);
-}
-
 TEST(ArgParser, UnknownFlagFails) {
   auto p = make_parser();
   const std::array<const char*, 2> argv = {"prog", "--bogus"};

@@ -25,12 +25,10 @@
 //     --auth-timeout-ms / --idle-timeout-ms deadlines). Every
 //     connection speaks its own session over ONE shared SolveService
 //     (the result cache is shared). Port 0 picks an ephemeral port;
-//     --port-file writes the bound port for race-free rendezvous. This
-//     is how a remote shard joins a `saim_shard --connect host:port`
-//     fleet — start it with --stream, which the sharding router
-//     requires. With --auth-token the first
-//     line of every connection must be the {"auth":"<token>"}
-//     handshake or the connection is closed unserved (fail-closed).
+//     --port-file writes the bound port for race-free rendezvous. With
+//     --auth-token the first line of every connection must be the
+//     {"auth":"<token>"} handshake or the connection is closed unserved
+//     (fail-closed).
 //
 // Output modes (per session): default collects results until EOF and
 // prints them in input order; --stream emits each result the moment it

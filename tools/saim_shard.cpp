@@ -2,21 +2,19 @@
 //
 // Speaks the docs/PROTOCOL.md JSONL wire format on both sides: clients
 // talk to saim_shard exactly as they would to `saim_serve --stream`, and
-// saim_shard runs a fleet of saim_serve shards — local `--stream`
-// children over fork/exec pipes plus, with `--connect host:port`, remote
-// `saim_serve --listen` servers over TCP — routing each job by
-// consistent hashing on its canonical problem fingerprint. All jobs over
-// one instance land on one shard, so that shard's result cache,
-// coalescer and cached models stay hot for its keyslice. The
-// routing/remapping brain is service/shard_router; the transports are
-// service/process_child (pipes) and net/socket_child (TCP) behind
-// net::ShardEndpoint; the self-healing layer — crash respawn with
+// saim_shard runs a fleet of `saim_serve --stream` children over
+// fork/exec pipes, routing each job by consistent hashing on its
+// canonical problem fingerprint. All jobs over one instance land on one
+// shard, so that shard's result cache, coalescer and cached models stay
+// hot for its keyslice. The routing/remapping brain is
+// service/shard_router; the transport is service/process_child (pipes);
+// the self-healing layer — crash respawn with
 // backoff, ring rejoin, live resharding, health probes — is
 // service/supervisor.
 //
 // One thread runs it all: stdin and stdout are one net::Connection
-// registered on the supervisor's net::EventLoop next to every shard
-// endpoint and, with --metrics, the scrape endpoint, so the tool sleeps
+// registered on the supervisor's net::EventLoop next to every shard's
+// pipes and, with --metrics, the scrape endpoint, so the tool sleeps
 // in Supervisor::pump until input, a shard, room on the output, a
 // scrape, a signal or a fleet deadline wakes it. The fd callbacks only
 // buffer lines, flush output and answer scrapes; routing and control
@@ -31,10 +29,10 @@
 //   * every job runs on its key's ring owner and moves only on failover;
 //   * --max-queue-depth sheds the lowest-priority job past the bound
 //     with a "delayed"-tagged error instead of queueing unboundedly;
-//   * a crashed or unresponsive LOCAL shard is respawned with backoff
-//     and rejoins the ring (its unanswered jobs fail over to survivors
+//   * a crashed or unresponsive shard is respawned with backoff and
+//     rejoins the ring (its unanswered jobs fail over to survivors
 //     first — zero lost jobs; with no survivor they are held and replay
-//     into the replacement). Dead remote shards fail over and stay gone;
+//     into the replacement);
 //   * {"cmd":"stats"} probes every live shard and answers with ONE
 //     {"id":...,"fleet":{...}} snapshot line: router totals, supervisor
 //     counters, and a per-shard array (queue depth, inflight, restarts,
@@ -42,15 +40,15 @@
 //     --metrics host:port additionally serves a Prometheus text-format
 //     scrape of the same router/supervisor state (docs/ARCHITECTURE.md,
 //     "Observability");
-//   * {"cmd":"reshard","shards":N} grows/shrinks the local fleet live;
+//   * {"cmd":"reshard","shards":N} grows/shrinks the fleet live;
 //     {"cmd":"shutdown"} (or Ctrl-C / SIGTERM) stops intake, drains
 //     every accepted job, answers {"bye":true}, and tears the fleet down
 //     gracefully — shutdown control lines to the children, waitpid, no
 //     SIGKILL unless a child overstays;
 //   * on EOF the front door drains every shard before exiting.
 //
-// Example — 4 local shards plus one remote box:
-//   saim_shard --shards 4 --connect 10.0.0.7:7777 < jobs.jsonl
+// Example — 4 shards:
+//   saim_shard --shards 4 < jobs.jsonl
 //
 // Exit status mirrors saim_serve: 0 all jobs ok, 1 any error line or
 // output that closed before every result was written (`| head -1`: intake
@@ -157,9 +155,7 @@ std::string render_fleet_metrics(const service::ShardRouter& router,
   counter("saim_router_sheds_total", rs.sheds,
           "jobs shed by admission control with a delayed-tagged error");
   counter("saim_supervisor_respawns_total", sup.respawns,
-          "successful local shard re-execs");
-  counter("saim_supervisor_remote_reconnects_total", sup.remote_reconnects,
-          "successful remote shard redials");
+          "successful shard re-execs");
   counter("saim_supervisor_respawn_failures_total", sup.respawn_failures,
           "shard slots abandoned after max restarts");
   counter("saim_supervisor_reshards_total", sup.reshards,
@@ -222,10 +218,7 @@ int main(int argc, char** argv) {
   util::ArgParser args("saim_shard",
                        "shard a JSONL solve-job stream across a "
                        "self-healing fleet of saim_serve shards");
-  args.add_flag("shards", "local saim_serve child processes to spawn", "2")
-      .add_multi("connect",
-                 "host:port of a remote `saim_serve --listen --stream` to "
-                 "join the ring (repeatable)")
+  args.add_flag("shards", "saim_serve child processes to spawn", "2")
       .add_flag("serve", "path to the saim_serve binary (default: next to "
                 "this one)", "")
       .add_flag("input", "job stream path, - for stdin", "-")
@@ -240,19 +233,15 @@ int main(int argc, char** argv) {
                 "a window slot, shed the lowest-priority job with a "
                 "\"delayed\"-tagged error (0 = unbounded)",
                 "0")
-      .add_flag("auth-token",
-                "shared secret presented to --connect shards that were "
-                "started with --auth-token",
-                "")
       .add_flag("ping-ms",
                 "health-probe interval; a shard missing 5 pongs is "
-                "terminated and (if local) respawned (0 disables)",
+                "terminated and respawned (0 disables)",
                 "1000")
       .add_bool("no-respawn",
-                "do not re-exec crashed local shards (PR 4 fail-static "
+                "do not re-exec crashed shards (PR 4 fail-static "
                 "behavior)")
       .add_flag("max-restarts",
-                "consecutive crashes before a local shard slot is "
+                "consecutive crashes before a shard slot is "
                 "abandoned",
                 "5")
       .add_flag("metrics",
@@ -303,23 +292,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Fleet membership: locals first (slots 0..L-1), then remotes.
-  std::vector<net::HostPort> remotes;
-  for (const auto& spec : args.get_all("connect")) {
-    const auto hostport = net::parse_hostport(spec);
-    if (!hostport) {
-      util::log_error() << "saim_shard: bad --connect '" << spec
-                        << "' (want host:port)";
-      return 2;
-    }
-    remotes.push_back(*hostport);
-  }
-  if (locals == 0 && remotes.empty()) locals = 1;
-  router_options.shards = locals + remotes.size();
+  if (locals == 0) locals = 1;
+  router_options.shards = locals;
 
   std::string serve = args.get("serve");
   if (serve.empty()) serve = sibling_serve_path(argv[0]);
-  if (locals > 0 && !executable_exists(serve)) {
+  if (!executable_exists(serve)) {
     util::log_error() << "saim_shard: cannot execute '" << serve << "'";
     return 2;
   }
@@ -335,7 +313,6 @@ int main(int argc, char** argv) {
       "--cache", args.get("cache"),
   };
   supervisor_options.respawn = !args.get_bool("no-respawn");
-  supervisor_options.remote_auth_token = args.get("auth-token");
   service::Supervisor supervisor(router, supervisor_options);
   net::EventLoop& loop = supervisor.loop();
 
@@ -376,14 +353,6 @@ int main(int argc, char** argv) {
   }
 
   for (std::size_t s = 0; s < locals; ++s) supervisor.attach_local(s);
-  for (std::size_t i = 0; i < remotes.size(); ++i) {
-    try {
-      supervisor.attach_remote(locals + i, remotes[i].host, remotes[i].port);
-    } catch (const std::exception& e) {
-      util::log_error() << "saim_shard: " << e.what();
-      return 2;
-    }
-  }
 
   // Intake backpressure: stop routing when this many jobs wait for a
   // window slot; input stays unread in the kernel meanwhile.
@@ -547,7 +516,7 @@ int main(int argc, char** argv) {
   watch_io();
 
   // Shutdown summary, always (Info level): the supervisor's respawn /
-  // reconnect / abandonment counts are the operator's only post-mortem
+  // abandonment counts are the operator's only post-mortem
   // when a fleet limped. --stats adds the per-shard routing breakdown.
   {
     const auto& s = router.stats();
@@ -558,16 +527,14 @@ int main(int argc, char** argv) {
                      << s.orphaned << " orphaned, " << router.live_shards()
                      << "/" << router.shard_slots() << " shards alive";
     util::log_info() << "saim_shard: supervisor: " << sup.respawns
-                     << " respawns, " << sup.remote_reconnects
-                     << " remote reconnects, " << sup.respawn_failures
+                     << " respawns, " << sup.respawn_failures
                      << " respawn failures, " << sup.reshards << " reshards, "
                      << sup.retired << " retired, " << sup.unresponsive_kills
                      << " unresponsive kills";
     if (args.get_bool("stats")) {
       for (std::size_t i = 0; i < s.routed_per_shard.size(); ++i) {
         util::log_info() << "  shard " << i << ": " << s.routed_per_shard[i]
-                         << " jobs routed" << (router.alive(i) ? "" : " (down)")
-                         << (supervisor.is_local(i) ? "" : " (remote)");
+                         << " jobs routed" << (router.alive(i) ? "" : " (down)");
       }
     }
   }
