@@ -38,16 +38,14 @@ std::vector<RunResult> run_replicas_parallel(
 }
 
 PBitBackend::PBitBackend(pbit::Schedule schedule, std::size_t sweeps,
-                         pbit::SweepOrder order, bool track_best)
+                         bool track_best)
     : schedule_(schedule) {
   options_.sweeps = sweeps;
-  options_.order = order;
   options_.track_best = track_best;
 }
 
 void PBitBackend::bind(const ising::IsingModel& model) {
   machine_ = std::make_unique<pbit::PBitMachine>(model);
-  previous_state_.clear();
 }
 
 RunResult PBitBackend::run(util::Xoshiro256pp& rng) {
@@ -56,13 +54,7 @@ RunResult PBitBackend::run(util::Xoshiro256pp& rng) {
   }
   pbit::AnnealOptions opts = options_;
   opts.stop = &stop_token();  // chunked stop checks inside the anneal loop
-  pbit::AnnealResult r;
-  if (warm_restart_ && previous_state_.size() == machine_->n()) {
-    r = machine_->anneal_from(previous_state_, schedule_, opts, rng);
-  } else {
-    r = machine_->anneal(schedule_, opts, rng);
-  }
-  if (warm_restart_) previous_state_ = r.last;
+  pbit::AnnealResult r = machine_->anneal(schedule_, opts, rng);
   return RunResult{std::move(r.last), r.last_energy, std::move(r.best),
                    r.best_energy, r.sweeps};
 }
@@ -71,9 +63,6 @@ std::vector<RunResult> PBitBackend::run_batch(util::Xoshiro256pp& rng,
                                               std::size_t replicas) {
   if (!machine_) {
     throw std::logic_error("PBitBackend::run_batch called before bind()");
-  }
-  if (warm_restart_) {
-    return IsingSolverBackend::run_batch(rng, replicas);
   }
   pbit::AnnealOptions opts = options_;
   opts.stop = &stop_token();

@@ -116,16 +116,15 @@ std::vector<RunResult> run_replicas_parallel(
     std::size_t threads = 0, const util::StopToken& stop = {});
 
 /// The paper's backend: p-bit machine annealed with a (linear) beta ramp.
+/// Every run starts cold, from a fresh random state.
 class PBitBackend final : public IsingSolverBackend {
  public:
   PBitBackend(pbit::Schedule schedule, std::size_t sweeps,
-              pbit::SweepOrder order = pbit::SweepOrder::kSequential,
               bool track_best = false);
 
   void bind(const ising::IsingModel& model) override;
   RunResult run(util::Xoshiro256pp& rng) override;
-  /// Parallel cold-start replicas; falls back to the sequential base loop
-  /// when warm restarts are enabled (those are inherently order-dependent).
+  /// Parallel replicas on derived streams (run_replicas_parallel).
   std::vector<RunResult> run_batch(util::Xoshiro256pp& rng,
                                    std::size_t replicas) override;
   [[nodiscard]] std::size_t sweeps_per_run() const override {
@@ -133,19 +132,10 @@ class PBitBackend final : public IsingSolverBackend {
   }
   [[nodiscard]] std::string name() const override { return "pbit"; }
 
-  /// Warm restarts (ablation; off by default = the paper's cold starts):
-  /// each run() continues from the previous run's final state instead of a
-  /// fresh random one. SAIM's landscape changes only slightly per lambda
-  /// update once the multipliers settle, so the previous sample is a
-  /// near-equilibrium start.
-  void set_warm_restart(bool enabled) noexcept { warm_restart_ = enabled; }
-
  private:
   pbit::Schedule schedule_;
   pbit::AnnealOptions options_;
   std::unique_ptr<pbit::PBitMachine> machine_;
-  bool warm_restart_ = false;
-  ising::Spins previous_state_;
 };
 
 }  // namespace saim::anneal

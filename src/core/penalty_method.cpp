@@ -17,7 +17,6 @@ SolveResult solve_penalty_method(const problems::ConstrainedProblem& problem,
   saim.penalty_alpha = options.penalty_alpha;
   saim.seed = options.seed;
   saim.record_history = options.record_history;
-  saim.use_best_sample = options.use_best_sample;
   SaimSolver solver(problem, backend, saim);
   return solver.solve(evaluate);
 }

@@ -26,7 +26,6 @@ struct PenaltyOptions {
   double penalty_alpha = 2.0;
   std::uint64_t seed = 1;
   bool record_history = false;
-  bool use_best_sample = false;
 };
 
 /// Runs the fixed-P penalty method. Implemented as SAIM with eta = 0 so the

@@ -1,6 +1,5 @@
 #include "core/saim_solver.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -28,19 +27,10 @@ DualAscent::DualAscent(const problems::ConstrainedProblem& problem,
       stop_(std::move(stop)),
       rng_(options.seed),
       lambda_(problem.num_constraints(), 0.0) {
-  if (options_.record_history) result_.history.reserve(options_.iterations);
-}
-
-double DualAscent::step_size(std::size_t k) const noexcept {
-  switch (options_.step_rule) {
-    case StepRule::kFixed:
-      return options_.eta;
-    case StepRule::kDiminishing:
-      return options_.eta / std::sqrt(static_cast<double>(k + 1));
-    case StepRule::kHarmonic:
-      return options_.eta / static_cast<double>(k + 1);
+  if (options_.iterations == 0) {
+    throw std::invalid_argument("SaimSolver: iterations must be positive");
   }
-  return options_.eta;
+  if (options_.record_history) result_.history.reserve(options_.iterations);
 }
 
 void DualAscent::finalize(Status status) {
@@ -94,15 +84,14 @@ bool DualAscent::step(lagrange::LagrangianModel& model,
     return true;
   }
 
-  // Judge every replica's sample against the original problem; guide the
-  // lambda update with the lowest-energy one.
+  // Judge every replica's last sample against the original problem; guide
+  // the lambda update with the lowest-energy one.
   std::size_t guide = 0;
   ising::Bits x;
   SampleVerdict verdict;
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const auto& run = runs[r];
-    const auto& spins = options_.use_best_sample ? run.best : run.last;
-    const ising::Bits xr = ising::spins_to_bits(spins);
+    const ising::Bits xr = ising::spins_to_bits(run.last);
     const SampleVerdict v = judge_(xr);
     if (v.feasible) {
       ++result_.feasible_count;
@@ -119,19 +108,14 @@ bool DualAscent::step(lagrange::LagrangianModel& model,
       }
     }
 
-    const double guide_energy =
-        options_.use_best_sample ? run.best_energy : run.last_energy;
-    const double incumbent = options_.use_best_sample
-                                 ? runs[guide].best_energy
-                                 : runs[guide].last_energy;
-    if (r == 0 || guide_energy < incumbent) {
+    if (r == 0 || run.last_energy < runs[guide].last_energy) {
       guide = r;
       x = xr;
       verdict = v;
     }
   }
 
-  // Subgradient ascent on the dual: lambda <- lambda + eta_k g(x_k).
+  // Subgradient ascent on the dual: lambda <- lambda + eta g(x_k).
   const std::vector<double> g = problem_->constraint_values(x);
   if (options_.record_history) {
     IterationRecord rec;
@@ -143,34 +127,13 @@ bool DualAscent::step(lagrange::LagrangianModel& model,
     rec.lambda = lambda_;
     result_.history.push_back(std::move(rec));
   }
-  const double eta_k = step_size(k_);
-  double lambda_change = 0.0;
   for (std::size_t m = 0; m < lambda_.size(); ++m) {
-    const double step = eta_k * g[m];
-    lambda_[m] += step;
-    lambda_change += std::abs(step);
+    lambda_[m] += options_.eta * g[m];
   }
 
   for (const auto& run : runs) result_.total_sweeps += run.sweeps;
   result_.total_runs += runs.size();
   ++k_;
-
-  // Optional early stop once the multiplier staircase has flattened and
-  // the feasible pool is non-empty.
-  if (options_.convergence_patience > 0) {
-    const double mean_change =
-        lambda_.empty() ? 0.0
-                        : lambda_change / static_cast<double>(lambda_.size());
-    if (mean_change <= options_.convergence_tol && result_.found_feasible) {
-      ++converged_streak_;
-      if (converged_streak_ >= options_.convergence_patience) {
-        finalize(Status::kCompleted);
-        return true;
-      }
-    } else {
-      converged_streak_ = 0;
-    }
-  }
   if (k_ >= options_.iterations) {
     finalize(Status::kCompleted);
     return true;
@@ -187,9 +150,6 @@ SaimSolver::SaimSolver(const problems::ConstrainedProblem& problem,
       backend_(&backend),
       options_(options),
       model_(problem, effective_penalty(problem, options)) {
-  if (options_.iterations == 0) {
-    throw std::invalid_argument("SaimSolver: iterations must be positive");
-  }
   backend_->bind(model_.ising());
 }
 

@@ -39,19 +39,11 @@ struct SampleVerdict {
 using SampleEvaluator =
     std::function<SampleVerdict(std::span<const std::uint8_t>)>;
 
-/// Subgradient step-size rule for the dual ascent.
-enum class StepRule {
-  kFixed,       ///< eta_k = eta (the paper's choice)
-  kDiminishing, ///< eta_k = eta / sqrt(k+1) — classical convergence rule
-  kHarmonic,    ///< eta_k = eta / (k+1)
-};
-
 struct SaimOptions {
   std::size_t iterations = 2000;  ///< K
-  double eta = 20.0;              ///< subgradient step (Table I)
+  double eta = 20.0;              ///< fixed subgradient step (Table I)
   double penalty_alpha = 2.0;     ///< P = alpha d N when penalty < 0
   double penalty = -1.0;          ///< explicit P; negative = use heuristic
-  StepRule step_rule = StepRule::kFixed;
   std::uint64_t seed = 1;
   /// Inner-solver replicas per outer iteration, executed through the
   /// backend's run_batch (thread-pooled with deterministic per-replica RNG
@@ -62,19 +54,9 @@ struct SaimOptions {
   /// exactly.
   std::size_t replicas = 1;
   bool record_history = false;
-  /// Update lambda from the run's best-energy state instead of its final
-  /// sample (ablation; the paper reads "the last sample of state {m}").
-  bool use_best_sample = false;
   /// Retain the raw cost of every feasible sample in the result (needed for
   /// the Optimality%% columns of Tables III-V).
   bool collect_feasible_costs = false;
-
-  /// Early stopping on multiplier convergence: stop after the mean |dlambda|
-  /// per constraint stays below `convergence_tol` for `convergence_patience`
-  /// consecutive iterations AND at least one feasible sample exists.
-  /// patience = 0 disables (the paper always runs the full K).
-  std::size_t convergence_patience = 0;
-  double convergence_tol = 1e-3;
 };
 
 /// The penalty P a solve with `options` shapes its landscape with: the
@@ -93,6 +75,7 @@ double effective_penalty(const problems::ConstrainedProblem& problem,
 /// job's own lambda trajectory, and the job owns its RNG stream.
 class DualAscent {
  public:
+  /// Throws std::invalid_argument when options.iterations is 0.
   DualAscent(const problems::ConstrainedProblem& problem, SaimOptions options,
              SampleEvaluator evaluate, util::StopToken stop);
 
@@ -100,8 +83,8 @@ class DualAscent {
   /// lambda, run the inner solver, judge samples, update lambda. The model
   /// must be a LagrangianModel over the same problem contents and penalty
   /// this job expects; the backend must be bound to model.ising(). Returns
-  /// true once the job is finished (completed, converged, stopped, or out
-  /// of iterations) — after which further calls are no-ops returning true.
+  /// true once the job is finished (completed, stopped, or out of
+  /// iterations) — after which further calls are no-ops returning true.
   bool step(lagrange::LagrangianModel& model,
             anneal::IsingSolverBackend& backend);
 
@@ -112,7 +95,6 @@ class DualAscent {
 
  private:
   void finalize(Status status);
-  [[nodiscard]] double step_size(std::size_t k) const noexcept;
 
   const problems::ConstrainedProblem* problem_;
   SaimOptions options_;
@@ -123,7 +105,6 @@ class DualAscent {
   std::vector<double> lambda_;
   SolveResult result_;
   std::size_t k_ = 0;
-  std::size_t converged_streak_ = 0;
   bool finished_ = false;
 };
 
@@ -135,7 +116,8 @@ class SaimSolver {
 
   /// Runs Algorithm 1. `evaluate` judges decision bits against the raw
   /// instance; when omitted, feasibility falls back to |g(x)| <= tol on the
-  /// normalized equality system and cost to normalized f(x).
+  /// normalized equality system and cost to normalized f(x). Throws
+  /// std::invalid_argument when options.iterations is 0.
   SolveResult solve(const SampleEvaluator& evaluate = nullptr);
 
   /// As above with cooperative cancellation: `stop` is polled once per
@@ -152,8 +134,6 @@ class SaimSolver {
   }
 
  private:
-  [[nodiscard]] double step_size(std::size_t k) const noexcept;
-
   const problems::ConstrainedProblem* problem_;
   anneal::IsingSolverBackend* backend_;
   SaimOptions options_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 
 #include "util/accept_bounds.hpp"
@@ -21,29 +20,14 @@ ising::Spins PBitMachine::random_state(util::Xoshiro256pp& rng) const {
   return m;
 }
 
-namespace {
-
-/// One sweep in order kOrder, 4 visits per block. Blocks draw their 4
-/// uniform_sym values first, in the order a one-spin-at-a-time loop
-/// consumes them (each after its below() pick in kRandomUniform order), and
-/// share one decision body. A full kSequential block reads C[], h[] and
-/// the spins contiguously at k; the sequential tail and the other orders
-/// load the visited spins' inputs through util::gather4.
-template <SweepOrder kOrder>
-void sweep_blocks(ising::Spins& m, ising::LocalFieldState& lfs,
-                  const double* h, double beta, util::Xoshiro256pp& rng,
-                  std::vector<std::uint32_t>& scratch) {
+// Blocks draw their 4 uniform_sym values first, in the order a
+// one-spin-at-a-time loop consumes them, and share one decision body. A
+// full block reads C[], h[] and the spins contiguously at k; the tail block
+// (n mod 4 visits) loads its inputs through util::gather4.
+void PBitMachine::sweep(ising::Spins& m, ising::LocalFieldState& lfs,
+                        double beta, util::Xoshiro256pp& rng) const {
   const std::size_t size = m.size();
-  if constexpr (kOrder == SweepOrder::kRandomPermutation) {
-    // Fisher-Yates with the solver's own RNG for determinism.
-    scratch.resize(size);
-    std::iota(scratch.begin(), scratch.end(), 0u);
-    for (std::size_t i = size; i > 1; --i) {
-      const std::size_t j = rng.below(i);
-      std::swap(scratch[i - 1], scratch[j]);
-    }
-  }
-
+  const double* h = model_->fields().data();
   const double* c = lfs.coupling_inputs().data();
   const std::int8_t* s = m.data();
   const util::F64x4 betav = util::F64x4::broadcast(beta);
@@ -51,8 +35,7 @@ void sweep_blocks(ising::Spins& m, ising::LocalFieldState& lfs,
   // m_i = sign(tanh(beta*I_i) + U(-1,1)) for a block's pending visits in
   // one masked test; lane l visits spin(l). The first lane whose decision
   // disagrees with its spin flips; only the later lanes are then
-  // re-decided, against the updated C[] and spins (kRandomUniform may
-  // visit one spin twice in a block) and with their already-drawn u, so
+  // re-decided, against the updated C[] and with their already-drawn u, so
   // each visit sees the field and the draw the sequential loop would. The
   // bracket decides exactly as libm, so trajectories are bit-identical.
   const auto decide = [&](auto inputs, auto spin, util::F64x4 u,
@@ -73,7 +56,7 @@ void sweep_blocks(ising::Spins& m, ising::LocalFieldState& lfs,
 
   for (std::size_t k = 0; k < size; k += 4) {
     const std::size_t count = std::min<std::size_t>(4, size - k);
-    if (kOrder == SweepOrder::kSequential && count == 4) {
+    if (count == 4) {
       const double u0 = rng.uniform_sym();
       const double u1 = rng.uniform_sym();
       const double u2 = rng.uniform_sym();
@@ -84,44 +67,17 @@ void sweep_blocks(ising::Spins& m, ising::LocalFieldState& lfs,
              util::F64x4::set(u0, u1, u2, u3), 0xFu);
       continue;
     }
+    // Unused lanes point at spin 0 and stay out of the pending mask.
     std::int32_t idx[4] = {0, 0, 0, 0};
     double u[4] = {0.0, 0.0, 0.0, 0.0};
     for (std::size_t l = 0; l < count; ++l) {
-      if constexpr (kOrder == SweepOrder::kRandomUniform) {
-        idx[l] = static_cast<std::int32_t>(rng.below(size));
-      } else if constexpr (kOrder == SweepOrder::kRandomPermutation) {
-        idx[l] = static_cast<std::int32_t>(scratch[k + l]);
-      } else {
-        idx[l] = static_cast<std::int32_t>(k + l);
-      }
+      idx[l] = static_cast<std::int32_t>(k + l);
       u[l] = rng.uniform_sym();
     }
     const util::F64x4 hv = util::gather4(h, idx);
     decide([&] { return util::gather4(c, idx) + hv; },
            [&](unsigned lane) { return static_cast<std::size_t>(idx[lane]); },
            util::F64x4::load(u), (1u << count) - 1u);
-  }
-}
-
-}  // namespace
-
-void PBitMachine::sweep(ising::Spins& m, ising::LocalFieldState& lfs,
-                        double beta, SweepOrder order,
-                        util::Xoshiro256pp& rng,
-                        std::vector<std::uint32_t>& scratch) const {
-  const double* h = model_->fields().data();
-  switch (order) {
-    case SweepOrder::kSequential:
-      sweep_blocks<SweepOrder::kSequential>(m, lfs, h, beta, rng, scratch);
-      return;
-    case SweepOrder::kRandomPermutation:
-      sweep_blocks<SweepOrder::kRandomPermutation>(m, lfs, h, beta, rng,
-                                                   scratch);
-      return;
-    case SweepOrder::kRandomUniform:
-      sweep_blocks<SweepOrder::kRandomUniform>(m, lfs, h, beta, rng,
-                                               scratch);
-      return;
   }
 }
 
@@ -148,7 +104,6 @@ AnnealResult PBitMachine::anneal_from(ising::Spins start,
 
   const std::size_t stop_interval =
       options.stop_interval == 0 ? 1 : options.stop_interval;
-  std::vector<std::uint32_t> scratch;
   for (std::size_t t = 0; t < options.sweeps; ++t) {
     if (options.stop && t != 0 && t % stop_interval == 0 &&
         options.stop->stop_requested()) {
@@ -156,7 +111,7 @@ AnnealResult PBitMachine::anneal_from(ising::Spins start,
       break;
     }
     const double beta = schedule.beta(t, options.sweeps);
-    sweep(result.last, lfs, beta, options.order, rng, scratch);
+    sweep(result.last, lfs, beta, rng);
     if (options.track_best && lfs.energy() < result.best_energy) {
       result.best_energy = lfs.energy();
       result.best = result.last;
@@ -177,12 +132,9 @@ void PBitMachine::sample(
   ising::Spins m = random_state(rng);
   ising::LocalFieldState lfs(*model_, adjacency_);
   lfs.reset(m);
-  std::vector<std::uint32_t> scratch;
-  for (std::size_t t = 0; t < burn_in; ++t) {
-    sweep(m, lfs, beta, SweepOrder::kSequential, rng, scratch);
-  }
+  for (std::size_t t = 0; t < burn_in; ++t) sweep(m, lfs, beta, rng);
   for (std::size_t t = 0; t < samples; ++t) {
-    sweep(m, lfs, beta, SweepOrder::kSequential, rng, scratch);
+    sweep(m, lfs, beta, rng);
     observer(m);
   }
 }

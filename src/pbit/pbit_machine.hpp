@@ -9,9 +9,9 @@
 // distribution P{m} ∝ exp(-beta * H{m}) (eq. 11) — verified by the
 // chi-square tests in tests/pbit_boltzmann_test.cpp.
 //
-// A sweep visits the spins in blocks of 4, through one block body compiled
-// once per SweepOrder. It draws the block's 4 uniforms first, in the order
-// a one-spin-at-a-time loop would, then decides all 4 visits with one
+// A sweep visits the spins in order 0, 1, ..., n-1 (the paper's "sequentially
+// updating"), in blocks of 4. It draws the block's 4 uniforms first, in the
+// order a one-spin-at-a-time loop would, then decides all 4 visits with one
 // masked tanh test (util::tanh_sign_neg4): each lane reads its row of a
 // 257-row table bracketing libm's tanh, and only the lanes the bracket
 // leaves ambiguous call std::tanh (0.07% of lanes, in 0.3% of blocks, over
@@ -20,10 +20,9 @@
 // on the paper's fully coupled Lagrangian models), and only the later
 // visits are re-decided against the updated inputs. Every visit thus sees
 // the field and the draw of the sequential loop, and every decision equals
-// the libm one, so trajectories are bit-identical to it. In kSequential
-// order, the paper's, a full block reads C[], h[] and its spins
-// contiguously at its first spin; the tail block and the random orders
-// load through util::gather4.
+// the libm one, so trajectories are bit-identical to it. A full block reads
+// C[], h[] and its spins contiguously at its first spin; the tail block
+// loads through util::gather4.
 //
 // The machine keeps a reference to its IsingModel: SAIM's lambda updates
 // rewrite only the model's fields h between runs, which the machine reads
@@ -42,16 +41,8 @@
 
 namespace saim::pbit {
 
-/// Order in which spins are updated within one Monte-Carlo sweep (MCS).
-enum class SweepOrder {
-  kSequential,  ///< 0,1,...,n-1 — the paper's choice ("sequentially updating")
-  kRandomPermutation,  ///< fresh random permutation each sweep
-  kRandomUniform,      ///< n independent uniform picks per sweep (may repeat)
-};
-
 struct AnnealOptions {
   std::size_t sweeps = 1000;  ///< MCS per run (paper Table I: 1000)
-  SweepOrder order = SweepOrder::kSequential;
   bool track_best = false;  ///< also record the lowest-energy state visited
 
   /// Cooperative stop, polled every `stop_interval` sweeps (never inside a
@@ -81,7 +72,7 @@ class PBitMachine {
   AnnealResult anneal(const Schedule& schedule, const AnnealOptions& options,
                       util::Xoshiro256pp& rng) const;
 
-  /// As above but continues from `start` (used by warm-restart ablation).
+  /// As above but continues from `start`.
   AnnealResult anneal_from(ising::Spins start, const Schedule& schedule,
                            const AnnealOptions& options,
                            util::Xoshiro256pp& rng) const;
@@ -102,14 +93,12 @@ class PBitMachine {
   }
 
  private:
-  /// One Monte-Carlo sweep at inverse temperature beta, 4 visits per
-  /// block, in `order` (dispatched once per sweep to the block kernel
-  /// specialised for it). Reads the p-bit inputs from the incremental
-  /// engine (O(1) per visit) and pushes flips back through it; `lfs`
-  /// tracks the running energy.
+  /// One sequential Monte-Carlo sweep at inverse temperature beta, 4
+  /// visits per block. Reads the p-bit inputs from the incremental engine
+  /// (O(1) per visit) and pushes flips back through it; `lfs` tracks the
+  /// running energy.
   void sweep(ising::Spins& m, ising::LocalFieldState& lfs, double beta,
-             SweepOrder order, util::Xoshiro256pp& rng,
-             std::vector<std::uint32_t>& scratch) const;
+             util::Xoshiro256pp& rng) const;
 
   const ising::IsingModel* model_;
   ising::Adjacency adjacency_;

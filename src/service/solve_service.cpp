@@ -249,14 +249,10 @@ std::uint64_t request_fingerprint_with(std::uint64_t problem_fp,
   fp.mix(o.eta);
   fp.mix(o.penalty_alpha);
   fp.mix(o.penalty);
-  fp.mix(static_cast<std::uint64_t>(o.step_rule));
   fp.mix(o.seed);
   fp.mix(static_cast<std::uint64_t>(o.replicas));
   fp.mix(static_cast<std::uint64_t>(o.record_history));
-  fp.mix(static_cast<std::uint64_t>(o.use_best_sample));
   fp.mix(static_cast<std::uint64_t>(o.collect_feasible_costs));
-  fp.mix(static_cast<std::uint64_t>(o.convergence_patience));
-  fp.mix(o.convergence_tol);
   return fp.digest();
 }
 
@@ -506,10 +502,6 @@ void SolveService::execute(const std::shared_ptr<JobState>& job,
       built.backend->bind(built.model->ising());
       bound = &models.insert(job->model_key, std::move(built));
       model_builds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (request.options.iterations == 0) {
-      // SaimSolver's constructor contract, as a per-job failure.
-      throw std::invalid_argument("SaimSolver: iterations must be positive");
     }
     ascent.emplace(*bound->problem, request.options, request.evaluator,
                    job->stop.token());

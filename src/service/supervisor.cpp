@@ -200,7 +200,6 @@ std::string Supervisor::fleet_stats_line(const StatsProbe& probe) const {
     util::JsonWriter shard;
     shard.field("shard", static_cast<std::uint64_t>(s))
         .field("alive", router_.alive(s))
-        .field("local", s < slots_.size() && slots_[s].attached)
         .field("restarts",
                s < slots_.size() ? slots_[s].restarts : 0)
         .field("routed", s < rs.routed_per_shard.size()

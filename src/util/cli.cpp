@@ -17,7 +17,7 @@ ArgParser& ArgParser::add_flag(const std::string& name, const std::string& help,
                            name);
   }
   order_.push_back(name);
-  flags_[name] = Flag{help, std::move(default_value), false};
+  flags_[name] = Flag{help, default_value, default_value, false};
   return *this;
 }
 
@@ -28,7 +28,7 @@ ArgParser& ArgParser::add_bool(const std::string& name,
                            name);
   }
   order_.push_back(name);
-  flags_[name] = Flag{help, "false", true};
+  flags_[name] = Flag{help, "false", "false", true};
   return *this;
 }
 
@@ -130,7 +130,10 @@ std::string ArgParser::usage() const {
     out += "  --" + name;
     if (!f.is_bool) out += " <value>";
     out += "\n      " + f.help;
-    out += " (default: " + f.value + ")\n";
+    if (!f.default_value.empty()) {
+      out += " (default: " + f.default_value + ")";
+    }
+    out += "\n";
   }
   out += "  --help\n      show this message\n";
   return out;

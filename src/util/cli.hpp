@@ -39,12 +39,15 @@ class ArgParser {
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
+  /// Every flag with its help and registered default; a flag whose
+  /// default is empty prints no "(default: ...)".
   [[nodiscard]] std::string usage() const;
 
  private:
   struct Flag {
     std::string help;
-    std::string value;
+    std::string default_value;  ///< as registered; usage() prints it
+    std::string value;          ///< default_value until parsed
     bool is_bool = false;
   };
 

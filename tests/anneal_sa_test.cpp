@@ -102,44 +102,6 @@ TEST(PBitBackendAdapter, SolvesAfterBind) {
   EXPECT_EQ(result.sweeps, 300u);
 }
 
-TEST(PBitBackendAdapter, WarmRestartContinuesFromPreviousState) {
-  // At very high constant beta the ferromagnet cannot leave its ground
-  // state: after one cold run finds it, warm restarts must stay there,
-  // whereas cold restarts would start from a random (usually excited)
-  // state and report a different trajectory.
-  const auto model = ferromagnet(10);
-  PBitBackend backend(pbit::Schedule::constant(50.0), 30);
-  backend.set_warm_restart(true);
-  backend.bind(model);
-  util::Xoshiro256pp rng(8);
-  // Drive the first run into the ground state with a proper anneal by
-  // seeding the previous state manually: run several times; once the ground
-  // state is reached every subsequent run must stay at -45.
-  bool reached = false;
-  for (int r = 0; r < 20; ++r) {
-    const auto result = backend.run(rng);
-    if (result.last_energy == -45.0) reached = true;
-    if (reached) {
-      EXPECT_DOUBLE_EQ(result.last_energy, -45.0);
-    }
-  }
-  EXPECT_TRUE(reached);
-}
-
-TEST(PBitBackendAdapter, RebindClearsWarmState) {
-  const auto model_a = ferromagnet(10);
-  const auto model_b = ferromagnet(12);
-  PBitBackend backend(pbit::Schedule::linear(5.0), 100);
-  backend.set_warm_restart(true);
-  backend.bind(model_a);
-  util::Xoshiro256pp rng(3);
-  (void)backend.run(rng);
-  // Rebinding to a model of different size must not reuse the stale state.
-  backend.bind(model_b);
-  const auto result = backend.run(rng);
-  EXPECT_EQ(result.last.size(), 12u);
-}
-
 TEST(PBitBackendAdapter, SeesLiveFieldUpdates) {
   // The backend reads the bound model's fields at run time: flipping the
   // field sign must flip the preferred spin without a rebind.

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,22 +113,6 @@ TEST(PBitMachine, AnnealFromContinuesGivenState) {
   EXPECT_DOUBLE_EQ(result.last_energy, model.energy(start));
 }
 
-TEST(PBitMachine, SweepOrderVariantsAllReachGroundState) {
-  const auto model = ferromagnet(10);
-  PBitMachine machine(model);
-  for (const auto order :
-       {SweepOrder::kSequential, SweepOrder::kRandomPermutation,
-        SweepOrder::kRandomUniform}) {
-    util::Xoshiro256pp rng(21);
-    AnnealOptions opts;
-    opts.sweeps = 400;
-    opts.order = order;
-    const auto result = machine.anneal(Schedule::linear(5.0), opts, rng);
-    EXPECT_DOUBLE_EQ(result.last_energy, -45.0)
-        << "order=" << static_cast<int>(order);
-  }
-}
-
 TEST(PBitMachine, SampleInvokesObserverExactly) {
   const auto model = ferromagnet(4);
   PBitMachine machine(model);
@@ -187,37 +170,18 @@ ising::IsingModel random_model(std::size_t n, double density,
 }
 
 /// Test-local copy of the one-spin-at-a-time p-bit sweep that the blocked
-/// kernel replaced: per visit one uniform_sym draw (after the below() pick
-/// in kRandomUniform order), the decision tanh(beta*I) + u >= 0 straight
-/// from libm (not through util's bracket, which the blocked kernel uses),
-/// and the flip applied before the next visit.
+/// kernel replaced: per visit, in order 0..n-1, one uniform_sym draw, the
+/// decision tanh(beta*I) + u >= 0 straight from libm (not through util's
+/// bracket, which the blocked kernel uses), and the flip applied before
+/// the next visit.
 void reference_sweep(ising::Spins& m, ising::LocalFieldState& lfs,
-                     double beta, SweepOrder order,
-                     util::Xoshiro256pp& rng) {
-  const std::size_t size = m.size();
-  auto update_one = [&](std::size_t i) {
+                     double beta, util::Xoshiro256pp& rng) {
+  for (std::size_t i = 0; i < m.size(); ++i) {
     const double x = beta * lfs.field(i);
     const double u = rng.uniform_sym();
     const std::int8_t next =
         std::tanh(x) + u >= 0.0 ? std::int8_t{1} : std::int8_t{-1};
     if (next != m[i]) lfs.flip(m, i);
-  };
-  switch (order) {
-    case SweepOrder::kSequential:
-      for (std::size_t i = 0; i < size; ++i) update_one(i);
-      break;
-    case SweepOrder::kRandomPermutation: {
-      std::vector<std::uint32_t> perm(size);
-      std::iota(perm.begin(), perm.end(), 0u);
-      for (std::size_t i = size; i > 1; --i) {
-        std::swap(perm[i - 1], perm[rng.below(i)]);
-      }
-      for (const auto i : perm) update_one(i);
-      break;
-    }
-    case SweepOrder::kRandomUniform:
-      for (std::size_t k = 0; k < size; ++k) update_one(rng.below(size));
-      break;
   }
 }
 
@@ -234,8 +198,7 @@ AnnealResult reference_anneal(const ising::IsingModel& model,
   r.best = r.last;
   r.best_energy = lfs.energy();
   for (std::size_t t = 0; t < options.sweeps; ++t) {
-    reference_sweep(r.last, lfs, schedule.beta(t, options.sweeps),
-                    options.order, rng);
+    reference_sweep(r.last, lfs, schedule.beta(t, options.sweeps), rng);
     if (lfs.energy() < r.best_energy) {
       r.best_energy = lfs.energy();
       r.best = r.last;
@@ -255,31 +218,25 @@ TEST(PBitMachine, BlockedSweepMatchesOneSpinAtATimeLoop) {
                                 15u, 37u, 64u, 211u, 212u}) {
       const auto model = random_model(n, density, seed++);
       const PBitMachine machine(model);
-      for (const auto order :
-           {SweepOrder::kSequential, SweepOrder::kRandomPermutation,
-            SweepOrder::kRandomUniform}) {
-        AnnealOptions opts;
-        opts.sweeps = 80;
-        opts.order = order;
-        opts.track_best = true;
-        const Schedule schedule = Schedule::linear(4.0);
-        util::Xoshiro256pp rng(seed);
-        util::Xoshiro256pp ref_rng(seed);
-        const ising::Spins start = machine.random_state(rng);
-        ASSERT_EQ(start, machine.random_state(ref_rng));
-        const auto got = machine.anneal_from(start, schedule, opts, rng);
-        const auto want =
-            reference_anneal(model, start, schedule, opts, ref_rng);
-        const std::string where = "n=" + std::to_string(n) + " density=" +
-                                  std::to_string(density) + " order=" +
-                                  std::to_string(static_cast<int>(order));
-        EXPECT_EQ(got.last, want.last) << where;
-        EXPECT_EQ(bits(got.last_energy), bits(want.last_energy)) << where;
-        EXPECT_EQ(got.best, want.best) << where;
-        EXPECT_EQ(bits(got.best_energy), bits(want.best_energy)) << where;
-        EXPECT_EQ(rng(), ref_rng()) << where;  // same draws consumed
-        ++seed;
-      }
+      AnnealOptions opts;
+      opts.sweeps = 80;
+      opts.track_best = true;
+      const Schedule schedule = Schedule::linear(4.0);
+      util::Xoshiro256pp rng(seed);
+      util::Xoshiro256pp ref_rng(seed);
+      const ising::Spins start = machine.random_state(rng);
+      ASSERT_EQ(start, machine.random_state(ref_rng));
+      const auto got = machine.anneal_from(start, schedule, opts, rng);
+      const auto want =
+          reference_anneal(model, start, schedule, opts, ref_rng);
+      const std::string where =
+          "n=" + std::to_string(n) + " density=" + std::to_string(density);
+      EXPECT_EQ(got.last, want.last) << where;
+      EXPECT_EQ(bits(got.last_energy), bits(want.last_energy)) << where;
+      EXPECT_EQ(got.best, want.best) << where;
+      EXPECT_EQ(bits(got.best_energy), bits(want.best_energy)) << where;
+      EXPECT_EQ(rng(), ref_rng()) << where;  // same draws consumed
+      ++seed;
     }
   }
 }
@@ -298,7 +255,7 @@ TEST(PBitMachine, BlockedSampleMatchesOneSpinAtATimeLoop) {
   ising::LocalFieldState lfs(model, adj);
   lfs.reset(m);
   for (std::size_t t = 0; t < 35; ++t) {
-    reference_sweep(m, lfs, 0.7, SweepOrder::kSequential, ref_rng);
+    reference_sweep(m, lfs, 0.7, ref_rng);
     if (t >= 5) {
       ASSERT_EQ(got[t - 5], m) << "sample " << t - 5;
     }

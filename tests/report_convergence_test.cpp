@@ -73,59 +73,5 @@ TEST(ReportCsv, TtsFieldEmptyWithoutPerSampleCosts) {
   EXPECT_EQ(out[out.size() - 2], ',');
 }
 
-TEST(Convergence, EarlyStopTriggersOnFlatLambda) {
-  // eta = 0 makes lambda static from iteration 0, so once a feasible
-  // sample shows up the patience counter runs out quickly.
-  const auto inst = problems::make_paper_qkp(12, 25, 1);
-  SaimOptions opts;
-  opts.iterations = 500;
-  opts.eta = 0.0;
-  opts.penalty_alpha = 60.0;  // strong penalty: feasible samples early
-  opts.convergence_patience = 5;
-  opts.seed = 3;
-  const auto result = small_solve(opts, inst);
-  ASSERT_TRUE(result.found_feasible);
-  EXPECT_LT(result.total_runs, 500u);
-  EXPECT_GE(result.total_runs, 5u);
-}
-
-TEST(Convergence, DisabledPatienceRunsFullBudget) {
-  const auto inst = problems::make_paper_qkp(12, 25, 1);
-  SaimOptions opts;
-  opts.iterations = 60;
-  opts.eta = 0.0;
-  opts.penalty_alpha = 60.0;
-  opts.convergence_patience = 0;  // disabled
-  const auto result = small_solve(opts, inst);
-  EXPECT_EQ(result.total_runs, 60u);
-}
-
-TEST(Convergence, NoEarlyStopWithoutFeasibleSample) {
-  // Tiny penalty and eta=0: likely nothing feasible, so even a flat lambda
-  // must not stop the search.
-  const auto inst = problems::make_paper_qkp(20, 50, 2);
-  SaimOptions opts;
-  opts.iterations = 50;
-  opts.eta = 0.0;
-  opts.penalty = 0.0001;
-  opts.convergence_patience = 3;
-  opts.seed = 1;
-  const auto result = small_solve(opts, inst);
-  if (!result.found_feasible) {
-    EXPECT_EQ(result.total_runs, 50u);
-  }
-}
-
-TEST(Convergence, SweepAccountingMatchesActualRuns) {
-  const auto inst = problems::make_paper_qkp(12, 25, 1);
-  SaimOptions opts;
-  opts.iterations = 300;
-  opts.eta = 0.0;
-  opts.penalty_alpha = 60.0;
-  opts.convergence_patience = 4;
-  const auto result = small_solve(opts, inst);
-  EXPECT_EQ(result.total_sweeps, result.total_runs * 150u);
-}
-
 }  // namespace
 }  // namespace saim::core

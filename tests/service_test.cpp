@@ -492,6 +492,21 @@ TEST(SolveService, UnknownBackendSurfacesAsError) {
   EXPECT_EQ(svc.stats().errors, 1u);
 }
 
+TEST(SolveService, ZeroIterationsFailsTheJobNotTheModelKey) {
+  service::SolveService svc({.workers = 1});
+  const auto t = make_test_problem();
+  const auto failed = svc.submit(make_request(t, /*iterations=*/0)).wait();
+  EXPECT_EQ(failed->status, core::Status::kError);
+  EXPECT_EQ(failed->error, "SaimSolver: iterations must be positive");
+
+  // Same problem and backend, so the same model key: the next job solves.
+  const auto next = svc.submit(make_request(t)).wait();
+  EXPECT_EQ(next->status, core::Status::kCompleted);
+  EXPECT_EQ(next->result->total_runs, 20u);
+  EXPECT_EQ(svc.stats().errors, 1u);
+  EXPECT_EQ(svc.stats().model_builds, 2u);  // the failed job dropped its own
+}
+
 TEST(SolveService, NullProblemIsRejected) {
   service::SolveService svc({.workers = 1});
   EXPECT_THROW(svc.submit(service::SolveRequest{}), std::invalid_argument);

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "anneal/backend.hpp"
+#include "anneal/exact_backend.hpp"
 #include "anneal/simulated_annealing.hpp"
 #include "core/penalty_method.hpp"
 #include "core/saim_solver.hpp"
@@ -161,16 +162,17 @@ TEST_F(SolverStopTest, StopDuringFinalIterationDowngradesStatus) {
 }
 
 TEST(BackendStop, SequentialBatchReturnsPartialBatch) {
-  const auto inst = problems::make_paper_qkp(20, 50, 1);
-  const auto mapping = problems::qkp_to_problem(inst);
-  anneal::PBitBackend backend(pbit::Schedule::linear(5.0), 50);
-  // bind through a solver-independent path
-  lagrange::LagrangianModel model(mapping.problem, 10.0);
-  backend.bind(model.ising());
+  // ExactBackend keeps the base run_batch: run() after run() on the
+  // caller's rng, with the stop checked between runs.
+  ising::IsingModel model(4);
+  model.add_coupling(0, 1, 1.0);
+  model.add_coupling(1, 2, -0.5);
+  model.add_field(3, 0.25);
+  anneal::ExactBackend backend;
+  backend.bind(model);
 
   util::StopSource source;
   backend.set_stop_token(source.token());
-  backend.set_warm_restart(true);  // forces the sequential base run_batch
   util::Xoshiro256pp rng(1);
   source.request_stop();
   const auto runs = backend.run_batch(rng, 8);

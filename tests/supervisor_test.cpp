@@ -498,7 +498,7 @@ TEST(SupervisorFleet, FleetStatsAggregatesEveryShardSnapshot) {
     const auto& shard = shards->array()[s];
     EXPECT_EQ(shard.find("shard")->as_int(), static_cast<std::int64_t>(s));
     EXPECT_TRUE(shard.find("alive")->as_bool());
-    EXPECT_TRUE(shard.find("local")->as_bool());
+    EXPECT_EQ(shard.find("local"), nullptr);
     EXPECT_EQ(shard.find("restarts")->as_int(), 0);
     EXPECT_EQ(shard.find("queue_depth")->as_int(), 0);
     EXPECT_EQ(shard.find("inflight")->as_int(), 0);

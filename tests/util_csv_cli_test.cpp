@@ -172,6 +172,19 @@ TEST(ArgParser, UsageMentionsFlags) {
   EXPECT_NE(u.find("problem size"), std::string::npos);
 }
 
+TEST(ArgParser, UsageShowsRegisteredDefaultNotParsedValue) {
+  ArgParser p("prog", "desc");
+  p.add_flag("x", "a number", "2").add_flag("path", "a path", "");
+  const std::array<const char*, 3> argv = {"prog", "--x", "1"};
+  ASSERT_TRUE(p.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(p.get("x"), "1");
+  const std::string u = p.usage();
+  EXPECT_NE(u.find("a number (default: 2)"), std::string::npos) << u;
+  EXPECT_EQ(u.find("(default: 1)"), std::string::npos) << u;
+  // An empty default prints no "(default:" at all.
+  EXPECT_EQ(u.find("(default:", u.find("--path")), std::string::npos) << u;
+}
+
 TEST(ArgParser, MalformedNumbersThrowNamingTheFlag) {
   // The whole value must parse: a garbage value, a numeric prefix with
   // trailing junk and an empty value are all errors, never a silent
