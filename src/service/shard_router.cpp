@@ -1,6 +1,7 @@
 #include "service/shard_router.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "problems/fingerprint.hpp"
@@ -44,12 +45,34 @@ std::size_t HashRing::route(std::uint64_t key) const {
   return it == ring_.end() ? ring_.begin()->second : it->second;
 }
 
+std::vector<std::size_t> HashRing::clockwise(std::uint64_t key) const {
+  if (ring_.empty()) throw std::runtime_error("no live shards");
+  std::vector<std::size_t> order;
+  order.reserve(shards_.size());
+  std::vector<bool> seen(*shards_.rbegin() + 1, false);
+  auto it = ring_.lower_bound(key);
+  for (std::size_t step = 0;
+       step < ring_.size() && order.size() < shards_.size(); ++step, ++it) {
+    if (it == ring_.end()) it = ring_.begin();
+    if (!seen[it->second]) {
+      seen[it->second] = true;
+      order.push_back(it->second);
+    }
+  }
+  return order;
+}
+
 // ----------------------------------------------------------------- router
 
 namespace {
 
 /// Instance-source keys memoized per router (see accept_line).
 constexpr std::size_t kFingerprintMemoCap = 4096;
+
+/// Bounded-load factor 1 + epsilon (Mirrokni, Thorup and Zadimoghaddam,
+/// SODA 2018, with epsilon = 0.25): no shard takes a job while it holds
+/// this multiple of the mean outstanding load, unless all of them do.
+constexpr double kLoadBound = 1.25;
 
 /// Routing tokens replace job ids on the wire to the shards: unique, so
 /// duplicate client ids cannot collide, and alphanumeric, so the token is
@@ -112,6 +135,7 @@ ShardRouter::ShardRouter(RouterOptions options)
   pong_.assign(options_.shards, false);
   stats_export_.resize(options_.shards);
   stats_.routed_per_shard.assign(options_.shards, 0);
+  stats_.spilled_per_shard.assign(options_.shards, 0);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     latency_.push_back(std::make_unique<obs::Histogram>());
     ring_.add(s);
@@ -212,15 +236,13 @@ std::vector<std::string> ShardRouter::accept_line(const std::string& line,
     job.display_id = std::move(display_id);
     job.fingerprint = fingerprint;
     job.priority = priority;
-    job.shard = ring_.route(fingerprint);
     const std::string token = token_for(job.ordinal);
     util::JsonValue::Object rewritten = parsed.object();
     rewritten["id"] = util::JsonValue(token);
     job.line = util::to_json(util::JsonValue(std::move(rewritten)));
+    job.shard = place(token, fingerprint);
 
     ++stats_.accepted;
-    ++stats_.routed_per_shard[job.shard];
-    pending_[job.shard].push_back(token);
     jobs_.emplace(token, std::move(job));
   } catch (const std::exception& e) {
     any_error_ = true;
@@ -360,10 +382,8 @@ std::vector<std::string> ShardRouter::on_child_down(std::size_t shard) {
     } else {
       Job& job = it->second;
       job.inflight = false;
-      job.shard = ring_.route(job.fingerprint);
+      job.shard = place(token, job.fingerprint);
       ++stats_.requeued;
-      ++stats_.routed_per_shard[job.shard];
-      pending_[job.shard].push_back(token);
     }
   }
   return out;
@@ -388,6 +408,7 @@ std::size_t ShardRouter::add_shard() {
   stats_export_.emplace_back();
   latency_.push_back(std::make_unique<obs::Histogram>());
   stats_.routed_per_shard.push_back(0);
+  stats_.spilled_per_shard.push_back(0);
   ring_.add(shard);
   return shard;
 }
@@ -449,6 +470,35 @@ std::size_t ShardRouter::total_pending() const {
   std::size_t total = 0;
   for (const auto& p : pending_) total += p.size();
   return total;
+}
+
+std::size_t ShardRouter::place(const std::string& token,
+                               std::uint64_t fingerprint) {
+  const std::size_t owner = ring_.route(fingerprint);
+  std::size_t shard = owner;
+  // The cap never falls below the window, so a job whose owner has a
+  // free in-flight slot stays on it without the walk.
+  if (load(owner) >= options_.window) {
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < alive_.size(); ++s) {
+      if (alive_[s]) total += load(s);
+    }
+    const auto cap = std::max(
+        options_.window,
+        static_cast<std::size_t>(std::ceil(
+            kLoadBound * static_cast<double>(total + 1) /
+            static_cast<double>(ring_.shard_count()))));
+    for (const std::size_t s : ring_.clockwise(fingerprint)) {
+      if (load(s) < cap) {
+        shard = s;
+        break;
+      }
+    }
+  }
+  ++stats_.routed_per_shard[shard];
+  if (shard != owner) ++stats_.spilled_per_shard[shard];
+  pending_[shard].push_back(token);
+  return shard;
 }
 
 void ShardRouter::unqueue(std::size_t shard, const std::string& token) {

@@ -6,27 +6,32 @@
 //
 //   * a consistent-hash ring (HashRing) over the shards, keyed by the
 //     canonical PROBLEM fingerprint (problems/fingerprint) of each job's
-//     instance — all jobs over one instance land on one shard, so that
-//     shard's ResultCache, coalescer and cached models stay hot for its
-//     keyslice, and removing a shard only remaps the
-//     keys it owned (cache locality survives resharding);
+//     instance, with bounded loads (Mirrokni, Thorup and Zadimoghaddam,
+//     SODA 2018): a job goes to the first shard clockwise from its key,
+//     owner first, whose outstanding count is below
+//     max(window, ceil(1.25 * mean outstanding)). A light instance stream
+//     never fills its owner's window, so all of its jobs share one
+//     shard's ResultCache, coalescer and cached models; a hot one spills
+//     its surplus to the next shards instead of queueing behind its
+//     owner. Removing a shard only remaps the keys it owned (cache
+//     locality survives resharding);
 //   * per-shard outstanding-job tables: a pending queue (routed, not yet
 //     written) and an in-flight set (written, awaiting a result), with a
 //     bounded in-flight window per shard for backpressure — the pump
 //     never stuffs more than `window` unanswered jobs into one child, so
-//     pipes cannot deadlock and a slow shard throttles only itself;
+//     pipes cannot deadlock;
 //   * seq remapping: each child numbers ITS accepted jobs 0..k in its own
 //     completion order; the router rewrites that per-shard `seq` into one
 //     global completion order across all shards. Lines a child rejected
 //     at submission carry no seq (per docs/PROTOCOL.md) and keep none
 //     here, so accepted jobs always see the contiguous global range;
 //   * failover: when a child dies (on_child_down), its unanswered jobs —
-//     pending and in-flight — are requeued onto the ring's next live
-//     shard and rerun from scratch; jobs are deterministic per seed, so a
-//     rerun emits the bit-identical result. Every accepted job
-//     produces exactly one output line even across a crash. Only when no
-//     shard is left do jobs error out (with a `shard` field naming the
-//     casualty);
+//     pending and in-flight — are placed again by the same bounded-load
+//     rule over the live shards and rerun from scratch; jobs are
+//     deterministic per seed, so a rerun emits the bit-identical result.
+//     Every accepted job produces exactly one output line even across a
+//     crash. Only when no shard is left do jobs error out (with a `shard`
+//     field naming the casualty);
 //   * the control dialect on both sides: upstream {"cmd":"ping"}/"drain"
 //     lines are answered by the router itself; pongs from children (the
 //     router's own health probes) are consumed via take_pong, never
@@ -79,6 +84,10 @@ class HashRing {
   /// The shard owning `key`. Throws std::runtime_error on an empty ring.
   [[nodiscard]] std::size_t route(std::uint64_t key) const;
 
+  /// Every shard once, in the order a clockwise walk from `key` meets
+  /// them: route(key) first. Throws std::runtime_error on an empty ring.
+  [[nodiscard]] std::vector<std::size_t> clockwise(std::uint64_t key) const;
+
  private:
   std::size_t vnodes_;
   std::map<std::uint64_t, std::size_t> ring_;  ///< point -> shard
@@ -107,6 +116,9 @@ class ShardRouter {
     std::uint64_t orphaned = 0;  ///< jobs errored: no live shard remained
     std::uint64_t sheds = 0;     ///< jobs shed by admission control
     std::vector<std::uint64_t> routed_per_shard;
+    /// Jobs placed on the shard while their ring owner was another live
+    /// shard at its load bound (a subset of routed_per_shard).
+    std::vector<std::uint64_t> spilled_per_shard;
   };
 
   explicit ShardRouter(RouterOptions options);
@@ -128,8 +140,8 @@ class ShardRouter {
   std::vector<std::string> on_child_line(std::size_t shard,
                                          const std::string& line);
 
-  /// The shard died: drop it from the ring and requeue its unanswered
-  /// jobs onto the next live shards. Returns error lines for jobs that
+  /// The shard died: drop it from the ring and place its unanswered
+  /// jobs again on the live shards. Returns error lines for jobs that
   /// could not be placed (no shards left), plus unblocked drain acks.
   /// Also the graceful-removal path (live resharding): the departing
   /// shard's process may still answer requeued tokens late — the first
@@ -212,6 +224,15 @@ class ShardRouter {
   /// One outstanding job finished (emitted or orphaned): advance drains.
   void finished(std::uint64_t ordinal, std::vector<std::string>* out);
   [[nodiscard]] std::string drained_line(const Drain& drain) const;
+  /// Bounded-load placement, the one rule for new and failed-over jobs:
+  /// queues `token` on the first shard clockwise from `fingerprint`
+  /// whose outstanding count is below the load cap (the owner when every
+  /// shard is at it) and returns that shard. Throws on an empty ring.
+  std::size_t place(const std::string& token, std::uint64_t fingerprint);
+  /// Jobs queued or in flight on `shard`.
+  [[nodiscard]] std::size_t load(std::size_t shard) const {
+    return pending_[shard].size() + inflight_[shard].size();
+  }
   /// Drops `token` from `shard`'s pending queue if still there.
   void unqueue(std::size_t shard, const std::string& token);
   /// Admission control: called with a full backlog before accepting a

@@ -205,6 +205,9 @@ std::string Supervisor::fleet_stats_line(const StatsProbe& probe) const {
         .field("routed", s < rs.routed_per_shard.size()
                              ? rs.routed_per_shard[s]
                              : 0)
+        .field("spilled", s < rs.spilled_per_shard.size()
+                              ? rs.spilled_per_shard[s]
+                              : 0)
         .field("queue_depth", static_cast<std::uint64_t>(router_.pending(s)))
         .field("inflight", static_cast<std::uint64_t>(router_.inflight(s)))
         .raw_field("latency",

@@ -6,9 +6,12 @@
 # --cache 0` session, then asks for {"cmd":"stats"} and checks:
 #   * every id is answered exactly once, with no error line;
 #   * seq runs contiguously over 0..n-1;
-#   * each shard built one model per instance routed to it: with one
-#     worker per shard, its model_builds equals the distinct instances it
-#     served (routed / 1250), and every other job was a reuse.
+#   * each shard built each instance's model at most once: with one
+#     worker per shard (8 cached models), model_builds is at most the 4
+#     distinct instances, and every other job it ran was a reuse
+#     (model_builds + model_reuses == routed). Bounded-load placement
+#     spills a hot instance's surplus to the other shard, so how many
+#     instances each shard sees depends on timing.
 #
 # Usage: tests/e2e/shard_long_session.sh SAIM_SHARD
 # (ctest passes the built binary; saim_serve must sit next to it.)
@@ -79,13 +82,12 @@ assert sorted(seqs) == list(range(n)), "seq is not 0..n-1"
 builds = 0
 for shard in fleet["shards"]:
     routed, service = shard["routed"], shard["service"]
-    assert routed % PER_INSTANCE == 0, shard
-    instances = routed // PER_INSTANCE
-    assert service["model_builds"] == instances, (instances, service)
+    assert service["model_builds"] <= len(INSTANCES), (shard["shard"], service)
     assert service["executed"] == routed, service
     assert service["model_builds"] + service["model_reuses"] == routed, \
         service
-    builds += instances
-assert builds == len(INSTANCES), fleet
-print("long session OK: %d jobs, %d model builds" % (n, builds))
+    builds += service["model_builds"]
+spilled = sum(shard["spilled"] for shard in fleet["shards"])
+print("long session OK: %d jobs, %d model builds, %d spilled"
+      % (n, builds, spilled))
 EOF

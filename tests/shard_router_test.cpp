@@ -11,12 +11,14 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <deque>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -78,10 +80,36 @@ TEST(HashRing, RemovalOnlyRemapsTheDeadShardsKeys) {
 TEST(HashRing, EmptyRingThrows) {
   HashRing ring;
   EXPECT_THROW((void)ring.route(1), std::runtime_error);
+  EXPECT_THROW((void)ring.clockwise(1), std::runtime_error);
   ring.add(0);
   EXPECT_EQ(ring.route(1), 0u);
+  EXPECT_EQ(ring.clockwise(1), std::vector<std::size_t>{0});
   ring.remove(0);
   EXPECT_THROW((void)ring.route(1), std::runtime_error);
+}
+
+TEST(HashRing, ClockwiseListsEveryShardOnceOwnerFirst) {
+  HashRing ring(64);
+  for (std::size_t s = 0; s < 5; ++s) ring.add(s);
+  std::map<std::uint64_t, std::vector<std::size_t>> before;
+  for (std::uint64_t k = 0; k < 512; ++k) {
+    const std::uint64_t key = k * 0x9e3779b97f4a7c15ULL;
+    const auto order = ring.clockwise(key);
+    ASSERT_EQ(order.size(), 5u);
+    EXPECT_EQ(order.front(), ring.route(key));
+    EXPECT_EQ(std::set<std::size_t>(order.begin(), order.end()).size(), 5u);
+    before[key] = order;
+  }
+  // Removing a shard drops it from every walk and keeps the others in
+  // their order: a spill target moves only when it leaves the ring.
+  ring.remove(3);
+  for (const auto& [key, order] : before) {
+    std::vector<std::size_t> want;
+    for (const std::size_t s : order) {
+      if (s != 3) want.push_back(s);
+    }
+    EXPECT_EQ(ring.clockwise(key), want);
+  }
 }
 
 // -------------------------------------------------- router (no processes)
@@ -113,15 +141,180 @@ RouterOptions two_shards(std::size_t window = 8) {
   return options;
 }
 
-TEST(ShardRouter, SameInstanceAlwaysRoutesToOneShard) {
-  ShardRouter router(two_shards());
-  EXPECT_TRUE(router.accept_line(job_line("a", 1, 1), 1).empty());
-  EXPECT_TRUE(router.accept_line(job_line("b", 1, 2), 2).empty());
-  EXPECT_TRUE(router.accept_line(job_line("c", 1, 3), 3).empty());
-  const std::size_t owner = router.pending(0) == 3 ? 0 : 1;
-  EXPECT_EQ(router.pending(owner), 3u) << "instance twins must share a "
+/// Queued plus in-flight jobs on `shard`: the load placement bounds.
+std::size_t load(const ShardRouter& router, std::size_t shard) {
+  return router.pending(shard) + router.inflight(shard);
+}
+
+/// The bounded-load cap for `outstanding` jobs on `live` shards.
+std::size_t load_cap(std::size_t window, std::size_t outstanding,
+                     std::size_t live) {
+  return std::max(window, (5 * outstanding + 4 * live - 1) / (4 * live));
+}
+
+/// Writes every sendable job of every live shard, as the pump would.
+void send_all(ShardRouter& router) {
+  for (std::size_t s = 0; s < router.shard_slots(); ++s) {
+    (void)router.take_sendable(s);
+  }
+}
+
+TEST(ShardRouter, InstanceTwinsShareTheOwnerWhileItIsUnderTheWindow) {
+  ShardRouter router(two_shards(/*window=*/8));
+  for (int j = 0; j < 8; ++j) {
+    EXPECT_TRUE(router
+                    .accept_line(job_line("t" + std::to_string(j), 1, j + 1),
+                                 static_cast<std::size_t>(j + 1))
+                    .empty());
+  }
+  const std::size_t owner = router.pending(0) == 8 ? 0 : 1;
+  EXPECT_EQ(router.pending(owner), 8u) << "instance twins must share a "
                                           "shard for cache locality";
   EXPECT_EQ(router.pending(1 - owner), 0u);
+  EXPECT_EQ(router.stats().routed_per_shard[owner], 8u);
+  EXPECT_EQ(router.stats().spilled_per_shard[0], 0u);
+  EXPECT_EQ(router.stats().spilled_per_shard[1], 0u);
+
+  // The owner now holds a full window: the next twin spills.
+  router.accept_line(job_line("t8", 1, 9), 9);
+  EXPECT_EQ(router.pending(1 - owner), 1u);
+  EXPECT_EQ(router.stats().spilled_per_shard[1 - owner], 1u);
+}
+
+TEST(ShardRouter, BurstOfTwinsEndsWithNoShardAboveTheCap) {
+  RouterOptions options;
+  options.shards = 4;
+  options.window = 8;
+  ShardRouter router(options);
+  constexpr std::size_t kBurst = 200;
+  for (std::size_t j = 0; j < kBurst; ++j) {
+    router.accept_line(job_line("b" + std::to_string(j), 1, j + 1), j + 1);
+    send_all(router);
+  }
+  const std::size_t cap = load_cap(8, kBurst, 4);  // ceil(1.25 * 50) = 63
+  std::size_t total = 0;
+  std::size_t spilled = 0;
+  std::size_t used = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_LE(load(router, s), cap) << "shard " << s;
+    EXPECT_EQ(router.inflight(s), std::min<std::size_t>(load(router, s), 8));
+    total += load(router, s);
+    spilled += router.stats().spilled_per_shard[s];
+    if (load(router, s) > 0) ++used;
+  }
+  EXPECT_EQ(total, kBurst);
+  EXPECT_EQ(used, 4u) << "3 x 63 < 200: the walk must reach the last shard";
+  // Only the owner takes twins without spilling.
+  const auto& routed = router.stats().routed_per_shard;
+  EXPECT_EQ(spilled, kBurst - *std::max_element(routed.begin(), routed.end()));
+  EXPECT_EQ(router.outstanding(), kBurst);
+}
+
+TEST(ShardRouter, TwinsReturnToTheOwnerOnceItsBacklogDrains) {
+  ShardRouter router(two_shards(/*window=*/4));
+  for (std::size_t j = 0; j < 10; ++j) {
+    router.accept_line(job_line("d" + std::to_string(j), 1, j + 1), j + 1);
+  }
+  const std::size_t owner = router.stats().spilled_per_shard[0] > 0 ? 1 : 0;
+  const std::size_t other = 1 - owner;
+  ASSERT_GT(router.stats().spilled_per_shard[other], 0u);
+  ASSERT_GT(load(router, owner), 4u);
+
+  // The owner answers its whole backlog, window by window.
+  std::int64_t shard_seq = 0;
+  for (auto sent = router.take_sendable(owner); !sent.empty();
+       sent = router.take_sendable(owner)) {
+    for (const auto& line : sent) {
+      ASSERT_EQ(router.on_child_line(owner,
+                                     fake_result(token_of(line), shard_seq++))
+                    .size(),
+                1u);
+    }
+  }
+  ASSERT_EQ(load(router, owner), 0u);
+  const std::uint64_t spilled_before = router.stats().spilled_per_shard[other];
+  const std::size_t other_before = load(router, other);
+
+  // The spilled twins still wait on the other shard, yet new twins go
+  // home: the owner is under its window again.
+  for (std::size_t j = 10; j < 14; ++j) {
+    router.accept_line(job_line("d" + std::to_string(j), 1, j + 1), j + 1);
+  }
+  EXPECT_EQ(load(router, owner), 4u);
+  EXPECT_EQ(load(router, other), other_before);
+  EXPECT_EQ(router.stats().spilled_per_shard[other], spilled_before);
+}
+
+TEST(ShardRouter, FailoverRequeueObeysTheSameCap) {
+  RouterOptions options;
+  options.shards = 3;
+  options.window = 2;
+  ShardRouter router(options);
+  constexpr std::size_t kJobs = 30;
+  router.accept_line(job_line("f0", 1, 1), 1);
+  std::size_t owner = 0;
+  while (router.pending(owner) == 0) ++owner;
+  for (std::size_t j = 1; j < kJobs; ++j) {
+    router.accept_line(job_line("f" + std::to_string(j), 1, j + 1), j + 1);
+  }
+  std::map<std::size_t, std::vector<std::string>> survivor_sent;
+  for (std::size_t s = 0; s < 3; ++s) survivor_sent[s] = router.take_sendable(s);
+  const std::size_t dead_load = load(router, owner);
+  ASSERT_EQ(dead_load, load_cap(2, kJobs, 3));  // the owner filled up first
+
+  // The owner dies with its jobs unanswered. Owner-only failover would
+  // pile all of them onto the key's next owner; the same bounded-load
+  // rule spreads them over both survivors instead.
+  const auto spilled = [&router] {
+    const auto& per_shard = router.stats().spilled_per_shard;
+    return std::accumulate(per_shard.begin(), per_shard.end(),
+                           std::uint64_t{0});
+  };
+  const std::uint64_t requeued_before = router.stats().requeued;
+  const std::uint64_t spilled_before = spilled();
+  EXPECT_TRUE(router.on_child_down(owner).empty());
+  EXPECT_EQ(router.stats().requeued - requeued_before, dead_load);
+  EXPECT_GT(spilled(), spilled_before) << "the key's new owner filled up";
+  const std::size_t cap = load_cap(2, kJobs, 2);
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < 3; ++s) {
+    if (s == owner) continue;
+    EXPECT_LE(load(router, s), cap) << "shard " << s;
+    total += load(router, s);
+  }
+  EXPECT_EQ(total, kJobs);
+  EXPECT_EQ(load(router, owner), 0u);
+
+  // Every job still answers exactly once, in one contiguous seq range.
+  // The in-flight jobs the survivors held before the kill were already
+  // written; their children answer them first.
+  std::set<std::string> ids;
+  std::set<std::int64_t> seqs;
+  std::int64_t shard_seq = 0;
+  const auto answer = [&](std::size_t s, const std::string& token) {
+    const auto out = router.on_child_line(s, fake_result(token, shard_seq++));
+    ASSERT_EQ(out.size(), 1u);
+    const auto line = util::parse_json(out[0]);
+    ids.insert(line.find("id")->as_string());
+    seqs.insert(line.find("seq")->as_int());
+  };
+  for (std::size_t s = 0; s < 3; ++s) {
+    if (s == owner) continue;
+    for (const auto& line : survivor_sent[s]) answer(s, token_of(line));
+  }
+  for (bool progressed = true; progressed;) {
+    progressed = false;
+    for (std::size_t s = 0; s < 3; ++s) {
+      for (const auto& line : router.take_sendable(s)) {
+        answer(s, token_of(line));
+        progressed = true;
+      }
+    }
+  }
+  EXPECT_EQ(ids.size(), kJobs);
+  EXPECT_EQ(seqs.size(), kJobs);
+  EXPECT_EQ(*seqs.rbegin(), static_cast<std::int64_t>(kJobs) - 1);
+  EXPECT_TRUE(router.idle());
 }
 
 TEST(ShardRouter, RejectsBadLinesLocallyWithoutSeq) {
@@ -165,12 +358,17 @@ TEST(ShardRouter, InstanceTwinsAreStillFieldValidatedOnMemoHits) {
 }
 
 TEST(ShardRouter, WindowBoundsInflightAndRemapsSeqInCompletionOrder) {
-  ShardRouter router(two_shards(/*window=*/2));
+  // One shard: with a second one, twins past the window would spill to
+  // it instead of queueing behind the window.
+  RouterOptions options;
+  options.shards = 1;
+  options.window = 2;
+  ShardRouter router(options);
   for (int j = 0; j < 5; ++j) {
     router.accept_line(job_line("j" + std::to_string(j), 1, j + 1),
                        static_cast<std::size_t>(j + 1));
   }
-  const std::size_t owner = router.pending(0) ? 0 : 1;
+  const std::size_t owner = 0;
   auto first = router.take_sendable(owner);
   ASSERT_EQ(first.size(), 2u) << "window must cap in-flight jobs";
   EXPECT_EQ(router.inflight(owner), 2u);

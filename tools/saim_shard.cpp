@@ -3,10 +3,11 @@
 // Speaks the docs/PROTOCOL.md JSONL wire format on both sides: clients
 // talk to saim_shard exactly as they would to `saim_serve --stream`, and
 // saim_shard runs a fleet of `saim_serve --stream` children over
-// fork/exec pipes, routing each job by consistent hashing on its
-// canonical problem fingerprint. All jobs over one instance land on one
-// shard, so that shard's result cache, coalescer and cached models stay
-// hot for its keyslice. The routing/remapping brain is
+// fork/exec pipes, placing each job by consistent hashing with bounded
+// loads on its canonical problem fingerprint. An instance's jobs stay on
+// its ring owner, whose result cache, coalescer and cached models stay
+// hot for that keyslice, until the owner is backlogged; then the surplus
+// spills to the next shard clockwise. The routing/remapping brain is
 // service/shard_router; the transport is service/process_child (pipes);
 // the self-healing layer — crash respawn with
 // backoff, ring rejoin, live resharding, health probes — is
@@ -24,9 +25,14 @@
 //   * results stream in global completion order, each accepted job tagged
 //     with a global "seq" (per-shard seqs are remapped; rejected lines
 //     carry none);
-//   * per-shard bounded in-flight windows give backpressure — a slow
-//     shard throttles only its own keyslice;
-//   * every job runs on its key's ring owner and moves only on failover;
+//   * per-shard bounded in-flight windows give backpressure to the
+//     shards; intake is one global gate — input stops being read while
+//     shards x window x 4 routed jobs wait for a window slot;
+//   * bounded-load placement: a job goes to the first shard clockwise
+//     from its key, owner first, holding fewer than
+//     max(window, ceil(1.25 x mean)) queued + in-flight jobs, so a hot
+//     key cannot fill the global waiting room while other shards idle;
+//     failover places jobs by the same rule;
 //   * --max-queue-depth sheds the lowest-priority job past the bound
 //     with a "delayed"-tagged error instead of queueing unboundedly;
 //   * a crashed or unresponsive shard is respawned with backoff and
@@ -201,6 +207,14 @@ std::string render_fleet_metrics(const service::ShardRouter& router,
     const std::uint64_t routed =
         s < rs.routed_per_shard.size() ? rs.routed_per_shard[s] : 0;
     text.series("saim_shard_routed_total", shard_label(s), routed);
+  }
+  text.header("saim_shard_spilled_total", "counter",
+              "jobs placed on the shard while their ring owner was at its "
+              "load bound");
+  for (std::size_t s = 0; s < slots; ++s) {
+    const std::uint64_t spilled =
+        s < rs.spilled_per_shard.size() ? rs.spilled_per_shard[s] : 0;
+    text.series("saim_shard_spilled_total", shard_label(s), spilled);
   }
   text.header("saim_shard_roundtrip_ms", "histogram",
               "job written to the shard until its result line came back, "
@@ -534,7 +548,8 @@ int main(int argc, char** argv) {
     if (args.get_bool("stats")) {
       for (std::size_t i = 0; i < s.routed_per_shard.size(); ++i) {
         util::log_info() << "  shard " << i << ": " << s.routed_per_shard[i]
-                         << " jobs routed" << (router.alive(i) ? "" : " (down)");
+                         << " jobs routed, " << s.spilled_per_shard[i]
+                         << " spilled" << (router.alive(i) ? "" : " (down)");
       }
     }
   }
