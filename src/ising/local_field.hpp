@@ -23,9 +23,11 @@
 // does an index load and a dependent store per entry. When the adjacency
 // fills at least 30% of the n*n matrix, flip() instead walks the
 // model's contiguous dense row J[i][*] as a 4-lane axpy over all of C[].
-// The choice is made once per engine from the adjacency's edge count; it
-// needs no storage beyond the model's dense rows, and it does not change
-// one bit of C[] (see flip()).
+// The choice is made once per engine from the adjacency's edge count, and
+// a dense engine caches the base of the model's row-major J then, so a
+// flip is an inline loop with no call and no bounds check. It needs no storage
+// beyond the model's dense rows, and it does not change one bit of C[]
+// (see flip()).
 //
 // The field part h_i is read live from the bound IsingModel on every
 // field() call: SAIM's lambda updates rewrite only h between runs
@@ -46,6 +48,7 @@
 
 #include "ising/adjacency.hpp"
 #include "ising/ising_model.hpp"
+#include "util/simd.hpp"
 
 namespace saim::ising {
 
@@ -60,7 +63,8 @@ class LocalFieldState {
       : model_(&model),
         adjacency_(&adjacency),
         coupling_in_(model.n(), 0.0),
-        dense_rows_(uses_dense_rows(adjacency)) {}
+        dense_j_(uses_dense_rows(adjacency) ? model.row(0).data()
+                                            : nullptr) {}
 
   /// True when flip() applies flips as dense-row axpys for this adjacency:
   /// its entries (both directions of every edge) fill at least 3/10 of the
@@ -102,7 +106,37 @@ class LocalFieldState {
   /// Flips m[i], updates the neighbours' coupling inputs in O(deg(i)) (a
   /// CSR scatter, or an O(n) dense-row axpy when the model is dense) and
   /// the tracked energy. Returns the energy change dH.
-  double flip(Spins& m, std::size_t i);
+  double flip(Spins& m, std::size_t i) {
+    const double delta = flip_delta(m, i);
+    m[i] = static_cast<std::int8_t>(-m[i]);
+    const auto mi = static_cast<double>(m[i]);  // new value of spin i
+    // m_i went from -mi to mi, so C_j = sum J_jl m_l shifts by 2 J_ij mi.
+    if (dense_j_ != nullptr) {
+      // C_j += (2 J_ij) mi over the whole dense row, neighbours or not.
+      // This leaves C[] bit-identical to the CSR scatter: a non-neighbour
+      // (J_ij == 0, the diagonal included) adds ±0.0, and x + ±0.0 == x
+      // for every x except -0.0. C_j is never -0.0: reset() builds it from
+      // sums that start at +0.0, and a round-to-nearest sum is -0.0 only
+      // when both addends are, so neither reset() nor a flip can produce
+      // one. (2 J) mi is exact, so the product matches the scatter's too.
+      const std::size_t size = n();
+      const double* row = dense_j_ + i * size;
+      double* c = coupling_in_.data();
+      const util::F64x4 two_mi = util::F64x4::broadcast(2.0 * mi);
+      const std::size_t size4 = size & ~std::size_t{3};
+      std::size_t j = 0;
+      for (; j < size4; j += 4) {
+        const util::F64x4 cj = util::F64x4::load(c + j) +
+                               util::F64x4::load(row + j) * two_mi;
+        cj.store(c + j);
+      }
+      for (; j < size; ++j) c[j] += row[j] * (2.0 * mi);
+    } else {
+      scatter_flip(i, mi);
+    }
+    energy_ += delta;
+    return delta;
+  }
 
   /// Hamiltonian of the synced state, maintained incrementally.
   [[nodiscard]] double energy() const noexcept { return energy_; }
@@ -114,15 +148,20 @@ class LocalFieldState {
     std::swap(a.adjacency_, b.adjacency_);
     a.coupling_in_.swap(b.coupling_in_);
     std::swap(a.energy_, b.energy_);
-    std::swap(a.dense_rows_, b.dense_rows_);
+    std::swap(a.dense_j_, b.dense_j_);
   }
 
  private:
+  /// flip()'s CSR branch: C_j += 2 J_ij mi over the neighbours of i.
+  void scatter_flip(std::size_t i, double mi);
+
   const IsingModel* model_ = nullptr;
   const Adjacency* adjacency_ = nullptr;
   std::vector<double> coupling_in_;  ///< C_i = sum_j J_ij m_j
   double energy_ = 0.0;              ///< H(m) for the synced state
-  bool dense_rows_ = false;          ///< flip() walks dense model rows
+  /// The model's row-major J (row i at i * n) when flip() walks dense
+  /// rows; null when it scatters through the CSR.
+  const double* dense_j_ = nullptr;
 };
 
 }  // namespace saim::ising

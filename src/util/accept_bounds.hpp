@@ -30,9 +30,15 @@
 // ±inf: [1 - 2^-21, 1], since 1 - tanh(8) = 2.26e-7 < 2^-21. A lane reads
 // row min(floor(32|x|), 256) — scaling by 32 is exact — and mirrors it
 // for x < 0. A row is at most 1/32 wide, so at most ~1.6% of uniform
-// draws near x = 0 reach std::tanh; over Algorithm 1 on the QKP-200 paper
-// instances, 0.07% of lanes do (in 0.3% of 4-lane blocks). NaN reaches
-// libm too.
+// draws near x = 0 reach std::tanh; over Algorithm 1 on the 8 QKP-200
+// paper instances (seed 11), 0.07% of lanes do (in 0.28% of 4-lane
+// blocks). NaN reaches libm too.
+//
+// Saturation needs no table at all. With |x| >= 8 libm's tanh is in row
+// 256, at least 1 - 2^-21 in magnitude, so any draw |u| < 1 - 2^-21
+// leaves tanh(x) + u with the sign of x: the decision is x's sign bit
+// (tanh_saturated4 names those lanes). The p-bit sweep decides 68.6% of
+// its blocks that way on the same runs.
 #pragma once
 
 #include <bit>
@@ -204,6 +210,24 @@ inline unsigned tanh_sign_neg4(F64x4 x, F64x4 u, unsigned active) noexcept {
     }
   }
   return neg;
+}
+
+/// The lanes (bit l) whose p-bit decision is the sign of x alone: |x_l| >=
+/// 8, not NaN, and |u_l| < kTanhSatLo. There libm's tanh(x_l) lies in the
+/// saturation row, at least kTanhSatLo in magnitude, so it outweighs the
+/// draw: tanh(x_l) + u_l is nonzero with x_l's sign, round-to-nearest
+/// keeps that sign, and bit l of tanh_sign_neg4(x, u, ...) equals bit l of
+/// movemask(x). The p-bit sweep takes a block's decisions from
+/// movemask(x) when every pending lane is here.
+inline unsigned tanh_saturated4(F64x4 x, F64x4 u) noexcept {
+  using namespace accept_detail;
+  const F64x4 sign = F64x4::broadcast(-0.0);
+  const F64x4 sat_x = F64x4::broadcast(kTanhSatRow / kTanhRowsPerUnit);
+  const auto big = static_cast<unsigned>(
+      movemask(cmp_ge(mask_andnot(sign, x), sat_x)));
+  const auto quiet = static_cast<unsigned>(
+      movemask(cmp_lt(mask_andnot(sign, u), F64x4::broadcast(kTanhSatLo))));
+  return big & quiet;
 }
 
 struct Bracket {

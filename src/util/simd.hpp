@@ -11,7 +11,8 @@
 // carries only what the exp bounds need: bit casts and a left shift.
 // trunc_i32 and gather4 turn 4 lanes into int32 indices and load through
 // them: the tanh bracket table, and the p-bit sweep's visits outside
-// sequential order.
+// sequential order. sign_mask4 reads a full block's four spin signs with
+// one load.
 //
 // Feature selection is compile-time: AVX2 when the compiler was given
 // -mavx2 (CMake's SAIM_SIMD=ON does this on x86-64), NEON on aarch64, the
@@ -123,6 +124,14 @@ inline void trunc_i32(F64x4 a, std::int32_t (&out)[4]) noexcept {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm256_cvttpd_epi32(a.v));
 }
 
+/// 4-bit mask of the negative bytes p[0..3] (bit l = p[l] < 0): one 4-byte
+/// load and the bytes' sign bits.
+inline unsigned sign_mask4(const std::int8_t* p) noexcept {
+  std::int32_t w = 0;
+  std::memcpy(&w, p, sizeof w);
+  return static_cast<unsigned>(_mm_movemask_epi8(_mm_cvtsi32_si128(w)));
+}
+
 #elif defined(SAIM_SIMD_NEON)
 
 struct U64x4;
@@ -216,6 +225,15 @@ inline U64x4 bitcast_u64(F64x4 a) noexcept {
 template <int K>
 inline U64x4 shl(U64x4 a) noexcept {
   return {vshlq_n_u64(a.lo, K), vshlq_n_u64(a.hi, K)};
+}
+
+inline unsigned sign_mask4(const std::int8_t* p) noexcept {
+  std::uint32_t w = 0;
+  std::memcpy(&w, p, sizeof w);
+  // Each byte's sign bit as 0/1, weighted by its lane's bit, summed.
+  const uint8x8_t neg = vshr_n_u8(vreinterpret_u8_u32(vdup_n_u32(w)), 7);
+  const uint8x8_t weight = vcreate_u8(0x08040201u);
+  return vaddv_u8(vmul_u8(neg, weight));
 }
 
 #else  // scalar emulation — identical 4-lane semantics, no intrinsics
@@ -318,6 +336,12 @@ inline U64x4 bitcast_u64(F64x4 a) noexcept {
 template <int K>
 inline U64x4 shl(U64x4 a) noexcept {
   return {{a.v[0] << K, a.v[1] << K, a.v[2] << K, a.v[3] << K}};
+}
+
+inline unsigned sign_mask4(const std::int8_t* p) noexcept {
+  unsigned m = 0;
+  for (unsigned l = 0; l < 4; ++l) m |= static_cast<unsigned>(p[l] < 0) << l;
+  return m;
 }
 
 #endif

@@ -11,6 +11,8 @@
 
 #include "ising/adjacency.hpp"
 #include "ising/local_field.hpp"
+#include "lagrange/lagrangian_model.hpp"
+#include "problems/mkp.hpp"
 #include "util/rng.hpp"
 
 namespace saim::pbit {
@@ -210,6 +212,30 @@ AnnealResult reference_anneal(const ising::IsingModel& model,
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
+/// Runs the blocked sweep and the one-spin reference from one random start
+/// on the same draws and expects the same states, the same energy bits and
+/// the same next draw.
+void expect_blocked_matches_reference(const ising::IsingModel& model,
+                                      const Schedule& schedule,
+                                      std::uint64_t seed,
+                                      const std::string& where) {
+  const PBitMachine machine(model);
+  AnnealOptions opts;
+  opts.sweeps = 80;
+  opts.track_best = true;
+  util::Xoshiro256pp rng(seed);
+  util::Xoshiro256pp ref_rng(seed);
+  const ising::Spins start = machine.random_state(rng);
+  ASSERT_EQ(start, machine.random_state(ref_rng));
+  const auto got = machine.anneal_from(start, schedule, opts, rng);
+  const auto want = reference_anneal(model, start, schedule, opts, ref_rng);
+  EXPECT_EQ(got.last, want.last) << where;
+  EXPECT_EQ(bits(got.last_energy), bits(want.last_energy)) << where;
+  EXPECT_EQ(got.best, want.best) << where;
+  EXPECT_EQ(bits(got.best_energy), bits(want.best_energy)) << where;
+  EXPECT_EQ(rng(), ref_rng()) << where;  // same draws consumed
+}
+
 TEST(PBitMachine, BlockedSweepMatchesOneSpinAtATimeLoop) {
   std::uint64_t seed = 100;
   for (const double density : {1.0, 0.15}) {  // dense rows and CSR rows
@@ -217,28 +243,33 @@ TEST(PBitMachine, BlockedSweepMatchesOneSpinAtATimeLoop) {
     for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 12u, 13u, 14u,
                                 15u, 37u, 64u, 211u, 212u}) {
       const auto model = random_model(n, density, seed++);
-      const PBitMachine machine(model);
-      AnnealOptions opts;
-      opts.sweeps = 80;
-      opts.track_best = true;
-      const Schedule schedule = Schedule::linear(4.0);
-      util::Xoshiro256pp rng(seed);
-      util::Xoshiro256pp ref_rng(seed);
-      const ising::Spins start = machine.random_state(rng);
-      ASSERT_EQ(start, machine.random_state(ref_rng));
-      const auto got = machine.anneal_from(start, schedule, opts, rng);
-      const auto want =
-          reference_anneal(model, start, schedule, opts, ref_rng);
-      const std::string where =
-          "n=" + std::to_string(n) + " density=" + std::to_string(density);
-      EXPECT_EQ(got.last, want.last) << where;
-      EXPECT_EQ(bits(got.last_energy), bits(want.last_energy)) << where;
-      EXPECT_EQ(got.best, want.best) << where;
-      EXPECT_EQ(bits(got.best_energy), bits(want.best_energy)) << where;
-      EXPECT_EQ(rng(), ref_rng()) << where;  // same draws consumed
+      expect_blocked_matches_reference(
+          model, Schedule::linear(4.0), seed,
+          "n=" + std::to_string(n) + " density=" + std::to_string(density));
       ++seed;
     }
   }
+  // Saturated visits: the unnormalized MKP Lagrangian at beta_max = 50
+  // (the MKP schedule of GoldenTrajectory.PbitOnMkp30) has |beta*I| >= 8
+  // on nearly every visit from the second sweep on, so most blocks are
+  // decided by sign, a few lanes per sweep still fall back to the tanh
+  // bracket, and the second sweep's many flips re-decide blocks in both
+  // ways. Item counts chosen so the spin counts (items + slack) cover
+  // every residue mod 8, hence every tail-block length.
+  std::vector<bool> residues(8, false);
+  for (const std::size_t items : {12u, 13u, 14u, 20u, 15u, 9u, 10u, 11u}) {
+    const auto inst = problems::make_paper_mkp(items, 3, 1);
+    const auto mapping = problems::mkp_to_problem(inst, false);
+    const lagrange::LagrangianModel lagrangian(
+        mapping.problem, lagrange::heuristic_penalty(mapping.problem, 5.0));
+    const ising::IsingModel& model = lagrangian.ising();
+    residues[model.n() % 8] = true;
+    expect_blocked_matches_reference(
+        model, Schedule::linear(50.0), seed++,
+        "mkp items=" + std::to_string(items) +
+            " n=" + std::to_string(model.n()));
+  }
+  EXPECT_EQ(residues, std::vector<bool>(8, true));
 }
 
 TEST(PBitMachine, BlockedSampleMatchesOneSpinAtATimeLoop) {

@@ -120,6 +120,28 @@ TEST(SimdShim, IntegerOpsMatchScalarPerLane) {
   }
 }
 
+// The p-bit sweep reads a block's four spin signs with one load: bit l is
+// set iff byte l is negative, for every sign pattern, whatever the byte
+// values and the alignment.
+TEST(SimdShim, SignMask4ReadsEveryPattern) {
+  const std::int8_t negatives[] = {-1, -128, -7};
+  const std::int8_t others[] = {1, 0, 127};
+  for (unsigned pattern = 0; pattern < 16; ++pattern) {
+    for (std::size_t v = 0; v < 3; ++v) {
+      for (std::size_t offset = 0; offset < 4; ++offset) {
+        std::int8_t buf[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
+        for (unsigned l = 0; l < 4; ++l) {
+          buf[offset + l] =
+              ((pattern >> l) & 1u) != 0 ? negatives[v] : others[v];
+        }
+        EXPECT_EQ(util::sign_mask4(buf + offset), pattern)
+            << "pattern " << pattern << " values " << v << " offset "
+            << offset;
+      }
+    }
+  }
+}
+
 // The engines' correctness rests on containment: lo <= libm <= hi. Scan
 // the argument ranges the sweeps produce — Metropolis args are -beta*dH
 // (mostly in [-50, 0], occasionally large-negative), pbit args beta*I over
@@ -361,6 +383,81 @@ TEST(AcceptBounds, TanhSignNeg4MatchesScalarTest) {
   EXPECT_EQ(util::tanh_sign_neg4(x, u, 15u), 0b1010u);
   EXPECT_FALSE(util::tanh_sign_nonneg(nan, -0.5));
   EXPECT_FALSE(util::tanh_sign_nonneg(nan, 0.5));
+}
+
+// The sweep's saturated shortcut decides a lane by the sign of x alone.
+// It must flag exactly the lanes with |x| >= 8 (not NaN) and |u| <
+// kTanhSatLo, and on every flagged lane the sign of x must be libm's
+// decision tanh(x) + u < 0. Edges: |x| at and next to 8, huge, infinite,
+// NaN and zero, against draws at and next to the band edge ±kTanhSatLo,
+// the extremes of uniform_sym and 0; then random pairs with |x|
+// log-uniform across the saturation edge.
+TEST(AcceptBounds, TanhSaturatedDecidesAsLibm) {
+  using util::accept_detail::kTanhSatLo;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> xs = {1e300, -1e300, inf, -inf, nan, -nan, 0.0, -0.0};
+  for (const double edge : {8.0, -8.0}) {
+    xs.push_back(edge);
+    xs.push_back(std::nextafter(edge, 0.0));
+    xs.push_back(std::nextafter(edge, 2.0 * edge));
+  }
+  std::vector<double> us = {-1.0, 0.0, -0.0, std::nextafter(1.0, 0.0)};
+  for (const double band : {kTanhSatLo, -kTanhSatLo}) {
+    us.push_back(band);
+    us.push_back(std::nextafter(band, 0.0));
+    us.push_back(std::nextafter(band, 2.0 * band));
+  }
+  std::size_t flagged = 0;
+  const auto check_block = [&](const double (&x)[4], const double (&u)[4]) {
+    const F64x4 xv = F64x4::load(x);
+    const F64x4 uv = F64x4::load(u);
+    const unsigned sat = util::tanh_saturated4(xv, uv);
+    const auto sign = static_cast<unsigned>(util::movemask(xv));
+    const unsigned neg4 = util::tanh_sign_neg4(xv, uv, 15u);
+    for (unsigned l = 0; l < 4; ++l) {
+      const bool want_sat =
+          std::abs(x[l]) >= 8.0 && std::abs(u[l]) < kTanhSatLo;
+      ASSERT_EQ(((sat >> l) & 1u) != 0, want_sat)
+          << "lane " << l << " x=" << x[l] << " u=" << u[l];
+      if (!want_sat) continue;
+      ++flagged;
+      const bool libm = std::tanh(x[l]) + u[l] < 0.0;
+      ASSERT_EQ(((sign >> l) & 1u) != 0, libm)
+          << "lane " << l << " x=" << x[l] << " u=" << u[l];
+      ASSERT_EQ(((neg4 >> l) & 1u) != 0, libm);
+    }
+  };
+  // Every edge pair in every lane, next to a saturated lane and next to
+  // an unsaturated one.
+  for (const double x : xs) {
+    for (const double u : us) {
+      for (unsigned lane = 0; lane < 4; ++lane) {
+        for (const double other_x : {9.0, 0.5}) {
+          double xb[4] = {other_x, -other_x, other_x, -other_x};
+          double ub[4] = {0.25, -0.25, 0.75, -0.75};
+          xb[lane] = x;
+          ub[lane] = u;
+          check_block(xb, ub);
+        }
+      }
+    }
+  }
+  EXPECT_GT(flagged, 0u);
+  util::Xoshiro256pp rng(30);
+  flagged = 0;
+  const std::size_t blocks = 250000;  // 10^6 pairs
+  for (std::size_t b = 0; b < blocks; ++b) {
+    double x[4], u[4];
+    for (unsigned l = 0; l < 4; ++l) {
+      const double mag = std::exp2(-4.0 + 12.0 * rng.uniform01());
+      x[l] = rng.bernoulli(0.5) ? -mag : mag;
+      u[l] = rng.uniform_sym();
+    }
+    check_block(x, u);
+  }
+  // log2|x| is uniform on [-4, 8], so 5/12 of the lanes have |x| >= 8.
+  EXPECT_GT(flagged, 4 * blocks / 3);
 }
 
 // The scalar engines' tiered acceptance tests must decide every draw
