@@ -1,17 +1,12 @@
-// Service-layer throughput bench: jobs/sec of SolveService on a mixed
-// QKP/MKP job stream at 1/4/8 workers, plus the cache hit-rate when the
-// stream repeats itself, plus the same stream through the sharded front
-// door. Every phase records
+// Service-layer throughput bench: the cache hit-rate of SolveService when
+// a mixed QKP/MKP job stream repeats itself, plus the same stream through
+// the sharded front door. Every phase records
 // per-job end-to-end latency into an obs::Histogram and reports
 // count/mean/p50/p95/p99; every phase is closed-loop (each wave submits
 // everything then waits). The open-loop view of the TCP front door is
 // perfbench's online_tiny workload. Writes BENCH_service.json.
 //
 // Phases:
-//   * scaling — a stream of unique jobs (distinct seeds, cache off) timed
-//     at each worker count. Jobs are independent single-threaded solves,
-//     so throughput should scale with workers up to the machine's cores;
-//     `hardware_threads` is recorded so a 1-core CI box explains itself.
 //   * cache — the same mixed stream submitted twice through a caching
 //     service: the second wave is pure cache hits, and the measured
 //     hit-rate and hit-serving throughput quantify what the cache buys.
@@ -19,7 +14,8 @@
 //     multi-process front door (service/shard_router + service/Supervisor
 //     — the pump saim_shard ships — over saim_serve children, 1 worker
 //     each, on fork/exec pipes) at 1/2/4 shards. Throughput should scale
-//     with shard count on multicore boxes. Skipped (and marked so in the
+//     with shard count on multicore boxes (`hardware_threads` is recorded
+//     so a 1-core box explains itself). Skipped (and marked so in the
 //     JSON) when the saim_serve binary is not next to the bench.
 //
 // The sharded phase runs the Supervisor with respawn and health pings
@@ -71,34 +67,28 @@ std::vector<service::SolveRequest> make_mixed_stream(std::size_t instances,
 
 service::SolveRequest make_request(const service::SolveRequest& base,
                                    std::size_t iterations,
-                                   std::size_t sweeps, std::uint64_t seed,
-                                   bool use_cache) {
+                                   std::size_t sweeps) {
   service::SolveRequest request = base;
   request.backend.sweeps = sweeps;
   request.options.iterations = iterations;
-  request.options.seed = seed;
-  request.use_cache = use_cache;
   return request;
 }
 
-/// Submits `jobs` requests (seed = job index when unique_seeds) and waits
-/// for all; returns wall seconds.
+/// Submits `jobs` requests cycling through the templates (one seed, so
+/// the stream repeats itself) and waits for all; returns wall seconds.
 double run_wave(service::SolveService& svc,
                 const std::vector<service::SolveRequest>& templates,
                 std::size_t jobs, std::size_t iterations, std::size_t sweeps,
-                bool use_cache, bool unique_seeds,
-                obs::Histogram* latency = nullptr) {
+                obs::Histogram& latency) {
   std::vector<service::JobHandle> handles;
   handles.reserve(jobs);
   util::WallTimer timer;
   for (std::size_t j = 0; j < jobs; ++j) {
-    const auto& t = templates[j % templates.size()];
-    handles.push_back(svc.submit(make_request(
-        t, iterations, sweeps, unique_seeds ? j + 1 : 1, use_cache)));
+    handles.push_back(svc.submit(
+        make_request(templates[j % templates.size()], iterations, sweeps)));
   }
   for (auto& h : handles) {
-    const auto response = h.wait();
-    if (latency) latency->observe(response->timing.total_ms);
+    latency.observe(h.wait()->timing.total_ms);
   }
   return timer.seconds();
 }
@@ -179,7 +169,7 @@ double run_sharded_wave(const std::string& serve, std::size_t shards,
 
 int main(int argc, char** argv) {
   util::ArgParser args("bench_service_throughput",
-                       "SolveService jobs/sec and cache hit-rate");
+                       "SolveService cache hit-rate and sharded jobs/sec");
   args.add_flag("jobs", "jobs per measured wave", "24")
       .add_flag("instances", "distinct instances in the mixed stream", "6")
       .add_flag("n", "instance size (QKP items / MKP items)", "50")
@@ -213,38 +203,6 @@ int main(int argc, char** argv) {
               jobs, instances, n, iterations, sweeps,
               util::hardware_threads());
 
-  // -------------------------------------------------------- scaling phase
-  const std::size_t worker_counts[] = {1, 4, 8};
-  double jobs_per_sec[3] = {0, 0, 0};
-  std::string workers_json = "[";
-  for (std::size_t w = 0; w < 3; ++w) {
-    service::ServiceOptions options;
-    options.workers = worker_counts[w];
-    options.cache_capacity = 0;  // measure compute, not replay
-    service::SolveService svc(options);
-    obs::Histogram latency;
-    const double seconds =
-        run_wave(svc, templates, jobs, iterations, sweeps,
-                 /*use_cache=*/false, /*unique_seeds=*/true, &latency);
-    const auto snap = latency.snapshot();
-    jobs_per_sec[w] = static_cast<double>(jobs) / seconds;
-    std::printf("  %zu worker%s: %6.2f jobs/sec (%.2fs, e2e p50/p95 "
-                "%.0f/%.0f ms)\n",
-                worker_counts[w], worker_counts[w] == 1 ? " " : "s",
-                jobs_per_sec[w], seconds, snap.quantile(0.50),
-                snap.quantile(0.95));
-    util::JsonWriter row;
-    row.field("workers", static_cast<std::uint64_t>(worker_counts[w]))
-        .field("jobs_per_sec", jobs_per_sec[w])
-        .field("seconds", seconds)
-        .raw_field("latency", service::latency_quantiles_json(snap));
-    workers_json += (w ? "," : "") + row.str();
-  }
-  workers_json += "]";
-  const double scaling_1_to_4 =
-      jobs_per_sec[0] > 0 ? jobs_per_sec[1] / jobs_per_sec[0] : 0.0;
-  std::printf("  scaling 1 -> 4 workers: %.2fx\n", scaling_1_to_4);
-
   // ---------------------------------------------------------- cache phase
   service::ServiceOptions cache_options;
   cache_options.workers = 4;
@@ -252,11 +210,9 @@ int main(int argc, char** argv) {
   service::SolveService cached(cache_options);
   obs::Histogram cache_latency;  // both waves: misses cold, hits warm
   const double cold_seconds =
-      run_wave(cached, templates, jobs, iterations, sweeps,
-               /*use_cache=*/true, /*unique_seeds=*/false, &cache_latency);
+      run_wave(cached, templates, jobs, iterations, sweeps, cache_latency);
   const double warm_seconds =
-      run_wave(cached, templates, jobs, iterations, sweeps,
-               /*use_cache=*/true, /*unique_seeds=*/false, &cache_latency);
+      run_wave(cached, templates, jobs, iterations, sweeps, cache_latency);
   const auto stats = cached.stats();
   const double hit_rate = stats.cache.hit_rate();
   std::printf("  mixed stream x2: cold %.2fs, warm %.2fs, cache hit-rate "
@@ -326,8 +282,6 @@ int main(int argc, char** argv) {
       .field("sweeps", static_cast<std::uint64_t>(sweeps))
       .field("hardware_threads",
              static_cast<std::uint64_t>(util::hardware_threads()))
-      .raw_field("workers", workers_json)
-      .field("scaling_1_to_4", scaling_1_to_4)
       .raw_field("cache", cache_json.str())
       .raw_field("sharded", sharded_json.str());
 

@@ -21,7 +21,8 @@
 # "## Request lines") must name a key in kKnownKeys, every row of the
 # `cmd` table ("## Control lines") a command in kCommands, and every
 # flag-table row (| `--name` | ...) a flag the tools still register — so
-# a deleted key, command or flag cannot linger in a table.
+# a deleted key, command or flag cannot linger in a table. A short list
+# of metric series the doc names one by one is pinned both ways too.
 #
 # Run from anywhere; ctest runs it as check_protocol_docs.
 set -euo pipefail
@@ -111,6 +112,25 @@ for f in $table_flags; do
   if ! grep -qx -- "$f" <<<"$flags"; then
     echo "PROTOCOL drift: $doc has a table row for --$f, which no tool" \
          "registers"
+    fail=1
+  fi
+done
+
+# Metric series the doc names one by one: each must be named in the doc
+# and still be exported by the sources (a string literal in src/ or
+# tools/), so neither side can drop it alone.
+pinned_metrics="saim_jobs_never_feasible_total saim_connections_open
+  saim_connections_accepted_total saim_connections_rejected_total
+  saim_sessions_timed_out_total saim_router_sheds_total
+  saim_shard_routed_total saim_shard_spilled_total"
+# shellcheck disable=SC2086
+for f in $pinned_metrics; do
+  if ! grep -q "\`$f\`" "$doc"; then
+    echo "PROTOCOL drift: metric $f is not documented in $doc"
+    fail=1
+  fi
+  if ! grep -rqF "\"$f\"" src tools; then
+    echo "PROTOCOL drift: $doc names metric $f, which no source exports"
     fail=1
   fi
 done

@@ -53,6 +53,7 @@ std::string service_stats_json(const SolveService& service) {
   json.field("submitted", s.submitted)
       .field("executed", s.executed)
       .field("completed", s.completed)
+      .field("never_feasible", s.never_feasible)
       .field("cancelled", s.cancelled)
       .field("deadline_expired", s.deadline_expired)
       .field("errors", s.errors)
@@ -105,6 +106,8 @@ std::string service_metrics_prometheus(const SolveService& service) {
           "solves actually run on a worker");
   counter("saim_jobs_completed_total", s.completed,
           "executed jobs finishing with status completed");
+  counter("saim_jobs_never_feasible_total", s.never_feasible,
+          "completed jobs that found no feasible sample");
   counter("saim_jobs_cancelled_total", s.cancelled, "jobs cancelled");
   counter("saim_jobs_deadline_expired_total", s.deadline_expired,
           "jobs stopped by their deadline");

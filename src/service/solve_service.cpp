@@ -451,6 +451,9 @@ void SolveService::record_outcome(
   switch (result->status) {
     case core::Status::kCompleted:
       completed_.fetch_add(1, std::memory_order_relaxed);
+      if (!result->found_feasible) {
+        never_feasible_.fetch_add(1, std::memory_order_relaxed);
+      }
       break;
     case core::Status::kCancelled:
       cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -601,6 +604,7 @@ SolveService::Stats SolveService::stats() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.executed = executed_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
+  s.never_feasible = never_feasible_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);

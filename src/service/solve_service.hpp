@@ -218,6 +218,9 @@ class SolveService {
     std::uint64_t submitted = 0;
     std::uint64_t executed = 0;   ///< solves actually run on a worker
     std::uint64_t completed = 0;  ///< executed with Status::kCompleted
+    /// Completed jobs whose result has no feasible sample
+    /// (SolveResult::found_feasible false).
+    std::uint64_t never_feasible = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t deadline_expired = 0;
     std::uint64_t errors = 0;
@@ -297,6 +300,7 @@ class SolveService {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> completed_{0};
+  std::atomic<std::uint64_t> never_feasible_{0};
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> errors_{0};

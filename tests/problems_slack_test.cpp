@@ -53,7 +53,7 @@ TEST(SlackEncoding, NegativeBoundThrows) {
 
 TEST(SlackEncoding, DecodeBitCountMismatchThrows) {
   const auto enc = make_slack_encoding(5);
-  EXPECT_THROW(enc.decode({1}), std::invalid_argument);
+  EXPECT_THROW((void)enc.decode({1}), std::invalid_argument);
 }
 
 TEST(SlackEncoding, EncodeClampsOutOfRange) {

@@ -220,6 +220,35 @@ TEST(SolveService, DeadlineReturnsPartialResultWithDeadlineStatus) {
   EXPECT_EQ(svc.stats().deadline_expired, 1u);
 }
 
+TEST(SolveService, NeverFeasibleCountsCompletedJobsWithoutAFeasibleSample) {
+  service::SolveService svc({.workers = 2, .cache_capacity = 0});
+  const auto t = make_test_problem();
+  const core::SampleEvaluator rejects_all =
+      [](std::span<const std::uint8_t>) { return core::SampleVerdict{}; };
+  std::vector<service::JobHandle> handles;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    auto request = make_request(t, 20, seed);
+    if (seed % 2 == 0) request.evaluator = rejects_all;
+    handles.push_back(svc.submit(std::move(request)));
+  }
+  // A stopped job without a feasible sample is not a completed one.
+  auto stopped = make_request(t, 1000000, 7);
+  stopped.evaluator = rejects_all;
+  stopped.timeout = 20ms;
+  EXPECT_EQ(svc.submit(std::move(stopped)).wait()->status,
+            core::Status::kDeadline);
+
+  std::uint64_t without_feasible = 0;
+  for (auto& handle : handles) {
+    const auto response = handle.wait();
+    ASSERT_EQ(response->status, core::Status::kCompleted);
+    if (!response->result->found_feasible) ++without_feasible;
+  }
+  EXPECT_EQ(without_feasible, 3u);
+  EXPECT_EQ(svc.stats().never_feasible, without_feasible);
+  EXPECT_EQ(svc.stats().completed, 6u);
+}
+
 TEST(SolveService, StoppedResultsAreNeverCached) {
   service::SolveService svc({.workers = 1, .cache_capacity = 8});
   const auto t = make_test_problem();

@@ -86,6 +86,9 @@ TEST(StreamSessionStats, StatsCmdReturnsOneServiceSnapshot) {
   const auto* service_obj = stats->find("service");
   EXPECT_GE(service_obj->find("submitted")->as_int(), 2);
   EXPECT_GE(service_obj->find("completed")->as_int(), 2);
+  const auto* never_feasible = service_obj->find("never_feasible");
+  ASSERT_NE(never_feasible, nullptr);
+  EXPECT_LE(never_feasible->as_int(), service_obj->find("completed")->as_int());
   EXPECT_NE(service_obj->find("workers"), nullptr);
 
   const auto* cache = service_obj->find("cache");
@@ -163,6 +166,8 @@ TEST(StreamSessionStats, PrometheusRenderCoversServiceCountersAndLatency) {
             std::string::npos);
   EXPECT_NE(text.find("saim_jobs_submitted_total 1"), std::string::npos);
   EXPECT_NE(text.find("saim_jobs_completed_total 1"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE saim_jobs_never_feasible_total counter"),
+            std::string::npos);
   EXPECT_NE(text.find("# TYPE saim_workers gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE saim_job_total_ms histogram"),
             std::string::npos);
