@@ -216,9 +216,8 @@ int main(int argc, char** argv) {
   const auto stats = cached.stats();
   const double hit_rate = stats.cache.hit_rate();
   std::printf("  mixed stream x2: cold %.2fs, warm %.2fs, cache hit-rate "
-              "%.2f (%llu coalesced)\n",
-              cold_seconds, warm_seconds, hit_rate,
-              static_cast<unsigned long long>(stats.coalesced));
+              "%.2f\n",
+              cold_seconds, warm_seconds, hit_rate);
 
   util::JsonWriter cache_json;
   cache_json.field("hit_rate", hit_rate)
@@ -227,7 +226,6 @@ int main(int argc, char** argv) {
       .field("warm_jobs_per_sec",
              warm_seconds > 0 ? static_cast<double>(jobs) / warm_seconds
                               : 0.0)
-      .field("coalesced", stats.coalesced)
       .field("hits", stats.cache.hits)
       .field("misses", stats.cache.misses)
       .raw_field("latency",

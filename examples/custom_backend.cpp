@@ -36,7 +36,6 @@ class LocalSearchBackend final : public anneal::IsingSolverBackend {
 
   anneal::RunResult run(util::Xoshiro256pp& rng) override {
     anneal::RunResult result;
-    result.best_energy = 1e300;
     // The incremental engine every in-repo backend uses is public API:
     // field(i) is an O(1) read, flip(m, i) an O(deg) update.
     ising::LocalFieldState lfs(*model_, *adjacency_);
@@ -58,10 +57,6 @@ class LocalSearchBackend final : public anneal::IsingSolverBackend {
       }
       result.last = m;
       result.last_energy = lfs.energy();
-      if (lfs.energy() < result.best_energy) {
-        result.best_energy = lfs.energy();
-        result.best = m;
-      }
     }
     return result;
   }

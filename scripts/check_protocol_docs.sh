@@ -21,8 +21,10 @@
 # "## Request lines") must name a key in kKnownKeys, every row of the
 # `cmd` table ("## Control lines") a command in kCommands, and every
 # flag-table row (| `--name` | ...) a flag the tools still register — so
-# a deleted key, command or flag cannot linger in a table. A short list
-# of metric series the doc names one by one is pinned both ways too.
+# a deleted key, command or flag cannot linger in a table. Every key of
+# the {"cmd":"stats"} snapshot example must be an emitted name, and a
+# short list of metric series the doc names one by one is pinned both
+# ways too.
 #
 # Run from anywhere; ctest runs it as check_protocol_docs.
 set -euo pipefail
@@ -112,6 +114,28 @@ for f in $table_flags; do
   if ! grep -qx -- "$f" <<<"$flags"; then
     echo "PROTOCOL drift: $doc has a table row for --$f, which no tool" \
          "registers"
+    fail=1
+  fi
+done
+
+# The {"cmd":"stats"} snapshot example, checked the other way round:
+# every key it shows must be a name the sources emit, so a counter the
+# service no longer reports cannot linger in the example.
+stats_keys=$(awk '
+    index($0, "### `{\"cmd\":\"stats\"}`") == 1 { section = 1; next }
+    section && /^```json$/ { inside = 1; next }
+    inside && /^```$/ { exit }
+    inside
+  ' "$doc" | grep -oE '"[a-z_]+":' | tr -d '":' | sort -u)
+if [[ -z "$stats_keys" ]]; then
+  echo "FAIL: could not extract the {\"cmd\":\"stats\"} example from $doc"
+  exit 1
+fi
+# shellcheck disable=SC2086
+for f in $stats_keys; do
+  if ! grep -qx -- "$f" <<<"$emitted"; then
+    echo "PROTOCOL drift: the {\"cmd\":\"stats\"} example in $doc shows" \
+         "\"$f\", which no source emits"
     fail=1
   fi
 done

@@ -37,11 +37,9 @@ std::vector<RunResult> run_replicas_parallel(
   return results;
 }
 
-PBitBackend::PBitBackend(pbit::Schedule schedule, std::size_t sweeps,
-                         bool track_best)
+PBitBackend::PBitBackend(pbit::Schedule schedule, std::size_t sweeps)
     : schedule_(schedule) {
   options_.sweeps = sweeps;
-  options_.track_best = track_best;
 }
 
 void PBitBackend::bind(const ising::IsingModel& model) {
@@ -55,8 +53,7 @@ RunResult PBitBackend::run(util::Xoshiro256pp& rng) {
   pbit::AnnealOptions opts = options_;
   opts.stop = &stop_token();  // chunked stop checks inside the anneal loop
   pbit::AnnealResult r = machine_->anneal(schedule_, opts, rng);
-  return RunResult{std::move(r.last), r.last_energy, std::move(r.best),
-                   r.best_energy, r.sweeps};
+  return RunResult{std::move(r.last), r.last_energy, r.sweeps};
 }
 
 std::vector<RunResult> PBitBackend::run_batch(util::Xoshiro256pp& rng,
@@ -69,8 +66,7 @@ std::vector<RunResult> PBitBackend::run_batch(util::Xoshiro256pp& rng,
   return run_replicas_parallel(
       [this, &opts](util::Xoshiro256pp& replica_rng) {
         auto res = machine_->anneal(schedule_, opts, replica_rng);
-        return RunResult{std::move(res.last), res.last_energy,
-                         std::move(res.best), res.best_energy, res.sweeps};
+        return RunResult{std::move(res.last), res.last_energy, res.sweeps};
       },
       rng, replicas, batch_threads(), stop_token());
 }

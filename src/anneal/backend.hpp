@@ -1,11 +1,16 @@
 // Solver-backend abstraction: SAIM's outer loop (Algorithm 1) only needs
 // "minimize the current Hamiltonian and hand back the sample you ended on".
 // The paper stresses the method "is compatible with any programmable IM";
-// this interface is that compatibility point. Three backends ship in-repo:
+// this interface is that compatibility point. Five backends ship in-repo,
+// each selectable by name through service::make_backend:
 //
 //   * PBitBackend            — annealed p-bit Gibbs machine (paper's choice)
 //   * MetropolisSaBackend    — classical single-flip simulated annealing
 //   * ParallelTemperingBackend — replica-exchange MC (the PT-DA stand-in)
+//   * SqaBackend             — simulated quantum annealing (Trotter slices)
+//   * TabuBackend            — single-flip tabu search
+//
+// ExactBackend (brute-force ground states for small n) backs the tests.
 //
 // A backend is bound to one IsingModel whose *couplings* stay fixed for its
 // lifetime; SAIM rewrites the model's fields h between runs and calls
@@ -31,8 +36,6 @@ namespace saim::anneal {
 struct RunResult {
   ising::Spins last;         ///< state read at the end of the run
   double last_energy = 0.0;  ///< H(last)
-  ising::Spins best;         ///< lowest-energy state visited during the run
-  double best_energy = 0.0;
   std::size_t sweeps = 0;  ///< Monte-Carlo sweeps consumed by this run
 };
 
@@ -119,8 +122,7 @@ std::vector<RunResult> run_replicas_parallel(
 /// Every run starts cold, from a fresh random state.
 class PBitBackend final : public IsingSolverBackend {
  public:
-  PBitBackend(pbit::Schedule schedule, std::size_t sweeps,
-              bool track_best = false);
+  PBitBackend(pbit::Schedule schedule, std::size_t sweeps);
 
   void bind(const ising::IsingModel& model) override;
   RunResult run(util::Xoshiro256pp& rng) override;

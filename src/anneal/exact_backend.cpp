@@ -26,20 +26,18 @@ RunResult ExactBackend::run(util::Xoshiro256pp& rng) {
   // the deltas' magnitudes; energies are re-derived exactly for the winner.
   ising::Spins m(n, std::int8_t{-1});  // Gray code 0 = all -1
   double energy = model_->energy(m);
-  result.best = m;
-  result.best_energy = energy;
+  result.last = m;
+  double ground_energy = energy;
   for (std::uint64_t code = 1; code < (1ULL << n); ++code) {
     const auto bit = static_cast<std::size_t>(__builtin_ctzll(code));
     energy += model_->flip_delta(m, bit);
     m[bit] = static_cast<std::int8_t>(-m[bit]);
-    if (energy < result.best_energy) {
-      result.best_energy = energy;
-      result.best = m;
+    if (energy < ground_energy) {
+      ground_energy = energy;
+      result.last = m;
     }
   }
-  result.best_energy = model_->energy(result.best);  // exact re-derivation
-  result.last = result.best;
-  result.last_energy = result.best_energy;
+  result.last_energy = model_->energy(result.last);  // exact re-derivation
   result.sweeps = sweeps_per_run();
   return result;
 }

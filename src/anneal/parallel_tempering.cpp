@@ -61,25 +61,12 @@ RunResult ParallelTempering::run(util::Xoshiro256pp& rng) const {
     fields[k].reset(states[k]);
   }
 
-  RunResult result;
-  // Best over all replicas at any time.
-  std::size_t best_replica = 0;
-  for (std::size_t k = 1; k < r; ++k) {
-    if (fields[k].energy() < fields[best_replica].energy()) best_replica = k;
-  }
-  result.best = states[best_replica];
-  result.best_energy = fields[best_replica].energy();
-
   std::size_t swap_attempts = 0;
   std::size_t swap_accepts = 0;
 
   for (std::size_t t = 0; t < options_.sweeps; ++t) {
     for (std::size_t k = 0; k < r; ++k) {
       metropolis_sweep(states[k], fields[k], betas[k], rng);
-      if (fields[k].energy() < result.best_energy) {
-        result.best_energy = fields[k].energy();
-        result.best = states[k];
-      }
     }
     if ((t + 1) % options_.swap_interval == 0) {
       // Alternate even/odd neighbour pairs so every ladder edge is tried.
@@ -104,6 +91,7 @@ RunResult ParallelTempering::run(util::Xoshiro256pp& rng) const {
       std::memory_order_relaxed);
 
   // The "measured sample" of a PT run is the coldest replica's final state.
+  RunResult result;
   result.last = states[r - 1];
   result.last_energy = fields[r - 1].energy();
   result.sweeps = options_.replicas * options_.sweeps;

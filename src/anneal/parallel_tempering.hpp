@@ -31,8 +31,7 @@ class ParallelTempering {
   ParallelTempering(const ising::IsingModel& model, PtOptions options);
 
   /// One PT run from fresh random replicas. `last` is the final state of
-  /// the coldest replica; `best` the best state seen by any replica.
-  /// sweeps() accounts replicas * sweeps MCS.
+  /// the coldest replica. sweeps() accounts replicas * sweeps MCS.
   RunResult run(util::Xoshiro256pp& rng) const;
 
   [[nodiscard]] const PtOptions& options() const noexcept { return options_; }

@@ -33,8 +33,6 @@ RunResult MetropolisSa::run_from(ising::Spins start,
   const std::size_t n = model_->n();
   ising::LocalFieldState lfs(*model_, adjacency_);
   lfs.reset(result.last);
-  result.best = result.last;
-  result.best_energy = lfs.energy();
 
   for (std::size_t t = 0; t < options.sweeps; ++t) {
     if (options.stop && t != 0 && t % util::kStopPollInterval == 0 &&
@@ -54,24 +52,15 @@ RunResult MetropolisSa::run_from(ising::Spins start,
         lfs.flip(result.last, i);
       }
     }
-    if (options.track_best && lfs.energy() < result.best_energy) {
-      result.best_energy = lfs.energy();
-      result.best = result.last;
-    }
   }
   result.last_energy = lfs.energy();
-  if (!options.track_best) {
-    result.best = result.last;
-    result.best_energy = result.last_energy;
-  }
   return result;
 }
 
 MetropolisSaBackend::MetropolisSaBackend(pbit::Schedule schedule,
-                                         std::size_t sweeps, bool track_best)
+                                         std::size_t sweeps)
     : schedule_(schedule) {
   options_.sweeps = sweeps;
-  options_.track_best = track_best;
 }
 
 void MetropolisSaBackend::bind(const ising::IsingModel& model) {

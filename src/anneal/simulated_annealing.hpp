@@ -17,7 +17,6 @@ namespace saim::anneal {
 
 struct SaOptions {
   std::size_t sweeps = 1000;
-  bool track_best = true;
 
   /// Cooperative stop, polled every util::kStopPollInterval sweeps (never
   /// inside a sweep), as in pbit::AnnealOptions. On stop the run returns
@@ -48,8 +47,7 @@ class MetropolisSa {
 /// Backend adapter for SAIM.
 class MetropolisSaBackend final : public IsingSolverBackend {
  public:
-  MetropolisSaBackend(pbit::Schedule schedule, std::size_t sweeps,
-                      bool track_best = true);
+  MetropolisSaBackend(pbit::Schedule schedule, std::size_t sweeps);
 
   void bind(const ising::IsingModel& model) override;
   RunResult run(util::Xoshiro256pp& rng) override;

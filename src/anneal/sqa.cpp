@@ -46,14 +46,6 @@ RunResult SimulatedQuantumAnnealer::run(util::Xoshiro256pp& rng) const {
     fields[k].reset(state[k]);
   }
 
-  RunResult result;
-  std::size_t best_k = 0;
-  for (std::size_t k = 1; k < slices; ++k) {
-    if (fields[k].energy() < fields[best_k].energy()) best_k = k;
-  }
-  result.best = state[best_k];
-  result.best_energy = fields[best_k].energy();
-
   // Geometric Gamma ramp (standard for SQA; linear works too but wastes
   // sweeps at large Gamma where slices are uncorrelated anyway).
   const double ratio = options_.gamma_end / options_.gamma_start;
@@ -82,19 +74,17 @@ RunResult SimulatedQuantumAnnealer::run(util::Xoshiro256pp& rng) const {
             rng.uniform01() < std::exp(-options_.beta * delta)) {
           // flip() tracks the un-scaled classical energy for readout.
           fields[k].flip(state[k], i);
-          if (fields[k].energy() < result.best_energy) {
-            result.best_energy = fields[k].energy();
-            result.best = state[k];
-          }
         }
       }
     }
   }
 
-  best_k = 0;
+  // Readout: the lowest-energy slice at the end of the run.
+  std::size_t best_k = 0;
   for (std::size_t k = 1; k < slices; ++k) {
     if (fields[k].energy() < fields[best_k].energy()) best_k = k;
   }
+  RunResult result;
   result.last = state[best_k];
   result.last_energy = fields[best_k].energy();
   result.sweeps = slices * options_.sweeps;

@@ -35,8 +35,8 @@ class SimulatedQuantumAnnealer {
   SimulatedQuantumAnnealer(const ising::IsingModel& model,
                            SqaOptions options);
 
-  /// One SQA run from random slices. `last`/`best` are the best slice by
-  /// classical energy at the end / over the whole run. `sweeps` accounts
+  /// One SQA run from random slices. `last` is the best slice by
+  /// classical energy at the end of the run. `sweeps` accounts
   /// slices * sweeps classical-sweep equivalents.
   RunResult run(util::Xoshiro256pp& rng) const;
 

@@ -31,8 +31,8 @@ RunResult TabuSearch::run(util::Xoshiro256pp& rng) const {
   // dense energy evaluation for bit-compatibility with the old path).
   ising::LocalFieldState lfs(*model_, adjacency_);
   lfs.reset(state);
-  result.best = state;
-  result.best_energy = lfs.energy();
+  // The incumbent's energy, for aspiration and stall detection.
+  double incumbent_energy = lfs.energy();
 
   std::vector<std::size_t> tabu_until(n, 0);
   std::size_t stall = 0;
@@ -45,7 +45,7 @@ RunResult TabuSearch::run(util::Xoshiro256pp& rng) const {
       const bool is_tabu = tabu_until[i] >= step;
       // Aspiration: a tabu move is allowed if it beats the incumbent.
       const bool aspirated =
-          is_tabu && lfs.energy() + delta < result.best_energy;
+          is_tabu && lfs.energy() + delta < incumbent_energy;
       if (is_tabu && !aspirated) continue;
       if (delta < best_delta) {
         best_delta = delta;
@@ -61,9 +61,8 @@ RunResult TabuSearch::run(util::Xoshiro256pp& rng) const {
     lfs.flip(state, best_move);
     tabu_until[best_move] = step + options_.tenure;
 
-    if (lfs.energy() < result.best_energy - 1e-15) {
-      result.best_energy = lfs.energy();
-      result.best = state;
+    if (lfs.energy() < incumbent_energy - 1e-15) {
+      incumbent_energy = lfs.energy();
       stall = 0;
     } else if (options_.stall_limit != 0 &&
                ++stall >= options_.stall_limit) {

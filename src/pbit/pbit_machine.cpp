@@ -134,10 +134,6 @@ AnnealResult PBitMachine::anneal_from(ising::Spins start,
 
   ising::LocalFieldState lfs(*model_, adjacency_);
   lfs.reset(result.last);
-  if (options.track_best) {
-    result.best = result.last;
-    result.best_energy = lfs.energy();
-  }
 
   const std::size_t stop_interval =
       options.stop_interval == 0 ? 1 : options.stop_interval;
@@ -149,16 +145,8 @@ AnnealResult PBitMachine::anneal_from(ising::Spins start,
     }
     const double beta = schedule.beta(t, options.sweeps);
     sweep(result.last, lfs, beta, rng);
-    if (options.track_best && lfs.energy() < result.best_energy) {
-      result.best_energy = lfs.energy();
-      result.best = result.last;
-    }
   }
   result.last_energy = lfs.energy();
-  if (!options.track_best) {
-    result.best = result.last;
-    result.best_energy = result.last_energy;
-  }
   return result;
 }
 

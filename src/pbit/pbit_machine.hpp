@@ -50,7 +50,6 @@ namespace saim::pbit {
 
 struct AnnealOptions {
   std::size_t sweeps = 1000;  ///< MCS per run (paper Table I: 1000)
-  bool track_best = false;  ///< also record the lowest-energy state visited
 
   /// Cooperative stop, polled every `stop_interval` sweeps (never inside a
   /// sweep). On stop the run returns its current state as a valid partial
@@ -63,8 +62,6 @@ struct AnnealOptions {
 struct AnnealResult {
   ising::Spins last;         ///< state after the final sweep (paper reads this)
   double last_energy = 0.0;  ///< H(last)
-  ising::Spins best;         ///< lowest-energy state seen (if track_best)
-  double best_energy = 0.0;  ///< H(best)
   std::size_t sweeps = 0;    ///< MCS actually performed
 };
 

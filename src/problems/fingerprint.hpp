@@ -1,9 +1,9 @@
 // Canonical 64-bit fingerprints of problem instances.
 //
-// The solve service keys its result cache and its duplicate-request
-// coalescing on *content*, not on object identity: two ConstrainedProblems
-// built independently from the same instance file hash to the same value,
-// so a job stream that re-reads instances from disk still hits the cache.
+// The solve service keys its result cache on *content*, not on object
+// identity: two ConstrainedProblems built independently from the same
+// instance file hash to the same value, so a job stream that re-reads
+// instances from disk still hits the cache.
 // Every quantity that influences a solve's output is mixed in — variable
 // counts, the QUBO objective (offset, linear terms, nonzero couplings with
 // their indices), and each constraint row — in a fixed traversal order, so

@@ -57,7 +57,6 @@ std::string service_stats_json(const SolveService& service) {
       .field("cancelled", s.cancelled)
       .field("deadline_expired", s.deadline_expired)
       .field("errors", s.errors)
-      .field("coalesced", s.coalesced)
       .field("model_builds", s.model_builds)
       .field("model_reuses", s.model_reuses)
       .field("workers", static_cast<std::uint64_t>(service.worker_count()))
@@ -112,8 +111,6 @@ std::string service_metrics_prometheus(const SolveService& service) {
   counter("saim_jobs_deadline_expired_total", s.deadline_expired,
           "jobs stopped by their deadline");
   counter("saim_jobs_errors_total", s.errors, "jobs failing with an error");
-  counter("saim_jobs_coalesced_total", s.coalesced,
-          "submits joined onto an in-flight twin");
   counter("saim_model_builds_total", s.model_builds,
           "jobs that built a model and bound a backend");
   counter("saim_model_reuses_total", s.model_reuses,

@@ -11,10 +11,10 @@
 //     owner first, whose outstanding count is below
 //     max(window, ceil(1.25 * mean outstanding)). A light instance stream
 //     never fills its owner's window, so all of its jobs share one
-//     shard's ResultCache, coalescer and cached models; a hot one spills
-//     its surplus to the next shards instead of queueing behind its
-//     owner. Removing a shard only remaps the keys it owned (cache
-//     locality survives resharding);
+//     shard's ResultCache and cached models; a hot one spills its
+//     surplus to the next shards instead of queueing behind its owner.
+//     Removing a shard only remaps the keys it owned (cache locality
+//     survives resharding);
 //   * per-shard outstanding-job tables: a pending queue (routed, not yet
 //     written) and an in-flight set (written, awaiting a result), with a
 //     bounded in-flight window per shard for backpressure — the pump

@@ -38,47 +38,15 @@ struct JobState {
   std::chrono::steady_clock::time_point claimed_at{};
   std::chrono::steady_clock::time_point solve_started_at{};
 
-  /// Set once by the first worker (or shutdown) that claims the job; a
-  /// JobState may sit in the queue more than once (a coalescing submit
-  /// re-pushes a queued twin at a higher priority band), and this flag is
-  /// what makes the duplicates harmless.
-  std::atomic<bool> started{false};
-
   util::Mutex mutex;
   std::condition_variable cv;
   /// Set exactly once (finish()), then read-only behind the lock.
   std::shared_ptr<const SolveResponse> response SAIM_GUARDED_BY(mutex);
 
-  /// Handles sharing this computation (first submit + coalesced twins)
-  /// and how many of them voted to cancel. Guarded by `mutex` — cancel,
-  /// coalesce and handle teardown must see each other's updates in order,
-  /// or a cancel racing a coalesce could kill the new subscriber's job.
-  std::size_t subscribers SAIM_GUARDED_BY(mutex) = 1;
-  std::size_t cancel_votes SAIM_GUARDED_BY(mutex) = 0;
-
-  /// JobHandle::on_ready hooks, keyed by registration id. finish() fires
-  /// and clears them under `mutex`, the same lock a handle's release
-  /// takes to remove its own — a released handle's hook never runs.
-  std::vector<std::pair<std::uint64_t, std::function<void()>>> hooks
-      SAIM_GUARDED_BY(mutex);
-  std::uint64_t last_hook_id SAIM_GUARDED_BY(mutex) = 0;
-
-  void remove_hook_locked(std::uint64_t id) SAIM_REQUIRES(mutex) {
-    for (auto it = hooks.begin(); it != hooks.end(); ++it) {
-      if (it->first == id) {
-        hooks.erase(it);
-        return;
-      }
-    }
-  }
-
-  /// With `mutex` held: trips the stop iff no live subscriber still wants
-  /// the result and the job has not already finished.
-  void maybe_stop_locked() SAIM_REQUIRES(mutex) {
-    if (cancel_votes >= subscribers && response == nullptr) {
-      stop.request_stop();
-    }
-  }
+  /// The handle's JobHandle::on_ready hook. finish() fires and clears it
+  /// under `mutex`, the same lock the handle's release takes to clear it
+  /// — a released handle's hook never runs.
+  std::function<void()> hook SAIM_GUARDED_BY(mutex);
 };
 
 /// A LagrangianModel and the backend bound to it, kept by a worker for
@@ -142,9 +110,7 @@ void JobHandle::on_ready(std::function<void()> hook) {
   {
     util::MutexLock lock(state_->mutex);
     if (state_->response == nullptr) {
-      if (hook_id_ != 0) state_->remove_hook_locked(hook_id_);
-      hook_id_ = ++state_->last_hook_id;
-      state_->hooks.emplace_back(hook_id_, std::move(hook));
+      state_->hook = std::move(hook);
       return;
     }
   }
@@ -152,13 +118,10 @@ void JobHandle::on_ready(std::function<void()> hook) {
 }
 
 bool JobHandle::cancel() {
-  if (!state_ || cancel_voted_) return false;
-  cancel_voted_ = true;
+  if (!state_) return false;
   util::MutexLock lock(state_->mutex);
-  ++state_->cancel_votes;
-  if (state_->cancel_votes < state_->subscribers ||
-      state_->response != nullptr) {
-    return false;  // a twin still wants the result, or it's already done
+  if (state_->response != nullptr || state_->stop.stop_requested()) {
+    return false;  // already done, or already cancelled
   }
   state_->stop.request_stop();
   return true;
@@ -168,34 +131,20 @@ void JobHandle::release() noexcept {
   if (!state_) return;
   {
     util::MutexLock lock(state_->mutex);
-    if (hook_id_ != 0) state_->remove_hook_locked(hook_id_);
-    if (!cancel_voted_) {
-      // A handle dropped without voting no longer counts toward the
-      // cancellation quorum — otherwise one discarded twin handle would
-      // disable cancel() for every remaining holder. If nobody is left at
-      // all, the job is abandoned and stops itself.
-      --state_->subscribers;
-      state_->maybe_stop_locked();
-    }
+    state_->hook = nullptr;
+    // The job's one handle is gone, so nobody can read its result: an
+    // unfinished job is abandoned and stops itself.
+    if (state_->response == nullptr) state_->stop.request_stop();
   }
   state_.reset();
-  cancel_voted_ = false;
-  hook_id_ = 0;
 }
 
 JobHandle::~JobHandle() { release(); }
-
-JobHandle::JobHandle(JobHandle&& other) noexcept
-    : state_(std::move(other.state_)),
-      cancel_voted_(std::exchange(other.cancel_voted_, false)),
-      hook_id_(std::exchange(other.hook_id_, 0)) {}
 
 JobHandle& JobHandle::operator=(JobHandle&& other) noexcept {
   if (this != &other) {
     release();
     state_ = std::move(other.state_);
-    cancel_voted_ = std::exchange(other.cancel_voted_, false);
-    hook_id_ = std::exchange(other.hook_id_, 0);
   }
   return *this;
 }
@@ -328,92 +277,51 @@ JobHandle SolveService::submit(SolveRequest request) {
   job->submitted_at = std::chrono::steady_clock::now();
 
   {
-    util::MutexLock lock(inflight_mutex_);
+    util::MutexLock lock(accepting_mutex_);
     if (!accepting_) {
       throw std::runtime_error("SolveService::submit after shutdown");
     }
+  }
 
-    if (request.use_cache) {
-      // Completed twin: serve the very SolveResult object computed the
-      // first time — bit-identical by construction, no recompute.
-      if (auto cached = cache_.get(fp)) {
-        auto response = std::make_shared<SolveResponse>();
-        response->result = std::move(cached);
-        response->status = response->result->status;
-        response->cache_hit = true;
-        response->fingerprint = fp;
-        response->tag = std::move(request.tag);
-        // A hit runs nothing: every stage is zero except the (tiny)
-        // submit-to-ready total, which still feeds the latency picture.
-        response->finished_at = std::chrono::steady_clock::now();
-        response->timing.total_ms =
-            std::chrono::duration<double, std::milli>(response->finished_at -
-                                                      job->submitted_at)
-                .count();
-        hist_total_ms_.observe(response->timing.total_ms);
-        {
-          // `job` is still thread-local here, but response is guarded
-          // state: take the (uncontended) lock so the store is ordered
-          // for any thread the returned handle travels to.
-          util::MutexLock job_lock(job->mutex);
-          job->response = std::move(response);
-        }
-        return JobHandle(std::move(job));
+  if (request.use_cache) {
+    // Completed twin: serve the very SolveResult object computed the
+    // first time — bit-identical by construction, no recompute.
+    if (auto cached = cache_.get(fp)) {
+      auto response = std::make_shared<SolveResponse>();
+      response->result = std::move(cached);
+      response->status = response->result->status;
+      response->cache_hit = true;
+      response->fingerprint = fp;
+      response->tag = std::move(request.tag);
+      // A hit runs nothing: every stage is zero except the (tiny)
+      // submit-to-ready total, which still feeds the latency picture.
+      response->finished_at = std::chrono::steady_clock::now();
+      response->timing.total_ms =
+          std::chrono::duration<double, std::milli>(response->finished_at -
+                                                    job->submitted_at)
+              .count();
+      hist_total_ms_.observe(response->timing.total_ms);
+      {
+        // `job` is still thread-local here, but response is guarded
+        // state: take the (uncontended) lock so the store is ordered
+        // for any thread the returned handle travels to.
+        util::MutexLock job_lock(job->mutex);
+        job->response = std::move(response);
       }
+      return JobHandle(std::move(job));
     }
+  }
 
-    // Running twin: join the in-flight computation instead of queueing a
-    // duplicate. The joiner keeps its own cancel vote via `subscribers`.
-    // Join only when the twin can still complete and neither side carries
-    // a deadline (timeouts are not fingerprinted, so coalescing across
-    // them would hand one caller the other's time budget) — otherwise
-    // fall through and compute independently.
-    if (const auto it = inflight_.find(fp); it != inflight_.end()) {
-      if (auto twin = it->second.lock();
-          twin && twin->request.timeout.count() == 0 &&
-          request.timeout.count() == 0) {
-        bool joined = false;
-        {
-          // Same lock as cancel()/release(): either our subscription is
-          // visible before a cancel quorum is evaluated, or the stop is
-          // already requested and we decline — a joiner can never be
-          // handed a cancellation it did not vote for.
-          util::MutexLock job_lock(twin->mutex);
-          if (!twin->stop.stop_requested()) {
-            ++twin->subscribers;
-            joined = true;
-          }
-        }
-        if (joined) {
-          coalesced_.fetch_add(1, std::memory_order_relaxed);
-          // No priority inversion: a joiner from a higher band re-pushes
-          // the still-queued twin there; the duplicate queue entry is
-          // skipped via JobState::started.
-          if (request.priority > twin->request.priority &&
-              !twin->started.load(std::memory_order_acquire)) {
-            queue_.push(twin, request.priority);
-          }
-          return JobHandle(std::move(twin));
-        }
-      }
-    }
-
-    job->request = std::move(request);
-    if (job->request.timeout.count() > 0) {
-      // Clamp before the ms -> steady_clock-tick (ns) conversion, which
-      // overflows int64 past ~292 years; a decade is indistinguishable
-      // from "no deadline" for a solve job.
-      constexpr std::chrono::milliseconds kMaxTimeout =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::hours(24 * 3650));
-      job->stop = util::StopSource::after(
-          std::min(job->request.timeout, kMaxTimeout));
-    }
-    // Register for coalescing only if the slot is free: a job that
-    // *declined* to join a live twin (deadline mismatch) must not evict
-    // that twin's entry — later deadline-free duplicates should still
-    // find and join the original.
-    if (auto& slot = inflight_[fp]; slot.expired()) slot = job;
+  job->request = std::move(request);
+  if (job->request.timeout.count() > 0) {
+    // Clamp before the ms -> steady_clock-tick (ns) conversion, which
+    // overflows int64 past ~292 years; a decade is indistinguishable
+    // from "no deadline" for a solve job.
+    constexpr std::chrono::milliseconds kMaxTimeout =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::hours(24 * 3650));
+    job->stop = util::StopSource::after(
+        std::min(job->request.timeout, kMaxTimeout));
   }
 
   if (!queue_.push(job, job->request.priority)) {
@@ -436,9 +344,6 @@ void SolveService::worker_loop() {
   ModelCache models(kModelCacheCapacity);
   while (auto popped = queue_.pop()) {
     const std::shared_ptr<JobState> job = std::move(*popped);
-    // A job can appear in the queue more than once (priority re-push on
-    // coalesce); whoever flips `started` first owns it.
-    if (job->started.exchange(true, std::memory_order_acq_rel)) continue;
     job->claimed_at = std::chrono::steady_clock::now();
     execute(job, models);
   }
@@ -557,17 +462,12 @@ void SolveService::finish(const std::shared_ptr<JobState>& job,
     }
   }
   {
-    util::MutexLock lock(inflight_mutex_);
-    const auto it = inflight_.find(job->fingerprint);
-    if (it != inflight_.end() && it->second.lock() == job) {
-      inflight_.erase(it);
-    }
-  }
-  {
     util::MutexLock lock(job->mutex);
     job->response = std::move(response);
-    for (const auto& [id, hook] : job->hooks) hook();
-    job->hooks.clear();
+    if (job->hook) {
+      job->hook();
+      job->hook = nullptr;
+    }
   }
   job->cv.notify_all();
 }
@@ -575,14 +475,13 @@ void SolveService::finish(const std::shared_ptr<JobState>& job,
 void SolveService::shutdown() {
   std::call_once(shutdown_once_, [this] {
     {
-      util::MutexLock lock(inflight_mutex_);
+      util::MutexLock lock(accepting_mutex_);
       accepting_ = false;
     }
     // Fail everything still queued; running jobs finish cooperatively.
-    // Re-pushed duplicates of already-claimed jobs are skipped, same as
-    // in worker_loop.
+    // drain() and pop() each hand a queue entry out once, and every job
+    // is queued once, so no drained job is also running.
     for (auto& job : queue_.drain()) {
-      if (job->started.exchange(true, std::memory_order_acq_rel)) continue;
       job->stop.request_stop();
       auto response = std::make_shared<SolveResponse>();
       auto result = std::make_shared<core::SolveResult>();
@@ -608,7 +507,6 @@ SolveService::Stats SolveService::stats() const {
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.model_builds = model_builds_.load(std::memory_order_relaxed);
   s.model_reuses = model_reuses_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();

@@ -5,9 +5,7 @@
 // JobHandle future. The service owns
 //   * a persistent util::ThreadPool of solver workers,
 //   * a JobQueue with strict priority bands (FIFO within a band),
-//   * a content-keyed LRU ResultCache of completed results,
-//   * an in-flight table that coalesces duplicate requests onto one
-//     computation, and
+//   * a content-keyed LRU ResultCache of completed results, and
 //   * per worker, a small LRU of built models keyed by the job's model
 //     key (problem fingerprint + backend spec + penalty shaping): each
 //     holds a LagrangianModel and a backend bound to it. A worker runs
@@ -22,16 +20,18 @@
 // many jobs over one instance, no copies), carry a priority, an optional
 // deadline, and a replica count, and are identified by a canonical 64-bit
 // fingerprint of (problem contents, backend spec, SaimOptions incl. seed).
-// Identical work is never done twice: a finished twin is served from the
-// cache (the *same* SolveResult object, bit-identical by construction) and
-// a running twin is joined in flight.
+// A request whose twin already finished is served from the cache (the
+// *same* SolveResult object, bit-identical by construction). Every other
+// submit is its own job with its own handle: twins in flight at the same
+// time each compute, and their seeds make the results equal.
 //
 // Cancellation is cooperative end to end: JobHandle::cancel() (or an
-// expired deadline) trips the job's StopToken, which SaimSolver polls per
-// outer iteration and the p-bit anneal per sweep chunk, so the partial
-// result comes back with Status::kCancelled / kDeadline within one inner
-// run. shutdown() drains queued-but-unstarted jobs as kCancelled, lets
-// running jobs finish, and joins the workers; the destructor does the same.
+// expired deadline, or dropping the handle of an unfinished job) trips
+// the job's StopToken, which SaimSolver polls per outer iteration and the
+// p-bit anneal per sweep chunk, so the partial result comes back with
+// Status::kCancelled / kDeadline within one inner run. shutdown() drains
+// queued-but-unstarted jobs as kCancelled, lets running jobs finish, and
+// joins the workers; the destructor does the same.
 //
 // Completion is pushed, not polled: JobHandle::on_ready registers a hook
 // that finish() fires on the worker right after it publishes the response
@@ -92,7 +92,7 @@ struct SolveRequest {
   std::string tag;
   /// Echo per-stage timing on the result line ("timing" object, see
   /// docs/PROTOCOL.md). Pure observation — NOT fingerprinted, so traced
-  /// and untraced twins still coalesce and share cache entries.
+  /// and untraced twins share cache entries.
   bool trace = false;
 };
 
@@ -134,16 +134,14 @@ struct BoundModel;
 using ModelCache = util::SmallLru<std::uint64_t, BoundModel>;
 }
 
-/// Future-like handle to a submitted job. Move-only: each handle holds one
-/// cancellation vote on the (possibly shared) underlying computation, and
-/// dropping a handle without voting withdraws it from the quorum — when
-/// the last handle of an unfinished job is dropped, the job is abandoned
-/// and cancels itself (keep the handle alive to warm the result cache).
+/// Future-like handle to a submitted job, the only one that job has.
+/// Move-only: dropping the handle of an unfinished job abandons the job,
+/// which cancels itself (keep the handle alive to warm the result cache).
 class JobHandle {
  public:
   JobHandle() = default;
   ~JobHandle();
-  JobHandle(JobHandle&& other) noexcept;
+  JobHandle(JobHandle&& other) noexcept = default;
   JobHandle& operator=(JobHandle&& other) noexcept;
   JobHandle(const JobHandle&) = delete;
   JobHandle& operator=(const JobHandle&) = delete;
@@ -166,17 +164,15 @@ class JobHandle {
   /// that finishes it, under the job's lock, right after the response is
   /// published (so a thread the hook wakes finds it via try_get()) — or
   /// at once, on this thread, when the job has already finished (a cache
-  /// hit). One hook per handle; a second call replaces the first. Moves
+  /// hit). One hook per job; a second call replaces the first. Moves
   /// carry the registration, and release (destruction, move-assignment)
-  /// removes it under the same lock, so once the handle is gone no call
+  /// clears it under the same lock, so once the handle is gone no call
   /// is running or can start. The hook must be short, must not throw and
   /// must not call into any handle of this job. No-op on an invalid handle.
   void on_ready(std::function<void()> hook);
 
-  /// Requests cooperative cancellation. When several handles share one
-  /// coalesced computation, the underlying solve is only stopped once
-  /// every handle has cancelled — one impatient caller cannot kill a twin
-  /// request's job. Returns true if this call tripped the stop.
+  /// Requests cooperative cancellation of an unfinished job. Returns true
+  /// if this call tripped the stop.
   bool cancel();
 
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
@@ -186,13 +182,11 @@ class JobHandle {
   explicit JobHandle(std::shared_ptr<detail::JobState> state) noexcept
       : state_(std::move(state)) {}
 
-  /// Withdraws this handle's subscription (see class comment) and its
-  /// on_ready hook, and resets.
+  /// Clears the on_ready hook, stops the job if it has not finished
+  /// (see class comment), and resets.
   void release() noexcept;
 
   std::shared_ptr<detail::JobState> state_;
-  bool cancel_voted_ = false;
-  std::uint64_t hook_id_ = 0;  ///< this handle's on_ready entry; 0 = none
 };
 
 class SolveService {
@@ -203,10 +197,10 @@ class SolveService {
   SolveService(const SolveService&) = delete;
   SolveService& operator=(const SolveService&) = delete;
 
-  /// Enqueues a request (or serves it from cache / joins it onto an
-  /// in-flight twin). Throws std::invalid_argument on a null problem and
-  /// std::runtime_error after shutdown().
-  JobHandle submit(SolveRequest request) SAIM_EXCLUDES(inflight_mutex_);
+  /// Enqueues a request (or serves it from cache). Throws
+  /// std::invalid_argument on a null problem and std::runtime_error after
+  /// shutdown().
+  JobHandle submit(SolveRequest request) SAIM_EXCLUDES(accepting_mutex_);
 
   /// Stops intake, completes queued-but-unstarted jobs as kCancelled,
   /// waits for running jobs to finish, joins the workers. Idempotent.
@@ -224,7 +218,6 @@ class SolveService {
     std::uint64_t cancelled = 0;
     std::uint64_t deadline_expired = 0;
     std::uint64_t errors = 0;
-    std::uint64_t coalesced = 0;  ///< submits joined onto an in-flight twin
     /// Jobs that built a LagrangianModel and bound a backend, and jobs
     /// that reused a worker's built pair instead.
     std::uint64_t model_builds = 0;
@@ -249,7 +242,7 @@ class SolveService {
   }
 
   /// Canonical fingerprint of (problem contents, backend spec, options):
-  /// the cache/coalescing key. Exposed for tests and tooling.
+  /// the cache key. Exposed for tests and tooling.
   [[nodiscard]] static std::uint64_t request_fingerprint(
       const SolveRequest& request);
 
@@ -261,10 +254,9 @@ class SolveService {
                detail::ModelCache& models);
   /// Stamps the response's timing/finished_at from the job's stage
   /// timestamps, records the latency histograms, then publishes it and
-  /// fires the job's on_ready hooks.
+  /// fires the job's on_ready hook.
   void finish(const std::shared_ptr<detail::JobState>& job,
-              std::shared_ptr<SolveResponse> response)
-      SAIM_EXCLUDES(inflight_mutex_);
+              std::shared_ptr<SolveResponse> response);
   void record_outcome(const std::shared_ptr<detail::JobState>& job,
                       const std::shared_ptr<core::SolveResult>& result);
 
@@ -292,10 +284,8 @@ class SolveService {
       problem_fp_memo_ SAIM_GUARDED_BY(memo_mutex_);
   ResultCache cache_;
   JobQueue<std::shared_ptr<detail::JobState>> queue_;
-  util::Mutex inflight_mutex_;
-  std::unordered_map<std::uint64_t, std::weak_ptr<detail::JobState>> inflight_
-      SAIM_GUARDED_BY(inflight_mutex_);
-  bool accepting_ SAIM_GUARDED_BY(inflight_mutex_) = true;
+  util::Mutex accepting_mutex_;
+  bool accepting_ SAIM_GUARDED_BY(accepting_mutex_) = true;
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> executed_{0};
@@ -304,7 +294,6 @@ class SolveService {
   std::atomic<std::uint64_t> cancelled_{0};
   std::atomic<std::uint64_t> deadline_expired_{0};
   std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> model_builds_{0};
   std::atomic<std::uint64_t> model_reuses_{0};
 

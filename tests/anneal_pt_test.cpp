@@ -59,8 +59,8 @@ TEST(ParallelTempering, FindsSpinGlassGroundState) {
   ParallelTempering pt(model, opts);
   util::Xoshiro256pp rng(3);
   const auto result = pt.run(rng);
-  EXPECT_DOUBLE_EQ(result.best_energy, exact);
-  EXPECT_NEAR(model.energy(result.best), result.best_energy, 1e-9);
+  EXPECT_DOUBLE_EQ(result.last_energy, exact);
+  EXPECT_NEAR(model.energy(result.last), result.last_energy, 1e-9);
 }
 
 TEST(ParallelTempering, SweepAccountingIncludesAllReplicas) {
@@ -138,7 +138,7 @@ TEST(PtBackend, SolvesAfterBind) {
   ParallelTemperingBackend backend(opts);
   backend.bind(model);
   util::Xoshiro256pp rng(2);
-  EXPECT_DOUBLE_EQ(backend.run(rng).best_energy, exact);
+  EXPECT_DOUBLE_EQ(backend.run(rng).last_energy, exact);
 }
 
 }  // namespace

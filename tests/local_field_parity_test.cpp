@@ -72,21 +72,14 @@ double reference_input(const IsingModel& model, const Adjacency& adj,
 struct RefAnneal {
   Spins last;
   double last_energy = 0.0;
-  Spins best;
-  double best_energy = 0.0;
 };
 
 RefAnneal reference_pbit(const IsingModel& model, const pbit::Schedule& sched,
-                         std::size_t sweeps, bool track_best,
-                         util::Xoshiro256pp& rng) {
+                         std::size_t sweeps, util::Xoshiro256pp& rng) {
   const Adjacency adj(model);
   RefAnneal result;
   result.last = draw_state(model.n(), rng);
   double energy = model.energy(result.last);
-  if (track_best) {
-    result.best = result.last;
-    result.best_energy = energy;
-  }
   for (std::size_t t = 0; t < sweeps; ++t) {
     const double beta = sched.beta(t, sweeps);
     double delta_energy = 0.0;
@@ -102,16 +95,8 @@ RefAnneal reference_pbit(const IsingModel& model, const pbit::Schedule& sched,
       }
     }
     energy += delta_energy;
-    if (track_best && energy < result.best_energy) {
-      result.best_energy = energy;
-      result.best = result.last;
-    }
   }
   result.last_energy = energy;
-  if (!track_best) {
-    result.best = result.last;
-    result.best_energy = energy;
-  }
   return result;
 }
 
@@ -122,19 +107,15 @@ TEST(LocalFieldParity, PBitMachineMatchesRecomputeReference) {
   pbit::PBitMachine machine(model);
   pbit::AnnealOptions opts;
   opts.sweeps = 120;
-  opts.track_best = true;
 
   util::Xoshiro256pp rng_engine(99);
   const auto engine = machine.anneal(sched, opts, rng_engine);
 
   util::Xoshiro256pp rng_ref(99);
-  const auto ref =
-      reference_pbit(model, sched, opts.sweeps, opts.track_best, rng_ref);
+  const auto ref = reference_pbit(model, sched, opts.sweeps, rng_ref);
 
   EXPECT_EQ(engine.last, ref.last);
   EXPECT_EQ(engine.last_energy, ref.last_energy);
-  EXPECT_EQ(engine.best, ref.best);
-  EXPECT_EQ(engine.best_energy, ref.best_energy);
   // Both consumed identical draw counts iff the streams are aligned.
   EXPECT_EQ(rng_engine(), rng_ref());
 }
@@ -148,8 +129,6 @@ RefAnneal reference_metropolis(const IsingModel& model,
   RefAnneal result;
   result.last = draw_state(model.n(), rng);
   double energy = model.energy(result.last);
-  result.best = result.last;
-  result.best_energy = energy;
   for (std::size_t t = 0; t < sweeps; ++t) {
     const double beta = sched.beta(t, sweeps);
     for (std::size_t i = 0; i < model.n(); ++i) {
@@ -159,10 +138,6 @@ RefAnneal reference_metropolis(const IsingModel& model,
         result.last[i] = static_cast<std::int8_t>(-result.last[i]);
         energy += delta;
       }
-    }
-    if (energy < result.best_energy) {
-      result.best_energy = energy;
-      result.best = result.last;
     }
   }
   result.last_energy = energy;
@@ -176,7 +151,6 @@ TEST(LocalFieldParity, MetropolisSaMatchesRecomputeReference) {
   anneal::MetropolisSa sa(model);
   anneal::SaOptions opts;
   opts.sweeps = 150;
-  opts.track_best = true;
 
   util::Xoshiro256pp rng_engine(7);
   const auto engine = sa.run(sched, opts, rng_engine);
@@ -186,8 +160,6 @@ TEST(LocalFieldParity, MetropolisSaMatchesRecomputeReference) {
 
   EXPECT_EQ(engine.last, ref.last);
   EXPECT_EQ(engine.last_energy, ref.last_energy);
-  EXPECT_EQ(engine.best, ref.best);
-  EXPECT_EQ(engine.best_energy, ref.best_energy);
   EXPECT_EQ(rng_engine(), rng_ref());
 }
 
@@ -214,14 +186,6 @@ RefAnneal reference_pt(const IsingModel& model,
     energies[k] = model.energy(states[k]);
   }
 
-  RefAnneal result;
-  std::size_t best_replica = 0;
-  for (std::size_t k = 1; k < r; ++k) {
-    if (energies[k] < energies[best_replica]) best_replica = k;
-  }
-  result.best = states[best_replica];
-  result.best_energy = energies[best_replica];
-
   for (std::size_t t = 0; t < options.sweeps; ++t) {
     for (std::size_t k = 0; k < r; ++k) {
       for (std::size_t i = 0; i < model.n(); ++i) {
@@ -232,10 +196,6 @@ RefAnneal reference_pt(const IsingModel& model,
           states[k][i] = static_cast<std::int8_t>(-states[k][i]);
           energies[k] += delta;
         }
-      }
-      if (energies[k] < result.best_energy) {
-        result.best_energy = energies[k];
-        result.best = states[k];
       }
     }
     if ((t + 1) % options.swap_interval == 0) {
@@ -250,6 +210,7 @@ RefAnneal reference_pt(const IsingModel& model,
       }
     }
   }
+  RefAnneal result;
   result.last = states[r - 1];
   result.last_energy = energies[r - 1];
   return result;
@@ -273,8 +234,6 @@ TEST(LocalFieldParity, ParallelTemperingMatchesRecomputeReference) {
 
   EXPECT_EQ(engine.last, ref.last);
   EXPECT_EQ(engine.last_energy, ref.last_energy);
-  EXPECT_EQ(engine.best, ref.best);
-  EXPECT_EQ(engine.best_energy, ref.best_energy);
   EXPECT_EQ(rng_engine(), rng_ref());
 }
 
@@ -294,14 +253,6 @@ RefAnneal reference_sqa(const IsingModel& model,
     state[k] = draw_state(n, rng);
     classical_energy[k] = model.energy(state[k]);
   }
-
-  RefAnneal result;
-  std::size_t best_k = 0;
-  for (std::size_t k = 1; k < slices; ++k) {
-    if (classical_energy[k] < classical_energy[best_k]) best_k = k;
-  }
-  result.best = state[best_k];
-  result.best_energy = classical_energy[best_k];
 
   const double ratio = options.gamma_end / options.gamma_start;
   for (std::size_t t = 0; t < options.sweeps; ++t) {
@@ -331,19 +282,16 @@ RefAnneal reference_sqa(const IsingModel& model,
           classical_energy[k] +=
               2.0 * static_cast<double>(state[k][i]) * classical_in;
           state[k][i] = static_cast<std::int8_t>(-state[k][i]);
-          if (classical_energy[k] < result.best_energy) {
-            result.best_energy = classical_energy[k];
-            result.best = state[k];
-          }
         }
       }
     }
   }
 
-  best_k = 0;
+  std::size_t best_k = 0;
   for (std::size_t k = 1; k < slices; ++k) {
     if (classical_energy[k] < classical_energy[best_k]) best_k = k;
   }
+  RefAnneal result;
   result.last = state[best_k];
   result.last_energy = classical_energy[best_k];
   return result;
@@ -367,8 +315,6 @@ TEST(LocalFieldParity, SqaMatchesRecomputeReference) {
 
   EXPECT_EQ(engine.last, ref.last);
   EXPECT_EQ(engine.last_energy, ref.last_energy);
-  EXPECT_EQ(engine.best, ref.best);
-  EXPECT_EQ(engine.best_energy, ref.best_energy);
   EXPECT_EQ(rng_engine(), rng_ref());
 }
 
@@ -383,8 +329,7 @@ RefAnneal reference_tabu(const IsingModel& model,
 
   Spins state = draw_state(n, rng);
   double energy = model.energy(state);
-  result.best = state;
-  result.best_energy = energy;
+  double incumbent_energy = energy;
 
   std::vector<double> delta(n);
   auto recompute_deltas = [&] {
@@ -403,7 +348,7 @@ RefAnneal reference_tabu(const IsingModel& model,
     for (std::size_t i = 0; i < n; ++i) {
       const bool is_tabu = tabu_until[i] >= step;
       const bool aspirated =
-          is_tabu && energy + delta[i] < result.best_energy;
+          is_tabu && energy + delta[i] < incumbent_energy;
       if (is_tabu && !aspirated) continue;
       if (delta[i] < best_delta) {
         best_delta = delta[i];
@@ -425,9 +370,8 @@ RefAnneal reference_tabu(const IsingModel& model,
                   static_cast<double>(state[j]);
     }
 
-    if (energy < result.best_energy - 1e-15) {
-      result.best_energy = energy;
-      result.best = state;
+    if (energy < incumbent_energy - 1e-15) {
+      incumbent_energy = energy;
       stall = 0;
     } else if (options.stall_limit != 0 && ++stall >= options.stall_limit) {
       state = draw_state(n, rng);
@@ -459,8 +403,6 @@ TEST(LocalFieldParity, TabuMatchesRecomputeReference) {
 
   EXPECT_EQ(engine.last, ref.last);
   EXPECT_EQ(engine.last_energy, ref.last_energy);
-  EXPECT_EQ(engine.best, ref.best);
-  EXPECT_EQ(engine.best_energy, ref.best_energy);
   EXPECT_EQ(rng_engine(), rng_ref());
 }
 

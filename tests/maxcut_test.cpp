@@ -127,9 +127,8 @@ TEST(MaxCut, PBitMachineFindsOptimalCut) {
   util::Xoshiro256pp rng(4);
   pbit::AnnealOptions opts;
   opts.sweeps = 500;
-  opts.track_best = true;
   const auto result = machine.anneal(pbit::Schedule::linear(5.0), opts, rng);
-  EXPECT_NEAR(-result.best_energy, opt, 1e-9);
+  EXPECT_NEAR(-result.last_energy, opt, 1e-9);
 }
 
 // Property sweep: greedy <= local-search-from-greedy <= exhaustive.

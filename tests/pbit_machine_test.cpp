@@ -76,18 +76,6 @@ TEST(PBitMachine, ReportedEnergyMatchesState) {
   EXPECT_NEAR(result.last_energy, model.energy(result.last), 1e-9);
 }
 
-TEST(PBitMachine, TrackBestNeverWorseThanLast) {
-  const auto model = ferromagnet(10);
-  PBitMachine machine(model);
-  util::Xoshiro256pp rng(3);
-  AnnealOptions opts;
-  opts.sweeps = 100;
-  opts.track_best = true;
-  const auto result = machine.anneal(Schedule::linear(3.0), opts, rng);
-  EXPECT_LE(result.best_energy, result.last_energy);
-  EXPECT_NEAR(model.energy(result.best), result.best_energy, 1e-9);
-}
-
 TEST(PBitMachine, FieldBiasesSpins) {
   // Strong positive field on every spin: at high beta all spins go +1.
   ising::IsingModel model(6);
@@ -197,14 +185,8 @@ AnnealResult reference_anneal(const ising::IsingModel& model,
   AnnealResult r;
   r.last = std::move(start);
   lfs.reset(r.last);
-  r.best = r.last;
-  r.best_energy = lfs.energy();
   for (std::size_t t = 0; t < options.sweeps; ++t) {
     reference_sweep(r.last, lfs, schedule.beta(t, options.sweeps), rng);
-    if (lfs.energy() < r.best_energy) {
-      r.best_energy = lfs.energy();
-      r.best = r.last;
-    }
   }
   r.last_energy = lfs.energy();
   return r;
@@ -222,7 +204,6 @@ void expect_blocked_matches_reference(const ising::IsingModel& model,
   const PBitMachine machine(model);
   AnnealOptions opts;
   opts.sweeps = 80;
-  opts.track_best = true;
   util::Xoshiro256pp rng(seed);
   util::Xoshiro256pp ref_rng(seed);
   const ising::Spins start = machine.random_state(rng);
@@ -231,8 +212,6 @@ void expect_blocked_matches_reference(const ising::IsingModel& model,
   const auto want = reference_anneal(model, start, schedule, opts, ref_rng);
   EXPECT_EQ(got.last, want.last) << where;
   EXPECT_EQ(bits(got.last_energy), bits(want.last_energy)) << where;
-  EXPECT_EQ(got.best, want.best) << where;
-  EXPECT_EQ(bits(got.best_energy), bits(want.best_energy)) << where;
   EXPECT_EQ(rng(), ref_rng()) << where;  // same draws consumed
 }
 

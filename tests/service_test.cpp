@@ -171,30 +171,6 @@ TEST(SolveService, ContentKeyedCacheHitsAcrossRebuiltProblems) {
   EXPECT_EQ(second->result.get(), first->result.get());
 }
 
-TEST(SolveService, CoalescesDuplicateInFlightRequests) {
-  // One worker + a long job in front: twin submissions of the same request
-  // sit in flight together and must collapse onto one computation.
-  service::SolveService svc({.workers = 1, .cache_capacity = 8});
-  const auto blocker = make_test_problem(30, 7);
-  const auto t = make_test_problem();
-
-  auto head = svc.submit(make_request(blocker, 200));
-  auto first = svc.submit(make_request(t, 50));
-  auto twin = svc.submit(make_request(t, 50));
-  EXPECT_EQ(first.fingerprint(), twin.fingerprint());
-
-  const auto r1 = first.wait();
-  const auto r2 = twin.wait();
-  EXPECT_EQ(r1.get(), r2.get());  // the same response object
-  EXPECT_FALSE(r2->cache_hit);
-
-  const auto stats = svc.stats();
-  EXPECT_EQ(stats.coalesced, 1u);
-  // 3 submissions, 2 actual solves.
-  EXPECT_EQ(stats.executed, 2u);
-  head.wait();
-}
-
 TEST(SolveService, CancelReturnsPartialResultWithCancelledStatus) {
   service::SolveService svc({.workers = 1});
   const auto t = make_test_problem();
@@ -264,72 +240,32 @@ TEST(SolveService, StoppedResultsAreNeverCached) {
   EXPECT_FALSE(again->cache_hit);
 }
 
-TEST(SolveService, CoalescedJobSurvivesOneHandleCancelling) {
-  service::SolveService svc({.workers = 1});
-  const auto blocker = make_test_problem(30, 7);
-  const auto t = make_test_problem();
-  auto head = svc.submit(make_request(blocker, 100));
-  auto first = svc.submit(make_request(t, 60));
-  auto twin = svc.submit(make_request(t, 60));
-
-  // Only one of two subscribers cancels: the computation must complete for
-  // the other.
-  EXPECT_FALSE(first.cancel());
-  const auto response = twin.wait();
-  EXPECT_EQ(response->status, core::Status::kCompleted);
-  EXPECT_EQ(response->result->total_runs, 60u);
-  head.wait();
-}
-
-TEST(SolveService, DoesNotCoalesceOntoCancelledTwin) {
-  // A twin whose sole subscriber already cancelled can only deliver a
-  // partial result; a new identical request must compute fresh.
-  service::SolveService svc({.workers = 1, .cache_capacity = 8});
-  const auto blocker = make_test_problem(30, 7);
-  const auto t = make_test_problem();
-  auto head = svc.submit(make_request(blocker, 300));
-  auto first = svc.submit(make_request(t, 40));
-  EXPECT_TRUE(first.cancel());  // sole subscriber: the stop trips
-  auto fresh = svc.submit(make_request(t, 40));
-  const auto response = fresh.wait();
-  EXPECT_EQ(response->status, core::Status::kCompleted);
-  EXPECT_EQ(response->result->total_runs, 40u);
-  head.wait();
-  first.wait();
-}
-
-TEST(SolveService, DeadlinedTwinsDoNotCoalesce) {
-  // Timeouts are not fingerprinted, so coalescing across them would hand
-  // one caller the other's time budget; deadline-carrying requests run
-  // independently instead.
+TEST(SolveService, TwinsInFlightRunIndependently) {
+  // Two identical deadline-free requests in flight together are two jobs:
+  // each runs its own solve, and the shared seed makes them equal.
   service::SolveService svc({.workers = 2, .cache_capacity = 0});
   const auto t = make_test_problem();
-  auto a_req = make_request(t, 1000000);
-  a_req.timeout = 40ms;
-  auto b_req = make_request(t, 1000000);
-  b_req.timeout = 40ms;
-  auto a = svc.submit(std::move(a_req));
-  auto b = svc.submit(std::move(b_req));
-  EXPECT_EQ(a.wait()->status, core::Status::kDeadline);
-  EXPECT_EQ(b.wait()->status, core::Status::kDeadline);
-  EXPECT_EQ(svc.stats().coalesced, 0u);
+  auto a = svc.submit(make_request(t, 40));
+  auto b = svc.submit(make_request(t, 40));
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  const auto ra = a.wait();
+  const auto rb = b.wait();
+  ASSERT_EQ(ra->status, core::Status::kCompleted);
+  EXPECT_NE(ra.get(), rb.get());
+  EXPECT_NE(ra->result.get(), rb->result.get());
+  expect_same_result(*rb->result, *ra->result, "twin");
   EXPECT_EQ(svc.stats().executed, 2u);
 }
 
-TEST(SolveService, DroppedTwinHandleDoesNotBlockCancel) {
-  // A coalesced handle discarded without voting must leave the quorum,
-  // or the remaining holder's cancel() could never trip the stop.
-  service::SolveService svc({.workers = 1});
-  const auto blocker = make_test_problem(30, 7);
+TEST(SolveService, DroppingTheOnlyHandleCancelsTheJob) {
+  // Abandonment: a job nobody can read any more stops itself, so the
+  // worker is free for the next job.
+  service::SolveService svc({.workers = 1, .cache_capacity = 0});
   const auto t = make_test_problem();
-  auto head = svc.submit(make_request(blocker, 300));
-  auto first = svc.submit(make_request(t, 1000000));
-  {
-    auto twin = svc.submit(make_request(t, 1000000));
-  }  // dropped without cancelling
-  EXPECT_TRUE(first.cancel());  // quorum is 1-of-1 again
-  EXPECT_EQ(first.wait()->status, core::Status::kCancelled);
-  head.wait();
+  svc.submit(make_request(t, 1000000));  // handle dropped at once
+  const auto next = svc.submit(make_request(t, 20, 2)).wait();
+  EXPECT_EQ(next->status, core::Status::kCompleted);
+  EXPECT_EQ(svc.stats().cancelled, 1u);
 }
 
 TEST(JobHandle, InvalidHandleIsInertEverywhere) {
@@ -362,39 +298,20 @@ TEST(JobHandleHook, CacheHitFiresOnTheCallersThread) {
   EXPECT_EQ(caller, std::this_thread::get_id());
 }
 
-TEST(JobHandleHook, CoalescedTwinsAreEachNotifiedOnce) {
-  service::SolveService svc({.workers = 1, .cache_capacity = 8});
-  const auto blocker = make_test_problem(30, 7);
-  const auto t = make_test_problem();
-  auto head = svc.submit(make_request(blocker, 200));
-  auto first = svc.submit(make_request(t, 50));
-  auto twin = svc.submit(make_request(t, 50));
-  std::atomic<int> first_calls{0};
-  std::atomic<int> twin_calls{0};
-  first.on_ready([&] { first_calls.fetch_add(1); });
-  twin.on_ready([&] { twin_calls.fetch_add(1); });
-
-  // Hooks run before the response becomes visible to waiters.
-  EXPECT_EQ(first.wait().get(), twin.wait().get());
-  EXPECT_EQ(svc.stats().coalesced, 1u);
-  EXPECT_EQ(first_calls.load(), 1);
-  EXPECT_EQ(twin_calls.load(), 1);
-  head.wait();
-}
-
 TEST(JobHandleHook, HandleReleasedBeforeTheFinishIsNeverCalled) {
   service::SolveService svc({.workers = 1, .cache_capacity = 8});
   const auto blocker = make_test_problem(30, 7);
   const auto t = make_test_problem();
   auto head = svc.submit(make_request(blocker, 200));
-  auto keeper = svc.submit(make_request(t, 50));  // keeps the job alive
   std::atomic<int> calls{0};
   {
     auto dropped = svc.submit(make_request(t, 50));
-    ASSERT_EQ(svc.stats().coalesced, 1u);
     dropped.on_ready([&] { calls.fetch_add(1); });
-  }
-  EXPECT_EQ(keeper.wait()->status, core::Status::kCompleted);
+  }  // the release cancels the queued job, which still finishes
+  // One worker, one band: the tail runs after the dropped job has ended.
+  EXPECT_EQ(svc.submit(make_request(t, 50, 2)).wait()->status,
+            core::Status::kCompleted);
+  EXPECT_EQ(svc.stats().cancelled, 1u);
   EXPECT_EQ(calls.load(), 0);
   head.wait();
 }
@@ -424,7 +341,6 @@ TEST(JobHandleHook, MovesCarryTheRegistration) {
   const auto blocker = make_test_problem(30, 7);
   const auto t = make_test_problem();
   auto head = svc.submit(make_request(blocker, 200));
-  auto keeper = svc.submit(make_request(t, 50));  // keeps the job alive
   std::atomic<int> moved_to_calls{0};
   std::atomic<int> moved_from_calls{0};
   std::atomic<int> released_calls{0};
@@ -435,17 +351,21 @@ TEST(JobHandleHook, MovesCarryTheRegistration) {
     moved_to = std::move(moved_from);
     // NOLINTNEXTLINE(bugprone-use-after-move): moved-from must be inert
     moved_from.on_ready([&] { moved_from_calls.fetch_add(1); });
-  }  // destroying the moved-from handle must not remove the registration
+  }  // destroying the moved-from handle must neither remove the
+     // registration nor cancel the job
   {
-    auto first = svc.submit(make_request(t, 50));
+    auto first = svc.submit(make_request(t, 50, 2));
     first.on_ready([&] { released_calls.fetch_add(1); });
     service::JobHandle second(std::move(first));
     service::JobHandle third;
     third = std::move(second);
-  }  // the last handle the registration moved to is released: it goes too
-  EXPECT_EQ(svc.stats().coalesced, 2u);
-  EXPECT_EQ(keeper.wait()->status, core::Status::kCompleted);
+  }  // the last handle the registration moved to is released: it goes
+     // too, and the job is cancelled
+  // One worker, one band: the tail runs after both jobs above have ended.
+  EXPECT_EQ(svc.submit(make_request(t, 50, 3)).wait()->status,
+            core::Status::kCompleted);
   EXPECT_EQ(moved_to.wait()->status, core::Status::kCompleted);
+  EXPECT_EQ(svc.stats().cancelled, 1u);
   EXPECT_EQ(moved_to_calls.load(), 1);
   EXPECT_EQ(moved_from_calls.load(), 0);
   EXPECT_EQ(released_calls.load(), 0);

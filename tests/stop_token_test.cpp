@@ -241,8 +241,6 @@ TEST(BackendStop, MetropolisHonoursBetweenSweepStopChecks) {
   EXPECT_EQ(result.sweeps, util::kStopPollInterval);
   ASSERT_EQ(result.last.size(), ising.n());
   EXPECT_NEAR(result.last_energy, ising.energy(result.last), 1e-9);
-  EXPECT_LE(result.best_energy, result.last_energy);
-  EXPECT_NEAR(result.best_energy, ising.energy(result.best), 1e-9);
 
   // The backend passes its own token down to the same poll.
   anneal::MetropolisSaBackend backend(pbit::Schedule::linear(5.0), 10000);

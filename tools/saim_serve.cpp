@@ -2,9 +2,9 @@
 //
 // Reads one job per line, runs every job through one SolveService
 // (priority queue, worker pool with per-worker cached models,
-// content-keyed result cache, duplicate coalescing), and emits one JSON
-// result line per job. Every job runs cold: nothing carries over from
-// one job to the next except a cached result for an identical request.
+// content-keyed result cache), and emits one JSON result line per job.
+// Every job runs cold: nothing carries over from one job to the next
+// except a cached result for an identical request.
 // The full wire protocol — every request and response field, control
 // lines, error lines, exit codes, worked examples — is specified in
 // docs/PROTOCOL.md; keep that file in lockstep with this one (CI greps
@@ -250,11 +250,10 @@ int main(int argc, char** argv) {
   if (args.get_bool("stats")) {
     const auto s = svc.stats();
     std::fprintf(stderr,
-                 "saim_serve: %llu submitted, %llu executed, %llu coalesced, "
+                 "saim_serve: %llu submitted, %llu executed, "
                  "%llu model builds, %llu reuses, cache hit-rate %.2f\n",
                  static_cast<unsigned long long>(s.submitted),
                  static_cast<unsigned long long>(s.executed),
-                 static_cast<unsigned long long>(s.coalesced),
                  static_cast<unsigned long long>(s.model_builds),
                  static_cast<unsigned long long>(s.model_reuses),
                  s.cache.hit_rate());

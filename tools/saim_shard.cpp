@@ -5,9 +5,9 @@
 // saim_shard runs a fleet of `saim_serve --stream` children over
 // fork/exec pipes, placing each job by consistent hashing with bounded
 // loads on its canonical problem fingerprint. An instance's jobs stay on
-// its ring owner, whose result cache, coalescer and cached models stay
-// hot for that keyslice, until the owner is backlogged; then the surplus
-// spills to the next shard clockwise. The routing/remapping brain is
+// its ring owner, whose result cache and cached models stay hot for that
+// keyslice, until the owner is backlogged; then the surplus spills to the
+// next shard clockwise. The routing/remapping brain is
 // service/shard_router; the transport is service/process_child (pipes);
 // the self-healing layer — crash respawn with
 // backoff, ring rejoin, live resharding, health probes — is
