@@ -4,7 +4,8 @@
 //   * the O(n) lambda refresh (LagrangianModel::set_lambda) vs a full
 //     model rebuild — the optimization that makes the SAIM outer loop
 //     essentially free,
-//   * energy evaluations and QUBO->Ising conversion,
+//   * energy evaluations,
+//   * one QKP-200 model set-up, stage by stage (gen, map, build, bind),
 //   * recompute-every-visit vs incremental sweeps,
 //   * the start of every inner run: LocalFieldState::reset (all coupling
 //     inputs plus the start energy) and the energy on its own.
@@ -16,7 +17,7 @@
 
 #include <vector>
 
-#include "ising/convert.hpp"
+#include "anneal/backend.hpp"
 #include "pbit/pbit_machine.hpp"
 #include "sweep_common.hpp"
 
@@ -94,17 +95,50 @@ void BM_QuboEnergy(benchmark::State& state) {
 }
 BENCHMARK(BM_QuboEnergy)->Arg(100)->Arg(300);
 
-void BM_QuboToIsing(benchmark::State& state) {
-  const auto inst = bench_instance(static_cast<std::size_t>(state.range(0)),
-                                   50);
+enum class SetupStage { kGen, kMap, kBuild, kBind };
+
+void BM_ModelSetup(benchmark::State& state, SetupStage stage) {
+  // One QKP-200 model set-up, a stage at a time: what a service worker pays
+  // on a model-cache miss and perfbench's algo1_qkp200 per instance.
+  // gen = make_paper_qkp, map = qkp_to_problem, build = LagrangianModel at
+  // P = 2dN, bind = a fresh p-bit backend bound to the model. Each stage
+  // runs on the previous stages' output, built once outside the loop.
+  constexpr std::size_t kN = 200;
+  const auto inst = bench_instance(kN, 50);
   const auto mapping = problems::qkp_to_problem(inst);
-  lagrange::LagrangianModel model(mapping.problem, 2.0);
+  const double penalty = lagrange::heuristic_penalty(mapping.problem, 2.0);
+  const lagrange::LagrangianModel model(mapping.problem, penalty);
   for (auto _ : state) {
-    auto ising = ising::qubo_to_ising(model.qubo());
-    benchmark::DoNotOptimize(ising.field(0));
+    switch (stage) {
+      case SetupStage::kGen: {
+        auto generated = bench_instance(kN, 50);
+        benchmark::DoNotOptimize(generated.capacity());
+        break;
+      }
+      case SetupStage::kMap: {
+        auto mapped = problems::qkp_to_problem(inst);
+        benchmark::DoNotOptimize(mapped.problem.n());
+        break;
+      }
+      case SetupStage::kBuild: {
+        lagrange::LagrangianModel built(mapping.problem, penalty);
+        benchmark::DoNotOptimize(built.ising().offset());
+        break;
+      }
+      case SetupStage::kBind: {
+        anneal::PBitBackend backend(pbit::Schedule::linear(10.0), 1000);
+        backend.bind(model.ising());
+        benchmark::DoNotOptimize(&backend);
+        benchmark::ClobberMemory();
+        break;
+      }
+    }
   }
 }
-BENCHMARK(BM_QuboToIsing)->Arg(100)->Arg(300);
+BENCHMARK_CAPTURE(BM_ModelSetup, gen, SetupStage::kGen);
+BENCHMARK_CAPTURE(BM_ModelSetup, map, SetupStage::kMap);
+BENCHMARK_CAPTURE(BM_ModelSetup, build, SetupStage::kBuild);
+BENCHMARK_CAPTURE(BM_ModelSetup, bind, SetupStage::kBind);
 
 void BM_QkpGenerate(benchmark::State& state) {
   problems::QkpGeneratorParams params;

@@ -64,7 +64,7 @@ int main() {
     lagrange::LagrangianModel model(mapping.problem, penalty);
     const auto emin = exact::exhaustive_minimize(
         total, [&](std::span<const std::uint8_t> x) {
-          return exact::Verdict{true, model.qubo().energy(x)};
+          return exact::Verdict{true, model.lagrangian(x)};
         });
     const bool argmin_feasible =
         mapping.problem.max_violation(emin.best_x) <= 1e-9;

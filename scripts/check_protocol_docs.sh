@@ -23,8 +23,8 @@
 # flag-table row (| `--name` | ...) a flag the tools still register — so
 # a deleted key, command or flag cannot linger in a table. Every key of
 # the {"cmd":"stats"} snapshot example must be an emitted name, and a
-# short list of metric series the doc names one by one is pinned both
-# ways too.
+# short list of metric series the doc names one by one, and the per-job
+# SAIM signals of result lines, are pinned both ways too.
 #
 # Run from anywhere; ctest runs it as check_protocol_docs.
 set -euo pipefail
@@ -36,12 +36,12 @@ if [[ ! -f "$doc" ]]; then
   exit 1
 fi
 
-emitted=$(grep -hoE '\.(raw_)?field\("[a-z_]+"' \
+emitted=$(grep -hoE '\.(raw_)?field\("[a-z0-9_]+"' \
             src/core/report.cpp tools/saim_serve.cpp tools/saim_shard.cpp \
             src/service/shard_router.cpp src/service/stream_session.cpp \
             src/service/supervisor.cpp src/service/service_stats.cpp \
             src/service/event_server.cpp |
-          grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
+          grep -oE '"[a-z0-9_]+"' | tr -d '"' | sort -u)
 accepted=$(awk '/kKnownKeys = \{/,/\};/' src/service/job_parser.cpp |
            grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
 control=$(awk '/kControlKeys = \{/,/\};/' src/service/job_parser.cpp |
@@ -155,6 +155,28 @@ for f in $pinned_metrics; do
   fi
   if ! grep -rqF "\"$f\"" src tools; then
     echo "PROTOCOL drift: $doc names metric $f, which no source exports"
+    fail=1
+  fi
+done
+
+# The per-job SAIM signals on result lines: each must be a row of the
+# "## Result lines" table and still be emitted by result_to_jsonl.
+pinned_result_fields="first_feasible_iter final_max_violation lambda_l1"
+result_rows=$(awk '/^## / { inside = ($0 == "## Result lines") }
+                   inside' "$doc" | grep -oE '^\| `[a-z0-9_]+` \|' |
+              grep -oE '[a-z0-9_]+')
+report_fields=$(grep -hoE '\.(raw_)?field\("[a-z0-9_]+"' src/core/report.cpp |
+                grep -oE '"[a-z0-9_]+"' | tr -d '"')
+# shellcheck disable=SC2086
+for f in $pinned_result_fields; do
+  if ! grep -qx -- "$f" <<<"$result_rows"; then
+    echo "PROTOCOL drift: result field $f has no row in the Result lines" \
+         "table of $doc"
+    fail=1
+  fi
+  if ! grep -qx -- "$f" <<<"$report_fields"; then
+    echo "PROTOCOL drift: $doc pins result field $f, which" \
+         "src/core/report.cpp no longer emits"
     fail=1
   fi
 done

@@ -88,7 +88,15 @@ std::string result_to_jsonl(const SolveResult& result,
   }
   json.field("feasible_count",
              static_cast<std::uint64_t>(result.feasible_count))
-      .field("feasibility_rate", result.feasibility_rate())
+      .field("feasibility_rate", result.feasibility_rate());
+  if (result.first_feasible_iter) {
+    json.field("first_feasible_iter",
+               static_cast<std::uint64_t>(*result.first_feasible_iter));
+  } else {
+    json.raw_field("first_feasible_iter", "null");
+  }
+  json.field("final_max_violation", result.final_max_violation)
+      .field("lambda_l1", result.lambda_l1)
       .field("iterations", static_cast<std::uint64_t>(result.total_runs))
       .field("total_sweeps", static_cast<std::uint64_t>(result.total_sweeps))
       .field("wall_ms", context.wall_ms)

@@ -56,7 +56,9 @@ struct JsonlContext {
 /// One-line JSON summary of a solve — the line format saim_serve streams
 /// and bench/service_throughput aggregates: id, instance, backend, status,
 /// found_feasible, best_cost (null when no feasible sample), feasible
-/// count, iterations (outer runs), total MCS, wall time, cache_hit, the
+/// count and rate, the SAIM signals (first_feasible_iter, null when never
+/// feasible; final_max_violation; lambda_l1), iterations (outer runs),
+/// total MCS, wall time, cache_hit, the
 /// request fingerprint (hex), batch_size (always 1: every job runs alone;
 /// kept for clients that read it), and (stream mode only) seq. The full
 /// schema lives in docs/PROTOCOL.md — keep the two in lockstep, CI greps

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "ising/qubo_model.hpp"
@@ -53,6 +54,16 @@ struct SolveResult {
   std::size_t total_runs = 0;    ///< SA runs performed (K)
   std::size_t total_sweeps = 0;  ///< total MCS consumed (sample budget)
   std::size_t feasible_count = 0;
+
+  /// Outer iteration (0-based) that measured the first feasible sample;
+  /// empty when none did.
+  std::optional<std::size_t> first_feasible_iter;
+  /// max_m |g_m| of the last iteration's guide sample (the sample the
+  /// final lambda update used), in normalized units; 0 when no iteration
+  /// ran. How close a never-feasible solve came.
+  double final_max_violation = 0.0;
+  /// sum_m |lambda_m| of the multipliers the dual ascent ended with.
+  double lambda_l1 = 0.0;
 
   /// Raw-cost statistics over feasible samples only (the paper's "Avg"
   /// column averages accuracy over feasible samples).

@@ -1,5 +1,7 @@
 #include "core/saim_solver.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -43,6 +45,8 @@ void DualAscent::finalize(Status status) {
     status = stop_.cancelled() ? Status::kCancelled : Status::kDeadline;
   }
   result_.status = status;
+  result_.lambda_l1 = 0.0;
+  for (const double l : lambda_) result_.lambda_l1 += std::abs(l);
   finished_ = true;
 }
 
@@ -95,6 +99,7 @@ bool DualAscent::step(lagrange::LagrangianModel& model,
     const SampleVerdict v = judge_(xr);
     if (v.feasible) {
       ++result_.feasible_count;
+      if (!result_.found_feasible) result_.first_feasible_iter = k_;
       result_.found_feasible = true;
       result_.feasible_cost_stats.add(v.cost);
       if (options_.collect_feasible_costs) {
@@ -117,13 +122,18 @@ bool DualAscent::step(lagrange::LagrangianModel& model,
 
   // Subgradient ascent on the dual: lambda <- lambda + eta g(x_k).
   const std::vector<double> g = problem_->constraint_values(x);
+  result_.final_max_violation = 0.0;
+  for (const double gm : g) {
+    result_.final_max_violation =
+        std::max(result_.final_max_violation, std::abs(gm));
+  }
   if (options_.record_history) {
     IterationRecord rec;
     rec.iteration = k_;
     rec.sample_cost = verdict.cost;
     rec.feasible = verdict.feasible;
     rec.lagrangian_energy = model.lagrangian(x);
-    rec.max_violation = problem_->max_violation(x);
+    rec.max_violation = result_.final_max_violation;
     rec.lambda = lambda_;
     result_.history.push_back(std::move(rec));
   }

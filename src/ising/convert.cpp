@@ -1,7 +1,5 @@
 #include "ising/convert.hpp"
 
-#include <stdexcept>
-
 namespace saim::ising {
 
 IsingModel qubo_to_ising(const QuboModel& qubo) {
@@ -61,27 +59,6 @@ Bits spins_to_bits(std::span<const std::int8_t> m) {
     x[i] = m[i] > 0 ? std::uint8_t{1} : std::uint8_t{0};
   }
   return x;
-}
-
-void refresh_fields_from_qubo(const QuboModel& qubo, IsingModel& ising) {
-  const std::size_t n = qubo.n();
-  if (ising.n() != n) {
-    throw std::invalid_argument(
-        "refresh_fields_from_qubo: dimension mismatch");
-  }
-  double offset = qubo.offset();
-  std::vector<double> row_sum(n, 0.0);
-  qubo.for_each_quadratic([&](std::size_t i, std::size_t j, double q) {
-    row_sum[i] += q;
-    row_sum[j] += q;
-    offset += q / 4.0;
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    const double qi = qubo.linear(i);
-    ising.set_field(i, -(qi / 2.0 + row_sum[i] / 4.0));
-    offset += qi / 2.0;
-  }
-  ising.set_offset(offset);
 }
 
 }  // namespace saim::ising

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/simd.hpp"
 
@@ -9,6 +10,22 @@ namespace saim::ising {
 
 IsingModel::IsingModel(std::size_t n)
     : n_(n), coupling_(n * n, 0.0), field_(n, 0.0) {}
+
+IsingModel::IsingModel(std::vector<double> coupling,
+                       std::vector<double> field, double offset)
+    : n_(field.size()),
+      coupling_(std::move(coupling)),
+      field_(std::move(field)),
+      offset_(offset) {
+  if (coupling_.size() != n_ * n_) {
+    throw std::invalid_argument("IsingModel: coupling must be n*n");
+  }
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (coupling_[i * n_ + i] != 0.0) {
+      throw std::invalid_argument("IsingModel: coupling diagonal must be 0");
+    }
+  }
+}
 
 void IsingModel::check_index(std::size_t i) const {
   if (i >= n_) {

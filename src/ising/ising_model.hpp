@@ -20,6 +20,13 @@ class IsingModel {
   IsingModel() = default;
   explicit IsingModel(std::size_t n);
 
+  /// Takes a finished model: `coupling` is J as n*n row-major doubles with
+  /// n = field.size(). J must be symmetric bit for bit (energy() and the
+  /// sweep engines read either half); only its size and zero diagonal are
+  /// checked. Throws std::invalid_argument otherwise.
+  IsingModel(std::vector<double> coupling, std::vector<double> field,
+             double offset);
+
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
 
   /// Accumulates into the symmetric coupling J_ij (i != j).

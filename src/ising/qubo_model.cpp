@@ -3,11 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace saim::ising {
 
 QuboModel::QuboModel(std::size_t n)
     : n_(n), coupling_(n * n, 0.0), linear_(n, 0.0) {}
+
+QuboModel::QuboModel(std::vector<double> coupling, std::vector<double> linear,
+                     double offset)
+    : n_(linear.size()),
+      coupling_(std::move(coupling)),
+      linear_(std::move(linear)),
+      offset_(offset) {
+  if (coupling_.size() != n_ * n_) {
+    throw std::invalid_argument("QuboModel: coupling must be n*n");
+  }
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (coupling_[i * n_ + i] != 0.0) {
+      throw std::invalid_argument("QuboModel: coupling diagonal must be 0");
+    }
+  }
+}
 
 void QuboModel::check_index(std::size_t i) const {
   if (i >= n_) {
@@ -19,11 +37,6 @@ void QuboModel::check_index(std::size_t i) const {
 void QuboModel::add_linear(std::size_t i, double v) {
   check_index(i);
   linear_[i] += v;
-}
-
-void QuboModel::set_linear(std::size_t i, double v) {
-  check_index(i);
-  linear_[i] = v;
 }
 
 double QuboModel::linear(std::size_t i) const {

@@ -24,16 +24,18 @@ class QuboModel {
   QuboModel() = default;
   explicit QuboModel(std::size_t n);
 
+  /// Takes a finished model: `coupling` is Q as n*n row-major doubles with
+  /// n = linear.size(). Q must be symmetric bit for bit; only its size and
+  /// zero diagonal are checked. Throws std::invalid_argument otherwise.
+  QuboModel(std::vector<double> coupling, std::vector<double> linear,
+            double offset);
+
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
 
   /// Accumulates into the linear coefficient q_i.
   void add_linear(std::size_t i, double v);
-  void set_linear(std::size_t i, double v);
   [[nodiscard]] double linear(std::size_t i) const;
   [[nodiscard]] std::span<const double> linear_terms() const noexcept {
-    return linear_;
-  }
-  [[nodiscard]] std::span<double> mutable_linear_terms() noexcept {
     return linear_;
   }
 

@@ -23,13 +23,21 @@ ConstrainedProblem::ConstrainedProblem(ising::QuboModel objective,
     throw std::invalid_argument(
         "ConstrainedProblem: num_decision exceeds variable count");
   }
-  for (const auto& c : constraints_) {
-    for (const auto& [idx, coeff] : c.terms) {
+  // A row naming one variable twice would square into a diagonal term;
+  // LagrangianModel's row-wise build assumes every row's indices distinct.
+  std::vector<std::size_t> seen_in(objective_.n(), constraints_.size());
+  for (std::size_t m = 0; m < constraints_.size(); ++m) {
+    for (const auto& [idx, coeff] : constraints_[m].terms) {
       (void)coeff;
       if (idx >= objective_.n()) {
         throw std::invalid_argument(
             "ConstrainedProblem: constraint index out of range");
       }
+      if (seen_in[idx] == m) {
+        throw std::invalid_argument(
+            "ConstrainedProblem: constraint row names a variable twice");
+      }
+      seen_in[idx] = m;
     }
   }
 }

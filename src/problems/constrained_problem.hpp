@@ -35,6 +35,9 @@ struct LinearConstraint {
 class ConstrainedProblem {
  public:
   ConstrainedProblem() = default;
+  /// Throws std::invalid_argument when num_decision exceeds the variable
+  /// count, or a constraint row names an index out of range or one
+  /// variable twice.
   ConstrainedProblem(ising::QuboModel objective,
                      std::vector<LinearConstraint> constraints,
                      std::size_t num_decision);

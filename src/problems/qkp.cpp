@@ -49,6 +49,14 @@ std::int64_t QkpInstance::pair_value(std::size_t i, std::size_t j) const {
   return pair_values_[i * n + j];
 }
 
+std::span<const std::int64_t> QkpInstance::pair_row(std::size_t i) const {
+  const std::size_t n = values_.size();
+  if (i >= n) {
+    throw std::out_of_range("QkpInstance::pair_row: index out of range");
+  }
+  return {pair_values_.data() + i * n, n};
+}
+
 std::int64_t QkpInstance::profit(std::span<const std::uint8_t> x) const {
   // Exact int64 sums, so any order gives the same profit: the pair loop
   // masks each term instead of branching on x_j, which a sampled x
@@ -95,7 +103,10 @@ std::int64_t QkpInstance::max_objective_coefficient() const {
   return m;
 }
 
-QkpInstance generate_qkp(const QkpGeneratorParams& params) {
+namespace {
+
+QkpInstance generate_named(const QkpGeneratorParams& params,
+                           std::string name) {
   if (params.n == 0) {
     throw std::invalid_argument("generate_qkp: n must be positive");
   }
@@ -129,11 +140,17 @@ QkpInstance generate_qkp(const QkpGeneratorParams& params) {
   const std::int64_t lo = std::min(params.min_capacity, weight_sum);
   const std::int64_t capacity = rng.range(lo, weight_sum);
 
-  std::string name = std::to_string(n) + "-" +
-                     std::to_string(static_cast<int>(params.density * 100)) +
-                     "-seed" + std::to_string(params.seed);
   return QkpInstance(std::move(name), std::move(values),
                      std::move(pair_values), std::move(weights), capacity);
+}
+
+}  // namespace
+
+QkpInstance generate_qkp(const QkpGeneratorParams& params) {
+  return generate_named(
+      params, std::to_string(params.n) + "-" +
+                  std::to_string(static_cast<int>(params.density * 100)) +
+                  "-seed" + std::to_string(params.seed));
 }
 
 QkpInstance make_paper_qkp(std::size_t n, int density_percent, int index) {
@@ -147,20 +164,9 @@ QkpInstance make_paper_qkp(std::size_t n, int density_percent, int index) {
       (static_cast<std::uint64_t>(n) << 20) ^
           (static_cast<std::uint64_t>(density_percent) << 8) ^
           static_cast<std::uint64_t>(index));
-  QkpInstance inst = generate_qkp(params);
-  // Rename to the paper's "N-d-k" convention.
-  return QkpInstance(std::to_string(n) + "-" + std::to_string(density_percent) +
-                         "-" + std::to_string(index),
-                     {inst.values().begin(), inst.values().end()},
-                     [&] {
-                       std::vector<std::int64_t> w(n * n);
-                       for (std::size_t i = 0; i < n; ++i)
-                         for (std::size_t j = 0; j < n; ++j)
-                           w[i * n + j] = inst.pair_value(i, j);
-                       return w;
-                     }(),
-                     {inst.weights().begin(), inst.weights().end()},
-                     inst.capacity());
+  return generate_named(params, std::to_string(n) + "-" +
+                                    std::to_string(density_percent) + "-" +
+                                    std::to_string(index));
 }
 
 QkpMapping qkp_to_problem(const QkpInstance& instance, bool normalize) {
@@ -173,21 +179,21 @@ QkpMapping qkp_to_problem(const QkpInstance& instance, bool normalize) {
       normalize ? static_cast<double>(
                       std::max<std::int64_t>(1, instance.max_objective_coefficient()))
                 : 1.0;
-  ising::QuboModel objective(total);
+  // Written row by row from W's rows. 0.0 - w/scale is -w/scale for
+  // w != 0 and exactly +0.0 for w == 0, with no branch on w. The (1/2)
+  // x^T W x double-counts each pair, so the coefficient of x_i x_j is
+  // exactly W_ij.
+  std::vector<double> coupling(total * total);
+  std::vector<double> linear(total);
   for (std::size_t i = 0; i < n; ++i) {
-    if (instance.value(i) != 0) {
-      objective.add_linear(i, -static_cast<double>(instance.value(i)) /
-                                  obj_scale);
-    }
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::int64_t w = instance.pair_value(i, j);
-      if (w != 0) {
-        // The (1/2) x^T W x double-counts each pair; coefficient of x_i x_j
-        // is exactly W_ij.
-        objective.add_quadratic(i, j, -static_cast<double>(w) / obj_scale);
-      }
+    linear[i] = 0.0 - static_cast<double>(instance.value(i)) / obj_scale;
+    const auto w_row = instance.pair_row(i);
+    double* row = coupling.data() + i * total;
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = 0.0 - static_cast<double>(w_row[j]) / obj_scale;
     }
   }
+  ising::QuboModel objective(std::move(coupling), std::move(linear), 0.0);
 
   // Constraint a^T x + sum_q 2^q s_q = b, normalized by max(|A|,|b|) where
   // A is the slack-extended row.

@@ -40,6 +40,8 @@ class QkpInstance {
     return values_.at(i);
   }
   [[nodiscard]] std::int64_t pair_value(std::size_t i, std::size_t j) const;
+  /// Row i of W (length n, W_ii = 0).
+  [[nodiscard]] std::span<const std::int64_t> pair_row(std::size_t i) const;
   [[nodiscard]] std::int64_t weight(std::size_t i) const {
     return weights_.at(i);
   }

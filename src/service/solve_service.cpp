@@ -69,9 +69,11 @@ namespace {
 
 /// Built models each worker keeps. Twice the instances one fleet shard
 /// serves at most (3 of 4 hot ones), so a second backend spec or penalty
-/// per instance still fits. A QKP-200 entry holds 1.25 MB (0.72 MB
-/// model, 0.53 MB bound p-bit backend), so a full cache stays near 10 MB
-/// per worker. Past the working set every job builds.
+/// per instance still fits. A QKP-200 entry holds 0.91 MB of heap (0.37 MB
+/// model: J and five n-vectors, no QUBO copy; 0.54 MB bound p-bit
+/// backend; measured with mallinfo2 on 200-25-1, n = 212), so a full
+/// cache stays near 7.3 MB per worker. Past the working set every job
+/// builds.
 constexpr std::size_t kModelCacheCapacity = 8;
 
 }  // namespace

@@ -94,7 +94,8 @@ def check_metrics():
     return len(types), int(samples['saim_jobs_completed_total'])
 
 solved = ['instance', 'backend', 'status', 'found_feasible', 'best_cost',
-          'feasible_count', 'feasibility_rate', 'iterations', 'total_sweeps',
+          'feasible_count', 'feasibility_rate', 'first_feasible_iter',
+          'final_max_violation', 'lambda_l1', 'iterations', 'total_sweeps',
           'fingerprint']
 results, errors = [None] * 256, []
 

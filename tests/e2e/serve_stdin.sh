@@ -77,8 +77,9 @@ cat jobs.jsonl | "$serve" --workers 2 > via_pipe.jsonl
 python3 - <<'EOF'
 import json
 solved = ['id', 'instance', 'backend', 'status', 'found_feasible',
-          'best_cost', 'feasible_count', 'feasibility_rate', 'iterations',
-          'total_sweeps', 'fingerprint']
+          'best_cost', 'feasible_count', 'feasibility_rate',
+          'first_feasible_iter', 'final_max_violation', 'lambda_l1',
+          'iterations', 'total_sweeps', 'fingerprint']
 runs = {}
 for name in ['via_pipe', 'via_file', 'via_paths']:
     lines = [json.loads(l) for l in open(name + '.jsonl')]

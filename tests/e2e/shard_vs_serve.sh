@@ -51,7 +51,8 @@ shard = {l['id']: l for l in map(json.loads, open(sys.argv[2]))}
 window = int(sys.argv[4])
 assert set(single) == set(shard) and len(shard) == 12, (set(single), set(shard))
 solved = ['instance', 'backend', 'status', 'found_feasible', 'best_cost',
-          'feasible_count', 'feasibility_rate', 'iterations', 'total_sweeps',
+          'feasible_count', 'feasibility_rate', 'first_feasible_iter',
+          'final_max_violation', 'lambda_l1', 'iterations', 'total_sweeps',
           'fingerprint']
 for id_, want in single.items():
     got = shard[id_]

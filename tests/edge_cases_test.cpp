@@ -86,7 +86,7 @@ TEST(EdgeCases, ConstrainedProblemWithNoConstraints) {
   lagrange::LagrangianModel model(p, 1.0);
   EXPECT_DOUBLE_EQ(model.lagrangian(x), -1.0);
   model.set_lambda({});
-  EXPECT_DOUBLE_EQ(model.qubo().energy(x), -1.0);
+  EXPECT_DOUBLE_EQ(model.ising().energy(ising::bits_to_spins(x)), -1.0);
 }
 
 TEST(EdgeCases, ConstrainedProblemValidation) {
@@ -98,6 +98,23 @@ TEST(EdgeCases, ConstrainedProblemValidation) {
   bad.terms = {{5, 1.0}};
   EXPECT_THROW(problems::ConstrainedProblem(std::move(g), {bad}, 2),
                std::invalid_argument);
+}
+
+TEST(EdgeCases, ConstrainedProblemRejectsAVariableTwiceInOneRow) {
+  // x1 twice in one row would square into a diagonal term; the same
+  // variable in two different rows is fine.
+  problems::LinearConstraint twice;
+  twice.terms = {{0, 1.0}, {1, 2.0}, {1, 3.0}};
+  twice.rhs = 1.0;
+  EXPECT_THROW(
+      problems::ConstrainedProblem(ising::QuboModel(3), {twice}, 3),
+      std::invalid_argument);
+  problems::LinearConstraint first;
+  first.terms = {{0, 1.0}, {1, 2.0}};
+  problems::LinearConstraint second;
+  second.terms = {{1, 3.0}, {2, 1.0}};
+  EXPECT_NO_THROW(
+      problems::ConstrainedProblem(ising::QuboModel(3), {first, second}, 3));
 }
 
 TEST(EdgeCases, QkpAllItemsFitTrivially) {
@@ -168,7 +185,7 @@ TEST(EdgeCases, LagrangianWithZeroPenaltyIsPureLagrangian) {
   model.set_lambda(std::vector<double>{3.0});
   const ising::Bits x = {1, 1};
   // L = f + 0 + 3*(2-1) = -1 + 3.
-  EXPECT_DOUBLE_EQ(model.qubo().energy(x), 2.0);
+  EXPECT_DOUBLE_EQ(model.ising().energy(ising::bits_to_spins(x)), 2.0);
 }
 
 TEST(EdgeCases, EvaluatorsHandleAllZeroConfiguration) {

@@ -86,34 +86,5 @@ TEST_P(ConvertExhaustive, RoundTripIsIdentityOnEnergies) {
 INSTANTIATE_TEST_SUITE_P(RandomModels, ConvertExhaustive,
                          ::testing::Range<std::uint64_t>(0, 12));
 
-TEST(RefreshFields, MatchesFullConversionAfterLinearChange) {
-  util::Xoshiro256pp rng(77);
-  QuboModel q = random_qubo(rng, 6);
-  IsingModel ising = qubo_to_ising(q);
-
-  // Change only linear terms and the offset (what a lambda update does).
-  q.set_linear(0, 9.0);
-  q.set_linear(3, -2.5);
-  q.set_offset(1.25);
-  refresh_fields_from_qubo(q, ising);
-
-  const IsingModel reference = qubo_to_ising(q);
-  for (std::size_t i = 0; i < q.n(); ++i) {
-    EXPECT_NEAR(ising.field(i), reference.field(i), 1e-12);
-  }
-  EXPECT_NEAR(ising.offset(), reference.offset(), 1e-12);
-
-  for (std::uint64_t code = 0; code < (1ULL << 6); ++code) {
-    const Bits x = bits_from_code(code, 6);
-    ASSERT_NEAR(q.energy(x), ising.energy(bits_to_spins(x)), 1e-9);
-  }
-}
-
-TEST(RefreshFields, DimensionMismatchThrows) {
-  QuboModel q(3);
-  IsingModel ising(4);
-  EXPECT_THROW(refresh_fields_from_qubo(q, ising), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace saim::ising

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "ising/convert.hpp"
 #include "problems/mkp.hpp"
 #include "problems/portfolio.hpp"
@@ -34,7 +37,9 @@ TEST(LagrangianModel, PenaltyExpansionMatchesDirectEvaluation) {
         static_cast<std::uint8_t>((code >> 1) & 1)};
     const double g = static_cast<double>(x[0]) + x[1] - 1.0;
     const double expected = -1.0 * x[0] - 2.0 * x[1] + 3.0 * g * g;
-    EXPECT_NEAR(model.qubo().energy(x), expected, 1e-12) << "code=" << code;
+    EXPECT_NEAR(model.ising().energy(ising::bits_to_spins(x)), expected,
+                1e-12)
+        << "code=" << code;
     EXPECT_NEAR(model.lagrangian(x), expected, 1e-12);
   }
 }
@@ -51,12 +56,13 @@ TEST(LagrangianModel, LambdaTermAddsLinearly) {
     const double g = static_cast<double>(x[0]) + x[1] - 1.0;
     const double expected =
         -1.0 * x[0] - 2.0 * x[1] + 3.0 * g * g + 2.5 * g;
-    EXPECT_NEAR(model.qubo().energy(x), expected, 1e-12);
+    EXPECT_NEAR(model.ising().energy(ising::bits_to_spins(x)), expected,
+                1e-12);
     EXPECT_NEAR(model.lagrangian(x), expected, 1e-12);
   }
 }
 
-TEST(LagrangianModel, IsingImageMatchesQubo) {
+TEST(LagrangianModel, IsingImageMatchesLagrangian) {
   const auto problem = toy_problem();
   LagrangianModel model(problem, 2.0);
   model.set_lambda(std::vector<double>{-1.5});
@@ -65,7 +71,7 @@ TEST(LagrangianModel, IsingImageMatchesQubo) {
         static_cast<std::uint8_t>(code & 1),
         static_cast<std::uint8_t>((code >> 1) & 1)};
     EXPECT_NEAR(model.ising().energy(ising::bits_to_spins(x)),
-                model.qubo().energy(x), 1e-12);
+                model.lagrangian(x), 1e-12);
   }
 }
 
@@ -121,7 +127,7 @@ TEST(LagrangianModel, SetLambdaMatchesFreshRebuild) {
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::uint8_t> x(mapping.problem.n());
     for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-    ASSERT_NEAR(incremental.qubo().energy(x), fresh.qubo().energy(x), 1e-9);
+    ASSERT_NEAR(incremental.lagrangian(x), fresh.lagrangian(x), 1e-9);
     ASSERT_NEAR(incremental.ising().energy(ising::bits_to_spins(x)),
                 fresh.ising().energy(ising::bits_to_spins(x)), 1e-9);
   }
@@ -150,7 +156,8 @@ TEST(LagrangianModel, MultipleConstraints) {
     const double gb = 2.0 * x[1] + x[2] - 2.0;
     const double expected =
         -1.0 * x[0] + 0.5 * (ga * ga + gb * gb) + 1.0 * ga - 2.0 * gb;
-    EXPECT_NEAR(model.qubo().energy(x), expected, 1e-12);
+    EXPECT_NEAR(model.ising().energy(ising::bits_to_spins(x)), expected,
+                1e-12);
   }
 }
 
@@ -183,11 +190,11 @@ TEST(HeuristicPenalty, LinearObjectiveUsesFixedSpinConvention) {
   EXPECT_NEAR(heuristic_penalty(problem, 5.0), 9.0, 1e-12);
 }
 
-// Property sweep: QUBO image equals direct Lagrangian for random lambda on
+// Property sweep: Ising image equals direct Lagrangian for random lambda on
 // random QKP mappings.
 class LagrangianProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LagrangianProperty, QuboImageEqualsDirectForm) {
+TEST_P(LagrangianProperty, IsingImageEqualsDirectForm) {
   problems::QkpGeneratorParams p;
   p.n = 10;
   p.density = 0.5;
@@ -203,7 +210,6 @@ TEST_P(LagrangianProperty, QuboImageEqualsDirectForm) {
     for (int trial = 0; trial < 20; ++trial) {
       std::vector<std::uint8_t> x(mapping.problem.n());
       for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-      ASSERT_NEAR(model.qubo().energy(x), model.lagrangian(x), 1e-9);
       ASSERT_NEAR(model.ising().energy(ising::bits_to_spins(x)),
                   model.lagrangian(x), 1e-9);
     }
@@ -218,7 +224,7 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, LagrangianProperty,
 class LagrangianMkpProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(LagrangianMkpProperty, QuboImageEqualsDirectForm) {
+TEST_P(LagrangianMkpProperty, IsingImageEqualsDirectForm) {
   problems::MkpGeneratorParams p;
   p.n = 12;
   p.m = 4;
@@ -235,7 +241,6 @@ TEST_P(LagrangianMkpProperty, QuboImageEqualsDirectForm) {
     for (int trial = 0; trial < 15; ++trial) {
       std::vector<std::uint8_t> x(mapping.problem.n());
       for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-      ASSERT_NEAR(model.qubo().energy(x), model.lagrangian(x), 1e-9);
       ASSERT_NEAR(model.ising().energy(ising::bits_to_spins(x)),
                   model.lagrangian(x), 1e-9);
     }
@@ -250,7 +255,7 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, LagrangianMkpProperty,
 class LagrangianPortfolioProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LagrangianPortfolioProperty, QuboImageEqualsDirectForm) {
+TEST_P(LagrangianPortfolioProperty, IsingImageEqualsDirectForm) {
   problems::PortfolioGeneratorParams p;
   p.n = 12;
   p.seed = GetParam();
@@ -265,13 +270,148 @@ TEST_P(LagrangianPortfolioProperty, QuboImageEqualsDirectForm) {
     for (int trial = 0; trial < 15; ++trial) {
       std::vector<std::uint8_t> x(mapping.problem.n());
       for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-      ASSERT_NEAR(model.qubo().energy(x), model.lagrangian(x), 1e-9);
+      ASSERT_NEAR(model.ising().energy(ising::bits_to_spins(x)),
+                  model.lagrangian(x), 1e-9);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, LagrangianPortfolioProperty,
                          ::testing::Range<std::uint64_t>(0, 6));
+
+// ---------------------------------------------------------------------------
+// Build parity. The accumulate-then-convert build the row-wise constructor
+// replaced, kept here as the bit-level reference for the build-order
+// contract in lagrangian_model.hpp: every term through
+// QuboModel::add_quadratic/add_linear, then ising::qubo_to_ising, and the
+// field refresh set_lambda ran on that QUBO. memcmp, so that -0.0 against
+// +0.0 counts as a difference.
+
+struct ReferenceModel {
+  ising::QuboModel qubo;  ///< f + P||g||^2 at lambda = 0
+  ising::IsingModel ising;
+};
+
+ReferenceModel reference_build(const ConstrainedProblem& problem,
+                               double penalty) {
+  ising::QuboModel qubo(problem.n());
+  const auto& f = problem.objective();
+  f.for_each_quadratic([&](std::size_t i, std::size_t j, double q) {
+    qubo.add_quadratic(i, j, q);
+  });
+  for (std::size_t i = 0; i < qubo.n(); ++i) {
+    const double q = f.linear(i);
+    if (q != 0.0) qubo.add_linear(i, q);
+  }
+  qubo.add_offset(f.offset());
+  for (const auto& row : problem.constraints()) {
+    for (std::size_t u = 0; u < row.terms.size(); ++u) {
+      const auto [j, aj] = row.terms[u];
+      qubo.add_linear(j, penalty * aj * (aj - 2.0 * row.rhs));
+      for (std::size_t v = u + 1; v < row.terms.size(); ++v) {
+        const auto [k, ak] = row.terms[v];
+        qubo.add_quadratic(j, k, 2.0 * penalty * aj * ak);
+      }
+    }
+    qubo.add_offset(penalty * row.rhs * row.rhs);
+  }
+  ising::IsingModel image = ising::qubo_to_ising(qubo);
+  return {std::move(qubo), std::move(image)};
+}
+
+/// The fields and offset set_lambda wrote from the reference QUBO.
+void reference_set_lambda(ReferenceModel& ref,
+                          const ConstrainedProblem& problem,
+                          std::span<const double> lambda) {
+  const std::size_t n = ref.qubo.n();
+  std::vector<double> row_sum(n, 0.0);
+  double quad_offset = 0.0;
+  ref.qubo.for_each_quadratic([&](std::size_t i, std::size_t j, double q) {
+    row_sum[i] += q;
+    row_sum[j] += q;
+    quad_offset += q / 4.0;
+  });
+  std::vector<double> q(ref.qubo.linear_terms().begin(),
+                        ref.qubo.linear_terms().end());
+  double offset = ref.qubo.offset();
+  for (std::size_t m = 0; m < lambda.size(); ++m) {
+    if (lambda[m] == 0.0) continue;
+    for (const auto& [j, aj] : problem.constraints()[m].terms) {
+      q[j] += lambda[m] * aj;
+    }
+    offset -= lambda[m] * problem.constraints()[m].rhs;
+  }
+  double ising_offset = offset + quad_offset;
+  for (std::size_t i = 0; i < n; ++i) {
+    ref.ising.set_field(i, -(q[i] / 2.0 + row_sum[i] / 4.0));
+    ising_offset += q[i] / 2.0;
+  }
+  ref.ising.set_offset(ising_offset);
+}
+
+void expect_same_bits(const ising::IsingModel& got,
+                      const ising::IsingModel& want) {
+  ASSERT_EQ(got.n(), want.n());
+  const std::size_t n = got.n();
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::memcmp(got.row(i).data(), want.row(i).data(),
+                          n * sizeof(double)),
+              0)
+        << "J row " << i;
+  }
+  ASSERT_EQ(std::memcmp(got.fields().data(), want.fields().data(),
+                        n * sizeof(double)),
+            0)
+      << "h";
+  const double got_offset = got.offset();
+  const double want_offset = want.offset();
+  ASSERT_EQ(std::memcmp(&got_offset, &want_offset, sizeof(double)), 0)
+      << got_offset << " vs " << want_offset;
+}
+
+/// The built model, then the same after a lambda != 0, against the
+/// reference path.
+void expect_build_parity(const ConstrainedProblem& problem,
+                         std::uint64_t seed) {
+  const double penalty = heuristic_penalty(problem, 2.0);
+  LagrangianModel model(problem, penalty);
+  ReferenceModel ref = reference_build(problem, penalty);
+  expect_same_bits(model.ising(), ref.ising);
+
+  util::Xoshiro256pp rng(seed);
+  std::vector<double> lambda(problem.num_constraints());
+  for (auto& l : lambda) l = rng.uniform_sym() * 20.0;
+  ASSERT_TRUE(std::any_of(lambda.begin(), lambda.end(),
+                          [](double l) { return l != 0.0; }));
+  model.set_lambda(lambda);
+  reference_set_lambda(ref, problem, lambda);
+  expect_same_bits(model.ising(), ref.ising);
+}
+
+TEST(LagrangianBuildParity, Qkp60WithSlackBits) {
+  const auto mapping =
+      problems::qkp_to_problem(problems::make_paper_qkp(60, 50, 1));
+  ASSERT_GT(mapping.slack.num_bits(), 0u);
+  expect_build_parity(mapping.problem, 11);
+}
+
+TEST(LagrangianBuildParity, Mkp30ThreeConstraintsLinearObjective) {
+  problems::MkpGeneratorParams p;
+  p.n = 30;
+  p.m = 3;
+  const auto mapping = problems::mkp_to_problem(problems::generate_mkp(p));
+  ASSERT_EQ(mapping.problem.num_constraints(), 3u);
+  ASSERT_EQ(mapping.problem.objective().nnz(), 0u);
+  expect_build_parity(mapping.problem, 12);
+}
+
+TEST(LagrangianBuildParity, Portfolio) {
+  problems::PortfolioGeneratorParams p;
+  p.n = 20;
+  const auto mapping =
+      problems::portfolio_to_problem(problems::generate_portfolio(p));
+  expect_build_parity(mapping.problem, 13);
+}
 
 }  // namespace
 }  // namespace saim::lagrange

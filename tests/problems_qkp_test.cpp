@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "util/rng.hpp"
@@ -161,6 +162,40 @@ TEST(QkpMapping, ConstraintZeroIffSlackCompletesCapacity) {
   // Wrong slack leaves a violation.
   x = {1, 0, 0, 0, 0, 0};
   EXPECT_GT(mapping.problem.max_violation(x), 0.0);
+}
+
+TEST(QkpMapping, RowWiseObjectiveMatchesPairwiseBuildBitForBit) {
+  // The objective written from W's rows against the pair-by-pair
+  // add_quadratic build it replaced, memcmp'd so -0.0 would count.
+  const auto inst = make_paper_qkp(60, 50, 1);
+  for (const bool normalize : {true, false}) {
+    const auto mapping = qkp_to_problem(inst, normalize);
+    const auto& got = mapping.problem.objective();
+    ising::QuboModel want(got.n());
+    for (std::size_t i = 0; i < inst.n(); ++i) {
+      if (inst.value(i) != 0) {
+        want.add_linear(i, -static_cast<double>(inst.value(i)) /
+                               mapping.objective_scale);
+      }
+      for (std::size_t j = i + 1; j < inst.n(); ++j) {
+        const std::int64_t w = inst.pair_value(i, j);
+        if (w != 0) {
+          want.add_quadratic(i, j,
+                             -static_cast<double>(w) / mapping.objective_scale);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < got.n(); ++i) {
+      ASSERT_EQ(std::memcmp(got.row(i).data(), want.row(i).data(),
+                            got.n() * sizeof(double)),
+                0)
+          << "row " << i;
+    }
+    ASSERT_EQ(std::memcmp(got.linear_terms().data(),
+                          want.linear_terms().data(), got.n() * sizeof(double)),
+              0);
+    EXPECT_EQ(got.offset(), 0.0);
+  }
 }
 
 TEST(QkpMapping, NormalizationBoundsCoefficients) {

@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "core/penalty_method.hpp"
+#include "core/report.hpp"
 #include "problems/qkp.hpp"
 #include "service/backend_factory.hpp"
+#include "util/jsonl.hpp"
 
 namespace saim {
 namespace {
@@ -223,6 +225,51 @@ TEST(SolveService, NeverFeasibleCountsCompletedJobsWithoutAFeasibleSample) {
   EXPECT_EQ(without_feasible, 3u);
   EXPECT_EQ(svc.stats().never_feasible, without_feasible);
   EXPECT_EQ(svc.stats().completed, 6u);
+}
+
+TEST(SolveService, ResultLinesCarryTheSaimSignals) {
+  // A never-feasible job says so with a null first_feasible_iter, and
+  // reports how far its last guide sample stayed from feasibility and how
+  // far its multipliers climbed; a feasible one names its first iteration.
+  service::SolveService svc({.workers = 1, .cache_capacity = 0});
+  const auto t = make_test_problem();
+  auto never = make_request(t, 20, 3);
+  never.evaluator = [](std::span<const std::uint8_t>) {
+    return core::SampleVerdict{};
+  };
+  const auto never_response = svc.submit(std::move(never)).wait();
+  ASSERT_EQ(never_response->status, core::Status::kCompleted);
+  const core::SolveResult& never_result = *never_response->result;
+  ASSERT_FALSE(never_result.found_feasible);
+  EXPECT_FALSE(never_result.first_feasible_iter.has_value());
+
+  const auto line = util::parse_json(
+      core::result_to_jsonl(never_result, core::JsonlContext{}));
+  ASSERT_NE(line.find("first_feasible_iter"), nullptr);
+  EXPECT_TRUE(line.find("first_feasible_iter")->is_null());
+  ASSERT_NE(line.find("final_max_violation"), nullptr);
+  EXPECT_EQ(line.find("final_max_violation")->as_double(),
+            never_result.final_max_violation);
+  ASSERT_NE(line.find("lambda_l1"), nullptr);
+  EXPECT_EQ(line.find("lambda_l1")->as_double(), never_result.lambda_l1);
+  // The evaluator rejects every sample whatever its g, so only the
+  // multipliers are sure to have moved.
+  EXPECT_GE(never_result.final_max_violation, 0.0);
+  EXPECT_GT(never_result.lambda_l1, 0.0);
+
+  const auto feasible_response = svc.submit(make_request(t, 20, 3)).wait();
+  const core::SolveResult& feasible_result = *feasible_response->result;
+  ASSERT_TRUE(feasible_result.found_feasible);
+  ASSERT_TRUE(feasible_result.first_feasible_iter.has_value());
+  EXPECT_LT(*feasible_result.first_feasible_iter, 20u);
+  const auto feasible_line = util::parse_json(
+      core::result_to_jsonl(feasible_result, core::JsonlContext{}));
+  EXPECT_EQ(feasible_line.find("first_feasible_iter")->as_int(),
+            static_cast<std::int64_t>(*feasible_result.first_feasible_iter));
+  // Same seed, same samples: the evaluator only changes the verdicts.
+  EXPECT_EQ(feasible_result.final_max_violation,
+            never_result.final_max_violation);
+  EXPECT_EQ(feasible_result.lambda_l1, never_result.lambda_l1);
 }
 
 TEST(SolveService, StoppedResultsAreNeverCached) {
