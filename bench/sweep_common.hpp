@@ -35,11 +35,11 @@ inline problems::QkpInstance bench_instance(std::size_t n, int density) {
 }
 
 // Both sweep variants run identical Metropolis dynamics; the only
-// difference is how the local field I_i is obtained: a fresh CSR scan per
-// visit (O(deg), the pre-LocalFieldState code path) vs an O(1) read from
-// the incrementally maintained engine. The gap is largest at late-anneal
-// betas where hardly anything flips, which is where SAIM spends most of
-// its MCS budget.
+// difference is how the local field I_i is obtained: a fresh row scan per
+// visit (Adjacency::coupling_input, O(deg), the pre-LocalFieldState code
+// path) vs an O(1) read from the incrementally maintained engine. The gap
+// is largest at late-anneal betas where hardly anything flips, which is
+// where SAIM spends most of its MCS budget.
 
 inline void recompute_sweep(const ising::IsingModel& model,
                             const ising::Adjacency& adj, ising::Spins& m,

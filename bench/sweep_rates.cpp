@@ -128,7 +128,7 @@ int write_bench_sweep_json(const char* path) {
                "  \"pbit_sequential\": {\"dense_rows\": %s, "
                "\"beta_early\": %.3f, \"sweeps_per_sec_early\": %.1f, "
                "\"beta_late\": %.3f, \"sweeps_per_sec_late\": %.1f},\n",
-               ising::LocalFieldState::uses_dense_rows(adj) ? "true" : "false",
+               adj.dense() ? "true" : "false",
                beta_early, pbit_early, beta_late, pbit_late);
   std::fprintf(f,
                "  \"pbit_anneal\": {\"sweeps\": %zu, "

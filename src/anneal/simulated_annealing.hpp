@@ -28,7 +28,7 @@ struct SaOptions {
 
 class MetropolisSa {
  public:
-  /// Model must outlive the annealer; builds the coupling CSR once.
+  /// Model must outlive the annealer; builds its ising::Adjacency once.
   explicit MetropolisSa(const ising::IsingModel& model);
 
   /// One annealing run from a uniform random state.

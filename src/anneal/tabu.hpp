@@ -25,7 +25,7 @@ struct TabuOptions {
 
 class TabuSearch {
  public:
-  /// Model must outlive the search; the coupling CSR is built once.
+  /// Model must outlive the search; its ising::Adjacency is built once.
   TabuSearch(const ising::IsingModel& model, TabuOptions options);
 
   RunResult run(util::Xoshiro256pp& rng) const;

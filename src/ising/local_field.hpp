@@ -3,7 +3,7 @@
 //
 // A sweep visits each spin and needs its p-bit input (paper eq. 9)
 //     I_i = sum_j J_ij m_j + h_i .
-// Recomputing the coupling part with a CSR scan on every visit costs
+// Recomputing the coupling part with a row scan on every visit costs
 // O(sum_i deg(i)) per sweep even when almost nothing flips — which is
 // exactly the regime late-anneal betas live in. LocalFieldState instead
 // keeps the coupling inputs  C_i = sum_j J_ij m_j  as persistent state:
@@ -11,8 +11,8 @@
 //   * reset(m)  rebuilds C[] (Adjacency::coupling_inputs) and the start
 //     energy (IsingModel::energy) — once per run, not once per visit.
 //     Both are O(n^2) on the dense Lagrangian, so each reads contiguous
-//     4-lane slices: C[] from the CSR weights against the spins converted
-//     to doubles once, the energy 8 rows at a time. On a short serving
+//     4-lane slices: C[] from J's rows against the spins converted to
+//     doubles once, the energy 8 rows at a time. On a short serving
 //     run (30 MCS) this start-up is a large share of the run;
 //   * flip(m,i) flips spin i and pushes the change to its neighbours'
 //     C_j in O(deg(i)) — so a sweep costs O(n + flips * deg) instead of
@@ -20,14 +20,14 @@
 //
 // Dense rows. Every row of the Lagrangian Ising model has n-1 neighbours
 // (the penalty P*|g|^2 couples every pair of items), where a CSR scatter
-// does an index load and a dependent store per entry. When the adjacency
-// fills at least 30% of the n*n matrix, flip() instead walks the
-// model's contiguous dense row J[i][*] as a 4-lane axpy over all of C[].
-// The choice is made once per engine from the adjacency's edge count, and
-// a dense engine caches the base of the model's row-major J then, so a
-// flip is an inline loop with no call and no bounds check. It needs no storage
-// beyond the model's dense rows, and it does not change one bit of C[]
-// (see flip()).
+// does an index load and a dependent store per entry. On a dense adjacency
+// (Adjacency::dense(): the nonzeros fill at least 30% of the n*n matrix)
+// flip() instead walks the model's contiguous dense row J[i][*] as a
+// 4-lane axpy over all of C[]. The adjacency makes that choice once, at
+// construction, and holds no CSR then; the engine caches the base of the
+// model's row-major J from it (Adjacency::dense_rows()), so a flip is an
+// inline loop with no call and no bounds check. It does not change one
+// bit of C[] (see flip()).
 //
 // The field part h_i is read live from the bound IsingModel on every
 // field() call: SAIM's lambda updates rewrite only h between runs
@@ -59,20 +59,12 @@ class LocalFieldState {
   /// Borrows `model` and `adjacency` (both must outlive the engine; the
   /// adjacency must have been built from the model). Backends already own
   /// one Adjacency per bound model and share it across replicas/slices.
+  /// flip() walks dense rows exactly when the adjacency is dense().
   LocalFieldState(const IsingModel& model, const Adjacency& adjacency)
       : model_(&model),
         adjacency_(&adjacency),
         coupling_in_(model.n(), 0.0),
-        dense_j_(uses_dense_rows(adjacency) ? model.row(0).data()
-                                            : nullptr) {}
-
-  /// True when flip() applies flips as dense-row axpys for this adjacency:
-  /// its entries (both directions of every edge) fill at least 3/10 of the
-  /// n*n coupling matrix. Below that a CSR scatter touches less memory.
-  [[nodiscard]] static bool uses_dense_rows(const Adjacency& adjacency) {
-    const std::size_t n = adjacency.n();
-    return n != 0 && 10 * (2 * adjacency.edge_count()) >= 3 * n * n;
-  }
+        dense_j_(adjacency.dense_rows()) {}
 
   [[nodiscard]] std::size_t n() const noexcept { return coupling_in_.size(); }
 
@@ -104,7 +96,7 @@ class LocalFieldState {
   }
 
   /// Flips m[i], updates the neighbours' coupling inputs in O(deg(i)) (a
-  /// CSR scatter, or an O(n) dense-row axpy when the model is dense) and
+  /// CSR scatter, or an O(n) dense-row axpy when the adjacency is dense) and
   /// the tracked energy. Returns the energy change dH.
   double flip(Spins& m, std::size_t i) {
     const double delta = flip_delta(m, i);

@@ -8,9 +8,10 @@
 // implementation: updating lambda between SAIM iterations never touches the
 // couplings J — only the linear coefficients q (hence the Ising fields h and
 // the offset) move. set_lambda() therefore costs O(nnz(A) + n), and the
-// p-bit machine's coupling CSR built at bind() stays valid for the whole
-// run. This mirrors the paper's "the Ising coefficients J and h are
-// consequently updated at each iteration" at the minimal possible cost.
+// coupling view (ising::Adjacency) a backend builds at bind() stays valid
+// for the whole run. This mirrors the paper's "the Ising coefficients J
+// and h are consequently updated at each iteration" at the minimal
+// possible cost.
 //
 // The model keeps no QUBO copy of L: the constructor writes J row by row,
 // one pass per row, and keeps only what set_lambda needs (the lambda = 0

@@ -33,7 +33,7 @@
 //
 // The machine keeps a reference to its IsingModel: SAIM's lambda updates
 // rewrite only the model's fields h between runs, which the machine reads
-// live, while the coupling CSR (built once) stays valid.
+// live, while its coupling view (ising::Adjacency, built once) stays valid.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +67,8 @@ struct AnnealResult {
 
 class PBitMachine {
  public:
-  /// The model must outlive the machine. Builds the coupling CSR once.
+  /// The model must outlive the machine. Builds its Adjacency once: on the
+  /// dense Lagrangian models that is O(n) and borrows the model's J.
   explicit PBitMachine(const ising::IsingModel& model);
 
   [[nodiscard]] std::size_t n() const noexcept { return model_->n(); }
@@ -91,7 +92,8 @@ class PBitMachine {
   /// Uniform random ±1 configuration.
   ising::Spins random_state(util::Xoshiro256pp& rng) const;
 
-  /// p-bit input I_i for the current state (eq. 9), via the CSR.
+  /// p-bit input I_i for the current state (eq. 9), recomputed from the
+  /// couplings (Adjacency::coupling_input).
   [[nodiscard]] double input(const ising::Spins& m, std::size_t i) const {
     return adjacency_.coupling_input(m, i) + model_->field(i);
   }

@@ -69,10 +69,11 @@ namespace {
 
 /// Built models each worker keeps. Twice the instances one fleet shard
 /// serves at most (3 of 4 hot ones), so a second backend spec or penalty
-/// per instance still fits. A QKP-200 entry holds 0.91 MB of heap (0.37 MB
-/// model: J and five n-vectors, no QUBO copy; 0.54 MB bound p-bit
-/// backend; measured with mallinfo2 on 200-25-1, n = 212), so a full
-/// cache stays near 7.3 MB per worker. Past the working set every job
+/// per instance still fits. A QKP-200 entry holds 0.37 MB of heap (the
+/// model: J and five n-vectors, no QUBO copy; the bound p-bit backend
+/// adds 2 KB, as its dense adjacency borrows J and keeps only the row
+/// degrees; measured with mallinfo2 on 200-25-1, n = 212), so a full
+/// cache stays near 3 MB per worker. Past the working set every job
 /// builds.
 constexpr std::size_t kModelCacheCapacity = 8;
 

@@ -11,9 +11,10 @@
 //     holds a LagrangianModel and a backend bound to it. A worker runs
 //     exactly the job it pops, stepping one core::DualAscent to
 //     completion on that job's entry (built and bound on a miss). Lambda
-//     enters the landscape linearly, so the couplings and the bound CSR
-//     never change, and every DualAscent step re-applies its own lambda
-//     before it runs — a later job on the same key reuses both exactly.
+//     enters the landscape linearly, so the couplings and the bound
+//     adjacency never change, and every DualAscent step re-applies its
+//     own lambda before it runs — a later job on the same key reuses both
+//     exactly.
 //     A job that ends in kError evicts its entry.
 //
 // Requests share problem instances by shared_ptr (the shared-handle idiom:

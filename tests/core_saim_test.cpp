@@ -14,7 +14,6 @@
 #include "core/penalty_method.hpp"
 #include "exact/exhaustive.hpp"
 #include "ising/adjacency.hpp"
-#include "ising/local_field.hpp"
 #include "nondyadic_models.hpp"
 #include "problems/mkp.hpp"
 #include "problems/qkp.hpp"
@@ -268,8 +267,7 @@ void expect_pinned(const problems::ConstrainedProblem& problem,
   opts.record_history = true;
   SaimSolver solver(problem, backend, opts);
   // The Lagrangian couples every pair of items: flips take the dense rows.
-  EXPECT_TRUE(ising::LocalFieldState::uses_dense_rows(
-      ising::Adjacency(solver.model().ising())));
+  EXPECT_TRUE(ising::Adjacency(solver.model().ising()).dense());
   const auto result = solver.solve(judge);
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const auto b : last) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 
 #include "ising/convert.hpp"
@@ -180,6 +182,20 @@ TEST(HeuristicPenalty, QkpFormulaMatchesPaper) {
   const double d = mapping.problem.objective().density();
   const double n = static_cast<double>(mapping.problem.n());
   EXPECT_NEAR(heuristic_penalty(mapping.problem, 2.0), 2.0 * d * n, 1e-12);
+}
+
+TEST(HeuristicPenalty, DensityIsTheObjectivesDensityBitForBit) {
+  // density_for_penalty counts the objective's nonzeros once and divides
+  // as QuboModel::density does.
+  for (const int density : {25, 50, 75, 100}) {
+    const auto inst = problems::make_paper_qkp(40, density, 2);
+    const auto mapping = problems::qkp_to_problem(inst);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  mapping.problem.density_for_penalty()),
+              std::bit_cast<std::uint64_t>(
+                  mapping.problem.objective().density()))
+        << "density " << density;
+  }
 }
 
 TEST(HeuristicPenalty, LinearObjectiveUsesFixedSpinConvention) {

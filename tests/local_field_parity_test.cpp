@@ -2,7 +2,8 @@
 // LocalFieldState engine) and the recompute-every-visit sweep loops they
 // replaced. One reference implementation of each backend's dynamics is
 // kept here, transcribed from the pre-refactor code: the local field
-// I_i = sum_j J_ij m_j + h_i is re-summed through the CSR on every visit
+// I_i = sum_j J_ij m_j + h_i is re-summed through a CSR (the test-local
+// copy in csr_reference.hpp, built for every model) on every visit
 // and energies are accumulated exactly as the old loops did.
 //
 // On a model whose couplings, fields and all partial sums are dyadic
@@ -24,7 +25,7 @@
 #include "anneal/simulated_annealing.hpp"
 #include "anneal/sqa.hpp"
 #include "anneal/tabu.hpp"
-#include "ising/adjacency.hpp"
+#include "csr_reference.hpp"
 #include "ising/ising_model.hpp"
 #include "pbit/pbit_machine.hpp"
 #include "pbit/schedule.hpp"
@@ -33,7 +34,7 @@
 namespace saim {
 namespace {
 
-using ising::Adjacency;
+using testing_models::CsrAdjacency;
 using ising::IsingModel;
 using ising::Spins;
 
@@ -62,7 +63,7 @@ Spins draw_state(std::size_t n, util::Xoshiro256pp& rng) {
 }
 
 /// Recompute-every-visit local field — the pattern all backends used.
-double reference_input(const IsingModel& model, const Adjacency& adj,
+double reference_input(const IsingModel& model, const CsrAdjacency& adj,
                        const Spins& m, std::size_t i) {
   return adj.coupling_input(m, i) + model.field(i);
 }
@@ -76,7 +77,7 @@ struct RefAnneal {
 
 RefAnneal reference_pbit(const IsingModel& model, const pbit::Schedule& sched,
                          std::size_t sweeps, util::Xoshiro256pp& rng) {
-  const Adjacency adj(model);
+  const CsrAdjacency adj(model);
   RefAnneal result;
   result.last = draw_state(model.n(), rng);
   double energy = model.energy(result.last);
@@ -125,7 +126,7 @@ TEST(LocalFieldParity, PBitMachineMatchesRecomputeReference) {
 RefAnneal reference_metropolis(const IsingModel& model,
                                const pbit::Schedule& sched,
                                std::size_t sweeps, util::Xoshiro256pp& rng) {
-  const Adjacency adj(model);
+  const CsrAdjacency adj(model);
   RefAnneal result;
   result.last = draw_state(model.n(), rng);
   double energy = model.energy(result.last);
@@ -168,7 +169,7 @@ TEST(LocalFieldParity, MetropolisSaMatchesRecomputeReference) {
 RefAnneal reference_pt(const IsingModel& model,
                        const anneal::PtOptions& options,
                        util::Xoshiro256pp& rng) {
-  const Adjacency adj(model);
+  const CsrAdjacency adj(model);
   const std::size_t r = options.replicas;
 
   std::vector<double> betas(r);
@@ -242,7 +243,7 @@ TEST(LocalFieldParity, ParallelTemperingMatchesRecomputeReference) {
 RefAnneal reference_sqa(const IsingModel& model,
                         const anneal::SqaOptions& options,
                         util::Xoshiro256pp& rng) {
-  const Adjacency adj(model);
+  const CsrAdjacency adj(model);
   const std::size_t n = model.n();
   const std::size_t slices = options.trotter_slices;
   const auto m_d = static_cast<double>(slices);
@@ -323,7 +324,7 @@ TEST(LocalFieldParity, SqaMatchesRecomputeReference) {
 RefAnneal reference_tabu(const IsingModel& model,
                          const anneal::TabuOptions& options,
                          util::Xoshiro256pp& rng) {
-  const Adjacency adj(model);
+  const CsrAdjacency adj(model);
   const std::size_t n = model.n();
   RefAnneal result;
 

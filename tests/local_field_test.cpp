@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ising/adjacency.hpp"
+#include "csr_reference.hpp"
 #include "ising/ising_model.hpp"
 #include "nondyadic_models.hpp"
 #include "util/rng.hpp"
@@ -127,11 +128,12 @@ TEST(LocalFieldState, FlipIsAnInvolutionOnEnergy) {
   EXPECT_NEAR(lfs.energy(), e0, 1e-12);
 }
 
-/// Test-local copy of the CSR scatter flip: the reference the dense-row
-/// path must match bit for bit.
+/// Test-local copy of the CSR scatter flip over a test-local CSR (C[]
+/// from its per-row sums): the reference the dense-row path must match bit
+/// for bit.
 struct CsrReference {
   const IsingModel* model;
-  const Adjacency* adj;
+  const testing_models::CsrAdjacency* adj;
   std::vector<double> c;
   double energy = 0.0;
 
@@ -161,12 +163,13 @@ struct CsrReference {
 void expect_flips_match_csr(const IsingModel& model, std::uint64_t seed,
                             std::size_t flips) {
   const Adjacency adj(model);
+  const testing_models::CsrAdjacency csr(model);
   util::Xoshiro256pp rng(seed);
   Spins m = random_spins(model.n(), rng);
   Spins ref_m = m;
   LocalFieldState lfs(model, adj);
   lfs.reset(m);
-  CsrReference ref{&model, &adj, {}, 0.0};
+  CsrReference ref{&model, &csr, {}, 0.0};
   ref.reset(ref_m);
   for (std::size_t step = 0; step < flips; ++step) {
     const auto i = static_cast<std::size_t>(rng.below(model.n()));
@@ -194,7 +197,7 @@ TEST(LocalFieldState, DenseRowFlipsMatchCsrScatterBitForBit) {
     for (const double density : {1.0, 0.6}) {
       const auto model = random_model(n, density, seed++);
       if (n > 1 && density == 1.0) {
-        EXPECT_TRUE(LocalFieldState::uses_dense_rows(Adjacency(model)));
+        EXPECT_TRUE(Adjacency(model).dense());
       }
       expect_flips_match_csr(model, seed++, 2000);
       total += 2000;
@@ -215,35 +218,43 @@ TEST(LocalFieldState, DenseRowFlipsKeepExactZeroCouplingInputs) {
       }
     }
   }
-  ASSERT_TRUE(LocalFieldState::uses_dense_rows(Adjacency(model)));
+  ASSERT_TRUE(Adjacency(model).dense());
   expect_flips_match_csr(model, 32, 5000);
 }
 
-TEST(LocalFieldState, DenseRowThresholdIsThreeTenthsFill) {
-  // n = 10: 15 edges fill exactly 30/100 of the matrix (dense path), 14
-  // edges fall just below it (CSR path). Both must match the reference.
-  for (const std::size_t edges : {15u, 14u}) {
-    IsingModel model(10);
-    util::Xoshiro256pp rng(40 + edges);
-    std::size_t added = 0;
-    for (std::size_t i = 0; i < 10 && added < edges; ++i) {
-      for (std::size_t j = i + 1; j < 10 && added < edges; ++j, ++added) {
-        model.add_coupling(i, j, rng.uniform_sym());
-      }
-      model.add_field(i, rng.uniform_sym());
+/// n = 10 with `edges` couplings: 15 edges fill exactly 30/100 of the
+/// matrix (a dense adjacency), 14 fall just below it (a CSR).
+IsingModel threshold_model(std::size_t edges) {
+  IsingModel model(10);
+  util::Xoshiro256pp rng(40 + edges);
+  std::size_t added = 0;
+  for (std::size_t i = 0; i < 10 && added < edges; ++i) {
+    for (std::size_t j = i + 1; j < 10 && added < edges; ++j, ++added) {
+      model.add_coupling(i, j, rng.uniform_sym());
     }
+    model.add_field(i, rng.uniform_sym());
+  }
+  return model;
+}
+
+TEST(LocalFieldState, DenseRowThresholdIsThreeTenthsFill) {
+  // Both sides of the threshold must match the reference.
+  for (const std::size_t edges : {15u, 14u}) {
+    const IsingModel model = threshold_model(edges);
     const Adjacency adj(model);
     ASSERT_EQ(adj.edge_count(), edges);
-    EXPECT_EQ(LocalFieldState::uses_dense_rows(adj), edges == 15u);
+    EXPECT_EQ(adj.dense(), edges == 15u);
     expect_flips_match_csr(model, 50 + edges, 2000);
   }
 }
 
-/// coupling_inputs (and so reset) against the per-row coupling_input, bit
-/// for bit, over random states and the two uniform ones.
+/// coupling_inputs (and so reset) and the per-row coupling_input against
+/// the test-local CSR's per-row sums, bit for bit, over random states and
+/// the two uniform ones.
 void expect_batch_inputs_match_per_row(const IsingModel& model,
                                        std::uint64_t seed) {
   const Adjacency adj(model);
+  const testing_models::CsrAdjacency csr(model);
   const std::size_t n = model.n();
   util::Xoshiro256pp rng(seed);
   std::vector<double> out(n);
@@ -255,10 +266,12 @@ void expect_batch_inputs_match_per_row(const IsingModel& model,
     lfs.reset(m);
     const auto c = lfs.coupling_inputs();
     for (std::size_t i = 0; i < n; ++i) {
-      const auto want = std::bit_cast<std::uint64_t>(adj.coupling_input(m, i));
+      const auto want = std::bit_cast<std::uint64_t>(csr.coupling_input(m, i));
       ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]), want)
           << "n=" << n << " state " << state << " C_" << i
-          << " degree " << adj.neighbors(i).size();
+          << " degree " << adj.degree(i) << " dense " << adj.dense();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(adj.coupling_input(m, i)), want)
+          << "n=" << n << " state " << state << " per-row C_" << i;
       ASSERT_EQ(std::bit_cast<std::uint64_t>(c[i]), want)
           << "n=" << n << " state " << state << " reset C_" << i;
     }
@@ -277,6 +290,14 @@ TEST(LocalFieldState, BatchCouplingInputsMatchPerRowOnRealModels) {
   }
 }
 
+TEST(LocalFieldState, BatchCouplingInputsMatchPerRowAtTheDenseThreshold) {
+  for (const std::size_t edges : {15u, 14u}) {
+    const IsingModel model = threshold_model(edges);
+    ASSERT_EQ(Adjacency(model).dense(), edges == 15u);
+    expect_batch_inputs_match_per_row(model, 60 + edges);
+  }
+}
+
 TEST(LocalFieldState, BatchCouplingInputsMatchPerRowOnMixedRows) {
   std::uint64_t seed = 70;
   for (const std::size_t n : testing_models::pin_sizes()) {
@@ -285,10 +306,11 @@ TEST(LocalFieldState, BatchCouplingInputsMatchPerRowOnMixedRows) {
       // Both kinds of row are present: row 0 is complete, and some row is
       // not.
       const Adjacency adj(model);
-      EXPECT_EQ(adj.neighbors(0).size(), n - 1);
+      EXPECT_TRUE(adj.dense());
+      EXPECT_EQ(adj.degree(0), n - 1);
       std::size_t sparse = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        sparse += adj.neighbors(i).size() + 1 < n ? 1 : 0;
+        sparse += adj.degree(i) + 1 < n ? 1 : 0;
       }
       EXPECT_GT(sparse, 0u) << "n=" << n;
     }
